@@ -98,3 +98,47 @@ func TestQueryZeroAlloc(t *testing.T) {
 		}
 	})
 }
+
+// TestInsertAllocs pins the allocation cost of the paper's node-by-node
+// insert (§3) on a warm document: the touched record is cached and fits
+// its page, so the operation is locate, place, measure, emit, one logged
+// page update and the commit. The record encoder, the path descent and
+// the child expansion work out of the tree manager's reused buffers; what
+// is left is the new node, the operation's bookkeeping and the log
+// records. The ceiling sits just above the measured 18 (the same insert
+// allocated 42 times when every record rewrite re-walked and re-allocated),
+// so an allocation slipped back into the per-node path fails here.
+func TestInsertAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are meaningless under -race")
+	}
+	const ceiling = 20
+	db, err := Open(Options{PageSize: 8192, WAL: true, PathIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	// A scene-shaped parent two levels down, so the descent expands two
+	// child lists before the insert expands a third.
+	src := "<root>" + strings.Repeat("<act><scene/><scene/><scene/></act>", 4) + "</root>"
+	if err := db.ImportXML("d", strings.NewReader(src)); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := db.Document("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func() {
+		if err := doc.InsertElement([]int{2, 1}, -1, "item"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 150; i++ { // warm: caches, scratch buffers, label
+		insert()
+	}
+	if avg := testing.AllocsPerRun(100, insert); avg > ceiling {
+		t.Errorf("warm InsertElement: %.1f allocs/op, ceiling %d", avg, ceiling)
+	} else {
+		t.Logf("warm InsertElement: %.1f allocs/op", avg)
+	}
+}

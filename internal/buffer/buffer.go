@@ -43,8 +43,10 @@
 package buffer
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -1040,27 +1042,29 @@ const (
 
 // diffRanges computes the changed byte spans between two page images.
 // The returned ranges alias both slices; they must be consumed (the
-// log serializes them) before either buffer is reused.
+// log serializes them) before either buffer is reused. Both the skip
+// over equal bytes and the scan of a changed run go a word at a time: an
+// update touches one record, so most of the page is an equal run.
 func diffRanges(old, new []byte) []wal.Range {
 	var out []wal.Range
 	n := len(old)
-	for i := 0; i < n; {
-		if old[i] == new[i] {
-			i++
-			continue
-		}
-		start := i
+	new = new[:n]
+	for i := firstDiff(old, new, 0); i < n; {
+		// The run absorbs every later differing byte that lies fewer than
+		// mergeGap bytes past its end so far.
 		end := i + 1
-		for j := i + 1; j < n && j-end < mergeGap; j++ {
-			if old[j] != new[j] {
-				end = j + 1
+		for {
+			m := lastDiff(old, new, end, min(end+mergeGap, n))
+			if m < 0 {
+				break
 			}
+			end = m + 1
 		}
-		out = append(out, wal.Range{Off: start, Before: old[start:end], After: new[start:end]})
-		i = end + mergeGap
-		if i > n {
-			i = n
+		if out == nil {
+			out = make([]wal.Range, 0, 8) // a record update is a few runs
 		}
+		out = append(out, wal.Range{Off: i, Before: old[i:end], After: new[i:end]})
+		i = firstDiff(old, new, min(end+mergeGap, n))
 	}
 	if len(out) > maxRanges {
 		lo := out[0].Off
@@ -1068,6 +1072,39 @@ func diffRanges(old, new []byte) []wal.Range {
 		out = []wal.Range{{Off: lo, Before: old[lo:hi], After: new[lo:hi]}}
 	}
 	return out
+}
+
+// firstDiff returns the index of the first byte at or after i where a
+// and b differ, or len(a) if there is none. len(b) must equal len(a).
+func firstDiff(a, b []byte, i int) int {
+	n := len(a)
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for ; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
+// lastDiff returns the index of the last byte in [lo, hi) where a and b
+// differ, or -1 if there is none.
+func lastDiff(a, b []byte, lo, hi int) int {
+	for ; hi-lo >= 8; hi -= 8 {
+		if x := binary.LittleEndian.Uint64(a[hi-8:]) ^ binary.LittleEndian.Uint64(b[hi-8:]); x != 0 {
+			return hi - 1 - bits.LeadingZeros64(x)/8
+		}
+	}
+	for hi--; hi >= lo; hi-- {
+		if a[hi] != b[hi] {
+			return hi
+		}
+	}
+	return -1
 }
 
 // ShrinkTo deallocates every page at or above n: resident frames are

@@ -337,6 +337,18 @@ func (b *BulkBuilder) Abort() error {
 	return b.w.Discard()
 }
 
+// Abandon ends the build without undoing it, for a caller about to roll
+// the whole operation back from the log: it only makes sure the batch
+// writer's flusher stage has stopped writing.
+func (b *BulkBuilder) Abandon() {
+	if b.aborted {
+		return
+	}
+	b.aborted = true
+	b.stack = nil
+	b.w.Abandon()
+}
+
 // BatchStats exposes the underlying batch writer's counters.
 func (b *BulkBuilder) BatchStats() records.BatchStats { return b.w.Stats() }
 

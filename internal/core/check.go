@@ -23,6 +23,9 @@ import (
 func (t *Tree) CheckInvariants() error {
 	s := t.store
 	seen := make(map[records.RID]bool)
+	// A layout of its own: checks run under read locks, beside the writer
+	// that owns the store's scratch.
+	var l noderep.Layout
 	var walk func(rid, wantParent records.RID, isRoot bool) error
 	walk = func(rid, wantParent records.RID, isRoot bool) error {
 		if seen[rid] {
@@ -33,11 +36,11 @@ func (t *Tree) CheckInvariants() error {
 		if err != nil {
 			return fmt.Errorf("record %s: %w", rid, err)
 		}
-		if size := noderep.EncodedSize(rec); size > s.maxRecordSize() {
-			return fmt.Errorf("record %s: %d bytes exceeds capacity %d", rid, size, s.maxRecordSize())
-		}
-		if err := rec.Root.Validate(); err != nil {
+		if err := noderep.Measure(rec, &l); err != nil {
 			return fmt.Errorf("record %s: %w", rid, err)
+		}
+		if size := l.Size(); size > s.maxRecordSize() {
+			return fmt.Errorf("record %s: %d bytes exceeds capacity %d", rid, size, s.maxRecordSize())
 		}
 		if rec.ParentRID != wantParent {
 			return fmt.Errorf("record %s: parent RID %s, want %s", rid, rec.ParentRID, wantParent)

@@ -401,3 +401,78 @@ func TestBigLeadingLeafSplit(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordAtExactCapacity pins the one comparison the insert path makes
+// between its measure pass and its emit pass: a record whose image is
+// exactly the net page capacity is written in place, one byte more splits
+// it — and either way what reaches the page is what a from-scratch encode
+// of the tree produces.
+func TestRecordAtExactCapacity(t *testing.T) {
+	for _, over := range []int{0, 1} {
+		s := newStore(t, 1024, Config{})
+		tr, err := s.CreateTree(lPlay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			line := noderep.NewAggregate(lLine)
+			line.AppendChild(noderep.NewTextLiteral(fmt.Sprintf("line %d", i)))
+			if err := tr.AppendChild(Path{}, line); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec, err := s.loadRecord(tr.RootRID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The record already holds a text literal, so the last one adds an
+		// embedded header and its payload, no type.
+		pad := s.maxRecordSize() - noderep.EncodedSize(rec) - noderep.EmbeddedHeaderSize + over
+		if err := tr.AppendChild(Path{}, noderep.NewTextLiteral(strings.Repeat("x", pad))); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if over == 0 {
+			if st.Splits != 0 {
+				t.Fatalf("a record of exactly %d bytes split", s.maxRecordSize())
+			}
+			if size, err := s.rm.Size(tr.RootRID()); err != nil || size != s.maxRecordSize() {
+				t.Fatalf("stored root record is %d bytes (err %v), want the capacity %d", size, err, s.maxRecordSize())
+			}
+		} else if st.Splits == 0 {
+			t.Fatalf("a record of %d bytes did not split (capacity %d)", s.maxRecordSize()+1, s.maxRecordSize())
+		}
+		// Every stored image equals a fresh encode of its cached tree.
+		var walk func(rid records.RID)
+		walk = func(rid records.RID) {
+			rec, err := s.loadRecord(rid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored, err := s.rm.Read(rid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := noderep.Encode(&noderep.Record{ParentRID: rec.ParentRID, Root: rec.Root})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(stored) != string(fresh) {
+				t.Fatalf("record %s: stored image differs from a fresh encode of its tree", rid)
+			}
+			rec.Root.Walk(func(n *noderep.Node) bool {
+				if n.Kind == noderep.KindProxy {
+					walk(n.Target)
+				}
+				return true
+			})
+		}
+		walk(tr.RootRID())
+		if got := materialize(t, tr); len(got.children) != 7 {
+			t.Fatalf("%d children, want 7", len(got.children))
+		}
+	}
+}

@@ -65,7 +65,7 @@ func (t *Tree) InsertChild(parentPath Path, idx int, n *noderep.Node) error {
 	if err := s.checkInsertable(n); err != nil {
 		return err
 	}
-	parent, err := t.Locate(parentPath)
+	parent, err := t.locate(parentPath, &s.kids)
 	if err != nil {
 		return err
 	}
@@ -126,7 +126,7 @@ func (s *Store) checkInsertable(n *noderep.Node) error {
 	if n == nil {
 		return fmt.Errorf("%w: nil node", noderep.ErrBadNode)
 	}
-	if err := n.Validate(); err != nil {
+	if _, err := s.measure(&noderep.Record{Root: n}); err != nil {
 		return err
 	}
 	// Leave room for record header, a modest type table and the node's
@@ -240,8 +240,12 @@ func (s *Store) placeAt(cand physPos, node *noderep.Node, ctx *opCtx) error {
 // "the splitting process operates as if the new node had already been
 // inserted").
 func (s *Store) afterPlacement(rid records.RID, rec *noderep.Record, inserted []*noderep.Node, ctx *opCtx) error {
-	if noderep.EncodedSize(rec) <= s.maxRecordSize() {
-		if err := s.writeRecord(rid, rec); err != nil {
+	size, err := s.measure(rec)
+	if err != nil {
+		return err
+	}
+	if size <= s.maxRecordSize() {
+		if err := s.writeMeasured(rid, rec); err != nil {
 			return err
 		}
 		ctx.patchProxiesIn(rid, inserted)
@@ -256,8 +260,12 @@ func (s *Store) afterPlacement(rid records.RID, rec *noderep.Record, inserted []
 // represents the subtree's root.
 func (s *Store) storeTreeRecord(root *noderep.Node, parentRID records.RID, near pagedev.PageNo, ctx *opCtx) (records.RID, error) {
 	rec := &noderep.Record{ParentRID: parentRID, Root: root}
-	if noderep.EncodedSize(rec) <= s.maxRecordSize() {
-		rid, err := s.insertRecord(rec, near)
+	size, err := s.measure(rec)
+	if err != nil {
+		return records.NilRID, err
+	}
+	if size <= s.maxRecordSize() {
+		rid, err := s.insertMeasured(rec, near)
 		if err != nil {
 			return records.NilRID, err
 		}

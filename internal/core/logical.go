@@ -218,14 +218,16 @@ type childEntry struct {
 // childEntries expands the logical children of ref in document order,
 // resolving proxies and splicing scaffolding aggregates transparently
 // ("Substituting all proxies by their respective subtrees reconstructs
-// the original data tree", §2.3.3).
+// the original data tree", §2.3.3). Only mutating operations need the
+// slots, so the list is built in the store's scratch: it is valid until
+// the next call.
 func (s *Store) childEntries(ref NodeRef) ([]childEntry, error) {
 	if ref.node.Kind != noderep.KindAggregate {
 		return nil, nil
 	}
-	var out []childEntry
-	err := s.collectEntries(ref.rid, ref.rec, ref.node, -1, &out)
-	return out, err
+	s.entries = s.entries[:0]
+	err := s.collectEntries(ref.rid, ref.rec, ref.node, -1, &s.entries)
+	return s.entries, err
 }
 
 // collectEntries appends the logical children of the aggregate agg (which
@@ -310,12 +312,21 @@ func (s *Store) appendChildRefs(rid records.RID, rec *noderep.Record, agg *noder
 
 // Locate resolves a logical path from the root.
 func (t *Tree) Locate(path Path) (NodeRef, error) {
+	var kids []NodeRef
+	return t.locate(path, &kids)
+}
+
+// locate is Locate with the child-list buffer supplied (and kept, grown)
+// by the caller: each path step expands one aggregate's children into
+// it, so a warm buffer makes the descent allocation-free.
+func (t *Tree) locate(path Path, buf *[]NodeRef) (NodeRef, error) {
 	ref, err := t.Root()
 	if err != nil {
 		return NodeRef{}, err
 	}
 	for depth, idx := range path {
-		kids, err := t.store.Children(ref)
+		kids, err := t.store.ChildrenAppend(ref, (*buf)[:0])
+		*buf = kids
 		if err != nil {
 			return NodeRef{}, err
 		}

@@ -88,6 +88,14 @@ type Store struct {
 	cfg   Config
 	cache *recCache
 	stats storeStats
+
+	// Scratch of the (serialized) mutating operations: the layout of the
+	// record last measured, the image buffer it is emitted into, and the
+	// child lists of the path descent and of the insert or delete point.
+	layout  noderep.Layout
+	image   []byte
+	kids    []NodeRef
+	entries []childEntry
 }
 
 // storeStats is the internal atomic form of Stats.
@@ -191,9 +199,35 @@ func (s *Store) loadRecord(rid records.RID) (*noderep.Record, error) {
 	return rec, nil
 }
 
+// measure validates rec and returns its encoded size, leaving its
+// layout in the store's scratch for writeMeasured or insertMeasured.
+func (s *Store) measure(rec *noderep.Record) (int, error) {
+	if err := noderep.Measure(rec, &s.layout); err != nil {
+		return 0, err
+	}
+	return s.layout.Size(), nil
+}
+
+// emitMeasured encodes rec, unchanged since the last measure call, into
+// the store's image buffer. The image is valid until the next emit.
+func (s *Store) emitMeasured(rec *noderep.Record) ([]byte, error) {
+	if s.image == nil {
+		s.image = make([]byte, 0, s.maxRecordSize())
+	}
+	return s.layout.Emit(s.image, rec)
+}
+
 // writeRecord re-encodes rec under its existing RID.
 func (s *Store) writeRecord(rid records.RID, rec *noderep.Record) error {
-	body, err := noderep.Encode(rec)
+	if _, err := s.measure(rec); err != nil {
+		return err
+	}
+	return s.writeMeasured(rid, rec)
+}
+
+// writeMeasured is writeRecord for a record the caller has just measured.
+func (s *Store) writeMeasured(rid records.RID, rec *noderep.Record) error {
+	body, err := s.emitMeasured(rec)
 	if err != nil {
 		return err
 	}
@@ -209,7 +243,16 @@ func (s *Store) writeRecord(rid records.RID, rec *noderep.Record) error {
 
 // insertRecord stores rec as a new record near the hint page.
 func (s *Store) insertRecord(rec *noderep.Record, near pagedev.PageNo) (records.RID, error) {
-	body, err := noderep.Encode(rec)
+	if _, err := s.measure(rec); err != nil {
+		return records.NilRID, err
+	}
+	return s.insertMeasured(rec, near)
+}
+
+// insertMeasured is insertRecord for a record the caller has just
+// measured.
+func (s *Store) insertMeasured(rec *noderep.Record, near pagedev.PageNo) (records.RID, error) {
+	body, err := s.emitMeasured(rec)
 	if err != nil {
 		return records.NilRID, err
 	}

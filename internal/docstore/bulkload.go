@@ -299,12 +299,16 @@ func (l *bulkLoader) releaseScratch() {
 	l.nodeSlab, l.textSlab, l.pend, l.open = nil, nil, nil, nil
 }
 
-// abort rolls back everything the loader stored — the pre-WAL
-// best-effort path: it deletes the records the builder materialized.
-// With a log attached it is a no-op; Mutate's log-driven rollback
-// restores every touched page wholesale instead (see wal.go).
+// abortBulk ends a failed load. Without a log it rolls back everything
+// the loader stored — the best-effort path: it deletes the records the
+// builder materialized. With a log attached runOp's log-driven rollback
+// restores every touched page wholesale instead (see wal.go), and all
+// that is needed here is that the builder's flusher goroutine has
+// stopped: a page, log image or inventory entry it wrote after the
+// rollback would survive it.
 func (s *Store) abortBulk(l *bulkLoader) {
 	if s.walW != nil {
+		l.bb.Abandon()
 		return
 	}
 	_ = l.bb.Abort()

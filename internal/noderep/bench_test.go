@@ -64,3 +64,22 @@ func BenchmarkContentSize(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMeasureEmit is the tree manager's per-write path: one measure
+// and one emit with the layout and the image buffer reused.
+func BenchmarkMeasureEmit(b *testing.B) {
+	rec := &Record{Root: benchTree(50)}
+	var l Layout
+	var buf []byte
+	b.SetBytes(int64(EncodedSize(rec)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Measure(rec, &l); err != nil {
+			b.Fatal(err)
+		}
+		var err error
+		if buf, err = l.Emit(buf, rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -270,43 +270,8 @@ func Equal(a, b *Node) bool {
 
 // Validate checks structural well-formedness of a subtree.
 func (n *Node) Validate() error {
-	return n.validate(true)
-}
-
-func (n *Node) validate(isRoot bool) error {
-	switch n.Kind {
-	case KindAggregate:
-		if len(n.Payload) != 0 {
-			return fmt.Errorf("%w: aggregate with payload", ErrBadNode)
-		}
-		for _, c := range n.Children {
-			if c.Parent != n {
-				return fmt.Errorf("%w: child with stale parent link", ErrBadNode)
-			}
-			if err := c.validate(false); err != nil {
-				return err
-			}
-		}
-	case KindLiteral:
-		if len(n.Children) != 0 {
-			return fmt.Errorf("%w: literal with children", ErrBadNode)
-		}
-	case KindProxy:
-		if len(n.Children) != 0 || len(n.Payload) != 0 {
-			return fmt.Errorf("%w: proxy with children or payload", ErrBadNode)
-		}
-		if n.Target.IsNil() {
-			return fmt.Errorf("%w: proxy with nil target", ErrBadNode)
-		}
-	default:
-		return fmt.Errorf("%w: kind %d", ErrBadNode, n.Kind)
-	}
-	// Scaffolding aggregates only ever stand alone as record roots; the
-	// split algorithm's special cases guarantee it (§3.2.2).
-	if n.Kind == KindAggregate && n.Scaffold && !isRoot {
-		return fmt.Errorf("%w: embedded scaffolding aggregate", ErrBadNode)
-	}
-	return nil
+	var l Layout
+	return l.measure(n)
 }
 
 // Record is the in-memory form of one physical record: a subtree plus the
@@ -314,6 +279,10 @@ func (n *Node) validate(isRoot bool) error {
 type Record struct {
 	ParentRID records.RID
 	Root      *Node
+
+	// types is the type-table entry count of the record's stored image,
+	// set by Decode and by Emit; 0 when the record has no image yet.
+	types int
 }
 
 // ParentRIDOffset is the byte offset of the standalone parent RID within
@@ -323,10 +292,16 @@ func ParentRIDOffset(ttCount int) int {
 	return recHeaderSize + ttEntrySize*ttCount + 2
 }
 
-// RecordParentRIDOffset returns the parent-RID byte offset for the
-// encoded form of rec.
+// RecordParentRIDOffset returns the parent-RID byte offset within the
+// stored image of rec: the one Decode parsed it from or Emit last wrote.
+// A record without an image is measured.
 func RecordParentRIDOffset(rec *Record) int {
-	return ParentRIDOffset(len(collectTypes(rec.Root)))
+	if rec.types == 0 {
+		var l Layout
+		_ = l.measure(rec.Root) // a malformed tree has no offset to get wrong
+		return ParentRIDOffset(len(l.types))
+	}
+	return ParentRIDOffset(rec.types)
 }
 
 // typeKey identifies one node type table entry.
@@ -359,25 +334,6 @@ func typeIndex(order []typeKey, k typeKey) int {
 		}
 	}
 	return -1
-}
-
-// collectTypes walks the subtree assigning type-table indexes.
-func collectTypes(root *Node) []typeKey {
-	var order []typeKey
-	root.Walk(func(n *Node) bool {
-		if k := nodeTypeKey(n); typeIndex(order, k) < 0 {
-			order = append(order, k)
-		}
-		return true
-	})
-	return order
-}
-
-// EncodedSize returns the exact on-disk size of the record. The tree
-// manager compares it against the net page capacity to decide splits.
-func EncodedSize(rec *Record) int {
-	order := collectTypes(rec.Root)
-	return recHeaderSize + ttEntrySize*len(order) + StandaloneHeaderSize + rec.Root.ContentSize()
 }
 
 // RecordOverhead returns the fixed cost of a record with ttCount node
@@ -414,14 +370,6 @@ func (ts *TypeSet) AddNode(n *Node) {
 	ts.add(nodeTypeKey(n))
 }
 
-// AddSubtree records the types of every node in the subtree under n.
-func (ts *TypeSet) AddSubtree(n *Node) {
-	n.Walk(func(x *Node) bool {
-		ts.add(nodeTypeKey(x))
-		return true
-	})
-}
-
 // Merge adds every type of other.
 func (ts *TypeSet) Merge(other *TypeSet) {
 	for _, k := range other.order {
@@ -444,51 +392,181 @@ func (ts *TypeSet) Reset() {
 	ts.order = ts.order[:0]
 }
 
-// Encode serializes the record.
-func Encode(rec *Record) ([]byte, error) {
+// Layout is what one measure pass learns about a record: its type table,
+// the table index of every node in pre-order, and the root's content
+// size — everything Emit needs to write the image in one further pass.
+// A Layout is reusable; the zero value is ready.
+type Layout struct {
+	types   []typeKey
+	idx     []uint16 // type-table index per node, pre-order
+	content int
+}
+
+// Size returns the exact on-disk size of the measured record.
+func (l *Layout) Size() int { return RecordOverhead(len(l.types)) + l.content }
+
+// Measure validates rec (Validate's conditions) and computes its layout
+// in one descent. It only reads rec, so it is safe under a read lock.
+func Measure(rec *Record, l *Layout) error {
 	if rec.Root == nil {
-		return nil, fmt.Errorf("%w: nil root", ErrBadNode)
+		return fmt.Errorf("%w: nil root", ErrBadNode)
 	}
-	if err := rec.Root.Validate(); err != nil {
+	return l.measure(rec.Root)
+}
+
+func (l *Layout) measure(root *Node) error {
+	l.types = l.types[:0]
+	l.idx = l.idx[:0]
+	var err error
+	l.content, err = l.measureNode(root, true)
+	return err
+}
+
+// measureNode assigns n its type-table index, checks its well-formedness
+// and returns its content size.
+func (l *Layout) measureNode(n *Node, isRoot bool) (int, error) {
+	k := nodeTypeKey(n)
+	ti := typeIndex(l.types, k)
+	if ti < 0 {
+		ti = len(l.types)
+		l.types = append(l.types, k)
+	}
+	l.idx = append(l.idx, uint16(ti)) // Emit rejects tables past 16 bits
+	switch n.Kind {
+	case KindAggregate:
+		if len(n.Payload) != 0 {
+			return 0, fmt.Errorf("%w: aggregate with payload", ErrBadNode)
+		}
+		total := 0
+		for _, c := range n.Children {
+			if c.Parent != n {
+				return 0, fmt.Errorf("%w: child with stale parent link", ErrBadNode)
+			}
+			cs, err := l.measureNode(c, false)
+			if err != nil {
+				return 0, err
+			}
+			total += EmbeddedHeaderSize + cs
+		}
+		// Scaffolding aggregates only ever stand alone as record roots; the
+		// split algorithm's special cases guarantee it (§3.2.2).
+		if n.Scaffold && !isRoot {
+			return 0, fmt.Errorf("%w: embedded scaffolding aggregate", ErrBadNode)
+		}
+		return total, nil
+	case KindLiteral:
+		if len(n.Children) != 0 {
+			return 0, fmt.Errorf("%w: literal with children", ErrBadNode)
+		}
+		return len(n.Payload), nil
+	case KindProxy:
+		if len(n.Children) != 0 || len(n.Payload) != 0 {
+			return 0, fmt.Errorf("%w: proxy with children or payload", ErrBadNode)
+		}
+		if n.Target.IsNil() {
+			return 0, fmt.Errorf("%w: proxy with nil target", ErrBadNode)
+		}
+		return records.RIDSize, nil
+	default:
+		return 0, fmt.Errorf("%w: kind %d", ErrBadNode, n.Kind)
+	}
+}
+
+// EncodedSize returns the exact on-disk size of a well-formed record.
+// The tree manager compares it against the net page capacity to decide
+// splits. It only reads rec.
+func EncodedSize(rec *Record) int {
+	var l Layout
+	_ = l.measure(rec.Root) // callers that care about the error call Measure
+	return l.Size()
+}
+
+// Emit writes the image of the record l was measured from into dst
+// (reused when large enough). rec must not have changed since Measure.
+// Emit notes the image's type count in rec for RecordParentRIDOffset, so
+// the caller must hold rec exclusively.
+func (l *Layout) Emit(dst []byte, rec *Record) ([]byte, error) {
+	e := emitter{order: l.types, idx: l.idx}
+	buf, err := e.emit(dst, rec, l.Size())
+	if err != nil {
 		return nil, err
 	}
-	order := collectTypes(rec.Root)
-	size := recHeaderSize + ttEntrySize*len(order) + StandaloneHeaderSize + rec.Root.ContentSize()
-	return encodeInto(nil, rec, size, order)
+	if e.next != len(l.idx) {
+		return nil, fmt.Errorf("noderep: encode node count mismatch: wrote %d of %d", e.next, len(l.idx))
+	}
+	rec.types = len(l.types)
+	return buf, nil
+}
+
+// Encode serializes the record. Like Emit it requires rec held
+// exclusively.
+func Encode(rec *Record) ([]byte, error) {
+	var l Layout
+	if err := Measure(rec, &l); err != nil {
+		return nil, err
+	}
+	return l.Emit(nil, rec)
 }
 
 // EncodeWith serializes the record into dst (grown when too small) using
-// a precomputed type set and content size, skipping the validation and
-// type/size-collection walks Encode performs. It is the bulk loader's
-// fast path: the builder accounts both incrementally, and its trees are
-// well-formed by construction. ts must cover exactly the types in the
-// subtree and content must equal rec.Root.ContentSize(); a mismatch is
-// reported as an encode error, not silently miswritten.
+// a precomputed type set and content size in place of a measure pass. It
+// is the bulk loader's fast path: the builder accounts both
+// incrementally, and its trees are well-formed by construction. ts must
+// cover exactly the types in the subtree and content must equal
+// rec.Root.ContentSize(); a mismatch is reported as an encode error, not
+// silently miswritten. Nodes find their type index by key: the builder
+// merges type sets bottom-up, so no per-node index survives to here.
 func EncodeWith(dst []byte, rec *Record, ts *TypeSet, content int) ([]byte, error) {
 	if rec.Root == nil {
 		return nil, fmt.Errorf("%w: nil root", ErrBadNode)
 	}
-	size := RecordOverhead(ts.Len()) + content
-	return encodeInto(dst, rec, size, ts.order)
+	e := emitter{order: ts.order}
+	return e.emit(dst, rec, RecordOverhead(ts.Len())+content)
 }
 
-// encodeInto writes the record image of the given total size into dst
-// (reused when large enough) with the given type table.
-func encodeInto(dst []byte, rec *Record, size int, order []typeKey) ([]byte, error) {
-	if len(order) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: %d node types", ErrTooLarge, len(order))
+// emitter is the state of one emit pass.
+type emitter struct {
+	buf   []byte
+	order []typeKey
+	idx   []uint16 // measured per-node type indexes; nil resolves by key
+	next  int      // nodes written so far
+}
+
+// typeOf returns n's type-table index, n being the next node in
+// pre-order.
+func (e *emitter) typeOf(n *Node) (uint16, error) {
+	if e.idx == nil {
+		ti := typeIndex(e.order, nodeTypeKey(n))
+		if ti < 0 {
+			return 0, fmt.Errorf("%w: node type missing from type set", ErrBadNode)
+		}
+		return uint16(ti), nil
 	}
-	var buf []byte
+	if e.next >= len(e.idx) {
+		return 0, fmt.Errorf("noderep: encode node count mismatch: more than %d nodes", len(e.idx))
+	}
+	ti := e.idx[e.next]
+	e.next++
+	return ti, nil
+}
+
+// emit writes the record image of the given total size into dst (reused
+// when large enough).
+func (e *emitter) emit(dst []byte, rec *Record, size int) ([]byte, error) {
+	if len(e.order) > math.MaxUint16 {
+		return nil, fmt.Errorf("%w: %d node types", ErrTooLarge, len(e.order))
+	}
 	if cap(dst) >= size {
-		buf = dst[:size]
+		e.buf = dst[:size]
 	} else {
-		buf = make([]byte, size)
+		e.buf = make([]byte, size)
 	}
+	buf := e.buf
 	buf[0] = formatVersion
 	buf[1] = 0
-	binary.LittleEndian.PutUint16(buf[2:], uint16(len(order)))
+	binary.LittleEndian.PutUint16(buf[2:], uint16(len(e.order)))
 	pos := recHeaderSize
-	for _, k := range order {
+	for _, k := range e.order {
 		buf[pos] = k.kindFlags
 		binary.LittleEndian.PutUint16(buf[pos+1:], uint16(k.label))
 		buf[pos+3] = byte(k.litType)
@@ -496,11 +574,15 @@ func encodeInto(dst []byte, rec *Record, size int, order []typeKey) ([]byte, err
 	}
 	// Standalone header.
 	rootOff := pos
-	binary.LittleEndian.PutUint16(buf[pos:], uint16(typeIndex(order, nodeTypeKey(rec.Root))))
+	ti, err := e.typeOf(rec.Root)
+	if err != nil {
+		return nil, err
+	}
+	binary.LittleEndian.PutUint16(buf[pos:], ti)
 	rec.ParentRID.Put(buf[pos+2:])
 	pos += StandaloneHeaderSize
 	// Root content.
-	end, err := encodeContent(buf, pos, rec.Root, rootOff, order)
+	end, err := e.content(pos, rec.Root, rootOff)
 	if err != nil {
 		return nil, err
 	}
@@ -510,11 +592,12 @@ func encodeInto(dst []byte, rec *Record, size int, order []typeKey) ([]byte, err
 	return buf, nil
 }
 
-// encodeContent writes the content of n starting at pos; hdrOff is the
-// offset of n's own header (used as the children's parent offset).
-// Embedded content sizes are backpatched after each child is written, so
-// encoding never re-walks subtrees to size them.
-func encodeContent(buf []byte, pos int, n *Node, hdrOff int, order []typeKey) (int, error) {
+// content writes the content of n starting at pos; hdrOff is the offset
+// of n's own header (used as the children's parent offset). Embedded
+// content sizes are backpatched after each child is written, so encoding
+// never re-walks subtrees to size them.
+func (e *emitter) content(pos int, n *Node, hdrOff int) (int, error) {
+	buf := e.buf
 	switch n.Kind {
 	case KindLiteral:
 		if pos+len(n.Payload) > len(buf) {
@@ -537,11 +620,14 @@ func encodeContent(buf []byte, pos int, n *Node, hdrOff int, order []typeKey) (i
 			if pos+EmbeddedHeaderSize > len(buf) {
 				return 0, fmt.Errorf("%w: embedded header overruns record", ErrTooLarge)
 			}
-			binary.LittleEndian.PutUint16(buf[pos:], uint16(typeIndex(order, nodeTypeKey(c))))
+			ti, err := e.typeOf(c)
+			if err != nil {
+				return 0, err
+			}
+			binary.LittleEndian.PutUint16(buf[pos:], ti)
 			binary.LittleEndian.PutUint16(buf[pos+4:], uint16(hdrOff))
 			pos += EmbeddedHeaderSize
-			var err error
-			pos, err = encodeContent(buf, pos, c, cHdr, order)
+			pos, err = e.content(pos, c, cHdr)
 			if err != nil {
 				return 0, err
 			}
@@ -613,7 +699,7 @@ func Decode(buf []byte) (*Record, error) {
 	if err := a.decodeContent(buf, pos, len(buf), root, rootOff, types); err != nil {
 		return nil, err
 	}
-	return &Record{ParentRID: parentRID, Root: root}, nil
+	return &Record{ParentRID: parentRID, Root: root, types: ttCount}, nil
 }
 
 // countContent is Decode's sizing pre-pass: it hops the embedded headers
@@ -692,7 +778,7 @@ func (a *decodeArena) takeKids(n int) []*Node {
 		return make([]*Node, 0, n)
 	}
 	a.kids = a.kids[:base+n]
-	return a.kids[base:base : base+n]
+	return a.kids[base : base : base+n]
 }
 
 // takePayload copies b into the payload arena, capacity-clamped.

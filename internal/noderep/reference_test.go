@@ -1,0 +1,149 @@
+package noderep
+
+// The encoder as it stood before measure and emit were fused: five walks
+// (validate, collectTypes, ContentSize, encodeContent with a type scan
+// per node). Kept as the reference the differential tests compare the
+// production encoder against, byte for byte and error for error.
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+
+	"natix/internal/records"
+)
+
+func refValidate(n *Node, isRoot bool) error {
+	switch n.Kind {
+	case KindAggregate:
+		if len(n.Payload) != 0 {
+			return fmt.Errorf("%w: aggregate with payload", ErrBadNode)
+		}
+		for _, c := range n.Children {
+			if c.Parent != n {
+				return fmt.Errorf("%w: child with stale parent link", ErrBadNode)
+			}
+			if err := refValidate(c, false); err != nil {
+				return err
+			}
+		}
+	case KindLiteral:
+		if len(n.Children) != 0 {
+			return fmt.Errorf("%w: literal with children", ErrBadNode)
+		}
+	case KindProxy:
+		if len(n.Children) != 0 || len(n.Payload) != 0 {
+			return fmt.Errorf("%w: proxy with children or payload", ErrBadNode)
+		}
+		if n.Target.IsNil() {
+			return fmt.Errorf("%w: proxy with nil target", ErrBadNode)
+		}
+	default:
+		return fmt.Errorf("%w: kind %d", ErrBadNode, n.Kind)
+	}
+	if n.Kind == KindAggregate && n.Scaffold && !isRoot {
+		return fmt.Errorf("%w: embedded scaffolding aggregate", ErrBadNode)
+	}
+	return nil
+}
+
+// collectTypes walks the subtree assigning type-table indexes.
+func collectTypes(root *Node) []typeKey {
+	var order []typeKey
+	root.Walk(func(n *Node) bool {
+		if k := nodeTypeKey(n); typeIndex(order, k) < 0 {
+			order = append(order, k)
+		}
+		return true
+	})
+	return order
+}
+
+func refEncodedSize(rec *Record) int {
+	order := collectTypes(rec.Root)
+	return recHeaderSize + ttEntrySize*len(order) + StandaloneHeaderSize + rec.Root.ContentSize()
+}
+
+func refEncode(rec *Record) ([]byte, error) {
+	if rec.Root == nil {
+		return nil, fmt.Errorf("%w: nil root", ErrBadNode)
+	}
+	if err := refValidate(rec.Root, true); err != nil {
+		return nil, err
+	}
+	order := collectTypes(rec.Root)
+	size := recHeaderSize + ttEntrySize*len(order) + StandaloneHeaderSize + rec.Root.ContentSize()
+	return refEncodeInto(rec, size, order)
+}
+
+func refEncodeInto(rec *Record, size int, order []typeKey) ([]byte, error) {
+	if len(order) > math.MaxUint16 {
+		return nil, fmt.Errorf("%w: %d node types", ErrTooLarge, len(order))
+	}
+	buf := make([]byte, size)
+	buf[0] = formatVersion
+	buf[1] = 0
+	binary.LittleEndian.PutUint16(buf[2:], uint16(len(order)))
+	pos := recHeaderSize
+	for _, k := range order {
+		buf[pos] = k.kindFlags
+		binary.LittleEndian.PutUint16(buf[pos+1:], uint16(k.label))
+		buf[pos+3] = byte(k.litType)
+		pos += ttEntrySize
+	}
+	rootOff := pos
+	binary.LittleEndian.PutUint16(buf[pos:], uint16(typeIndex(order, nodeTypeKey(rec.Root))))
+	rec.ParentRID.Put(buf[pos+2:])
+	pos += StandaloneHeaderSize
+	end, err := refEncodeContent(buf, pos, rec.Root, rootOff, order)
+	if err != nil {
+		return nil, err
+	}
+	if end != size {
+		return nil, fmt.Errorf("noderep: encode size mismatch: wrote %d of %d", end, size)
+	}
+	return buf, nil
+}
+
+func refEncodeContent(buf []byte, pos int, n *Node, hdrOff int, order []typeKey) (int, error) {
+	switch n.Kind {
+	case KindLiteral:
+		if pos+len(n.Payload) > len(buf) {
+			return 0, fmt.Errorf("%w: literal overruns record", ErrTooLarge)
+		}
+		copy(buf[pos:], n.Payload)
+		return pos + len(n.Payload), nil
+	case KindProxy:
+		if pos+records.RIDSize > len(buf) {
+			return 0, fmt.Errorf("%w: proxy overruns record", ErrTooLarge)
+		}
+		n.Target.Put(buf[pos:])
+		return pos + records.RIDSize, nil
+	case KindAggregate:
+		if hdrOff > math.MaxUint16 {
+			return 0, fmt.Errorf("%w: parent offset %d", ErrTooLarge, hdrOff)
+		}
+		for _, c := range n.Children {
+			cHdr := pos
+			if pos+EmbeddedHeaderSize > len(buf) {
+				return 0, fmt.Errorf("%w: embedded header overruns record", ErrTooLarge)
+			}
+			binary.LittleEndian.PutUint16(buf[pos:], uint16(typeIndex(order, nodeTypeKey(c))))
+			binary.LittleEndian.PutUint16(buf[pos+4:], uint16(hdrOff))
+			pos += EmbeddedHeaderSize
+			var err error
+			pos, err = refEncodeContent(buf, pos, c, cHdr, order)
+			if err != nil {
+				return 0, err
+			}
+			cs := pos - cHdr - EmbeddedHeaderSize
+			if cs > math.MaxUint16 {
+				return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, cs)
+			}
+			binary.LittleEndian.PutUint16(buf[cHdr+2:], uint16(cs))
+		}
+		return pos, nil
+	default:
+		return 0, fmt.Errorf("%w: kind %d", ErrBadNode, n.Kind)
+	}
+}

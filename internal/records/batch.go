@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"natix/internal/pagedev"
 	"natix/internal/pageformat"
@@ -72,6 +73,9 @@ type BatchWriter struct {
 
 	jobs chan pagedev.PageNo // submitted pages, in allocation order
 	done chan struct{}       // closed when the flusher goroutine exits
+
+	// abandoned is set while Abandon runs: the flusher skips what is queued.
+	abandoned atomic.Bool
 
 	mu       sync.Mutex
 	pending  map[pagedev.PageNo][][]byte // submitted, not yet materialized
@@ -195,6 +199,9 @@ func (w *BatchWriter) submit() error {
 func (w *BatchWriter) flusher() {
 	defer close(w.done)
 	for p := range w.jobs {
+		if w.abandoned.Load() {
+			continue
+		}
 		if err := w.runFlush(p); err != nil {
 			w.mu.Lock()
 			if w.flushErr == nil {
@@ -321,22 +328,41 @@ func (w *BatchWriter) Flush() error {
 // is deleted. Used to roll back a failed bulk load.
 func (w *BatchWriter) Discard() error {
 	w.join()
-	w.page = 0
-	w.bodies = nil
-	w.used = 0
-	w.mu.Lock()
-	written := w.written
-	w.written = nil
-	w.pending = make(map[pagedev.PageNo][][]byte)
-	w.flushErr = nil
-	w.mu.Unlock()
 	var firstErr error
-	for _, rid := range written {
+	for _, rid := range w.reset() {
 		if err := w.m.Delete(rid); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
+}
+
+// Abandon stops the flusher stage and forgets the batch without undoing
+// it: queued pages are dropped unmaterialized and materialized records
+// stay where they are. It is for a caller whose rollback restores every
+// touched page from the log and truncates the rest: that rollback must
+// not start while the flusher can still write pages, log images or
+// inventory entries behind it.
+func (w *BatchWriter) Abandon() {
+	w.abandoned.Store(true)
+	w.join()
+	w.abandoned.Store(false)
+	w.reset()
+}
+
+// reset empties the writer once its flusher has stopped and returns the
+// records it had materialized.
+func (w *BatchWriter) reset() []RID {
+	w.page = 0
+	w.bodies = nil
+	w.used = 0
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	written := w.written
+	w.written = nil
+	w.pending = make(map[pagedev.PageNo][][]byte)
+	w.flushErr = nil
+	return written
 }
 
 // Stats returns the writer's activity counters. Call after Flush (or

@@ -257,7 +257,9 @@ func TestBatchWriterAsyncFlusher(t *testing.T) {
 			copy(want[i-20], patch)
 		}
 		rids = append(rids, rid)
-		want = append(want, body)
+		// The writer owns body from Insert on (its flusher reads it): the
+		// expectation keeps its own copy to patch.
+		want = append(want, append([]byte(nil), body...))
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -299,5 +301,51 @@ func TestBatchWriterAsyncFlusher(t *testing.T) {
 		if err != nil || !bytes.Equal(got, want[i]) {
 			t.Fatalf("first batch damaged by discard: record %d err=%v", i, err)
 		}
+	}
+}
+
+// TestBatchWriterAbandon covers the hand-over to a log-driven rollback:
+// once Abandon returns the flusher goroutine is gone — nothing is written
+// behind the caller's back any more — and the writer undoes nothing:
+// whatever was materialized stays for the rollback to restore, and a
+// later Discard finds nothing of this batch to delete.
+func TestBatchWriterAbandon(t *testing.T) {
+	forceAsyncFlusher(t)
+	m := newManager(t, 1024)
+	w := m.NewBatchWriter(0.9)
+	var rids []RID
+	for i := 0; i < 200; i++ {
+		rid, err := w.Insert(bytes.Repeat([]byte{byte(i)}, 60))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	w.Abandon()
+	if w.jobs != nil || w.done != nil {
+		t.Fatal("flusher still attached after Abandon")
+	}
+	materialized := w.Stats().Records
+	if err := w.Discard(); err != nil {
+		t.Fatal(err)
+	}
+	live := int64(0)
+	for _, rid := range rids {
+		if _, err := m.Read(rid); err == nil {
+			live++
+		}
+	}
+	if live != materialized {
+		t.Fatalf("%d records readable after Abandon+Discard, flusher had materialized %d", live, materialized)
+	}
+	if live == int64(len(rids)) {
+		t.Fatal("Abandon materialized the unsubmitted last page")
+	}
+	// The writer is reusable.
+	if _, err := w.Insert(bytes.Repeat([]byte{9}, 60)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
 	}
 }
