@@ -3,9 +3,22 @@ package natix
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
+
+// itemsXML is the allocation guards' document: n four-node items (the
+// element, its attribute, the attribute's value, its text).
+func itemsXML(n int) string {
+	var b strings.Builder
+	b.WriteString("<root>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "<item n=\"%d\">v%d</item>", i, i)
+	}
+	b.WriteString("</root>")
+	return b.String()
+}
 
 // TestQueryZeroAlloc pins the allocation discipline of the read path:
 // once a cursor is open and the touched records are warm, advancing it
@@ -20,13 +33,7 @@ func TestQueryZeroAlloc(t *testing.T) {
 		t.Skip("alloc counts are meaningless under -race")
 	}
 
-	var b strings.Builder
-	b.WriteString("<root>")
-	for i := 0; i < 400; i++ {
-		fmt.Fprintf(&b, "<item n=\"%d\">v%d</item>", i, i)
-	}
-	b.WriteString("</root>")
-	src := b.String()
+	src := itemsXML(400)
 
 	open := func(t *testing.T, pathIndex bool, tierBytes int) *DB {
 		t.Helper()
@@ -97,6 +104,81 @@ func TestQueryZeroAlloc(t *testing.T) {
 			t.Errorf("scan cursor with tier-2: %.2f allocs/op, want 0", avg)
 		}
 	})
+}
+
+// TestReadOutAllocs pins what reading a match out costs once the cursor
+// has produced it: the read-out walks the parsed records appending into
+// pooled scratch, so Text pays for its result string and nothing else,
+// Markup for the string and at most one more, and a whole-document
+// export a small constant that does not grow with the document (the
+// materialize-then-serialize read-out it replaced allocated 10 and 18
+// times for these four-node matches, and 17 per item for the export).
+func TestReadOutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are meaningless under -race")
+	}
+	open := func(t *testing.T, items int) *DB {
+		t.Helper()
+		db, err := Open(Options{PageSize: 4096, PathIndex: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		if err := db.ImportXML("d", strings.NewReader(itemsXML(items))); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+
+	db := open(t, 400)
+	if ms, err := db.Query("d", "//item"); err != nil || len(ms) != 400 { // warm the records
+		t.Fatalf("warmup: n=%d err=%v", len(ms), err)
+	}
+	cur, err := db.QueryIter(context.Background(), "d", "//item")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	if !cur.Next() {
+		t.Fatal("no matches")
+	}
+	m := cur.Match()
+	if text, err := m.Text(); err != nil || text != "0v0" {
+		t.Fatalf("Text = %q, %v", text, err)
+	}
+	if markup, err := m.Markup(); err != nil || markup != `<item n="0">v0</item>` {
+		t.Fatalf("Markup = %q, %v", markup, err)
+	}
+	text := testing.AllocsPerRun(200, func() {
+		if _, err := m.Text(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	markup := testing.AllocsPerRun(200, func() {
+		if _, err := m.Markup(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Match.Text: %.0f allocs, Match.Markup: %.0f allocs", text, markup)
+	if text > 1 || markup > 2 {
+		t.Errorf("Match.Text: %.0f allocs/op, want at most 1; Match.Markup: %.0f, want at most 2", text, markup)
+	}
+
+	export := func(db *DB) float64 {
+		run := func() {
+			if err := db.ExportXML("d", io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm records and scratch
+		return testing.AllocsPerRun(20, run)
+	}
+	const ceiling = 4
+	small, large := export(db), export(open(t, 4000))
+	t.Logf("ExportXML: %.0f allocs (400 items), %.0f allocs (4000 items)", small, large)
+	if small != large || small > ceiling {
+		t.Errorf("ExportXML: %.0f allocs for 400 items, %.0f for 4000; want equal and at most %d", small, large, ceiling)
+	}
 }
 
 // TestInsertAllocs pins the allocation cost of the paper's node-by-node

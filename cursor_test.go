@@ -591,3 +591,145 @@ func TestImportCancelLeavesNoTrace(t *testing.T) {
 		t.Fatalf("document unusable after rollback: n=%d err=%v", n, err)
 	}
 }
+
+// TestConcurrentMatchReadOut consumes the matches of one cursor from
+// four goroutines — Markup and Text both — while the owner keeps
+// calling Next: the posting walker belongs to the iterating goroutine
+// alone and every read-out takes its own scratch, so the consumers see
+// exactly what a serial evaluation returns. Run under -race (a CI step
+// repeats it ten times).
+func TestConcurrentMatchReadOut(t *testing.T) {
+	for _, indexed := range []bool{true, false} {
+		db, err := Open(Options{PathIndex: indexed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if err := db.ImportXML("p", strings.NewReader(corpusXML())); err != nil {
+			t.Fatal(err)
+		}
+		const query = "//SPEECH"
+		serial, err := db.Query("p", query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMarkup, wantText := make([]string, len(serial)), make([]string, len(serial))
+		for i, m := range serial {
+			if wantMarkup[i], err = m.Markup(); err != nil {
+				t.Fatal(err)
+			}
+			if wantText[i], err = m.Text(); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		cur, err := db.QueryIter(context.Background(), "p", query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur.Indexed() != indexed {
+			t.Fatalf("Indexed() = %v, want %v", cur.Indexed(), indexed)
+		}
+		type job struct {
+			i int
+			m Match
+		}
+		jobs := make(chan job)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := range jobs {
+					if got, err := j.m.Markup(); err != nil || got != wantMarkup[j.i] {
+						t.Errorf("match %d: Markup = %.60q, %v", j.i, got, err)
+					}
+					if got, err := j.m.Text(); err != nil || got != wantText[j.i] {
+						t.Errorf("match %d: Text = %.60q, %v", j.i, got, err)
+					}
+				}
+			}()
+		}
+		n := 0
+		for cur.Next() {
+			if n >= len(serial) {
+				break
+			}
+			jobs <- job{n, cur.Match()}
+			n++
+		}
+		close(jobs)
+		wg.Wait() // consumers finish before Close: the two may not overlap
+		if err := cur.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n != len(serial) || n == 0 {
+			t.Fatalf("cursor yielded %d matches, eager query %d", n, len(serial))
+		}
+	}
+}
+
+// TestMatchReadOutBehindQueuedWriter: reading a live cursor's match out
+// while a writer of the document is queued must not re-take the
+// document lock (a second read lock behind a queued writer deadlocks);
+// the writer still proceeds once the cursor is closed.
+func TestMatchReadOutBehindQueuedWriter(t *testing.T) {
+	db, err := Open(Options{PathIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.ImportXML("p", strings.NewReader(corpusXML())); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := db.QueryIter(context.Background(), "p", "//SPEECH")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cur.Next() {
+		t.Fatalf("Next: %v", cur.Err())
+	}
+	m := cur.Match()
+	want, err := m.Markup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deleted := make(chan error, 1)
+	go func() { deleted <- db.Delete("p") }()
+	select {
+	case <-deleted:
+		t.Fatal("Delete completed while the cursor held the read lock")
+	case <-time.After(100 * time.Millisecond): // the writer is queued now
+	}
+	read := make(chan string, 1)
+	go func() {
+		got, err := m.Markup()
+		if err != nil {
+			t.Error(err)
+		}
+		text, err := m.Text()
+		if err != nil || text == "" {
+			t.Errorf("Text = %q, %v", text, err)
+		}
+		read <- got
+	}()
+	select {
+	case got := <-read:
+		if got != want {
+			t.Errorf("Markup behind a queued writer = %.60q, want %.60q", got, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("read-out deadlocked behind the queued writer")
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-deleted:
+		if err != nil {
+			t.Fatalf("delete after Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Delete still blocked after Close")
+	}
+}

@@ -50,7 +50,7 @@ func TestResolvePatterns(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]bool{
-		l.ModulePath: true, // the facade
+		l.ModulePath:                        true, // the facade
 		l.ModulePath + "/internal/buffer":   true,
 		l.ModulePath + "/internal/analysis": true,
 		l.ModulePath + "/cmd/natix-vet":     true,

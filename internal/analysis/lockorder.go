@@ -10,11 +10,11 @@ import (
 
 // Lockorder enforces the documented lock hierarchy:
 //
-//	1. DB.mu            lifecycle RWMutex (facade)
-//	2. document lock    per-document RWMutex from Store.lockFor
-//	3. Store.wmu        store-wide writer mutex
-//	4. Segment.allocMu  allocator mutex (serializes device growth)
-//	5. Frame latch      per-frame latch (Latch/RLatch or Frame.latch)
+//  1. DB.mu            lifecycle RWMutex (facade)
+//  2. document lock    per-document RWMutex from Store.lockFor
+//  3. Store.wmu        store-wide writer mutex
+//  4. Segment.allocMu  allocator mutex (serializes device growth)
+//  5. Frame latch      per-frame latch (Latch/RLatch or Frame.latch)
 //
 // A function may acquire a level only while holding strictly lower
 // levels. The analyzer computes a per-function summary of the levels

@@ -56,7 +56,6 @@ func (e *Env) genDocs(n int, parse bool) ([]genDoc, int64, error) {
 	return docs, bytes, nil
 }
 
-
 // RunImport imports n freshly generated plays — through the streaming
 // bulk path when bulk is true, through per-node incremental insertion
 // otherwise — and reports throughput. The imported documents are

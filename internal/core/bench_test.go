@@ -56,3 +56,70 @@ func BenchmarkInsertChildBFS(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ops)), "ns/node")
 }
+
+// BenchmarkResolveRun resolves every facade index of one full 8 KB
+// record in ascending order — the postings of a record as a query
+// consumes them — through a kept FacadeWalker (one walk per run) and
+// through the one-shot RefByFacadeIndex (a walk from the record root
+// per index).
+func BenchmarkResolveRun(b *testing.B) {
+	s := newStore(b, 8192, Config{CacheRecords: 4096})
+	bb := s.NewBulkBuilder(BulkOptions{})
+	if err := bb.Open(noderep.NewAggregate(lPlay)); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if err := bb.Open(noderep.NewAggregate(lLine)); err != nil {
+			b.Fatal(err)
+		}
+		if err := bb.Leaf(noderep.NewTextLiteral("demand me nothing")); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := bb.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := bb.Close(); err != nil {
+		b.Fatal(err)
+	}
+	root, err := bb.Finish()
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The fullest record of the tree.
+	var rid records.RID
+	nodes := 0
+	rids, facades := recordsOf(b, s, root)
+	for i, n := range facades {
+		if n > nodes {
+			rid, nodes = rids[i], n
+		}
+	}
+
+	b.Run("walker", func(b *testing.B) {
+		var w FacadeWalker
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for idx := 0; idx < nodes; idx++ {
+				if err := w.Load(s, rid); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := w.Ref(idx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/node")
+	})
+	b.Run("oneshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for idx := 0; idx < nodes; idx++ {
+				if _, err := s.RefByFacadeIndex(rid, idx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/node")
+	})
+}

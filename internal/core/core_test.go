@@ -24,7 +24,7 @@ const (
 	lLine    = dict.LabelID(8)
 )
 
-func newStore(t *testing.T, pageSize int, cfg Config) *Store {
+func newStore(t testing.TB, pageSize int, cfg Config) *Store {
 	t.Helper()
 	dev, err := pagedev.NewMem(pageSize)
 	if err != nil {

@@ -77,7 +77,7 @@ var (
 )
 
 // Store is the tree storage manager. Read traversals (Root, Children,
-// Cursor walks, TextContent, RefsByFacadeIndex, loadRecord paths) are
+// Cursor walks, AppendText, FacadeWalker, loadRecord paths) are
 // safe for any number of concurrent callers: the parsed-record cache is
 // sharded and the counters are atomics. Mutating operations
 // (InsertChild, Delete, splits) must be serialized by the caller and

@@ -160,6 +160,10 @@ type Store struct {
 	// (see query.go); a warm navigating scan allocates nothing.
 	scanPool sync.Pool
 
+	// readPool recycles readOut scratches across Markup, Text and export
+	// calls (see readout.go).
+	readPool sync.Pool
+
 	// tracer and the m* handles are set by AttachTelemetry (see
 	// telemetry.go); all remain nil — and every use is nil-safe — on an
 	// unattached store.
@@ -902,13 +906,17 @@ func (s *Store) importFlatLocked(name string, text []byte) (DocInfo, error) {
 	return *info, nil
 }
 
-// ExportXML serializes a document back to XML markup.
+// ExportXML serializes a document back to XML markup. A tree-mode
+// document is written straight from its records, in one walk, and
+// reaches w in writes of a whole number of exportChunk bytes (the last
+// one excepted); when the export fails part-way, w has received the
+// chunks completed before the error and nothing after them.
 func (s *Store) ExportXML(name string, w io.Writer) error {
 	return s.ExportXMLContext(context.Background(), name, w)
 }
 
-// ExportXMLContext is ExportXML honoring a context, checked per record
-// while the stored tree is materialized.
+// ExportXMLContext is ExportXML honoring a context, checked before each
+// element's children are expanded (that is, before each record access).
 func (s *Store) ExportXMLContext(cx context.Context, name string, w io.Writer) error {
 	if err := s.checkQuarantine(name); err != nil {
 		return err
@@ -940,68 +948,13 @@ func (s *Store) exportXMLLocked(cx context.Context, name string, w io.Writer) er
 		if err != nil {
 			return err
 		}
-		xn, err := s.xmlFromRef(cx, root)
-		if err != nil {
+		ro := s.getReadOut(w)
+		defer s.putReadOut(ro)
+		if err := s.writeXML(cx, ro, root); err != nil {
 			return err
 		}
-		return xmlkit.Serialize(w, xn)
+		return ro.flush(true)
 	}
-}
-
-// xmlFromRef materializes the logical subtree at ref as an XML tree,
-// folding "@name" aggregates back into attributes. The context is
-// checked before each record access. The walk visits records in
-// document order, so it announces page read-ahead to the buffer pool
-// as it crosses pages (a fresh cursor per call; Markup on a single
-// match and a whole-document export both stream sequentially).
-func (s *Store) xmlFromRef(cx context.Context, ref core.NodeRef) (*xmlkit.Node, error) {
-	var cur pageCursor
-	return s.xmlFromRefCur(cx, ref, &cur)
-}
-
-func (s *Store) xmlFromRefCur(cx context.Context, ref core.NodeRef, cur *pageCursor) (*xmlkit.Node, error) {
-	if ref.IsLiteral() {
-		v, err := ref.Literal().StringValue()
-		if err != nil {
-			return nil, err
-		}
-		return xmlkit.NewText(v), nil
-	}
-	name, err := s.dict.Name(ref.Label())
-	if err != nil {
-		return nil, err
-	}
-	out := xmlkit.NewElement(name)
-	if err := ctxErr(cx); err != nil {
-		return nil, err
-	}
-	s.notePage(cx, cur, ref)
-	kids, err := s.trees.Children(ref)
-	if err != nil {
-		return nil, err
-	}
-	for _, k := range kids {
-		if !k.IsLiteral() {
-			kname, err := s.dict.Name(k.Label())
-			if err != nil {
-				return nil, err
-			}
-			if strings.HasPrefix(kname, AttrPrefix) {
-				val, err := s.trees.TextContent(k)
-				if err != nil {
-					return nil, err
-				}
-				out.SetAttr(strings.TrimPrefix(kname, AttrPrefix), val)
-				continue
-			}
-		}
-		child, err := s.xmlFromRefCur(cx, k, cur)
-		if err != nil {
-			return nil, err
-		}
-		out.Append(child)
-	}
-	return out, nil
 }
 
 // RegisterTree adds a catalog entry for a tree that was built directly

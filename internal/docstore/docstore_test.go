@@ -34,7 +34,7 @@ const play = `<PLAY>
 </ACT>
 </PLAY>`
 
-func newDocStore(t *testing.T, pageSize int, cfg core.Config) (*Store, *buffer.Pool) {
+func newDocStore(t testing.TB, pageSize int, cfg core.Config) (*Store, *buffer.Pool) {
 	t.Helper()
 	dev, err := pagedev.NewMem(pageSize)
 	if err != nil {

@@ -55,6 +55,14 @@ type Iter struct {
 	next func() (Result, error, bool)
 	stop func()
 
+	// walker resolves the indexed route's postings to nodes. It belongs
+	// to the producer — only the goroutine inside Next touches it — and
+	// it keeps its place in the current record between matches, so the
+	// ascending postings of a record cost one facade walk in total. It
+	// points into parsed records, which is safe exactly as long as the
+	// cursor holds the document lock.
+	walker core.FacadeWalker
+
 	cur     Result
 	err     error
 	seen    int
@@ -251,7 +259,7 @@ func (s *Store) scanSeq(cx context.Context, it *Iter, info DocInfo, steps []Step
 func (s *Store) indexedSeq(cx context.Context, it *Iter, idx *pathindex.Handle, steps []Step) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
 		err := s.streamIndexed(cx, idx, steps, func(p pathindex.Posting) error {
-			ref, err := s.resolvePosting(p)
+			ref, err := it.resolve(p)
 			if err != nil {
 				return err
 			}
@@ -264,6 +272,20 @@ func (s *Store) indexedSeq(cx context.Context, it *Iter, idx *pathindex.Handle, 
 			yield(Result{}, err)
 		}
 	}
+}
+
+// resolve materializes one posting as a node ref, when the consumer
+// reaches it, so the records of unconsumed matches are never loaded.
+// Every match loads its record (the parsed-record cache makes the
+// repeats decode-free); the walker makes the node lookup inside it a
+// continuation of the previous match's.
+//
+//natix:noalloc
+func (it *Iter) resolve(p pathindex.Posting) (core.NodeRef, error) {
+	if err := it.walker.Load(it.store.trees, p.RID); err != nil {
+		return core.NodeRef{}, err
+	}
+	return it.walker.Ref(int(p.Local))
 }
 
 // flatSeq adapts the flat-mode evaluator to a pull sequence. The blob

@@ -113,6 +113,13 @@ func ctxErr(cx context.Context) error {
 // and consumption still invalidates the refs themselves (they address
 // parsed records); hold off concurrent edits of a document whose
 // matches are still being read.
+//
+// A tree-mode match is read out straight from the parsed records: one
+// walk that appends bytes into scratch taken from the Store's pool for
+// the call (see readout.go), so a Result shares no state with the
+// cursor that produced it and several may be read out at once, also
+// while the cursor iterates. Text allocates its result string and
+// nothing else; Markup at most one allocation more.
 type Result struct {
 	Mode Mode
 	Doc  string // catalog name of the queried document
@@ -143,9 +150,14 @@ func (r Result) Text() (string, error) {
 	}
 	var out string
 	err := r.view(func() error {
+		ro := r.store.getReadOut(nil)
+		defer r.store.putReadOut(ro)
 		var err error
-		out, err = r.store.trees.TextContent(r.Ref)
-		return err
+		if ro.out, err = r.store.trees.AppendText(r.Ref, ro.out, &ro.stack); err != nil {
+			return err
+		}
+		out = string(ro.out)
+		return nil
 	})
 	return out, err
 }
@@ -158,11 +170,12 @@ func (r Result) Markup() (string, error) {
 	}
 	var out string
 	err := r.view(func() error {
-		xn, err := r.store.xmlFromRef(context.Background(), r.Ref)
-		if err != nil {
+		ro := r.store.getReadOut(nil)
+		defer r.store.putReadOut(ro)
+		if err := r.store.writeXML(context.Background(), ro, r.Ref); err != nil {
 			return err
 		}
-		out = xmlkit.SerializeString(xn)
+		out = string(ro.out)
 		return nil
 	})
 	return out, err

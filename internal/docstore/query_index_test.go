@@ -46,7 +46,7 @@ var equivalenceQueries = []string{
 	"/PLAY/*//SPEAKER",
 }
 
-func enableIndex(t *testing.T, s *Store) *pathindex.Store {
+func enableIndex(t testing.TB, s *Store) *pathindex.Store {
 	t.Helper()
 	px, err := pathindex.Open(s.Trees().Records())
 	if err != nil {

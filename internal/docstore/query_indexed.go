@@ -169,24 +169,15 @@ func feedPostings(list []pathindex.Posting, sink func(pathindex.Posting) error) 
 	return nil
 }
 
-// resolvePosting materializes one posting as a node ref — the cursor
-// path, where matches resolve one at a time as the consumer pulls them,
-// so the records of unconsumed matches are never loaded. Consecutive
-// matches in one record cost one record load each; the parsed-record
-// cache makes the repeats decode-free.
-//
-//natix:noalloc
-func (s *Store) resolvePosting(p pathindex.Posting) (core.NodeRef, error) {
-	return s.trees.RefByFacadeIndex(p.RID, int(p.Local))
-}
-
 // resolvePostings materializes postings as node refs (the eager Query
 // path). Postings arrive in document order and a record covers a
-// contiguous pre-order range, so same-record matches come in runs:
-// grouping by run loads each matching record once without building a
-// RID map, and one scratch buffer carries every run's facade indices.
-// A duplicate posting from a nested descendant context can split a
-// run; the repeat load hits the parsed-record cache.
+// contiguous pre-order range, so same-record matches come in runs: each
+// run costs one record load and — its facade indices ascending — one
+// walk of the record, by the same core.FacadeWalker a cursor resolves
+// its matches with (Iter.resolve; there the record is loaded per match,
+// because the consumer may stop at any one). A duplicate posting from a
+// nested descendant context can split a run; the repeat load hits the
+// parsed-record cache and the walker restarts.
 //
 //natix:noalloc
 func (s *Store) resolvePostings(posts []pathindex.Posting) ([]core.NodeRef, error) {
@@ -194,21 +185,18 @@ func (s *Store) resolvePostings(posts []pathindex.Posting) ([]core.NodeRef, erro
 		return nil, nil
 	}
 	out := make([]core.NodeRef, len(posts)) //natix:vet-ignore result buffer, one allocation per query
-	var locals []int // reused across runs
-	for i := 0; i < len(posts); {
-		rid := posts[i].RID
-		j := i
-		locals = locals[:0]
-		for j < len(posts) && posts[j].RID == rid {
-			locals = append(locals, int(posts[j].Local)) //natix:vet-ignore run scratch, grows to longest run then reused
-			j++
+	var w core.FacadeWalker
+	for i, p := range posts {
+		if i == 0 || p.RID != posts[i-1].RID {
+			if err := w.Load(s.trees, p.RID); err != nil {
+				return nil, err
+			}
 		}
-		refs, err := s.trees.RefsByFacadeIndex(rid, locals)
+		ref, err := w.Ref(int(p.Local))
 		if err != nil {
 			return nil, err
 		}
-		copy(out[i:j], refs)
-		i = j
+		out[i] = ref
 	}
 	return out, nil
 }

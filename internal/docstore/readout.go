@@ -1,0 +1,207 @@
+package docstore
+
+import (
+	"context"
+	"io"
+	"strings"
+
+	"natix/internal/core"
+	"natix/internal/xmlkit"
+)
+
+// Reading a stored subtree out — as markup (Result.Markup, ExportXML,
+// Convert) or as text (Result.Text) — is one walk over the parsed
+// records that appends bytes: no intermediate xmlkit tree, no per-node
+// allocation. The walk is the paper's reconstruction (§2.3.3,
+// "substituting all proxies by their respective subtrees"), done by
+// core.ChildrenAppend, with the "@name" aggregates folded back into
+// attributes on the way.
+
+// exportChunk is the unit in which an export reaches its io.Writer:
+// every Write but the last carries a whole number of chunks.
+const exportChunk = 32 << 10
+
+// readOut is the scratch of one read-out: the output bytes, the child
+// lists of the elements the walk is inside of (stacked, innermost
+// last), the value of the attribute being folded, and the read-ahead
+// cursor. Read-outs of one cursor's matches may run concurrently with
+// each other and with the iteration, so a scratch is taken from the
+// Store's pool per call and never shared.
+type readOut struct {
+	out   []byte
+	stack []core.NodeRef
+	val   []byte
+	cur   pageCursor
+	w     io.Writer // nil: everything stays in out
+}
+
+// getReadOut takes a scratch from the pool, set up to flush to w.
+func (s *Store) getReadOut(w io.Writer) *readOut {
+	ro, _ := s.readPool.Get().(*readOut)
+	if ro == nil {
+		ro = new(readOut)
+	}
+	ro.w = w
+	return ro
+}
+
+// putReadOut returns a scratch, emptied (an error unwind leaves child
+// lists stacked) and detached from its writer.
+func (s *Store) putReadOut(ro *readOut) {
+	ro.out, ro.stack, ro.val = ro.out[:0], ro.stack[:0], ro.val[:0]
+	ro.cur, ro.w = pageCursor{}, nil
+	s.readPool.Put(ro)
+}
+
+// flush hands the whole chunks gathered so far to the writer, or with
+// final set everything.
+//
+//natix:noalloc
+func (ro *readOut) flush(final bool) error {
+	if ro.w == nil {
+		return nil
+	}
+	n := len(ro.out)
+	if !final {
+		n -= n % exportChunk
+	}
+	if n == 0 {
+		return nil
+	}
+	if _, err := ro.w.Write(ro.out[:n]); err != nil {
+		return err
+	}
+	ro.out = append(ro.out[:0], ro.out[n:]...)
+	return nil
+}
+
+// writeXML appends the markup of the logical subtree at ref to ro.out,
+// flushing whole chunks to ro.w as they fill.
+//
+//natix:noalloc
+func (s *Store) writeXML(cx context.Context, ro *readOut, ref core.NodeRef) error {
+	if ref.IsLiteral() {
+		return ro.writeText(ref)
+	}
+	name, err := s.dict.Name(ref.Label())
+	if err != nil {
+		return err
+	}
+	return s.writeElement(cx, ro, ref, name)
+}
+
+// writeText appends one text node, escaped.
+//
+//natix:noalloc
+func (ro *readOut) writeText(ref core.NodeRef) error {
+	text, err := ref.Literal().StringBytes()
+	if err != nil {
+		return err
+	}
+	ro.out = xmlkit.AppendEscapedText(ro.out, text)
+	return nil
+}
+
+// writeElement appends the element ref, whose name the caller has
+// looked up. The context is checked, and page read-ahead announced,
+// before the element's children — that is, before each record access:
+// the walk visits records in document order (a fresh page cursor per
+// read-out; Markup on a single match and a whole-document export both
+// stream sequentially). "@name" children become attributes with
+// xmlkit.Node.SetAttr's semantics: a repeated name keeps the position
+// of its first occurrence and the value of its last. An element whose
+// children are all attributes self-closes; an empty text child does not
+// count as absent.
+//
+//natix:noalloc
+func (s *Store) writeElement(cx context.Context, ro *readOut, ref core.NodeRef, name string) error {
+	if err := ctxErr(cx); err != nil {
+		return err
+	}
+	s.notePage(cx, &ro.cur, ref)
+	base := len(ro.stack)
+	var err error
+	if ro.stack, err = s.trees.ChildrenAppend(ref, ro.stack); err != nil {
+		return err
+	}
+	end := len(ro.stack) // children are ro.stack[base:end]; deeper levels stack above
+
+	ro.out = append(ro.out, '<')
+	ro.out = append(ro.out, name...)
+	content := 0 // children that are not attributes
+	for i := base; i < end; i++ {
+		k := ro.stack[i]
+		if k.IsLiteral() {
+			content++
+			continue
+		}
+		kname, err := s.dict.Name(k.Label())
+		if err != nil {
+			return err
+		}
+		if !strings.HasPrefix(kname, AttrPrefix) {
+			content++
+			continue
+		}
+		if err := s.writeAttr(ro, base, i, end, kname[len(AttrPrefix):]); err != nil {
+			return err
+		}
+	}
+	if content == 0 {
+		ro.out = append(ro.out, "/>"...)
+		ro.stack = ro.stack[:base]
+		return ro.flush(false)
+	}
+	ro.out = append(ro.out, '>')
+	for i := base; i < end; i++ {
+		k := ro.stack[i]
+		if k.IsLiteral() {
+			err = ro.writeText(k)
+		} else {
+			var kname string
+			if kname, err = s.dict.Name(k.Label()); err != nil {
+				return err
+			}
+			if strings.HasPrefix(kname, AttrPrefix) {
+				continue
+			}
+			err = s.writeElement(cx, ro, k, kname)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	ro.stack = ro.stack[:base]
+	ro.out = append(ro.out, "</"...)
+	ro.out = append(ro.out, name...)
+	ro.out = append(ro.out, '>')
+	return ro.flush(false)
+}
+
+// writeAttr appends the attribute held by child i of the element whose
+// children are ro.stack[base:end]. Children with the same label carry
+// the same attribute name: it is written where the first of them stands
+// (a later one writes nothing) with the value of the last.
+//
+//natix:noalloc
+func (s *Store) writeAttr(ro *readOut, base, i, end int, name string) error {
+	label, last := ro.stack[i].Label(), i
+	for j := base; j < end; j++ {
+		if k := ro.stack[j]; j != i && !k.IsLiteral() && k.Label() == label {
+			if j < i {
+				return nil
+			}
+			last = j
+		}
+	}
+	var err error
+	if ro.val, err = s.trees.AppendText(ro.stack[last], ro.val[:0], &ro.stack); err != nil {
+		return err
+	}
+	ro.out = append(ro.out, ' ')
+	ro.out = append(ro.out, name...)
+	ro.out = append(ro.out, `="`...)
+	ro.out = xmlkit.AppendEscapedAttr(ro.out, ro.val)
+	ro.out = append(ro.out, '"')
+	return nil
+}

@@ -96,15 +96,26 @@ func (n *Node) FloatValue() (float64, error) {
 
 // StringValue decodes a string or URI literal.
 func (n *Node) StringValue() (string, error) {
+	b, err := n.StringBytes()
+	return string(b), err
+}
+
+// StringBytes is StringValue without the copy: the payload of a string
+// or URI literal, which the caller must not modify.
+func (n *Node) StringBytes() ([]byte, error) {
 	if n.Kind != KindLiteral {
-		return "", fmt.Errorf("%w: StringValue on %s", ErrBadNode, n.Kind)
+		return nil, fmt.Errorf("%w: StringValue on %s", ErrBadNode, n.Kind)
 	}
-	switch n.LitType {
-	case LitString, LitURI:
-		return string(n.Payload), nil
-	default:
-		return "", fmt.Errorf("%w: StringValue on literal type %d", ErrBadNode, n.LitType)
+	if !n.IsString() {
+		return nil, fmt.Errorf("%w: StringValue on literal type %d", ErrBadNode, n.LitType)
 	}
+	return n.Payload, nil
+}
+
+// IsString reports whether n is a literal whose payload is character
+// data (a string or a URI).
+func (n *Node) IsString() bool {
+	return n.Kind == KindLiteral && (n.LitType == LitString || n.LitType == LitURI)
 }
 
 // BlobID decodes the blob reference of an overflow literal.

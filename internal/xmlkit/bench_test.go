@@ -57,3 +57,12 @@ func BenchmarkDecodeEntities(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkAppendEscapedText(b *testing.B) {
+	line := []byte("I am not what I am & never was; demand me nothing, what you know")
+	var buf []byte
+	b.SetBytes(int64(len(line)))
+	for i := 0; i < b.N; i++ {
+		buf = AppendEscapedText(buf[:0], line)
+	}
+}

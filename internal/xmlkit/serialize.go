@@ -1,31 +1,64 @@
 package xmlkit
 
 import (
-	"bufio"
 	"io"
 	"strings"
 )
+
+// markup flags the bytes that cannot stand for themselves in character
+// data; the quote only matters inside an attribute value.
+var markup = [256]bool{'<': true, '>': true, '&': true, '"': true}
+
+// appendEscaped appends s to dst with the markup characters <, > and &
+// replaced by their entity references and, for a double-quoted attribute
+// value, " as well. It is the one escape routine behind EscapeText,
+// EscapeAttr, Serialize and the store's streaming writer, so the two
+// serialisers cannot drift.
+func appendEscaped[S ~string | ~[]byte](dst []byte, s S, attr bool) []byte {
+	run := 0 // start of the pending unescaped run
+	for i := 0; i < len(s); i++ {
+		if !markup[s[i]] {
+			continue
+		}
+		var esc string
+		switch s[i] {
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '&':
+			esc = "&amp;"
+		default:
+			if !attr {
+				continue
+			}
+			esc = "&quot;"
+		}
+		dst = append(dst, s[run:i]...)
+		dst = append(dst, esc...)
+		run = i + 1
+	}
+	return append(dst, s[run:]...)
+}
+
+// AppendEscapedText appends character data, escaped for element
+// content, to dst.
+func AppendEscapedText[S ~string | ~[]byte](dst []byte, s S) []byte {
+	return appendEscaped(dst, s, false)
+}
+
+// AppendEscapedAttr appends an attribute value, escaped for
+// double-quoted output, to dst.
+func AppendEscapedAttr[S ~string | ~[]byte](dst []byte, s S) []byte {
+	return appendEscaped(dst, s, true)
+}
 
 // EscapeText escapes character data for element content.
 func EscapeText(s string) string {
 	if !strings.ContainsAny(s, "<>&") {
 		return s
 	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		case '&':
-			b.WriteString("&amp;")
-		default:
-			b.WriteByte(s[i])
-		}
-	}
-	return b.String()
+	return string(appendEscaped(make([]byte, 0, len(s)+8), s, false))
 }
 
 // EscapeAttr escapes an attribute value for double-quoted output.
@@ -33,87 +66,66 @@ func EscapeAttr(s string) string {
 	if !strings.ContainsAny(s, `<>&"`) {
 		return s
 	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		case '&':
-			b.WriteString("&amp;")
-		case '"':
-			b.WriteString("&quot;")
-		default:
-			b.WriteByte(s[i])
-		}
-	}
-	return b.String()
+	return string(appendEscaped(make([]byte, 0, len(s)+8), s, true))
 }
 
+// serializeChunk is how much markup Serialize gathers before handing it
+// to the writer.
+const serializeChunk = 32 << 10
+
 // Serialize writes the subtree rooted at n as XML markup. No whitespace
-// is invented, so Parse(Serialize(t)) reproduces t exactly.
+// is invented, so Parse(Serialize(t)) reproduces t exactly. The markup
+// is appended to one buffer that is handed to w each time it passes
+// serializeChunk bytes, so w sees a few large writes whatever it is.
 func Serialize(w io.Writer, n *Node) error {
-	bw := bufio.NewWriter(w)
-	if err := writeNode(bw, n); err != nil {
+	buf, err := appendNode(nil, n, w)
+	if err != nil {
 		return err
 	}
-	return bw.Flush()
+	_, err = w.Write(buf)
+	return err
 }
 
 // SerializeString renders the subtree to a string.
 func SerializeString(n *Node) string {
-	var b strings.Builder
-	_ = Serialize(&b, n)
-	return b.String()
+	buf, _ := appendNode(nil, n, nil) // no writer, no error
+	return string(buf)
 }
 
-func writeNode(w *bufio.Writer, n *Node) error {
+// appendNode appends n's markup to buf. With a writer it empties buf
+// into w after any node that leaves it at serializeChunk bytes or more;
+// with w nil the whole markup stays in buf.
+func appendNode(buf []byte, n *Node, w io.Writer) ([]byte, error) {
 	if n.IsText() {
-		_, err := w.WriteString(EscapeText(n.Text))
-		return err
+		return appendEscaped(buf, n.Text, false), nil
 	}
-	if err := w.WriteByte('<'); err != nil {
-		return err
-	}
-	if _, err := w.WriteString(n.Name); err != nil {
-		return err
-	}
+	buf = append(buf, '<')
+	buf = append(buf, n.Name...)
 	for _, a := range n.Attrs {
-		if err := w.WriteByte(' '); err != nil {
-			return err
-		}
-		if _, err := w.WriteString(a.Name); err != nil {
-			return err
-		}
-		if _, err := w.WriteString(`="`); err != nil {
-			return err
-		}
-		if _, err := w.WriteString(EscapeAttr(a.Value)); err != nil {
-			return err
-		}
-		if err := w.WriteByte('"'); err != nil {
-			return err
-		}
+		buf = append(buf, ' ')
+		buf = append(buf, a.Name...)
+		buf = append(buf, `="`...)
+		buf = appendEscaped(buf, a.Value, true)
+		buf = append(buf, '"')
 	}
 	if len(n.Children) == 0 {
-		_, err := w.WriteString("/>")
-		return err
+		return append(buf, "/>"...), nil
 	}
-	if err := w.WriteByte('>'); err != nil {
-		return err
-	}
+	buf = append(buf, '>')
 	for _, c := range n.Children {
-		if err := writeNode(w, c); err != nil {
-			return err
+		var err error
+		if buf, err = appendNode(buf, c, w); err != nil {
+			return buf, err
 		}
 	}
-	if _, err := w.WriteString("</"); err != nil {
-		return err
+	buf = append(buf, "</"...)
+	buf = append(buf, n.Name...)
+	buf = append(buf, '>')
+	if w != nil && len(buf) >= serializeChunk {
+		if _, err := w.Write(buf); err != nil {
+			return buf, err
+		}
+		buf = buf[:0]
 	}
-	if _, err := w.WriteString(n.Name); err != nil {
-		return err
-	}
-	return w.WriteByte('>')
+	return buf, nil
 }

@@ -781,13 +781,16 @@ func (db *DB) ImportXMLFlatContext(ctx context.Context, name string, r io.Reader
 	})
 }
 
-// ExportXML serializes the named document to w.
+// ExportXML serializes the named document to w. A tree-mode document is
+// written straight from its records in one pass and reaches w in a few
+// large writes; when the export fails part-way (an I/O error, a
+// cancelled context), w has received a prefix of the markup.
 func (db *DB) ExportXML(name string, w io.Writer) error {
 	return db.ExportXMLContext(context.Background(), name, w)
 }
 
-// ExportXMLContext is ExportXML honoring a context, checked per record
-// while the stored tree is materialized.
+// ExportXMLContext is ExportXML honoring a context, checked before each
+// element's children are read (that is, before each record access).
 func (db *DB) ExportXMLContext(ctx context.Context, name string, w io.Writer) error {
 	return db.view(func() error { return db.store.ExportXMLContext(ctx, name, w) })
 }
