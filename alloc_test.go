@@ -4,8 +4,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"natix/internal/corpus"
+	"natix/internal/docstore"
+	"natix/internal/xmlkit"
 )
 
 // itemsXML is the allocation guards' document: n four-node items (the
@@ -222,5 +228,58 @@ func TestInsertAllocs(t *testing.T) {
 		t.Errorf("warm InsertElement: %.1f allocs/op, ceiling %d", avg, ceiling)
 	} else {
 		t.Logf("warm InsertElement: %.1f allocs/op", avg)
+	}
+}
+
+// TestImportAllocs pins what a bulk import allocates once the store is
+// warm: the loader's slabs, event batches, element table and encode
+// buffer come back from the previous import, log records are framed in
+// the log buffer and pool misses load into evicted frames' images, so a
+// play-sized import (file store, WAL and path index on — the benchmark's
+// configuration) costs about 5 bytes of allocation per byte of XML, most
+// of it the parser's strings and the index it leaves behind. The ceiling
+// of 8 sits between that and the 16 the same import allocated when each
+// of those buffers was made afresh per import, per record or per miss.
+// The second half holds the store to its retention bound: after a
+// document ten times the size, what stays parked is under
+// docstore.MaxRetainedScratch.
+func TestImportAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are meaningless under -race")
+	}
+	const ceiling = 8.0
+	spec := corpus.DefaultSpec()
+	play := xmlkit.SerializeString(corpus.GeneratePlay(spec, 0))
+	db, err := Open(Options{Path: filepath.Join(t.TempDir(), "a.natix"), PageSize: 8192, WAL: true, NoSync: true, PathIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.ImportXML("warm", strings.NewReader(play)); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := db.ImportXML("measured", strings.NewReader(play)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(play))
+	t.Logf("warm ImportXML of %d bytes: %.2f bytes allocated per input byte", len(play), perByte)
+	if perByte > ceiling {
+		t.Errorf("warm ImportXML: %.2f bytes allocated per input byte, ceiling %.0f", perByte, ceiling)
+	}
+
+	big := xmlkit.NewElement("CORPUS")
+	for i := 0; i < 10; i++ {
+		big.Append(corpus.GeneratePlay(spec, i))
+	}
+	if err := db.ImportXML("big", strings.NewReader(xmlkit.SerializeString(big))); err != nil {
+		t.Fatal(err)
+	}
+	retained := db.store.RetainedScratch()
+	t.Logf("load scratch parked after a 10x document: %d bytes (bound %d)", retained, docstore.MaxRetainedScratch)
+	if retained == 0 || retained > docstore.MaxRetainedScratch/4 {
+		t.Errorf("load scratch parked after a 10x document: %d bytes, want one scratch of at most %d", retained, docstore.MaxRetainedScratch/4)
 	}
 }

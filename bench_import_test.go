@@ -90,6 +90,7 @@ func BenchmarkImport(b *testing.B) {
 				}
 				defer db.Close()
 				b.SetBytes(int64(len(shape.xml)))
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					name := fmt.Sprintf("doc-%d", i)
@@ -129,6 +130,7 @@ func BenchmarkImportIndexed(b *testing.B) {
 		}
 		defer db.Close()
 		b.SetBytes(int64(len(shape.xml)))
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			name := fmt.Sprintf("doc-%d", i)
@@ -153,6 +155,7 @@ func BenchmarkImportIndexed(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(len(shape.xml)))
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			name := fmt.Sprintf("doc-%d", i)

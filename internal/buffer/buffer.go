@@ -132,6 +132,11 @@ type Pool struct {
 	// (bounded by maxPrefetchInflight, see prefetch.go).
 	prefetchInflight atomic.Int32
 
+	// spare holds the page images of evicted frames for the next misses
+	// to load into (at most maxSpareImages; see takeImage/recycle).
+	spareMu sync.Mutex
+	spare   [][]byte
+
 	// Hit-path counters are sharded: every Get on every goroutine
 	// bumps them, so a single cache line would be the pool's hottest
 	// contention point. The rest increment only around physical I/O.
@@ -378,12 +383,13 @@ func (p *Pool) get(pn pagedev.PageNo, read bool) (*Frame, error) {
 		f.notePrefetchHit()
 		return f, nil
 	}
-	f := &Frame{pool: p, page: pn, data: make([]byte, p.dev.PageSize()), fresh: !read}
+	f := &Frame{pool: p, page: pn, data: p.takeImage(!read), fresh: !read}
 	f.pins.Store(1)
 	if read {
 		if err := p.loadInto(f); err != nil {
 			sh.mu.Unlock()
 			p.size.Add(-1)
+			p.recycle(f)
 			return nil, err
 		}
 	} else if p.t2 != nil {
@@ -396,6 +402,49 @@ func (p *Pool) get(pn pagedev.PageNo, read bool) (*Frame, error) {
 	sh.ring = append(sh.ring, f)
 	sh.mu.Unlock()
 	return f, nil
+}
+
+// maxSpareImages bounds the evicted page images kept for reuse. An
+// eviction is normally followed by the load it made room for, which
+// takes the image straight back, so the list rarely holds more than one
+// per goroutine missing at the moment.
+const maxSpareImages = 8
+
+// takeImage returns a page-sized buffer for a new frame: the image of
+// an evicted frame when one is spare, a fresh allocation otherwise.
+// Loads overwrite every byte; GetNew promises zeroes, so zero asks for
+// a recycled image to be cleared.
+func (p *Pool) takeImage(zero bool) []byte {
+	p.spareMu.Lock()
+	var img []byte
+	if n := len(p.spare); n > 0 {
+		img = p.spare[n-1]
+		p.spare[n-1] = nil
+		p.spare = p.spare[:n-1]
+	}
+	p.spareMu.Unlock()
+	if img == nil {
+		return make([]byte, p.dev.PageSize())
+	}
+	if zero {
+		clear(img)
+	}
+	return img
+}
+
+// recycle takes the image of a frame nothing can reach any more — off
+// the page table (or never on it) with no pins — and leaves the frame
+// without one: a caller still holding the *Frame after its last Release
+// faults on the nil image instead of reading whichever page moved in.
+// That is also why images are recycled and Frames are not.
+func (p *Pool) recycle(f *Frame) {
+	img := f.data
+	f.data = nil
+	p.spareMu.Lock()
+	if len(p.spare) < maxSpareImages {
+		p.spare = append(p.spare, img)
+	}
+	p.spareMu.Unlock()
 }
 
 // loadInto fills f.data for page f.page, serving from the compressed
@@ -512,7 +561,9 @@ func (p *Pool) evictOne() error {
 // the compressed victim cache. Admission runs after the shard lock is
 // released — the frame is off the page table with zero pins, so its
 // image is exclusively ours and the compression cost never stalls
-// same-shard hits. Caller holds evictMu.
+// same-shard hits. Only then is the image handed on to the next miss:
+// tier-2 must have read the victim's bytes, not the next tenant's.
+// Caller holds evictMu.
 func (p *Pool) sweepShard(sh *shard, durableLSN wal.LSN) (bool, error) {
 	victim, admissible, err := p.sweepShardLocked(sh, durableLSN)
 	if victim == nil || err != nil {
@@ -521,6 +572,7 @@ func (p *Pool) sweepShard(sh *shard, durableLSN wal.LSN) (bool, error) {
 	if p.t2 != nil && admissible {
 		p.t2.admit(p, victim.page, victim.data)
 	}
+	p.recycle(victim)
 	return true, nil
 }
 
@@ -889,7 +941,8 @@ func (f *Frame) Page() pagedev.PageNo { return f.page }
 
 // Data returns the page image. Mutations must be followed by MarkDirty.
 // The slice is valid only while the frame is pinned; concurrent users
-// must hold the frame latch (shared to read, exclusive to mutate).
+// must hold the frame latch (shared to read, exclusive to mutate). Once
+// the frame has been evicted Data returns nil.
 func (f *Frame) Data() []byte { return f.data }
 
 // MarkDirty records that the frame differs from the on-device page.

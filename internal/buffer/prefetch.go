@@ -199,10 +199,11 @@ func (p *Pool) prefetchOne(pn pagedev.PageNo) bool {
 		p.size.Add(-1)
 		return true
 	}
-	f := &Frame{pool: p, page: pn, data: make([]byte, p.dev.PageSize())}
+	f := &Frame{pool: p, page: pn, data: p.takeImage(false)}
 	if err := p.loadInto(f); err != nil {
 		sh.mu.Unlock()
 		p.size.Add(-1)
+		p.recycle(f)
 		return false
 	}
 	f.prefetched.Store(true)

@@ -1,0 +1,202 @@
+package buffer
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"natix/internal/compress"
+	"natix/internal/pagedev"
+	"natix/internal/pageformat"
+)
+
+// fillPages formats pages [0, n) through the pool, page i carrying the
+// one-byte cell i+1, and flushes them to the device.
+func fillPages(t *testing.T, p *Pool, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		f, err := p.GetNew(pagedev.PageNo(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		format(f, byte(i+1))
+		f.Release()
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkPage reads page pn through the pool and verifies it is pn's own
+// image: the cell fillPages gave it, under a valid checksum.
+func checkPage(p *Pool, pn int) error {
+	f, err := p.Get(pagedev.PageNo(pn))
+	if err != nil {
+		return err
+	}
+	defer f.Release()
+	f.Latch() // exclusive: verification blanks the checksum field while it sums
+	defer f.Unlatch()
+	if err := pageformat.VerifyChecksum(f.Data()); err != nil {
+		return fmt.Errorf("page %d: %w", pn, err)
+	}
+	s, err := pageformat.AsSlotted(f.Data())
+	if err != nil {
+		return fmt.Errorf("page %d: %w", pn, err)
+	}
+	cell, err := s.Cell(0)
+	if err != nil || len(cell) != 1 || cell[0] != byte(pn+1) {
+		return fmt.Errorf("page %d holds cell %v (%v), want [%d]", pn, cell, err, pn+1)
+	}
+	return nil
+}
+
+// TestRecycledImageCarriesOwnPage cycles 24 pages through a 4-frame pool
+// several times: from the fifth load on every frame is built on the image
+// of an evicted one, and each page read must still be its own — from the
+// device, and from the victim cache, where the image admitted at an
+// eviction has to be the victim's and not that of the page loaded into
+// the same bytes right after.
+func TestRecycledImageCarriesOwnPage(t *testing.T) {
+	for _, tier2 := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tier2=%v", tier2), func(t *testing.T) {
+			const pages = 24
+			p, _ := newPool(t, 1024, 4, pages)
+			if tier2 {
+				p.EnableCompressedCache(1<<20, compress.NewFlate(compress.DefaultLevel))
+			}
+			fillPages(t, p, pages)
+			p.ResetStats()
+			for pass := 0; pass < 3; pass++ {
+				for pn := 0; pn < pages; pn++ {
+					if err := checkPage(p, pn); err != nil {
+						t.Fatalf("pass %d: %v", pass, err)
+					}
+				}
+			}
+			st := p.Stats()
+			if st.Evictions < 2*pages {
+				t.Fatalf("only %d evictions: the pool did not cycle", st.Evictions)
+			}
+			if tier2 && st.Tier2Hits == 0 {
+				t.Fatal("no load was served from the victim cache")
+			}
+			if n := len(p.spare); n > maxSpareImages {
+				t.Fatalf("%d spare images kept, bound is %d", n, maxSpareImages)
+			}
+		})
+	}
+}
+
+// TestEvictedImageIsReusedAndZeroedForGetNew pins down the recycling
+// itself on a one-frame pool: the next frame is built on the evicted
+// frame's bytes, a load overwrites them, and GetNew hands them out all
+// zero however full the evicted page was.
+func TestEvictedImageIsReusedAndZeroedForGetNew(t *testing.T) {
+	p, _ := newPool(t, 1024, 1, 4)
+	f, err := p.GetNew(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	format(f, 0x11)
+	// Fill the page, so a recycled image that was not cleared shows.
+	if s, err := pageformat.AsSlotted(f.Data()); err != nil {
+		t.Fatal(err)
+	} else if _, ok := s.Insert(bytes.Repeat([]byte{0xEE}, 900)); !ok {
+		t.Fatal("filler cell does not fit")
+	}
+	first := &f.Data()[0]
+	f.Release()
+
+	g, err := p.GetNew(1) // evicts page 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &g.Data()[0] != first {
+		t.Fatal("GetNew did not reuse the evicted frame's image")
+	}
+	for i, b := range g.Data() {
+		if b != 0 {
+			t.Fatalf("GetNew on a recycled image: byte %d is %#x, want zero before formatting", i, b)
+		}
+	}
+	format(g, 0x22)
+	g.Release()
+
+	h, err := p.Get(0) // evicts page 1, loads page 0 into the same bytes
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	if &h.Data()[0] != first {
+		t.Fatal("Get did not reuse the evicted frame's image")
+	}
+	s, err := pageformat.AsSlotted(h.Data())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell, err := s.Cell(0); err != nil || cell[0] != 0x11 {
+		t.Fatalf("page 0 after reload: cell %v, %v", cell, err)
+	}
+}
+
+// TestEvictedFrameDataPanics: a frame pointer kept past its last Release
+// must not read the page that moved into its bytes.
+func TestEvictedFrameDataPanics(t *testing.T) {
+	p, _ := newPool(t, 1024, 1, 4)
+	fillPages(t, p, 2)
+	stale, err := p.Get(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale.Release()
+	live, err := p.Get(1) // evicts page 0; its image now backs page 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("reading Data() of an evicted frame did not panic")
+		}
+	}()
+	_ = stale.Data()[pageformat.CommonHeaderSize]
+}
+
+// TestRecycleUnderConcurrentChurn has four readers miss and evict against
+// each other in a small pool, so images change hands between goroutines;
+// every page read must be its own. Run under -race.
+func TestRecycleUnderConcurrentChurn(t *testing.T) {
+	for _, tier2 := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tier2=%v", tier2), func(t *testing.T) {
+			const pages = 32
+			p, _ := newPool(t, 1024, 6, pages)
+			if tier2 {
+				p.EnableCompressedCache(8<<10, compress.NewFlate(compress.DefaultLevel))
+			}
+			fillPages(t, p, pages)
+			var wg sync.WaitGroup
+			errs := make(chan error, 4)
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for i := 0; i < 2000; i++ {
+						if err := checkPage(p, rng.Intn(pages)); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(int64(g + 1))
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+		})
+	}
+}

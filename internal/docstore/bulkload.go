@@ -62,10 +62,13 @@ type bulkLoader struct {
 	runOpen bool
 
 	// Slab arenas: loader-built nodes and literal payloads are carved
-	// out of chunked block allocations instead of being allocated one by
-	// one — the import's dominant allocation sites. A chunk is dropped
-	// (left to the GC) the moment it fills; nothing outlives the import,
-	// since emitted records only retain the builder's own proxy nodes.
+	// out of slabs instead of being allocated one by one — the import's
+	// dominant allocation sites. The slabs are the store's (sc, see
+	// scratch.go): a full one stays with the scratch, which gets all of
+	// them back when the import ends. Nothing carved from them outlives
+	// the import, since emitted records only retain the builder's own
+	// proxy nodes.
+	sc       *loadScratch // nil once released
 	nodeSlab []noderep.Node
 	textSlab []byte
 }
@@ -73,7 +76,7 @@ type bulkLoader struct {
 // newNode carves one zeroed node from the node slab.
 func (l *bulkLoader) newNode() *noderep.Node {
 	if len(l.nodeSlab) == cap(l.nodeSlab) {
-		l.nodeSlab = make([]noderep.Node, 0, 1024)
+		l.nodeSlab = l.sc.nodeSlab()
 	}
 	l.nodeSlab = l.nodeSlab[:len(l.nodeSlab)+1]
 	return &l.nodeSlab[len(l.nodeSlab)-1]
@@ -81,14 +84,13 @@ func (l *bulkLoader) newNode() *noderep.Node {
 
 // slabBytes copies b into the payload slab, capacity-clamped so later
 // growth of the returned slice reallocates instead of clobbering a
-// neighbor.
+// neighbor. A payload longer than a slab gets an allocation of its own.
 func (l *bulkLoader) slabBytes(b []byte) []byte {
+	if len(b) > textSlabLen {
+		return append([]byte(nil), b...)
+	}
 	if len(l.textSlab)+len(b) > cap(l.textSlab) {
-		c := 64 << 10
-		if len(b) > c {
-			c = len(b)
-		}
-		l.textSlab = make([]byte, 0, c)
+		l.textSlab = l.sc.textSlab()
 	}
 	base := len(l.textSlab)
 	l.textSlab = append(l.textSlab, b...)
@@ -113,6 +115,7 @@ func (s *Store) newBulkLoader() *bulkLoader {
 func (s *Store) newBulkLoaderWith(batch labelBatch) *bulkLoader {
 	l := &bulkLoader{
 		s:         s,
+		sc:        s.takeScratch(),
 		batch:     batch,
 		textLimit: s.trees.Records().MaxRecordSize() / 2,
 	}
@@ -122,7 +125,7 @@ func (s *Store) newBulkLoaderWith(batch labelBatch) *bulkLoader {
 	}
 	var onRecord func(records.RID, *noderep.Node) error
 	if s.pindex != nil && s.indexOn {
-		l.sb = pathindex.NewStreamBuilder()
+		l.sb = pathindex.NewStreamBuilder(&l.sc.index)
 		onRecord = l.sb.OnRecord
 	}
 	l.bb = s.trees.NewBulkBuilder(core.BulkOptions{FillFactor: fill, OnRecord: onRecord})
@@ -288,14 +291,22 @@ func (l *bulkLoader) loadDOM(cx context.Context, n *xmlkit.Node) error {
 	return l.closeElement()
 }
 
-// releaseScratch drops the loader's import-time ballast (slab tails,
-// builder pools, recycled record bodies) once its document is sealed.
-// The batch import keeps every shard's loader reachable until the whole
-// batch commits; without this, dozens of finished loaders' scratch
-// stays live and taxes the GC for the remaining shards. Abort (and so
-// rollback) still works on a released loader.
+// releaseScratch ends the loader's use of its import-time memory: the
+// load scratch goes back to the store for the next import, the
+// builder's own pools and recycled record bodies are dropped. Call it
+// once the build is sealed (Finish returned, the index finished and
+// stored) or aborted — nothing carved from the scratch may be used
+// afterwards. The batch import keeps every shard's loader reachable
+// until the whole batch commits; releasing each as its shard finishes
+// is what lets later shards reuse the scratch of earlier ones. Calling
+// it again, and aborting a released loader, are both fine.
 func (l *bulkLoader) releaseScratch() {
+	if l.sc == nil {
+		return
+	}
 	l.bb.ReleaseScratch()
+	l.s.parkScratch(l.sc)
+	l.sc, l.sb = nil, nil
 	l.nodeSlab, l.textSlab, l.pend, l.open = nil, nil, nil, nil
 }
 
@@ -307,6 +318,7 @@ func (l *bulkLoader) releaseScratch() {
 // stopped: a page, log image or inventory entry it wrote after the
 // rollback would survive it.
 func (s *Store) abortBulk(l *bulkLoader) {
+	defer l.releaseScratch()
 	if s.walW != nil {
 		l.bb.Abandon()
 		return
@@ -356,6 +368,7 @@ func (s *Store) importTreeLocked(cx context.Context, name string, root *xmlkit.N
 // dictionary batch, store the stream-built index — and registers the
 // document. Any failure rolls the whole import back.
 func (s *Store) finishBulkImport(name string, l *bulkLoader, sp *telemetry.Span) (DocInfo, error) {
+	defer l.releaseScratch()
 	fail := func(err error) (DocInfo, error) {
 		s.abortBulk(l)
 		return DocInfo{}, err
@@ -375,14 +388,15 @@ func (s *Store) finishBulkImport(name string, l *bulkLoader, sp *telemetry.Span)
 	info := &DocInfo{Name: name, Mode: ModeTree, Root: root}
 	// Index before registering: a failed build must not leave a
 	// registered-but-unindexed document behind a returned error.
-	if l.sb != nil {
+	indexed := l.sb != nil
+	if indexed {
 		ch = sp.Child("index")
 		idx, err := l.sb.Finish()
 		if err != nil {
 			ch.End()
 			return fail(err)
 		}
-		if err := s.pindex.Put(name, idx); err != nil {
+		if err := s.pindex.Put(name, idx, &l.sc.enc); err != nil {
 			ch.End()
 			return fail(err)
 		}
@@ -390,7 +404,7 @@ func (s *Store) finishBulkImport(name string, l *bulkLoader, sp *telemetry.Span)
 		ch.End()
 	}
 	if err := s.register(info); err != nil {
-		if l.sb != nil && s.walW == nil {
+		if indexed && s.walW == nil {
 			_ = s.pindex.Drop(name) // best-effort rollback (log-driven otherwise)
 		}
 		return fail(err)

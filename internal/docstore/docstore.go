@@ -164,6 +164,11 @@ type Store struct {
 	// calls (see readout.go).
 	readPool sync.Pool
 
+	// scratch parks the bulk imports' working memory between imports, at
+	// most maxParkedScratch trimmed loadScratches (see scratch.go).
+	scratchMu sync.Mutex
+	scratch   []*loadScratch
+
 	// tracer and the m* handles are set by AttachTelemetry (see
 	// telemetry.go); all remain nil — and every use is nil-safe — on an
 	// unattached store.
@@ -323,7 +328,7 @@ func (s *Store) buildIndex(name string, root records.RID) error {
 	if err != nil {
 		return fmt.Errorf("docstore: index %q: %w", name, err)
 	}
-	if err := s.pindex.Put(name, idx); err != nil {
+	if err := s.pindex.Put(name, idx, nil); err != nil {
 		return err
 	}
 	s.builds.Add(1)

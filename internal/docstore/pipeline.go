@@ -72,8 +72,16 @@ func (s *Store) runImportPipeline(cx context.Context, l *bulkLoader, p *xmlkit.S
 		return s.runImportInline(cx, l, p, ch)
 	}
 
+	// Event batches circulate: the producer fills one from free (making
+	// a new one only when none is idle), the packer sends it back once
+	// applied. At most maxEventBatches exist at a time — the queue, one
+	// being filled, one being applied — so a send to free never blocks.
+	// They come from the loader's scratch and return to it at the end.
 	out := make(chan eventBatch, eventQueueLen)
-	free := make(chan []xmlkit.Event, eventQueueLen+1)
+	free := make(chan []xmlkit.Event, maxEventBatches)
+	for len(l.sc.events) > 0 && len(free) < cap(free) {
+		free <- l.sc.eventBatch()
+	}
 	quit := make(chan struct{})
 	var parseNS atomic.Int64
 
@@ -94,9 +102,11 @@ func (s *Store) runImportPipeline(cx context.Context, l *bulkLoader, p *xmlkit.S
 				case out <- eventBatch{evs: buf, n: n}:
 					continue
 				case <-quit:
+					free <- buf
 					return
 				}
 			}
+			free <- buf
 			if err != nil && err != io.EOF {
 				select {
 				case out <- eventBatch{err: err}:
@@ -109,7 +119,6 @@ func (s *Store) runImportPipeline(cx context.Context, l *bulkLoader, p *xmlkit.S
 
 	var err error
 	var packNS int64
-recv:
 	for b := range out {
 		if b.err != nil {
 			err = b.err
@@ -122,19 +131,27 @@ recv:
 			}
 		}
 		packNS += int64(telemetry.Since(t0))
+		free <- b.evs
 		if err == nil {
 			err = ctxErr(cx)
 		}
 		if err != nil {
-			break recv
-		}
-		select {
-		case free <- b.evs:
-		default:
+			break
 		}
 	}
 	close(quit)
-	for range out { // unblock and drain the producer
+	for b := range out { // unblock and drain the producer
+		if b.evs != nil {
+			free <- b.evs
+		}
+	}
+	// The producer has exited (it closes out last): every batch is in
+	// free. Cleared, so a parked batch pins none of the document's
+	// strings.
+	for len(free) > 0 {
+		buf := <-free
+		clear(buf)
+		l.sc.events = append(l.sc.events, buf)
 	}
 	s.mImportParseNS.Add(parseNS.Load())
 	s.mImportPackNS.Add(packNS)
@@ -146,7 +163,11 @@ recv:
 // the same batched parse/apply loop with the same cancellation points
 // and stage accounting, minus the channel handoff.
 func (s *Store) runImportInline(cx context.Context, l *bulkLoader, p *xmlkit.StreamParser, ch *telemetry.Span) error {
-	buf := make([]xmlkit.Event, eventBatchLen)
+	buf := l.sc.eventBatch()
+	defer func() {
+		clear(buf)
+		l.sc.events = append(l.sc.events, buf)
+	}()
 	var parseNS, packNS int64
 	var err error
 	for err == nil {
@@ -285,8 +306,9 @@ func (s *Store) importBatchLocked(cx context.Context, docs []ImportDoc, workers 
 
 	// One shard per document, at most workers in flight. Each worker
 	// runs the full per-document pipeline and seals its own builder
-	// (bb.Finish flushes the shard's last page; sb.Finish sorts the
-	// shard's postings) so only catalog-order work remains serialized.
+	// (bb.Finish flushes the shard's last page; sb.Finish deals the
+	// shard's postings out to their lists) so only catalog-order work
+	// remains serialized.
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
 	for i := range docs {
@@ -344,6 +366,7 @@ func (s *Store) importBatchLocked(cx context.Context, docs []ImportDoc, workers 
 	}
 	infos := make([]DocInfo, 0, len(docs))
 	var indexed, registered []string
+	var enc []byte // one encode buffer for the whole batch's index blobs
 	undo := func(err error) ([]DocInfo, error) {
 		if s.walW != nil {
 			return fail(err) // log-driven rollback undoes pages and catalog
@@ -365,7 +388,7 @@ func (s *Store) importBatchLocked(cx context.Context, docs []ImportDoc, workers 
 		s.mImportWriteNS.Add(writeNS[i])
 		info := &DocInfo{Name: docs[i].Name, Mode: ModeTree, Root: roots[i]}
 		if idxs[i] != nil {
-			if err := s.pindex.Put(info.Name, idxs[i]); err != nil {
+			if err := s.pindex.Put(info.Name, idxs[i], &enc); err != nil {
 				return undo(err)
 			}
 			indexed = append(indexed, info.Name)

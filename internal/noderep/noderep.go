@@ -114,6 +114,12 @@ type Node struct {
 	Target   records.RID // proxies only
 	Children []*Node     // aggregates only
 	Parent   *Node       // in-memory backlink; nil for the record root
+
+	// Cookie is scratch for whoever built the node: never encoded, never
+	// decoded, not copied by Clone. The bulk load's path-index builder
+	// keeps each element's table slot here (0 = none), which is what lets
+	// it find an element's posting from a record's node without a map.
+	Cookie uint32
 }
 
 // NewAggregate builds a facade aggregate node for a logical element.

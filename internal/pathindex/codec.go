@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"natix/internal/dict"
 	"natix/internal/records"
@@ -49,9 +49,10 @@ type summary struct {
 	dir   map[dict.LabelID]dirEntry
 }
 
-func encodeSummary(x *Index, dir map[dict.LabelID]dirEntry) []byte {
+// encodeSummary appends x's summary blob to out.
+func encodeSummary(out []byte, x *Index, dir map[dict.LabelID]dirEntry) []byte {
 	labels := x.PostingLabels()
-	out := make([]byte, 0, 16+x.NumPaths()*pathNodeSize+4+len(labels)*dirEntrySize)
+	out = slices.Grow(out, 16+x.NumPaths()*pathNodeSize+4+len(labels)*dirEntrySize)
 	out = append(out, summaryMagic...)
 	out = binary.LittleEndian.AppendUint16(out, indexVersion)
 	out = binary.LittleEndian.AppendUint16(out, uint16(x.root))
@@ -131,12 +132,13 @@ func (s *summary) labels() []dict.LabelID {
 	for l := range s.dir {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-func encodePostings(list []Posting) []byte {
-	out := make([]byte, 0, 8+len(list)*postingSize)
+// encodePostings appends list's postings blob to out.
+func encodePostings(out []byte, list []Posting) []byte {
+	out = slices.Grow(out, 8+len(list)*postingSize)
 	out = append(out, postingsMagic...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(list)))
 	var rid [records.RIDSize]byte

@@ -28,7 +28,7 @@ func sampleIndex() (*Index, map[dict.LabelID]dirEntry) {
 
 func TestSummaryCodecRoundTrip(t *testing.T) {
 	x, dir := sampleIndex()
-	sum, err := decodeSummary(encodeSummary(x, dir))
+	sum, err := decodeSummary(encodeSummary(nil, x, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSummaryCodecRoundTrip(t *testing.T) {
 func TestPostingsCodecRoundTrip(t *testing.T) {
 	x, _ := sampleIndex()
 	for label, want := range x.postings {
-		got, err := decodePostings(encodePostings(want), x.NumPaths())
+		got, err := decodePostings(encodePostings(nil, want), x.NumPaths())
 		if err != nil {
 			t.Fatalf("label %d: %v", label, err)
 		}
@@ -55,8 +55,8 @@ func TestPostingsCodecRoundTrip(t *testing.T) {
 
 func TestCodecRejectsCorruption(t *testing.T) {
 	x, dir := sampleIndex()
-	sumBlob := encodeSummary(x, dir)
-	postBlob := encodePostings(x.postings[6])
+	sumBlob := encodeSummary(nil, x, dir)
+	postBlob := encodePostings(nil, x.postings[6])
 
 	if _, err := decodeSummary([]byte("junk")); err == nil {
 		t.Error("decodeSummary accepted junk")
@@ -75,7 +75,7 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	if _, err := decodePostings(postBlob, 1); err == nil {
 		t.Error("decodePostings accepted an out-of-range path id")
 	}
-	bad := encodePostings([]Posting{{Seq: 0, Path: NilPath}})
+	bad := encodePostings(nil, []Posting{{Seq: 0, Path: NilPath}})
 	if _, err := decodePostings(bad, 2); err == nil {
 		t.Error("decodePostings accepted a nil path id")
 	}

@@ -19,6 +19,7 @@
 package pathindex
 
 import (
+	"slices"
 	"sort"
 
 	"natix/internal/dict"
@@ -110,12 +111,11 @@ func (x *Index) RootLabel() dict.LabelID { return x.root }
 
 // Root returns the root posting (the element with sequence number 0).
 func (x *Index) Root() (Posting, bool) {
-	for _, p := range x.postings[x.root] {
-		if p.Seq == 0 {
-			return p, true
-		}
+	list := x.postings[x.root]
+	if len(list) == 0 || list[0].Seq != 0 {
+		return Posting{}, false
 	}
-	return Posting{}, false
+	return list[0], true
 }
 
 // Postings returns the document-order posting list for label (nil when
@@ -129,7 +129,7 @@ func (x *Index) PostingLabels() []dict.LabelID {
 	for l := range x.postings {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -222,7 +222,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := px.Put("p", idx); err != nil {
+	if err := px.Put("p", idx, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.close(t)
@@ -291,10 +291,10 @@ func TestStorePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := px.Put("a", idxA); err != nil {
+	if err := px.Put("a", idxA, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := px.Put("b", idxB); err != nil {
+	if err := px.Put("b", idxB, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := px.Drop("b"); err != nil {

@@ -198,11 +198,18 @@ func (s *Store) Has(name string) bool {
 // label, chained near each other, then the summary blob. The new index
 // is written and registered before the old one's blobs are freed, so a
 // mid-Put failure leaves the previous index intact and live rather
-// than a catalog pointing at freed blobs.
-func (s *Store) Put(name string, idx *Index) error {
+// than a catalog pointing at freed blobs. enc, when not nil, is a
+// buffer of the caller's that every blob is encoded in (and that grows
+// to the largest of them), so a caller storing index after index
+// encodes in place; the blob manager copies what it stores.
+func (s *Store) Put(name string, idx *Index, enc *[]byte) error {
 	oldRIDs, err := s.blobRIDs(name)
 	if err != nil {
 		return err
+	}
+	if enc == nil {
+		var own []byte
+		enc = &own
 	}
 	dir := make(map[dict.LabelID]dirEntry, len(idx.postings))
 	written := make([]records.RID, 0, len(idx.postings)+1)
@@ -219,7 +226,8 @@ func (s *Store) Put(name string, idx *Index) error {
 	var near pagedev.PageNo
 	for _, label := range idx.PostingLabels() {
 		list := idx.Postings(label)
-		id, err := s.blobs.Write(encodePostings(list), near)
+		*enc = encodePostings((*enc)[:0], list)
+		id, err := s.blobs.Write(*enc, near)
 		if err != nil {
 			return rollback(fmt.Errorf("pathindex: store %q postings: %w", name, err))
 		}
@@ -227,7 +235,8 @@ func (s *Store) Put(name string, idx *Index) error {
 		dir[label] = dirEntry{count: uint32(len(list)), rid: id}
 		near = id.Page
 	}
-	id, err := s.blobs.Write(encodeSummary(idx, dir), near)
+	*enc = encodeSummary((*enc)[:0], idx, dir)
+	id, err := s.blobs.Write(*enc, near)
 	if err != nil {
 		return rollback(fmt.Errorf("pathindex: store %q summary: %w", name, err))
 	}

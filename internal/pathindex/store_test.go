@@ -37,7 +37,7 @@ func TestCorruptSummaryDoesNotWedge(t *testing.T) {
 		t.Fatal(err)
 	}
 	x, _ := sampleIndex()
-	if err := s.Put("d", x); err != nil {
+	if err := s.Put("d", x, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -65,7 +65,7 @@ func TestCorruptSummaryDoesNotWedge(t *testing.T) {
 		t.Fatal("entry survived Drop")
 	}
 	// A fresh Put under the same name must succeed (the repair path).
-	if err := s.Put("d", x); err != nil {
+	if err := s.Put("d", x, nil); err != nil {
 		t.Fatalf("Put after corrupt Drop failed: %v", err)
 	}
 	h, err := s.Get("d")

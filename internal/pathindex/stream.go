@@ -9,36 +9,64 @@ package pathindex
 // the physical half of every posting: record RID and facade index). The
 // stored tree is never read back.
 //
-// Per-node state lives only between a node's Enter and the emission of
-// the record that holds it — bounded by the loader's open frames, not
-// by the document.
+// Every element is written down once, at Enter, in one flat table in
+// document order; Exit and OnRecord fill in the rest of its row, which
+// they find through the slot number Enter left in the element's node
+// (noderep.Node.Cookie). Records arrive bottom-up, but the table is in
+// document order from the start, so Finish only has to deal its rows
+// out to the per-label lists — nothing is sorted and nothing is keyed
+// by node.
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"unsafe"
 
 	"natix/internal/dict"
 	"natix/internal/noderep"
 	"natix/internal/records"
 )
 
-// streamMeta is the logical half of one element's posting.
-type streamMeta struct {
-	seq  uint32
-	size uint32
-	path PathID
+// streamElem is one row of the element table. post.Seq and post.Path
+// are known at Enter, post.Size at Exit, post.RID and post.Local when
+// the record holding the element is emitted.
+type streamElem struct {
+	post  Posting
+	label dict.LabelID
+	state uint8
+}
+
+const (
+	elemOpen   uint8 = iota // entered, not yet exited
+	elemClosed              // exited, waiting for its record
+	elemStored              // posting complete
+)
+
+// StreamScratch is the memory a StreamBuilder works in: the element
+// table and three small stacks. It holds nothing of the finished index,
+// so one scratch can serve import after import; the zero value is ready
+// to use. Whoever owns it must not hand it to two builders at once.
+type StreamScratch struct {
+	elems  []streamElem
+	open   []uint32        // table slots of the still-open elements, outermost first
+	walk   []*noderep.Node // OnRecord's pre-order stack
+	counts []uint32        // elements per label, indexed by label
+}
+
+// Bytes returns the memory the scratch retains.
+func (sc *StreamScratch) Bytes() int {
+	return cap(sc.elems)*int(unsafe.Sizeof(streamElem{})) + cap(sc.walk)*int(unsafe.Sizeof(sc.walk[0])) +
+		(cap(sc.open)+cap(sc.counts))*4
 }
 
 // StreamBuilder accumulates one document's index during a bulk load.
 // Drive it strictly in document order; it is not safe for concurrent
 // use.
 type StreamBuilder struct {
-	idx     *Index
-	seq     uint32
-	stack   []PathID
-	meta    map[*noderep.Node]streamMeta
-	openSeq []uint32 // seq per still-open element, parallel to stack
+	idx    *Index
+	sc     *StreamScratch
+	seq    uint32
+	stored int // rows whose posting is complete
 
 	// One-entry InternPath memo: document order visits runs of same-label
 	// siblings (rows, lines, items), which all share one summary path.
@@ -48,21 +76,34 @@ type StreamBuilder struct {
 	lastOK     bool
 }
 
-// NewStreamBuilder returns an empty builder.
-func NewStreamBuilder() *StreamBuilder {
-	return &StreamBuilder{
-		idx:  NewIndex(),
-		meta: make(map[*noderep.Node]streamMeta),
-	}
+// Reset empties the scratch, keeping its capacity. An owner parking the
+// scratch between imports calls it so the parked scratch references
+// none of the last import's nodes.
+func (sc *StreamScratch) Reset() {
+	sc.elems = sc.elems[:0]
+	sc.open = sc.open[:0]
+	clear(sc.walk[:cap(sc.walk)])
+	sc.walk = sc.walk[:0]
+	clear(sc.counts)
+}
+
+// NewStreamBuilder returns an empty builder working in sc, which it
+// resets. The scratch is the builder's until Finish returns (or the
+// builder is dropped).
+func NewStreamBuilder(sc *StreamScratch) *StreamBuilder {
+	sc.Reset()
+	return &StreamBuilder{idx: NewIndex(), sc: sc}
 }
 
 // Enter records an element (or attribute aggregate) opening. n is the
-// physical node the loader built for it; it identifies the element
-// until the record holding it is emitted.
+// physical node the loader built for it; the builder marks it with the
+// element's table slot, which identifies the element until the record
+// holding it is emitted.
 func (b *StreamBuilder) Enter(n *noderep.Node) {
+	sc := b.sc
 	parent := NilPath
-	if len(b.stack) > 0 {
-		parent = b.stack[len(b.stack)-1]
+	if len(sc.open) > 0 {
+		parent = sc.elems[sc.open[len(sc.open)-1]].post.Path
 	} else {
 		b.idx.root = n.Label
 	}
@@ -72,9 +113,15 @@ func (b *StreamBuilder) Enter(n *noderep.Node) {
 		b.lastParent, b.lastLabel, b.lastPath, b.lastOK = parent, n.Label, path, true
 	}
 	b.idx.paths[path].Count++
-	b.openSeq = append(b.openSeq, b.seq)
+	if int(n.Label) >= len(sc.counts) {
+		sc.counts = append(sc.counts, make([]uint32, int(n.Label)+1-len(sc.counts))...)
+	}
+	sc.counts[n.Label]++
+	slot := uint32(len(sc.elems))
+	sc.elems = append(sc.elems, streamElem{post: Posting{Seq: b.seq, Path: path}, label: n.Label})
+	sc.open = append(sc.open, slot)
+	n.Cookie = slot + 1
 	b.seq++
-	b.stack = append(b.stack, path)
 }
 
 // Literal records a text leaf: literals occupy a sequence number (so
@@ -83,67 +130,94 @@ func (b *StreamBuilder) Literal() {
 	b.seq++
 }
 
-// Exit records an element closing; its subtree size is now known.
+// Exit records the closing of n, the innermost open element; its
+// subtree size is now known.
 func (b *StreamBuilder) Exit(n *noderep.Node) error {
-	if len(b.openSeq) == 0 {
+	sc := b.sc
+	if len(sc.open) == 0 {
 		return fmt.Errorf("pathindex: Exit of unentered node")
 	}
-	seq := b.openSeq[len(b.openSeq)-1]
-	b.openSeq = b.openSeq[:len(b.openSeq)-1]
-	path := b.stack[len(b.stack)-1]
-	b.stack = b.stack[:len(b.stack)-1]
-	b.meta[n] = streamMeta{seq: seq, size: b.seq - seq - 1, path: path}
+	slot := sc.open[len(sc.open)-1]
+	if n.Cookie != slot+1 {
+		return fmt.Errorf("pathindex: Exit of a node that is not the innermost open element")
+	}
+	sc.open = sc.open[:len(sc.open)-1]
+	e := &sc.elems[slot]
+	e.post.Size = b.seq - e.post.Seq - 1
+	e.state = elemClosed
 	return nil
 }
 
-// OnRecord is the bulk builder's record sink: walking the emitted
-// record's facade enumeration (the same walk core.FacadeIndexer does)
-// yields each element's facade index, completing its posting. Consumed
-// metadata is released.
+// OnRecord is the bulk builder's record sink: enumerating the emitted
+// record's facade nodes in pre-order (the enumeration
+// core.FacadeIndexer defines) yields each element's facade index,
+// completing its posting.
 func (b *StreamBuilder) OnRecord(rid records.RID, root *noderep.Node) error {
+	sc := b.sc
 	local := 0
-	var firstErr error
-	root.Walk(func(n *noderep.Node) bool {
-		facade := n.Kind == noderep.KindLiteral ||
-			(n.Kind == noderep.KindAggregate && !n.Scaffold)
-		if !facade {
-			return true
+	stack := append(sc.walk[:0], root)
+	var err error
+	for len(stack) > 0 && err == nil {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		switch {
+		case n.Kind == noderep.KindLiteral:
+			local++
+		case n.Kind == noderep.KindAggregate && !n.Scaffold:
+			err = b.complete(n, rid, local)
+			local++
 		}
-		if n.Kind == noderep.KindAggregate {
-			m, ok := b.meta[n]
-			if !ok {
-				firstErr = fmt.Errorf("pathindex: record %s holds an unregistered element", rid)
-				return false
-			}
-			if local > math.MaxUint16 {
-				firstErr = fmt.Errorf("pathindex: facade index %d exceeds uint16 in record %s", local, rid)
-				return false
-			}
-			b.idx.postings[n.Label] = append(b.idx.postings[n.Label], Posting{
-				Seq: m.seq, Size: m.size, RID: rid, Local: uint16(local), Path: m.path,
-			})
-			delete(b.meta, n)
+		for i := len(n.Children) - 1; i >= 0; i-- {
+			stack = append(stack, n.Children[i])
 		}
-		local++
-		return true
-	})
-	return firstErr
+	}
+	sc.walk = stack[:0]
+	return err
 }
 
-// Finish seals the index. Postings were appended in record-emission
-// order (bottom-up), so each label's list is re-sorted into document
-// order here.
-func (b *StreamBuilder) Finish() (*Index, error) {
-	if len(b.stack) != 0 || len(b.openSeq) != 0 {
-		return nil, fmt.Errorf("pathindex: %d elements still open", len(b.openSeq))
+// complete fills in the physical half of the posting of the element
+// behind n.
+func (b *StreamBuilder) complete(n *noderep.Node, rid records.RID, local int) error {
+	slot := int(n.Cookie) - 1
+	if slot < 0 || slot >= len(b.sc.elems) || b.sc.elems[slot].state != elemClosed || b.sc.elems[slot].label != n.Label {
+		return fmt.Errorf("pathindex: record %s holds an unregistered element", rid)
 	}
-	if len(b.meta) != 0 {
-		return nil, fmt.Errorf("pathindex: %d elements never reached a record", len(b.meta))
+	if local > math.MaxUint16 {
+		return fmt.Errorf("pathindex: facade index %d exceeds uint16 in record %s", local, rid)
+	}
+	e := &b.sc.elems[slot]
+	e.post.RID, e.post.Local = rid, uint16(local)
+	e.state = elemStored
+	b.stored++
+	return nil
+}
+
+// Finish seals the index: the table's rows are dealt out, in table
+// order, to per-label lists carved from one allocation of exactly the
+// table's length. The builder's scratch is free for reuse afterwards.
+func (b *StreamBuilder) Finish() (*Index, error) {
+	sc := b.sc
+	if len(sc.open) != 0 {
+		return nil, fmt.Errorf("pathindex: %d elements still open", len(sc.open))
+	}
+	if b.stored != len(sc.elems) {
+		return nil, fmt.Errorf("pathindex: %d elements never reached a record", len(sc.elems)-b.stored)
 	}
 	b.idx.nodes = b.seq
-	for label := range b.idx.postings {
-		list := b.idx.postings[label]
-		sort.Slice(list, func(i, j int) bool { return list[i].Seq < list[j].Seq })
+	all := make([]Posting, len(sc.elems))
+	off := uint32(0)
+	for label, n := range sc.counts {
+		if n == 0 {
+			continue
+		}
+		b.idx.postings[dict.LabelID(label)] = all[off : off+n : off+n]
+		sc.counts[label] = off // from here on: where the label's next row goes
+		off += n
+	}
+	for i := range sc.elems {
+		e := &sc.elems[i]
+		all[sc.counts[e.label]] = e.post
+		sc.counts[e.label]++
 	}
 	return b.idx, nil
 }

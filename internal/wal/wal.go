@@ -158,18 +158,24 @@ func decodeHeader(b []byte) (header, error) {
 	return h, nil
 }
 
-// appendRecord frames and appends the encoded record payload to dst.
-func appendRecord(dst []byte, payload []byte) []byte {
+// appendFramed appends r to dst as one framed record — the 8-byte frame
+// (payload length, CRC-32C of the payload) followed by the payload —
+// and returns the grown buffer and the payload's length. The payload is
+// encoded straight into dst behind a reserved frame that is filled in
+// afterwards, so a record costs no buffer of its own.
+func appendFramed(dst []byte, r *Record) ([]byte, int) {
+	start := len(dst)
 	var fr [frameSize]byte
-	binary.LittleEndian.PutUint32(fr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(fr[4:], crc32.Checksum(payload, crcTable))
-	dst = append(dst, fr[:]...)
-	return append(dst, payload...)
+	dst = appendPayload(append(dst, fr[:]...), r)
+	payload := dst[start+frameSize:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, crcTable))
+	return dst, len(payload)
 }
 
-// encodePayload serializes a record body (everything but the frame).
-func encodePayload(r *Record) []byte {
-	var b []byte
+// appendPayload appends the serialized record body (everything but the
+// frame) to b.
+func appendPayload(b []byte, r *Record) []byte {
 	b = append(b, r.Type)
 	switch r.Type {
 	case RecBegin:

@@ -188,10 +188,10 @@ func (w *Writer) IORetries() int64 { return w.retry.Retries() }
 // appendLocked frames rec into the buffer and returns its LSN.
 func (w *Writer) appendLocked(rec *Record) (LSN, error) {
 	lsn := w.endLocked()
-	payload := encodePayload(rec)
-	w.buf = appendRecord(w.buf, payload)
+	var n int
+	w.buf, n = appendFramed(w.buf, rec)
 	w.appends++
-	w.bytes += int64(len(payload))
+	w.bytes += int64(n)
 	if rec.Type == RecImage || rec.Type == RecFirstUpdate {
 		w.images[rec.Page] = lsn
 	}
