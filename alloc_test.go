@@ -95,9 +95,8 @@ func TestQueryZeroAlloc(t *testing.T) {
 		}
 	})
 	// With the tier-2 victim cache attached, the warm path is unchanged:
-	// every touched page is resident, so the scan's read-ahead
-	// announcements see a fully resident range and return without
-	// spawning, and no tier-2 lookup happens. Both must stay 0 allocs.
+	// every touched page is resident, so no tier-2 lookup happens. Both
+	// must stay 0 allocs.
 	t.Run("indexed-tier2", func(t *testing.T) {
 		db := open(t, true, 1<<20)
 		if avg := measure(t, db, true); avg != 0 {

@@ -133,7 +133,7 @@ func main() {
 
 // alwaysShow are counters printed even at zero: the memory-hierarchy
 // group, where "0" is itself diagnostic (tier-2 not configured or
-// never hit, no read-ahead issued, no write-back runs coalesced).
+// never hit, no write-back runs coalesced).
 var alwaysShow = map[string]bool{
 	"buffer.tier2_hits":           true,
 	"buffer.tier2_misses":         true,
@@ -142,9 +142,6 @@ var alwaysShow = map[string]bool{
 	"buffer.tier2_corrupt":        true,
 	"buffer.tier2_bytes":          true,
 	"buffer.tier2_pages":          true,
-	"buffer.prefetch_issued":      true,
-	"buffer.prefetch_used":        true,
-	"buffer.prefetch_wasted":      true,
 	"buffer.coalesced_write_runs": true,
 }
 

@@ -115,12 +115,10 @@ type ReadpathCell struct {
 	SimMS         float64 `json:"sim_ms"`
 	QueriesPerSec float64 `json:"queries_per_sim_sec,omitempty"` // 0 when SimMS is 0
 
-	LogicalReads   int64 `json:"logical_reads"`
-	PhysReads      int64 `json:"phys_reads"`
-	Tier2Hits      int64 `json:"tier2_hits"`
-	Tier2Misses    int64 `json:"tier2_misses"`
-	PrefetchIssued int64 `json:"prefetch_issued"`
-	PrefetchUsed   int64 `json:"prefetch_used"`
+	LogicalReads int64 `json:"logical_reads"`
+	PhysReads    int64 `json:"phys_reads"`
+	Tier2Hits    int64 `json:"tier2_hits"`
+	Tier2Misses  int64 `json:"tier2_misses"`
 
 	// Engine is the engine-metrics delta of the measured region,
 	// including the config.* keys every cell carries.
@@ -129,23 +127,21 @@ type ReadpathCell struct {
 
 func readpathCell(corpusName, poolName string, cfg Config, temp string, queries int, work int64, m Metrics) ReadpathCell {
 	c := ReadpathCell{
-		Corpus:         corpusName,
-		Pool:           poolName,
-		PoolBytes:      cfg.BufferBytes,
-		TierBytes:      cfg.CompressedCacheBytes,
-		Compressed:     cfg.CompressedCacheBytes > 0,
-		Temp:           temp,
-		Queries:        queries,
-		WorkBytes:      work,
-		WallMS:         m.WallMS,
-		SimMS:          m.SimMS,
-		LogicalReads:   m.LogicalReads,
-		PhysReads:      m.PhysReads,
-		Tier2Hits:      m.Engine["buffer.tier2_hits"],
-		Tier2Misses:    m.Engine["buffer.tier2_misses"],
-		PrefetchIssued: m.Engine["buffer.prefetch_issued"],
-		PrefetchUsed:   m.Engine["buffer.prefetch_used"],
-		Engine:         m.Engine,
+		Corpus:       corpusName,
+		Pool:         poolName,
+		PoolBytes:    cfg.BufferBytes,
+		TierBytes:    cfg.CompressedCacheBytes,
+		Compressed:   cfg.CompressedCacheBytes > 0,
+		Temp:         temp,
+		Queries:      queries,
+		WorkBytes:    work,
+		WallMS:       m.WallMS,
+		SimMS:        m.SimMS,
+		LogicalReads: m.LogicalReads,
+		PhysReads:    m.PhysReads,
+		Tier2Hits:    m.Engine["buffer.tier2_hits"],
+		Tier2Misses:  m.Engine["buffer.tier2_misses"],
+		Engine:       m.Engine,
 	}
 	if m.SimMS > 0 {
 		c.QueriesPerSec = float64(queries) / (m.SimMS / 1000)
@@ -212,7 +208,6 @@ func RunReadpathExperiment(plays, pageSize int, progress io.Writer) ([]ReadpathC
 					work += w
 					queries += q
 				}
-				env.pool.DrainPrefetch()
 				m := env.capture("readpath-cold", start, work)
 				cells = append(cells, readpathCell(co.name, po.name, cfg, "cold", queries, work, m))
 
@@ -232,7 +227,6 @@ func RunReadpathExperiment(plays, pageSize int, progress io.Writer) ([]ReadpathC
 						w += pw
 						q += pq
 					}
-					env.pool.DrainPrefetch()
 					m = env.capture("readpath-warm", start, w)
 					c := readpathCell(co.name, po.name, cfg, "warm", q, w, m)
 					if i == 0 || c.WallMS < best.WallMS {
@@ -259,17 +253,17 @@ func findReadpathCell(cells []ReadpathCell, corpusName, pool, temp string, compr
 
 // PrintReadpathCells renders the experiment as a table.
 func PrintReadpathCells(w io.Writer, cells []ReadpathCell) {
-	fmt.Fprintf(w, "Read path (tier-2 victim cache + read-ahead); sim-ms is the paper-comparable metric\n")
-	fmt.Fprintf(w, "%-10s %-12s %5s %5s %9s %9s %9s %10s %10s %9s\n",
-		"corpus", "pool", "tier", "temp", "sim-ms", "wall-ms", "phys-rd", "t2-hits", "prefetch", "q/sim-s")
+	fmt.Fprintf(w, "Read path (tier-2 victim cache); sim-ms is the paper-comparable metric\n")
+	fmt.Fprintf(w, "%-10s %-12s %5s %5s %9s %9s %9s %10s %9s\n",
+		"corpus", "pool", "tier", "temp", "sim-ms", "wall-ms", "phys-rd", "t2-hits", "q/sim-s")
 	for _, c := range cells {
 		tier := "off"
 		if c.Compressed {
 			tier = "on"
 		}
-		fmt.Fprintf(w, "%-10s %-12s %5s %5s %9.1f %9.1f %9d %10d %10d %9.1f\n",
+		fmt.Fprintf(w, "%-10s %-12s %5s %5s %9.1f %9.1f %9d %10d %9.1f\n",
 			c.Corpus, c.Pool, tier, c.Temp, c.SimMS, c.WallMS, c.PhysReads,
-			c.Tier2Hits, c.PrefetchUsed, c.QueriesPerSec)
+			c.Tier2Hits, c.QueriesPerSec)
 	}
 	off := findReadpathCell(cells, "text", "constrained", "cold", false)
 	on := findReadpathCell(cells, "text", "constrained", "cold", true)

@@ -78,9 +78,6 @@ type Stats struct {
 
 	Tier2Hits          int64 // misses served by decompressing a tier-2 entry
 	Tier2Misses        int64 // tier-2 lookups that fell through to the device
-	PrefetchIssued     int64 // pages loaded by background read-ahead
-	PrefetchUsed       int64 // prefetched pages later hit by a foreground read
-	PrefetchWasted     int64 // prefetched pages evicted untouched
 	CoalescedWriteRuns int64 // multi-page vectored writes issued by flushes
 }
 
@@ -128,10 +125,6 @@ type Pool struct {
 	// tier2.go); nil until EnableCompressedCache.
 	t2 *tier2
 
-	// prefetchInflight counts running background read-ahead batches
-	// (bounded by maxPrefetchInflight, see prefetch.go).
-	prefetchInflight atomic.Int32
-
 	// spare holds the page images of evicted frames for the next misses
 	// to load into (at most maxSpareImages; see takeImage/recycle).
 	spareMu sync.Mutex
@@ -147,16 +140,12 @@ type Pool struct {
 	evictions    telemetry.Counter
 	latchWaits   telemetry.Counter
 
-	// Memory-hierarchy counters; all off the tier-1 hit path except
-	// prefetchUsed, which costs one relaxed atomic load per hit.
+	// Memory-hierarchy counters; all off the tier-1 hit path.
 	tier2Hits      telemetry.Counter
 	tier2Misses    telemetry.Counter
 	tier2Admits    telemetry.Counter
 	tier2Evictions telemetry.Counter
 	tier2Corrupt   telemetry.Counter
-	prefetchIssued telemetry.Counter
-	prefetchUsed   telemetry.Counter
-	prefetchWasted telemetry.Counter
 	coalescedRuns  telemetry.Counter
 }
 
@@ -183,11 +172,6 @@ type Frame struct {
 	pageLSN  atomic.Uint64
 	fresh    bool
 	logEpoch uint64
-
-	// prefetched marks a frame loaded by background read-ahead that no
-	// foreground read has touched yet; the first hit clears it (counted
-	// as used), eviction with it still set counts as wasted.
-	prefetched atomic.Bool
 }
 
 // New creates a pool of numFrames frames over dev.
@@ -259,9 +243,6 @@ func (p *Pool) Stats() Stats {
 
 		Tier2Hits:          p.tier2Hits.Load(),
 		Tier2Misses:        p.tier2Misses.Load(),
-		PrefetchIssued:     p.prefetchIssued.Load(),
-		PrefetchUsed:       p.prefetchUsed.Load(),
-		PrefetchWasted:     p.prefetchWasted.Load(),
 		CoalescedWriteRuns: p.coalescedRuns.Load(),
 	}
 }
@@ -279,9 +260,6 @@ func (p *Pool) ResetStats() {
 	p.tier2Admits.Store(0)
 	p.tier2Evictions.Store(0)
 	p.tier2Corrupt.Store(0)
-	p.prefetchIssued.Store(0)
-	p.prefetchUsed.Store(0)
-	p.prefetchWasted.Store(0)
 	p.coalescedRuns.Store(0)
 }
 
@@ -315,9 +293,6 @@ func (p *Pool) AttachTelemetry(reg *telemetry.Registry) {
 		}
 		return p.t2.pages()
 	})
-	reg.Func("buffer.prefetch_issued", p.prefetchIssued.Load)
-	reg.Func("buffer.prefetch_used", p.prefetchUsed.Load)
-	reg.Func("buffer.prefetch_wasted", p.prefetchWasted.Load)
 	reg.Func("buffer.coalesced_write_runs", p.coalescedRuns.Load)
 }
 
@@ -348,7 +323,6 @@ func (p *Pool) get(pn pagedev.PageNo, read bool) (*Frame, error) {
 		f.ref.Store(true)
 		sh.mu.RUnlock()
 		p.hits.Add(1)
-		f.notePrefetchHit()
 		return f, nil
 	}
 	sh.mu.RUnlock()
@@ -380,7 +354,6 @@ func (p *Pool) get(pn pagedev.PageNo, read bool) (*Frame, error) {
 		sh.mu.Unlock()
 		p.size.Add(-1)
 		p.hits.Add(1)
-		f.notePrefetchHit()
 		return f, nil
 	}
 	f := &Frame{pool: p, page: pn, data: p.takeImage(!read), fresh: !read}
@@ -485,14 +458,6 @@ func (p *Pool) loadInto(f *Frame) error {
 	return nil
 }
 
-// notePrefetchHit counts the first foreground hit on a prefetched
-// frame. The common case (not prefetched) is one atomic load.
-func (f *Frame) notePrefetchHit() {
-	if f.prefetched.Load() && f.prefetched.CompareAndSwap(true, false) {
-		f.pool.prefetchUsed.Inc()
-	}
-}
-
 // Touch registers a logical access to a page without keeping it pinned.
 // Upper-level caches call this so their hits still exercise the buffer
 // (and pay physical I/O if the page was evicted).
@@ -509,8 +474,11 @@ func (p *Pool) Touch(pn pagedev.PageNo) error {
 // clock sweep visits shards round-robin from the persisted hand
 // position; within a shard it advances that shard's hand, clearing
 // reference bits of unpinned frames it passes and evicting the first
-// unpinned frame whose bit is already clear. Two full cycles without a
-// victim mean every frame is pinned.
+// unpinned frame whose bit is already clear. Two full cycles normally
+// find one, but a concurrent reader can re-reference every frame between
+// the passes; if they passed over unpinned frames, a third cycle takes
+// the first unpinned frame whatever its bit. Only a cycle that found
+// every frame pinned ends in ErrPoolFull.
 func (p *Pool) evictOne() error {
 	p.evictMu.Lock()
 	defer p.evictMu.Unlock()
@@ -530,7 +498,7 @@ func (p *Pool) evictOne() error {
 	if p.wal != nil {
 		for i := 0; i < numShards; i++ {
 			sh := &p.shards[p.handShard]
-			evicted, err := p.sweepShard(sh, durableLSN)
+			evicted, _, err := p.sweepShard(sh, durableLSN, false)
 			if err != nil {
 				return err
 			}
@@ -540,16 +508,22 @@ func (p *Pool) evictOne() error {
 			p.handShard = (p.handShard + 1) % numShards
 		}
 	}
-	for cycle := 0; cycle < 2; cycle++ {
+	unpinned := false
+	for cycle := 0; cycle < 3; cycle++ {
+		force := cycle == 2
+		if force && !unpinned {
+			break
+		}
 		for i := 0; i < numShards; i++ {
 			sh := &p.shards[p.handShard]
-			evicted, err := p.sweepShard(sh, 0)
+			evicted, saw, err := p.sweepShard(sh, 0, force)
 			if err != nil {
 				return err
 			}
 			if evicted {
 				return nil
 			}
+			unpinned = unpinned || saw
 			p.handShard = (p.handShard + 1) % numShards
 		}
 	}
@@ -564,30 +538,32 @@ func (p *Pool) evictOne() error {
 // same-shard hits. Only then is the image handed on to the next miss:
 // tier-2 must have read the victim's bytes, not the next tenant's.
 // Caller holds evictMu.
-func (p *Pool) sweepShard(sh *shard, durableLSN wal.LSN) (bool, error) {
-	victim, admissible, err := p.sweepShardLocked(sh, durableLSN)
+func (p *Pool) sweepShard(sh *shard, durableLSN wal.LSN, force bool) (evicted, unpinned bool, err error) {
+	victim, admissible, unpinned, err := p.sweepShardLocked(sh, durableLSN, force)
 	if victim == nil || err != nil {
-		return false, err
+		return false, unpinned, err
 	}
 	if p.t2 != nil && admissible {
 		p.t2.admit(p, victim.page, victim.data)
 	}
 	p.recycle(victim)
-	return true, nil
+	return true, true, nil
 }
 
 // sweepShardLocked advances the shard's clock hand over its ring once,
 // evicting the first second-chance victim it finds and returning it. A
 // non-zero durableLSN makes the pass selective: dirty frames the log
 // does not yet cover are passed over (their reference bits untouched),
-// so a cheaper victim can be found before paying for a log sync.
-// admissible reports whether the victim's image matches the device copy
-// and may therefore enter tier-2: true for anything written back and
-// for clean frames loaded from the device, false for a fresh (GetNew)
-// frame that was never dirtied — its bytes never reached the device and
-// caching them would resurrect content the device does not hold. Caller
-// holds evictMu.
-func (p *Pool) sweepShardLocked(sh *shard, durableLSN wal.LSN) (victim *Frame, admissible bool, err error) {
+// so a cheaper victim can be found before paying for a log sync. force
+// takes the first unpinned frame without looking at its reference bit.
+// unpinned reports whether the pass came by any unpinned frame, victim
+// or not. admissible reports whether the victim's image matches the
+// device copy and may therefore enter tier-2: true for anything written
+// back and for clean frames loaded from the device, false for a fresh
+// (GetNew) frame that was never dirtied — its bytes never reached the
+// device and caching them would resurrect content the device does not
+// hold. Caller holds evictMu.
+func (p *Pool) sweepShardLocked(sh *shard, durableLSN wal.LSN, force bool) (victim *Frame, admissible, unpinned bool, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	n := len(sh.ring)
@@ -600,11 +576,12 @@ func (p *Pool) sweepShardLocked(sh *shard, durableLSN wal.LSN) (victim *Frame, a
 			sh.hand++
 			continue
 		}
+		unpinned = true
 		if durableLSN > 0 && f.dirty.Load() && wal.LSN(f.pageLSN.Load()) > durableLSN {
 			sh.hand++
 			continue
 		}
-		if f.ref.CompareAndSwap(true, false) {
+		if !force && f.ref.CompareAndSwap(true, false) {
 			sh.hand++
 			continue
 		}
@@ -614,11 +591,8 @@ func (p *Pool) sweepShardLocked(sh *shard, durableLSN wal.LSN) (victim *Frame, a
 		wasDirty := f.dirty.Load()
 		if wasDirty {
 			if err := p.writeBack(f); err != nil {
-				return nil, false, err
+				return nil, false, true, err
 			}
-		}
-		if f.prefetched.Load() {
-			p.prefetchWasted.Inc()
 		}
 		delete(sh.frames, f.page)
 		last := len(sh.ring) - 1
@@ -630,9 +604,9 @@ func (p *Pool) sweepShardLocked(sh *shard, durableLSN wal.LSN) (victim *Frame, a
 		}
 		p.size.Add(-1)
 		p.evictions.Add(1)
-		return f, wasDirty || !f.fresh, nil
+		return f, wasDirty || !f.fresh, true, nil
 	}
-	return nil, false, nil
+	return nil, false, unpinned, nil
 }
 
 // writeBack flushes one frame's bytes to the device. The caller must
@@ -822,9 +796,6 @@ func (p *Pool) unlockAll() {
 // ErrPinned if any frame is still pinned. The paper clears the buffer at
 // the start of each measured operation.
 func (p *Pool) Clear() error {
-	// Wait out background read-ahead first: a straggler batch finishing
-	// after the wipe would leave the "cold" pool partially warm.
-	p.DrainPrefetch()
 	if p.wal != nil {
 		if err := p.wal.Sync(); err != nil {
 			return err
@@ -1167,9 +1138,6 @@ func lastDiff(a, b []byte, lo, hi int) int {
 // the check-then-drop so a pinned frame fails the call before any
 // frame (with possibly newer dirty bytes) has been discarded.
 func (p *Pool) ShrinkTo(n pagedev.PageNo) error {
-	// Settle background read-ahead before dropping frames: a batch
-	// loading soon-to-be-truncated pages would race the shrink.
-	p.DrainPrefetch()
 	p.lockAll()
 	for i := range p.shards {
 		for pn, f := range p.shards[i].frames {

@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -12,8 +13,13 @@ import (
 	"natix/internal/pageformat"
 )
 
+// pageCell is the cell page pn carries in these tests: its own number.
+func pageCell(pn int) []byte {
+	return binary.LittleEndian.AppendUint32(nil, uint32(pn))
+}
+
 // fillPages formats pages [0, n) through the pool, page i carrying the
-// one-byte cell i+1, and flushes them to the device.
+// cell pageCell(i), and flushes them to the device.
 func fillPages(t *testing.T, p *Pool, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -21,7 +27,8 @@ func fillPages(t *testing.T, p *Pool, n int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		format(f, byte(i+1))
+		pageformat.FormatSlotted(f.Data()).Insert(pageCell(i))
+		f.MarkDirty()
 		f.Release()
 	}
 	if err := p.FlushAll(); err != nil {
@@ -47,8 +54,8 @@ func checkPage(p *Pool, pn int) error {
 		return fmt.Errorf("page %d: %w", pn, err)
 	}
 	cell, err := s.Cell(0)
-	if err != nil || len(cell) != 1 || cell[0] != byte(pn+1) {
-		return fmt.Errorf("page %d holds cell %v (%v), want [%d]", pn, cell, err, pn+1)
+	if err != nil || !bytes.Equal(cell, pageCell(pn)) {
+		return fmt.Errorf("page %d holds cell %v (%v), want %v", pn, cell, err, pageCell(pn))
 	}
 	return nil
 }

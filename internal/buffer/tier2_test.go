@@ -238,143 +238,6 @@ func TestTier2ByteBudgetEvictsLRU(t *testing.T) {
 	}
 }
 
-func TestPrefetchRangeLoadsAndCounts(t *testing.T) {
-	p, _ := newPool(t, 1024, 8, 16)
-	for pn := pagedev.PageNo(0); pn < 8; pn++ {
-		f, _ := p.GetNew(pn)
-		format(f, byte(pn))
-		f.Release()
-	}
-	if err := p.Clear(); err != nil {
-		t.Fatal(err)
-	}
-	p.ResetStats()
-
-	p.PrefetchRange(nil, 0, 4)
-	p.DrainPrefetch()
-	st := p.Stats()
-	if st.PrefetchIssued != 4 {
-		t.Fatalf("PrefetchIssued = %d, want 4", st.PrefetchIssued)
-	}
-	if st.PhysReads != 4 {
-		t.Fatalf("PhysReads = %d, want 4", st.PhysReads)
-	}
-	// Foreground gets on prefetched pages are hits and count as used.
-	for pn := pagedev.PageNo(0); pn < 2; pn++ {
-		f, err := p.Get(pn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Release()
-	}
-	st = p.Stats()
-	if st.Hits != 2 {
-		t.Fatalf("Hits = %d, want 2", st.Hits)
-	}
-	if st.PrefetchUsed != 2 {
-		t.Fatalf("PrefetchUsed = %d, want 2", st.PrefetchUsed)
-	}
-	// A fully resident range is a no-op (and must not block).
-	p.PrefetchRange(nil, 0, 4)
-	p.DrainPrefetch()
-	if got := p.Stats().PrefetchIssued; got != 4 {
-		t.Fatalf("PrefetchIssued after resident range = %d, want 4", got)
-	}
-}
-
-func TestPrefetchUntouchedPagesAreFirstVictims(t *testing.T) {
-	// Prefetched frames install with the reference bit clear: under
-	// pressure the clock reclaims them before any touched frame, and
-	// counts them wasted.
-	p, _ := newPool(t, 1024, 8, 16)
-	for pn := pagedev.PageNo(0); pn < 12; pn++ {
-		f, _ := p.GetNew(pn)
-		format(f, byte(pn))
-		f.Release()
-	}
-	if err := p.Clear(); err != nil {
-		t.Fatal(err)
-	}
-	p.ResetStats()
-
-	p.PrefetchRange(nil, 0, 4)
-	p.DrainPrefetch()
-	if got := p.Stats().PrefetchIssued; got != 4 {
-		t.Fatalf("PrefetchIssued = %d, want 4", got)
-	}
-	// Touch pages 0 and 1 (sets their reference bits, counts them used).
-	for pn := pagedev.PageNo(0); pn < 2; pn++ {
-		f, err := p.Get(pn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Release()
-	}
-	// Fill the pool with four more pages and re-Get each so their
-	// reference bits are set (a miss-install leaves the bit clear until
-	// the first repeat access).
-	for pn := pagedev.PageNo(4); pn < 8; pn++ {
-		for i := 0; i < 2; i++ {
-			f, err := p.Get(pn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f.Release()
-		}
-	}
-	// Two more pages force two evictions: the untouched prefetched
-	// frames (2, 3) must go first. The new frames stay pinned so they
-	// cannot themselves be chosen before the sweep finds both.
-	f8, err := p.Get(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f9, err := p.Get(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f8.Release()
-	f9.Release()
-	st := p.Stats()
-	if st.PrefetchWasted != 2 {
-		t.Fatalf("PrefetchWasted = %d, want 2", st.PrefetchWasted)
-	}
-	if st.PrefetchUsed != 2 {
-		t.Fatalf("PrefetchUsed = %d, want 2", st.PrefetchUsed)
-	}
-	for _, pn := range []pagedev.PageNo{0, 1, 4, 5, 6, 7} {
-		if !p.Resident(pn) {
-			t.Fatalf("touched page %d was evicted before untouched prefetched ones", pn)
-		}
-	}
-	if p.Resident(2) || p.Resident(3) {
-		t.Fatal("untouched prefetched pages should have been the first victims")
-	}
-}
-
-func TestPrefetchBatchAPI(t *testing.T) {
-	p, _ := newPool(t, 1024, 8, 16)
-	for pn := pagedev.PageNo(0); pn < 8; pn++ {
-		f, _ := p.GetNew(pn)
-		format(f, byte(pn))
-		f.Release()
-	}
-	if err := p.Clear(); err != nil {
-		t.Fatal(err)
-	}
-	p.ResetStats()
-	p.Prefetch(nil, []pagedev.PageNo{7, 3, 5})
-	p.DrainPrefetch()
-	if got := p.Stats().PrefetchIssued; got != 3 {
-		t.Fatalf("PrefetchIssued = %d, want 3", got)
-	}
-	for _, pn := range []pagedev.PageNo{3, 5, 7} {
-		if !p.Resident(pn) {
-			t.Fatalf("page %d not resident after Prefetch", pn)
-		}
-	}
-}
-
 // rangeCountingDev wraps Mem and counts vectored vs single-page writes.
 type rangeCountingDev struct {
 	*pagedev.Mem

@@ -187,13 +187,18 @@ func (w *FacadeWalker) next() *noderep.Node {
 	return nil
 }
 
-// Load makes record rid the walker's record, loading it through the
-// buffer pool (one logical read, as for any record access). The walk
-// keeps its place when the parsed instance is the one it is already
-// over.
+// Load makes record rid the walker's record. When the walker is already
+// on rid it returns at once — the parsed instance it holds stays valid
+// for as long as its owner keeps the document readable — so a run of
+// addresses in one record costs one record access (one logical read
+// through the buffer pool) in total; any other rid is loaded like any
+// record. The walk keeps its place unless the parsed instance changes.
 //
 //natix:noalloc
 func (w *FacadeWalker) Load(s *Store, rid records.RID) error {
+	if w.rec != nil && rid == w.rid {
+		return nil
+	}
 	rec, err := s.loadRecord(rid)
 	if err != nil {
 		return err

@@ -57,10 +57,10 @@ type Iter struct {
 
 	// walker resolves the indexed route's postings to nodes. It belongs
 	// to the producer — only the goroutine inside Next touches it — and
-	// it keeps its place in the current record between matches, so the
-	// ascending postings of a record cost one facade walk in total. It
-	// points into parsed records, which is safe exactly as long as the
-	// cursor holds the document lock.
+	// it keeps its record and its place in it between matches, so the
+	// ascending postings of a record cost one record load and one facade
+	// walk in total. It points into parsed records, which is safe exactly
+	// as long as the cursor holds the document lock.
 	walker core.FacadeWalker
 
 	cur     Result
@@ -276,9 +276,9 @@ func (s *Store) indexedSeq(cx context.Context, it *Iter, idx *pathindex.Handle, 
 
 // resolve materializes one posting as a node ref, when the consumer
 // reaches it, so the records of unconsumed matches are never loaded.
-// Every match loads its record (the parsed-record cache makes the
-// repeats decode-free); the walker makes the node lookup inside it a
-// continuation of the previous match's.
+// Postings arrive in document order, so same-record matches come in
+// runs: the walker loads a record once per run and makes each node
+// lookup inside it a continuation of the previous match's.
 //
 //natix:noalloc
 func (it *Iter) resolve(p pathindex.Posting) (core.NodeRef, error) {

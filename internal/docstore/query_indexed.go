@@ -174,9 +174,8 @@ func feedPostings(list []pathindex.Posting, sink func(pathindex.Posting) error) 
 // contiguous pre-order range, so same-record matches come in runs: each
 // run costs one record load and — its facade indices ascending — one
 // walk of the record, by the same core.FacadeWalker a cursor resolves
-// its matches with (Iter.resolve; there the record is loaded per match,
-// because the consumer may stop at any one). A duplicate posting from a
-// nested descendant context can split a run; the repeat load hits the
+// its matches with (Iter.resolve). A duplicate posting from a nested
+// descendant context can split a run; the repeat load hits the
 // parsed-record cache and the walker restarts.
 //
 //natix:noalloc
@@ -187,10 +186,8 @@ func (s *Store) resolvePostings(posts []pathindex.Posting) ([]core.NodeRef, erro
 	out := make([]core.NodeRef, len(posts)) //natix:vet-ignore result buffer, one allocation per query
 	var w core.FacadeWalker
 	for i, p := range posts {
-		if i == 0 || p.RID != posts[i-1].RID {
-			if err := w.Load(s.trees, p.RID); err != nil {
-				return nil, err
-			}
+		if err := w.Load(s.trees, p.RID); err != nil {
+			return nil, err
 		}
 		ref, err := w.Ref(int(p.Local))
 		if err != nil {

@@ -23,15 +23,14 @@ const exportChunk = 32 << 10
 
 // readOut is the scratch of one read-out: the output bytes, the child
 // lists of the elements the walk is inside of (stacked, innermost
-// last), the value of the attribute being folded, and the read-ahead
-// cursor. Read-outs of one cursor's matches may run concurrently with
-// each other and with the iteration, so a scratch is taken from the
-// Store's pool per call and never shared.
+// last) and the value of the attribute being folded. Read-outs of one
+// cursor's matches may run concurrently with each other and with the
+// iteration, so a scratch is taken from the Store's pool per call and
+// never shared.
 type readOut struct {
 	out   []byte
 	stack []core.NodeRef
 	val   []byte
-	cur   pageCursor
 	w     io.Writer // nil: everything stays in out
 }
 
@@ -49,7 +48,7 @@ func (s *Store) getReadOut(w io.Writer) *readOut {
 // lists stacked) and detached from its writer.
 func (s *Store) putReadOut(ro *readOut) {
 	ro.out, ro.stack, ro.val = ro.out[:0], ro.stack[:0], ro.val[:0]
-	ro.cur, ro.w = pageCursor{}, nil
+	ro.w = nil
 	s.readPool.Put(ro)
 }
 
@@ -103,22 +102,18 @@ func (ro *readOut) writeText(ref core.NodeRef) error {
 }
 
 // writeElement appends the element ref, whose name the caller has
-// looked up. The context is checked, and page read-ahead announced,
-// before the element's children — that is, before each record access:
-// the walk visits records in document order (a fresh page cursor per
-// read-out; Markup on a single match and a whole-document export both
-// stream sequentially). "@name" children become attributes with
-// xmlkit.Node.SetAttr's semantics: a repeated name keeps the position
-// of its first occurrence and the value of its last. An element whose
-// children are all attributes self-closes; an empty text child does not
-// count as absent.
+// looked up. The context is checked before the element's children —
+// that is, before each record access. "@name" children become
+// attributes with xmlkit.Node.SetAttr's semantics: a repeated name
+// keeps the position of its first occurrence and the value of its last.
+// An element whose children are all attributes self-closes; an empty
+// text child does not count as absent.
 //
 //natix:noalloc
 func (s *Store) writeElement(cx context.Context, ro *readOut, ref core.NodeRef, name string) error {
 	if err := ctxErr(cx); err != nil {
 		return err
 	}
-	s.notePage(cx, &ro.cur, ref)
 	base := len(ro.stack)
 	var err error
 	if ro.stack, err = s.trees.ChildrenAppend(ref, ro.stack); err != nil {

@@ -215,13 +215,18 @@ func storeBFS(t testing.TB, s *Store, name string, model *xmlkit.Node) {
 	}
 }
 
+// splitExtremes are the two split-matrix settings the differential
+// tests store their documents under: everything clustered, and every
+// node a record of its own.
+var splitExtremes = []struct {
+	name   string
+	matrix func() *core.SplitMatrix
+}{{"other", core.AllOther}, {"standalone", core.AllStandalone}}
+
 // storedVariants stores model at 2 KB pages bulk-loaded and BFS-built
 // under both split-matrix extremes, and hands each store to fn.
 func storedVariants(t *testing.T, model *xmlkit.Node, fn func(t *testing.T, s *Store)) {
-	for _, m := range []struct {
-		name   string
-		matrix func() *core.SplitMatrix
-	}{{"other", core.AllOther}, {"standalone", core.AllStandalone}} {
+	for _, m := range splitExtremes {
 		for _, b := range []struct {
 			name  string
 			store func(testing.TB, *Store, string, *xmlkit.Node)

@@ -196,11 +196,11 @@ func (p *pacer) tick() {
 // window: when the sweep asks for a page outside the window, the
 // window advances and fetches every contiguous run of wanted,
 // non-resident pages inside it with one vectored pagedev.ReadRange
-// (through the scrubber's ioretry policy). The scrubber deliberately
-// does NOT use the pool's Prefetch for this: prefetched pages become
-// resident, and the sweep skips resident pages — pool-level read-ahead
+// (through the scrubber's ioretry policy). The reads deliberately
+// bypass the buffer pool: a page loaded into it becomes resident, and
+// the sweep skips resident pages — reading ahead through the pool
 // would collapse the scrub's own coverage. Device-level batching gives
-// the same sequential I/O without touching the frame table.
+// sequential I/O without touching the frame table.
 //
 // A failed vectored read is not an error: the affected pages fall back
 // to individual reads at consumption time, so a single unreadable page

@@ -869,15 +869,11 @@ type Stats struct {
 	PhysWrites   int64
 	Evictions    int64 // frames reclaimed by the clock sweep
 	LatchWaits   int64 // frame-latch acquisitions that had to block
-	// Memory hierarchy (all zero when CompressedCacheBytes is off,
-	// except the prefetch and coalescing counters, which are always
-	// live).
+	// Memory hierarchy (the tier-2 fields are zero when
+	// CompressedCacheBytes is off; write coalescing is always live).
 	Tier2Hits          int64 // misses served from the compressed victim cache
 	Tier2Misses        int64 // misses that fell through to the device
 	Tier2Bytes         int64 // current compressed payload held in tier-2
-	PrefetchIssued     int64 // pages loaded by background read-ahead
-	PrefetchUsed       int64 // prefetched pages later hit by a foreground get
-	PrefetchWasted     int64 // prefetched pages evicted untouched
 	CoalescedWriteRuns int64 // multi-page vectored writes issued by flushes
 	// Tree storage manager.
 	Splits           int64
@@ -917,9 +913,6 @@ func (db *DB) Stats() (Stats, error) {
 			Tier2Hits:          c["buffer.tier2_hits"],
 			Tier2Misses:        c["buffer.tier2_misses"],
 			Tier2Bytes:         c["buffer.tier2_bytes"],
-			PrefetchIssued:     c["buffer.prefetch_issued"],
-			PrefetchUsed:       c["buffer.prefetch_used"],
-			PrefetchWasted:     c["buffer.prefetch_wasted"],
 			CoalescedWriteRuns: c["buffer.coalesced_write_runs"],
 			Splits:             c["core.splits"],
 			RecordsCreated:     c["core.records_created"],

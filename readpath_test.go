@@ -1,9 +1,16 @@
 package natix
 
 import (
+	"context"
 	"fmt"
+	"io"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"natix/internal/corpus"
+	"natix/internal/xmlkit"
 )
 
 // readpathCorpus builds a document big enough that, under a deliberately
@@ -112,5 +119,162 @@ func TestQueryResultsIdenticalWithTier2(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// benchShapes are the ten query shapes of bench/ (its classes table):
+// what is asked, and how each match is read out.
+var benchShapes = []struct {
+	expr   string // "" = whole-document export
+	markup bool
+	count  bool
+	limit  int
+}{
+	{expr: "/PLAY/ACT[3]/SCENE[2]//SPEAKER"},
+	{expr: "/PLAY/ACT[1]/SCENE[1]/SPEECH[1]", markup: true},
+	{expr: "//PERSONA"},
+	{expr: "//LINE", limit: 10},
+	{expr: "//SPEECH", count: true},
+	{expr: "//SCENE/SPEECH[1]", markup: true},
+	{expr: "//SPEAKER"},
+	{expr: "/PLAY/ACT/SCENE/SPEECH/LINE"},
+	{expr: "/PLAY/ACT/SCENE/*", markup: true},
+	{},
+}
+
+// benchPass runs every shape on every document once, one client,
+// consuming every match, and returns the bytes its matches read out.
+func benchPass(t *testing.T, db *DB, docs []string) int64 {
+	t.Helper()
+	ctx := context.Background()
+	var bytes int64
+	for _, doc := range docs {
+		for _, sh := range benchShapes {
+			switch {
+			case sh.expr == "":
+				if err := db.ExportXML(doc, io.Discard); err != nil {
+					t.Fatal(err)
+				}
+			case sh.count:
+				n, err := db.QueryCount(doc, sh.expr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bytes += int64(n)
+			default:
+				var opts []QueryOption
+				if sh.limit > 0 {
+					opts = append(opts, WithLimit(sh.limit))
+				}
+				cur, err := db.QueryIter(ctx, doc, sh.expr, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for cur.Next() {
+					read := cur.Match().Text
+					if sh.markup {
+						read = cur.Match().Markup
+					}
+					s, err := read()
+					if err != nil {
+						t.Fatal(err)
+					}
+					bytes += int64(len(s))
+				}
+				if err := cur.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return bytes
+}
+
+// TestPoolReadsOnlyWhatIsAsked pins the pool's I/O to the callers'
+// demand: nothing is read that no Get missed on, and nothing runs behind
+// the caller. On a file store several times the pool, a cold
+// single-client pass over the bench query shapes reads exactly the pages
+// it misses, leaves no goroutine behind, and repeats its counts exactly
+// from the same closed file; over a pool that holds the file, a second
+// pass reads nothing.
+func TestPoolReadsOnlyWhatIsAsked(t *testing.T) {
+	const pageSize = 2048
+	path := filepath.Join(t.TempDir(), "plays.natix")
+	spec := corpus.SmallSpec(6)
+	var docs []string
+	db, err := Open(Options{Path: path, PageSize: pageSize, PathIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < spec.Plays; i++ {
+		docs = append(docs, fmt.Sprintf("play%02d", i))
+		src := xmlkit.SerializeString(corpus.GeneratePlay(spec, i))
+		if err := db.ImportXML(docs[i], strings.NewReader(src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := db.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	filePages := int(st.SpaceBytes / pageSize)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const frames = 16
+	if filePages < 4*frames {
+		t.Fatalf("store is %d pages: too small to spill a %d-frame pool", filePages, frames)
+	}
+
+	cold := func(t *testing.T) (Stats, int64) {
+		t.Helper()
+		db, err := Open(Options{Path: path, PageSize: pageSize, PathIndex: true, BufferBytes: frames * pageSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		before := runtime.NumGoroutine()
+		bytes := benchPass(t, db, docs)
+		if after := runtime.NumGoroutine(); after != before {
+			t.Errorf("%d goroutines after every cursor is closed, %d before the first query", after, before)
+		}
+		st, err := db.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if misses := st.LogicalReads - st.BufferHits; st.PhysReads != misses {
+			t.Errorf("%d pages read, %d missed (%d logical reads, %d hits)", st.PhysReads, misses, st.LogicalReads, st.BufferHits)
+		}
+		if st.Evictions == 0 {
+			t.Error("no evictions: the pass did not spill the pool")
+		}
+		return st, bytes
+	}
+	first, firstBytes := cold(t)
+	second, secondBytes := cold(t)
+	if first.PhysReads != second.PhysReads || first.Evictions != second.Evictions ||
+		first.LogicalReads != second.LogicalReads || firstBytes != secondBytes {
+		t.Errorf("two cold runs from the same closed file differ:\n first %d phys reads, %d evictions, %d logical reads, %d bytes out\nsecond %d phys reads, %d evictions, %d logical reads, %d bytes out",
+			first.PhysReads, first.Evictions, first.LogicalReads, firstBytes,
+			second.PhysReads, second.Evictions, second.LogicalReads, secondBytes)
+	}
+
+	db, err = Open(Options{Path: path, PageSize: pageSize, PathIndex: true, BufferBytes: 2 * filePages * pageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	benchPass(t, db, docs)
+	warm, err := db.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	benchPass(t, db, docs)
+	again, err := db.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.PhysReads != warm.PhysReads || again.Evictions != 0 {
+		t.Errorf("second pass over a pool that holds the file: %d pages read, %d evictions", again.PhysReads-warm.PhysReads, again.Evictions)
 	}
 }
