@@ -190,8 +190,9 @@ func dumpTraces(tracer *telemetry.Tracer) {
 }
 
 // dumpPathIndex prints each indexed document's path summary (every
-// distinct label path with its occurrence count) and the size of each
-// posting list.
+// distinct label path with its occurrence count), the version its index
+// is stored in — 2 until ReindexDocument rewrites it — and what each
+// posting list costs.
 func dumpPathIndex(rm *records.Manager, d *dict.Dict) {
 	px, err := pathindex.Open(rm)
 	if err != nil {
@@ -211,8 +212,8 @@ func dumpPathIndex(rm *records.Manager, d *dict.Dict) {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		fmt.Printf("\npath index of %q: %d nodes, %d paths, %d bytes\n",
-			name, idx.NumNodes(), idx.NumPaths(), size)
+		fmt.Printf("\npath index of %q: format version %d, %d nodes, %d paths, %d bytes\n",
+			name, idx.FormatVersion(), idx.NumNodes(), idx.NumPaths(), size)
 		fmt.Printf("  summary:\n")
 		for id := pathindex.PathID(1); int(id) <= idx.NumPaths(); id++ {
 			fmt.Printf("    %-50s %7d\n", pathString(idx, d, id), idx.Path(id).Count)
@@ -227,7 +228,12 @@ func dumpPathIndex(rm *records.Manager, d *dict.Dict) {
 			if err != nil {
 				fatalf("%v", err)
 			}
-			fmt.Printf("    %-20s %7d postings %9d bytes\n", lname, idx.PostingCount(label), bytes)
+			list, err := idx.Postings(label)
+			if err != nil {
+				fatalf("%v", err)
+			}
+			fmt.Printf("    %-20s %7d postings %6d runs %9d bytes %6.2f B/posting\n",
+				lname, len(list), pathindex.Runs(list), bytes, float64(bytes)/float64(max(len(list), 1)))
 		}
 	}
 }

@@ -2,8 +2,11 @@ package natix
 
 // EXPLAIN for path queries: which evaluator would run, why, and how
 // many matches each step should produce — priced from resident
-// metadata (the path summary), without touching posting lists or
-// records. ExplainRun additionally executes the query and reports the
+// metadata (the path summary), without touching records. Choosing the
+// evaluator does what a query does to choose it: it loads the posting
+// lists of the step labels into the index handle, where the query
+// finds them, and so knows an unreadable list before promising the
+// index. ExplainRun additionally executes the query and reports the
 // actual match count and logical page reads next to the estimates, so
 // an estimate can be audited in one call.
 //

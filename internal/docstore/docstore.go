@@ -151,10 +151,11 @@ type Store struct {
 	pindex  *pathindex.Store
 	indexOn bool
 
-	builds         atomic.Int64
-	indexedQueries atomic.Int64
-	scanQueries    atomic.Int64
-	flatQueries    atomic.Int64
+	builds          atomic.Int64
+	indexedQueries  atomic.Int64
+	scanQueries     atomic.Int64
+	flatQueries     atomic.Int64
+	indexUnreadable atomic.Int64 // queries sent to the scan by a corrupt stored index
 
 	// scanPool recycles scanScratch traversal buffers across queries
 	// (see query.go); a warm navigating scan allocates nothing.

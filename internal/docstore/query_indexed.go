@@ -33,8 +33,10 @@ import (
 // use it: indexing is enabled, the document has a stored index, and
 // every step is a plain name test (the "*" and "#text" tests match
 // nodes the postings do not cover, so those queries fall back to the
-// scan path). Only the index summary is loaded here; posting lists are
-// read lazily, per step label.
+// scan path). The summary and the posting lists of the step labels are
+// loaded here, so that what cannot be read is found out before the
+// evaluation starts; they stay cached in the handle, so a warm query
+// pays a map lookup per step and indexedStep's own loads are hits.
 func (s *Store) indexFor(info DocInfo, steps []Step) (*pathindex.Handle, error) {
 	if s.pindex == nil || !s.indexOn || info.Mode != ModeTree {
 		return nil, nil
@@ -45,10 +47,16 @@ func (s *Store) indexFor(info DocInfo, steps []Step) (*pathindex.Handle, error) 
 		}
 	}
 	h, err := s.pindex.Get(info.Name)
+	for i := 0; i < len(steps) && err == nil && h != nil; i++ {
+		if l, ok := s.dict.Lookup(steps[i].Name); ok {
+			_, err = h.Postings(l)
+		}
+	}
 	if errors.Is(err, pathindex.ErrCorrupt) {
 		// A damaged index must not take queries down with it: the scan
 		// path needs nothing from the index and is always correct.
 		// ReindexDocument repairs the index.
+		s.indexUnreadable.Add(1)
 		return nil, nil
 	}
 	return h, err

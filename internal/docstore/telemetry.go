@@ -32,6 +32,7 @@ func (s *Store) AttachTelemetry(reg *telemetry.Registry, tracer *telemetry.Trace
 	reg.Func("docstore.queries_indexed", s.indexedQueries.Load)
 	reg.Func("docstore.queries_scan", s.scanQueries.Load)
 	reg.Func("docstore.queries_flat", s.flatQueries.Load)
+	reg.Func("docstore.index_unreadable", s.indexUnreadable.Load)
 	s.mImports = reg.Counter("docstore.imports")
 	s.mMutations = reg.Counter("docstore.mutations")
 	s.mCursorsOpened = reg.Counter("docstore.cursors_opened")

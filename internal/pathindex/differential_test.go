@@ -9,6 +9,7 @@ import (
 
 	"natix/internal/buffer"
 	"natix/internal/core"
+	"natix/internal/corpus"
 	"natix/internal/dict"
 	"natix/internal/docstore"
 	"natix/internal/noderep"
@@ -91,7 +92,7 @@ type diffEnv struct {
 	px    *pathindex.Store
 }
 
-func newDiffEnv(t *testing.T, pageSize int, matrix *core.SplitMatrix) *diffEnv {
+func newDiffEnv(t testing.TB, pageSize int, matrix *core.SplitMatrix) *diffEnv {
 	t.Helper()
 	dev, err := pagedev.NewMem(pageSize)
 	if err != nil {
@@ -182,7 +183,10 @@ func referenceIndex(t *testing.T, trees *core.Store, root records.RID) *pathinde
 // to the map-and-sort builder it replaced, through every way into the
 // bulk load: each stored index must decode deeply equal to the
 // reference's (summary, counts, every posting list) and its blobs be
-// byte-equal to the reference's encoding.
+// byte-equal to the reference's encoding. So must the index
+// ReindexDocument rebuilds by walking the stored tree — of the same
+// documents, which makes stream-built and rebuilt blobs byte-equal, and
+// of a play stored node by node, whose records are what splits left.
 func TestStreamIndexMatchesReference(t *testing.T) {
 	for _, m := range []struct {
 		name   string
@@ -225,18 +229,31 @@ func TestStreamIndexMatchesReference(t *testing.T) {
 				if _, err := e.store.ImportXMLBatch(context.Background(), batch, 4); err != nil {
 					t.Fatalf("ImportXMLBatch: %v", err)
 				}
-				for _, name := range names {
+				storeBFS(t, e.store, "play/bfs", corpus.GeneratePlay(corpus.SmallSpec(1), 0))
+				if e.px.Has("play/bfs") {
+					t.Fatal("a document stored node by node has an index before ReindexDocument")
+				}
+				for _, name := range append(names, "play/bfs") {
 					info, err := e.store.Lookup(name)
 					if err != nil {
 						t.Fatal(err)
 					}
 					want := referenceIndex(t, e.store.Trees(), info.Root)
-					d, err := pathindex.DiffStored(e.px, name, want)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if d != "" {
-						t.Errorf("%s: %s", name, d)
+					for _, built := range []string{"stream-built", "rebuilt"} {
+						if built == "rebuilt" {
+							if err := e.store.ReindexDocument(name); err != nil {
+								t.Fatalf("%s: ReindexDocument: %v", name, err)
+							}
+						} else if !e.px.Has(name) {
+							continue
+						}
+						d, err := pathindex.DiffStored(e.px, name, want)
+						if err != nil {
+							t.Fatalf("%s %s: %v", built, name, err)
+						}
+						if d != "" {
+							t.Errorf("%s %s: %s", built, name, d)
+						}
 					}
 				}
 			})

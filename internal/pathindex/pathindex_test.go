@@ -45,7 +45,7 @@ type env struct {
 	store *docstore.Store
 }
 
-func newEnv(t *testing.T, path string, pageSize int) *env {
+func newEnv(t testing.TB, path string, pageSize int) *env {
 	t.Helper()
 	var (
 		dev pagedev.Device

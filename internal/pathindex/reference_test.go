@@ -1,23 +1,96 @@
 package pathindex
 
-// The streaming builder this package shipped before the element table:
-// per-element state in a map keyed by node, postings appended in
-// record-emission order (bottom-up) and sorted into document order at
-// Finish. Kept, unchanged but for its name, as the oracle StreamBuilder
-// is held to (differential_test.go and stream_test.go), and as the
-// "old" side of BenchmarkStreamBuilder.
+// Two implementations this package shipped and replaced, kept as the
+// oracles their replacements are held to.
+//
+// The streaming builder before the element table: per-element state in
+// a map keyed by node, postings appended in record-emission order
+// (bottom-up) and sorted into document order at Finish. Unchanged but
+// for its name; StreamBuilder's oracle (differential_test.go and
+// stream_test.go) and the "old" side of BenchmarkStreamBuilder.
+//
+// The fixed-width postings encoder of index version 2, 22 bytes a
+// posting. Its decoder is still in codec.go, for stores written before
+// version 3; the encoder lives on here, as the other half of the codec
+// differential (codec_test.go), as the way tests make such a store
+// (StoreAsV2), and as the "old" side of BenchmarkPostingsCodec.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 
 	"natix/internal/dict"
 	"natix/internal/noderep"
 	"natix/internal/records"
 )
+
+// refEncodeV2 appends list's version 2 postings blob to out.
+func refEncodeV2(out []byte, list []Posting) []byte {
+	out = slices.Grow(out, 8+len(list)*postingSize)
+	out = append(out, postingsMagic...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(list)))
+	var rid [records.RIDSize]byte
+	for _, p := range list {
+		out = binary.LittleEndian.AppendUint32(out, p.Seq)
+		out = binary.LittleEndian.AppendUint32(out, p.Size)
+		p.RID.Put(rid[:])
+		out = append(out, rid[:]...)
+		out = binary.LittleEndian.AppendUint16(out, p.Local)
+		out = binary.LittleEndian.AppendUint32(out, uint32(p.Path))
+	}
+	return out
+}
+
+// The codec, for the tests and benchmarks of package pathindex_test
+// (which, unlike this package's own tests, can import the document
+// store and so get at real lists).
+var (
+	EncodePostings = encodePostings
+	RefEncodeV2    = refEncodeV2
+	DecodePostings = decodePostings
+)
+
+// The two postings layouts DecodePostings reads.
+const (
+	IndexVersion = indexVersion
+	FixedVersion = fixedVersion
+)
+
+// StoreAsV2 rewrites name's stored index the way a store from before
+// version 3 holds it: every list in the fixed-width layout, under a
+// version 2 summary.
+func StoreAsV2(s *Store, name string) error {
+	s.InvalidateCache()
+	h, err := s.Get(name)
+	if err != nil {
+		return err
+	}
+	sum := *h.sum
+	sum.version = fixedVersion
+	sum.dir = make(map[dict.LabelID]dirEntry, len(h.sum.dir))
+	for label, e := range h.sum.dir {
+		list, err := h.Postings(label)
+		if err != nil {
+			return err
+		}
+		if e.rid, err = s.blobs.Overwrite(e.rid, refEncodeV2(nil, list)); err != nil {
+			return err
+		}
+		sum.dir[label] = e
+	}
+	id, err := s.blobs.Overwrite(s.entries[name], encodeSummary(nil, &sum))
+	if err != nil {
+		return err
+	}
+	s.entries[name] = id
+	s.InvalidateCache()
+	return s.saveCatalog()
+}
 
 // refStreamMeta is the logical half of one element's posting.
 type refStreamMeta struct {
@@ -212,7 +285,7 @@ func DiffStored(s *Store, name string, want *Index) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if !bytes.Equal(blob, encodeSummary(nil, want, h.sum.dir)) {
+	if !bytes.Equal(blob, encodeSummary(nil, summaryOf(want, h.sum.dir))) {
 		return "stored summary blob differs from the reference encoding", nil
 	}
 	return "", nil

@@ -75,7 +75,7 @@ func Open(rm *records.Manager) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pathindex: load catalog: %w", err)
 	}
-	if err := s.decodeCatalog(body); err != nil {
+	if err := decodeCatalog(body, s.entries); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -105,13 +105,12 @@ func (s *Store) Reload() error {
 	if err != nil {
 		return fmt.Errorf("pathindex: reload catalog: %w", err)
 	}
-	return s.decodeCatalog(body)
+	return decodeCatalog(body, s.entries)
 }
 
-func (s *Store) encodeCatalog() []byte {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := s.namesLocked()
+// encodeCatalog serializes entries in name order.
+func encodeCatalog(entries map[string]records.RID) []byte {
+	names := sortedNames(entries)
 	out := make([]byte, 0, 8)
 	out = append(out, catalogMagic...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(names)))
@@ -119,13 +118,14 @@ func (s *Store) encodeCatalog() []byte {
 	for _, n := range names {
 		out = binary.LittleEndian.AppendUint16(out, uint16(len(n)))
 		out = append(out, n...)
-		s.entries[n].Put(rid[:])
+		entries[n].Put(rid[:])
 		out = append(out, rid[:]...)
 	}
 	return out
 }
 
-func (s *Store) decodeCatalog(b []byte) error {
+// decodeCatalog adds the entries of a catalog blob to entries.
+func decodeCatalog(b []byte, entries map[string]records.RID) error {
 	if len(b) < 8 || string(b[:4]) != catalogMagic {
 		return fmt.Errorf("%w: bad catalog magic", ErrCorrupt)
 	}
@@ -142,14 +142,16 @@ func (s *Store) decodeCatalog(b []byte) error {
 		}
 		name := string(b[pos : pos+n])
 		pos += n
-		s.entries[name] = records.DecodeRID(b[pos : pos+records.RIDSize])
+		entries[name] = records.DecodeRID(b[pos : pos+records.RIDSize])
 		pos += records.RIDSize
 	}
 	return nil
 }
 
 func (s *Store) saveCatalog() error {
-	body := s.encodeCatalog()
+	s.mu.RLock()
+	body := encodeCatalog(s.entries)
+	s.mu.RUnlock()
 	var (
 		id  records.RID
 		err error
@@ -172,14 +174,12 @@ func (s *Store) saveCatalog() error {
 func (s *Store) Names() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.namesLocked()
+	return sortedNames(s.entries)
 }
 
-// namesLocked lists the indexed documents in name order. Caller holds
-// s.mu (shared or exclusive).
-func (s *Store) namesLocked() []string {
-	out := make([]string, 0, len(s.entries))
-	for n := range s.entries {
+func sortedNames(entries map[string]records.RID) []string {
+	out := make([]string, 0, len(entries))
+	for n := range entries {
 		out = append(out, n)
 	}
 	sort.Strings(out)
@@ -201,7 +201,8 @@ func (s *Store) Has(name string) bool {
 // than a catalog pointing at freed blobs. enc, when not nil, is a
 // buffer of the caller's that every blob is encoded in (and that grows
 // to the largest of them), so a caller storing index after index
-// encodes in place; the blob manager copies what it stores.
+// encodes in place; the blob manager copies what it stores. A list
+// that checkPostings rejects is refused before anything is written.
 func (s *Store) Put(name string, idx *Index, enc *[]byte) error {
 	oldRIDs, err := s.blobRIDs(name)
 	if err != nil {
@@ -210,6 +211,11 @@ func (s *Store) Put(name string, idx *Index, enc *[]byte) error {
 	if enc == nil {
 		var own []byte
 		enc = &own
+	}
+	for label, list := range idx.postings {
+		if err := checkPostings(list, idx.NumPaths(), idx.nodes); err != nil {
+			return fmt.Errorf("pathindex: store %q: label %d: %w", name, label, err)
+		}
 	}
 	dir := make(map[dict.LabelID]dirEntry, len(idx.postings))
 	written := make([]records.RID, 0, len(idx.postings)+1)
@@ -235,18 +241,15 @@ func (s *Store) Put(name string, idx *Index, enc *[]byte) error {
 		dir[label] = dirEntry{count: uint32(len(list)), rid: id}
 		near = id.Page
 	}
-	*enc = encodeSummary((*enc)[:0], idx, dir)
+	sum := &summary{version: indexVersion, paths: idx.paths, root: idx.root, nodes: idx.nodes, dir: dir}
+	*enc = encodeSummary((*enc)[:0], sum)
 	id, err := s.blobs.Write(*enc, near)
 	if err != nil {
 		return rollback(fmt.Errorf("pathindex: store %q summary: %w", name, err))
 	}
 	s.mu.Lock()
 	s.entries[name] = id
-	s.cacheAddLocked(name, &Handle{
-		store:    s,
-		sum:      &summary{paths: idx.paths, root: idx.root, nodes: idx.nodes, dir: dir},
-		postings: idx.postings,
-	})
+	s.cacheAddLocked(name, &Handle{store: s, sum: sum, postings: idx.postings})
 	s.mu.Unlock()
 	if err := s.saveCatalog(); err != nil {
 		return err
@@ -425,6 +428,9 @@ func (h *Handle) NumNodes() int { return int(h.sum.nodes) }
 // RootLabel returns the label of the document root element.
 func (h *Handle) RootLabel() dict.LabelID { return h.sum.root }
 
+// FormatVersion returns the version the stored index was written in.
+func (h *Handle) FormatVersion() int { return int(h.sum.version) }
+
 // PostingLabels returns the labels with a posting list, sorted. It
 // reads only the resident directory.
 func (h *Handle) PostingLabels() []dict.LabelID { return h.sum.labels() }
@@ -467,9 +473,9 @@ func (h *Handle) Postings(label dict.LabelID) ([]Posting, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pathindex: load postings of label %d: %w", label, err)
 	}
-	list, err = decodePostings(body, h.NumPaths())
+	list, err = decodePostings(h.sum.version, body, h.NumPaths(), h.sum.nodes)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pathindex: postings of label %d: %w", label, err)
 	}
 	if len(list) != int(e.count) {
 		return nil, fmt.Errorf("%w: label %d has %d postings, directory says %d",

@@ -888,6 +888,7 @@ type Stats struct {
 	PathIndexBuilds int64 // index builds (imports and reindexes)
 	IndexedQueries  int64 // tree-mode queries answered from the index
 	ScanQueries     int64 // tree-mode queries evaluated by navigation
+	IndexUnreadable int64 // of those, sent there by a corrupt stored index (reindex to repair)
 	// Write-ahead log (all zero when Options.WAL is off).
 	WALAppends     int64 // log records appended
 	WALBytes       int64 // log payload bytes appended
@@ -924,6 +925,7 @@ func (db *DB) Stats() (Stats, error) {
 			PathIndexBuilds:    c["docstore.index_builds"],
 			IndexedQueries:     c["docstore.queries_indexed"],
 			ScanQueries:        c["docstore.queries_scan"],
+			IndexUnreadable:    c["docstore.index_unreadable"],
 			WALAppends:         c["wal.appends"],
 			WALBytes:           c["wal.bytes"],
 			WALSyncs:           c["wal.syncs"],

@@ -1,10 +1,16 @@
 package natix
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"natix/internal/blobstore"
 	"natix/internal/corpus"
 	"natix/internal/xmlkit"
 )
@@ -334,5 +340,193 @@ func TestReindexDocument(t *testing.T) {
 	}
 	if strings.Join(got, "\x00") != strings.Join(want, "\x00") {
 		t.Fatalf("results differ after reindex: %q vs %q", got, want)
+	}
+}
+
+// iterMarkups opens a cursor over query and drains it.
+func iterMarkups(t *testing.T, db *DB, doc, query string, opts ...QueryOption) []string {
+	t.Helper()
+	cur, err := db.QueryIter(context.Background(), doc, query, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cursorMarkups(t, cur)
+}
+
+// TestCorruptPostingsFallBackToScan damages one label's posting list —
+// junk under a valid page checksum, which only the decoder can notice —
+// and holds every way into the query engine to the scan's answers:
+// a damaged index costs speed, never an answer or an error.
+func TestCorruptPostingsFallBackToScan(t *testing.T) {
+	xml := xmlkit.SerializeString(corpus.GeneratePlay(corpus.SmallSpec(1), 0))
+	damaged := []string{"//LINE", "/PLAY/ACT[2]/SCENE[1]//LINE", "//SPEECH/LINE[2]"}
+	spared := "//SPEAKER"
+
+	scan, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer scan.Close()
+	if err := scan.ImportXML("play", strings.NewReader(xml)); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(Options{PathIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.ImportXML("play", strings.NewReader(xml)); err != nil {
+		t.Fatal(err)
+	}
+
+	// LINE's is the largest posting list; find its blob by that.
+	px := db.store.PathIndex()
+	h, err := px.Get("play")
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, ok := db.store.Dict().Lookup("LINE")
+	if !ok {
+		t.Fatal("LINE not interned")
+	}
+	want, err := h.PostingSize(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := blobstore.New(db.store.Trees().Records())
+	rids, err := px.BlobRIDs("play")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var target blobstore.ID
+	for _, rid := range rids {
+		if n, err := blobs.Size(rid); err != nil {
+			t.Fatal(err)
+		} else if n == want {
+			if !target.IsNil() {
+				t.Fatalf("two index blobs of %d bytes", want)
+			}
+			target = rid
+		}
+	}
+	body, err := blobs.Read(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(body[4:], bytes.Repeat([]byte{0xA5}, len(body)-4)) // magic kept, the rest junk
+	if id, err := blobs.Overwrite(target, body); err != nil {
+		t.Fatal(err)
+	} else if id != target {
+		t.Fatalf("overwritten blob moved from %s to %s", target, id)
+	}
+	px.InvalidateCache()
+
+	before, err := db.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range damaged {
+		wantAll := queryMarkups(t, scan, "play", q)
+		if len(wantAll) < 2 {
+			t.Fatalf("%s matches %d nodes; corpus too small", q, len(wantAll))
+		}
+		if got := queryMarkups(t, db, "play", q); !slices.Equal(got, wantAll) {
+			t.Errorf("%s: Query differs from the scan", q)
+		}
+		if n, err := db.QueryCount("play", q); err != nil || n != len(wantAll) {
+			t.Errorf("%s: QueryCount = %d, %v; want %d", q, n, err, len(wantAll))
+		}
+		if got := iterMarkups(t, db, "play", q); !slices.Equal(got, wantAll) {
+			t.Errorf("%s: drained cursor differs from the scan", q)
+		}
+		if got := iterMarkups(t, db, "play", q, WithLimit(1)); !slices.Equal(got, wantAll[:1]) {
+			t.Errorf("%s: WithLimit(1) = %q, want %q", q, got, wantAll[:1])
+		}
+		ex, err := db.Explain("play", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Plan.Evaluator != EvalScan || !strings.Contains(ex.Plan.Reason, "unreadable (reindex to repair)") {
+			t.Errorf("%s: Explain = %s: %s", q, ex.Plan.Evaluator, ex.Plan.Reason)
+		}
+	}
+	after, err := db.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Query, QueryCount and two cursors per query ran on the scan; those
+	// and Explain each found the index unreadable.
+	if scans := after.ScanQueries - before.ScanQueries; scans != int64(4*len(damaged)) || after.IndexedQueries != before.IndexedQueries {
+		t.Errorf("%d scan and %d indexed queries, want %d and 0", scans, after.IndexedQueries-before.IndexedQueries, 4*len(damaged))
+	}
+	if n := after.IndexUnreadable - before.IndexUnreadable; n != int64(5*len(damaged)) {
+		t.Errorf("IndexUnreadable rose by %d, want %d", n, 5*len(damaged))
+	}
+	// The lists the damage spared still answer.
+	if got := queryMarkups(t, db, "play", spared); !slices.Equal(got, queryMarkups(t, scan, "play", spared)) {
+		t.Errorf("%s differs from the scan", spared)
+	}
+	if st, _ := db.Stats(); st.IndexedQueries != after.IndexedQueries+1 {
+		t.Errorf("%s did not run on the index: %+v", spared, st)
+	}
+
+	if err := db.ReindexDocument("play"); err != nil {
+		t.Fatal(err)
+	}
+	before, _ = db.Stats()
+	for _, q := range damaged {
+		if got := queryMarkups(t, db, "play", q); !slices.Equal(got, queryMarkups(t, scan, "play", q)) {
+			t.Errorf("%s: differs from the scan after reindex", q)
+		}
+	}
+	after, _ = db.Stats()
+	if after.IndexedQueries-before.IndexedQueries != int64(len(damaged)) || after.IndexUnreadable != before.IndexUnreadable {
+		t.Errorf("reindexed document not answered from the index: %+v", after)
+	}
+}
+
+// TestSpacePerUserByte is the end-to-end space guard, an exact count of
+// bytes: five full-scale plays bulk-loaded into a file store opened the
+// way bench/ opens its stores take at most 1.30 file bytes per byte of
+// XML, and the path index no more than 0.09 of that (at 22 fixed bytes
+// a posting the same store took 1.63, 0.42 of it index).
+func TestSpacePerUserByte(t *testing.T) {
+	spec := corpus.DefaultSpec()
+	plays := make([]string, 5)
+	var xmlBytes int64
+	for i := range plays {
+		plays[i] = xmlkit.SerializeString(corpus.GeneratePlay(spec, i))
+		xmlBytes += int64(len(plays[i]))
+	}
+	perUserByte := func(index bool) float64 {
+		path := filepath.Join(t.TempDir(), "space.natix")
+		db, err := Open(Options{Path: path, PageSize: 8192, PathIndex: index, WAL: true, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, xml := range plays {
+			if err := db.ImportXML(fmt.Sprintf("play%d", i), strings.NewReader(xml)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(fi.Size()) / float64(xmlBytes)
+	}
+	with, without := perUserByte(true), perUserByte(false)
+	t.Logf("%d bytes of XML: %.4f file bytes per user byte, %.4f without the index", xmlBytes, with, without)
+	if with > 1.30 {
+		t.Errorf("space per user byte %.4f, want ≤ 1.30", with)
+	}
+	if with > without+0.09 {
+		t.Errorf("the index costs %.4f bytes per user byte, want ≤ 0.09", with-without)
 	}
 }
