@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"natix/internal/buffer"
 	"natix/internal/corpus"
 	"natix/internal/docstore"
 	"natix/internal/xmlkit"
@@ -188,18 +189,22 @@ func TestReadOutAllocs(t *testing.T) {
 
 // TestInsertAllocs pins the allocation cost of the paper's node-by-node
 // insert (§3) on a warm document: the touched record is cached and fits
-// its page, so the operation is locate, place, measure, emit, one logged
-// page update and the commit. The record encoder, the path descent and
-// the child expansion work out of the tree manager's reused buffers; what
-// is left is the new node, the operation's bookkeeping and the log
-// records. The ceiling sits just above the measured 18 (the same insert
-// allocated 42 times when every record rewrite re-walked and re-allocated),
-// so an allocation slipped back into the per-node path fails here.
+// its page, so the operation is locate, place, splice the stored image,
+// one windowed logged page update and the commit. The path descent, the
+// child expansion, the image the splice works in and the update bracket's
+// snapshot and ranges all come out of reused buffers; what is left is the
+// new node and the operation's bookkeeping. The ceiling sits two above
+// the measured 4 (6 while every insert re-encoded its record and the
+// bracket boxed its snapshot, 18 before the log records were framed in
+// place, 42 when every rewrite re-walked and re-allocated), so an
+// allocation slipped back into the per-node path fails here.
 func TestInsertAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under -race")
 	}
-	const ceiling = 20
+	const ceiling = 6
+	// The production bracket: checking mode snapshots and diffs whole pages.
+	defer buffer.SetWindowCheck(buffer.SetWindowCheck(false))
 	db, err := Open(Options{PageSize: 8192, WAL: true, PathIndex: true})
 	if err != nil {
 		t.Fatal(err)

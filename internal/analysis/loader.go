@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -214,6 +215,11 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 			continue
 		}
 		if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		// Build constraints count: a package may keep a pair of files
+		// behind a tag and its negation (buffer's race_on/race_off).
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)

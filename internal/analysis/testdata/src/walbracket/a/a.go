@@ -124,3 +124,45 @@ func loopLeak(f *buffer.Frame) {
 		}
 	}
 }
+
+// The windowed form — the caller declares the byte spans it may touch —
+// opens the same bracket and is held to the same rule.
+
+// goodWindowed is records.Patch: one window, closed on the way out.
+func goodWindowed(f *buffer.Frame) error {
+	u := f.BeginUpdate(buffer.Window{Off: 40, Len: 8})
+	copy(f.Data()[40:], "patched!")
+	return f.EndUpdate(u)
+}
+
+// goodWindowedSpread is records.spliceAt: the windows computed before
+// the bracket opens and passed as a slice.
+func goodWindowedSpread(f *buffer.Frame, spans []buffer.Window) error {
+	if len(spans) == 0 {
+		return errBad
+	}
+	u := f.BeginUpdate(spans...)
+	if cond() {
+		f.CancelUpdate(u)
+		return errBad
+	}
+	return f.EndUpdate(u)
+}
+
+func windowedLeak(f *buffer.Frame) error {
+	u := f.BeginUpdate(buffer.Window{Off: 16, Len: 1})
+	if cond() {
+		return errBad // want "still open at this return"
+	}
+	return f.EndUpdate(u)
+}
+
+func windowedRebegun(f *buffer.Frame, spans []buffer.Window) {
+	u := f.BeginUpdate(spans...)
+	u = f.BeginUpdate(buffer.Window{Off: 16, Len: 1}) // want "re-begun while still open"
+	f.CancelUpdate(u)
+}
+
+func windowedDiscarded(f *buffer.Frame) {
+	_ = f.BeginUpdate(buffer.Window{Off: 16, Len: 1}) // want "discarded"
+}

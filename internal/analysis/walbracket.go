@@ -8,7 +8,8 @@ import (
 )
 
 // Walbracket enforces the PR 5 WAL bracket rule: every
-// buffer.Frame.BeginUpdate() must be consumed by exactly one
+// buffer.Frame.BeginUpdate (whole-page or with declared windows — the
+// arguments do not matter to the rule) must be consumed by exactly one
 // EndUpdate/CancelUpdate on every path out of the enclosing function —
 // early returns and panics included — and never closed twice. The
 // check is a small flow-sensitive interpretation of the function body

@@ -31,9 +31,10 @@
 // dirty frame is never written back — by eviction, FlushAll or Clear —
 // until the log is durable through the frame's page LSN. Mutators
 // bracket page changes with BeginUpdate/EndUpdate: BeginUpdate
-// snapshots the page, EndUpdate diffs the snapshot against the mutated
-// image and appends the changed byte ranges (with before and after
-// bytes) to the log, stamping the record's LSN into the page header.
+// snapshots the page — or only the byte windows the caller declares it
+// may touch — EndUpdate diffs the snapshot against the mutated image
+// and appends the changed byte ranges (with before and after bytes) to
+// the log, stamping the record's LSN into the page header.
 // The first change to a page after a checkpoint logs the full
 // before-image alongside the ranges, so restart recovery can rebuild
 // the page even if a later write-back tears it. Freshly allocated
@@ -106,7 +107,8 @@ type Pool struct {
 	// wal, when attached, receives a record for every page mutation
 	// and gates write-back (the WAL rule). walEpoch increments at each
 	// checkpoint; a frame whose logEpoch lags logs a full before-image
-	// on its next update. snapPool recycles BeginUpdate snapshots.
+	// on its next update. snapPool recycles BeginUpdate snapshots
+	// (*snapshot).
 	wal      *wal.Writer
 	walEpoch atomic.Uint64
 	snapPool sync.Pool
@@ -180,6 +182,7 @@ func New(dev pagedev.Device, numFrames int) (*Pool, error) {
 		return nil, ErrNoFrames
 	}
 	p := &Pool{dev: dev, capacity: numFrames}
+	p.snapPool.New = func() any { return &snapshot{buf: make([]byte, dev.PageSize())} }
 	for i := range p.shards {
 		p.shards[i].frames = make(map[pagedev.PageNo]*Frame)
 	}
@@ -209,7 +212,6 @@ func (p *Pool) AttachWAL(w *wal.Writer) {
 	// first logged change — including pages loaded from disk before
 	// any checkpoint — carries its full before-image.
 	p.walEpoch.Store(1)
-	p.snapPool.New = func() any { return make([]byte, p.dev.PageSize()) }
 }
 
 // WAL returns the attached log writer (nil when logging is off).
@@ -956,10 +958,23 @@ func (f *Frame) Release() {
 	}
 }
 
+// Window is a byte span of a page that a bracketed mutation may change.
+type Window = pageformat.Span
+
+// snapshot is the before-state of one update bracket: the bytes of the
+// declared windows (or of the whole page), plus the scratch the diff
+// fills. Snapshots are pooled by pointer, so a bracket allocates nothing.
+type snapshot struct {
+	buf    []byte      // one page
+	win    []Window    // declared windows; empty = the whole page
+	full   bool        // buf images the whole page, not the packed windows
+	ranges []wal.Range // diff output, consumed before the snapshot is reused
+}
+
 // Update is the token BeginUpdate hands out and EndUpdate consumes. It
 // carries the pre-mutation snapshot the log diff runs against.
 type Update struct {
-	snap []byte
+	snap *snapshot
 }
 
 // BeginUpdate prepares a logged mutation of the frame's page. The
@@ -967,15 +982,33 @@ type Update struct {
 // EndUpdate — which logs the change and marks the frame dirty (the
 // MarkDirty call disappears into it). Without an attached log the pair
 // degenerates to a plain MarkDirty.
-func (f *Frame) BeginUpdate() Update {
+//
+// A caller that knows which bytes it may touch states them as windows
+// (disjoint, inside the page): only those are copied here and compared
+// in EndUpdate, so a small change to a large page costs what it changes.
+// No windows means the whole page. Bytes outside the declared windows
+// must not change; checking mode (tests and -race builds) verifies it.
+// The first change after a checkpoint needs the page's before-image and
+// snapshots the whole page whatever was declared.
+func (f *Frame) BeginUpdate(windows ...Window) Update {
 	p := f.pool
-	if p.wal == nil || f.fresh {
-		// Fresh pages log a full image in EndUpdate: no snapshot needed.
+	check := checkWindows && len(windows) > 0
+	if p.wal == nil && !check || f.fresh {
+		// Nothing to log against; fresh pages log a full image in EndUpdate.
 		return Update{}
 	}
-	snap := p.snapPool.Get().([]byte)
-	copy(snap, f.data)
-	return Update{snap: snap}
+	s := p.snapPool.Get().(*snapshot)
+	s.win = append(s.win[:0], windows...)
+	s.full = len(windows) == 0 || check || f.logEpoch != p.walEpoch.Load()
+	if s.full {
+		copy(s.buf, f.data)
+		return Update{snap: s}
+	}
+	at := 0
+	for _, w := range windows {
+		at += copy(s.buf[at:], f.data[w.Off:w.Off+w.Len])
+	}
+	return Update{snap: s}
 }
 
 // EndUpdate closes a BeginUpdate bracket: it diffs the page against
@@ -986,6 +1019,15 @@ func (f *Frame) BeginUpdate() Update {
 // a no-op logs nothing and leaves the frame clean.
 func (f *Frame) EndUpdate(u Update) error {
 	p := f.pool
+	s := u.snap
+	if s != nil {
+		defer p.snapPool.Put(s)
+		if checkWindows {
+			if err := s.checkOutside(f.data); err != nil {
+				return fmt.Errorf("page %d: %w", f.page, err)
+			}
+		}
+	}
 	if p.wal == nil {
 		f.MarkDirty()
 		return nil
@@ -993,8 +1035,7 @@ func (f *Frame) EndUpdate(u Update) error {
 	if f.fresh {
 		return f.logImage()
 	}
-	defer p.snapPool.Put(u.snap)
-	ranges := diffRanges(u.snap, f.data)
+	ranges := s.diff(f.data)
 	if len(ranges) == 0 {
 		return nil
 	}
@@ -1004,7 +1045,7 @@ func (f *Frame) EndUpdate(u Update) error {
 		err error
 	)
 	if f.logEpoch != epoch {
-		lsn, err = p.wal.AppendFirstUpdate(f.page, u.snap, ranges)
+		lsn, err = p.wal.AppendFirstUpdate(f.page, s.buf, ranges)
 	} else {
 		lsn, err = p.wal.AppendUpdate(f.page, ranges)
 	}
@@ -1022,6 +1063,57 @@ func (f *Frame) CancelUpdate(u Update) {
 	if u.snap != nil {
 		f.pool.snapPool.Put(u.snap)
 	}
+}
+
+// diff computes the changed byte ranges of data against the snapshot:
+// over the whole page, or window by window. The ranges alias the
+// snapshot and data and live in the snapshot's scratch.
+func (s *snapshot) diff(data []byte) []wal.Range {
+	out := s.ranges[:0]
+	if len(s.win) == 0 {
+		out = diffRanges(out, s.buf, data, 0)
+	}
+	at := 0
+	for _, w := range s.win {
+		old := s.buf[at : at+w.Len]
+		if s.full {
+			old = s.buf[w.Off : w.Off+w.Len]
+		}
+		out = diffRanges(out, old, data[w.Off:w.Off+w.Len], w.Off)
+		at += w.Len
+	}
+	s.ranges = out
+	return out
+}
+
+// ErrOutsideWindow reports a bracketed mutation that changed a byte it
+// had not declared (checking mode only).
+var ErrOutsideWindow = errors.New("buffer: page changed outside the declared update windows")
+
+// checkOutside is the checking mode of windowed brackets: the whole-page
+// diff against the full snapshot must fall inside the declared windows.
+func (s *snapshot) checkOutside(data []byte) error {
+	if len(s.win) == 0 || !s.full {
+		return nil
+	}
+	for _, r := range diffRanges(nil, s.buf, data, 0) {
+		for i := range r.Before {
+			if r.Before[i] != r.After[i] && !s.declared(r.Off+i) {
+				return fmt.Errorf("%w: byte %d, windows %v", ErrOutsideWindow, r.Off+i, s.win)
+			}
+		}
+	}
+	return nil
+}
+
+// declared reports whether page offset off lies in a declared window.
+func (s *snapshot) declared(off int) bool {
+	for _, w := range s.win {
+		if off >= w.Off && off < w.Off+w.Len {
+			return true
+		}
+	}
+	return false
 }
 
 // LogImage logs the frame's full current contents as a fresh-page
@@ -1064,13 +1156,14 @@ const (
 	maxRanges = 64
 )
 
-// diffRanges computes the changed byte spans between two page images.
-// The returned ranges alias both slices; they must be consumed (the
-// log serializes them) before either buffer is reused. Both the skip
-// over equal bytes and the scan of a changed run go a word at a time: an
-// update touches one record, so most of the page is an equal run.
-func diffRanges(old, new []byte) []wal.Range {
-	var out []wal.Range
+// diffRanges appends to out the changed byte spans between old and new,
+// two images of the page bytes starting at offset base. The ranges alias
+// both slices; they must be consumed (the log serializes them) before
+// either buffer is reused. Both the skip over equal bytes and the scan of
+// a changed run go a word at a time: an update touches one record, so
+// most of the page is an equal run.
+func diffRanges(out []wal.Range, old, new []byte, base int) []wal.Range {
+	first := len(out)
 	n := len(old)
 	new = new[:n]
 	for i := firstDiff(old, new, 0); i < n; {
@@ -1084,16 +1177,13 @@ func diffRanges(old, new []byte) []wal.Range {
 			}
 			end = m + 1
 		}
-		if out == nil {
-			out = make([]wal.Range, 0, 8) // a record update is a few runs
-		}
-		out = append(out, wal.Range{Off: i, Before: old[i:end], After: new[i:end]})
+		out = append(out, wal.Range{Off: base + i, Before: old[i:end], After: new[i:end]})
 		i = firstDiff(old, new, min(end+mergeGap, n))
 	}
-	if len(out) > maxRanges {
-		lo := out[0].Off
-		hi := out[len(out)-1].Off + len(out[len(out)-1].Before)
-		out = []wal.Range{{Off: lo, Before: old[lo:hi], After: new[lo:hi]}}
+	if len(out)-first > maxRanges {
+		lo := out[first].Off - base
+		hi := out[len(out)-1].Off - base + len(out[len(out)-1].Before)
+		out = append(out[:first], wal.Range{Off: base + lo, Before: old[lo:hi], After: new[lo:hi]})
 	}
 	return out
 }

@@ -11,14 +11,14 @@ import (
 func TestDiffRanges(t *testing.T) {
 	old := make([]byte, 256)
 	new := make([]byte, 256)
-	if got := diffRanges(old, new); got != nil {
+	if got := diffRanges(nil, old, new, 0); got != nil {
 		t.Fatalf("identical pages diff to %v", got)
 	}
 	// Two distant runs stay separate; two close runs merge.
 	new[10] = 1
 	new[12] = 2
 	new[200] = 3
-	got := diffRanges(old, new)
+	got := diffRanges(nil, old, new, 0)
 	if len(got) != 2 {
 		t.Fatalf("got %d ranges, want 2: %+v", len(got), got)
 	}
@@ -46,7 +46,7 @@ func TestDiffRangesCollapse(t *testing.T) {
 	for i := 0; i < 4096; i += 40 {
 		new[i] = byte(i)
 	}
-	got := diffRanges(old, new)
+	got := diffRanges(nil, old, new, 0)
 	if len(got) > maxRanges {
 		t.Fatalf("%d ranges, want collapse at %d", len(got), maxRanges)
 	}

@@ -17,6 +17,7 @@ import (
 // binary-tree BFS order (inserts spread over the whole document) into an
 // unlogged in-memory store with 8 KB pages. One iteration is one play.
 func BenchmarkInsertChildBFS(b *testing.B) {
+	defer buffer.SetWindowCheck(buffer.SetWindowCheck(false)) // measure the production bracket
 	play := corpus.GeneratePlay(corpus.DefaultSpec(), 0)
 	ops := corpus.BinaryBFSOps(play)
 	labels := map[string]dict.LabelID{}

@@ -10,7 +10,8 @@ import (
 // CheckInvariants walks every record reachable from the tree root and
 // verifies the physical invariants the storage manager maintains:
 //
-//   - every record's encoded size fits the net page capacity;
+//   - every record's encoded size fits the net page capacity and is the
+//     length of its stored image;
 //   - every record's subtree is structurally valid (noderep.Validate);
 //   - scaffolding aggregates appear only as record roots, and the tree's
 //     root record is rooted in a facade node;
@@ -39,8 +40,16 @@ func (t *Tree) CheckInvariants() error {
 		if err := noderep.Measure(rec, &l); err != nil {
 			return fmt.Errorf("record %s: %w", rid, err)
 		}
-		if size := l.Size(); size > s.maxRecordSize() {
+		size := l.Size()
+		if size > s.maxRecordSize() {
 			return fmt.Errorf("record %s: %d bytes exceeds capacity %d", rid, size, s.maxRecordSize())
+		}
+		// Node edits splice the stored image and never re-measure it: the
+		// image must still be exactly as long as its tree encodes to.
+		if stored, err := s.rm.Size(rid); err != nil {
+			return fmt.Errorf("record %s: %w", rid, err)
+		} else if stored != size {
+			return fmt.Errorf("record %s: stored image has %d bytes, its tree encodes to %d", rid, stored, size)
 		}
 		if rec.ParentRID != wantParent {
 			return fmt.Errorf("record %s: parent RID %s, want %s", rid, rec.ParentRID, wantParent)

@@ -95,6 +95,9 @@ func (s *Store) removePhysical(slot physPos, ctx *opCtx) error {
 		}
 		return s.removePhysical(physPos{rid: parentRID, rec: parentRec, parent: pp, idx: pi}, ctx)
 	}
+	if ok, err := s.spliceRecord(slot, nil); ok || err != nil {
+		return err
+	}
 	return s.writeRecord(slot.rid, rec)
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"natix/internal/noderep"
 	"natix/internal/pagedev"
@@ -13,15 +14,19 @@ import (
 type opCtx struct {
 	t *Tree
 	// patches maps child record -> record that now holds its proxy.
-	// Last writer wins as splits cascade upward.
+	// Last writer wins as splits cascade upward. Made on the first patch:
+	// most operations move no proxy.
 	patches map[records.RID]records.RID
 }
 
-func newOpCtx(t *Tree) *opCtx {
-	return &opCtx{t: t, patches: make(map[records.RID]records.RID)}
-}
+func newOpCtx(t *Tree) *opCtx { return &opCtx{t: t} }
 
-func (ctx *opCtx) patch(child, parent records.RID) { ctx.patches[child] = parent }
+func (ctx *opCtx) patch(child, parent records.RID) {
+	if ctx.patches == nil {
+		ctx.patches = make(map[records.RID]records.RID)
+	}
+	ctx.patches[child] = parent
+}
 
 // drop forgets a record that was deleted mid-operation.
 func (ctx *opCtx) drop(rid records.RID) { delete(ctx.patches, rid) }
@@ -230,7 +235,72 @@ func (s *Store) placeAt(cand physPos, node *noderep.Node, ctx *opCtx) error {
 		return fmt.Errorf("core: internal error: insertion slot without parent aggregate")
 	}
 	cand.parent.InsertChild(cand.idx, node)
-	return s.afterPlacement(cand.rid, cand.rec, []*noderep.Node{node}, ctx)
+	inserted := []*noderep.Node{node}
+	spliced, err := s.spliceRecord(cand, node)
+	if err != nil {
+		return err
+	}
+	if spliced {
+		ctx.patchProxiesIn(cand.rid, inserted)
+		return nil
+	}
+	return s.afterPlacement(cand.rid, cand.rec, inserted, ctx)
+}
+
+// spliceRecord writes one edit of the record at pos.rid — node inserted
+// as child pos.idx of pos.parent, or that child removed when node is nil
+// — as a splice of the record's stored image: the common case, in which
+// the edit needs no new type-table entry and the record stays on its
+// page, costs the node's own bytes instead of a re-encode of the record
+// (noderep.Splice, records.Manager.Splice). The parsed tree pos.rec must
+// already show the edit. It reports false, with nothing written, for
+// every other case; the caller then takes the full path (writeRecord, or
+// afterPlacement and its move or split).
+func (s *Store) spliceRecord(pos physPos, node *noderep.Node) (bool, error) {
+	path, ok := s.physPath(pos)
+	if !ok {
+		return false, nil
+	}
+	if s.image == nil {
+		s.image = make([]byte, 0, s.maxRecordSize())
+	}
+	img, err := s.rm.ReadInto(pos.rid, s.image)
+	if err != nil {
+		return false, err
+	}
+	if node != nil {
+		img, ok = s.splice.Insert(img, path, node, s.maxRecordSize())
+	} else {
+		img, ok = s.splice.Remove(img, path)
+	}
+	if !ok {
+		return false, nil
+	}
+	if ok, err := s.rm.Splice(pos.rid, img, s.splice.From, s.splice.Fields); !ok || err != nil {
+		return false, err
+	}
+	s.stats.recordsSpliced.Add(1)
+	if s.cache != nil {
+		s.cache.put(pos.rid, pos.rec)
+	}
+	return true, nil
+}
+
+// physPath returns the physical child indexes that lead from the root of
+// pos.rec to child pos.idx of pos.parent, in the store's scratch.
+func (s *Store) physPath(pos physPos) ([]int, bool) {
+	path := append(s.path[:0], pos.idx)
+	n := pos.parent
+	for ; n.Parent != nil; n = n.Parent {
+		i := n.Parent.ChildIndex(n)
+		if i < 0 {
+			return nil, false
+		}
+		path = append(path, i)
+	}
+	s.path = path
+	slices.Reverse(path)
+	return path, n == pos.rec.Root
 }
 
 // afterPlacement finishes an insertion into an existing record: if the

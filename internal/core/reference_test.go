@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"natix/internal/dict"
@@ -298,4 +301,387 @@ func TestResolveAllocs(t *testing.T) {
 	}); avg > 1 {
 		t.Errorf("RefByFacadeIndex: %.1f allocs/op, want at most 1", avg)
 	}
+}
+
+// The node-edit write path as it stood before records were spliced: every
+// insert and delete re-measures and re-encodes the whole record. Kept
+// verbatim — entry points included, since the splice sits in placeAt and
+// removePhysical — as the reference TestSpliceMatchesFullEncode runs
+// beside the production path.
+
+// refInsertChild is Tree.InsertChild over refPlaceAt.
+func refInsertChild(t *Tree, parentPath Path, idx int, n *noderep.Node) error {
+	s := t.store
+	if err := s.checkInsertable(n); err != nil {
+		return err
+	}
+	parent, err := t.locate(parentPath, &s.kids)
+	if err != nil {
+		return err
+	}
+	if parent.node.Kind != noderep.KindAggregate {
+		return fmt.Errorf("%w: cannot insert under %s at %s", ErrNotAggregate, parent.node.Kind, parentPath)
+	}
+	entries, err := s.childEntries(parent)
+	if err != nil {
+		return err
+	}
+	if idx == -1 {
+		idx = len(entries)
+	}
+	if idx < 0 || idx > len(entries) {
+		return fmt.Errorf("%w: insert index %d of %d at %s", ErrBadPath, idx, len(entries), parentPath)
+	}
+	ctx := newOpCtx(t)
+	cands, err := s.insertionCandidates(parent, entries, idx)
+	if err != nil {
+		return err
+	}
+	policy := s.cfg.Matrix.Get(parent.node.Label, n.Label)
+	switch policy {
+	case PolicyStandalone:
+		cand, err := s.chooseCandidate(cands, policy, parent.rid)
+		if err != nil {
+			return err
+		}
+		near, err := s.rm.PageOf(cand.rid)
+		if err != nil {
+			return err
+		}
+		childRID, err := s.storeTreeRecord(n, cand.rid, near, ctx)
+		if err != nil {
+			return err
+		}
+		if err := refPlaceAt(s, cand, noderep.NewProxy(childRID), ctx); err != nil {
+			return err
+		}
+	default:
+		cand, err := s.chooseCandidate(cands, policy, parent.rid)
+		if err != nil {
+			return err
+		}
+		if err := refPlaceAt(s, cand, n, ctx); err != nil {
+			return err
+		}
+	}
+	return ctx.apply()
+}
+
+// refPlaceAt inserts node at the physical position cand and runs the
+// growth procedure on the affected record.
+func refPlaceAt(s *Store, cand physPos, node *noderep.Node, ctx *opCtx) error {
+	if cand.parent == nil || cand.rec == nil {
+		return fmt.Errorf("core: internal error: insertion slot without parent aggregate")
+	}
+	cand.parent.InsertChild(cand.idx, node)
+	return s.afterPlacement(cand.rid, cand.rec, []*noderep.Node{node}, ctx)
+}
+
+// refDelete is Tree.Delete over refRemovePhysical.
+func refDelete(t *Tree, path Path) error {
+	if len(path) == 0 {
+		return ErrIsRoot
+	}
+	s := t.store
+	parentRef, err := t.locate(path[:len(path)-1], &s.kids)
+	if err != nil {
+		return err
+	}
+	entries, err := s.childEntries(parentRef)
+	if err != nil {
+		return err
+	}
+	idx := path[len(path)-1]
+	if idx < 0 || idx >= len(entries) {
+		return fmt.Errorf("%w: %s (index %d of %d)", ErrBadPath, path, idx, len(entries))
+	}
+	e := entries[idx]
+	ctx := newOpCtx(t)
+
+	victim := e.ref.node
+	if e.ref.rid != e.slot.rid {
+		if err := s.deleteRecordTree(e.ref.rid); err != nil {
+			return err
+		}
+		ctx.drop(e.ref.rid)
+	} else {
+		var firstErr error
+		victim.Walk(func(n *noderep.Node) bool {
+			if n.Kind == noderep.KindProxy {
+				if err := s.deleteRecordTree(n.Target); err != nil && firstErr == nil {
+					firstErr = err
+				}
+			}
+			return true
+		})
+		if firstErr != nil {
+			return firstErr
+		}
+	}
+
+	if err := refRemovePhysical(s, e.slot, ctx); err != nil {
+		return err
+	}
+	if err := ctx.apply(); err != nil {
+		return err
+	}
+	if s.cfg.MergeOnDelete {
+		return t.tryMerge(e.slot.rid)
+	}
+	return nil
+}
+
+// refRemovePhysical deletes the child at the given slot and rewrites (or
+// cleans up) the containing record.
+func refRemovePhysical(s *Store, slot physPos, ctx *opCtx) error {
+	rec := slot.rec
+	slot.parent.RemoveChild(slot.idx)
+
+	if len(rec.Root.Children) == 0 && rec.Root.Scaffold && !rec.ParentRID.IsNil() {
+		parentRID := rec.ParentRID
+		if err := s.deleteRecord(slot.rid); err != nil {
+			return err
+		}
+		ctx.drop(slot.rid)
+		parentRec, err := s.loadRecord(parentRID)
+		if err != nil {
+			return err
+		}
+		pp, pi, err := findProxySlot(parentRec.Root, slot.rid)
+		if err != nil {
+			return err
+		}
+		return refRemovePhysical(s, physPos{rid: parentRID, rec: parentRec, parent: pp, idx: pi}, ctx)
+	}
+	return s.writeRecord(slot.rid, rec)
+}
+
+// spliceCell is one setting of the splice differential.
+type spliceCell struct {
+	name   string
+	page   int
+	cfg    Config
+	ops    int
+	delPct int
+}
+
+func spliceCells() []spliceCell {
+	mixed := func() *SplitMatrix {
+		m := AllOther()
+		m.Set(lScene, lSpeech, PolicyCluster)
+		m.Set(lSpeech, lSpeaker, PolicyCluster)
+		m.Set(lAct, lScene, PolicyStandalone)
+		return m
+	}
+	var cells []spliceCell
+	for _, page := range []int{2048, 4096, 8192, 16384, 32768} {
+		for _, m := range []struct {
+			name   string
+			matrix func() *SplitMatrix
+		}{
+			{"other", AllOther},
+			{"cluster", func() *SplitMatrix { return NewSplitMatrix(PolicyCluster) }},
+			{"standalone", AllStandalone},
+			{"mixed", mixed},
+		} {
+			cells = append(cells, spliceCell{
+				name: fmt.Sprintf("%s-%d", m.name, page), page: page,
+				cfg: Config{Matrix: m.matrix(), CacheRecords: 64}, ops: 500, delPct: 12,
+			})
+		}
+	}
+	return append(cells,
+		spliceCell{"other-512", 512, Config{CacheRecords: 64}, 500, 12},
+		spliceCell{"no-cache-2048", 2048, Config{}, 400, 12},
+		spliceCell{"merge-1024", 1024, Config{CacheRecords: 64, MergeOnDelete: true}, 1200, 25},
+		spliceCell{"left-target-2048", 2048, Config{CacheRecords: 64, SplitTarget: 0.2}, 400, 12},
+	)
+}
+
+// storedRecord is one record as its page holds it.
+type storedRecord struct {
+	body  []byte
+	rec   *noderep.Record
+	fresh bool // decoded by this call, not carried over in the memo
+}
+
+// storedRecords reads every record of a tree off its pages, root first:
+// the stored bytes, not the parsed-record cache. memo carries the result
+// of the previous call, so only images that changed are decoded again.
+func storedRecords(t *testing.T, s *Store, root records.RID, memo map[records.RID]storedRecord) (rids []records.RID, out []storedRecord) {
+	t.Helper()
+	var scratch []byte
+	var visit func(rid records.RID)
+	visit = func(rid records.RID) {
+		body, err := s.rm.ReadInto(rid, scratch)
+		if err != nil {
+			t.Fatalf("record %s: %v", rid, err)
+		}
+		scratch = body
+		sr, ok := memo[rid]
+		sr.fresh = !ok || !bytes.Equal(sr.body, body)
+		if sr.fresh {
+			rec, err := noderep.Decode(body)
+			if err != nil {
+				t.Fatalf("record %s: %v", rid, err)
+			}
+			sr.body, sr.rec = bytes.Clone(body), rec
+			memo[rid] = sr
+		}
+		rids, out = append(rids, rid), append(out, sr)
+		sr.rec.Root.Walk(func(n *noderep.Node) bool {
+			if n.Kind == noderep.KindProxy {
+				visit(n.Target)
+			}
+			return true
+		})
+	}
+	visit(root)
+	return rids, out
+}
+
+// TestSpliceMatchesFullEncode runs one seeded sequence of node inserts
+// and deletes on twin stores — the production path, which splices, and
+// the reference path above, which re-encodes — under every split-matrix
+// setting and page sizes 2K–32K. After every operation the two stores
+// hold the same records under the same RIDs (so the same pages), each
+// stored image decodes to the reference's tree, has the reference's
+// length and the length its tree encodes to, and the counters that the
+// split rule drives agree. The update brackets run in checking mode (it
+// is a test binary): a splice that touched a byte outside the windows it
+// declared fails its operation here.
+func TestSpliceMatchesFullEncode(t *testing.T) {
+	labels := []dict.LabelID{lPlay, lAct, lScene, lSpeech, lSpeaker, lLine}
+	for _, cell := range spliceCells() {
+		t.Run(cell.name, func(t *testing.T) {
+			seeds := int64(2)
+			if cell.page >= 16384 {
+				seeds = 1 // the big pages cost the most and differ the least
+			}
+			for seed := int64(1); seed <= seeds; seed++ {
+				rng := rand.New(rand.NewSource(seed*1009 + int64(cell.page)))
+				prod, ref := newStore(t, cell.page, cell.cfg), newStore(t, cell.page, cell.cfg)
+				pt, err := prod.CreateTree(lPlay)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rt, err := ref.CreateTree(lPlay)
+				if err != nil {
+					t.Fatal(err)
+				}
+				model := &refNode{label: lPlay}
+				pmemo, rmemo := map[records.RID]storedRecord{}, map[records.RID]storedRecord{}
+				for op := 0; op < cell.ops; op++ {
+					var paths []Path
+					if del := rng.Intn(100) < cell.delPct; del && len(model.children) > 0 {
+						modelPaths(model, Path{}, false, &paths)
+						p := paths[rng.Intn(len(paths))]
+						if err := pt.Delete(p); err != nil {
+							t.Fatalf("seed %d op %d: delete %s: %v", seed, op, p, err)
+						}
+						if err := refDelete(rt, p); err != nil {
+							t.Fatalf("seed %d op %d: reference delete %s: %v", seed, op, p, err)
+						}
+						parent := modelAt(model, p[:len(p)-1])
+						i := p[len(p)-1]
+						parent.children = append(parent.children[:i], parent.children[i+1:]...)
+					} else {
+						modelPaths(model, Path{}, true, &paths)
+						p := paths[rng.Intn(len(paths))]
+						parent := modelAt(model, p)
+						idx := rng.Intn(len(parent.children) + 1)
+						var rn *refNode
+						if rng.Intn(3) == 0 {
+							rn = &refNode{label: labels[rng.Intn(len(labels))]}
+						} else {
+							// Texts scale with the page, so every size splits.
+							rn = &refNode{isText: true, label: dict.Text,
+								text: fmt.Sprintf("op %d %s", op, strings.Repeat("ha", rng.Intn(cell.page/40)))}
+						}
+						if err := pt.InsertChild(p, idx, modelNode(rn)); err != nil {
+							t.Fatalf("seed %d op %d: insert at %s[%d]: %v", seed, op, p, idx, err)
+						}
+						if err := refInsertChild(rt, p, idx, modelNode(rn)); err != nil {
+							t.Fatalf("seed %d op %d: reference insert at %s[%d]: %v", seed, op, p, idx, err)
+						}
+						parent.children = append(parent.children, nil)
+						copy(parent.children[idx+1:], parent.children[idx:])
+						parent.children[idx] = rn
+					}
+
+					if pt.RootRID() != rt.RootRID() {
+						t.Fatalf("seed %d op %d: root record %s, reference %s", seed, op, pt.RootRID(), rt.RootRID())
+					}
+					prids, precs := storedRecords(t, prod, pt.RootRID(), pmemo)
+					rrids, rrecs := storedRecords(t, ref, rt.RootRID(), rmemo)
+					if !slices.Equal(prids, rrids) {
+						t.Fatalf("seed %d op %d: records %v, reference %v", seed, op, prids, rrids)
+					}
+					for i, rid := range prids {
+						p, r := precs[i], rrecs[i]
+						if !p.fresh && !r.fresh {
+							continue // both images as they were when last compared
+						}
+						if !noderep.Equal(p.rec.Root, r.rec.Root) || p.rec.ParentRID != r.rec.ParentRID {
+							t.Fatalf("seed %d op %d: record %s decodes differently from the reference", seed, op, rid)
+						}
+						if len(p.body) != len(r.body) || len(p.body) != noderep.EncodedSize(r.rec) {
+							t.Fatalf("seed %d op %d: record %s stored in %d bytes, reference %d, encoded size %d",
+								seed, op, rid, len(p.body), len(r.body), noderep.EncodedSize(r.rec))
+						}
+					}
+					if op%20 == 0 || op == cell.ops-1 {
+						if err := pt.CheckInvariants(); err != nil {
+							t.Fatalf("seed %d op %d: %v", seed, op, err)
+						}
+					}
+				}
+				if got := materialize(t, pt); !refEqual(got, model) {
+					t.Fatalf("seed %d: tree differs from the model", seed)
+				}
+				ps, rs := prod.Stats(), ref.Stats()
+				if ps.Splits != rs.Splits || ps.RecordsCreated != rs.RecordsCreated || ps.RecordsDeleted != rs.RecordsDeleted ||
+					ps.ParentPatches != rs.ParentPatches || ps.RecordsSpliced+ps.RecordsRewritten != rs.RecordsRewritten {
+					t.Fatalf("seed %d: counters %+v, reference %+v", seed, ps, rs)
+				}
+				t.Logf("seed %d: %d spliced, %d rewritten, %d splits, %d records", seed, ps.RecordsSpliced, ps.RecordsRewritten, ps.Splits, ps.RecordsCreated-ps.RecordsDeleted)
+				if rs.RecordsSpliced != 0 || ps.RecordsSpliced == 0 {
+					t.Fatalf("seed %d: %d records spliced, reference %d", seed, ps.RecordsSpliced, rs.RecordsSpliced)
+				}
+				if cell.cfg.Matrix == nil || cell.cfg.Matrix.Default() != PolicyStandalone {
+					if ps.Splits == 0 || ps.RecordsRewritten == 0 {
+						t.Fatalf("seed %d: no split or no fallback in the mix: %+v", seed, ps)
+					}
+				}
+			}
+		})
+	}
+}
+
+// modelPaths lists the paths of the model's aggregates (insert points),
+// or of every node but the root (delete victims).
+func modelPaths(r *refNode, p Path, aggregates bool, out *[]Path) {
+	if aggregates && r.isText {
+		return
+	}
+	if aggregates || len(p) > 0 {
+		*out = append(*out, p.Clone())
+	}
+	for i, c := range r.children {
+		modelPaths(c, append(p, i), aggregates, out)
+	}
+}
+
+func modelAt(r *refNode, p Path) *refNode {
+	for _, i := range p {
+		r = r.children[i]
+	}
+	return r
+}
+
+func modelNode(r *refNode) *noderep.Node {
+	if r.isText {
+		return noderep.NewTextLiteral(r.text)
+	}
+	return noderep.NewAggregate(r.label)
 }

@@ -61,7 +61,8 @@ type Stats struct {
 	Splits           int64 // record splits performed
 	RecordsCreated   int64
 	RecordsDeleted   int64
-	RecordsRewritten int64 // in-place record rewrites (per-insert updates)
+	RecordsRewritten int64 // full re-encodes of an existing record
+	RecordsSpliced   int64 // node edits written as a splice of the stored image
 	ParentPatches    int64 // standalone parent-RID fixups written
 	CacheHits        int64
 	CacheMisses      int64
@@ -90,10 +91,14 @@ type Store struct {
 	stats storeStats
 
 	// Scratch of the (serialized) mutating operations: the layout of the
-	// record last measured, the image buffer it is emitted into, and the
-	// child lists of the path descent and of the insert or delete point.
+	// record last measured, the image buffer it is emitted (or read and
+	// spliced) into, the splice state and physical path of a node edit,
+	// and the child lists of the path descent and of the insert or delete
+	// point.
 	layout  noderep.Layout
 	image   []byte
+	splice  noderep.Splice
+	path    []int
 	kids    []NodeRef
 	entries []childEntry
 }
@@ -104,6 +109,7 @@ type storeStats struct {
 	recordsCreated   atomic.Int64
 	recordsDeleted   atomic.Int64
 	recordsRewritten atomic.Int64
+	recordsSpliced   atomic.Int64
 	parentPatches    atomic.Int64
 	cacheHits        atomic.Int64
 	cacheMisses      atomic.Int64
@@ -132,6 +138,7 @@ func (s *Store) Stats() Stats {
 		RecordsCreated:   s.stats.recordsCreated.Load(),
 		RecordsDeleted:   s.stats.recordsDeleted.Load(),
 		RecordsRewritten: s.stats.recordsRewritten.Load(),
+		RecordsSpliced:   s.stats.recordsSpliced.Load(),
 		ParentPatches:    s.stats.parentPatches.Load(),
 		CacheHits:        s.stats.cacheHits.Load(),
 		CacheMisses:      s.stats.cacheMisses.Load(),
@@ -145,6 +152,7 @@ func (s *Store) AttachTelemetry(reg *telemetry.Registry) {
 	reg.Func("core.records_created", s.stats.recordsCreated.Load)
 	reg.Func("core.records_deleted", s.stats.recordsDeleted.Load)
 	reg.Func("core.records_rewritten", s.stats.recordsRewritten.Load)
+	reg.Func("core.records_spliced", s.stats.recordsSpliced.Load)
 	reg.Func("core.parent_patches", s.stats.parentPatches.Load)
 	reg.Func("core.cache_hits", s.stats.cacheHits.Load)
 	reg.Func("core.cache_misses", s.stats.cacheMisses.Load)
@@ -156,6 +164,7 @@ func (s *Store) ResetStats() {
 	s.stats.recordsCreated.Store(0)
 	s.stats.recordsDeleted.Store(0)
 	s.stats.recordsRewritten.Store(0)
+	s.stats.recordsSpliced.Store(0)
 	s.stats.parentPatches.Store(0)
 	s.stats.cacheHits.Store(0)
 	s.stats.cacheMisses.Store(0)

@@ -13,7 +13,8 @@ import (
 // pages whose checksum only proves they were not damaged in flight, so on
 // any input it must return a record or ErrCorruptRecord — no panic, no
 // allocation out of proportion to the input — and whatever it accepts
-// must survive a re-encode. The checked-in corpus under testdata/fuzz
+// the encoder accepts too and re-encodes to the same size. The checked-in
+// corpus under testdata/fuzz
 // holds records of a bulk-loaded and a node-by-node-built corpus play.
 func FuzzDecode(f *testing.F) {
 	seed := func(rec *Record) {
@@ -49,15 +50,21 @@ func FuzzDecode(f *testing.F) {
 		if nodes > 1+len(data)/EmbeddedHeaderSize || payload > len(data) {
 			t.Fatalf("%d nodes and %d payload bytes decoded from %d input bytes", nodes, payload, len(data))
 		}
-		// Decode is laxer than the encoder in two known ways: it does
-		// not insist that scaffolding aggregates stand alone, and it lets an
-		// empty aggregate sit past the 16-bit offset range.
-		enc, err := Encode(rec)
+		// What Decode accepts, Measure accepts, and the re-encode has the
+		// size of the input: no shape only the decoder knows (embedded
+		// scaffolding aggregates and aggregates past the 16-bit offsets were
+		// two, until the splice path stopped re-measuring stored records)
+		// and no slack in the type table.
+		var l Layout
+		if err := Measure(rec, &l); err != nil {
+			t.Fatalf("Measure rejects a record Decode accepted: %v", err)
+		}
+		enc, err := l.Emit(nil, rec)
 		if err != nil {
-			if !errors.Is(err, ErrBadNode) && !errors.Is(err, ErrTooLarge) {
-				t.Fatalf("re-encode of an accepted record: %v", err)
-			}
-			return
+			t.Fatalf("re-encode of an accepted record: %v", err)
+		}
+		if l.Size() != len(data) || len(enc) != len(data) {
+			t.Fatalf("accepted %d bytes, re-encode measures %d and writes %d", len(data), l.Size(), len(enc))
 		}
 		again, err := Decode(enc)
 		if err != nil {

@@ -673,9 +673,9 @@ func Decode(buf []byte) (*Record, error) {
 	if pos+ttEntrySize*ttCount+StandaloneHeaderSize > len(buf) {
 		return nil, fmt.Errorf("%w: truncated type table", ErrCorruptRecord) //natix:vet-ignore cold corrupt-input path
 	}
-	types := make([]typeKey, ttCount) //natix:vet-ignore type table, part of the record's allocation budget
+	types := make([]tableEntry, ttCount) //natix:vet-ignore type table, part of the record's allocation budget
 	for i := range types {
-		types[i] = typeKey{
+		types[i].typeKey = typeKey{
 			kindFlags: buf[pos],
 			label:     dict.LabelID(binary.LittleEndian.Uint16(buf[pos+1:])),
 			litType:   LitType(buf[pos+3]),
@@ -689,8 +689,12 @@ func Decode(buf []byte) (*Record, error) {
 	}
 	parentRID := records.DecodeRID(buf[pos+2 : pos+10])
 	pos += StandaloneHeaderSize
+	types[rootIdx].used = true
 	nNodes, nPayload, err := countContent(buf, pos, len(buf), types[rootIdx].kindFlags, types)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkTableExact(types); err != nil {
 		return nil, err
 	}
 	a := &decodeArena{
@@ -698,7 +702,7 @@ func Decode(buf []byte) (*Record, error) {
 		kids:    make([]*Node, 0, nNodes),  //natix:vet-ignore arena backing, part of the record's allocation budget
 		payload: make([]byte, 0, nPayload), //natix:vet-ignore arena backing, part of the record's allocation budget
 	}
-	root, err := a.newNode(types[rootIdx])
+	root, err := a.newNode(types[rootIdx].typeKey)
 	if err != nil {
 		return nil, err
 	}
@@ -708,11 +712,38 @@ func Decode(buf []byte) (*Record, error) {
 	return &Record{ParentRID: parentRID, Root: root, types: ttCount}, nil
 }
 
+// tableEntry is one type-table entry during Decode, marked once a node
+// cites it.
+type tableEntry struct {
+	typeKey
+	used bool
+}
+
+// checkTableExact holds the type table to what the encoder writes: every
+// entry cited by some node and no entry twice. A stored image then has
+// exactly the size a re-encode of its tree would have, which the splice
+// path relies on — it grows records from their stored length and never
+// re-measures the part it does not touch.
+func checkTableExact(types []tableEntry) error {
+	for i := range types {
+		if !types[i].used {
+			return fmt.Errorf("%w: type table entry %d unused", ErrCorruptRecord, i)
+		}
+		for j := range types[:i] {
+			if types[j].typeKey == types[i].typeKey {
+				return fmt.Errorf("%w: type table entries %d and %d equal", ErrCorruptRecord, j, i)
+			}
+		}
+	}
+	return nil
+}
+
 // countContent is Decode's sizing pre-pass: it hops the embedded headers
 // of the content of a node with kind flags kf in buf[pos:end), counting
 // descendant nodes and literal payload bytes (including a literal's own
-// content). Structural errors surface here, before any allocation.
-func countContent(buf []byte, pos, end int, kf byte, types []typeKey) (nodes, payload int, err error) {
+// content) and marking the type-table entries they cite. Structural
+// errors surface here, before any allocation.
+func countContent(buf []byte, pos, end int, kf byte, types []tableEntry) (nodes, payload int, err error) {
 	switch Kind(kf & kindMask) {
 	case KindLiteral:
 		return 0, end - pos, nil
@@ -728,6 +759,7 @@ func countContent(buf []byte, pos, end int, kf byte, types []typeKey) (nodes, pa
 			if ti >= len(types) {
 				return 0, 0, fmt.Errorf("%w: type index %d of %d", ErrCorruptRecord, ti, len(types))
 			}
+			types[ti].used = true
 			pos += EmbeddedHeaderSize
 			if pos+cs > end {
 				return 0, 0, fmt.Errorf("%w: child content overruns parent", ErrCorruptRecord)
@@ -801,7 +833,7 @@ func (a *decodeArena) takePayload(b []byte) []byte {
 
 // decodeContent fills n from buf[pos:end]; hdrOff is the offset of n's
 // header, which children must cite as their parent offset.
-func (a *decodeArena) decodeContent(buf []byte, pos, end int, n *Node, hdrOff int, types []typeKey) error {
+func (a *decodeArena) decodeContent(buf []byte, pos, end int, n *Node, hdrOff int, types []tableEntry) error {
 	switch n.Kind {
 	case KindLiteral:
 		n.Payload = a.takePayload(buf[pos:end])
@@ -816,6 +848,15 @@ func (a *decodeArena) decodeContent(buf []byte, pos, end int, n *Node, hdrOff in
 		}
 		return nil
 	case KindAggregate:
+		// The encoder refuses both (Measure, Emit): a helper aggregate
+		// only ever stands alone as a record root (§3.2.2), and children
+		// could not cite a header past the 16-bit parent offset.
+		if n.Scaffold && n.Parent != nil {
+			return fmt.Errorf("%w: embedded scaffolding aggregate", ErrCorruptRecord)
+		}
+		if hdrOff > math.MaxUint16 {
+			return fmt.Errorf("%w: aggregate at offset %d", ErrCorruptRecord, hdrOff)
+		}
 		// First sweep: count this level's children by hopping the
 		// embedded headers, so their pointer slice is carved contiguously
 		// before the recursion below carves deeper levels.
@@ -844,14 +885,14 @@ func (a *decodeArena) decodeContent(buf []byte, pos, end int, n *Node, hdrOff in
 			}
 			cHdr := pos
 			pos += EmbeddedHeaderSize
-			c, err := a.newNode(types[ti])
+			c, err := a.newNode(types[ti].typeKey)
 			if err != nil {
 				return err
 			}
+			n.AppendChild(c)
 			if err := a.decodeContent(buf, pos, pos+cs, c, cHdr, types); err != nil {
 				return err
 			}
-			n.AppendChild(c)
 			pos += cs
 		}
 		return nil

@@ -303,14 +303,23 @@ func (s Slotted) Insert(data []byte) (slot int, ok bool) {
 // Cell returns a read-only view of the cell in the given slot. The slice
 // aliases the page image; callers must copy before retaining it.
 func (s Slotted) Cell(slot int) ([]byte, error) {
+	sp, err := s.CellSpan(slot)
+	if err != nil {
+		return nil, err
+	}
+	return s.b[sp.Off : sp.Off+sp.Len : sp.Off+sp.Len], nil
+}
+
+// CellSpan returns where on the page the cell in the given slot lies.
+func (s Slotted) CellSpan(slot int) (Span, error) {
 	if slot < 0 || slot >= s.slotCount() {
-		return nil, fmt.Errorf("%w: %d of %d", ErrNoSuchSlot, slot, s.slotCount())
+		return Span{}, fmt.Errorf("%w: %d of %d", ErrNoSuchSlot, slot, s.slotCount())
 	}
 	off, length, _ := s.slot(slot)
 	if off == 0 {
-		return nil, fmt.Errorf("%w: %d", ErrDeadSlot, slot)
+		return Span{}, fmt.Errorf("%w: %d", ErrDeadSlot, slot)
 	}
-	return s.b[off : off+length : off+length], nil
+	return Span{Off: off, Len: length}, nil
 }
 
 // Flag returns the per-cell flag bit of the given slot.
@@ -359,20 +368,71 @@ func (s Slotted) CanUpdate(slot int, n int) bool {
 // it. The flag bit is preserved. It fails (ok=false) if the new size does
 // not fit on the page.
 func (s Slotted) Update(slot int, data []byte) bool {
-	if !s.CanUpdate(slot, len(data)) {
+	return s.Splice(slot, data, 0, nil)
+}
+
+// Span is a byte range of a page image.
+type Span struct{ Off, Len int }
+
+// headerSpan covers the slotted-header fields an update of a cell can
+// change: the end of the cell area and the fragmented byte count.
+var headerSpan = Span{Off: offCellEnd, Len: offFrag + 2 - offCellEnd}
+
+// spliceMode is how a cell takes new contents of n bytes.
+type spliceMode int
+
+const (
+	spliceNoFit    spliceMode = iota // the page cannot hold n bytes
+	spliceInPlace                    // same offset: it shrinks, or borders the free area and grows into it
+	spliceRelocate                   // retired, rewritten whole at the end of the cell area
+	spliceCompact                    // retired, the page compacted, then rewritten whole
+)
+
+func (s Slotted) spliceMode(slot, n int) spliceMode {
+	if !s.CanUpdate(slot, n) {
+		return spliceNoFit
+	}
+	off, length, _ := s.slot(slot)
+	switch {
+	case n <= length, off+length == s.cellEnd() && s.contiguous() >= n-length:
+		return spliceInPlace
+	case s.contiguous() >= n:
+		return spliceRelocate
+	default:
+		return spliceCompact
+	}
+}
+
+// Splice is Update for a caller that knows where data differs from the
+// cell's current contents: from byte from on, and before that only in
+// the two-byte fields at the offsets in fields. A cell that shrinks, or
+// borders the free area with room to grow, is edited where it lies —
+// only those bytes are written; otherwise the old cell is retired and
+// data placed whole behind the other cells, after a compaction if the
+// contiguous gap is too small.
+func (s Slotted) Splice(slot int, data []byte, from int, fields []int) bool {
+	mode := s.spliceMode(slot, len(data))
+	if mode == spliceNoFit {
 		return false
 	}
 	off, length, flag := s.slot(slot)
-	if len(data) <= length {
-		copy(s.b[off:], data)
-		s.setFrag(s.frag() + length - len(data))
+	if mode == spliceInPlace {
+		for _, f := range fields {
+			copy(s.b[off+f:off+f+2], data[f:])
+		}
+		copy(s.b[off+from:], data[from:])
+		if off+length == s.cellEnd() {
+			s.setCellEnd(off + len(data))
+		} else {
+			s.setFrag(s.frag() + length - len(data))
+		}
 		s.setSlot(slot, off, len(data), flag)
 		return true
 	}
-	// Grow: retire the old cell, then place the new bytes.
+	// Retire the old cell, then place the new bytes.
 	s.setFrag(s.frag() + length)
 	s.setSlot(slot, 0, 0, false)
-	if s.contiguous() < len(data) {
+	if mode == spliceCompact {
 		s.compact()
 	}
 	noff := s.cellEnd()
@@ -380,6 +440,27 @@ func (s Slotted) Update(slot int, data []byte) bool {
 	s.setCellEnd(noff + len(data))
 	s.setSlot(slot, noff, len(data), flag)
 	return true
+}
+
+// SpliceSpans appends to buf the byte spans of the page that
+// Splice(slot, data, from, fields) with len(data) == n would change, for
+// the caller to declare before it mutates the page. No spans means the
+// whole page (it is compacted on the way); ok is false when the cell
+// cannot take n bytes on this page.
+func (s Slotted) SpliceSpans(buf []Span, slot, n, from int, fields []int) (spans []Span, ok bool) {
+	mode := s.spliceMode(slot, n)
+	if mode == spliceNoFit || mode == spliceCompact {
+		return buf, mode == spliceCompact
+	}
+	off, _, _ := s.slot(slot)
+	buf = append(buf, headerSpan, Span{Off: s.slotPos(slot), Len: slotSize})
+	if mode == spliceRelocate {
+		return append(buf, Span{Off: s.cellEnd(), Len: n}), true
+	}
+	for _, f := range fields {
+		buf = append(buf, Span{Off: off + f, Len: 2})
+	}
+	return append(buf, Span{Off: off + from, Len: n - from}), true
 }
 
 // Delete removes the cell in the given slot. The slot becomes reusable;

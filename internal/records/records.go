@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 
+	"natix/internal/buffer"
 	"natix/internal/pagedev"
 	"natix/internal/pageformat"
 	"natix/internal/segment"
@@ -199,7 +200,10 @@ func (m *Manager) resolve(rid RID) (loc RID, forwarded bool, err error) {
 }
 
 // Read returns a copy of the record body.
-func (m *Manager) Read(rid RID) ([]byte, error) {
+func (m *Manager) Read(rid RID) ([]byte, error) { return m.ReadInto(rid, nil) }
+
+// ReadInto is Read into dst[:0], grown when too small.
+func (m *Manager) ReadInto(rid RID, dst []byte) ([]byte, error) {
 	loc, fwd, err := m.resolve(rid)
 	if err != nil {
 		return nil, err
@@ -224,7 +228,7 @@ func (m *Manager) Read(rid RID) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrNotFound, rid, err)
 	}
-	return append([]byte(nil), cell...), nil
+	return append(dst[:0], cell...), nil
 }
 
 // VerifyRID checks that rid resolves to a readable record body —
@@ -284,6 +288,56 @@ func (m *Manager) Touch(rid RID) error {
 	return nil
 }
 
+// Splice replaces the record body by data when that fits on the page
+// the body lies on, for a caller that knows where data differs from the
+// stored body: from byte from on, and before that only in the two-byte
+// fields at the offsets in fields. The page is then edited, and the
+// change logged, in those bytes alone (pageformat.Slotted.Splice). It
+// reports false, with nothing changed, when the page cannot hold data;
+// Update then moves the body.
+func (m *Manager) Splice(rid RID, data []byte, from int, fields []int) (bool, error) {
+	if err := m.checkSize(len(data)); err != nil {
+		return false, err
+	}
+	loc, _, err := m.resolve(rid)
+	if err != nil {
+		return false, err
+	}
+	return m.spliceAt(loc, data, from, fields)
+}
+
+// spliceAt is Splice at the resolved location of the body.
+func (m *Manager) spliceAt(loc RID, data []byte, from int, fields []int) (bool, error) {
+	f, err := m.seg.Pool().Get(loc.Page)
+	if err != nil {
+		return false, err
+	}
+	f.Latch()
+	sl, err := pageformat.AsSlotted(f.Data())
+	if err != nil {
+		f.Unlatch()
+		f.Release()
+		return false, err
+	}
+	var buf [16]pageformat.Span
+	spans, ok := sl.SpliceSpans(buf[:0], int(loc.Slot), len(data), from, fields)
+	if !ok {
+		f.Unlatch()
+		f.Release()
+		return false, nil
+	}
+	u := f.BeginUpdate(spans...)
+	sl.Splice(int(loc.Slot), data, from, fields)
+	free := sl.FreeBytes()
+	err = f.EndUpdate(u)
+	f.Unlatch()
+	f.Release()
+	if err != nil {
+		return false, err
+	}
+	return true, m.seg.NotifyFree(loc.Page, free)
+}
+
 // Update replaces the record body. The RID stays valid: if the new body
 // does not fit on its current page the body moves and the home slot
 // becomes (or re-targets) a forwarding stub. "If there is not enough
@@ -297,31 +351,9 @@ func (m *Manager) Update(rid RID, data []byte) error {
 		return err
 	}
 	// Try in place at the current body location.
-	f, err := m.seg.Pool().Get(loc.Page)
-	if err != nil {
+	if ok, err := m.spliceAt(loc, data, 0, nil); ok || err != nil {
 		return err
 	}
-	f.Latch()
-	sl, err := pageformat.AsSlotted(f.Data())
-	if err != nil {
-		f.Unlatch()
-		f.Release()
-		return err
-	}
-	u := f.BeginUpdate()
-	if sl.Update(int(loc.Slot), data) {
-		free := sl.FreeBytes()
-		err := f.EndUpdate(u)
-		f.Unlatch()
-		f.Release()
-		if err != nil {
-			return err
-		}
-		return m.seg.NotifyFree(loc.Page, free)
-	}
-	f.CancelUpdate(u)
-	f.Unlatch()
-	f.Release()
 
 	// Move: place the new body elsewhere, then point the home slot at it.
 	newLoc, err := m.insertBody(data, loc.Page)
@@ -337,18 +369,18 @@ func (m *Manager) Update(rid RID, data []byte) error {
 	}
 	// Shrink the home cell into a stub in place (records are always at
 	// least RIDSize bytes, so this cannot fail for lack of space).
-	f, err = m.seg.Pool().Get(rid.Page)
+	f, err := m.seg.Pool().Get(rid.Page)
 	if err != nil {
 		return err
 	}
 	f.Latch()
-	sl, err = pageformat.AsSlotted(f.Data())
+	sl, err := pageformat.AsSlotted(f.Data())
 	if err != nil {
 		f.Unlatch()
 		f.Release()
 		return err
 	}
-	u = f.BeginUpdate()
+	u := f.BeginUpdate()
 	var stub [RIDSize]byte
 	newLoc.Put(stub[:])
 	if !sl.Update(int(rid.Slot), stub[:]) {
@@ -400,15 +432,15 @@ func (m *Manager) patchStub(home, newLoc RID) error {
 	if err != nil {
 		return err
 	}
-	cell, err := sl.Cell(int(home.Slot))
+	cell, err := sl.CellSpan(int(home.Slot))
 	if err != nil {
 		return err
 	}
-	if len(cell) != RIDSize {
-		return fmt.Errorf("%w: stub at %s has %d bytes", ErrCorrupt, home, len(cell))
+	if cell.Len != RIDSize {
+		return fmt.Errorf("%w: stub at %s has %d bytes", ErrCorrupt, home, cell.Len)
 	}
-	u := f.BeginUpdate()
-	newLoc.Put(cell)
+	u := f.BeginUpdate(cell)
+	newLoc.Put(f.Data()[cell.Off:])
 	return f.EndUpdate(u)
 }
 
@@ -476,15 +508,15 @@ func (m *Manager) Patch(rid RID, off int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	cell, err := sl.Cell(int(loc.Slot))
+	cell, err := sl.CellSpan(int(loc.Slot))
 	if err != nil {
 		return err
 	}
-	if off < 0 || off+len(data) > len(cell) {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrBadOffset, off, off+len(data), len(cell))
+	if off < 0 || off+len(data) > cell.Len {
+		return fmt.Errorf("%w: [%d,%d) of %d", ErrBadOffset, off, off+len(data), cell.Len)
 	}
-	u := f.BeginUpdate()
-	copy(cell[off:], data)
+	u := f.BeginUpdate(buffer.Window{Off: cell.Off + off, Len: len(data)})
+	copy(f.Data()[cell.Off+off:], data)
 	return f.EndUpdate(u)
 }
 

@@ -1,0 +1,147 @@
+package records
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"natix/internal/buffer"
+	"natix/internal/pagedev"
+	"natix/internal/segment"
+	"natix/internal/wal"
+)
+
+// newLoggedManager is newManager with a log attached and an operation
+// open, so every page change goes through a logged update bracket.
+func newLoggedManager(t *testing.T, pageSize int) (*Manager, *wal.Writer) {
+	t.Helper()
+	dev, err := pagedev.NewMem(pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := buffer.New(dev, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := wal.OpenWriter(wal.NewMemStorage(), wal.Options{PageSize: pageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.AttachWAL(w)
+	if _, err := w.Begin("test", 0); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := segment.Create(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(seg), w
+}
+
+// TestSpliceAgainstModel edits records through Splice — told where the
+// new body differs, as core's node edits are — on logged and unlogged
+// stores, with the update brackets in checking mode: every declared
+// window holds, the bodies read back as the model's, Splice refuses
+// exactly when the page is out of room (and then changes nothing), and
+// Update takes over with a move.
+func TestSpliceAgainstModel(t *testing.T) {
+	defer buffer.SetWindowCheck(buffer.SetWindowCheck(true))
+	for _, logged := range []bool{false, true} {
+		m := newManager(t, 1024)
+		if logged {
+			m, _ = newLoggedManager(t, 1024)
+		}
+		rng := rand.New(rand.NewSource(31))
+		model := map[RID][]byte{}
+		var rids []RID
+		for i := 0; i < 24; i++ {
+			body := make([]byte, 40+rng.Intn(100))
+			rng.Read(body)
+			rid, err := m.Insert(body, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model[rid] = body
+			rids = append(rids, rid)
+		}
+		spliced, refused := 0, 0
+		for step := 0; step < 4000; step++ {
+			rid := rids[rng.Intn(len(rids))]
+			old := model[rid]
+			from := rng.Intn(len(old) + 1)
+			data := append([]byte(nil), old[:from]...)
+			grow := rng.Intn(60) - 25
+			if len(old) > 300 {
+				grow = -grow
+			}
+			if grow >= 0 || len(old)+grow < 16 {
+				data = append(append(data, make([]byte, max(grow, 0))...), old[from:]...)
+			} else {
+				data = append(data, old[min(from-grow, len(old)):]...)
+			}
+			rng.Read(data[from:])
+			var fields []int
+			for f := rng.Intn(12); f+2 <= from && len(fields) < 3; f += 2 + rng.Intn(30) {
+				data[f]++
+				data[f+1]--
+				fields = append(fields, f)
+			}
+			ok, err := m.Splice(rid, data, from, fields)
+			if err != nil {
+				t.Fatalf("logged=%v step %d: %v", logged, step, err)
+			}
+			if ok {
+				spliced++
+			} else {
+				refused++
+				got, err := m.Read(rid)
+				if err != nil || !bytes.Equal(got, old) {
+					t.Fatalf("refused splice changed the record (err %v)", err)
+				}
+				if err := m.Update(rid, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			model[rid] = data
+			if step%64 == 0 {
+				for r, want := range model {
+					got, err := m.Read(r)
+					if err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("logged=%v step %d: record %s differs from the model (err %v)", logged, step, r, err)
+					}
+				}
+			}
+		}
+		if spliced < 1000 || refused < 10 {
+			t.Fatalf("logged=%v: %d spliced, %d refused", logged, spliced, refused)
+		}
+	}
+}
+
+// TestSpliceLogsLessThanUpdate: growing a record by a few bytes near its
+// end logs those bytes, not the record.
+func TestSpliceLogsLessThanUpdate(t *testing.T) {
+	defer buffer.SetWindowCheck(buffer.SetWindowCheck(false))
+	m, w := newLoggedManager(t, 8192)
+	body := make([]byte, 4000)
+	rand.New(rand.NewSource(5)).Read(body)
+	rid, err := m.Insert(body, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := append(append(append([]byte(nil), body[:3900]...), "thirty bytes of a new text node"...), body[3900:]...)
+	start := w.Stats().Bytes
+	if ok, err := m.Splice(rid, grown, 3900, nil); !ok || err != nil {
+		t.Fatalf("Splice = %v, %v", ok, err)
+	}
+	if logged := w.Stats().Bytes - start; logged > 600 {
+		t.Fatalf("splice of 31 bytes, 100 before the end of a 4000-byte record, logged %d bytes", logged)
+	}
+	got, _ := m.Read(rid)
+	if !bytes.Equal(got, grown) {
+		t.Fatal("spliced body reads back wrong")
+	}
+	if _, err := m.ReadInto(rid, make([]byte, 0, 16)); err != nil {
+		t.Fatal(err)
+	}
+}

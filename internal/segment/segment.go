@@ -216,7 +216,7 @@ func (s *Segment) SetRootRID(slot rootSlot, v uint64) error {
 	defer f.Release()
 	f.Latch()
 	defer f.Unlatch()
-	u := f.BeginUpdate()
+	u := f.BeginUpdate(buffer.Window{Off: offRoots + 8*int(slot), Len: 8})
 	binary.LittleEndian.PutUint64(f.Data()[offRoots+8*slot:], v)
 	return f.EndUpdate(u)
 }
@@ -265,7 +265,7 @@ func (s *Segment) NotifyFree(p pagedev.PageNo, freeBytes int) error {
 	if b[pageformat.CommonHeaderSize+entry] == enc {
 		return nil
 	}
-	u := f.BeginUpdate()
+	u := f.BeginUpdate(buffer.Window{Off: pageformat.CommonHeaderSize + entry, Len: 1})
 	b[pageformat.CommonHeaderSize+entry] = enc
 	return f.EndUpdate(u)
 }

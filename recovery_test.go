@@ -17,8 +17,13 @@ import (
 	"strings"
 	"testing"
 
+	"natix/internal/corpus"
+	"natix/internal/noderep"
 	"natix/internal/pagedev"
+	"natix/internal/pageformat"
+	"natix/internal/records"
 	"natix/internal/wal"
+	"natix/internal/xmlkit"
 )
 
 // faultLogStorage wraps an in-memory log storage with the shared crash
@@ -552,4 +557,291 @@ func TestCrashRecoveryConvert(t *testing.T) {
 			// either, depending on where the crash landed.
 		},
 	)
+}
+
+// nodeEdit is one step of the node-edit crash script.
+type nodeEdit struct {
+	del    bool
+	parent []int
+	idx    int
+	name   string // element to insert; "" inserts text
+	text   string
+}
+
+func (e nodeEdit) apply(doc *Document) error {
+	switch {
+	case e.del:
+		return doc.DeleteNode(append(append([]int(nil), e.parent...), e.idx))
+	case e.name != "":
+		return doc.InsertElement(e.parent, e.idx, e.name)
+	default:
+		return doc.InsertText(e.parent, e.idx, e.text)
+	}
+}
+
+// applyToModel performs the edit on the in-memory document.
+func (e nodeEdit) applyToModel(root *xmlkit.Node) {
+	p := root
+	for _, i := range e.parent {
+		p = p.Children[i]
+	}
+	if e.del {
+		p.Children = append(p.Children[:e.idx:e.idx], p.Children[e.idx+1:]...)
+		return
+	}
+	n := xmlkit.NewText(e.text)
+	if e.name != "" {
+		n = xmlkit.NewElement(e.name)
+	}
+	p.Children = append(p.Children[:e.idx:e.idx], append([]*xmlkit.Node{n}, p.Children[e.idx:]...)...)
+}
+
+// nodeEditScript is the paper's incremental workload in small: the first
+// limit nodes of a corpus play inserted one by one in binary-tree BFS
+// order, every ninth deleted again and re-inserted, and at the end three
+// speeches that have grown children deleted whole.
+func nodeEditScript(limit int) (root string, script []nodeEdit) {
+	play := corpus.GeneratePlay(corpus.SmallSpec(1), 0)
+	model := xmlkit.NewElement(play.Name)
+	for i, op := range corpus.BinaryBFSOps(play) {
+		if i == limit {
+			break
+		}
+		ins := nodeEdit{parent: op.ParentPath, idx: op.Index, name: op.Name, text: op.Text}
+		script = append(script, ins)
+		ins.applyToModel(model)
+		if i%9 == 8 {
+			script = append(script, nodeEdit{del: true, parent: op.ParentPath, idx: op.Index}, ins)
+		}
+	}
+	for k := 0; k < 3; k++ {
+		var find func(n *xmlkit.Node, path []int) *nodeEdit
+		find = func(n *xmlkit.Node, path []int) *nodeEdit {
+			for i, c := range n.Children {
+				if c.Name == "SPEECH" && len(c.Children) > 1 {
+					return &nodeEdit{del: true, parent: append([]int(nil), path...), idx: i}
+				}
+				if e := find(c, append(path, i)); e != nil {
+					return e
+				}
+			}
+			return nil
+		}
+		if e := find(model, nil); e != nil {
+			script = append(script, *e)
+			e.applyToModel(model)
+		}
+	}
+	return play.Name, script
+}
+
+// recordPlace is where one record of a document lies.
+type recordPlace struct {
+	page      pagedev.PageNo // page of the body
+	off, size int            // cell offset and length; 0, 0 for a forwarded record
+	forwarded bool
+}
+
+// recordPlaces maps every record of the document to its place on disk.
+func recordPlaces(t *testing.T, db *DB, doc *Document) map[records.RID]recordPlace {
+	t.Helper()
+	trees := db.store.Trees()
+	rm := trees.Records()
+	out := map[records.RID]recordPlace{}
+	var visit func(rid records.RID)
+	visit = func(rid records.RID) {
+		rec, err := trees.LoadRecordForInspection(rid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		page, err := rm.PageOf(rid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		place := recordPlace{page: page, forwarded: page != rid.Page}
+		if !place.forwarded {
+			f, err := db.pool.Get(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.RLatch()
+			sl, _ := pageformat.AsSlotted(f.Data())
+			span, err := sl.CellSpan(int(rid.Slot))
+			f.RUnlatch()
+			f.Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+			place.off, place.size = span.Off, span.Len
+		}
+		out[rid] = place
+		rec.Root.Walk(func(n *noderep.Node) bool {
+			if n.Kind == noderep.KindProxy {
+				visit(n.Target)
+			}
+			return true
+		})
+	}
+	visit(doc.tree.RootRID())
+	return out
+}
+
+// TestCrashRecoveryNodeEdits is the crash matrix over the paper's own
+// path: Document.InsertElement, InsertText and DeleteNode, each one
+// logged operation. The script runs in sessions of a few edits; for every
+// session the machine is crashed at write 1, write 2, ... (with
+// walBufLimit 1 every log append is a write, so every log record of
+// every edit is a crash point), rebooted from the surviving bytes and
+// checked: invariants hold and the document is byte for byte the one
+// before the interrupted edit or the one after it — never in between.
+// An uncrashed pass first records those documents against an in-memory
+// model and classifies how each edit reached the page, and the test
+// insists that the script crosses every way there is: a splice where the
+// record lies, a relocation inside its page (with and without the cell
+// area being compacted), a move to another page behind a forwarding
+// stub, and a split that patches parent pointers.
+func TestCrashRecoveryNodeEdits(t *testing.T) {
+	const session = 8
+	opts := crashOpts()
+	opts.PageSize, opts.BufferBytes = 1024, 16*1024
+	opts.PathIndex = false
+	rootName, script := nodeEditScript(420)
+
+	// Uncrashed pass: one frozen state per session start, the export
+	// after every edit, and what each edit did to its records.
+	mem, err := pagedev.NewMem(opts.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := wal.NewMemStorage()
+	var disarmed pagedev.CrashClock
+	db, err := openWith(opts, pagedev.NewFault(mem, &disarmed), nil, st, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ImportXML("play", strings.NewReader("<"+rootName+"/>")); err != nil {
+		t.Fatal(err)
+	}
+	model := xmlkit.NewElement(rootName)
+	exports := []string{xmlkit.SerializeString(model)}
+	var states []crashState
+	var inPlace, relocated, compacted, moved int
+	counters := map[string]int64{}
+	closeSession := func() {
+		m, err := db.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []string{"core.records_spliced", "core.records_rewritten", "core.splits", "core.parent_patches"} {
+			counters[c] += m.Counters[c]
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for g, e := range script {
+		if g%session == 0 {
+			closeSession()
+			states = append(states, crashState{pages: snapshotDev(t, mem), log: st.Snapshot()})
+			if db, mem, st, err = openCrashDB(t, opts, states[len(states)-1], &disarmed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		doc, err := db.Document("play")
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := recordPlaces(t, db, doc)
+		if err := e.apply(doc); err != nil {
+			t.Fatalf("edit %d: %v", g, err)
+		}
+		e.applyToModel(model)
+		want := xmlkit.SerializeString(model)
+		if got, _ := exportOf(t, db, "play"); got != want {
+			t.Fatalf("edit %d: document differs from the model", g)
+		}
+		exports = append(exports, want)
+		after := recordPlaces(t, db, doc)
+		for rid, was := range before {
+			now, ok := after[rid]
+			switch {
+			case !ok || was.forwarded || now.size == was.size:
+			case now.page != was.page:
+				moved++
+			case now.off == was.off:
+				inPlace++
+			default:
+				relocated++
+				for other, o := range before {
+					if p := after[other]; other != rid && o.page == was.page && p.page == o.page && p.off != o.off {
+						compacted++
+						break
+					}
+				}
+			}
+		}
+	}
+	closeSession()
+	t.Logf("%d edits: records resized where they lay %d times, relocated in their page %d times (%d with compaction), moved behind a stub %d times; %v",
+		len(script), inPlace, relocated, compacted, moved, counters)
+	if inPlace == 0 || relocated == compacted || compacted == 0 || moved == 0 ||
+		counters["core.records_spliced"] == 0 || counters["core.records_rewritten"] == 0 ||
+		counters["core.splits"] == 0 || counters["core.parent_patches"] == 0 {
+		t.Fatal("the script does not cross every way an edit reaches its page")
+	}
+
+	// Crash passes, session by session.
+	offsets := 0
+	for s, state := range states {
+		edits := script[s*session : min((s+1)*session, len(script))]
+		for budget := int64(1); ; budget++ {
+			if budget > 5000 {
+				t.Fatalf("session %d never ran to completion", s)
+			}
+			var clock pagedev.CrashClock
+			clock.SetBudget(budget, false)
+			db, mem, st, err := openCrashDB(t, opts, state, &clock)
+			if err != nil {
+				if clock.Crashed() {
+					continue // the crash landed inside Open
+				}
+				t.Fatalf("session %d budget %d: open: %v", s, budget, err)
+			}
+			failed := -1
+			for j, e := range edits {
+				doc, err := db.Document("play")
+				if err == nil {
+					err = e.apply(doc)
+				}
+				if err != nil {
+					failed = j
+					break
+				}
+			}
+			if failed < 0 {
+				if clock.Crashed() {
+					t.Fatalf("session %d budget %d: crash injected but every edit reported success", s, budget)
+				}
+				clock.Disarm()
+				db.Close()
+				break
+			}
+			if !clock.Crashed() {
+				t.Fatalf("session %d budget %d: edit %d failed without a crash", s, budget, failed)
+			}
+			offsets++
+			clock.Disarm()
+			g := s*session + failed
+			verifyRecovered(t, opts, mem, st, func(rdb *DB) {
+				got, ok := exportOf(t, rdb, "play")
+				if !ok {
+					t.Fatalf("session %d budget %d: document lost", s, budget)
+				}
+				if got != exports[g] && got != exports[g+1] {
+					t.Fatalf("session %d budget %d: after a crash in edit %d the document is neither the one before it nor the one after it", s, budget, g)
+				}
+			})
+		}
+	}
+	t.Logf("crash matrix covered %d write offsets over %d edits", offsets, len(script))
 }
