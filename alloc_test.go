@@ -72,7 +72,7 @@ func TestQueryZeroAlloc(t *testing.T) {
 		if got := cur.Indexed(); got != wantIndexed {
 			t.Fatalf("Indexed() = %v, want %v", got, wantIndexed)
 		}
-		if !cur.Next() { // first Next starts the producer
+		if !cur.Next() { // first Next opens the evaluation
 			t.Fatal("no matches")
 		}
 		return testing.AllocsPerRun(200, func() {
@@ -110,6 +110,61 @@ func TestQueryZeroAlloc(t *testing.T) {
 			t.Errorf("scan cursor with tier-2: %.2f allocs/op, want 0", avg)
 		}
 	})
+}
+
+// TestCursorLifetimeAllocs pins what a whole cursor costs — open, drain,
+// close — on a warm store: the cursor, the compiled steps, the machine
+// and its source's per-step state, none of it per match. With a
+// coroutine between the evaluator and Next it was 19 allocations (1.25
+// KB) on either route for //LINE over one generated play.
+func TestCursorLifetimeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are meaningless under -race")
+	}
+	src := xmlkit.SerializeString(corpus.GeneratePlay(corpus.DefaultSpec(), 0))
+	for _, tc := range []struct {
+		name    string
+		indexed bool
+		max     float64
+	}{{"indexed", true, 7}, {"scan", false, 5}} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, err := Open(Options{PageSize: 8192, BufferBytes: 64 << 20, PathIndex: tc.indexed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if err := db.ImportXML("p", strings.NewReader(src)); err != nil {
+				t.Fatal(err)
+			}
+			q, err := db.Prepare("//LINE")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			lines := 0
+			drain := func() {
+				cur, err := q.Iter(ctx, "p")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cur.Indexed() != tc.indexed {
+					t.Fatalf("Indexed() = %v", cur.Indexed())
+				}
+				for lines = 0; cur.Next(); lines++ {
+				}
+				if err := cur.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			drain() // warm the records, the posting lists and the pooled walk
+			if lines < 1000 {
+				t.Fatalf("%d lines: the play is too small to tell per-match from per-cursor", lines)
+			}
+			if avg := testing.AllocsPerRun(20, drain); avg > tc.max {
+				t.Errorf("%s cursor over %d matches: %.0f allocs, want at most %.0f", tc.name, lines, avg, tc.max)
+			}
+		})
+	}
 }
 
 // TestReadOutAllocs pins what reading a match out costs once the cursor

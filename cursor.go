@@ -16,7 +16,7 @@ type queryOptions struct {
 }
 
 // WithLimit stops the cursor after n matches, releasing the document
-// lock and the producer as soon as the n-th match has been consumed —
+// lock and the evaluation as soon as the n-th match has been consumed —
 // the evaluator never reads past it. n <= 0 means no limit.
 func WithLimit(n int) QueryOption {
 	return func(o *queryOptions) {
@@ -37,8 +37,8 @@ func WithLimit(n int) QueryOption {
 //	}
 //	if err := cur.Err(); err != nil { ... }
 //
-// Matches are produced on demand: the evaluator behind the cursor is
-// suspended between Next calls and loads only the records the consumed
+// Matches are produced on demand: the evaluator behind the cursor keeps
+// its place between Next calls and loads only the records the consumed
 // matches touch, so the latency and I/O of the first match are
 // independent of the size of the full result set. Iteration stops early
 // on a positional predicate, a WithLimit bound, context cancellation,
@@ -111,7 +111,7 @@ func (c *Cursor) Err() error { return c.it.Err() }
 // evaluator (as opposed to the navigating scan or a flat-mode parse).
 func (c *Cursor) Indexed() bool { return c.it.Indexed() }
 
-// Close releases the document lock and the suspended producer. It is
+// Close releases the document lock and the evaluation's scratch. It is
 // idempotent, safe after exhaustion, and returns Err. Close never
 // touches the database itself, so it works — and must still be called —
 // after DB.Close.

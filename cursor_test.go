@@ -280,6 +280,46 @@ func TestCursorCancelMidIteration(t *testing.T) {
 	}
 }
 
+// TestCancelledQueryTakesNoLock: a context cancelled before the call
+// fails Query and Count before the document lock is asked for — here a
+// writer holds it, so asking would wait for the writer.
+func TestCancelledQueryTakesNoLock(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.ImportXML("p", strings.NewReader(corpusXML())); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err = db.store.Mutate("p", func() error { // the document write-locked
+		done := make(chan error, 2)
+		go func() {
+			_, err := db.QueryContext(ctx, "p", "//SPEAKER")
+			done <- err
+			_, err = db.QueryCountContext(ctx, "p", "//SPEAKER")
+			done <- err
+		}()
+		for _, op := range []string{"Query", "Count"} {
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("%s on a cancelled context = %v", op, err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Errorf("%s on a cancelled context waits for the document lock", op)
+				return nil
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCursorCloseReleasesLock pins the lock lifecycle: an open cursor
 // blocks a writer of its document; Close (before exhaustion) unblocks
 // it. Exhausting a cursor releases the lock without Close.

@@ -1,9 +1,9 @@
 package natix
 
-// EXPLAIN for path queries: which evaluator would run, why, and how
+// EXPLAIN for path queries: which route the query takes, why, and how
 // many matches each step should produce — priced from resident
 // metadata (the path summary), without touching records. Choosing the
-// evaluator does what a query does to choose it: it loads the posting
+// route does what a query does to choose it: it loads the posting
 // lists of the step labels into the index handle, where the query
 // finds them, and so knows an unreadable list before promising the
 // index. ExplainRun additionally executes the query and reports the
@@ -33,7 +33,7 @@ import (
 // flat-mode document).
 type EvaluatorKind = docstore.EvaluatorKind
 
-// The three evaluators.
+// The three routes: one evaluator, three sources of candidates.
 const (
 	EvalIndexed = docstore.EvalIndexed
 	EvalScan    = docstore.EvalScan

@@ -10,6 +10,7 @@ package natix
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -262,6 +263,34 @@ func TestScrubQuarantineAndRecovery(t *testing.T) {
 	}
 	if got := mustExport(t, db, "beta"); got != wantBeta {
 		t.Error("beta export changed after quarantine lifted")
+	}
+}
+
+// TestExplainRefusesQuarantined: Explain and ExplainRun pass the same
+// gate as every other document operation — a quarantined document, tree
+// or flat, is refused before a page of it is read (planning a flat one
+// would read and parse the damaged blob chain).
+func TestExplainRefusesQuarantined(t *testing.T) {
+	db, _, _ := openIntegrityDB(t)
+	mustImport(t, db, "tree", 3)
+	if err := db.ImportXMLFlat("flat", strings.NewReader(testPlayXML("flat", 3))); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"tree", "flat"} {
+		if _, err := db.Explain(name, "//SPEAKER"); err != nil {
+			t.Fatalf("explain of healthy %s: %v", name, err)
+		}
+		db.store.Quarantine(name, "test")
+		before := db.pool.Stats().LogicalReads
+		if _, err := db.Explain(name, "//SPEAKER"); !errors.Is(err, ErrQuarantined) {
+			t.Errorf("Explain of quarantined %s: %v", name, err)
+		}
+		if _, err := db.ExplainRun(context.Background(), name, "//SPEAKER"); !errors.Is(err, ErrQuarantined) {
+			t.Errorf("ExplainRun of quarantined %s: %v", name, err)
+		}
+		if reads := db.pool.Stats().LogicalReads - before; reads != 0 {
+			t.Errorf("explaining quarantined %s read %d pages", name, reads)
+		}
 	}
 }
 

@@ -66,7 +66,7 @@ var shapeQueries = map[string][]string{
 
 // TestBulkVsIncrementalEquivalence: a document loaded through the bulk
 // path must export byte-identically to one grown incrementally, and
-// all three evaluators (navigating scan, posting-list index, flat
+// all three sources (navigating scan, posting-list index, flat
 // parse) must agree on every query, across shapes.
 func TestBulkVsIncrementalEquivalence(t *testing.T) {
 	for shape := range shapeQueries {

@@ -157,8 +157,9 @@ type Store struct {
 	flatQueries     atomic.Int64
 	indexUnreadable atomic.Int64 // queries sent to the scan by a corrupt stored index
 
-	// scanPool recycles scanScratch traversal buffers across queries
-	// (see query.go); a warm navigating scan allocates nothing.
+	// scanPool recycles the navigating source's walks — level stack and
+	// child buffers — across queries (see machine.go); a warm navigating
+	// scan allocates nothing per node.
 	scanPool sync.Pool
 
 	// readPool recycles readOut scratches across Markup, Text and export

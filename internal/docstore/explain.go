@@ -1,6 +1,6 @@
 package docstore
 
-// Query explanation: which evaluator a query would run on, why, and
+// Query explanation: which route a query would take, why, and
 // how many matches each step is expected to produce. The estimator
 // runs entirely on resident metadata — the path summary for tree-mode
 // documents — so explaining an indexed or scan query touches no
@@ -15,9 +15,7 @@ import (
 	"fmt"
 	"strings"
 
-	"natix/internal/dict"
 	"natix/internal/pathindex"
-	"natix/internal/xmlkit"
 )
 
 // StepPlan is the per-step slice of a Plan.
@@ -56,18 +54,10 @@ func (p Plan) String() string {
 		fmt.Fprintf(&b, "\nsummary: %d paths, %d nodes", p.NumPaths, p.NumNodes)
 	}
 	for _, sp := range p.Steps {
-		sep := "/"
-		if sp.Step.Descendant {
-			sep = "//"
-		}
-		pos := ""
-		if sp.Step.Pos > 0 {
-			pos = fmt.Sprintf("[%d]", sp.Step.Pos)
-		}
 		if sp.EstMatches < 0 {
-			fmt.Fprintf(&b, "\n  %s%s%s -> est ?", sep, sp.Step.Name, pos)
+			fmt.Fprintf(&b, "\n  %s -> est ?", sp.Step)
 		} else {
-			fmt.Fprintf(&b, "\n  %s%s%s -> est %d", sep, sp.Step.Name, pos, sp.EstMatches)
+			fmt.Fprintf(&b, "\n  %s -> est %d", sp.Step, sp.EstMatches)
 		}
 	}
 	kind := "estimated"
@@ -93,45 +83,30 @@ func (s *Store) Explain(name, query string) (Plan, error) {
 }
 
 // ExplainSteps plans a pre-parsed expression against a document: it
-// fixes the evaluation route with exactly the test the query engine
-// applies (indexFor), then estimates per-step cardinalities from the
-// path summary (tree mode) or counts them by parsing (flat mode).
+// opens the query exactly as an evaluation would (openQuery: the same
+// refusals, the same route), then estimates per-step cardinalities from
+// the path summary (tree mode) or counts them by parsing (flat mode).
 func (s *Store) ExplainSteps(cx context.Context, name string, steps []Step) (Plan, error) {
-	if len(steps) == 0 {
-		return Plan{}, fmt.Errorf("%w: empty query", ErrBadQuery)
-	}
-	if err := ctxErr(cx); err != nil {
-		return Plan{}, err
-	}
-	l := s.lockFor(name)
-	l.RLock()
-	defer l.RUnlock()
-	info, ok := s.lookup(name)
-	if !ok {
-		return Plan{}, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	p := Plan{Doc: name, EstMatches: -1}
-	if info.Mode == ModeFlat {
-		p.Evaluator = EvalFlat
-		p.Reason = "flat-mode document: structure is only accessible by parsing"
-		err := s.estimateFlat(cx, info, steps, &p)
-		return p, err
-	}
-	idx, err := s.indexFor(info, steps)
+	q, err := s.openQuery(cx, name, steps)
 	if err != nil {
 		return Plan{}, err
 	}
-	if idx != nil {
-		p.Evaluator = EvalIndexed
+	defer q.lock.RUnlock()
+	p := Plan{Doc: name, Evaluator: q.kind, EstMatches: -1}
+	idx := q.idx
+	switch q.kind {
+	case EvalFlat:
+		p.Reason = "flat-mode document: structure is only accessible by parsing"
+		err := s.estimateFlat(q, &p)
+		return p, err
+	case EvalIndexed:
 		p.Reason = "stored path index covers the query (plain name tests only)"
-	} else {
-		p.Evaluator = EvalScan
-		p.Reason = s.scanReason(info, steps)
+	default:
+		p.Reason = s.scanReason(q.info, steps)
 		// A scan forced by a non-name step can still be estimated from
 		// the summary of a stored index.
 		if s.pindex != nil && s.pindex.Has(name) {
-			idx, err = s.pindex.Get(name)
-			if err != nil {
+			if idx, err = s.pindex.Get(name); err != nil {
 				idx = nil // unreadable index: plan without estimates
 			}
 		}
@@ -139,7 +114,7 @@ func (s *Store) ExplainSteps(cx context.Context, name string, steps []Step) (Pla
 	if idx != nil {
 		p.NumPaths = idx.NumPaths()
 		p.NumNodes = idx.NumNodes()
-		s.estimateSummary(idx, steps, &p)
+		s.estimateSummary(idx, q.frames, &p)
 	} else {
 		for _, st := range steps {
 			p.Steps = append(p.Steps, StepPlan{Step: st, EstMatches: -1})
@@ -172,7 +147,7 @@ func (s *Store) scanReason(info DocInfo, steps []Step) string {
 // exactly one ancestor on each proper prefix of its label path — which
 // is what makes the counts exact until a positional predicate (upper
 // bounds from there on) or a #text step (unknown from there on).
-func (s *Store) estimateSummary(idx *pathindex.Handle, steps []Step, p *Plan) {
+func (s *Store) estimateSummary(idx *pathindex.Handle, steps []frame, p *Plan) {
 	n := idx.NumPaths()
 	// mult[q] is the context multiplicity of summary path q; index 0 is
 	// the virtual document node above the root (ancestor of every path,
@@ -181,9 +156,10 @@ func (s *Store) estimateSummary(idx *pathindex.Handle, steps []Step, p *Plan) {
 	mult[0] = 1
 	p.Exact = true
 	unknown := false
-	for _, st := range steps {
-		sp := StepPlan{Step: st, EstMatches: -1}
-		if unknown || st.Name == "#text" {
+	for i := range steps {
+		st := &steps[i]
+		sp := StepPlan{Step: st.Step, EstMatches: -1}
+		if unknown || st.kind == nameText {
 			unknown = true
 			p.Exact = false
 			p.Steps = append(p.Steps, sp)
@@ -203,7 +179,7 @@ func (s *Store) estimateSummary(idx *pathindex.Handle, steps []Step, p *Plan) {
 		var est int64
 		for q := 1; q <= n; q++ {
 			node := idx.Path(pathindex.PathID(q))
-			if !s.labelMatches(node.Label, st.Name) {
+			if ok, _ := st.matchesLabel(s.dict, node.Label); !ok {
 				continue
 			}
 			var m int64
@@ -249,37 +225,21 @@ func (s *Store) estimateSummary(idx *pathindex.Handle, steps []Step, p *Plan) {
 	}
 }
 
-// labelMatches tests a name step against a summary label.
-func (s *Store) labelMatches(label dict.LabelID, name string) bool {
-	if name == "*" {
-		n, err := s.dict.Name(label)
-		return err == nil && !strings.HasPrefix(n, AttrPrefix)
-	}
-	id, ok := s.dict.Lookup(name)
-	return ok && id == label
-}
-
 // estimateFlat counts each step prefix exactly by evaluating it over
-// the parsed document — one parse, one tree walk per step.
-func (s *Store) estimateFlat(cx context.Context, info DocInfo, steps []Step, p *Plan) error {
-	body, err := s.blobs.Read(info.Root)
-	if err != nil {
-		return err
-	}
-	doc, err := xmlkit.ParseString(string(body), xmlkit.ParseOptions{})
-	if err != nil {
-		return err
-	}
-	for i := range steps {
+// the parsed document — one parse, one drained machine per prefix.
+func (s *Store) estimateFlat(q query, p *Plan) error {
+	t, w := &parsedTree{s: s, blob: q.info.Root}, new(parsedWalk)
+	for i := range q.frames {
+		m := newMachine(w.reset(t, q.cx, i+1), q.frames[:i+1])
 		count := int64(0)
-		err := xmlStep(cx, doc.Root, true, steps[:i+1], func(*xmlkit.Node) error {
+		ok, err := m.match(nil)
+		for ; ok; ok, err = m.match(nil) {
 			count++
-			return nil
-		})
+		}
 		if err != nil {
 			return err
 		}
-		p.Steps = append(p.Steps, StepPlan{Step: steps[i], EstMatches: count})
+		p.Steps = append(p.Steps, StepPlan{Step: q.frames[i].Step, EstMatches: count})
 	}
 	p.EstMatches = p.Steps[len(p.Steps)-1].EstMatches
 	p.Exact = true

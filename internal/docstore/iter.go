@@ -2,23 +2,17 @@ package docstore
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"iter"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"natix/internal/core"
-	"natix/internal/pathindex"
 	"natix/internal/telemetry"
-	"natix/internal/xmlkit"
 )
 
 // IterOptions configure a lazy cursor.
 type IterOptions struct {
 	// Limit stops iteration after this many matches (0 = unlimited).
-	// Reaching the limit stops the producer and releases the document
+	// Reaching the limit ends the evaluation and releases the document
 	// lock, exactly like exhausting the cursor.
 	Limit int
 }
@@ -26,11 +20,11 @@ type IterOptions struct {
 // Iter is a lazy cursor over query matches. It holds the queried
 // document's read lock from QueryIter until Close, exhaustion, or a
 // terminal error, so the matches it yields stay valid while it is open:
-// writers of the document block until the cursor is released. The
-// producer behind it is the same streaming evaluator the eager Query
-// uses, suspended between Next calls, so matches (and the record loads
-// backing them) are produced only as the consumer pulls them —
-// first-match latency is independent of result-set size.
+// writers of the document block until the cursor is released. Next
+// drives the same machine the eager Query drains, one match per call,
+// so matches (and the record loads backing them) are produced only as
+// the consumer pulls them — first-match latency is independent of
+// result-set size.
 //
 // An Iter is owned by one goroutine: Next, Result, Err and Close must
 // not be called concurrently. Results obtained from it may be consumed
@@ -39,7 +33,6 @@ type IterOptions struct {
 // cursor blocks every writer of its document.
 type Iter struct {
 	store *Store
-	doc   string
 	cx    context.Context
 
 	lock   *sync.RWMutex
@@ -52,23 +45,16 @@ type Iter struct {
 	// exhausting (or cancelling) the cursor on another one.
 	relmu sync.RWMutex
 
-	next func() (Result, error, bool)
-	stop func()
+	// m is the evaluation. Only the goroutine inside Next touches it;
+	// what it points at in parsed records stays valid exactly as long as
+	// the cursor holds the document lock.
+	m matcher
 
-	// walker resolves the indexed route's postings to nodes. It belongs
-	// to the producer — only the goroutine inside Next touches it — and
-	// it keeps its record and its place in it between matches, so the
-	// ascending postings of a record cost one record load and one facade
-	// walk in total. It points into parsed records, which is safe exactly
-	// as long as the cursor holds the document lock.
-	walker core.FacadeWalker
-
-	cur     Result
-	err     error
-	seen    int
-	limit   int
-	done    bool
-	indexed bool
+	cur   Result
+	err   error
+	seen  int
+	limit int
+	done  bool
 
 	// Telemetry: the evaluation route, open timestamp and operation span
 	// feed the cursor-lifecycle metrics when finish runs. exhausted
@@ -84,52 +70,17 @@ type Iter struct {
 // named document. The evaluation route (posting-list index, navigating
 // scan, or flat-mode parse) is fixed here; production starts on the
 // first Next. The context is re-checked on every Next and at page-fetch
-// granularity inside the producer, so cancelling it aborts the cursor
+// granularity inside the evaluation, so cancelling it aborts the cursor
 // promptly with the context's error.
 func (s *Store) QueryIter(cx context.Context, name string, steps []Step, opts IterOptions) (*Iter, error) {
-	if len(steps) == 0 {
-		return nil, fmt.Errorf("%w: empty query", ErrBadQuery)
-	}
-	if err := s.checkQuarantine(name); err != nil {
+	q, err := s.openQuery(cx, name, steps)
+	if err != nil {
 		return nil, err
 	}
-	if err := ctxErr(cx); err != nil {
-		return nil, err
-	}
-	l := s.lockFor(name)
-	l.RLock()
-	info, ok := s.lookup(name)
-	if !ok {
-		l.RUnlock()
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	it := &Iter{store: s, doc: name, cx: cx, lock: l, limit: opts.Limit, start: telemetry.Now()}
-
-	var seq iter.Seq2[Result, error]
-	if info.Mode == ModeFlat {
-		s.flatQueries.Add(1)
-		it.kind = EvalFlat
-		seq = s.flatSeq(cx, it, info, steps)
-	} else {
-		idx, err := s.indexFor(info, steps)
-		if err != nil {
-			l.RUnlock()
-			return nil, err
-		}
-		if idx != nil {
-			s.indexedQueries.Add(1)
-			it.indexed = true
-			it.kind = EvalIndexed
-			seq = s.indexedSeq(cx, it, idx, steps)
-		} else {
-			s.scanQueries.Add(1)
-			it.kind = EvalScan
-			seq = s.scanSeq(cx, it, info, steps)
-		}
-	}
-	it.next, it.stop = iter.Pull2(seq)
+	it := &Iter{store: s, cx: cx, lock: q.lock, limit: opts.Limit, start: telemetry.Now(), kind: q.kind, m: q.start()}
+	it.cur = Result{Doc: name, store: s, iter: it}
 	it.locked.Store(true)
-	it.span = s.startOp("cursor:"+string(it.kind), name)
+	it.span = s.startQueryOp("cursor", it.kind, name)
 	s.mCursorsOpened.Inc()
 	return it, nil
 }
@@ -151,17 +102,12 @@ func (it *Iter) Next() bool {
 		it.finish(nil)
 		return false
 	}
-	r, err, ok := it.next()
+	ok, err := it.m.match(&it.cur)
 	if !ok {
-		it.exhausted = true
-		it.finish(nil)
-		return false
-	}
-	if err != nil {
+		it.exhausted = err == nil
 		it.finish(err)
 		return false
 	}
-	it.cur = r
 	it.seen++
 	return true
 }
@@ -175,9 +121,9 @@ func (it *Iter) Err() error { return it.err }
 
 // Indexed reports whether the cursor runs on the posting-list
 // evaluator (as opposed to the navigating scan or a flat-mode parse).
-func (it *Iter) Indexed() bool { return it.indexed }
+func (it *Iter) Indexed() bool { return it.kind == EvalIndexed }
 
-// Close stops the producer and releases the document lock. It is
+// Close ends the evaluation and releases the document lock. It is
 // idempotent, safe after exhaustion, and returns Err.
 func (it *Iter) Close() error {
 	it.finish(nil)
@@ -189,7 +135,7 @@ func (it *Iter) Close() error {
 func (it *Iter) Abort(err error) { it.finish(err) }
 
 // finish tears the cursor down exactly once: remember a terminal
-// error, stop the suspended producer, release the document lock. The
+// error, release the evaluation's scratch and the document lock. The
 // release waits out in-flight lock-elided match accesses (relmu).
 // Cursor-lifecycle accounting happens here — a cursor counts as
 // exhausted only when its consumer drained it (or hit its limit);
@@ -202,7 +148,7 @@ func (it *Iter) finish(err error) {
 	if err != nil {
 		it.err = err
 	}
-	it.stop()
+	it.m.release()
 	it.relmu.Lock()
 	if it.locked.CompareAndSwap(true, false) {
 		it.lock.RUnlock()
@@ -236,70 +182,4 @@ func (it *Iter) withLock(fn func() error) (bool, error) {
 		return false, nil
 	}
 	return true, fn()
-}
-
-// scanSeq adapts the navigating evaluator to a pull sequence.
-func (s *Store) scanSeq(cx context.Context, it *Iter, info DocInfo, steps []Step) iter.Seq2[Result, error] {
-	return func(yield func(Result, error) bool) {
-		err := s.streamScan(cx, info, steps, func(ref core.NodeRef) error {
-			if !yield(Result{Mode: ModeTree, Doc: info.Name, Ref: ref, store: s, iter: it}, nil) {
-				return errStopIteration
-			}
-			return nil
-		})
-		if err != nil && !errors.Is(err, errStopIteration) {
-			yield(Result{}, err)
-		}
-	}
-}
-
-// indexedSeq adapts the posting-list evaluator to a pull sequence,
-// resolving each posting to a node ref only when the consumer reaches
-// it.
-func (s *Store) indexedSeq(cx context.Context, it *Iter, idx *pathindex.Handle, steps []Step) iter.Seq2[Result, error] {
-	return func(yield func(Result, error) bool) {
-		err := s.streamIndexed(cx, idx, steps, func(p pathindex.Posting) error {
-			ref, err := it.resolve(p)
-			if err != nil {
-				return err
-			}
-			if !yield(Result{Mode: ModeTree, Doc: it.doc, Ref: ref, store: s, iter: it}, nil) {
-				return errStopIteration
-			}
-			return nil
-		})
-		if err != nil && !errors.Is(err, errStopIteration) {
-			yield(Result{}, err)
-		}
-	}
-}
-
-// resolve materializes one posting as a node ref, when the consumer
-// reaches it, so the records of unconsumed matches are never loaded.
-// Postings arrive in document order, so same-record matches come in
-// runs: the walker loads a record once per run and makes each node
-// lookup inside it a continuation of the previous match's.
-//
-//natix:noalloc
-func (it *Iter) resolve(p pathindex.Posting) (core.NodeRef, error) {
-	if err := it.walker.Load(it.store.trees, p.RID); err != nil {
-		return core.NodeRef{}, err
-	}
-	return it.walker.Ref(int(p.Local))
-}
-
-// flatSeq adapts the flat-mode evaluator to a pull sequence. The blob
-// read and parse happen lazily, on the first Next.
-func (s *Store) flatSeq(cx context.Context, it *Iter, info DocInfo, steps []Step) iter.Seq2[Result, error] {
-	return func(yield func(Result, error) bool) {
-		err := s.streamFlat(cx, info, steps, func(n *xmlkit.Node) error {
-			if !yield(Result{Mode: ModeFlat, Doc: info.Name, XML: n, store: s, iter: it}, nil) {
-				return errStopIteration
-			}
-			return nil
-		})
-		if err != nil && !errors.Is(err, errStopIteration) {
-			yield(Result{}, err)
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -14,7 +15,8 @@ import (
 const nested = `<DOC a="1"><DIV id="d1"><DIV id="d2"><A>x</A></DIV><A>y</A><B></B></DIV><A>z</A></DOC>`
 
 // equivalenceQueries covers leading/interior descendant steps, child
-// steps, predicates, misses, and the fallback name tests.
+// steps, predicates, misses, and the fallback name tests — the
+// hand-written cases of TestEvaluatorsAgreeWithReference.
 var equivalenceQueries = []string{
 	"/PLAY//SPEAKER",
 	"/PLAY/ACT[1]/SCENE[2]//SPEAKER",
@@ -64,15 +66,7 @@ func markups(t *testing.T, s *Store, doc, query string) []string {
 	if err != nil {
 		t.Fatalf("%s on %s: %v", query, doc, err)
 	}
-	out := make([]string, len(res))
-	for i, r := range res {
-		m, err := r.Markup()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = m
-	}
-	return out
+	return markupsOf(t, res)
 }
 
 func importBoth(t *testing.T, s *Store) {
@@ -91,73 +85,30 @@ func docFor(q string) string {
 	return "p"
 }
 
-// TestIndexedScanEquivalence runs every query on an indexed store and a
-// plain one and requires byte-identical result sets. The small page
-// size forces record splits, so postings cross proxies and scaffolds.
-func TestIndexedScanEquivalence(t *testing.T) {
+// TestIndexStatsCountRoutes runs every query on an indexed store and
+// checks the route counters: every query without a "*"/"#text" test is
+// answered from the index, the rest are navigated. (That both routes
+// give the reference's answer is TestEvaluatorsAgreeWithReference.)
+func TestIndexStatsCountRoutes(t *testing.T) {
 	indexed, _ := newDocStore(t, 512, core.Config{})
 	enableIndex(t, indexed)
-	plain, _ := newDocStore(t, 512, core.Config{})
 	importBoth(t, indexed)
-	importBoth(t, plain)
 
-	for _, q := range equivalenceQueries {
-		doc := docFor(q)
-		got := markups(t, indexed, doc, q)
-		want := markups(t, plain, doc, q)
-		if strings.Join(got, "\x00") != strings.Join(want, "\x00") {
-			t.Errorf("%s on %s:\nindexed: %q\nscan:    %q", q, doc, got, want)
-		}
-	}
-
-	// The indexed store actually used its index: every query without a
-	// "*"/"#text" test is indexed, the rest fall back.
-	st := indexed.IndexStats()
 	var wantIndexed, wantScan int64
 	for _, q := range equivalenceQueries {
+		markups(t, indexed, docFor(q), q)
 		if strings.Contains(q, "*") || strings.Contains(q, "#text") {
 			wantScan++
 		} else {
 			wantIndexed++
 		}
 	}
+	st := indexed.IndexStats()
 	if st.IndexedQueries != wantIndexed || st.ScanQueries != wantScan {
 		t.Errorf("IndexStats = %+v, want %d indexed / %d scan", st, wantIndexed, wantScan)
 	}
 	if st.Builds != 2 {
 		t.Errorf("Builds = %d, want 2", st.Builds)
-	}
-}
-
-// TestQueryCountMatchesQuery checks the counting evaluator against
-// materialized queries on indexed, plain and flat stores.
-func TestQueryCountMatchesQuery(t *testing.T) {
-	indexed, _ := newDocStore(t, 512, core.Config{})
-	enableIndex(t, indexed)
-	plain, _ := newDocStore(t, 512, core.Config{})
-	flat, _ := newDocStore(t, 512, core.Config{})
-	importBoth(t, indexed)
-	importBoth(t, plain)
-	for name, text := range map[string]string{"p": play, "n": nested} {
-		if _, err := flat.ImportFlat(name, strings.NewReader(text)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, q := range equivalenceQueries {
-		doc := docFor(q)
-		for _, s := range []*Store{indexed, plain, flat} {
-			res, err := s.Query(doc, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n, err := s.QueryCount(doc, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != len(res) {
-				t.Errorf("QueryCount(%s on %s) = %d, want %d", q, doc, n, len(res))
-			}
-		}
 	}
 }
 
@@ -237,10 +188,18 @@ func TestParseQueryEdgeCases(t *testing.T) {
 		"/A[1]B",  // trailing garbage after predicate
 		"/A/[1]",  // predicate without a name
 		"//[2]",   // descendant predicate without a name
+		// Spellings Step.String never renders: accepted, they would make
+		// two expressions of one query.
+		"/A[+1]",                   // signed position
+		"/A[01]",                   // leading zero
+		"/A[99999999999999999999]", // position past an int
+		"/A]",                      // ']' in a name
+		"/A]B[1]",                  // ']' in a name, then a predicate
+		"/A[1]]",                   // a second ']'
 	}
 	for _, q := range bad {
-		if steps, err := ParseQuery(q); err == nil {
-			t.Errorf("ParseQuery(%q) = %+v, want error", q, steps)
+		if steps, err := ParseQuery(q); !errors.Is(err, ErrBadQuery) {
+			t.Errorf("ParseQuery(%q) = %+v, %v; want ErrBadQuery", q, steps, err)
 		}
 	}
 
@@ -271,4 +230,40 @@ func TestParseQueryEdgeCases(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzParseQuery: ParseQuery never panics; what it rejects it rejects
+// with ErrBadQuery; what it accepts is, byte for byte, the rendering of
+// its own steps — so rendering and re-parsing gives the same steps — and
+// the parse holds no more steps than the input has room for.
+func FuzzParseQuery(f *testing.F) {
+	for _, q := range equivalenceQueries {
+		f.Add(q)
+	}
+	for _, q := range []string{ // the ten query classes of bench/inputs.go
+		"/PLAY/ACT[3]/SCENE[2]//SPEAKER", "/PLAY/ACT[1]/SCENE[1]/SPEECH[1]", "//PERSONA", "//LINE", "//SPEECH",
+		"//SCENE/SPEECH[1]", "//SPEAKER", "/PLAY/ACT/SCENE/SPEECH/LINE", "/PLAY/ACT/SCENE/*",
+		"/A[+1]", "/A[01]", "/A]", "/A[1]]", "/A[", "//", "",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		steps, err := ParseQuery(q)
+		if err != nil {
+			if !errors.Is(err, ErrBadQuery) || steps != nil {
+				t.Fatalf("ParseQuery(%q) = %+v, %v", q, steps, err)
+			}
+			return
+		}
+		if len(steps) == 0 || 2*len(steps) > len(q) {
+			t.Fatalf("ParseQuery(%q): %d steps", q, len(steps))
+		}
+		var b strings.Builder
+		for _, st := range steps {
+			b.WriteString(st.String())
+		}
+		if b.String() != q {
+			t.Fatalf("ParseQuery(%q) renders as %q", q, b.String())
+		}
+	})
 }

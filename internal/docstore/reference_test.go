@@ -3,6 +3,7 @@ package docstore
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -15,6 +16,97 @@ import (
 	"natix/internal/noderep"
 	"natix/internal/xmlkit"
 )
+
+// The recursive evaluator the machine replaced, as it ran flat-mode
+// queries — kept as the reference TestEvaluatorsAgreeWithReference holds
+// every source and every consumer to. Moved verbatim from query.go but
+// for one clause of xmlMatches: "*" passes over "@name" nodes, which is
+// a no-op on every tree the function ever saw (no parsed element is
+// named "@..."; flat-mode attributes are not nodes) and lets the same
+// evaluator run over the shape tree-mode documents are stored in, where
+// an attribute is an "@name" aggregate that "*" does not select.
+
+// errStepDone signals that a positional predicate selected its match
+// and the step should stop enumerating the current context node. It is
+// converted to a normal return inside the step evaluators.
+var errStepDone = errors.New("docstore: step done")
+
+// xmlStep is scanStep over a parsed XML tree (flat mode): same step
+// semantics, same order, no storage I/O. The context is still honored
+// so a cancelled flat query stops mid-tree.
+func xmlStep(cx context.Context, n *xmlkit.Node, isRoot bool, steps []Step, emit func(*xmlkit.Node) error) error {
+	if len(steps) == 0 {
+		return emit(n)
+	}
+	st := steps[0]
+	count := 0
+	sink := func(m *xmlkit.Node) error {
+		count++
+		if st.Pos == 0 {
+			return xmlStep(cx, m, false, steps[1:], emit)
+		}
+		if count < st.Pos {
+			return nil
+		}
+		if err := xmlStep(cx, m, false, steps[1:], emit); err != nil {
+			return err
+		}
+		return errStepDone
+	}
+	var err error
+	switch {
+	case st.Descendant:
+		if isRoot && xmlMatches(n, st.Name) {
+			err = sink(n)
+		}
+		if err == nil {
+			err = walkXMLDescendants(cx, n, st.Name, sink)
+		}
+	case isRoot:
+		if xmlMatches(n, st.Name) {
+			err = sink(n)
+		}
+	default:
+		if err = ctxErr(cx); err != nil {
+			break
+		}
+		for _, c := range n.Children {
+			if xmlMatches(c, st.Name) {
+				if err = sink(c); err != nil {
+					break
+				}
+			}
+		}
+	}
+	if errors.Is(err, errStepDone) {
+		return nil
+	}
+	return err
+}
+
+func walkXMLDescendants(cx context.Context, n *xmlkit.Node, name string, sink func(*xmlkit.Node) error) error {
+	if err := ctxErr(cx); err != nil {
+		return err
+	}
+	for _, c := range n.Children {
+		if xmlMatches(c, name) {
+			if err := sink(c); err != nil {
+				return err
+			}
+		}
+		if err := walkXMLDescendants(cx, c, name, sink); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func xmlMatches(n *xmlkit.Node, name string) bool {
+	if n.IsText() {
+		return name == "#text"
+	}
+	return name == "*" && !strings.HasPrefix(n.Name, AttrPrefix) || n.Name == name
+}
 
 // The read-out the streaming writer replaced — materialize the stored
 // subtree as an xmlkit tree, then serialize the copy — kept as the

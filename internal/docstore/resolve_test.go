@@ -121,11 +121,17 @@ func postingsOf(t *testing.T, s *Store, query string) ([]pathindex.Posting, []St
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := s.indexFor(info, steps)
+	frames := compile(steps, s.dict)
+	idx, err := s.indexFor(info, frames)
 	if err != nil || idx == nil {
 		t.Fatalf("%s is not answered from the index (%v)", query, err)
 	}
-	posts, err := s.collectIndexed(context.Background(), idx, steps)
+	m := newMachine(&postings{trees: s.trees, cx: context.Background(), idx: idx, frames: make([]postingFrame, len(frames))}, frames)
+	var posts []pathindex.Posting
+	ok, err := m.Next()
+	for ; ok; ok, err = m.Next() {
+		posts = append(posts, m.cur)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

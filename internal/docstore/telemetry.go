@@ -11,7 +11,8 @@ import "natix/internal/telemetry"
 // EvaluatorKind names a query evaluation route.
 type EvaluatorKind string
 
-// The three evaluators.
+// The three routes: one evaluator (machine.go), three sources of
+// candidates.
 const (
 	EvalIndexed EvaluatorKind = "indexed" // posting-list index probe
 	EvalScan    EvaluatorKind = "scan"    // navigating tree scan
@@ -69,4 +70,13 @@ func (s *Store) startOp(op, doc string) *telemetry.Span {
 	sp := s.tracer.Start(op)
 	sp.SetDoc(doc)
 	return sp
+}
+
+// startQueryOp opens the root span of a query operation: "query",
+// "count" or "cursor", suffixed with the route it runs on.
+func (s *Store) startQueryOp(op string, kind EvaluatorKind, doc string) *telemetry.Span {
+	if !s.tracer.Enabled() {
+		return nil
+	}
+	return s.startOp(op+":"+string(kind), doc)
 }

@@ -38,7 +38,7 @@ func (db *DB) Query(name, query string) ([]Match, error) {
 }
 
 // QueryContext is Query honoring a context: cancellation is checked at
-// page-fetch granularity inside the evaluators, so a runaway scan stops
+// page-fetch granularity inside the evaluation, so a runaway scan stops
 // promptly. For results consumed incrementally — first match, top-k,
 // pagination — prefer QueryIter, which does not materialize the result
 // set at all.
