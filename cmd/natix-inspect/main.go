@@ -109,7 +109,7 @@ func main() {
 	}
 
 	if *pages {
-		phase("pages", func() { dumpPages(seg, pool) })
+		phase("pages", func() { dumpPages(seg, pool, store, trees) })
 	}
 	if *doc != "" {
 		phase("doc", func() { dumpDoc(store, trees, d, *doc) })
@@ -297,8 +297,9 @@ func sweepChecksums(dev pagedev.Device, seg *segment.Segment) {
 	os.Exit(1)
 }
 
-func dumpPages(seg *segment.Segment, pool *buffer.Pool) {
+func dumpPages(seg *segment.Segment, pool *buffer.Pool, store *docstore.Store, trees *core.Store) {
 	fmt.Printf("\npage occupancy:\n")
+	free := map[pagedev.PageNo]int{}
 	err := seg.ForEachDataPage(func(p pagedev.PageNo) error {
 		f, err := pool.Get(p)
 		if err != nil {
@@ -310,12 +311,87 @@ func dumpPages(seg *segment.Segment, pool *buffer.Pool) {
 			fmt.Printf("  page %-8d (unformatted)\n", p)
 			return nil
 		}
+		free[p] = sl.FreeBytes()
 		fmt.Printf("  page %-8d %3d records, %5d bytes used, %5d free\n",
 			p, sl.LiveCells(), sl.UsedBytes(), sl.FreeBytes())
 		return nil
 	})
 	if err != nil {
 		fatalf("pages: %v", err)
+	}
+	dumpBytes(seg, free, store, trees)
+}
+
+// dumpBytes closes -pages with the rows of DESIGN.md's "Where the file's
+// bytes go": the documents' records by the format version of their
+// stored images (a store written before version 2 shows as upgraded as
+// far as it has been edited), the free bytes in allocated pages, the
+// path-index blobs, everything else, and the fill over the pages that
+// hold records. free is the free byte count of every data page.
+func dumpBytes(seg *segment.Segment, free map[pagedev.PageNo]int, store *docstore.Store, trees *core.Store) {
+	rm := trees.Records()
+	var count, size [3]int64 // by format version
+	recordPages := map[pagedev.PageNo]bool{}
+	var walk func(rid records.RID)
+	walk = func(rid records.RID) {
+		rec, err := trees.LoadRecordForInspection(rid)
+		if err != nil {
+			fatalf("record %s: %v", rid, err)
+		}
+		n, err := rm.Size(rid)
+		if err != nil {
+			fatalf("record %s: %v", rid, err)
+		}
+		page, err := rm.PageOf(rid)
+		if err != nil {
+			fatalf("record %s: %v", rid, err)
+		}
+		v := rec.ImageVersion()
+		count[v]++
+		size[v] += int64(n)
+		recordPages[page] = true
+		rec.Root.Walk(func(n *noderep.Node) bool {
+			if n.Kind == noderep.KindProxy {
+				walk(n.Target)
+			}
+			return true
+		})
+	}
+	for _, info := range store.Documents() {
+		if info.Mode == docstore.ModeTree {
+			walk(info.Root)
+		}
+	}
+	px, err := pathindex.Open(rm)
+	if err != nil {
+		fatalf("open path index: %v", err)
+	}
+	var index int64
+	for _, name := range px.Names() {
+		n, err := px.BlobSize(name)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		index += n
+	}
+	var freeAll, freeRecordPages int64
+	for p, n := range free {
+		freeAll += int64(n)
+		if recordPages[p] {
+			freeRecordPages += int64(n)
+		}
+	}
+	fmt.Printf("\nwhere the file's bytes go:\n")
+	for v := 1; v < len(count); v++ {
+		fmt.Printf("  %-46s %12d  (%d records)\n", fmt.Sprintf("record bytes, format version %d", v), size[v], count[v])
+	}
+	fmt.Printf("  %-46s %12d\n", "free bytes in allocated pages", freeAll)
+	fmt.Printf("  %-46s %12d\n", "index blobs", index)
+	fmt.Printf("  %-46s %12d\n", "page headers, slots, FSI, dictionary, catalogs", seg.TotalBytes()-size[1]-size[2]-freeAll-index)
+	fmt.Printf("  %-46s %12d\n", "file", seg.TotalBytes())
+	if n := int64(len(recordPages)); n > 0 {
+		fmt.Printf("  %-46s %12.3f  (%d pages)\n", "fill over record pages",
+			1-float64(freeRecordPages)/float64(n*int64(seg.PageSize())), n)
 	}
 }
 

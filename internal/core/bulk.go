@@ -40,8 +40,9 @@ import (
 // BulkOptions tune a bulk build.
 type BulkOptions struct {
 	// FillFactor is the fraction of the net page capacity to pack into
-	// each record and each page (clamped to [0.25, 1]; 0 means 0.9).
-	// Values below 1 leave slack for later incremental updates.
+	// each record and each page (clamped to [0.25, 1]; 0 means 1).
+	// Values below 1 leave slack for later incremental updates; nothing
+	// outside the tests sets one (DESIGN.md, "Bulk loading").
 	FillFactor float64
 
 	// OnRecord, when set, is invoked once per emitted record, after its
@@ -50,6 +51,13 @@ type BulkOptions struct {
 	// callback must not retain or mutate the subtree.
 	OnRecord func(rid records.RID, root *noderep.Node) error
 }
+
+// minRoomDivisor: a record is cut short to fill the page being packed
+// only while that page has at least 1/minRoomDivisor of its capacity
+// left. Filling smaller remainders would shred the document into
+// records of a few nodes, each paying a proxy, a record header and a
+// slot to save less than that.
+const minRoomDivisor = 16
 
 // ErrBulkState reports misuse of the builder's Open/Close protocol.
 var ErrBulkState = errors.New("core: bulk builder protocol violation")
@@ -62,6 +70,7 @@ type BulkBuilder struct {
 	w        *records.BatchWriter
 	onRecord func(records.RID, *noderep.Node) error
 	budget   int // target record size
+	minRoom  int // smallest page remainder a record is cut to fill
 
 	stack []*bulkFrame
 
@@ -122,7 +131,7 @@ func (f *bulkFrame) recordSize() int {
 func (s *Store) NewBulkBuilder(opts BulkOptions) *BulkBuilder {
 	fill := opts.FillFactor
 	if fill == 0 {
-		fill = 0.9
+		fill = 1
 	}
 	if fill < 0.25 {
 		fill = 0.25
@@ -139,6 +148,7 @@ func (s *Store) NewBulkBuilder(opts BulkOptions) *BulkBuilder {
 		w:           s.rm.NewBatchWriter(fill),
 		onRecord:    opts.OnRecord,
 		budget:      budget,
+		minRoom:     s.maxRecordSize() / minRoomDivisor,
 		parentOff:   make(map[records.RID]int),
 		free:        make(chan []byte, 64),
 		runScratch:  noderep.NewTypeSet(),
@@ -410,10 +420,18 @@ func (b *BulkBuilder) flushOnce(f *bulkFrame, relax bool) (bool, error) {
 		if pinned(kids[start]) {
 			continue
 		}
-		// Grow the run while it fits the record budget (the +1 type
-		// reserves the scaffolding aggregate entry). Each child's types
-		// merge from its retained set; a child that overshoots is rolled
-		// back out, so the set stays exact for the emitted record.
+		// Grow the run while it fits the room left in the page being packed,
+		// so that the record ends the page full — or, when that room is
+		// under minRoom or ends before the run has minRoom bytes (the first
+		// child not fitting is the plainest case), the record budget on a
+		// fresh page. The +1 type reserves the scaffolding aggregate entry.
+		// Each child's types merge from its retained set; a child that
+		// overshoots is rolled back out, so the set stays exact for the
+		// emitted record.
+		limit := b.budget
+		if room := b.w.Room(); room < limit && room >= b.minRoom {
+			limit = room
+		}
 		runTypes := b.runScratch
 		runTypes.Reset()
 		runContent := 0
@@ -431,9 +449,14 @@ func (b *BulkBuilder) flushOnce(f *bulkFrame, relax bool) (bool, error) {
 				runTypes.AddNode(c)
 			}
 			next := noderep.RecordOverhead(runTypes.Len()+1) + runContent + noderep.EmbeddedHeaderSize + f.sizes[end]
-			if end > start && next > b.budget {
-				// The run without c was already within budget (checked on
-				// the previous iteration).
+			if next > limit && limit < b.budget && runContent < b.minRoom {
+				// The room ends before the run is worth a record of its
+				// own: leave it empty.
+				limit = b.budget
+			}
+			if next > limit && end > start {
+				// The run without c was already within the limit (checked
+				// on the previous iteration).
 				runTypes.TruncateTo(mark)
 				break
 			}

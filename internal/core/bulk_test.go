@@ -63,7 +63,13 @@ func loadIncremental(t *testing.T, s *Store, r *refNode) *Tree {
 // loadBulk stores a ref tree through the bulk builder.
 func loadBulk(t *testing.T, s *Store, r *refNode, opts BulkOptions) *Tree {
 	t.Helper()
-	b := s.NewBulkBuilder(opts)
+	return s.OpenTree(buildBulk(t, s.NewBulkBuilder(opts), r))
+}
+
+// buildBulk drives one builder through a ref tree and returns the root
+// record.
+func buildBulk(t *testing.T, b *BulkBuilder, r *refNode) records.RID {
+	t.Helper()
 	var walk func(n *refNode)
 	walk = func(n *refNode) {
 		if n.isText {
@@ -87,7 +93,7 @@ func loadBulk(t *testing.T, s *Store, r *refNode, opts BulkOptions) *Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.OpenTree(rid)
+	return rid
 }
 
 // TestBulkEquivalence: bulk-loaded trees must be logically identical to
@@ -234,33 +240,8 @@ func TestBulkFillFactorPacking(t *testing.T) {
 
 	bFull := sFull.NewBulkBuilder(BulkOptions{FillFactor: 1.0})
 	bHalf := sHalf.NewBulkBuilder(BulkOptions{FillFactor: 0.5})
-	for _, pair := range []struct {
-		b *BulkBuilder
-	}{{bFull}, {bHalf}} {
-		var walk func(n *refNode)
-		b := pair.b
-		walk = func(n *refNode) {
-			if n.isText {
-				if err := b.Leaf(noderep.NewTextLiteral(n.text)); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			if err := b.Open(noderep.NewAggregate(n.label)); err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range n.children {
-				walk(c)
-			}
-			if _, err := b.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		walk(ref)
-		if _, err := b.Finish(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	buildBulk(t, bFull, ref)
+	buildBulk(t, bHalf, ref)
 	if bHalf.BatchStats().Pages <= bFull.BatchStats().Pages {
 		t.Fatalf("fill 0.5 used %d pages, fill 1.0 used %d — expected more",
 			bHalf.BatchStats().Pages, bFull.BatchStats().Pages)

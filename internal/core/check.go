@@ -10,8 +10,9 @@ import (
 // CheckInvariants walks every record reachable from the tree root and
 // verifies the physical invariants the storage manager maintains:
 //
-//   - every record's encoded size fits the net page capacity and is the
-//     length of its stored image;
+//   - every record's encoded size fits the net page capacity, and its
+//     stored image has the length its tree encodes to in the image's
+//     format version;
 //   - every record's subtree is structurally valid (noderep.Validate);
 //   - scaffolding aggregates appear only as record roots, and the tree's
 //     root record is rooted in a facade node;
@@ -48,8 +49,8 @@ func (t *Tree) CheckInvariants() error {
 		// image must still be exactly as long as its tree encodes to.
 		if stored, err := s.rm.Size(rid); err != nil {
 			return fmt.Errorf("record %s: %w", rid, err)
-		} else if stored != size {
-			return fmt.Errorf("record %s: stored image has %d bytes, its tree encodes to %d", rid, stored, size)
+		} else if want := l.StoredSize(rec); stored != want {
+			return fmt.Errorf("record %s: stored image has %d bytes, its tree encodes to %d", rid, stored, want)
 		}
 		if rec.ParentRID != wantParent {
 			return fmt.Errorf("record %s: parent RID %s, want %s", rid, rec.ParentRID, wantParent)

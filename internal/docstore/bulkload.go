@@ -31,15 +31,6 @@ import (
 	"natix/internal/xmlkit"
 )
 
-// DefaultBulkFill is the default bulk-load fill factor: records and
-// pages are packed to 90% of capacity, leaving slack for later
-// incremental updates to grow records in place.
-const DefaultBulkFill = 0.9
-
-// SetBulkFill configures the bulk-load fill factor (see
-// core.BulkOptions.FillFactor). Zero restores the default.
-func (s *Store) SetBulkFill(fill float64) { s.bulkFill = fill }
-
 // bulkLoader drives one bulk import: parse events go to the record
 // packer, labels to a dictionary batch, and (when indexing is on) every
 // node and emitted record to the path-index stream builder.
@@ -119,16 +110,12 @@ func (s *Store) newBulkLoaderWith(batch labelBatch) *bulkLoader {
 		batch:     batch,
 		textLimit: s.trees.Records().MaxRecordSize() / 2,
 	}
-	fill := s.bulkFill
-	if fill == 0 {
-		fill = DefaultBulkFill
-	}
 	var onRecord func(records.RID, *noderep.Node) error
 	if s.pindex != nil && s.indexOn {
 		l.sb = pathindex.NewStreamBuilder(&l.sc.index)
 		onRecord = l.sb.OnRecord
 	}
-	l.bb = s.trees.NewBulkBuilder(core.BulkOptions{FillFactor: fill, OnRecord: onRecord})
+	l.bb = s.trees.NewBulkBuilder(core.BulkOptions{OnRecord: onRecord})
 	return l
 }
 

@@ -134,9 +134,6 @@ type Store struct {
 	hmu        sync.RWMutex
 	headerCopy []byte
 
-	// bulkFill is the bulk-load fill factor (0 = DefaultBulkFill).
-	bulkFill float64
-
 	// walW, when attached, is the write-ahead log: Mutate and
 	// InternLabel bracket their work with begin/commit records and roll
 	// failures back from the log (see wal.go).

@@ -3,8 +3,13 @@ package noderep
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"natix/internal/dict"
@@ -73,27 +78,47 @@ func typeSetOf(root *Node) *TypeSet {
 	return ts
 }
 
-// checkSameEncoding holds every production entry point to the reference
-// encoder's bytes for one well-formed record.
-func checkSameEncoding(t *testing.T, rec *Record) {
+// checkBothVersions holds one well-formed record's version 1 image, from
+// the reference encoder, against its version 2 image from every
+// production entry point: both decode to the record, the version 2 image
+// is smaller by exactly the parent offsets it does not store, and the
+// standalone parent RID sits at the same offset in both.
+func checkBothVersions(t *testing.T, rec *Record) {
 	t.Helper()
-	want, err := refEncode(rec)
+	v1, err := refEncodeV1(rec)
 	if err != nil {
-		t.Fatalf("reference rejects a well-formed record: %v", err)
+		t.Fatalf("version 1 reference rejects a well-formed record: %v", err)
 	}
-	if got := EncodedSize(rec); got != len(want) || got != refEncodedSize(rec) {
-		t.Fatalf("EncodedSize = %d, reference %d, image %d bytes", got, refEncodedSize(rec), len(want))
+	if len(v1) != refEncodedSizeV1(rec) || v1[0] != formatVersion1 {
+		t.Fatalf("reference image: %d bytes of version %d, sized %d", len(v1), v1[0], refEncodedSizeV1(rec))
 	}
-	got, err := Encode(rec)
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("Encode differs from reference (err %v)\n got %x\nwant %x", err, got, want)
+	want, err := Encode(rec)
+	if err != nil || want[0] != formatVersion {
+		t.Fatalf("Encode: version %d, err %v", want[0], err)
 	}
+	saved := (embeddedHeaderSizeV1 - EmbeddedHeaderSize) * (rec.Root.CountNodes() - 1)
+	if len(want) != len(v1)-saved || EncodedSize(rec) != len(want) {
+		t.Fatalf("version 2 image has %d bytes (EncodedSize %d), version 1 %d: want %d saved", len(want), EncodedSize(rec), len(v1), saved)
+	}
+
+	// ParentRIDOffset is the same in both versions: the record header,
+	// the type table and the standalone header did not change.
 	types := len(collectTypes(rec.Root))
-	if off := RecordParentRIDOffset(rec); off != ParentRIDOffset(types) {
-		t.Fatalf("RecordParentRIDOffset after Encode = %d, want %d", off, ParentRIDOffset(types))
+	off := ParentRIDOffset(types)
+	for _, img := range [][]byte{v1, want} {
+		dec, err := Decode(img)
+		if err != nil || !Equal(dec.Root, rec.Root) || dec.ParentRID != rec.ParentRID {
+			t.Fatalf("version %d image does not decode to the record (err %v)", img[0], err)
+		}
+		if RecordParentRIDOffset(dec) != off || records.DecodeRID(img[off:off+records.RIDSize]) != rec.ParentRID {
+			t.Fatalf("version %d image: parent RID not at offset %d", img[0], off)
+		}
 	}
-	if off := RecordParentRIDOffset(&Record{Root: rec.Root}); off != ParentRIDOffset(types) {
-		t.Fatalf("RecordParentRIDOffset of an unencoded record = %d, want %d", off, ParentRIDOffset(types))
+	if got := RecordParentRIDOffset(rec); got != off {
+		t.Fatalf("RecordParentRIDOffset after Encode = %d, want %d", got, off)
+	}
+	if got := RecordParentRIDOffset(&Record{Root: rec.Root}); got != off {
+		t.Fatalf("RecordParentRIDOffset of an unencoded record = %d, want %d", got, off)
 	}
 
 	// The tree manager's path: a reused layout, and an image buffer still
@@ -109,38 +134,30 @@ func checkSameEncoding(t *testing.T, rec *Record) {
 		t.Fatalf("Layout.Size = %d, want %d", l.Size(), len(want))
 	}
 	dirty := bytes.Repeat([]byte{0xAB}, len(want)+17)
-	got, err = l.Emit(dirty, rec)
+	got, err := l.Emit(dirty, rec)
 	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("Measure+Emit into a used buffer differs from reference (err %v)", err)
+		t.Fatalf("Measure+Emit into a used buffer differs from Encode (err %v)", err)
 	}
 
 	// The bulk loader's path: type set and content size accounted by the
 	// caller, indexes resolved by key.
 	got, err = EncodeWith(nil, rec, typeSetOf(rec.Root), rec.Root.ContentSize())
 	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("EncodeWith differs from reference (err %v)", err)
-	}
-
-	dec, err := Decode(want)
-	if err != nil || !Equal(dec.Root, rec.Root) || dec.ParentRID != rec.ParentRID {
-		t.Fatalf("Decode(Encode(rec)) does not round-trip (err %v)", err)
-	}
-	if off := RecordParentRIDOffset(dec); off != ParentRIDOffset(types) {
-		t.Fatalf("RecordParentRIDOffset after Decode = %d, want %d", off, ParentRIDOffset(types))
+		t.Fatalf("EncodeWith differs from Encode (err %v)", err)
 	}
 }
 
 func TestEncodeMatchesReference(t *testing.T) {
-	checkSameEncoding(t, &Record{Root: figure2(), ParentRID: records.RID{Page: 9, Slot: 1}})
-	checkSameEncoding(t, &Record{Root: NewAggregate(dict.LabelID(3))})  // empty aggregate
-	checkSameEncoding(t, &Record{Root: NewTextLiteral("")})             // empty literal
-	checkSameEncoding(t, &Record{Root: NewProxy(records.RID{Page: 4})}) // lone proxy
-	checkSameEncoding(t, &Record{Root: NewScaffoldAggregate()})         // scaffolding root
-	checkSameEncoding(t, &Record{Root: benchTree(200), ParentRID: records.RID{Page: 2}})
+	checkBothVersions(t, &Record{Root: figure2(), ParentRID: records.RID{Page: 9, Slot: 1}})
+	checkBothVersions(t, &Record{Root: NewAggregate(dict.LabelID(3))})  // empty aggregate
+	checkBothVersions(t, &Record{Root: NewTextLiteral("")})             // empty literal
+	checkBothVersions(t, &Record{Root: NewProxy(records.RID{Page: 4})}) // lone proxy
+	checkBothVersions(t, &Record{Root: NewScaffoldAggregate()})         // scaffolding root
+	checkBothVersions(t, &Record{Root: benchTree(200), ParentRID: records.RID{Page: 2}})
 
 	rng := rand.New(rand.NewSource(2000))
 	for i := 0; i < 1500; i++ {
-		checkSameEncoding(t, randomRecord(rng))
+		checkBothVersions(t, randomRecord(rng))
 	}
 
 	// Records sized to the byte, as a full page's record is: the last
@@ -153,26 +170,61 @@ func TestEncodeMatchesReference(t *testing.T) {
 		if EncodedSize(rec) != target {
 			t.Fatalf("padding produced %d bytes, want %d", EncodedSize(rec), target)
 		}
-		checkSameEncoding(t, rec)
+		checkBothVersions(t, rec)
 	}
 
 	// The 16-bit limits from the inside: a child of exactly 65535 content
-	// bytes, and an empty aggregate whose header sits at offset 65535.
+	// bytes, and an aggregate whose version 1 header sits at offset 65535,
+	// the last one its child can cite.
 	big := NewAggregate(dict.LabelID(3))
 	big.AppendChild(NewTextLiteral(string(make([]byte, math.MaxUint16))))
-	checkSameEncoding(t, &Record{Root: big})
+	checkBothVersions(t, &Record{Root: big})
 	edge := NewAggregate(dict.LabelID(3))
 	edge.AppendChild(NewTextLiteral(""))
 	edge.AppendChild(NewAggregate(dict.LabelID(4)))
-	fill := math.MaxUint16 - RecordOverhead(3) - EmbeddedHeaderSize
+	fill := math.MaxUint16 - RecordOverhead(3) - embeddedHeaderSizeV1
 	edge.Children[0].Payload = make([]byte, fill)
-	edge.Children[1].AppendChild(NewTextLiteral("x")) // its header offset is the child's parent offset
-	checkSameEncoding(t, &Record{Root: edge})
+	edge.Children[1].AppendChild(NewTextLiteral("x"))
+	checkBothVersions(t, &Record{Root: edge})
+
+	// The records of a corpus play as the parent commit stored them — the
+	// fuzz seed corpus, bulk-loaded and built node by node: each is a
+	// version 1 image of exactly the reference encoder's size.
+	for _, name := range []string{"play-bulk-", "play-incremental-"} {
+		for i := 0; i < 4; i++ {
+			img := readFuzzSeed(t, fmt.Sprintf("%s%d", name, i))
+			rec, err := Decode(img)
+			if err != nil || img[0] != formatVersion1 || len(img) != refEncodedSizeV1(rec) {
+				t.Fatalf("%s%d: version %d, %d bytes, err %v", name, i, img[0], len(img), err)
+			}
+			checkBothVersions(t, rec)
+		}
+	}
+}
+
+// readFuzzSeed returns the []byte argument of a one-argument seed file
+// under testdata/fuzz/FuzzDecode.
+func readFuzzSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecode", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, ok := strings.Cut(string(data), "[]byte(")
+	if !ok {
+		t.Fatalf("%s: no []byte argument", name)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return []byte(s)
 }
 
 // TestEncodeErrorsMatchReference feeds both encoders every malformed or
-// oversized shape they reject; they must agree on the sentinel and the
-// message.
+// oversized shape they reject; they must agree on the sentinel and, for a
+// malformed tree, the message (the sizes an oversized one reports depend
+// on the header size). What only version 1 rejects is stated last.
 func TestEncodeErrorsMatchReference(t *testing.T) {
 	agg := func(kids ...*Node) *Node {
 		n := NewAggregate(dict.LabelID(3))
@@ -210,22 +262,40 @@ func TestEncodeErrorsMatchReference(t *testing.T) {
 		{"embedded scaffolding aggregate", &Record{Root: agg(NewScaffoldAggregate())}, ErrBadNode},
 		{"malformed and oversized", &Record{Root: agg(NewTextLiteral(string(make([]byte, math.MaxUint16+1))), litKids)}, ErrBadNode},
 		{"child content past 16 bits", &Record{Root: agg(NewTextLiteral(string(make([]byte, math.MaxUint16+1))))}, ErrTooLarge},
-		{"nested content past 16 bits", &Record{Root: agg(agg(NewTextLiteral(string(make([]byte, math.MaxUint16-5)))))}, ErrTooLarge},
-		{"parent offset past 16 bits", &Record{Root: tooFar}, ErrTooLarge},
+		{"nested content past 16 bits", &Record{Root: agg(agg(NewTextLiteral(string(make([]byte, math.MaxUint16-EmbeddedHeaderSize+1)))))}, ErrTooLarge},
 	}
 	for _, c := range cases {
-		_, refErr := refEncode(c.rec)
+		_, refErr := refEncodeV1(c.rec)
 		_, err := Encode(c.rec)
 		if !errors.Is(refErr, c.want) {
 			t.Fatalf("%s: reference error %v, want %v", c.name, refErr, c.want)
 		}
-		if !errors.Is(err, c.want) || err.Error() != refErr.Error() {
+		if !errors.Is(err, c.want) || (c.want == ErrBadNode && err.Error() != refErr.Error()) {
 			t.Errorf("%s: Encode error %q, reference %q", c.name, err, refErr)
 		}
 		if c.rec.Root != nil && errors.Is(c.want, ErrBadNode) {
 			if vErr := c.rec.Root.Validate(); vErr == nil || vErr.Error() != refErr.Error() {
 				t.Errorf("%s: Validate error %v, reference %q", c.name, vErr, refErr)
 			}
+		}
+	}
+
+	// Version 1 alone refuses an aggregate with children whose header lies
+	// past offset 65535, and a nested content the 6-byte headers push past
+	// 16 bits; version 2 stores both.
+	for name, rec := range map[string]*Record{
+		"parent offset past 16 bits": {Root: tooFar},
+		"nested content at 16 bits":  {Root: agg(agg(NewTextLiteral(string(make([]byte, math.MaxUint16-EmbeddedHeaderSize)))))},
+	} {
+		if _, err := refEncodeV1(rec); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("%s: version 1 reference error %v, want ErrTooLarge", name, err)
+		}
+		img, err := Encode(rec)
+		if err != nil {
+			t.Fatalf("%s: Encode: %v", name, err)
+		}
+		if dec, err := Decode(img); err != nil || !Equal(dec.Root, rec.Root) {
+			t.Errorf("%s: version 2 image does not round-trip (err %v)", name, err)
 		}
 	}
 

@@ -11,20 +11,29 @@
 //     objects (proxies and helper aggregates) exist only to represent
 //     large trees (§2.3.3).
 //
-// One record stores exactly one subtree. Its byte layout is:
+// One record stores exactly one subtree. Its byte layout (format
+// version 2) is:
 //
 //	record   := version(1) flags(1) ttCount(2) ttEntry*  standalone
 //	ttEntry  := kindFlags(1) label(2) litType(1)
 //	standalone := typeIdx(2) parentRID(8) content
-//	embedded := typeIdx(2) contentSize(2) parentOff(2) content
+//	embedded := typeIdx(2) contentSize(2) content
 //	content  := children* | literalPayload | targetRID(8)
 //
-// Embedded headers are 6 bytes and standalone headers 10 bytes, exactly
-// the header costs reported in Appendix A. Parent pointers of embedded
-// nodes are 2-byte offsets from the start of the record, which keeps the
-// byte representation location-independent. The node type table lives in
-// the record rather than on the page (a documented deviation, DESIGN.md
-// §4.3) so records stay self-contained when the record manager moves them.
+// Standalone headers are 10 bytes, the cost Appendix A reports. Embedded
+// headers are 4 bytes, two fewer than Appendix A's 6: the paper's
+// embedded node also stores a 2-byte offset to its parent's header, and
+// nothing here reads one — a record is at most a page and is always
+// parsed top-down from its standalone root (Decode), which hands every
+// node its parent as it goes; navigation, Locate, the facade walker and
+// the evaluators all work on that parsed tree. Format version 1 did
+// store the offset (embedded := typeIdx(2) contentSize(2) parentOff(2)
+// content); Decode still reads such images, nothing writes them, and a
+// version 1 record becomes version 2 the first time it is edited. The
+// node type table lives in the record rather than on the page (a second
+// deviation; both are recorded in DESIGN.md, "Native storage in one
+// paragraph") so records stay self-contained when the record manager
+// moves them.
 package noderep
 
 import (
@@ -82,15 +91,21 @@ const (
 	LitLongString
 )
 
-// Header sizes from Appendix A.
+// Header sizes (the standalone one is Appendix A's; the embedded one
+// drops Appendix A's parent offset, see the package comment).
 const (
-	EmbeddedHeaderSize   = 6  // typeIdx(2) + size(2) + parentOff(2)
+	EmbeddedHeaderSize   = 4  // typeIdx(2) + size(2)
 	StandaloneHeaderSize = 10 // typeIdx(2) + parentRID(8)
 
 	recHeaderSize = 4 // version(1) + flags(1) + ttCount(2)
 	ttEntrySize   = 4 // kindFlags(1) + label(2) + litType(1)
 
-	formatVersion = 1
+	// formatVersion is the version every image is written in. Version 1
+	// images, whose embedded headers carry a parentOff(2) behind the
+	// size, are only decoded.
+	formatVersion        = 2
+	formatVersion1       = 1
+	embeddedHeaderSizeV1 = 6
 
 	kindMask     = 0x03
 	scaffoldFlag = 0x04
@@ -286,10 +301,18 @@ type Record struct {
 	ParentRID records.RID
 	Root      *Node
 
-	// types is the type-table entry count of the record's stored image,
-	// set by Decode and by Emit; 0 when the record has no image yet.
-	types int
+	// types and version are the type-table entry count and the format
+	// version of the record's stored image, set by Decode and by Emit; 0
+	// when the record has no image yet.
+	types   int
+	version byte
 }
+
+// ImageVersion returns the format version of rec's stored image: the one
+// Decode parsed it from or Emit last wrote, 0 when it has none yet. A
+// store written before version 2 holds version 1 records until each is
+// next edited.
+func (rec *Record) ImageVersion() int { return int(rec.version) }
 
 // ParentRIDOffset is the byte offset of the standalone parent RID within
 // an encoded record, given its type-table entry count. Exposed so the
@@ -411,6 +434,16 @@ type Layout struct {
 // Size returns the exact on-disk size of the measured record.
 func (l *Layout) Size() int { return RecordOverhead(len(l.types)) + l.content }
 
+// StoredSize returns the length rec's stored image must have, l being
+// the layout measured from rec: Size, plus a parent offset per embedded
+// node while the image is still of format version 1.
+func (l *Layout) StoredSize(rec *Record) int {
+	if rec.version == formatVersion1 {
+		return l.Size() + (embeddedHeaderSizeV1-EmbeddedHeaderSize)*(len(l.idx)-1)
+	}
+	return l.Size()
+}
+
 // Measure validates rec (Validate's conditions) and computes its layout
 // in one descent. It only reads rec, so it is safe under a read lock.
 func Measure(rec *Record, l *Layout) error {
@@ -489,8 +522,9 @@ func EncodedSize(rec *Record) int {
 
 // Emit writes the image of the record l was measured from into dst
 // (reused when large enough). rec must not have changed since Measure.
-// Emit notes the image's type count in rec for RecordParentRIDOffset, so
-// the caller must hold rec exclusively.
+// Emit notes the image's type count and version in rec (for
+// RecordParentRIDOffset and StoredSize), so the caller must hold rec
+// exclusively.
 func (l *Layout) Emit(dst []byte, rec *Record) ([]byte, error) {
 	e := emitter{order: l.types, idx: l.idx}
 	buf, err := e.emit(dst, rec, l.Size())
@@ -500,7 +534,7 @@ func (l *Layout) Emit(dst []byte, rec *Record) ([]byte, error) {
 	if e.next != len(l.idx) {
 		return nil, fmt.Errorf("noderep: encode node count mismatch: wrote %d of %d", e.next, len(l.idx))
 	}
-	rec.types = len(l.types)
+	rec.types, rec.version = len(l.types), formatVersion
 	return buf, nil
 }
 
@@ -579,7 +613,6 @@ func (e *emitter) emit(dst []byte, rec *Record, size int) ([]byte, error) {
 		pos += ttEntrySize
 	}
 	// Standalone header.
-	rootOff := pos
 	ti, err := e.typeOf(rec.Root)
 	if err != nil {
 		return nil, err
@@ -588,7 +621,7 @@ func (e *emitter) emit(dst []byte, rec *Record, size int) ([]byte, error) {
 	rec.ParentRID.Put(buf[pos+2:])
 	pos += StandaloneHeaderSize
 	// Root content.
-	end, err := e.content(pos, rec.Root, rootOff)
+	end, err := e.content(pos, rec.Root)
 	if err != nil {
 		return nil, err
 	}
@@ -598,11 +631,10 @@ func (e *emitter) emit(dst []byte, rec *Record, size int) ([]byte, error) {
 	return buf, nil
 }
 
-// content writes the content of n starting at pos; hdrOff is the offset
-// of n's own header (used as the children's parent offset). Embedded
-// content sizes are backpatched after each child is written, so encoding
-// never re-walks subtrees to size them.
-func (e *emitter) content(pos int, n *Node, hdrOff int) (int, error) {
+// content writes the content of n starting at pos. Embedded content
+// sizes are backpatched after each child is written, so encoding never
+// re-walks subtrees to size them.
+func (e *emitter) content(pos int, n *Node) (int, error) {
 	buf := e.buf
 	switch n.Kind {
 	case KindLiteral:
@@ -618,9 +650,6 @@ func (e *emitter) content(pos int, n *Node, hdrOff int) (int, error) {
 		n.Target.Put(buf[pos:])
 		return pos + records.RIDSize, nil
 	case KindAggregate:
-		if hdrOff > math.MaxUint16 {
-			return 0, fmt.Errorf("%w: parent offset %d", ErrTooLarge, hdrOff)
-		}
 		for _, c := range n.Children {
 			cHdr := pos
 			if pos+EmbeddedHeaderSize > len(buf) {
@@ -631,9 +660,8 @@ func (e *emitter) content(pos int, n *Node, hdrOff int) (int, error) {
 				return 0, err
 			}
 			binary.LittleEndian.PutUint16(buf[pos:], ti)
-			binary.LittleEndian.PutUint16(buf[pos+4:], uint16(hdrOff))
 			pos += EmbeddedHeaderSize
-			pos, err = e.content(pos, c, cHdr)
+			pos, err = e.content(pos, c)
 			if err != nil {
 				return 0, err
 			}
@@ -649,8 +677,9 @@ func (e *emitter) content(pos int, n *Node, hdrOff int) (int, error) {
 	}
 }
 
-// Decode parses a record image back into a node tree, validating sizes,
-// type indexes and parent offsets.
+// Decode parses a record image of either format version back into a
+// node tree, validating sizes and type indexes — and, in a version 1
+// image, the stored parent offsets.
 //
 // The returned tree is arena-backed: a structural pre-pass sizes three
 // shared allocations (the Node array, the child-pointer backing and the
@@ -665,7 +694,12 @@ func Decode(buf []byte) (*Record, error) {
 	if len(buf) < recHeaderSize+StandaloneHeaderSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrCorruptRecord, len(buf)) //natix:vet-ignore cold corrupt-input path
 	}
-	if buf[0] != formatVersion {
+	hdr := EmbeddedHeaderSize
+	switch buf[0] {
+	case formatVersion:
+	case formatVersion1:
+		hdr = embeddedHeaderSizeV1
+	default:
 		return nil, fmt.Errorf("%w: version %d", ErrCorruptRecord, buf[0]) //natix:vet-ignore cold corrupt-input path
 	}
 	ttCount := int(binary.LittleEndian.Uint16(buf[2:]))
@@ -690,7 +724,7 @@ func Decode(buf []byte) (*Record, error) {
 	parentRID := records.DecodeRID(buf[pos+2 : pos+10])
 	pos += StandaloneHeaderSize
 	types[rootIdx].used = true
-	nNodes, nPayload, err := countContent(buf, pos, len(buf), types[rootIdx].kindFlags, types)
+	nNodes, nPayload, err := countContent(buf, pos, len(buf), hdr, types[rootIdx].kindFlags, types)
 	if err != nil {
 		return nil, err
 	}
@@ -698,6 +732,7 @@ func Decode(buf []byte) (*Record, error) {
 		return nil, err
 	}
 	a := &decodeArena{
+		hdr:     hdr,
 		nodes:   make([]Node, 0, nNodes+1), //natix:vet-ignore arena backing, part of the record's allocation budget
 		kids:    make([]*Node, 0, nNodes),  //natix:vet-ignore arena backing, part of the record's allocation budget
 		payload: make([]byte, 0, nPayload), //natix:vet-ignore arena backing, part of the record's allocation budget
@@ -709,7 +744,7 @@ func Decode(buf []byte) (*Record, error) {
 	if err := a.decodeContent(buf, pos, len(buf), root, rootOff, types); err != nil {
 		return nil, err
 	}
-	return &Record{ParentRID: parentRID, Root: root, types: ttCount}, nil
+	return &Record{ParentRID: parentRID, Root: root, types: ttCount, version: buf[0]}, nil
 }
 
 // tableEntry is one type-table entry during Decode, marked once a node
@@ -739,11 +774,11 @@ func checkTableExact(types []tableEntry) error {
 }
 
 // countContent is Decode's sizing pre-pass: it hops the embedded headers
-// of the content of a node with kind flags kf in buf[pos:end), counting
-// descendant nodes and literal payload bytes (including a literal's own
-// content) and marking the type-table entries they cite. Structural
-// errors surface here, before any allocation.
-func countContent(buf []byte, pos, end int, kf byte, types []tableEntry) (nodes, payload int, err error) {
+// (of hdr bytes each) of the content of a node with kind flags kf in
+// buf[pos:end), counting descendant nodes and literal payload bytes
+// (including a literal's own content) and marking the type-table entries
+// they cite. Structural errors surface here, before any allocation.
+func countContent(buf []byte, pos, end, hdr int, kf byte, types []tableEntry) (nodes, payload int, err error) {
 	switch Kind(kf & kindMask) {
 	case KindLiteral:
 		return 0, end - pos, nil
@@ -751,7 +786,7 @@ func countContent(buf []byte, pos, end int, kf byte, types []tableEntry) (nodes,
 		return 0, 0, nil
 	case KindAggregate:
 		for pos < end {
-			if pos+EmbeddedHeaderSize > end {
+			if pos+hdr > end {
 				return 0, 0, fmt.Errorf("%w: truncated embedded header", ErrCorruptRecord)
 			}
 			ti := int(binary.LittleEndian.Uint16(buf[pos:]))
@@ -760,11 +795,11 @@ func countContent(buf []byte, pos, end int, kf byte, types []tableEntry) (nodes,
 				return 0, 0, fmt.Errorf("%w: type index %d of %d", ErrCorruptRecord, ti, len(types))
 			}
 			types[ti].used = true
-			pos += EmbeddedHeaderSize
+			pos += hdr
 			if pos+cs > end {
 				return 0, 0, fmt.Errorf("%w: child content overruns parent", ErrCorruptRecord)
 			}
-			cn, cp, err := countContent(buf, pos, pos+cs, types[ti].kindFlags, types)
+			cn, cp, err := countContent(buf, pos, pos+cs, hdr, types[ti].kindFlags, types)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -778,8 +813,10 @@ func countContent(buf []byte, pos, end int, kf byte, types []tableEntry) (nodes,
 	}
 }
 
-// decodeArena holds one record's shared decode allocations.
+// decodeArena holds one record's shared decode allocations and the
+// embedded header size of the image's format version.
 type decodeArena struct {
+	hdr     int
 	nodes   []Node
 	kids    []*Node
 	payload []byte
@@ -832,7 +869,8 @@ func (a *decodeArena) takePayload(b []byte) []byte {
 }
 
 // decodeContent fills n from buf[pos:end]; hdrOff is the offset of n's
-// header, which children must cite as their parent offset.
+// header, which the children of a version 1 image must cite as their
+// parent offset.
 func (a *decodeArena) decodeContent(buf []byte, pos, end int, n *Node, hdrOff int, types []tableEntry) error {
 	switch n.Kind {
 	case KindLiteral:
@@ -848,25 +886,21 @@ func (a *decodeArena) decodeContent(buf []byte, pos, end int, n *Node, hdrOff in
 		}
 		return nil
 	case KindAggregate:
-		// The encoder refuses both (Measure, Emit): a helper aggregate
-		// only ever stands alone as a record root (§3.2.2), and children
-		// could not cite a header past the 16-bit parent offset.
+		// The encoder refuses it (Measure): a helper aggregate only ever
+		// stands alone as a record root (§3.2.2).
 		if n.Scaffold && n.Parent != nil {
 			return fmt.Errorf("%w: embedded scaffolding aggregate", ErrCorruptRecord)
-		}
-		if hdrOff > math.MaxUint16 {
-			return fmt.Errorf("%w: aggregate at offset %d", ErrCorruptRecord, hdrOff)
 		}
 		// First sweep: count this level's children by hopping the
 		// embedded headers, so their pointer slice is carved contiguously
 		// before the recursion below carves deeper levels.
 		count := 0
 		for p := pos; p < end; count++ {
-			if p+EmbeddedHeaderSize > end {
+			if p+a.hdr > end {
 				return fmt.Errorf("%w: truncated embedded header", ErrCorruptRecord)
 			}
 			cs := int(binary.LittleEndian.Uint16(buf[p+2:]))
-			p += EmbeddedHeaderSize
+			p += a.hdr
 			if p+cs > end {
 				return fmt.Errorf("%w: child content overruns parent", ErrCorruptRecord)
 			}
@@ -876,15 +910,16 @@ func (a *decodeArena) decodeContent(buf []byte, pos, end int, n *Node, hdrOff in
 		for pos < end {
 			ti := int(binary.LittleEndian.Uint16(buf[pos:]))
 			cs := int(binary.LittleEndian.Uint16(buf[pos+2:]))
-			po := int(binary.LittleEndian.Uint16(buf[pos+4:]))
 			if ti >= len(types) {
 				return fmt.Errorf("%w: type index %d of %d", ErrCorruptRecord, ti, len(types))
 			}
-			if po != hdrOff {
-				return fmt.Errorf("%w: parent offset %d, want %d", ErrCorruptRecord, po, hdrOff)
+			if a.hdr == embeddedHeaderSizeV1 {
+				if po := int(binary.LittleEndian.Uint16(buf[pos+4:])); po != hdrOff {
+					return fmt.Errorf("%w: parent offset %d, want %d", ErrCorruptRecord, po, hdrOff)
+				}
 			}
 			cHdr := pos
-			pos += EmbeddedHeaderSize
+			pos += a.hdr
 			c, err := a.newNode(types[ti].typeKey)
 			if err != nil {
 				return err

@@ -1,6 +1,7 @@
 package noderep
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -34,14 +35,18 @@ func figure2() *Node {
 }
 
 func TestFigure15Sizes(t *testing.T) {
-	// Appendix A, figure 15: embedded headers are 6 bytes, standalone
-	// headers 10 bytes. Check the arithmetic on the paper's own example.
+	// Appendix A, figure 15: standalone headers are 10 bytes and embedded
+	// ones 6; format version 2 stores no parent offset, so its embedded
+	// headers are 4. Check the arithmetic on the paper's own example.
 	speech := figure2()
-	// Each LINE aggregate: 6-byte header + text-literal child
-	// (6 + len(text)).
+	// Each LINE aggregate: 4-byte header + text-literal child
+	// (4 + len(text)).
 	line1 := speech.Children[1]
-	if got, want := line1.TotalSize(), 6+6+len("Let me see your eyes;"); got != want {
+	if got, want := line1.TotalSize(), 4+4+len("Let me see your eyes;"); got != want {
 		t.Fatalf("LINE size = %d, want %d", got, want)
+	}
+	if got, want := refContentSizeV1(line1), 6+len("Let me see your eyes;"); got != want {
+		t.Fatalf("version 1 LINE content = %d, want Appendix A's %d", got, want)
 	}
 	rec := &Record{Root: speech}
 	// Record: header(4) + type table (5 types: SPEECH agg, SPEAKER agg,
@@ -182,11 +187,23 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := Decode(bad); err == nil {
 		t.Fatal("bad version accepted")
 	}
-	// Corrupt a parent offset.
 	bad = append([]byte(nil), buf...)
 	bad[len(bad)-1] ^= 0xFF // inside last literal payload: still decodes
 	if _, err := Decode(bad); err != nil {
 		t.Fatalf("payload change should still decode: %v", err)
+	}
+	// A version 1 image has its parent offsets checked.
+	v1, err := refEncodeV1(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(v1); err != nil {
+		t.Fatalf("version 1 image: %v", err)
+	}
+	lastHdr := len(v1) - len("Look in my face.") - embeddedHeaderSizeV1
+	v1[lastHdr+4] ^= 0x01
+	if _, err := Decode(v1); !errors.Is(err, ErrCorruptRecord) {
+		t.Fatalf("version 1 image with a wrong parent offset: %v", err)
 	}
 }
 

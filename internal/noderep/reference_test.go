@@ -1,9 +1,14 @@
 package noderep
 
-// The encoder as it stood before measure and emit were fused: five walks
-// (validate, collectTypes, ContentSize, encodeContent with a type scan
-// per node). Kept as the reference the differential tests compare the
-// production encoder against, byte for byte and error for error.
+// The format version 1 encoder, in the shape it had before measure and
+// emit were fused: five walks (validate, collectTypes, content size,
+// encodeContent with a type scan per node). Version 1 embedded headers
+// are 6 bytes — typeIdx(2) contentSize(2) parentOff(2) — and an aggregate
+// whose header lies past offset 65535 cannot be written, since its
+// children could not cite it. Production code only decodes this format;
+// the differential tests hold the current encoder against this one tree
+// for tree, size for size and error for error, and the stores of
+// version 1 records the upgrade tests open are written with it.
 
 import (
 	"encoding/binary"
@@ -59,21 +64,31 @@ func collectTypes(root *Node) []typeKey {
 	return order
 }
 
-func refEncodedSize(rec *Record) int {
-	order := collectTypes(rec.Root)
-	return recHeaderSize + ttEntrySize*len(order) + StandaloneHeaderSize + rec.Root.ContentSize()
+// refContentSizeV1 is ContentSize with version 1 headers.
+func refContentSizeV1(n *Node) int {
+	if n.Kind != KindAggregate {
+		return n.ContentSize()
+	}
+	total := 0
+	for _, c := range n.Children {
+		total += embeddedHeaderSizeV1 + refContentSizeV1(c)
+	}
+	return total
 }
 
-func refEncode(rec *Record) ([]byte, error) {
+func refEncodedSizeV1(rec *Record) int {
+	order := collectTypes(rec.Root)
+	return recHeaderSize + ttEntrySize*len(order) + StandaloneHeaderSize + refContentSizeV1(rec.Root)
+}
+
+func refEncodeV1(rec *Record) ([]byte, error) {
 	if rec.Root == nil {
 		return nil, fmt.Errorf("%w: nil root", ErrBadNode)
 	}
 	if err := refValidate(rec.Root, true); err != nil {
 		return nil, err
 	}
-	order := collectTypes(rec.Root)
-	size := recHeaderSize + ttEntrySize*len(order) + StandaloneHeaderSize + rec.Root.ContentSize()
-	return refEncodeInto(rec, size, order)
+	return refEncodeInto(rec, refEncodedSizeV1(rec), collectTypes(rec.Root))
 }
 
 func refEncodeInto(rec *Record, size int, order []typeKey) ([]byte, error) {
@@ -81,7 +96,7 @@ func refEncodeInto(rec *Record, size int, order []typeKey) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d node types", ErrTooLarge, len(order))
 	}
 	buf := make([]byte, size)
-	buf[0] = formatVersion
+	buf[0] = formatVersion1
 	buf[1] = 0
 	binary.LittleEndian.PutUint16(buf[2:], uint16(len(order)))
 	pos := recHeaderSize
@@ -125,18 +140,18 @@ func refEncodeContent(buf []byte, pos int, n *Node, hdrOff int, order []typeKey)
 		}
 		for _, c := range n.Children {
 			cHdr := pos
-			if pos+EmbeddedHeaderSize > len(buf) {
+			if pos+embeddedHeaderSizeV1 > len(buf) {
 				return 0, fmt.Errorf("%w: embedded header overruns record", ErrTooLarge)
 			}
 			binary.LittleEndian.PutUint16(buf[pos:], uint16(typeIndex(order, nodeTypeKey(c))))
 			binary.LittleEndian.PutUint16(buf[pos+4:], uint16(hdrOff))
-			pos += EmbeddedHeaderSize
+			pos += embeddedHeaderSizeV1
 			var err error
 			pos, err = refEncodeContent(buf, pos, c, cHdr, order)
 			if err != nil {
 				return 0, err
 			}
-			cs := pos - cHdr - EmbeddedHeaderSize
+			cs := pos - cHdr - embeddedHeaderSizeV1
 			if cs > math.MaxUint16 {
 				return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, cs)
 			}

@@ -7,13 +7,15 @@ import (
 	"natix/internal/records"
 )
 
-// Splice edits a stored record image in place of a re-encode: adding or
-// removing one child subtree costs the subtree's own bytes, the content
-// sizes of its ancestors and one flat pass over the headers behind it —
-// no Measure, no Emit, nothing proportional to the nodes in front of the
-// edit. The image keeps its type table as stored (Decode does not care
-// about the table's order), so an edit that would need a new entry, or
-// leave one unused, is not spliceable and takes the full encode.
+// Splice edits a stored record image in place of a re-encode: adding
+// one child subtree costs the subtree's own bytes, the move of the bytes
+// behind it and the content sizes of its ancestors; removing one costs
+// the move, the sizes and one flat pass over the record's headers
+// (typesSurvive) — no Measure, no Emit, no tree walk. The image keeps
+// its type table as stored (Decode does not care about the table's
+// order), so an edit that would need a new entry, or leave one unused,
+// is not spliceable and takes the full encode. Neither is an image of an
+// older format version: its first edit re-encodes it in the current one.
 //
 // A Splice is reusable; the zero value is ready.
 type Splice struct {
@@ -48,63 +50,63 @@ func nextHeader(img []byte, p, ti int) int {
 
 // locate header-hops img along path — the child indexes from the record
 // root down to the edit point — and returns the byte offset of child
-// path[len-1] of the aggregate the rest of the path leads to, the end of
-// that aggregate's content and the offset of its header. The offsets of
-// the content-size fields of the embedded aggregates on the way are left
-// in sp.Fields. It reads nothing outside img, whatever img holds.
-func (sp *Splice) locate(img []byte, path []int) (pos, end, hdrOff int, ok bool) {
+// path[len-1] of the aggregate the rest of the path leads to and the end
+// of that aggregate's content. The offsets of the content-size fields of
+// the embedded aggregates on the way are left in sp.Fields. It reads
+// nothing outside img, whatever img holds.
+func (sp *Splice) locate(img []byte, path []int) (pos, end int, ok bool) {
 	sp.Fields = sp.Fields[:0]
 	if len(path) == 0 || len(img) < recHeaderSize+StandaloneHeaderSize || img[0] != formatVersion {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
 	tt := u16(img[2:])
-	hdrOff = recHeaderSize + ttEntrySize*tt
-	if hdrOff+StandaloneHeaderSize > len(img) {
-		return 0, 0, 0, false
+	root := recHeaderSize + ttEntrySize*tt
+	if root+StandaloneHeaderSize > len(img) {
+		return 0, 0, false
 	}
-	ti := u16(img[hdrOff:])
-	pos, end = hdrOff+StandaloneHeaderSize, len(img)
+	ti := u16(img[root:])
+	pos, end = root+StandaloneHeaderSize, len(img)
 	for depth, idx := range path {
 		if ti >= tt || tableKind(img, ti) != KindAggregate || idx < 0 {
-			return 0, 0, 0, false
+			return 0, 0, false
 		}
 		for ; idx > 0; idx-- {
 			if pos+EmbeddedHeaderSize > end {
-				return 0, 0, 0, false
+				return 0, 0, false
 			}
 			pos += EmbeddedHeaderSize + u16(img[pos+2:])
 		}
 		if pos > end {
-			return 0, 0, 0, false
+			return 0, 0, false
 		}
 		if depth == len(path)-1 {
 			break
 		}
 		if pos+EmbeddedHeaderSize > end {
-			return 0, 0, 0, false
+			return 0, 0, false
 		}
 		ti = u16(img[pos:])
 		cs := u16(img[pos+2:])
 		if pos+EmbeddedHeaderSize+cs > end {
-			return 0, 0, 0, false
+			return 0, 0, false
 		}
 		sp.Fields = append(sp.Fields, pos+2)
-		hdrOff = pos
 		pos += EmbeddedHeaderSize
 		end = pos + cs
 	}
-	return pos, end, hdrOff, true
+	return pos, end, true
 }
 
 // Insert returns img with the subtree n added as child path[len-1] of
 // the aggregate at path[:len-1], or false when that is not a splice: a
 // node type missing from img's type table, a record past limit bytes or
-// past the 16-bit offsets, a path that does not resolve. img is consumed
-// either way — the result reuses its backing array when that has room
-// for limit bytes — so the caller passes a copy of the stored image, and
-// n must be well-formed (Validate).
+// past 64 KB (no 16-bit content size in it can then overflow), a path
+// that does not resolve, an image of an older format version. img is
+// consumed either way — the result reuses its backing array when that
+// has room for limit bytes — so the caller passes a copy of the stored
+// image, and n must be well-formed (Validate).
 func (sp *Splice) Insert(img []byte, path []int, n *Node, limit int) ([]byte, bool) {
-	pos, _, hdrOff, ok := sp.locate(img, path)
+	pos, _, ok := sp.locate(img, path)
 	if !ok {
 		return nil, false
 	}
@@ -118,14 +120,11 @@ func (sp *Splice) Insert(img []byte, path []int, n *Node, limit int) ([]byte, bo
 	}
 	img = img[:size]
 	copy(img[pos+delta:], img[pos:old])
-	if end, ok := emitEmbedded(img, pos, n, hdrOff); !ok || end != pos+delta {
+	if end, ok := emitEmbedded(img, pos, n); !ok || end != pos+delta {
 		return nil, false
 	}
 	for _, f := range sp.Fields {
 		putU16(img[f:], u16(img[f:])+delta)
-	}
-	if !shiftParents(img, pos+delta, pos, delta) {
-		return nil, false
 	}
 	sp.From = pos
 	return img, true
@@ -137,7 +136,7 @@ func (sp *Splice) Insert(img []byte, path []int, n *Node, limit int) ([]byte, bo
 // re-encode would drop the type-table entry, or the path does not
 // resolve. img is consumed either way.
 func (sp *Splice) Remove(img []byte, path []int) ([]byte, bool) {
-	pos, end, _, ok := sp.locate(img, path)
+	pos, end, ok := sp.locate(img, path)
 	if !ok || pos+EmbeddedHeaderSize > end {
 		return nil, false
 	}
@@ -151,25 +150,20 @@ func (sp *Splice) Remove(img []byte, path []int) ([]byte, bool) {
 	for _, f := range sp.Fields {
 		putU16(img[f:], u16(img[f:])-del)
 	}
-	if !shiftParents(img, pos, pos+del, -del) {
-		return nil, false
-	}
 	sp.From = pos
 	return img, true
 }
 
 // emitEmbedded writes n as an embedded node at pos — header, content,
 // its content size backpatched — with the table indexes img's type table
-// already has, and returns the offset behind it. parentOff is the offset
-// of the header of n's parent.
-func emitEmbedded(img []byte, pos int, n *Node, parentOff int) (int, bool) {
+// already has, and returns the offset behind it.
+func emitEmbedded(img []byte, pos int, n *Node) (int, bool) {
 	ti := tableIndex(img, nodeTypeKey(n))
 	if ti < 0 || pos+EmbeddedHeaderSize > len(img) {
 		return 0, false
 	}
 	hdr := pos
 	putU16(img[hdr:], ti)
-	putU16(img[hdr+4:], parentOff)
 	pos += EmbeddedHeaderSize
 	switch n.Kind {
 	case KindLiteral:
@@ -186,7 +180,7 @@ func emitEmbedded(img []byte, pos int, n *Node, parentOff int) (int, bool) {
 	case KindAggregate:
 		for _, c := range n.Children {
 			var ok bool
-			if pos, ok = emitEmbedded(img, pos, c, hdr); !ok {
+			if pos, ok = emitEmbedded(img, pos, c); !ok {
 				return 0, false
 			}
 		}
@@ -206,25 +200,6 @@ func tableIndex(img []byte, k typeKey) int {
 		}
 	}
 	return -1
-}
-
-// shiftParents is the flat pass over the embedded headers of img[from:]:
-// a node whose parent's header sat at or behind moved before the edit
-// has its parent offset adjusted by delta.
-func shiftParents(img []byte, from, moved, delta int) bool {
-	tt := u16(img[2:])
-	p := from
-	for p+EmbeddedHeaderSize <= len(img) {
-		ti := u16(img[p:])
-		if ti >= tt {
-			return false
-		}
-		if po := u16(img[p+4:]); po >= moved {
-			putU16(img[p+4:], po+delta)
-		}
-		p = nextHeader(img, p, ti)
-	}
-	return p == len(img)
 }
 
 // typesSurvive reports whether every node type used inside img[lo:hi)

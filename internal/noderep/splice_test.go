@@ -222,8 +222,9 @@ func TestSpliceRefusals(t *testing.T) {
 
 // TestDecodeRejectsWhatMeasureRejects: the shapes the encoder never
 // writes are corrupt records to the decoder too — embedded scaffolding
-// aggregates, an aggregate past the 16-bit parent offsets, and a type
-// table with an unused or a repeated entry.
+// aggregates and a type table with an unused or a repeated entry. An
+// aggregate past offset 65535 was a third while children had to cite it
+// in 16 bits; version 2 writes and reads it.
 func TestDecodeRejectsWhatMeasureRejects(t *testing.T) {
 	good, err := Encode(&Record{Root: NewAggregate(3).AppendChild(NewAggregate(4)).AppendChild(NewTextLiteral("t"))})
 	if err != nil {
@@ -253,28 +254,21 @@ func TestDecodeRejectsWhatMeasureRejects(t *testing.T) {
 		return b
 	})
 
-	// An empty aggregate whose header lies past offset 65535: its parent
-	// is the root, so no parent offset had to name it.
+	// An aggregate with a child, its header past offset 65535.
 	far := &Record{Root: NewAggregate(3)}
 	for size := 0; size <= math.MaxUint16; size += 60000 + EmbeddedHeaderSize {
 		far.Root.AppendChild(NewLiteral(5, LitString, make([]byte, 60000)))
 	}
+	far.Root.AppendChild(NewAggregate(3).AppendChild(NewLiteral(5, LitString, []byte("x"))))
 	img, err := Encode(far)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(img); err != nil {
-		t.Fatalf("large record of literals: %v", err)
+	if dec, err := Decode(img); err != nil || !Equal(dec.Root, far.Root) {
+		t.Fatalf("aggregate past offset 65535 does not round-trip: %v", err)
 	}
-	// Append an empty embedded aggregate of the root's type by hand.
-	hdr := make([]byte, EmbeddedHeaderSize)
-	putU16(hdr[4:], recHeaderSize+2*ttEntrySize)
-	if _, err := Decode(append(img, hdr...)); !errors.Is(err, ErrCorruptRecord) {
-		t.Errorf("aggregate past offset 65535: Decode error %v, want ErrCorruptRecord", err)
-	}
-	far.Root.AppendChild(NewAggregate(3))
-	if _, err := Encode(far); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("aggregate past offset 65535: Encode error %v, want ErrTooLarge", err)
+	if _, err := refEncodeV1(far); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("aggregate past offset 65535: version 1 reference error %v, want ErrTooLarge", err)
 	}
 }
 
@@ -297,7 +291,8 @@ func fuzzNode(kind uint8, label uint16, payload []byte) *Node {
 // FuzzSplice feeds Insert and Remove arbitrary images, paths and nodes.
 // Whatever the image, neither may panic or write outside the buffer it
 // was given; on an image Decode accepts, a splice that is reported done
-// decodes to the tree-level edit and has the size of its re-encode.
+// decodes to the tree-level edit and has the size of its re-encode; and
+// an image of format version 1 is never spliced.
 func FuzzSplice(f *testing.F) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 12; i++ {
@@ -317,8 +312,12 @@ func FuzzSplice(f *testing.F) {
 		}
 		f.Add(img, path, uint8(i), uint16(3+rng.Intn(12)), []byte("payload"))
 	}
-	img, _ := Encode(&Record{Root: figure2(), ParentRID: records.RID{Page: 77, Slot: 3}})
+	fig := &Record{Root: figure2(), ParentRID: records.RID{Page: 77, Slot: 3}}
+	img, _ := Encode(fig)
 	f.Add(img, []byte{1, 0}, uint8(3), uint16(dict.Text), []byte("between the lines"))
+	img, _ = refEncodeV1(fig)
+	f.Add(img, []byte{1, 0}, uint8(3), uint16(dict.Text), []byte("between the lines"))
+	f.Add(img, []byte{2}, uint8(3), uint16(dict.Text), []byte("at the end"))
 
 	f.Fuzz(func(t *testing.T, image, pathBytes []byte, kind uint8, label uint16, payload []byte) {
 		if len(pathBytes) > 16 || len(image) > 1<<16 {
@@ -374,6 +373,9 @@ func FuzzSplice(f *testing.F) {
 			}
 		}
 		removed, okRem := sp.Remove(append([]byte(nil), image...), path)
+		if image[0] == formatVersion1 && (okIns || okRem) {
+			t.Fatalf("version 1 image spliced (insert %v, remove %v)", okIns, okRem)
+		}
 		if okRem {
 			if parent == nil || parent.Kind != KindAggregate || idx < 0 || idx >= len(parent.Children) {
 				t.Fatalf("Remove at unresolvable path %v reported done", path)

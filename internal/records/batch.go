@@ -85,13 +85,14 @@ type BatchWriter struct {
 }
 
 // NewBatchWriter returns a batch writer that fills each page up to
-// fill × capacity (clamped to [0.25, 1]; 0 means 0.9). The slack left
-// by fill factors below 1 is registered in the free-space inventory, so
-// later incremental inserts into the loaded document can grow records
-// in place instead of splitting immediately.
+// fill × capacity (clamped to [0.25, 1]; 0 means 1: a bulk load fills
+// its pages, and the first insert into a full record splits it, as the
+// paper's algorithm does anywhere else). The slack left by fill factors
+// below 1 is registered in the free-space inventory, so incremental
+// inserts into the loaded document can grow records in place.
 func (m *Manager) NewBatchWriter(fill float64) *BatchWriter {
 	if fill == 0 {
-		fill = 0.9
+		fill = 1
 	}
 	if fill < 0.25 {
 		fill = 0.25
@@ -111,6 +112,14 @@ func (m *Manager) NewBatchWriter(fill float64) *BatchWriter {
 // bytes are on their page, it is handed back for reuse. The sink runs on
 // the flusher goroutine and must be safe for that.
 func (w *BatchWriter) SetRecycle(fn func([]byte)) { w.recycle = fn }
+
+// Room returns the size of the largest body the page being packed still
+// takes; a larger one starts the next page. The bulk builder cuts its
+// records to it, so pages end full instead of wherever the next
+// budget-sized record happened not to fit.
+func (w *BatchWriter) Room() int {
+	return w.budget - w.used - pageformat.SlotOverhead
+}
 
 // Insert buffers one record body and returns the RID it will occupy.
 // The writer takes ownership of data (Patch may modify it in place, and

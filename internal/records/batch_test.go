@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"natix/internal/pageformat"
 )
 
 func TestBatchWriterRoundTrip(t *testing.T) {
@@ -99,6 +101,62 @@ func TestBatchWriterFillFactorLeavesSlack(t *testing.T) {
 	}
 	if rid.Page != first.Page {
 		t.Fatalf("slack not reused: insert went to page %d, not %d", rid.Page, first.Page)
+	}
+}
+
+// TestBatchWriterRoom: Room is the largest body the page being packed
+// still takes — it shrinks by body plus slot, a body of exactly that size
+// stays on the page, one byte more starts the next, and a submitted page
+// leaves a whole page of room.
+func TestBatchWriterRoom(t *testing.T) {
+	m := newManager(t, 1024)
+	w := m.NewBatchWriter(0) // the default: pages are filled
+	whole := w.Room()
+	if whole != m.MaxRecordSize() {
+		t.Fatalf("room of an unstarted page = %d, want the largest record %d", whole, m.MaxRecordSize())
+	}
+	first, err := w.Insert(make([]byte, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := w.Room(), whole-300-pageformat.SlotOverhead; got != want {
+		t.Fatalf("room after a 300-byte body = %d, want %d", got, want)
+	}
+	exact, err := w.Insert(make([]byte, w.Room()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact.Page != first.Page {
+		t.Fatalf("a body equal to the room went to page %d, not %d", exact.Page, first.Page)
+	}
+	if w.Room() >= 0 {
+		t.Fatalf("room of a full page = %d, want less than an empty body's", w.Room())
+	}
+	next, err := w.Insert(make([]byte, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Page == first.Page {
+		t.Fatal("a body past the room stayed on the page")
+	}
+	if got, want := w.Room(), whole-10-pageformat.SlotOverhead; got != want {
+		t.Fatalf("room after the submit = %d, want %d", got, want)
+	}
+	over, err := w.Insert(make([]byte, w.Room()+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if over.Page == next.Page {
+		t.Fatal("a body one byte past the room stayed on the page")
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if free, err := m.PageFreeBytes(first.Page); err != nil || free != 0 {
+		t.Fatalf("the page filled to its room has %d free bytes (err %v)", free, err)
+	}
+	if w.Room() != whole {
+		t.Fatalf("room after Flush = %d, want %d", w.Room(), whole)
 	}
 }
 

@@ -197,13 +197,6 @@ type Options struct {
 	// flows through the buffer manager.
 	CacheRecords int
 
-	// BulkFillFactor is the fraction of page capacity the streaming
-	// bulk loader packs into each record and page, in (0, 1]. 0 means
-	// 0.9. Lower values spread a loaded document over more pages,
-	// leaving slack so later incremental updates grow records in place
-	// instead of splitting immediately.
-	BulkFillFactor float64
-
 	// ImportWorkers bounds the concurrent per-document import pipelines
 	// ImportXMLBatch shards a multi-document corpus across. 0 means
 	// GOMAXPROCS. Single-document imports always pipeline parsing and
@@ -535,7 +528,6 @@ func openWith(opts Options, dev pagedev.Device, sim *pagedev.SimDisk, walSt wal.
 	// drop stale indexes even in sessions that do not use them; the
 	// PathIndex option additionally builds indexes on import and routes
 	// queries through them.
-	store.SetBulkFill(opts.BulkFillFactor)
 	px, err := pathindex.Open(rm)
 	if err != nil {
 		return nil, err

@@ -200,7 +200,7 @@ func benchPass(t *testing.T, db *DB, docs []string) int64 {
 func TestPoolReadsOnlyWhatIsAsked(t *testing.T) {
 	const pageSize = 2048
 	path := filepath.Join(t.TempDir(), "plays.natix")
-	spec := corpus.SmallSpec(6)
+	spec := corpus.SmallSpec(8)
 	var docs []string
 	db, err := Open(Options{Path: path, PageSize: pageSize, PathIndex: true})
 	if err != nil {
