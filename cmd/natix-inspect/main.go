@@ -478,8 +478,9 @@ func checkAll(store *docstore.Store) {
 
 // dumpWAL prints every record in the write-ahead log: LSN, type, and
 // the type-specific payload (operation kind, page, changed ranges),
-// plus the checkpoint chain. Torn tails are reported, not fatal — this
-// is the debugging view of a crashed store.
+// plus the checkpoint chain and, per record type, how many records and
+// how many log bytes (frames included) it accounts for. Torn tails are
+// reported, not fatal — this is the debugging view of a crashed store.
 func dumpWAL(path string) {
 	st, err := os.Stat(path)
 	if err != nil {
@@ -497,9 +498,23 @@ func dumpWAL(path string) {
 		ops         int
 		openKind    string
 		openLSN     wal.LSN
+
+		// Per-type totals. A record's size is the distance to the next
+		// record's LSN, so each is booked when its successor (or the end
+		// of the log) is seen.
+		counts, sizes [16]int64
+		last          wal.Record
 	)
+	book := func(next wal.LSN) {
+		if last.LSN != 0 && int(last.Type) < len(counts) {
+			counts[last.Type]++
+			sizes[last.Type] += int64(next - last.LSN)
+		}
+	}
 	pageSize, end, err := wal.Scan(storage, func(r wal.Record) error {
 		records++
+		book(r.LSN)
+		last = r
 		fmt.Printf("%10d  %-12s", r.LSN, wal.TypeName(r.Type))
 		switch r.Type {
 		case wal.RecBegin:
@@ -521,6 +536,9 @@ func dumpWAL(path string) {
 			checkpoints = append(checkpoints, r.LSN)
 		case wal.RecShrink:
 			fmt.Printf(" pages=%d", r.NumPages)
+		case wal.RecShift:
+			fmt.Printf(" page=%d off=%d delta=%+d tail=%d ranges=%d bytes=%d",
+				r.Page, r.Shift.Off, r.Shift.Delta, r.Shift.Tail, len(r.Ranges), rangeBytes(r.Ranges))
 		}
 		fmt.Println()
 		return nil
@@ -528,6 +546,7 @@ func dumpWAL(path string) {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	book(end)
 	fmt.Printf("\nlog: %d bytes on disk, %d records, %d operations, end LSN %d (page size %d)\n",
 		st.Size(), records, ops, end, pageSize)
 	switch len(checkpoints) {
@@ -536,6 +555,17 @@ func dumpWAL(path string) {
 	default:
 		fmt.Printf("checkpoint chain: %d in log, last at LSN %d\n", len(checkpoints), checkpoints[len(checkpoints)-1])
 	}
+	var total int64
+	for _, n := range sizes {
+		total += n
+	}
+	fmt.Print("by type:")
+	for t, n := range counts {
+		if n > 0 {
+			fmt.Printf("  %s %d records %d bytes (%.1f%%)", wal.TypeName(uint8(t)), n, sizes[t], 100*float64(sizes[t])/float64(total))
+		}
+	}
+	fmt.Println()
 	if openKind != "" {
 		fmt.Printf("UNFINISHED operation %q (begin LSN %d): recovery will undo it on next open\n", openKind, openLSN)
 	}

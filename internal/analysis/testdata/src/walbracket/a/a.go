@@ -149,6 +149,26 @@ func goodWindowedSpread(f *buffer.Frame, spans []buffer.Window) error {
 	return f.EndUpdate(u)
 }
 
+// goodShiftOrWindows is records.spliceAt since the shift record: one of
+// the two begin forms opens the bracket, one EndUpdate closes it.
+func goodShiftOrWindows(f *buffer.Frame, spans []buffer.Window) error {
+	var u buffer.Update
+	if cond() {
+		u = f.BeginShift(buffer.Shift{Off: 40, Tail: 8, Delta: 4}, spans...)
+	} else {
+		u = f.BeginUpdate(spans...)
+	}
+	return f.EndUpdate(u)
+}
+
+func shiftLeak(f *buffer.Frame) error {
+	u := f.BeginShift(buffer.Shift{Off: 40, Tail: 8, Delta: 4})
+	if cond() {
+		return errBad // want "still open at this return"
+	}
+	return f.EndUpdate(u)
+}
+
 func windowedLeak(f *buffer.Frame) error {
 	u := f.BeginUpdate(buffer.Window{Off: 16, Len: 1})
 	if cond() {

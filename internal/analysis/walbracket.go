@@ -9,7 +9,7 @@ import (
 
 // Walbracket enforces the PR 5 WAL bracket rule: every
 // buffer.Frame.BeginUpdate (whole-page or with declared windows — the
-// arguments do not matter to the rule) must be consumed by exactly one
+// arguments do not matter to the rule) or BeginShift must be consumed by exactly one
 // EndUpdate/CancelUpdate on every path out of the enclosing function —
 // early returns and panics included — and never closed twice. The
 // check is a small flow-sensitive interpretation of the function body
@@ -331,7 +331,7 @@ func (w *wbChecker) mergeInto(env *wbEnv, outs []*wbEnv) {
 // over an open token, and overwrites of a tracked variable.
 func (w *wbChecker) assign(s *ast.AssignStmt, env *wbEnv) {
 	if len(s.Rhs) == 1 {
-		if call, ok := s.Rhs[0].(*ast.CallExpr); ok && w.isFrameCall(call, "BeginUpdate") {
+		if call, ok := s.Rhs[0].(*ast.CallExpr); ok && w.isBegin(call) {
 			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 				w.expr(sel.X, env)
 			}
@@ -388,7 +388,7 @@ func (w *wbChecker) declStmt(s *ast.DeclStmt, env *wbEnv) {
 			continue
 		}
 		if len(vs.Names) == 1 && len(vs.Values) == 1 {
-			if call, ok := vs.Values[0].(*ast.CallExpr); ok && w.isFrameCall(call, "BeginUpdate") {
+			if call, ok := vs.Values[0].(*ast.CallExpr); ok && w.isBegin(call) {
 				if obj := w.objOf(vs.Names[0]); obj != nil {
 					env.vars[obj] = &wbInfo{state: wbOpen, begin: vs.Pos()}
 					continue
@@ -492,7 +492,7 @@ func (w *wbChecker) expr(e ast.Expr, env *wbEnv) {
 				}
 				return false
 			}
-			if w.isFrameCall(n, "BeginUpdate") {
+			if w.isBegin(n) {
 				w.pass.Reportf(n.Pos(), "result of BeginUpdate must be assigned to a local variable so the bracket can be verified")
 				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
 					w.expr(sel.X, env)
@@ -539,6 +539,12 @@ func (w *wbChecker) closeCall(call *ast.CallExpr) (string, *ast.Ident) {
 		return name, nil
 	}
 	return name, arg
+}
+
+// isBegin reports whether call opens a bracket: Frame.BeginUpdate or its
+// shift-declaring form Frame.BeginShift, which hands out the same token.
+func (w *wbChecker) isBegin(call *ast.CallExpr) bool {
+	return w.isFrameCall(call, "BeginUpdate") || w.isFrameCall(call, "BeginShift")
 }
 
 func (w *wbChecker) isFrameCall(call *ast.CallExpr, name string) bool {

@@ -34,7 +34,12 @@
 // snapshots the page — or only the byte windows the caller declares it
 // may touch — EndUpdate diffs the snapshot against the mutated image
 // and appends the changed byte ranges (with before and after bytes) to
-// the log, stamping the record's LSN into the page header.
+// the log, stamping the record's LSN into the page header. A node
+// spliced into a record where it lies is bracketed with BeginShift
+// instead, which snapshots and logs what is inserted, not the tail that
+// moves (a wal.Shift record) — once the page has its image in the
+// current checkpoint epoch's log, which is what lets replay apply a
+// record that is not idempotent.
 // The first change to a page after a checkpoint logs the full
 // before-image alongside the ranges, so restart recovery can rebuild
 // the page even if a later write-back tears it. Freshly allocated
@@ -44,6 +49,7 @@
 package buffer
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -219,7 +225,9 @@ func (p *Pool) WAL() *wal.Writer { return p.wal }
 
 // AdvanceWALEpoch starts a new checkpoint epoch: the next logged
 // change to any frame carries a full before-image. Called by the
-// checkpoint after all dirty pages are durable.
+// checkpoint once its record may be in the log, whether or not the log
+// reset behind it succeeded: recovery replays nothing in front of that
+// record.
 func (p *Pool) AdvanceWALEpoch() { p.walEpoch.Add(1) }
 
 // Capacity returns the number of frames in the pool.
@@ -969,6 +977,18 @@ type snapshot struct {
 	win    []Window    // declared windows; empty = the whole page
 	full   bool        // buf images the whole page, not the packed windows
 	ranges []wal.Range // diff output, consumed before the snapshot is reused
+
+	// A BeginShift bracket: shift.Delta != 0, win[:small] are the windows
+	// beside the shift, and logShift says EndUpdate appends a shift record.
+	// If it does not (no image of the page in this epoch's log) or checking
+	// mode is on, the snapshot is the whole page and declares the shift's
+	// body behind the windows; otherwise it is packed and holds the bytes
+	// the shift destroys behind the windows' bytes.
+	shift    Shift
+	small    int
+	logShift bool
+
+	replay []byte // checking mode's page to replay log records on
 }
 
 // Update is the token BeginUpdate hands out and EndUpdate consumes. It
@@ -999,32 +1019,82 @@ func (f *Frame) BeginUpdate(windows ...Window) Update {
 	}
 	s := p.snapPool.Get().(*snapshot)
 	s.win = append(s.win[:0], windows...)
+	s.shift, s.logShift = Shift{}, false
 	s.full = len(windows) == 0 || check || f.logEpoch != p.walEpoch.Load()
+	s.pack(f.data)
+	return Update{snap: s}
+}
+
+// pack copies the before-bytes into the snapshot: the whole page, or
+// the declared windows one behind the other. It returns the bytes used.
+func (s *snapshot) pack(data []byte) int {
 	if s.full {
-		copy(s.buf, f.data)
-		return Update{snap: s}
+		return copy(s.buf, data)
 	}
 	at := 0
-	for _, w := range windows {
-		at += copy(s.buf[at:], f.data[w.Off:w.Off+w.Len])
+	for _, w := range s.win {
+		at += copy(s.buf[at:], data[w.Off:w.Off+w.Len])
+	}
+	return at
+}
+
+// Shift is an in-place insert or removal inside a cell, declared to
+// BeginShift.
+type Shift = pageformat.Shift
+
+// BeginShift is BeginUpdate for a mutation that is a shift — sh.Tail
+// bytes at sh.Off move by sh.Delta, the gap an insert opens is filled —
+// and otherwise changes only the small windows. When the page already
+// has its image in this checkpoint epoch's log, the bracket snapshots
+// the windows and the |Delta| bytes the move destroys, and EndUpdate
+// logs a shift record: neither sees the tail. Otherwise (the page's
+// first change of the epoch, which must carry the whole before-image
+// anyway) it is BeginUpdate over the windows and the shift's body.
+// Checking mode snapshots the whole page either way and EndUpdate
+// replays the shift record against it, logged or not.
+func (f *Frame) BeginShift(sh Shift, windows ...Window) Update {
+	p := f.pool
+	if p.wal == nil && !checkWindows || f.fresh {
+		return Update{}
+	}
+	s := p.snapPool.Get().(*snapshot)
+	s.win = append(s.win[:0], windows...)
+	s.shift, s.small = sh, len(windows)
+	s.logShift = p.wal != nil && f.logEpoch == p.walEpoch.Load()
+	s.full = checkWindows || !s.logShift
+	if s.full {
+		s.win = append(s.win, sh.Body())
+	}
+	at := s.pack(f.data)
+	if !s.full {
+		d := sh.Destroyed()
+		copy(s.buf[at:], f.data[d.Off:d.Off+d.Len])
 	}
 	return Update{snap: s}
 }
 
-// EndUpdate closes a BeginUpdate bracket: it diffs the page against
-// the snapshot, appends the matching log record (full image for fresh
-// pages, before-image + ranges on the first post-checkpoint change,
-// plain ranges otherwise), stamps the record's LSN into the page
-// header, and marks the frame dirty. A mutation that turned out to be
-// a no-op logs nothing and leaves the frame clean.
+// EndUpdate closes a BeginUpdate or BeginShift bracket: it diffs the
+// page against the snapshot, appends the matching log record (full
+// image for fresh pages, before-image + ranges on the first
+// post-checkpoint change, a shift where one was declared and may be
+// logged, plain ranges otherwise), stamps the record's LSN into the
+// page header, and marks the frame dirty. A mutation that turned out to
+// be a no-op logs nothing and leaves the frame clean.
 func (f *Frame) EndUpdate(u Update) error {
 	p := f.pool
 	s := u.snap
+	var rec wal.Record
 	if s != nil {
 		defer p.snapPool.Put(s)
 		if checkWindows {
 			if err := s.checkOutside(f.data); err != nil {
 				return fmt.Errorf("page %d: %w", f.page, err)
+			}
+		}
+		if s.logShift || checkWindows && s.shift.Delta != 0 {
+			rec = s.shiftRecord(f)
+			if err := s.checkReplay(&rec, f.data); err != nil {
+				return err
 			}
 		}
 	}
@@ -1035,25 +1105,55 @@ func (f *Frame) EndUpdate(u Update) error {
 	if f.fresh {
 		return f.logImage()
 	}
-	ranges := s.diff(f.data)
-	if len(ranges) == 0 {
-		return nil
-	}
 	epoch := p.walEpoch.Load()
 	var (
 		lsn wal.LSN
 		err error
 	)
-	if f.logEpoch != epoch {
-		lsn, err = p.wal.AppendFirstUpdate(f.page, s.buf, ranges)
+	if s.logShift {
+		lsn, err = p.wal.AppendShift(f.page, rec.Shift, rec.Ranges)
 	} else {
-		lsn, err = p.wal.AppendUpdate(f.page, ranges)
+		rec = wal.Record{Type: wal.RecUpdate, Page: f.page, Ranges: s.diff(f.data, s.win)}
+		if len(rec.Ranges) == 0 {
+			return nil
+		}
+		if f.logEpoch != epoch {
+			rec.Type, rec.BeforeImage = wal.RecFirstUpdate, s.buf
+		}
+		if err := s.checkReplay(&rec, f.data); err != nil {
+			return err
+		}
+		if rec.Type == wal.RecFirstUpdate {
+			lsn, err = p.wal.AppendFirstUpdate(f.page, s.buf, rec.Ranges)
+		} else {
+			lsn, err = p.wal.AppendUpdate(f.page, rec.Ranges)
+		}
 	}
 	if err != nil {
 		return err
 	}
 	f.stampLocked(lsn, epoch)
 	return nil
+}
+
+// shiftRecord builds the shift record of a BeginShift bracket from the
+// mutated page: the small windows' diff, the bytes now in the gap, and
+// the destroyed bytes from the snapshot. It aliases both.
+func (s *snapshot) shiftRecord(f *Frame) wal.Record {
+	sh := s.shift
+	ranges := s.diff(f.data, s.win[:s.small])
+	d := sh.Destroyed()
+	if !s.full {
+		d.Off = 0 // packed behind the windows' bytes
+		for _, w := range s.win {
+			d.Off += w.Len
+		}
+	}
+	ws := wal.Shift{Shift: sh, Del: s.buf[d.Off : d.Off+d.Len]}
+	if sh.Delta > 0 {
+		ws.Ins = f.data[sh.Off : sh.Off+sh.Delta]
+	}
+	return wal.Record{Type: wal.RecShift, Page: f.page, Shift: ws, Ranges: ranges}
 }
 
 // CancelUpdate abandons a BeginUpdate bracket without logging, for
@@ -1066,15 +1166,16 @@ func (f *Frame) CancelUpdate(u Update) {
 }
 
 // diff computes the changed byte ranges of data against the snapshot:
-// over the whole page, or window by window. The ranges alias the
-// snapshot and data and live in the snapshot's scratch.
-func (s *snapshot) diff(data []byte) []wal.Range {
+// over the whole page, or window by window over win, a prefix of the
+// declared windows. The ranges alias the snapshot and data and live in
+// the snapshot's scratch.
+func (s *snapshot) diff(data []byte, win []Window) []wal.Range {
 	out := s.ranges[:0]
 	if len(s.win) == 0 {
 		out = diffRanges(out, s.buf, data, 0)
 	}
 	at := 0
-	for _, w := range s.win {
+	for _, w := range win {
 		old := s.buf[at : at+w.Len]
 		if s.full {
 			old = s.buf[w.Off : w.Off+w.Len]
@@ -1089,6 +1190,35 @@ func (s *snapshot) diff(data []byte) []wal.Range {
 // ErrOutsideWindow reports a bracketed mutation that changed a byte it
 // had not declared (checking mode only).
 var ErrOutsideWindow = errors.New("buffer: page changed outside the declared update windows")
+
+// ErrReplayMismatch reports an update whose log record does not replay
+// to the bytes the update wrote, or does not undo to the bytes it found
+// (checking mode only).
+var ErrReplayMismatch = errors.New("buffer: log record does not replay to the page the update wrote")
+
+// checkReplay is the checking mode of the log records themselves: redo
+// of rec on the whole-page snapshot must give the page byte for byte,
+// and undo of rec on the page must give the snapshot back.
+func (s *snapshot) checkReplay(rec *wal.Record, data []byte) error {
+	if !checkWindows || !s.full {
+		return nil
+	}
+	s.replay = append(s.replay[:0], s.buf...)
+	page := s.replay
+	if err := rec.Redo(page); err != nil {
+		return fmt.Errorf("page %d: %w: redo: %v", rec.Page, ErrReplayMismatch, err)
+	}
+	if i := firstDiff(page, data, 0); i < len(data) {
+		return fmt.Errorf("page %d: %w: redo of the %s record differs at byte %d", rec.Page, ErrReplayMismatch, wal.TypeName(rec.Type), i)
+	}
+	if err := rec.Undo(page); err != nil {
+		return fmt.Errorf("page %d: %w: undo: %v", rec.Page, ErrReplayMismatch, err)
+	}
+	if !bytes.Equal(page, s.buf) {
+		return fmt.Errorf("page %d: %w: undo of the %s record does not restore the page", rec.Page, ErrReplayMismatch, wal.TypeName(rec.Type))
+	}
+	return nil
+}
 
 // checkOutside is the checking mode of windowed brackets: the whole-page
 // diff against the full snapshot must fall inside the declared windows.

@@ -18,7 +18,7 @@ func (t *Tree) Delete(path Path) error {
 		return ErrIsRoot
 	}
 	s := t.store
-	parentRef, err := t.locate(path[:len(path)-1], &s.kids)
+	parentRef, err := t.Locate(path[:len(path)-1])
 	if err != nil {
 		return err
 	}

@@ -70,7 +70,7 @@ func (t *Tree) InsertChild(parentPath Path, idx int, n *noderep.Node) error {
 	if err := s.checkInsertable(n); err != nil {
 		return err
 	}
-	parent, err := t.locate(parentPath, &s.kids)
+	parent, err := t.Locate(parentPath)
 	if err != nil {
 		return err
 	}

@@ -359,33 +359,61 @@ func (s *Store) appendChildRefs(rid records.RID, rec *noderep.Record, agg *noder
 	return out, nil
 }
 
-// Locate resolves a logical path from the root.
+// Locate resolves a logical path from the root. Each step stops at the
+// child it wants (childAt): the siblings behind it — and the records
+// their proxies point to — are not touched.
 func (t *Tree) Locate(path Path) (NodeRef, error) {
-	var kids []NodeRef
-	return t.locate(path, &kids)
-}
-
-// locate is Locate with the child-list buffer supplied (and kept, grown)
-// by the caller: each path step expands one aggregate's children into
-// it, so a warm buffer makes the descent allocation-free.
-func (t *Tree) locate(path Path, buf *[]NodeRef) (NodeRef, error) {
 	ref, err := t.Root()
 	if err != nil {
 		return NodeRef{}, err
 	}
 	for depth, idx := range path {
-		kids, err := t.store.ChildrenAppend(ref, (*buf)[:0])
-		*buf = kids
+		kid, n, err := t.store.childAt(ref.rid, ref.rec, ref.node, idx)
 		if err != nil {
 			return NodeRef{}, err
 		}
-		if idx < 0 || idx >= len(kids) {
+		if kid.node == nil {
 			return NodeRef{}, fmt.Errorf("%w: %s (index %d of %d at depth %d)",
-				ErrBadPath, path, idx, len(kids), depth)
+				ErrBadPath, path, idx, n, depth)
 		}
-		ref = kids[idx]
+		ref = kid
 	}
 	return ref, nil
+}
+
+// childAt returns logical child idx of the aggregate agg, which lives in
+// record rid — the idx-th node appendChildRefs would append, found
+// without building the list or expanding anything behind it. When agg
+// has no such child the ref is zero and n is the number of logical
+// children it does have.
+//
+//natix:noalloc
+func (s *Store) childAt(rid records.RID, rec *noderep.Record, agg *noderep.Node, idx int) (ref NodeRef, n int, err error) {
+	for _, c := range agg.Children {
+		if c.Kind != noderep.KindProxy {
+			if n == idx {
+				return NodeRef{rid: rid, node: c, rec: rec}, n, nil
+			}
+			n++
+			continue
+		}
+		child, err := s.loadRecord(c.Target)
+		if err != nil {
+			return NodeRef{}, n, fmt.Errorf("resolving proxy to %s: %w", c.Target, err) //natix:vet-ignore I/O error path
+		}
+		if child.Root.Scaffold && child.Root.Kind == noderep.KindAggregate {
+			ref, k, err := s.childAt(c.Target, child, child.Root, idx-n)
+			if n += k; err != nil || ref.node != nil {
+				return ref, n, err
+			}
+			continue
+		}
+		if n == idx {
+			return NodeRef{rid: c.Target, node: child.Root, rec: child}, n, nil
+		}
+		n++
+	}
+	return NodeRef{}, n, nil
 }
 
 // Cursor provides DOM-style navigation over the logical tree. It holds

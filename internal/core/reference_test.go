@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
+	"natix/internal/corpus"
 	"natix/internal/dict"
 	"natix/internal/noderep"
 	"natix/internal/records"
@@ -309,13 +311,81 @@ func TestResolveAllocs(t *testing.T) {
 // removePhysical — as the reference TestSpliceMatchesFullEncode runs
 // beside the production path.
 
+// refLocate is Tree.Locate as it stood before it stopped at the child it
+// wants: every step materialises the whole child list of the node it
+// passes through, loading the record behind every proxy among them.
+func refLocate(t *Tree, path Path) (NodeRef, error) {
+	ref, err := t.Root()
+	if err != nil {
+		return NodeRef{}, err
+	}
+	var kids []NodeRef
+	for depth, idx := range path {
+		kids, err = t.store.ChildrenAppend(ref, kids[:0])
+		if err != nil {
+			return NodeRef{}, err
+		}
+		if idx < 0 || idx >= len(kids) {
+			return NodeRef{}, fmt.Errorf("%w: %s (index %d of %d at depth %d)",
+				ErrBadPath, path, idx, len(kids), depth)
+		}
+		ref = kids[idx]
+	}
+	return ref, nil
+}
+
+// TestLocateMatchesReference resolves every path of a corpus play —
+// bulk-loaded and grown node by node, under both split-matrix extremes,
+// so proxies and scaffold aggregates lie on the way — with the early-exit
+// Locate and with the reference: same node, and for a path that does not
+// resolve (an index one past the last child, a negative one, a step below
+// a text node) the same error, "index i of n" included.
+func TestLocateMatchesReference(t *testing.T) {
+	model := playRef(corpus.GeneratePlay(corpus.SmallSpec(1), 0))
+	var paths []Path
+	modelPaths(model, nil, false, &paths)
+	paths = append(paths, Path{})
+	for _, m := range []struct {
+		name   string
+		matrix func() *SplitMatrix
+	}{{"other", AllOther}, {"standalone", AllStandalone}} {
+		for _, bulk := range []bool{true, false} {
+			s := newStore(t, 2048, Config{Matrix: m.matrix(), CacheRecords: 256})
+			var tr *Tree
+			if bulk {
+				tr = loadBulk(t, s, model, BulkOptions{})
+			} else {
+				tr = loadIncremental(t, s, model)
+			}
+			if rids, _ := recordsOf(t, s, tr.RootRID()); len(rids) < 2 {
+				t.Fatalf("%s bulk=%v: the play lies in %d record(s); no proxy on any path", m.name, bulk, len(rids))
+			}
+			for _, p := range paths {
+				got, err := tr.Locate(p)
+				want, werr := refLocate(tr, p)
+				if err != nil || werr != nil || !sameNode(got, want, true) {
+					t.Fatalf("%s bulk=%v: Locate(%s) = %v, %v; reference %v, %v", m.name, bulk, p, got, err, want, werr)
+				}
+				n := len(modelAt(model, p).children)
+				for _, bad := range []Path{append(p.Clone(), n), append(p.Clone(), -1), append(p.Clone(), n+3, 0)} {
+					_, err := tr.Locate(bad)
+					_, werr := refLocate(tr, bad)
+					if !errors.Is(err, ErrBadPath) || werr == nil || err.Error() != werr.Error() {
+						t.Fatalf("%s bulk=%v: Locate(%s) error %q, reference %q", m.name, bulk, bad, err, werr)
+					}
+				}
+			}
+		}
+	}
+}
+
 // refInsertChild is Tree.InsertChild over refPlaceAt.
 func refInsertChild(t *Tree, parentPath Path, idx int, n *noderep.Node) error {
 	s := t.store
 	if err := s.checkInsertable(n); err != nil {
 		return err
 	}
-	parent, err := t.locate(parentPath, &s.kids)
+	parent, err := refLocate(t, parentPath)
 	if err != nil {
 		return err
 	}
@@ -383,7 +453,7 @@ func refDelete(t *Tree, path Path) error {
 		return ErrIsRoot
 	}
 	s := t.store
-	parentRef, err := t.locate(path[:len(path)-1], &s.kids)
+	parentRef, err := refLocate(t, path[:len(path)-1])
 	if err != nil {
 		return err
 	}

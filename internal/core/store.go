@@ -93,13 +93,11 @@ type Store struct {
 	// Scratch of the (serialized) mutating operations: the layout of the
 	// record last measured, the image buffer it is emitted (or read and
 	// spliced) into, the splice state and physical path of a node edit,
-	// and the child lists of the path descent and of the insert or delete
-	// point.
+	// and the child list of the insert or delete point.
 	layout  noderep.Layout
 	image   []byte
 	splice  noderep.Splice
 	path    []int
-	kids    []NodeRef
 	entries []childEntry
 }
 

@@ -11,8 +11,8 @@ package docstore
 // the unfinished one.
 //
 // A mutator that fails at runtime is rolled back from the log, too:
-// the operation's records are walked backwards and their before-images
-// re-applied through the buffer pool (each restoration is itself a
+// the operation's records are walked backwards and each one undone
+// through the buffer pool (each restoration is itself a
 // logged update, so the log stays the complete history), the device is
 // truncated back to its pre-operation size, and an abort record closes
 // the operation. Because the rollback is physical, the in-memory
@@ -102,10 +102,15 @@ func (s *Store) checkpointLocked() error {
 	if err := pool.FlushAll(); err != nil { // syncs the device too
 		return err
 	}
-	if err := s.walW.Checkpoint(uint64(s.seg.NumPages())); err != nil {
+	err := s.walW.Checkpoint(uint64(s.seg.NumPages()))
+	// Whether or not the log reset went through, the checkpoint record may
+	// be in the log, and recovery replays nothing in front of it: no page
+	// has an image in what it would replay, so none may log a shift
+	// against one. Advancing is always the conservative choice.
+	pool.AdvanceWALEpoch()
+	if err != nil {
 		return err
 	}
-	pool.AdvanceWALEpoch()
 	// The checkpoint cleared the log's page images; re-capture the
 	// header so page 0 stays repairable in the fresh epoch.
 	s.captureHeader()
@@ -167,7 +172,7 @@ func (s *Store) rollbackOp(begin wal.LSN) error {
 		switch rec.Type {
 		case wal.RecBegin:
 			preN = rec.PreNumPages
-		case wal.RecUpdate, wal.RecFirstUpdate:
+		case wal.RecUpdate, wal.RecFirstUpdate, wal.RecShift:
 			if err := s.undoOne(rec); err != nil {
 				return err
 			}
@@ -183,7 +188,10 @@ func (s *Store) rollbackOp(begin wal.LSN) error {
 	return s.reloadAfterRollback()
 }
 
-// undoOne re-applies one record's before-image through the pool.
+// undoOne takes one record back out of its page through the pool
+// (wal.Record.Undo, as restart recovery does): the page is in the state
+// the record left it in, because the records behind it were undone
+// first. The restoration is logged as an ordinary physical update.
 func (s *Store) undoOne(rec wal.Record) error {
 	f, err := s.seg.Pool().Get(rec.Page)
 	if err != nil {
@@ -193,13 +201,9 @@ func (s *Store) undoOne(rec wal.Record) error {
 	f.Latch()
 	defer f.Unlatch()
 	u := f.BeginUpdate()
-	b := f.Data()
-	if rec.Type == wal.RecFirstUpdate {
-		copy(b, rec.BeforeImage)
-	} else {
-		for _, rg := range rec.Ranges {
-			copy(b[rg.Off:], rg.Before)
-		}
+	if err := rec.Undo(f.Data()); err != nil {
+		f.CancelUpdate(u)
+		return err
 	}
 	return f.EndUpdate(u)
 }

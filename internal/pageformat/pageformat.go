@@ -19,6 +19,7 @@
 package pageformat
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -452,15 +453,73 @@ func (s Slotted) SpliceSpans(buf []Span, slot, n, from int, fields []int) (spans
 	if mode == spliceNoFit || mode == spliceCompact {
 		return buf, mode == spliceCompact
 	}
+	if mode == spliceRelocate {
+		return append(s.smallSpans(buf, slot, nil), Span{Off: s.cellEnd(), Len: n}), true
+	}
+	off, _, _ := s.slot(slot)
+	return append(s.smallSpans(buf, slot, fields), Span{Off: off + from, Len: n - from}), true
+}
+
+// smallSpans appends the spans a Splice of the cell in slot changes
+// beside the body it writes: the header fields, the slot entry and the
+// two-byte fields inside the cell.
+func (s Slotted) smallSpans(buf []Span, slot int, fields []int) []Span {
 	off, _, _ := s.slot(slot)
 	buf = append(buf, headerSpan, Span{Off: s.slotPos(slot), Len: slotSize})
-	if mode == spliceRelocate {
-		return append(buf, Span{Off: s.cellEnd(), Len: n}), true
-	}
 	for _, f := range fields {
 		buf = append(buf, Span{Off: off + f, Len: 2})
 	}
-	return append(buf, Span{Off: off + from, Len: n - from}), true
+	return buf
+}
+
+// Shift is an in-place Splice seen as a move instead of a rewrite:
+// |Delta| bytes inserted at (Delta > 0) or removed from (Delta < 0)
+// page offset Off, the Tail bytes of the cell behind that point moving
+// with them unchanged. It is what a node edit does to its record, and
+// what the log can say in a few bytes (wal.Shift).
+type Shift struct{ Off, Tail, Delta int }
+
+// Body returns the span of the page the shift writes: the inserted
+// bytes, if any, and the moved tail.
+func (sh Shift) Body() Span { return Span{Off: sh.Off, Len: sh.Tail + max(sh.Delta, 0)} }
+
+// Destroyed returns the span of the page whose bytes the shift
+// overwrites for good, |Delta| of them: the ones it removes, or the
+// ones behind the tail that an insert moves it onto. Undoing the shift
+// needs them back.
+func (sh Shift) Destroyed() Span {
+	if sh.Delta < 0 {
+		return Span{Off: sh.Off, Len: -sh.Delta}
+	}
+	return Span{Off: sh.Off + sh.Tail, Len: sh.Delta}
+}
+
+// SpliceShift reports whether Splice(slot, data, from, fields) is a
+// shift: the cell is edited where it lies, it changes size, and behind
+// the inserted or removed bytes data carries the cell's old tail byte
+// for byte (compared here — a caller's say-so is not enough for a
+// record that replay applies blind). It appends to buf the small spans
+// the splice changes beside the shift: everything SpliceSpans declares
+// except the body.
+func (s Slotted) SpliceShift(buf []Span, slot int, data []byte, from int, fields []int) (spans []Span, sh Shift, ok bool) {
+	if s.spliceMode(slot, len(data)) != spliceInPlace {
+		return buf, Shift{}, false
+	}
+	off, length, _ := s.slot(slot)
+	delta := len(data) - length
+	if delta == 0 || from < 0 || from > min(length, len(data)) {
+		return buf, Shift{}, false
+	}
+	for _, f := range fields {
+		if f < 0 || f+2 > from {
+			return buf, Shift{}, false // a field inside the moved bytes
+		}
+	}
+	tail := s.b[off+from+max(-delta, 0) : off+length]
+	if !bytes.Equal(tail, data[from+max(delta, 0):]) {
+		return buf, Shift{}, false
+	}
+	return s.smallSpans(buf, slot, fields), Shift{Off: off + from, Tail: len(tail), Delta: delta}, true
 }
 
 // Delete removes the cell in the given slot. The slot becomes reusable;

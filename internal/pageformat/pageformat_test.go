@@ -372,3 +372,102 @@ func TestSpaceAccountingProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSpliceShift: for an edit that inserts or removes bytes at from and
+// leaves the rest of the cell alone — a node edit — SpliceShift says so
+// exactly when Splice edits the cell where it lies, and the Shift it
+// returns is what Splice then does to the page: the tail moved by Delta,
+// the inserted bytes in the gap, every other changed byte inside one of
+// the small spans. An edit whose tail differs, a cell that keeps its
+// size, a field behind from and a cell that has to move are not shifts.
+func TestSpliceShift(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	shifts, moved := 0, 0
+	for _, size := range []int{512, 2048, 8192} {
+		s := newPage(t, size)
+		for step := 0; step < 4000; step++ {
+			slots := s.Slots()
+			if len(slots) < 3 || rng.Intn(10) == 0 {
+				data := make([]byte, 8+rng.Intn(size/8))
+				rng.Read(data)
+				s.Insert(data)
+				continue
+			}
+			slot := slots[rng.Intn(len(slots))]
+			cell, _ := s.Cell(slot)
+			from := rng.Intn(len(cell) + 1)
+			k := 1 + rng.Intn(size/16)
+			data := append([]byte(nil), cell[:from]...)
+			if rng.Intn(2) == 0 || from+k > len(cell) || len(cell)-k < 8 {
+				ins := make([]byte, k)
+				rng.Read(ins)
+				data = append(append(data, ins...), cell[from:]...)
+			} else {
+				data = append(data, cell[from+k:]...)
+			}
+			var fields []int
+			for f := rng.Intn(9); f+2 <= from && len(fields) < 4; f += 2 + rng.Intn(40) {
+				data[f] ^= 0xFF
+				fields = append(fields, f)
+			}
+			mode := s.spliceMode(slot, len(data))
+			spans, sh, ok := s.SpliceShift(nil, slot, data, from, fields)
+			if ok != (mode == spliceInPlace) {
+				t.Fatalf("step %d: SpliceShift = %v in mode %d", step, ok, mode)
+			}
+			if !ok {
+				if mode != spliceNoFit {
+					moved++
+					s.Splice(slot, data, from, fields)
+				}
+				continue
+			}
+			// What is not a shift, on the same cell.
+			if sh.Tail > 0 {
+				bent := append([]byte(nil), data...)
+				bent[len(bent)-1] ^= 1
+				if _, _, ok := s.SpliceShift(nil, slot, bent, from, fields); ok {
+					t.Fatalf("step %d: a changed tail passed for a shift", step)
+				}
+			}
+			if _, _, ok := s.SpliceShift(nil, slot, cell, from, nil); ok {
+				t.Fatalf("step %d: an edit that keeps the cell's size passed for a shift", step)
+			}
+			if _, _, ok := s.SpliceShift(nil, slot, data, from, append(fields, from)); ok {
+				t.Fatalf("step %d: a field inside the moved bytes passed for a shift", step)
+			}
+
+			shifts++
+			span, _ := s.CellSpan(slot)
+			if sh.Off != span.Off+from || sh.Delta != len(data)-len(cell) || sh.Tail != len(cell)-from-max(-sh.Delta, 0) {
+				t.Fatalf("step %d: shift %+v for from %d, %d -> %d bytes at %d", step, sh, from, len(cell), len(data), span.Off)
+			}
+			before := append([]byte(nil), s.b...)
+			if !s.Splice(slot, data, from, fields) {
+				t.Fatalf("step %d: Splice refused what SpliceShift accepted", step)
+			}
+			want := append([]byte(nil), before...)
+			if sh.Delta > 0 {
+				copy(want[sh.Off+sh.Delta:], before[sh.Off:sh.Off+sh.Tail])
+				copy(want[sh.Off:], data[from:from+sh.Delta])
+			} else {
+				copy(want[sh.Off:], before[sh.Off-sh.Delta:sh.Off-sh.Delta+sh.Tail])
+			}
+			for _, sp := range spans {
+				if sp.Off < sh.Off+sh.Tail+max(sh.Delta, -sh.Delta) && sh.Off < sp.Off+sp.Len {
+					t.Fatalf("step %d: span %+v overlaps the shifted bytes %+v", step, sp, sh)
+				}
+				copy(want[sp.Off:sp.Off+sp.Len], s.b[sp.Off:])
+			}
+			if !bytes.Equal(want, s.b) {
+				t.Fatalf("step %d: the page after Splice is not the shift %+v plus the spans %v", step, sh, spans)
+			}
+			if body := sh.Body(); body.Off != sh.Off || body.Len != len(data)-from {
+				t.Fatalf("step %d: body %+v of shift %+v, %d bytes written", step, body, sh, len(data)-from)
+			}
+		}
+	}
+	if shifts < 1000 || moved < 100 {
+		t.Fatalf("%d shifts, %d moved cells", shifts, moved)
+	}
+}

@@ -292,9 +292,11 @@ func (m *Manager) Touch(rid RID) error {
 // the body lies on, for a caller that knows where data differs from the
 // stored body: from byte from on, and before that only in the two-byte
 // fields at the offsets in fields. The page is then edited, and the
-// change logged, in those bytes alone (pageformat.Slotted.Splice). It
-// reports false, with nothing changed, when the page cannot hold data;
-// Update then moves the body.
+// change logged, in those bytes alone (pageformat.Slotted.Splice) — and
+// when behind from data is the stored body with bytes inserted or
+// removed there, which is what a node edit is, as that shift instead of
+// the bytes it moves. It reports false, with nothing changed, when the
+// page cannot hold data; Update then moves the body.
 func (m *Manager) Splice(rid RID, data []byte, from int, fields []int) (bool, error) {
 	if err := m.checkSize(len(data)); err != nil {
 		return false, err
@@ -319,14 +321,21 @@ func (m *Manager) spliceAt(loc RID, data []byte, from int, fields []int) (bool, 
 		f.Release()
 		return false, err
 	}
-	var buf [16]pageformat.Span
-	spans, ok := sl.SpliceSpans(buf[:0], int(loc.Slot), len(data), from, fields)
-	if !ok {
-		f.Unlatch()
-		f.Release()
-		return false, nil
+	var (
+		buf [16]pageformat.Span
+		u   buffer.Update
+	)
+	if spans, sh, ok := sl.SpliceShift(buf[:0], int(loc.Slot), data, from, fields); ok {
+		u = f.BeginShift(sh, spans...)
+	} else {
+		spans, ok := sl.SpliceSpans(buf[:0], int(loc.Slot), len(data), from, fields)
+		if !ok {
+			f.Unlatch()
+			f.Release()
+			return false, nil
+		}
+		u = f.BeginUpdate(spans...)
 	}
-	u := f.BeginUpdate(spans...)
 	sl.Splice(int(loc.Slot), data, from, fields)
 	free := sl.FreeBytes()
 	err = f.EndUpdate(u)

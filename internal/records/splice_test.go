@@ -145,3 +145,91 @@ func TestSpliceLogsLessThanUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// logTail returns the records appended to the log since LSN from.
+func logTail(t *testing.T, w *wal.Writer, from wal.LSN) []wal.Record {
+	t.Helper()
+	lsns, err := w.RecordLSNsSince(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []wal.Record
+	for _, lsn := range lsns {
+		rec, err := w.ReadRecord(lsn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
+// TestSpliceLogsAShift: a splice that inserts or removes bytes and leaves
+// the rest of the body alone — what a node edit is — logs one shift
+// record that carries the inserted bytes and not the tail behind them;
+// one that rewrites the tail logs its physical ranges as before; and the
+// log, replayed from the page's image, rebuilds the page either way.
+func TestSpliceLogsAShift(t *testing.T) {
+	defer buffer.SetWindowCheck(buffer.SetWindowCheck(false))
+	m, w := newLoggedManager(t, 8192)
+	body := make([]byte, 4000)
+	rand.New(rand.NewSource(5)).Read(body)
+	rid, err := m.Insert(body, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := []byte("thirty bytes of a new text node")
+	grown := append(append(append([]byte(nil), body[:3000]...), node...), body[3000:]...)
+	grown[10], grown[11] = 0xAB, 0xCD // an ancestor's size field
+	from := w.End()
+	if ok, err := m.Splice(rid, grown, 3000, []int{10}); !ok || err != nil {
+		t.Fatalf("Splice = %v, %v", ok, err)
+	}
+	recs := logTail(t, w, from)
+	if len(recs) == 0 || recs[0].Type != wal.RecShift {
+		t.Fatalf("insert logged %d records, the first a %s", len(recs), wal.TypeName(recs[0].Type))
+	}
+	sh := recs[0].Shift
+	if sh.Delta != len(node) || sh.Tail != 1000 || !bytes.Equal(sh.Ins, node) {
+		t.Fatalf("logged shift %+v", sh)
+	}
+	if logged := w.End() - from; logged > 200 {
+		t.Fatalf("splice of %d bytes, 1000 before the end of a 4000-byte record, logged %d bytes", len(node), logged)
+	}
+
+	shrunk := append(append([]byte(nil), grown[:500]...), grown[700:]...)
+	from = w.End()
+	if ok, err := m.Splice(rid, shrunk, 500, nil); !ok || err != nil {
+		t.Fatalf("Splice = %v, %v", ok, err)
+	}
+	if recs := logTail(t, w, from); recs[0].Type != wal.RecShift || recs[0].Shift.Delta != -200 || !bytes.Equal(recs[0].Shift.Del, grown[500:700]) {
+		t.Fatalf("removal logged %s %+v", wal.TypeName(recs[0].Type), recs[0].Shift)
+	}
+
+	// Not a shift: the tail is rewritten too.
+	rewritten := append(append([]byte(nil), shrunk[:2000]...), node...)
+	rewritten = append(rewritten, bytes.Repeat([]byte{7}, len(shrunk)-2000)...)
+	from = w.End()
+	if ok, err := m.Splice(rid, rewritten, 2000, nil); !ok || err != nil {
+		t.Fatalf("Splice = %v, %v", ok, err)
+	}
+	if recs := logTail(t, w, from); recs[0].Type != wal.RecUpdate {
+		t.Fatalf("rewritten tail logged %s", wal.TypeName(recs[0].Type))
+	}
+	if got, _ := m.Read(rid); !bytes.Equal(got, rewritten) {
+		t.Fatal("body reads back wrong")
+	}
+
+	page, ok, err := w.ReconstructPage(rid.Page, 8192)
+	if err != nil || !ok {
+		t.Fatalf("reconstruct: ok=%v err=%v", ok, err)
+	}
+	f, err := m.seg.Pool().Get(rid.Page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Release()
+	if !bytes.Equal(page[16:], f.Data()[16:]) {
+		t.Fatal("the log does not replay to the page in the pool")
+	}
+}

@@ -175,10 +175,14 @@ func TestWriterLogBytesMatchReference(t *testing.T) {
 // re-encoding: encode(decode(x)) decodes to the same record and is a
 // fixed point of encode∘decode. The checked-in corpus under
 // testdata/fuzz holds the records of a real logged session (a bulk
-// import, node inserts and deletes, a checkpoint) at a 512-byte page.
+// import, node inserts and deletes, a checkpoint) at a 512-byte page;
+// shift records are seeded from shiftSamples.
 func FuzzDecodePayload(f *testing.F) {
 	for _, rec := range everyRecordType() {
 		f.Add(refEncodePayload(&rec))
+	}
+	for _, rec := range shiftSamples() {
+		f.Add(appendPayload(nil, &rec))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodePayload(data)
@@ -188,7 +192,11 @@ func FuzzDecodePayload(f *testing.F) {
 			}
 			return
 		}
-		size := len(rec.Kind) + len(rec.BeforeImage) + len(rec.Image)
+		size := len(rec.Kind) + len(rec.BeforeImage) + len(rec.Image) + len(rec.Shift.Ins) + len(rec.Shift.Del)
+		if rec.Type == RecShift && (rec.Shift.Delta == 0 || len(rec.Shift.Del) != max(rec.Shift.Delta, -rec.Shift.Delta) ||
+			len(rec.Shift.Ins) != max(rec.Shift.Delta, 0)) {
+			t.Fatalf("shift by %d carries %d inserted and %d destroyed bytes", rec.Shift.Delta, len(rec.Shift.Ins), len(rec.Shift.Del))
+		}
 		for _, r := range rec.Ranges {
 			if len(r.Before) != len(r.After) {
 				t.Fatalf("range at %d: %d bytes before, %d after", r.Off, len(r.Before), len(r.After))
@@ -226,6 +234,12 @@ func normalize(r Record) Record {
 	}
 	if len(r.Ranges) == 0 {
 		r.Ranges = nil
+	}
+	if len(r.Shift.Ins) == 0 {
+		r.Shift.Ins = nil
+	}
+	if len(r.Shift.Del) == 0 {
+		r.Shift.Del = nil
 	}
 	for i := range r.Ranges {
 		if len(r.Ranges[i].Before) == 0 {

@@ -12,10 +12,10 @@ import (
 // a page after a checkpoint carries a full image — RecFirstUpdate's
 // before-image for an existing page, RecImage's after-image for a
 // freshly allocated one. Every later change to the page is a RecUpdate
-// whose ranges carry both before and after bytes. So for any page with
-// an image-bearing record in the current checkpoint epoch, the log
-// alone determines the page's current content: start from the image,
-// replay the after-bytes of everything that follows. That is exactly
+// whose ranges carry both before and after bytes, or a RecShift that
+// says which bytes moved. So for any page with an image-bearing record
+// in the current checkpoint epoch, the log alone determines the page's
+// current content: start from the image, redo everything that follows. That is exactly
 // what the integrity scrubber needs when the device copy fails its
 // checksum — the log reaches further than undo/redo recovery: it can
 // rebuild a page the device has silently destroyed.
@@ -44,11 +44,12 @@ func (w *Writer) ImagedPages() []pagedev.PageNo {
 }
 
 // ReconstructPage rebuilds the current content of page p from the log:
-// the latest full image, plus the after-bytes of every subsequent
-// record touching p, applied in log order. Compensating updates from
-// aborted operations are ordinary records and replay like any other,
-// so the result reflects all committed state and no aborted state —
-// byte-identical to what the buffer pool would write back.
+// the latest full image, plus the redo of every subsequent record
+// touching p, applied in log order (Record.Redo, as restart recovery).
+// Compensating updates from aborted operations are ordinary records and
+// replay like any other, so the result reflects all committed state and
+// no aborted state — byte-identical to what the buffer pool would write
+// back.
 //
 // Returns (nil, false, nil) when the log holds no image of p.
 func (w *Writer) ReconstructPage(p pagedev.PageNo, pageSize int) ([]byte, bool, error) {
@@ -74,44 +75,18 @@ func (w *Writer) ReconstructPage(p pagedev.PageNo, pageSize int) ([]byte, bool, 
 		if first {
 			// The index points at an image-bearing record for p.
 			first = false
-			switch rec.Type {
-			case RecImage:
-				if len(rec.Image) != pageSize {
-					return nil, false, fmt.Errorf("wal: reconstruct page %d: image size %d, want %d", p, len(rec.Image), pageSize)
-				}
-				copy(buf, rec.Image)
-			case RecFirstUpdate:
-				if len(rec.BeforeImage) != pageSize {
-					return nil, false, fmt.Errorf("wal: reconstruct page %d: before-image size %d, want %d", p, len(rec.BeforeImage), pageSize)
-				}
-				copy(buf, rec.BeforeImage)
-				applyAfter(buf, rec.Ranges)
-			default:
+			if rec.Type != RecImage && rec.Type != RecFirstUpdate {
 				return nil, false, fmt.Errorf("wal: reconstruct page %d: index points at %s record", p, TypeName(rec.Type))
 			}
-		} else if rec.Page == p {
-			switch rec.Type {
-			case RecUpdate, RecFirstUpdate:
-				applyAfter(buf, rec.Ranges)
-			case RecImage:
-				if len(rec.Image) != pageSize {
-					return nil, false, fmt.Errorf("wal: reconstruct page %d: image size %d, want %d", p, len(rec.Image), pageSize)
-				}
-				copy(buf, rec.Image)
+		}
+		if rec.Page == p {
+			if err := rec.Redo(buf); err != nil {
+				return nil, false, fmt.Errorf("wal: reconstruct page %d: %w", p, err)
 			}
 		}
 		lsn += LSN(n)
 	}
 	return buf, true, nil
-}
-
-// applyAfter overlays the after-bytes of ranges onto page content.
-func applyAfter(buf []byte, ranges []Range) {
-	for _, r := range ranges {
-		if int(r.Off)+len(r.After) <= len(buf) {
-			copy(buf[r.Off:], r.After)
-		}
-	}
 }
 
 // rebuildImageIndex scans the log and repopulates the image index, for

@@ -37,7 +37,7 @@ type recPage struct {
 	buf    []byte
 	dirty  bool
 	torn   bool // device copy failed its checksum
-	imaged bool // a full image/before-image has been applied
+	imaged bool // a full image/before-image has been laid down: replay no longer rests on device bytes
 	dead   bool // freshly allocated by an undone operation
 	lsn    LSN  // last record applied
 }
@@ -59,7 +59,7 @@ func Recover(dev pagedev.Device, st Storage) (Result, error) {
 	}
 
 	var recs []Record
-	pageSize, _, err := Scan(st, func(r Record) error {
+	pageSize, end, err := Scan(st, func(r Record) error {
 		recs = append(recs, r)
 		return nil
 	})
@@ -96,7 +96,7 @@ func Recover(dev pagedev.Device, st Storage) (Result, error) {
 
 	res := Result{Recovered: true}
 	if len(recs) == 0 {
-		return res, resetLog(st, pageSize)
+		return res, resetLog(st, pageSize, end)
 	}
 
 	// Analysis: which operations finished?
@@ -130,24 +130,6 @@ func Recover(dev pagedev.Device, st Storage) (Result, error) {
 			virtual = uint64(p) + 1
 		}
 	}
-	applyRanges := func(pg *recPage, r Record, redo bool) error {
-		// A record's ranges are disjoint, so application order within
-		// the record is irrelevant.
-		for _, rg := range r.Ranges {
-			if rg.Off < 0 || rg.Off+len(rg.After) > pageSize {
-				return fmt.Errorf("%w: range [%d,%d) on %d-byte page", ErrBadRecord, rg.Off, rg.Off+len(rg.After), pageSize)
-			}
-			if redo {
-				copy(pg.buf[rg.Off:], rg.After)
-			} else {
-				copy(pg.buf[rg.Off:], rg.Before)
-			}
-		}
-		pg.dirty = true
-		pg.lsn = r.LSN
-		return nil
-	}
-
 	// Op membership per record: page records carry no op id; the
 	// nearest preceding begin owns them.
 	owner := make([]uint64, len(recs))
@@ -166,87 +148,56 @@ func Recover(dev pagedev.Device, st Storage) (Result, error) {
 	finished := func(i int) bool { return owner[i] == 0 || closed[owner[i]] }
 
 	// Read-ahead: the replay below touches pages in record order, which
-	// is effectively random on the device. Walk the records in replay
-	// order first (redo forward, undo backward) to learn, per page,
-	// whether its first touch needs the device copy at all — RecImage
-	// and RecFirstUpdate overwrite the whole page, only RecUpdate
+	// is effectively random on the device. Walk the records first to
+	// learn, per page, whether its first touch needs the device copy at
+	// all — RecImage and RecFirstUpdate overwrite the whole page, a
+	// RecShift is refused without one of them before it, only RecUpdate
 	// patches on top of device bytes — then load the needed pages in
 	// ascending page order, adjacent runs batched into single vectored
 	// reads. On the simulated disk that is one seek plus sequential
 	// transfers instead of one seek per page; load() then always hits
 	// the pages map.
-	seen := make(map[pagedev.PageNo]bool)
-	needDevice := make(map[pagedev.PageNo]bool)
-	note := func(p pagedev.PageNo, wantsDevice bool) {
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		if wantsDevice {
-			needDevice[p] = true
+	needDevice := make(map[pagedev.PageNo]bool) // every page touched → its first touch patches device bytes
+	for i := range recs {
+		switch r := &recs[i]; r.Type {
+		case RecImage, RecFirstUpdate, RecShift, RecUpdate:
+			if _, seen := needDevice[r.Page]; !seen {
+				needDevice[r.Page] = r.Type == RecUpdate
+			}
 		}
 	}
-	for i, r := range recs {
-		if !finished(i) {
-			continue
-		}
-		switch r.Type {
-		case RecImage, RecFirstUpdate:
-			note(r.Page, false)
-		case RecUpdate:
-			note(r.Page, true)
-		}
-	}
-	for i := len(recs) - 1; i >= 0; i-- {
-		r := recs[i]
-		if finished(i) {
-			continue
-		}
-		switch r.Type {
-		case RecImage, RecFirstUpdate:
-			note(r.Page, false)
-		case RecUpdate:
-			note(r.Page, true)
-		}
-	}
-	preload(dev, pages, seen, needDevice, pageSize)
+	preload(dev, pages, needDevice, pageSize)
 
-	// Redo: replay records of finished operations in log order.
-	// (Records of aborted operations replay too: their compensating
-	// updates follow their originals in the log, so the net effect is
-	// the rollback the mutator performed before appending the abort.)
-	for i, r := range recs {
+	// Redo repeats history: every page record since the checkpoint in
+	// log order, those of the unfinished tail operation included, so
+	// that each record — and then each undo below — meets the page in
+	// exactly the state it was logged against. (Records of aborted
+	// operations replay too: their compensating updates follow their
+	// originals in the log, so the net effect is the rollback the
+	// mutator performed before appending the abort.)
+	for i := range recs {
+		r := &recs[i]
 		switch r.Type {
 		case RecBegin:
 			if closed[r.OpID] {
 				res.RedoneOps++
 			}
-			continue
-		case RecCommit, RecAbort, RecCheckpoint:
-			continue
-		}
-		if !finished(i) {
-			continue // unfinished: handled by undo below
-		}
-		switch r.Type {
-		case RecImage:
+		case RecImage, RecFirstUpdate, RecUpdate, RecShift:
 			grow(r.Page)
 			pg := load(r.Page)
-			copy(pg.buf, r.Image)
-			pg.dirty, pg.imaged, pg.torn, pg.dead, pg.lsn = true, true, false, false, r.LSN
-		case RecFirstUpdate:
-			grow(r.Page)
-			pg := load(r.Page)
-			copy(pg.buf, r.BeforeImage)
-			pg.imaged, pg.torn = true, false
-			if err := applyRanges(pg, r, true); err != nil {
-				return res, err
+			if r.Type == RecShift && !pg.imaged {
+				// The epoch rule: a shift never applies to device bytes.
+				return res, fmt.Errorf("%w: shift for page %d with no earlier image of it in the log", ErrBadRecord, r.Page)
 			}
-		case RecUpdate:
-			grow(r.Page)
-			pg := load(r.Page)
-			if err := applyRanges(pg, r, true); err != nil {
-				return res, err
+			if err := r.Redo(pg.buf); err != nil {
+				return res, fmt.Errorf("wal: redo page %d at LSN %d: %w", r.Page, r.LSN, err)
+			}
+			pg.dirty, pg.lsn = true, r.LSN
+			switch r.Type {
+			case RecImage:
+				pg.imaged, pg.torn, pg.dead = true, false, false
+			case RecFirstUpdate:
+				pg.imaged, pg.torn = true, false
 			}
 		case RecShrink:
 			if r.NumPages < virtual {
@@ -261,41 +212,31 @@ func Recover(dev pagedev.Device, st Storage) (Result, error) {
 	}
 
 	// Undo: walk the unfinished tail operation's records backwards,
-	// restoring before-images; pages it freshly allocated die with the
-	// device truncation back to the operation's pre-image size.
+	// taking each back out of its page; pages it freshly allocated die
+	// with the device truncation back to the operation's pre-image size.
 	undone := make(map[uint64]bool)
 	undoShrink := virtual
 	for i := len(recs) - 1; i >= 0; i-- {
-		r := recs[i]
-		op := r.OpID
-		switch r.Type {
-		case RecBegin:
-			if !closed[op] {
-				undone[op] = true
-				if r.PreNumPages < undoShrink {
-					undoShrink = r.PreNumPages
-				}
+		r := &recs[i]
+		if r.Type == RecBegin && !closed[r.OpID] {
+			undone[r.OpID] = true
+			if r.PreNumPages < undoShrink {
+				undoShrink = r.PreNumPages
 			}
-			continue
-		case RecCommit, RecAbort, RecCheckpoint, RecShrink:
-			continue
 		}
 		if finished(i) {
-			continue // already redone
+			continue
 		}
 		switch r.Type {
 		case RecImage:
 			pg := load(r.Page)
 			pg.dead, pg.dirty = true, false
-		case RecFirstUpdate:
+		case RecFirstUpdate, RecUpdate, RecShift:
 			pg := load(r.Page)
-			copy(pg.buf, r.BeforeImage)
-			pg.dirty, pg.imaged, pg.torn, pg.lsn = true, true, false, r.LSN
-		case RecUpdate:
-			pg := load(r.Page)
-			if err := applyRanges(pg, r, false); err != nil {
-				return res, err
+			if err := r.Undo(pg.buf); err != nil {
+				return res, fmt.Errorf("wal: undo page %d at LSN %d: %w", r.Page, r.LSN, err)
 			}
+			pg.dirty, pg.lsn = true, r.LSN
 		}
 	}
 	res.UndoneOps = len(undone)
@@ -362,20 +303,20 @@ func Recover(dev pagedev.Device, st Storage) (Result, error) {
 	if err := dev.Sync(); err != nil {
 		return res, err
 	}
-	return res, resetLog(st, pageSize)
+	return res, resetLog(st, pageSize, end)
 }
 
 // maxRecoveryRun caps the pages moved per vectored recovery I/O.
 const maxRecoveryRun = 64
 
-// preload populates pages for every page the replay will touch: pages
-// whose first touch overwrites them fully get a blank entry (no device
-// read at all), pages whose first touch patches byte ranges get their
-// device copy, fetched in ascending order with adjacent runs batched
+// preload populates pages for every page the replay will touch — the
+// keys of needDevice: pages whose first touch overwrites them fully get
+// a blank entry (no device read at all), pages whose first touch patches
+// byte ranges (needDevice true) get their device copy, fetched in ascending order with adjacent runs batched
 // through pagedev.ReadRange. A failed vectored read falls back to
 // per-page loads so a single unreadable page only marks itself torn,
 // exactly as the unbatched path would.
-func preload(dev pagedev.Device, pages map[pagedev.PageNo]*recPage, seen, needDevice map[pagedev.PageNo]bool, pageSize int) {
+func preload(dev pagedev.Device, pages map[pagedev.PageNo]*recPage, needDevice map[pagedev.PageNo]bool, pageSize int) {
 	blank := func(p pagedev.PageNo) {
 		pages[p] = &recPage{buf: make([]byte, pageSize)}
 	}
@@ -390,8 +331,8 @@ func preload(dev pagedev.Device, pages map[pagedev.PageNo]*recPage, seen, needDe
 	}
 	numPages := uint64(dev.NumPages())
 	need := make([]pagedev.PageNo, 0, len(needDevice))
-	for p := range seen {
-		if !needDevice[p] || uint64(p) >= numPages {
+	for p, wanted := range needDevice {
+		if !wanted || uint64(p) >= numPages {
 			blank(p)
 			continue
 		}
@@ -431,13 +372,10 @@ func preload(dev pagedev.Device, pages map[pagedev.PageNo]*recPage, seen, needDe
 	}
 }
 
-// resetLog truncates the log to an empty state whose base LSN continues
-// after everything scanned, keeping LSNs monotonic for the store's life.
-func resetLog(st Storage, pageSize int) error {
-	_, end, err := Scan(st, func(Record) error { return nil })
-	if err != nil {
-		return err
-	}
+// resetLog truncates the log to an empty state whose base LSN is end,
+// the LSN after everything scanned, keeping LSNs monotonic for the
+// store's life.
+func resetLog(st Storage, pageSize int, end LSN) error {
 	if end == 0 {
 		end = 1
 	}

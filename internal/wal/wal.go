@@ -4,8 +4,9 @@
 //
 // # Logging scheme
 //
-// The log is page-addressed and physical. Three record shapes describe
-// page changes:
+// The log is page-addressed and physiological: every record names one
+// page, three shapes describe its bytes and one describes an operation
+// on them. Four record shapes describe page changes:
 //
 //   - page-image records hold the full after-image of a freshly
 //     allocated page (bulk-loaded pages, newly formatted FSI pages).
@@ -17,8 +18,35 @@
 //     role full-page writes play in PostgreSQL).
 //   - update records carry only the changed byte ranges, each with its
 //     before and after bytes, so they redo and undo by plain byte
-//     copies — both idempotent, which keeps restart recovery safe to
-//     re-run if it is itself interrupted.
+//     copies.
+//   - shift records describe a node spliced into, or out of, a stored
+//     record where it lies: "move the Tail bytes at Off by Delta", the
+//     bytes written into the gap (and the ones the move destroys, for
+//     undo), and the few small ranges that change beside it (slotted
+//     header, slot entry, the ancestors' size fields). An insert logs
+//     about what it inserts instead of the record's tail twice over.
+//
+// Record.Redo and Record.Undo are the one pair of appliers: restart
+// recovery, runtime rollback and page reconstruction all go through
+// them.
+//
+// # The epoch rule
+//
+// A shift is not idempotent — applied to a page that already holds it,
+// it moves the tail again — and recovery has no page-LSN test. Neither
+// is needed, because replay never starts from device bytes: the first
+// record a checkpoint epoch holds for a page is always image-bearing
+// (image or first-update), a shift is only ever appended for a page
+// that already has that image in the epoch's log, and replay of a page
+// starts by laying the image down. From there redo is deterministic
+// (it repeats history, the unfinished tail operation included, which
+// undo then takes back in reverse), so re-running an interrupted
+// recovery reaches the same bytes. A shift for a page with no earlier
+// image in the replayed log is refused (ErrBadRecord), and so is one
+// whose before-bytes do not match the page it is applied to. An epoch
+// ends wherever a checkpoint record may sit in the log — also when
+// Checkpoint failed after appending it — because replay starts behind
+// the last one: the caller must start a new epoch either way.
 //
 // Operation boundaries (begin/commit/abort) bracket each document-store
 // mutation; a checkpoint record marks a point where all pages are known
@@ -45,6 +73,7 @@ import (
 	"hash/crc32"
 
 	"natix/internal/pagedev"
+	"natix/internal/pageformat"
 )
 
 // LSN is a log sequence number: the logical byte address of a record in
@@ -64,12 +93,13 @@ const (
 	RecImage             // full after-image of a freshly allocated page
 	RecCheckpoint        // all pages durable; device size at checkpoint
 	RecShrink            // device truncated (runtime rollback deallocation)
+	RecShift             // cell tail moved by an in-place insert/removal: page, shift, ranges
 )
 
 // typeNames maps record types to display names (natix-inspect -wal).
 var typeNames = [...]string{
 	"invalid", "begin", "commit", "abort", "update", "first-update",
-	"image", "checkpoint", "shrink",
+	"image", "checkpoint", "shrink", "shift",
 }
 
 // TypeName returns the display name of a record type.
@@ -88,6 +118,21 @@ type Range struct {
 	After  []byte
 }
 
+// Shift is the body of a shift record: the move (pageformat.Shift —
+// |Delta| bytes inserted at or removed from page offset Off, the Tail
+// bytes behind that point moving with them) and the bytes it takes to
+// replay it either way. Redo of an insert moves [Off, Off+Tail) up by
+// Delta and writes Ins at Off; redo of a removal moves the tail down to
+// Off and leaves the |Delta| bytes behind it as they were. Del holds the
+// bytes redo destroys and undo puts back (Shift.Destroyed): the bytes
+// removed at Off, or — for an insert — the bytes behind the tail that it
+// is moved onto.
+type Shift struct {
+	pageformat.Shift
+	Ins []byte // Delta > 0 only
+	Del []byte
+}
+
 // Record is one decoded log record.
 type Record struct {
 	LSN  LSN
@@ -97,10 +142,11 @@ type Record struct {
 	PreNumPages uint64 // begin: device size before the operation
 	Kind        string // begin: operation label ("import:name", ...)
 
-	Page        pagedev.PageNo // update/first-update/image
+	Page        pagedev.PageNo // update/first-update/image/shift
 	BeforeImage []byte         // first-update
 	Image       []byte         // image
-	Ranges      []Range        // update/first-update
+	Ranges      []Range        // update/first-update/shift
+	Shift       Shift          // shift
 
 	NumPages uint64 // checkpoint and shrink: device size
 }
@@ -118,7 +164,17 @@ const (
 	maxPayload = 3*pagedev.MaxPageSize + 4096
 )
 
-var logMagic = [8]byte{'N', 'X', 'W', 'A', 'L', '0', '0', '1'}
+// logMagic heads every log this build writes. Version 002 announces
+// that the log may hold shift records; logMagicV1 heads the logs of
+// builds that knew only the physical shapes, which this build still
+// reads and recovers (it writes 002 at the next log reset). The version
+// exists for the other direction: an older build stops at a log it
+// cannot read instead of cutting it at the first shift (Scan takes a
+// record of unknown type for a torn tail).
+var (
+	logMagic   = [8]byte{'N', 'X', 'W', 'A', 'L', '0', '0', '2'}
+	logMagicV1 = [8]byte{'N', 'X', 'W', 'A', 'L', '0', '0', '1'}
+)
 
 // Errors.
 var (
@@ -145,7 +201,7 @@ func encodeHeader(h header) []byte {
 }
 
 func decodeHeader(b []byte) (header, error) {
-	if len(b) < headerSize || [8]byte(b[:8]) != logMagic {
+	if len(b) < headerSize || [8]byte(b[:8]) != logMagic && [8]byte(b[:8]) != logMagicV1 {
 		return header{}, ErrBadHeader
 	}
 	h := header{
@@ -199,6 +255,15 @@ func appendPayload(b []byte, r *Record) []byte {
 		b = append(b, r.Image...)
 	case RecCheckpoint, RecShrink:
 		b = binary.LittleEndian.AppendUint64(b, r.NumPages)
+	case RecShift:
+		sh := &r.Shift
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.Page))
+		b = binary.LittleEndian.AppendUint16(b, uint16(sh.Off))
+		b = binary.LittleEndian.AppendUint16(b, uint16(sh.Tail))
+		b = binary.LittleEndian.AppendUint16(b, uint16(int16(sh.Delta)))
+		b = append(b, sh.Ins...)
+		b = append(b, sh.Del...)
+		b = appendRanges(b, r.Ranges)
 	}
 	return b
 }
@@ -305,6 +370,34 @@ func decodePayload(b []byte) (Record, error) {
 			return bad()
 		}
 		r.NumPages = n
+	case RecShift:
+		p, ok1 := u64()
+		off, ok2 := u16()
+		tail, ok3 := u16()
+		delta, ok4 := u16()
+		if !ok1 || !ok2 || !ok3 || !ok4 || delta == 0 {
+			return bad()
+		}
+		r.Page = pagedev.PageNo(p)
+		sh := Shift{Shift: pageformat.Shift{Off: int(off), Tail: int(tail), Delta: int(int16(delta))}}
+		k := sh.Delta
+		if k > 0 {
+			if len(b) < k {
+				return bad()
+			}
+			sh.Ins, b = b[:k], b[k:]
+		} else {
+			k = -k
+		}
+		if len(b) < k {
+			return bad()
+		}
+		sh.Del, b = b[:k], b[k:]
+		ranges, _, err := decodeRanges(b)
+		if err != nil {
+			return bad()
+		}
+		r.Shift, r.Ranges = sh, ranges
 	default:
 		return bad()
 	}

@@ -32,6 +32,9 @@ type Stats struct {
 	Bytes       int64 // payload bytes appended
 	Syncs       int64 // durability barriers issued
 	Checkpoints int64 // checkpoints taken
+
+	ShiftRecords int64 // shift records among Appends
+	ShiftBytes   int64 // their payload bytes among Bytes
 }
 
 // Writer is the append side of the log. Appends are buffered in memory
@@ -55,6 +58,8 @@ type Writer struct {
 	bytes       int64
 	syncs       int64
 	checkpoints int64
+	shiftRecs   int64
+	shiftBytes  int64
 
 	// retry absorbs transient storage errors on the append path: a
 	// momentary EIO while flushing the buffer retries with backoff
@@ -120,6 +125,17 @@ func OpenWriter(st Storage, opts Options) (*Writer, error) {
 		}
 		w.base = h.base
 		w.fileEnd = size
+		if size == headerSize && [8]byte(hb[:8]) != logMagic {
+			// A header-only log of an older format version: nothing
+			// depends on it yet, so reset it to the version this build
+			// writes before the first record goes in.
+			if _, err := st.WriteAt(encodeHeader(h), 0); err != nil {
+				return nil, err
+			}
+			if err := st.Sync(); err != nil {
+				return nil, err
+			}
+		}
 	}
 	w.synced = w.endLocked()
 	w.images = make(map[pagedev.PageNo]LSN)
@@ -157,7 +173,8 @@ func (w *Writer) Size() int64 {
 func (w *Writer) Stats() Stats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return Stats{Appends: w.appends, Bytes: w.bytes, Syncs: w.syncs, Checkpoints: w.checkpoints}
+	return Stats{Appends: w.appends, Bytes: w.bytes, Syncs: w.syncs, Checkpoints: w.checkpoints,
+		ShiftRecords: w.shiftRecs, ShiftBytes: w.shiftBytes}
 }
 
 // AttachTelemetry registers the writer's counters with a metrics
@@ -175,6 +192,8 @@ func (w *Writer) AttachTelemetry(reg *telemetry.Registry) {
 	reg.Func("wal.bytes", read(&w.bytes))
 	reg.Func("wal.syncs", read(&w.syncs))
 	reg.Func("wal.checkpoints", read(&w.checkpoints))
+	reg.Func("wal.shift_records", read(&w.shiftRecs))
+	reg.Func("wal.shift_bytes", read(&w.shiftBytes))
 	reg.Func("wal.size_bytes", w.Size)
 	reg.Func("wal.io_retries", w.retry.Retries)
 	w.fsyncNS = reg.Histogram("wal.fsync_ns")
@@ -192,8 +211,12 @@ func (w *Writer) appendLocked(rec *Record) (LSN, error) {
 	w.buf, n = appendFramed(w.buf, rec)
 	w.appends++
 	w.bytes += int64(n)
-	if rec.Type == RecImage || rec.Type == RecFirstUpdate {
+	switch rec.Type {
+	case RecImage, RecFirstUpdate:
 		w.images[rec.Page] = lsn
+	case RecShift:
+		w.shiftRecs++
+		w.shiftBytes += int64(n)
 	}
 	if len(w.buf) >= w.opts.BufferLimit {
 		if err := w.flushLocked(); err != nil {
@@ -327,6 +350,17 @@ func (w *Writer) AppendFirstUpdate(page pagedev.PageNo, beforeImage []byte, rang
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.appendLocked(&Record{Type: RecFirstUpdate, Page: page, BeforeImage: beforeImage, Ranges: ranges})
+}
+
+// AppendShift logs an in-place insert or removal inside a cell of a
+// page: the shift and the small ranges that change beside it. The
+// caller vouches for the epoch rule — the page's image is already in
+// this checkpoint epoch's log — which is what lets replay apply the
+// record without looking at the device (see the package comment).
+func (w *Writer) AppendShift(page pagedev.PageNo, sh Shift, ranges []Range) (LSN, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.appendLocked(&Record{Type: RecShift, Page: page, Shift: sh, Ranges: ranges})
 }
 
 // AppendImage logs the full after-image of a freshly allocated page.

@@ -93,7 +93,7 @@ func crashOpts() Options {
 // snapshotDev copies the surviving device contents (reading the
 // underlying Mem directly: the fault wrapper refuses reads after a
 // crash, but the test harness plays the role of the disk).
-func snapshotDev(t *testing.T, mem *pagedev.Mem) [][]byte {
+func snapshotDev(t testing.TB, mem *pagedev.Mem) [][]byte {
 	t.Helper()
 	n := int(mem.NumPages())
 	pages := make([][]byte, n)
@@ -106,7 +106,7 @@ func snapshotDev(t *testing.T, mem *pagedev.Mem) [][]byte {
 	return pages
 }
 
-func restoreDev(t *testing.T, pageSize int, pages [][]byte) *pagedev.Mem {
+func restoreDev(t testing.TB, pageSize int, pages [][]byte) *pagedev.Mem {
 	t.Helper()
 	mem, err := pagedev.NewMem(pageSize)
 	if err != nil {
@@ -601,7 +601,11 @@ func (e nodeEdit) applyToModel(root *xmlkit.Node) {
 // order, every ninth deleted again and re-inserted, and at the end three
 // speeches that have grown children deleted whole.
 func nodeEditScript(limit int) (root string, script []nodeEdit) {
-	play := corpus.GeneratePlay(corpus.SmallSpec(1), 0)
+	return nodeEditScriptOf(corpus.GeneratePlay(corpus.SmallSpec(1), 0), limit)
+}
+
+// nodeEditScriptOf is nodeEditScript over the first limit nodes of play.
+func nodeEditScriptOf(play *xmlkit.Node, limit int) (root string, script []nodeEdit) {
 	model := xmlkit.NewElement(play.Name)
 	for i, op := range corpus.BinaryBFSOps(play) {
 		if i == limit {
@@ -732,7 +736,7 @@ func TestCrashRecoveryNodeEdits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range []string{"core.records_spliced", "core.records_rewritten", "core.splits", "core.parent_patches"} {
+		for _, c := range []string{"core.records_spliced", "core.records_rewritten", "core.splits", "core.parent_patches", "wal.shift_records"} {
 			counters[c] += m.Counters[c]
 		}
 		if err := db.Close(); err != nil {
@@ -788,6 +792,13 @@ func TestCrashRecoveryNodeEdits(t *testing.T) {
 		counters["core.records_spliced"] == 0 || counters["core.records_rewritten"] == 0 ||
 		counters["core.splits"] == 0 || counters["core.parent_patches"] == 0 {
 		t.Fatal("the script does not cross every way an edit reaches its page")
+	}
+	// Most splices log a shift record (a session's first edit of a page
+	// logs its before-image instead); the crash points below are only as
+	// good as the records they interrupt.
+	if counters["wal.shift_records"] < counters["core.records_spliced"]/2 {
+		t.Fatalf("%d spliced edits logged %d shift records: the matrix no longer covers them",
+			counters["core.records_spliced"], counters["wal.shift_records"])
 	}
 
 	// Crash passes, session by session.
