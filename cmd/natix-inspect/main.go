@@ -324,13 +324,17 @@ func dumpPages(seg *segment.Segment, pool *buffer.Pool, store *docstore.Store, t
 
 // dumpBytes closes -pages with the rows of DESIGN.md's "Where the file's
 // bytes go": the documents' records by the format version of their
-// stored images (a store written before version 2 shows as upgraded as
-// far as it has been edited), the free bytes in allocated pages, the
-// path-index blobs, everything else, and the fill over the pages that
-// hold records. free is the free byte count of every data page.
+// stored images (a store written before the current version shows as
+// upgraded as far as it has been edited), the free bytes in allocated
+// pages, the path-index blobs, everything else, the fill over the pages
+// that hold records, the text-only elements (stored under one header in
+// a version 3 image) and what the store spends on structure: the record
+// bytes that are not literal payload, per logical node. free is the free
+// byte count of every data page.
 func dumpBytes(seg *segment.Segment, free map[pagedev.PageNo]int, store *docstore.Store, trees *core.Store) {
 	rm := trees.Records()
-	var count, size [3]int64 // by format version
+	var count, size [noderep.FormatVersion + 1]int64 // by format version
+	var logical, textOnly, fused, payload int64
 	recordPages := map[pagedev.PageNo]bool{}
 	var walk func(rid records.RID)
 	walk = func(rid records.RID) {
@@ -351,6 +355,16 @@ func dumpBytes(seg *segment.Segment, free map[pagedev.PageNo]int, store *docstor
 		size[v] += int64(n)
 		recordPages[page] = true
 		rec.Root.Walk(func(n *noderep.Node) bool {
+			if !n.Scaffold {
+				logical++
+			}
+			payload += int64(len(n.Payload))
+			if n.FusedText() != nil {
+				textOnly++
+				if v == noderep.FormatVersion {
+					fused++
+				}
+			}
 			if n.Kind == noderep.KindProxy {
 				walk(n.Target)
 			}
@@ -387,11 +401,20 @@ func dumpBytes(seg *segment.Segment, free map[pagedev.PageNo]int, store *docstor
 	}
 	fmt.Printf("  %-46s %12d\n", "free bytes in allocated pages", freeAll)
 	fmt.Printf("  %-46s %12d\n", "index blobs", index)
-	fmt.Printf("  %-46s %12d\n", "page headers, slots, FSI, dictionary, catalogs", seg.TotalBytes()-size[1]-size[2]-freeAll-index)
+	var recordBytes int64
+	for _, n := range size {
+		recordBytes += n
+	}
+	fmt.Printf("  %-46s %12d\n", "page headers, slots, FSI, dictionary, catalogs", seg.TotalBytes()-recordBytes-freeAll-index)
 	fmt.Printf("  %-46s %12d\n", "file", seg.TotalBytes())
 	if n := int64(len(recordPages)); n > 0 {
 		fmt.Printf("  %-46s %12.3f  (%d pages)\n", "fill over record pages",
 			1-float64(freeRecordPages)/float64(n*int64(seg.PageSize())), n)
+	}
+	fmt.Printf("  %-46s %12d  (of %d text-only elements in records)\n", "elements fused with their text", fused, textOnly)
+	if logical > 0 {
+		fmt.Printf("  %-46s %12.2f  (%d record bytes - %d literal payload bytes, %d logical nodes)\n",
+			"structural bytes per node", float64(recordBytes-payload)/float64(logical), recordBytes, payload, logical)
 	}
 }
 

@@ -603,6 +603,42 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
+// TestMatchReadOutAfterClose: a match read out after DB.Close fails with
+// ErrClosed like every other operation on a closed DB, not with the raw
+// error of the device the read ran into; the cursor it came from still
+// closes cleanly.
+func TestMatchReadOutAfterClose(t *testing.T) {
+	// A pool of a few pages: the act's records are not all resident.
+	db, err := Open(Options{PageSize: 1024, BufferBytes: 8 * 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ImportXML("p", strings.NewReader(corpusXML())); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := db.QueryIter(context.Background(), "p", "/PLAY/ACT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	if !cur.Next() {
+		t.Fatal(cur.Err())
+	}
+	m := cur.Match()
+	if _, err := m.Markup(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Markup(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Markup after DB close = %v, want ErrClosed", err)
+	}
+	if _, err := m.Text(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Text after DB close = %v, want ErrClosed", err)
+	}
+}
+
 // TestImportCancelLeavesNoTrace pins ImportXMLContext's rollback: a
 // cancelled import must not register the document, and the name stays
 // importable.

@@ -141,6 +141,9 @@ func TestFlateConcurrent(t *testing.T) {
 }
 
 func TestFlateDecompressSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are meaningless under -race")
+	}
 	f := NewFlate(DefaultLevel)
 	src := textPage(8192)
 	enc, err := f.Compress(nil, src)

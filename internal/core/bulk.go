@@ -119,7 +119,9 @@ type bulkFrame struct {
 	// re-walking whole subtrees.
 	kidTypes []*noderep.TypeSet
 	types    *noderep.TypeSet // types of node + all pending subtrees
-	content  int              // Σ (EmbeddedHeaderSize + sizes[i])
+	// content is Σ (EmbeddedHeaderSize + sizes[i]) while the element is
+	// open; Close takes the header of a text-only element's text back out.
+	content int
 }
 
 // recordSize returns the record size if the frame were emitted now.
@@ -258,6 +260,14 @@ func (b *BulkBuilder) Close() (*noderep.Node, error) {
 	}
 	f := b.stack[len(b.stack)-1]
 	b.stack = b.stack[:len(b.stack)-1]
+	if f.node.FusedText() != nil {
+		// A text-only element is stored under one header (noderep, record
+		// format 3): now that its children are final, the text's header
+		// leaves the content and its type, which no header cites, the set
+		// (the element's own type is always the set's first).
+		f.content -= noderep.EmbeddedHeaderSize
+		f.types.TruncateTo(1)
+	}
 	if len(b.stack) == 0 {
 		rid, err := b.emitRecord(f.node, records.NilRID, f.types, f.content, anyProxy(f.kidProxy))
 		if err != nil {

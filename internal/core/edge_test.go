@@ -414,9 +414,15 @@ func TestRecordAtExactCapacity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Eight lines: enough bytes in front of the pad that it stays under
-		// the largest literal a record takes (capacity − 128).
-		for i := 0; i < 8; i++ {
+		// A text of the root's own, so that the record's type table holds
+		// the #text type (the texts of the lines are fused and cite none),
+		// and twelve lines (eight, while each text still had a header): enough
+		// bytes in front of the pad that it stays under the largest literal a
+		// record takes (capacity − 128).
+		if err := tr.AppendChild(Path{}, noderep.NewTextLiteral("x")); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 12; i++ {
 			line := noderep.NewAggregate(lLine)
 			line.AppendChild(noderep.NewTextLiteral(fmt.Sprintf("line %d", i)))
 			if err := tr.AppendChild(Path{}, line); err != nil {
@@ -473,8 +479,8 @@ func TestRecordAtExactCapacity(t *testing.T) {
 			})
 		}
 		walk(tr.RootRID())
-		if got := materialize(t, tr); len(got.children) != 9 {
-			t.Fatalf("%d children, want 9", len(got.children))
+		if got := materialize(t, tr); len(got.children) != 14 {
+			t.Fatalf("%d children, want 14", len(got.children))
 		}
 	}
 }

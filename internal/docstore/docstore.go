@@ -240,7 +240,7 @@ func (s *Store) Mutate(name string, fn func() error) error {
 	defer l.Unlock()
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	return s.runOp("mutate:"+name, fn)
+	return s.runOp("mutate:", name, fn)
 }
 
 // Create initializes a document manager over a fresh segment: the label
@@ -584,7 +584,7 @@ func (s *Store) InternLabel(name string) (dict.LabelID, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	var id dict.LabelID
-	err := s.runOp("intern:"+name, func() error {
+	err := s.runOp("intern:", name, func() error {
 		var err error
 		id, err = s.dict.Intern(name)
 		return err

@@ -275,7 +275,7 @@ func (s *Store) ImportXMLBatch(cx context.Context, docs []ImportDoc, workers int
 	defer s.wmu.Unlock()
 
 	var infos []DocInfo
-	err := s.runOp("import_batch", func() error {
+	err := s.runOp("import_batch", "", func() error {
 		var err error
 		infos, err = s.importBatchLocked(cx, docs, workers, sp)
 		return err

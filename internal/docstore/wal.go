@@ -118,21 +118,23 @@ func (s *Store) checkpointLocked() error {
 	return nil
 }
 
-// runOp executes fn as one logged operation. Caller holds the writer
-// mutex. On error the operation's page effects are rolled back from
-// the log before the error is returned.
-func (s *Store) runOp(kind string, fn func() error) error {
+// runOp executes fn as one logged operation, labelled kind+subject in
+// the log (the two are only joined there: a node edit is one operation,
+// and a string per edit that only a log dump reads is an allocation per
+// edit). Caller holds the writer mutex. On error the operation's page
+// effects are rolled back from the log before the error is returned.
+func (s *Store) runOp(kind, subject string, fn func() error) error {
 	if s.walW == nil {
 		return fn()
 	}
-	begin, err := s.walW.Begin(kind, uint64(s.seg.NumPages()))
+	begin, err := s.walW.BeginOn(kind, subject, uint64(s.seg.NumPages()))
 	if err != nil {
 		return err
 	}
 	opErr := fn()
 	if opErr == nil {
 		if err := s.walW.Commit(); err != nil {
-			return fmt.Errorf("docstore: commit %q: %w", kind, err)
+			return fmt.Errorf("docstore: commit %q: %w", kind+subject, err)
 		}
 		if s.walW.Size() > checkpointLogSize {
 			// Best effort: the operation is already durably committed,
@@ -144,7 +146,7 @@ func (s *Store) runOp(kind string, fn func() error) error {
 		return nil
 	}
 	if rbErr := s.rollbackOp(begin); rbErr != nil {
-		return errors.Join(opErr, fmt.Errorf("docstore: rollback of %q failed: %w", kind, rbErr))
+		return errors.Join(opErr, fmt.Errorf("docstore: rollback of %q failed: %w", kind+subject, rbErr))
 	}
 	if aErr := s.walW.Abort(); aErr != nil {
 		return errors.Join(opErr, aErr)

@@ -70,20 +70,57 @@ func randomRID(rng *rand.Rand) records.RID {
 	return records.RID{Page: pagedev.PageNo(1 + rng.Intn(1<<20)), Slot: uint16(rng.Intn(200))}
 }
 
+// tableTypes returns the type table of root's version 3 image, in the
+// encoder's order: the types of the nodes written with a header, which a
+// fused text is not.
+func tableTypes(root *Node) []typeKey {
+	var order []typeKey
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		if k := nodeTypeKey(n); typeIndex(order, k) < 0 {
+			order = append(order, k)
+		}
+		if n.FusedText() != nil {
+			return
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(root)
+	return order
+}
+
+// fusedTexts counts the texts of root's subtree that version 3 stores
+// under their element's header.
+func fusedTexts(root *Node) int {
+	fused := 0
+	root.Walk(func(n *Node) bool {
+		if n.FusedText() != nil {
+			fused++
+		}
+		return true
+	})
+	return fused
+}
+
 // typeSetOf accounts a subtree's types the way the bulk builder does: one
-// AddNode per node.
+// AddNode per node that is written with a header.
 func typeSetOf(root *Node) *TypeSet {
 	ts := NewTypeSet()
-	root.Walk(func(n *Node) bool { ts.AddNode(n); return true })
+	ts.order = append(ts.order, tableTypes(root)...)
 	return ts
 }
 
-// checkBothVersions holds one well-formed record's version 1 image, from
-// the reference encoder, against its version 2 image from every
-// production entry point: both decode to the record, the version 2 image
-// is smaller by exactly the parent offsets it does not store, and the
-// standalone parent RID sits at the same offset in both.
-func checkBothVersions(t *testing.T, rec *Record) {
+// checkAllVersions holds one well-formed record's version 1 and version 2
+// images, from the reference encoder, against its version 3 image from
+// every production entry point: all three decode to the record, the
+// version 2 image is smaller than the version 1 one by exactly the parent
+// offsets it does not store, the version 3 image smaller again by exactly
+// the headers of the texts it fuses and the #text type entry once no
+// header cites it, and the standalone parent RID sits where
+// ParentRIDOffset says in each.
+func checkAllVersions(t *testing.T, rec *Record) {
 	t.Helper()
 	v1, err := refEncodeV1(rec)
 	if err != nil {
@@ -92,20 +129,34 @@ func checkBothVersions(t *testing.T, rec *Record) {
 	if len(v1) != refEncodedSizeV1(rec) || v1[0] != formatVersion1 {
 		t.Fatalf("reference image: %d bytes of version %d, sized %d", len(v1), v1[0], refEncodedSizeV1(rec))
 	}
+	v2, err := refEncodeV2(rec)
+	if err != nil || len(v2) != refEncodedSizeV2(rec) || v2[0] != formatVersion2 {
+		t.Fatalf("version 2 reference image: %d bytes, sized %d, err %v", len(v2), refEncodedSizeV2(rec), err)
+	}
+	if saved := (embeddedHeaderSizeV1 - EmbeddedHeaderSize) * (rec.Root.CountNodes() - 1); len(v2) != len(v1)-saved {
+		t.Fatalf("version 2 image has %d bytes, version 1 %d: want %d saved", len(v2), len(v1), saved)
+	}
 	want, err := Encode(rec)
-	if err != nil || want[0] != formatVersion {
+	if err != nil || want[0] != FormatVersion {
 		t.Fatalf("Encode: version %d, err %v", want[0], err)
 	}
-	saved := (embeddedHeaderSizeV1 - EmbeddedHeaderSize) * (rec.Root.CountNodes() - 1)
-	if len(want) != len(v1)-saved || EncodedSize(rec) != len(want) {
-		t.Fatalf("version 2 image has %d bytes (EncodedSize %d), version 1 %d: want %d saved", len(want), EncodedSize(rec), len(v1), saved)
+	allTypes, types := len(collectTypes(rec.Root)), len(tableTypes(rec.Root))
+	if allTypes-types > 1 || (allTypes != types && fusedTexts(rec.Root) == 0) {
+		t.Fatalf("%d node types, %d in the version 3 table, %d fused texts", allTypes, types, fusedTexts(rec.Root))
+	}
+	saved := EmbeddedHeaderSize*fusedTexts(rec.Root) + ttEntrySize*(allTypes-types)
+	if len(want) != len(v2)-saved || EncodedSize(rec) != len(want) {
+		t.Fatalf("version 3 image has %d bytes (EncodedSize %d), version 2 %d: want %d saved", len(want), EncodedSize(rec), len(v2), saved)
 	}
 
-	// ParentRIDOffset is the same in both versions: the record header,
-	// the type table and the standalone header did not change.
-	types := len(collectTypes(rec.Root))
-	off := ParentRIDOffset(types)
-	for _, img := range [][]byte{v1, want} {
+	// ParentRIDOffset depends on the table's length alone: the record
+	// header, the table's entries and the standalone header are the same in
+	// every version.
+	for _, img := range [][]byte{v1, v2, want} {
+		off := ParentRIDOffset(types)
+		if img[0] != FormatVersion {
+			off = ParentRIDOffset(allTypes)
+		}
 		dec, err := Decode(img)
 		if err != nil || !Equal(dec.Root, rec.Root) || dec.ParentRID != rec.ParentRID {
 			t.Fatalf("version %d image does not decode to the record (err %v)", img[0], err)
@@ -113,7 +164,13 @@ func checkBothVersions(t *testing.T, rec *Record) {
 		if RecordParentRIDOffset(dec) != off || records.DecodeRID(img[off:off+records.RIDSize]) != rec.ParentRID {
 			t.Fatalf("version %d image: parent RID not at offset %d", img[0], off)
 		}
+		// What core's invariant check holds a stored image to.
+		var l Layout
+		if err := Measure(dec, &l); err != nil || l.StoredSize(dec) != len(img) {
+			t.Fatalf("version %d image: %d bytes, StoredSize %d (err %v)", img[0], len(img), l.StoredSize(dec), err)
+		}
 	}
+	off := ParentRIDOffset(types)
 	if got := RecordParentRIDOffset(rec); got != off {
 		t.Fatalf("RecordParentRIDOffset after Encode = %d, want %d", got, off)
 	}
@@ -148,16 +205,16 @@ func checkBothVersions(t *testing.T, rec *Record) {
 }
 
 func TestEncodeMatchesReference(t *testing.T) {
-	checkBothVersions(t, &Record{Root: figure2(), ParentRID: records.RID{Page: 9, Slot: 1}})
-	checkBothVersions(t, &Record{Root: NewAggregate(dict.LabelID(3))})  // empty aggregate
-	checkBothVersions(t, &Record{Root: NewTextLiteral("")})             // empty literal
-	checkBothVersions(t, &Record{Root: NewProxy(records.RID{Page: 4})}) // lone proxy
-	checkBothVersions(t, &Record{Root: NewScaffoldAggregate()})         // scaffolding root
-	checkBothVersions(t, &Record{Root: benchTree(200), ParentRID: records.RID{Page: 2}})
+	checkAllVersions(t, &Record{Root: figure2(), ParentRID: records.RID{Page: 9, Slot: 1}})
+	checkAllVersions(t, &Record{Root: NewAggregate(dict.LabelID(3))})  // empty aggregate
+	checkAllVersions(t, &Record{Root: NewTextLiteral("")})             // empty literal
+	checkAllVersions(t, &Record{Root: NewProxy(records.RID{Page: 4})}) // lone proxy
+	checkAllVersions(t, &Record{Root: NewScaffoldAggregate()})         // scaffolding root
+	checkAllVersions(t, &Record{Root: benchTree(200), ParentRID: records.RID{Page: 2}})
 
 	rng := rand.New(rand.NewSource(2000))
 	for i := 0; i < 1500; i++ {
-		checkBothVersions(t, randomRecord(rng))
+		checkAllVersions(t, randomRecord(rng))
 	}
 
 	// Records sized to the byte, as a full page's record is: the last
@@ -170,34 +227,57 @@ func TestEncodeMatchesReference(t *testing.T) {
 		if EncodedSize(rec) != target {
 			t.Fatalf("padding produced %d bytes, want %d", EncodedSize(rec), target)
 		}
-		checkBothVersions(t, rec)
+		checkAllVersions(t, rec)
 	}
 
-	// The 16-bit limits from the inside: a child of exactly 65535 content
-	// bytes, and an aggregate whose version 1 header sits at offset 65535,
-	// the last one its child can cite.
+	// The size limit from the inside. It was 65535 while a content size had
+	// all 16 bits of its field; version 3 keeps the top one for the fused
+	// mark, a record being at most a 32 KB page: a fused text of exactly
+	// 32767 bytes, the same text unfused beside a sibling, and a nested
+	// content of exactly 32767. The older versions spend a header more on
+	// each, which puts their images past what still decodes, so these are
+	// held to the round trip alone. (Version 1's other limit, a header past
+	// offset 65535 that its children could not cite, lies further out
+	// still.)
 	big := NewAggregate(dict.LabelID(3))
-	big.AppendChild(NewTextLiteral(string(make([]byte, math.MaxUint16))))
-	checkBothVersions(t, &Record{Root: big})
-	edge := NewAggregate(dict.LabelID(3))
-	edge.AppendChild(NewTextLiteral(""))
-	edge.AppendChild(NewAggregate(dict.LabelID(4)))
-	fill := math.MaxUint16 - RecordOverhead(3) - embeddedHeaderSizeV1
-	edge.Children[0].Payload = make([]byte, fill)
-	edge.Children[1].AppendChild(NewTextLiteral("x"))
-	checkBothVersions(t, &Record{Root: edge})
+	big.AppendChild(NewAggregate(dict.LabelID(4)).AppendChild(NewTextLiteral(string(make([]byte, maxContentSize)))))
+	unfused := NewAggregate(dict.LabelID(3))
+	unfused.AppendChild(NewTextLiteral("")).AppendChild(NewTextLiteral(string(make([]byte, maxContentSize))))
+	nested := NewAggregate(dict.LabelID(4)).AppendChild(NewTextLiteral("")).AppendChild(NewTextLiteral(""))
+	nested.Children[1].Payload = make([]byte, maxContentSize-2*EmbeddedHeaderSize)
+	for _, root := range []*Node{big, unfused, NewAggregate(dict.LabelID(3)).AppendChild(nested)} {
+		rec := &Record{Root: root}
+		img, err := Encode(rec)
+		if err != nil || len(img) != EncodedSize(rec) {
+			t.Fatalf("record at the size limit: %d bytes, EncodedSize %d, err %v", len(img), EncodedSize(rec), err)
+		}
+		if dec, err := Decode(img); err != nil || !Equal(dec.Root, root) {
+			t.Fatalf("record at the size limit does not round-trip (err %v)", err)
+		}
+	}
 
-	// The records of a corpus play as the parent commit stored them — the
-	// fuzz seed corpus, bulk-loaded and built node by node: each is a
-	// version 1 image of exactly the reference encoder's size.
+	// The records of a corpus play as older commits stored them — the fuzz
+	// seed corpus, bulk-loaded and built node by node: each is an image of
+	// exactly the reference encoder's size for its version, and the -v3
+	// seeds are what the current encoder writes for their trees.
 	for _, name := range []string{"play-bulk-", "play-incremental-"} {
 		for i := 0; i < 4; i++ {
-			img := readFuzzSeed(t, fmt.Sprintf("%s%d", name, i))
-			rec, err := Decode(img)
-			if err != nil || img[0] != formatVersion1 || len(img) != refEncodedSizeV1(rec) {
-				t.Fatalf("%s%d: version %d, %d bytes, err %v", name, i, img[0], len(img), err)
+			for suffix, version := range map[string]byte{"": formatVersion1, "-v2": formatVersion2, "-v3": FormatVersion} {
+				seed := fmt.Sprintf("%s%d%s", name, i, suffix)
+				img := readFuzzSeed(t, seed)
+				rec, err := Decode(img)
+				if err != nil || img[0] != version {
+					t.Fatalf("%s: version %d, %d bytes, err %v", seed, img[0], len(img), err)
+				}
+				want := EncodedSize(rec)
+				if version != FormatVersion {
+					want = refEncodedSize(rec, version)
+				}
+				if len(img) != want {
+					t.Fatalf("%s: %d bytes, its tree encodes to %d in version %d", seed, len(img), want, version)
+				}
+				checkAllVersions(t, rec)
 			}
-			checkBothVersions(t, rec)
 		}
 	}
 }
@@ -261,7 +341,7 @@ func TestEncodeErrorsMatchReference(t *testing.T) {
 		{"unknown kind at the root", &Record{Root: &Node{Kind: Kind(7)}}, ErrBadNode},
 		{"embedded scaffolding aggregate", &Record{Root: agg(NewScaffoldAggregate())}, ErrBadNode},
 		{"malformed and oversized", &Record{Root: agg(NewTextLiteral(string(make([]byte, math.MaxUint16+1))), litKids)}, ErrBadNode},
-		{"child content past 16 bits", &Record{Root: agg(NewTextLiteral(string(make([]byte, math.MaxUint16+1))))}, ErrTooLarge},
+		{"child content past 16 bits", &Record{Root: agg(NewTextLiteral(""), NewTextLiteral(string(make([]byte, math.MaxUint16+1))))}, ErrTooLarge},
 		{"nested content past 16 bits", &Record{Root: agg(agg(NewTextLiteral(string(make([]byte, math.MaxUint16-EmbeddedHeaderSize+1)))))}, ErrTooLarge},
 	}
 	for _, c := range cases {
@@ -280,30 +360,43 @@ func TestEncodeErrorsMatchReference(t *testing.T) {
 		}
 	}
 
-	// Version 1 alone refuses an aggregate with children whose header lies
-	// past offset 65535, and a nested content the 6-byte headers push past
-	// 16 bits; version 2 stores both.
+	// Version 3 alone refuses a content size past 15 bits — the top bit of
+	// the field is the fused mark — which the older versions wrote; Decode
+	// reads such a size in an older image as a mark the version does not
+	// have. No stored record can hold one: a record is at most a page, and
+	// a page at most 32 KB.
 	for name, rec := range map[string]*Record{
-		"parent offset past 16 bits": {Root: tooFar},
-		"nested content at 16 bits":  {Root: agg(agg(NewTextLiteral(string(make([]byte, math.MaxUint16-EmbeddedHeaderSize)))))},
+		"child content at 15 bits":  {Root: agg(NewTextLiteral(""), NewTextLiteral(string(make([]byte, maxContentSize+1))))},
+		"fused content at 15 bits":  {Root: agg(agg(NewTextLiteral(string(make([]byte, maxContentSize+1)))))},
+		"nested content at 15 bits": {Root: agg(agg(NewTextLiteral(""), NewTextLiteral(string(make([]byte, maxContentSize-2*EmbeddedHeaderSize+1)))))},
 	} {
-		if _, err := refEncodeV1(rec); !errors.Is(err, ErrTooLarge) {
-			t.Errorf("%s: version 1 reference error %v, want ErrTooLarge", name, err)
+		if _, err := Encode(rec); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("%s: Encode error %v, want ErrTooLarge", name, err)
 		}
-		img, err := Encode(rec)
-		if err != nil {
-			t.Fatalf("%s: Encode: %v", name, err)
+		for _, ref := range []func(*Record) ([]byte, error){refEncodeV1, refEncodeV2} {
+			img, err := ref(rec)
+			if err != nil {
+				t.Fatalf("%s: reference encoder: %v", name, err)
+			}
+			if _, err := Decode(img); !errors.Is(err, ErrCorruptRecord) {
+				t.Errorf("%s: Decode of the version %d image: %v, want ErrCorruptRecord", name, img[0], err)
+			}
 		}
-		if dec, err := Decode(img); err != nil || !Equal(dec.Root, rec.Root) {
-			t.Errorf("%s: version 2 image does not round-trip (err %v)", name, err)
-		}
+	}
+	// Version 1 alone refuses an aggregate with children whose header lies
+	// past offset 65535, since they could not cite it.
+	if _, err := refEncodeV1(&Record{Root: tooFar}); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("parent offset past 16 bits: version 1 reference error %v, want ErrTooLarge", err)
+	}
+	if _, err := refEncodeV2(&Record{Root: tooFar}); err != nil {
+		t.Errorf("parent offset past 16 bits: version 2 reference error %v", err)
 	}
 
 	// A type table past 16 bits: 65536 distinct types take a quadratic
 	// scan to collect, so hand both header writers the table directly.
 	order := make([]typeKey, math.MaxUint16+1)
 	rec := &Record{Root: NewTextLiteral("x")}
-	_, refErr := refEncodeInto(rec, 64, order)
+	_, refErr := refEncodeInto(rec, formatVersion1, 64, order)
 	e := emitter{order: order}
 	_, err := e.emit(nil, rec, 64)
 	if !errors.Is(refErr, ErrTooLarge) || !errors.Is(err, ErrTooLarge) || err.Error() != refErr.Error() {

@@ -14,9 +14,12 @@ import (
 // any input it must return a record or ErrCorruptRecord — no panic, no
 // allocation out of proportion to the input — and whatever it accepts
 // the encoder accepts too and re-encodes to the same size, or, accepted
-// as format version 1, to exactly its parent offsets less. The
-// checked-in corpus under testdata/fuzz holds records of a bulk-loaded
-// and a node-by-node-built corpus play in both versions.
+// as an older format version, to exactly what that version spends on top
+// less (Layout.StoredSize: parent offsets, the headers of texts version 3
+// fuses, their type entry). The checked-in corpus under testdata/fuzz
+// holds records of a bulk-loaded and a node-by-node-built corpus play in
+// all three versions; the older two are decode-only inputs by nature —
+// nothing writes them.
 func FuzzDecode(f *testing.F) {
 	var seeds []*Record
 	seeds = append(seeds,
@@ -26,7 +29,7 @@ func FuzzDecode(f *testing.F) {
 	for i := 0; i < 8; i++ {
 		seeds = append(seeds, randomRecord(rng))
 	}
-	for _, encode := range []func(*Record) ([]byte, error){Encode, refEncodeV1} {
+	for _, encode := range []func(*Record) ([]byte, error){Encode, refEncodeV1, refEncodeV2} {
 		for _, rec := range seeds {
 			buf, err := encode(rec)
 			if err != nil {
@@ -45,38 +48,38 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		// Every node but the root spends an embedded header of input — of
-		// the input's own version — and payload bytes are input bytes: the
-		// tree cannot outgrow its image.
-		hdr := EmbeddedHeaderSize
-		if data[0] == formatVersion1 {
-			hdr = embeddedHeaderSizeV1
-		}
+		// the input's own version — or is the text of a fused element that
+		// spends one, and payload bytes are input bytes: the tree cannot
+		// outgrow its image.
 		nodes, payload := 0, 0
 		rec.Root.Walk(func(n *Node) bool {
 			nodes++
 			payload += len(n.Payload)
 			return true
 		})
-		if nodes > 1+len(data)/hdr || payload > len(data) {
+		if nodes > 2+2*len(data)/EmbeddedHeaderSize || payload > len(data) {
 			t.Fatalf("%d nodes and %d payload bytes decoded from %d input bytes", nodes, payload, len(data))
 		}
-		// What Decode accepts, Measure accepts, and the re-encode has the
-		// size of the input less the parent offsets a version 1 input
-		// carried: no shape only the decoder knows (an embedded scaffolding
-		// aggregate was one, until the splice path stopped re-measuring
-		// stored records) and no slack in the type table.
-		want := len(data) - (hdr-EmbeddedHeaderSize)*(nodes-1)
+		// What Decode accepts, Measure accepts, and the image is exactly as
+		// long as its tree encodes to in the image's version: no shape only
+		// the decoder knows (an embedded scaffolding aggregate was one, until
+		// the splice path stopped re-measuring stored records; an unfused
+		// text-only element in a version 3 image would be another) and no
+		// slack in the type table.
 		var l Layout
 		if err := Measure(rec, &l); err != nil {
 			t.Fatalf("Measure rejects a record Decode accepted: %v", err)
+		}
+		if l.StoredSize(rec) != len(data) {
+			t.Fatalf("accepted %d bytes of version %d, its tree is stored in %d", len(data), data[0], l.StoredSize(rec))
 		}
 		enc, err := l.Emit(nil, rec)
 		if err != nil {
 			t.Fatalf("re-encode of an accepted record: %v", err)
 		}
-		if l.Size() != want || len(enc) != want || enc[0] != formatVersion {
-			t.Fatalf("accepted %d bytes of version %d, re-encode measures %d and writes %d of version %d, want %d",
-				len(data), data[0], l.Size(), len(enc), enc[0], want)
+		if len(enc) != l.Size() || enc[0] != FormatVersion || (data[0] == FormatVersion && len(enc) != len(data)) {
+			t.Fatalf("accepted %d bytes of version %d, re-encode measures %d and writes %d of version %d",
+				len(data), data[0], l.Size(), len(enc), enc[0])
 		}
 		again, err := Decode(enc)
 		if err != nil {

@@ -12,13 +12,15 @@
 //     large trees (§2.3.3).
 //
 // One record stores exactly one subtree. Its byte layout (format
-// version 2) is:
+// version 3) is:
 //
 //	record   := version(1) flags(1) ttCount(2) ttEntry*  standalone
 //	ttEntry  := kindFlags(1) label(2) litType(1)
 //	standalone := typeIdx(2) parentRID(8) content
-//	embedded := typeIdx(2) contentSize(2) content
-//	content  := children* | literalPayload | targetRID(8)
+//	embedded := typeIdx(2) size(2) content
+//	size     := fused(1 bit, the top one) contentSize(15 bits)
+//	flags    := 0(7 bits) rootFused(1 bit, the lowest)
+//	content  := children* | literalPayload | targetRID(8) | textPayload
 //
 // Standalone headers are 10 bytes, the cost Appendix A reports. Embedded
 // headers are 4 bytes, two fewer than Appendix A's 6: the paper's
@@ -28,12 +30,31 @@
 // node its parent as it goes; navigation, Locate, the facade walker and
 // the evaluators all work on that parsed tree. Format version 1 did
 // store the offset (embedded := typeIdx(2) contentSize(2) parentOff(2)
-// content); Decode still reads such images, nothing writes them, and a
-// version 1 record becomes version 2 the first time it is edited. The
-// node type table lives in the record rather than on the page (a second
-// deviation; both are recorded in DESIGN.md, "Native storage in one
-// paragraph") so records stay self-contained when the record manager
-// moves them.
+// content).
+//
+// The rule for the fused mark: a facade (non-scaffolding) aggregate whose
+// only child is one facade #text string literal — <LINE>words</LINE>,
+// nearly half the nodes of a document — is written as one embedded node:
+// the element's header with the mark set, then the text's bytes as its
+// content. The text has no header and cites no type, so a record whose
+// texts are all fused has no #text entry in its type table. Decode
+// expands the pair into the same two Nodes, so nothing above the image
+// can tell; FusedText is the one predicate the encoder, the sizes and
+// the splice share. The mark costs no byte: a record is at most a page,
+// pagedev.MaxPageSize is 32 KB, so a content size needs 15 of its 16
+// bits, and the standalone root, which has no size field, uses a bit of
+// the record header's flags byte. The form is canonical — the encoder
+// always fuses, and Decode rejects a version 3 image that holds an
+// unfused text-only element, the mark on anything but a facade aggregate,
+// or an unknown flag. Format version 2 is the same grammar without the
+// mark (size := contentSize(16 bits), flags := 0). Decode still reads
+// images of versions 1 and 2, nothing writes them, and a record of either
+// becomes version 3 the first time it is edited.
+//
+// The node type table lives in the record rather than on the page (a
+// deviation of its own; all three are recorded in DESIGN.md, "Native
+// storage in one paragraph") so records stay self-contained when the
+// record manager moves them.
 package noderep
 
 import (
@@ -97,15 +118,25 @@ const (
 	EmbeddedHeaderSize   = 4  // typeIdx(2) + size(2)
 	StandaloneHeaderSize = 10 // typeIdx(2) + parentRID(8)
 
+	// FormatVersion is the version every image is written in. Images of
+	// version 2, which has no fused mark, and of version 1, whose embedded
+	// headers also carry a parentOff(2) behind the size, are only decoded.
+	FormatVersion = 3
+
 	recHeaderSize = 4 // version(1) + flags(1) + ttCount(2)
 	ttEntrySize   = 4 // kindFlags(1) + label(2) + litType(1)
 
-	// formatVersion is the version every image is written in. Version 1
-	// images, whose embedded headers carry a parentOff(2) behind the
-	// size, are only decoded.
-	formatVersion        = 2
+	formatVersion2       = 2
 	formatVersion1       = 1
 	embeddedHeaderSizeV1 = 6
+
+	// fusedMark is the top bit of an embedded node's size field and
+	// rootFusedFlag its stand-in for the standalone root, in the record
+	// header's flags byte: the node is a text-only element and its content
+	// the text's payload (see the package comment).
+	fusedMark      = 0x8000
+	maxContentSize = fusedMark - 1
+	rootFusedFlag  = 0x01
 
 	kindMask     = 0x03
 	scaffoldFlag = 0x04
@@ -114,7 +145,7 @@ const (
 // Errors.
 var (
 	ErrCorruptRecord = errors.New("noderep: corrupt record")
-	ErrTooLarge      = errors.New("noderep: node content exceeds 16-bit size field")
+	ErrTooLarge      = errors.New("noderep: node content exceeds its 15-bit size field")
 	ErrBadNode       = errors.New("noderep: malformed node")
 )
 
@@ -201,7 +232,8 @@ func (n *Node) ChildIndex(c *Node) int {
 }
 
 // ContentSize returns the serialized size of the node's content,
-// excluding its own header.
+// excluding its own header. A text-only element's content is its text's
+// payload (FusedText).
 func (n *Node) ContentSize() int {
 	switch n.Kind {
 	case KindLiteral:
@@ -209,6 +241,9 @@ func (n *Node) ContentSize() int {
 	case KindProxy:
 		return records.RIDSize
 	case KindAggregate:
+		if t := n.FusedText(); t != nil {
+			return len(t.Payload)
+		}
 		total := 0
 		for _, c := range n.Children {
 			total += EmbeddedHeaderSize + c.ContentSize()
@@ -219,8 +254,23 @@ func (n *Node) ContentSize() int {
 	}
 }
 
+// FusedText returns the text of a text-only element — a facade aggregate
+// whose only child is one facade #text string literal — or nil for any
+// other node. Such a pair is stored under the element's header alone (see
+// the package comment): the text costs its payload and nothing else.
+func (n *Node) FusedText() *Node {
+	if n.Kind != KindAggregate || n.Scaffold || len(n.Children) != 1 {
+		return nil
+	}
+	if c := n.Children[0]; nodeTypeKey(c) == textKey {
+		return c
+	}
+	return nil
+}
+
 // TotalSize returns the serialized size of the node as an embedded
-// object: header plus content.
+// object: header plus content. (The text of a text-only element is not
+// one; its TotalSize is what it would take beside a sibling.)
 func (n *Node) TotalSize() int { return EmbeddedHeaderSize + n.ContentSize() }
 
 // CountNodes returns the number of physical nodes in the subtree.
@@ -310,8 +360,8 @@ type Record struct {
 
 // ImageVersion returns the format version of rec's stored image: the one
 // Decode parsed it from or Emit last wrote, 0 when it has none yet. A
-// store written before version 2 holds version 1 records until each is
-// next edited.
+// store written before version 3 holds records of the older versions
+// until each is next edited.
 func (rec *Record) ImageVersion() int { return int(rec.version) }
 
 // ParentRIDOffset is the byte offset of the standalone parent RID within
@@ -351,6 +401,10 @@ func nodeTypeKey(n *Node) typeKey {
 	}
 	return typeKey{kindFlags: kf, label: n.Label, litType: lt}
 }
+
+// textKey is the type of a facade #text string literal, the one literal
+// an element can be fused with.
+var textKey = typeKey{kindFlags: byte(KindLiteral), label: dict.Text, litType: LitString}
 
 // typeIndex returns the position of k in order, or -1. Type tables are
 // small (a handful of distinct types per record), so a linear scan over
@@ -427,21 +481,33 @@ func (ts *TypeSet) Reset() {
 // A Layout is reusable; the zero value is ready.
 type Layout struct {
 	types   []typeKey
-	idx     []uint16 // type-table index per node, pre-order
+	idx     []uint16 // type-table index per node with a header, pre-order
 	content int
+	nodes   int // nodes of the tree
+	fused   int // of them, texts stored under their element's header
 }
 
 // Size returns the exact on-disk size of the measured record.
 func (l *Layout) Size() int { return RecordOverhead(len(l.types)) + l.content }
 
 // StoredSize returns the length rec's stored image must have, l being
-// the layout measured from rec: Size, plus a parent offset per embedded
-// node while the image is still of format version 1.
+// the layout measured from rec: Size, plus, while the image is still of
+// an older format version, what that version spends on top — a header
+// per text that version 3 fuses and the #text type entry if no other
+// node keeps it, and in version 1 a parent offset per embedded node.
 func (l *Layout) StoredSize(rec *Record) int {
-	if rec.version == formatVersion1 {
-		return l.Size() + (embeddedHeaderSizeV1-EmbeddedHeaderSize)*(len(l.idx)-1)
+	size := l.Size()
+	if rec.version != formatVersion1 && rec.version != formatVersion2 {
+		return size
 	}
-	return l.Size()
+	size += EmbeddedHeaderSize * l.fused
+	if l.fused > 0 && typeIndex(l.types, textKey) < 0 {
+		size += ttEntrySize
+	}
+	if rec.version == formatVersion1 {
+		size += (embeddedHeaderSizeV1 - EmbeddedHeaderSize) * (l.nodes - 1)
+	}
+	return size
 }
 
 // Measure validates rec (Validate's conditions) and computes its layout
@@ -456,6 +522,7 @@ func Measure(rec *Record, l *Layout) error {
 func (l *Layout) measure(root *Node) error {
 	l.types = l.types[:0]
 	l.idx = l.idx[:0]
+	l.nodes, l.fused = 0, 0
 	var err error
 	l.content, err = l.measureNode(root, true)
 	return err
@@ -471,10 +538,23 @@ func (l *Layout) measureNode(n *Node, isRoot bool) (int, error) {
 		l.types = append(l.types, k)
 	}
 	l.idx = append(l.idx, uint16(ti)) // Emit rejects tables past 16 bits
+	l.nodes++
 	switch n.Kind {
 	case KindAggregate:
 		if len(n.Payload) != 0 {
 			return 0, fmt.Errorf("%w: aggregate with payload", ErrBadNode)
+		}
+		if t := n.FusedText(); t != nil {
+			// The text has no header of its own: no type, no index.
+			if t.Parent != n {
+				return 0, fmt.Errorf("%w: child with stale parent link", ErrBadNode)
+			}
+			if len(t.Children) != 0 {
+				return 0, fmt.Errorf("%w: literal with children", ErrBadNode)
+			}
+			l.nodes++
+			l.fused++
+			return len(t.Payload), nil
 		}
 		total := 0
 		for _, c := range n.Children {
@@ -534,7 +614,7 @@ func (l *Layout) Emit(dst []byte, rec *Record) ([]byte, error) {
 	if e.next != len(l.idx) {
 		return nil, fmt.Errorf("noderep: encode node count mismatch: wrote %d of %d", e.next, len(l.idx))
 	}
-	rec.types, rec.version = len(l.types), formatVersion
+	rec.types, rec.version = len(l.types), FormatVersion
 	return buf, nil
 }
 
@@ -552,16 +632,26 @@ func Encode(rec *Record) ([]byte, error) {
 // a precomputed type set and content size in place of a measure pass. It
 // is the bulk loader's fast path: the builder accounts both
 // incrementally, and its trees are well-formed by construction. ts must
-// cover exactly the types in the subtree and content must equal
-// rec.Root.ContentSize(); a mismatch is reported as an encode error, not
-// silently miswritten. Nodes find their type index by key: the builder
-// merges type sets bottom-up, so no per-node index survives to here.
+// cover exactly the types of the nodes that are written with a header —
+// a fused text (FusedText) is not — and content must equal
+// rec.Root.ContentSize(); a mismatch either way is reported as an encode
+// error, not silently miswritten. Nodes find their type index by key: the
+// builder merges type sets bottom-up, so no per-node index survives to
+// here.
 func EncodeWith(dst []byte, rec *Record, ts *TypeSet, content int) ([]byte, error) {
 	if rec.Root == nil {
 		return nil, fmt.Errorf("%w: nil root", ErrBadNode)
 	}
 	e := emitter{order: ts.order}
-	return e.emit(dst, rec, RecordOverhead(ts.Len())+content)
+	buf, err := e.emit(dst, rec, RecordOverhead(ts.Len())+content)
+	if err != nil {
+		return nil, err
+	}
+	// Tables past 64 entries are not tracked (no record comes near).
+	if n := uint(ts.Len()); n <= 64 && e.cited != uint64(1)<<n-1 {
+		return nil, fmt.Errorf("%w: type set holds a type no node has", ErrBadNode)
+	}
+	return buf, nil
 }
 
 // emitter is the state of one emit pass.
@@ -570,6 +660,7 @@ type emitter struct {
 	order []typeKey
 	idx   []uint16 // measured per-node type indexes; nil resolves by key
 	next  int      // nodes written so far
+	cited uint64   // table entries resolved by key so far, one bit each
 }
 
 // typeOf returns n's type-table index, n being the next node in
@@ -580,6 +671,7 @@ func (e *emitter) typeOf(n *Node) (uint16, error) {
 		if ti < 0 {
 			return 0, fmt.Errorf("%w: node type missing from type set", ErrBadNode)
 		}
+		e.cited |= 1 << (ti & 63)
 		return uint16(ti), nil
 	}
 	if e.next >= len(e.idx) {
@@ -602,7 +694,7 @@ func (e *emitter) emit(dst []byte, rec *Record, size int) ([]byte, error) {
 		e.buf = make([]byte, size)
 	}
 	buf := e.buf
-	buf[0] = formatVersion
+	buf[0] = FormatVersion
 	buf[1] = 0
 	binary.LittleEndian.PutUint16(buf[2:], uint16(len(e.order)))
 	pos := recHeaderSize
@@ -621,14 +713,29 @@ func (e *emitter) emit(dst []byte, rec *Record, size int) ([]byte, error) {
 	rec.ParentRID.Put(buf[pos+2:])
 	pos += StandaloneHeaderSize
 	// Root content.
-	end, err := e.content(pos, rec.Root)
+	end, fused, err := e.body(pos, rec.Root)
 	if err != nil {
 		return nil, err
+	}
+	if fused {
+		buf[1] = rootFusedFlag
 	}
 	if end != size {
 		return nil, fmt.Errorf("noderep: encode size mismatch: wrote %d of %d", end, size)
 	}
 	return buf, nil
+}
+
+// body writes what follows n's header starting at pos: the payload of
+// its text when n is a text-only element — fused then says so, for the
+// caller to mark n's header — and n's content otherwise.
+func (e *emitter) body(pos int, n *Node) (end int, fused bool, err error) {
+	if t := n.FusedText(); t != nil {
+		n = t
+		fused = true
+	}
+	end, err = e.content(pos, n)
+	return end, fused, err
 }
 
 // content writes the content of n starting at pos. Embedded content
@@ -660,14 +767,17 @@ func (e *emitter) content(pos int, n *Node) (int, error) {
 				return 0, err
 			}
 			binary.LittleEndian.PutUint16(buf[pos:], ti)
-			pos += EmbeddedHeaderSize
-			pos, err = e.content(pos, c)
+			var fused bool
+			pos, fused, err = e.body(pos+EmbeddedHeaderSize, c)
 			if err != nil {
 				return 0, err
 			}
 			cs := pos - cHdr - EmbeddedHeaderSize
-			if cs > math.MaxUint16 {
+			if cs > maxContentSize {
 				return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, cs)
+			}
+			if fused {
+				cs |= fusedMark
 			}
 			binary.LittleEndian.PutUint16(buf[cHdr+2:], uint16(cs))
 		}
@@ -677,9 +787,12 @@ func (e *emitter) content(pos int, n *Node) (int, error) {
 	}
 }
 
-// Decode parses a record image of either format version back into a
-// node tree, validating sizes and type indexes — and, in a version 1
-// image, the stored parent offsets.
+// Decode parses a record image of any format version back into a node
+// tree, validating sizes, type indexes and the canonical form of its
+// version — in a version 1 image the stored parent offsets, in a version
+// 3 image that every text-only element is fused and nothing else is, in
+// the older two that nothing carries the mark. A fused element is
+// expanded into its two nodes.
 //
 // The returned tree is arena-backed: a structural pre-pass sizes three
 // shared allocations (the Node array, the child-pointer backing and the
@@ -694,13 +807,20 @@ func Decode(buf []byte) (*Record, error) {
 	if len(buf) < recHeaderSize+StandaloneHeaderSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrCorruptRecord, len(buf)) //natix:vet-ignore cold corrupt-input path
 	}
-	hdr := EmbeddedHeaderSize
+	a := decodeArena{buf: buf, hdr: EmbeddedHeaderSize}
+	var flags byte // the flags the version defines
 	switch buf[0] {
-	case formatVersion:
+	case FormatVersion:
+		a.fusing = true
+		flags = rootFusedFlag
+	case formatVersion2:
 	case formatVersion1:
-		hdr = embeddedHeaderSizeV1
+		a.hdr = embeddedHeaderSizeV1
 	default:
 		return nil, fmt.Errorf("%w: version %d", ErrCorruptRecord, buf[0]) //natix:vet-ignore cold corrupt-input path
+	}
+	if buf[1]&^flags != 0 {
+		return nil, fmt.Errorf("%w: flags %#x in a version %d image", ErrCorruptRecord, buf[1], buf[0]) //natix:vet-ignore cold corrupt-input path
 	}
 	ttCount := int(binary.LittleEndian.Uint16(buf[2:]))
 	pos := recHeaderSize
@@ -714,8 +834,14 @@ func Decode(buf []byte) (*Record, error) {
 			label:     dict.LabelID(binary.LittleEndian.Uint16(buf[pos+1:])),
 			litType:   LitType(buf[pos+3]),
 		}
+		// What the encoder leaves zero is zero: two entries that differ
+		// only there would be one entry on a re-encode.
+		if k := types[i].typeKey; k.kindFlags&^(kindMask|scaffoldFlag) != 0 || (Kind(k.kindFlags&kindMask) != KindLiteral && k.litType != 0) {
+			return nil, fmt.Errorf("%w: type table entry %d has unknown bits set", ErrCorruptRecord, i) //natix:vet-ignore cold corrupt-input path
+		}
 		pos += ttEntrySize
 	}
+	a.types = types
 	rootOff := pos
 	rootIdx := int(binary.LittleEndian.Uint16(buf[pos:]))
 	if rootIdx >= ttCount {
@@ -724,24 +850,22 @@ func Decode(buf []byte) (*Record, error) {
 	parentRID := records.DecodeRID(buf[pos+2 : pos+10])
 	pos += StandaloneHeaderSize
 	types[rootIdx].used = true
-	nNodes, nPayload, err := countContent(buf, pos, len(buf), hdr, types[rootIdx].kindFlags, types)
+	rootFused := buf[1]&rootFusedFlag != 0
+	nNodes, nPayload, err := a.count(pos, len(buf), types[rootIdx].kindFlags, rootFused)
 	if err != nil {
 		return nil, err
 	}
 	if err := checkTableExact(types); err != nil {
 		return nil, err
 	}
-	a := &decodeArena{
-		hdr:     hdr,
-		nodes:   make([]Node, 0, nNodes+1), //natix:vet-ignore arena backing, part of the record's allocation budget
-		kids:    make([]*Node, 0, nNodes),  //natix:vet-ignore arena backing, part of the record's allocation budget
-		payload: make([]byte, 0, nPayload), //natix:vet-ignore arena backing, part of the record's allocation budget
-	}
+	a.nodes = make([]Node, 0, nNodes+1)   //natix:vet-ignore arena backing, part of the record's allocation budget
+	a.kids = make([]*Node, 0, nNodes)     //natix:vet-ignore arena backing, part of the record's allocation budget
+	a.payload = make([]byte, 0, nPayload) //natix:vet-ignore arena backing, part of the record's allocation budget
 	root, err := a.newNode(types[rootIdx].typeKey)
 	if err != nil {
 		return nil, err
 	}
-	if err := a.decodeContent(buf, pos, len(buf), root, rootOff, types); err != nil {
+	if err := a.decodeContent(pos, len(buf), root, rootOff, rootFused); err != nil {
 		return nil, err
 	}
 	return &Record{ParentRID: parentRID, Root: root, types: ttCount, version: buf[0]}, nil
@@ -755,10 +879,12 @@ type tableEntry struct {
 }
 
 // checkTableExact holds the type table to what the encoder writes: every
-// entry cited by some node and no entry twice. A stored image then has
-// exactly the size a re-encode of its tree would have, which the splice
-// path relies on — it grows records from their stored length and never
-// re-measures the part it does not touch.
+// entry cited by some node and no entry twice. (A fused text has no
+// header and cites nothing, so where every text is fused the #text entry
+// is absent.) A stored image then has exactly the size a re-encode of
+// its tree would have, which the splice path relies on — it grows
+// records from their stored length and never re-measures the part it
+// does not touch.
 func checkTableExact(types []tableEntry) error {
 	for i := range types {
 		if !types[i].used {
@@ -773,33 +899,57 @@ func checkTableExact(types []tableEntry) error {
 	return nil
 }
 
-// countContent is Decode's sizing pre-pass: it hops the embedded headers
-// (of hdr bytes each) of the content of a node with kind flags kf in
-// buf[pos:end), counting descendant nodes and literal payload bytes
-// (including a literal's own content) and marking the type-table entries
-// they cite. Structural errors surface here, before any allocation.
-func countContent(buf []byte, pos, end, hdr int, kf byte, types []tableEntry) (nodes, payload int, err error) {
-	switch Kind(kf & kindMask) {
+// decodeArena is the state of one Decode: the image, its type table, the
+// embedded header size of its format version and whether that version
+// fuses, and the record's shared allocations.
+type decodeArena struct {
+	buf    []byte
+	types  []tableEntry
+	hdr    int
+	fusing bool
+
+	nodes   []Node
+	kids    []*Node
+	payload []byte
+}
+
+// count is Decode's sizing pre-pass: it hops the embedded headers of the
+// content buf[pos:end) of a node with kind flags kf — a fused element's
+// content, when fused is set — counting descendant nodes (the text a
+// fused element expands to included) and literal payload bytes (including
+// a literal's own content) and marking the type-table entries they cite.
+// Structural errors surface here, before any allocation.
+func (a *decodeArena) count(pos, end int, kf byte, fused bool) (nodes, payload int, err error) {
+	kind := Kind(kf & kindMask)
+	if fused {
+		if !a.fusing || kind != KindAggregate || kf&scaffoldFlag != 0 {
+			return 0, 0, fmt.Errorf("%w: fused mark on a node that cannot carry it", ErrCorruptRecord)
+		}
+		return 1, end - pos, nil
+	}
+	switch kind {
 	case KindLiteral:
 		return 0, end - pos, nil
 	case KindProxy:
 		return 0, 0, nil
 	case KindAggregate:
+		buf, types := a.buf, a.types
 		for pos < end {
-			if pos+hdr > end {
+			if pos+a.hdr > end {
 				return 0, 0, fmt.Errorf("%w: truncated embedded header", ErrCorruptRecord)
 			}
 			ti := int(binary.LittleEndian.Uint16(buf[pos:]))
-			cs := int(binary.LittleEndian.Uint16(buf[pos+2:]))
+			size := int(binary.LittleEndian.Uint16(buf[pos+2:]))
+			cs := size &^ fusedMark
 			if ti >= len(types) {
 				return 0, 0, fmt.Errorf("%w: type index %d of %d", ErrCorruptRecord, ti, len(types))
 			}
 			types[ti].used = true
-			pos += hdr
+			pos += a.hdr
 			if pos+cs > end {
 				return 0, 0, fmt.Errorf("%w: child content overruns parent", ErrCorruptRecord)
 			}
-			cn, cp, err := countContent(buf, pos, pos+cs, hdr, types[ti].kindFlags, types)
+			cn, cp, err := a.count(pos, pos+cs, types[ti].kindFlags, size != cs)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -809,17 +959,8 @@ func countContent(buf []byte, pos, end, hdr int, kf byte, types []tableEntry) (n
 		}
 		return nodes, payload, nil
 	default:
-		return 0, 0, fmt.Errorf("%w: node kind %d", ErrCorruptRecord, Kind(kf&kindMask))
+		return 0, 0, fmt.Errorf("%w: node kind %d", ErrCorruptRecord, kind)
 	}
-}
-
-// decodeArena holds one record's shared decode allocations and the
-// embedded header size of the image's format version.
-type decodeArena struct {
-	hdr     int
-	nodes   []Node
-	kids    []*Node
-	payload []byte
 }
 
 // newNode carves one node out of the arena (falling back to a fresh
@@ -868,10 +1009,22 @@ func (a *decodeArena) takePayload(b []byte) []byte {
 	return p
 }
 
-// decodeContent fills n from buf[pos:end]; hdrOff is the offset of n's
-// header, which the children of a version 1 image must cite as their
-// parent offset.
-func (a *decodeArena) decodeContent(buf []byte, pos, end int, n *Node, hdrOff int, types []tableEntry) error {
+// decodeContent fills n from buf[pos:end] — with the text that is all of
+// a fused element's content, when fused is set; hdrOff is the offset of
+// n's header, which the children of a version 1 image must cite as their
+// parent offset. count has vetted the sizes and the marks.
+func (a *decodeArena) decodeContent(pos, end int, n *Node, hdrOff int, fused bool) error {
+	buf := a.buf
+	if fused {
+		t, err := a.newNode(textKey)
+		if err != nil {
+			return err
+		}
+		n.Children = a.takeKids(1)
+		n.AppendChild(t)
+		t.Payload = a.takePayload(buf[pos:end])
+		return nil
+	}
 	switch n.Kind {
 	case KindLiteral:
 		n.Payload = a.takePayload(buf[pos:end])
@@ -896,23 +1049,13 @@ func (a *decodeArena) decodeContent(buf []byte, pos, end int, n *Node, hdrOff in
 		// before the recursion below carves deeper levels.
 		count := 0
 		for p := pos; p < end; count++ {
-			if p+a.hdr > end {
-				return fmt.Errorf("%w: truncated embedded header", ErrCorruptRecord)
-			}
-			cs := int(binary.LittleEndian.Uint16(buf[p+2:]))
-			p += a.hdr
-			if p+cs > end {
-				return fmt.Errorf("%w: child content overruns parent", ErrCorruptRecord)
-			}
-			p += cs
+			p += a.hdr + int(binary.LittleEndian.Uint16(buf[p+2:]))&^fusedMark
 		}
 		n.Children = a.takeKids(count)
 		for pos < end {
 			ti := int(binary.LittleEndian.Uint16(buf[pos:]))
-			cs := int(binary.LittleEndian.Uint16(buf[pos+2:]))
-			if ti >= len(types) {
-				return fmt.Errorf("%w: type index %d of %d", ErrCorruptRecord, ti, len(types))
-			}
+			size := int(binary.LittleEndian.Uint16(buf[pos+2:]))
+			cs := size &^ fusedMark
 			if a.hdr == embeddedHeaderSizeV1 {
 				if po := int(binary.LittleEndian.Uint16(buf[pos+4:])); po != hdrOff {
 					return fmt.Errorf("%w: parent offset %d, want %d", ErrCorruptRecord, po, hdrOff)
@@ -920,15 +1063,20 @@ func (a *decodeArena) decodeContent(buf []byte, pos, end int, n *Node, hdrOff in
 			}
 			cHdr := pos
 			pos += a.hdr
-			c, err := a.newNode(types[ti].typeKey)
+			c, err := a.newNode(a.types[ti].typeKey)
 			if err != nil {
 				return err
 			}
 			n.AppendChild(c)
-			if err := a.decodeContent(buf, pos, pos+cs, c, cHdr, types); err != nil {
+			if err := a.decodeContent(pos, pos+cs, c, cHdr, size != cs); err != nil {
 				return err
 			}
 			pos += cs
+		}
+		// The encoder always fuses: the pair written out in full is not an
+		// image it produces.
+		if a.fusing && n.FusedText() != nil {
+			return fmt.Errorf("%w: unfused text-only element", ErrCorruptRecord)
 		}
 		return nil
 	default:

@@ -36,26 +36,32 @@ func figure2() *Node {
 
 func TestFigure15Sizes(t *testing.T) {
 	// Appendix A, figure 15: standalone headers are 10 bytes and embedded
-	// ones 6; format version 2 stores no parent offset, so its embedded
-	// headers are 4. Check the arithmetic on the paper's own example.
+	// ones 6; since format version 2 no parent offset is stored, so
+	// embedded headers are 4, and version 3 stores a text-only element —
+	// every SPEAKER and LINE of the paper's own example — under one of
+	// them. Check the arithmetic on that example.
 	speech := figure2()
-	// Each LINE aggregate: 4-byte header + text-literal child
-	// (4 + len(text)).
+	// Each LINE aggregate: one 4-byte header and its text's bytes; the same
+	// pair cost 4 + (4 + len(text)) in version 2 and 6 + (6 + len(text))
+	// in version 1.
 	line1 := speech.Children[1]
-	if got, want := line1.TotalSize(), 4+4+len("Let me see your eyes;"); got != want {
+	if got, want := line1.TotalSize(), 4+len("Let me see your eyes;"); got != want {
 		t.Fatalf("LINE size = %d, want %d", got, want)
 	}
-	if got, want := refContentSizeV1(line1), 6+len("Let me see your eyes;"); got != want {
+	if got, want := refContentSize(line1, EmbeddedHeaderSize), 4+len("Let me see your eyes;"); got != want {
+		t.Fatalf("version 2 LINE content = %d, want %d", got, want)
+	}
+	if got, want := refContentSize(line1, embeddedHeaderSizeV1), 6+len("Let me see your eyes;"); got != want {
 		t.Fatalf("version 1 LINE content = %d, want Appendix A's %d", got, want)
 	}
 	rec := &Record{Root: speech}
-	// Record: header(4) + type table (5 types: SPEECH agg, SPEAKER agg,
-	// LINE agg, #text literal — 4 entries) + standalone(10) + content.
-	order := collectTypes(speech)
-	if len(order) != 4 {
-		t.Fatalf("type table has %d entries, want 4", len(order))
+	// Record: header(4) + type table (SPEECH agg, SPEAKER agg, LINE agg —
+	// 3 entries; the #text literal type the older versions list fourth has
+	// no header left to cite it) + standalone(10) + content.
+	if order := collectTypes(speech); len(order) != 4 {
+		t.Fatalf("the tree has %d node types, want 4", len(order))
 	}
-	wantSize := 4 + 4*4 + 10 + speech.ContentSize()
+	wantSize := 4 + 4*3 + 10 + speech.ContentSize()
 	if got := EncodedSize(rec); got != wantSize {
 		t.Fatalf("EncodedSize = %d, want %d", got, wantSize)
 	}
@@ -65,6 +71,11 @@ func TestFigure15Sizes(t *testing.T) {
 	}
 	if len(buf) != wantSize {
 		t.Fatalf("len(Encode) = %d, EncodedSize = %d", len(buf), wantSize)
+	}
+	// Three fused texts: a header each and the type entry, 16 bytes less
+	// than version 2 spends on the same record.
+	if got := refEncodedSizeV2(rec); got != wantSize+3*EmbeddedHeaderSize+ttEntrySize {
+		t.Fatalf("version 2 size = %d, want %d", got, wantSize+3*EmbeddedHeaderSize+ttEntrySize)
 	}
 }
 
@@ -356,8 +367,7 @@ func TestParentRIDOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := collectTypes(rec.Root)
-	off := ParentRIDOffset(len(order))
+	off := ParentRIDOffset(len(tableTypes(rec.Root)))
 	got := records.DecodeRID(buf[off : off+records.RIDSize])
 	if got != rec.ParentRID {
 		t.Fatalf("RID at ParentRIDOffset = %v, want %v", got, rec.ParentRID)

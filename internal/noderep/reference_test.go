@@ -1,14 +1,18 @@
 package noderep
 
-// The format version 1 encoder, in the shape it had before measure and
-// emit were fused: five walks (validate, collectTypes, content size,
-// encodeContent with a type scan per node). Version 1 embedded headers
-// are 6 bytes — typeIdx(2) contentSize(2) parentOff(2) — and an aggregate
-// whose header lies past offset 65535 cannot be written, since its
-// children could not cite it. Production code only decodes this format;
-// the differential tests hold the current encoder against this one tree
-// for tree, size for size and error for error, and the stores of
-// version 1 records the upgrade tests open are written with it.
+// The encoder of format versions 1 and 2, in the shape it had before
+// measure and emit were fused: five walks (validate, collectTypes,
+// content size, encodeContent with a type scan per node). Version 1
+// embedded headers are 6 bytes — typeIdx(2) contentSize(2) parentOff(2) —
+// and an aggregate whose header lies past offset 65535 cannot be written,
+// since its children could not cite it; version 2 headers are the first 4
+// of those bytes, and that is all that sets the two apart. Neither knows
+// the fused mark of version 3: every node has a header and a type, and a
+// content size uses all 16 bits. Production code only decodes these
+// formats; the differential tests hold the current encoder against this
+// one tree for tree, size for size and error for error, and the stores of
+// version 1 and version 2 records the upgrade tests open are written with
+// it.
 
 import (
 	"encoding/binary"
@@ -64,39 +68,56 @@ func collectTypes(root *Node) []typeKey {
 	return order
 }
 
-// refContentSizeV1 is ContentSize with version 1 headers.
-func refContentSizeV1(n *Node) int {
-	if n.Kind != KindAggregate {
-		return n.ContentSize()
+// refHeaderSize is the embedded header size of an old format version.
+func refHeaderSize(version byte) int {
+	if version == formatVersion1 {
+		return embeddedHeaderSizeV1
+	}
+	return EmbeddedHeaderSize
+}
+
+// refContentSize is ContentSize with hdr-byte headers and nothing fused.
+func refContentSize(n *Node, hdr int) int {
+	switch n.Kind {
+	case KindLiteral:
+		return len(n.Payload)
+	case KindProxy:
+		return records.RIDSize
 	}
 	total := 0
 	for _, c := range n.Children {
-		total += embeddedHeaderSizeV1 + refContentSizeV1(c)
+		total += hdr + refContentSize(c, hdr)
 	}
 	return total
 }
 
-func refEncodedSizeV1(rec *Record) int {
+func refEncodedSize(rec *Record, version byte) int {
 	order := collectTypes(rec.Root)
-	return recHeaderSize + ttEntrySize*len(order) + StandaloneHeaderSize + refContentSizeV1(rec.Root)
+	return recHeaderSize + ttEntrySize*len(order) + StandaloneHeaderSize + refContentSize(rec.Root, refHeaderSize(version))
 }
 
-func refEncodeV1(rec *Record) ([]byte, error) {
+func refEncodedSizeV1(rec *Record) int { return refEncodedSize(rec, formatVersion1) }
+func refEncodedSizeV2(rec *Record) int { return refEncodedSize(rec, formatVersion2) }
+
+func refEncodeV1(rec *Record) ([]byte, error) { return refEncode(rec, formatVersion1) }
+func refEncodeV2(rec *Record) ([]byte, error) { return refEncode(rec, formatVersion2) }
+
+func refEncode(rec *Record, version byte) ([]byte, error) {
 	if rec.Root == nil {
 		return nil, fmt.Errorf("%w: nil root", ErrBadNode)
 	}
 	if err := refValidate(rec.Root, true); err != nil {
 		return nil, err
 	}
-	return refEncodeInto(rec, refEncodedSizeV1(rec), collectTypes(rec.Root))
+	return refEncodeInto(rec, version, refEncodedSize(rec, version), collectTypes(rec.Root))
 }
 
-func refEncodeInto(rec *Record, size int, order []typeKey) ([]byte, error) {
+func refEncodeInto(rec *Record, version byte, size int, order []typeKey) ([]byte, error) {
 	if len(order) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: %d node types", ErrTooLarge, len(order))
 	}
 	buf := make([]byte, size)
-	buf[0] = formatVersion1
+	buf[0] = version
 	buf[1] = 0
 	binary.LittleEndian.PutUint16(buf[2:], uint16(len(order)))
 	pos := recHeaderSize
@@ -135,23 +156,26 @@ func refEncodeContent(buf []byte, pos int, n *Node, hdrOff int, order []typeKey)
 		n.Target.Put(buf[pos:])
 		return pos + records.RIDSize, nil
 	case KindAggregate:
-		if hdrOff > math.MaxUint16 {
+		hdr := refHeaderSize(buf[0])
+		if hdr == embeddedHeaderSizeV1 && hdrOff > math.MaxUint16 {
 			return 0, fmt.Errorf("%w: parent offset %d", ErrTooLarge, hdrOff)
 		}
 		for _, c := range n.Children {
 			cHdr := pos
-			if pos+embeddedHeaderSizeV1 > len(buf) {
+			if pos+hdr > len(buf) {
 				return 0, fmt.Errorf("%w: embedded header overruns record", ErrTooLarge)
 			}
 			binary.LittleEndian.PutUint16(buf[pos:], uint16(typeIndex(order, nodeTypeKey(c))))
-			binary.LittleEndian.PutUint16(buf[pos+4:], uint16(hdrOff))
-			pos += embeddedHeaderSizeV1
+			if hdr == embeddedHeaderSizeV1 {
+				binary.LittleEndian.PutUint16(buf[pos+4:], uint16(hdrOff))
+			}
+			pos += hdr
 			var err error
 			pos, err = refEncodeContent(buf, pos, c, cHdr, order)
 			if err != nil {
 				return 0, err
 			}
-			cs := pos - cHdr - embeddedHeaderSizeV1
+			cs := pos - cHdr - hdr
 			if cs > math.MaxUint16 {
 				return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, cs)
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"natix/internal/dict"
@@ -46,8 +47,20 @@ func resolvePath(root *Node, path []int) *Node {
 	return n
 }
 
+// hasType reports whether root's version 3 image has k in its table.
 func hasType(root *Node, k typeKey) bool {
-	return typeIndex(collectTypes(root), k) >= 0
+	return typeIndex(tableTypes(root), k) >= 0
+}
+
+// hasAllTypes reports whether root's table has the type of every node of
+// n's subtree that is written with a header.
+func hasAllTypes(root, n *Node) bool {
+	for _, k := range tableTypes(n) {
+		if !hasType(root, k) {
+			return false
+		}
+	}
+	return true
 }
 
 // checkSplicedImage holds a splice result to the tree-level edit: it
@@ -100,13 +113,15 @@ func randomNodeFor(rng *rand.Rand, rec *Record) *Node {
 
 // TestSpliceMatchesTreeEdit: chains of random inserts and removes applied
 // to a record's image by Splice and to its tree by InsertChild and
-// RemoveChild stay equal, and a refused splice has one of the stated
-// reasons.
+// RemoveChild stay equal, and a splice is refused for the stated reasons
+// and no other: a type the table lacks or would lose, the limit, and an
+// edit that fuses or unfuses a text other than by putting it into an
+// empty element or taking it out of a text-only one.
 func TestSpliceMatchesTreeEdit(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var sp Splice
 	const limit = 4000
-	spliced, refused := 0, 0
+	spliced, refused, fusing, unfusing, refusedFusing := 0, 0, 0, 0, 0
 	for i := 0; i < 300; i++ {
 		rec := randomRecord(rng)
 		if rec.Root.Kind != KindAggregate {
@@ -121,67 +136,78 @@ func TestSpliceMatchesTreeEdit(t *testing.T) {
 			a := aggs[rng.Intn(len(aggs))]
 			before := append([]byte(nil), img...)
 			work := append(make([]byte, 0, limit), img...)
+			var got []byte
+			var ok bool
 			if rng.Intn(3) > 0 || len(a.node.Children) == 0 {
 				idx := rng.Intn(len(a.node.Children) + 1)
 				n := randomNodeFor(rng, rec)
-				newType := false
-				n.Walk(func(x *Node) bool {
-					newType = newType || !hasType(rec.Root, nodeTypeKey(x))
-					return true
-				})
-				got, ok := sp.Insert(work, append(a.path, idx), n, limit)
-				tooBig := len(img)+n.TotalSize() > limit
-				if ok == (newType || tooBig) {
-					t.Fatalf("record %d step %d: Insert ok=%v with newType=%v tooBig=%v", i, step, ok, newType, tooBig)
-				}
-				if !ok {
-					refused++
-					if newType && !tooBig {
-						// Take the full path, as core does.
-						a.node.InsertChild(idx, n)
-						if img, err = Encode(rec); err != nil {
-							t.Fatal(err)
-						}
-					}
-					continue
-				}
+				intoFused := a.node.FusedText() != nil
+				got, ok = sp.Insert(work, append(a.path, idx), n, limit)
 				a.node.InsertChild(idx, n)
-				checkSplicedImage(t, &sp, before, got, rec)
-				img = append(img[:0], got...)
+				fuses := a.node.FusedText() != nil
+				newType := !fuses && !hasAllTypes(rec.Root, n)
+				if !intoFused && !fuses {
+					// n's types count only if they were there before it came.
+					a.node.RemoveChild(idx)
+					newType = !hasAllTypes(rec.Root, n)
+					a.node.InsertChild(idx, n)
+				}
+				tooBig := EncodedSize(rec) > limit
+				if ok == (newType || tooBig || intoFused) {
+					t.Fatalf("record %d step %d: Insert ok=%v with newType=%v tooBig=%v intoFused=%v", i, step, ok, newType, tooBig, intoFused)
+				}
+				if ok && fuses {
+					fusing++
+				}
+				if intoFused {
+					refusedFusing++
+				}
+				if tooBig {
+					a.node.RemoveChild(idx)
+				}
 			} else {
 				idx := rng.Intn(len(a.node.Children))
 				victim := a.node.Children[idx]
-				got, ok := sp.Remove(work, append(a.path, idx))
+				wasFused := a.node.FusedText() != nil
+				got, ok = sp.Remove(work, append(a.path, idx))
 				a.node.RemoveChild(idx)
-				lastOfType := false
-				victim.Walk(func(x *Node) bool {
-					lastOfType = lastOfType || !hasType(rec.Root, nodeTypeKey(x))
-					return true
-				})
-				if ok == lastOfType {
-					t.Fatalf("record %d step %d: Remove ok=%v with lastOfType=%v", i, step, ok, lastOfType)
+				lastOfType := !wasFused && !hasAllTypes(rec.Root, victim)
+				leavesText := a.node.FusedText() != nil
+				if ok == (lastOfType || leavesText) {
+					t.Fatalf("record %d step %d: Remove ok=%v with lastOfType=%v leavesText=%v", i, step, ok, lastOfType, leavesText)
 				}
-				if !ok {
-					refused++
-					if img, err = Encode(rec); err != nil {
-						t.Fatal(err)
-					}
-					continue
+				if ok && wasFused {
+					unfusing++
 				}
-				checkSplicedImage(t, &sp, before, got, rec)
-				img = append(img[:0], got...)
+				if leavesText {
+					refusedFusing++
+				}
 			}
+			if !ok {
+				// Take the full path, as core does.
+				refused++
+				if img, err = Encode(rec); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			checkSplicedImage(t, &sp, before, got, rec)
+			img = append(img[:0], got...)
 			spliced++
 		}
 	}
-	if spliced < 1000 || refused < 100 {
-		t.Fatalf("matrix too thin: %d spliced, %d refused", spliced, refused)
+	if spliced < 1000 || refused < 100 || fusing < 20 || unfusing < 20 || refusedFusing < 20 {
+		t.Fatalf("matrix too thin: %d spliced (%d fusing, %d unfusing), %d refused (%d for the text they would fuse or unfuse)",
+			spliced, fusing, unfusing, refused, refusedFusing)
 	}
 }
 
 // TestSpliceRefusals: the conditions under which an edit is not a splice.
 func TestSpliceRefusals(t *testing.T) {
-	rec := &Record{Root: figure2()}
+	// The paper's speech with a text of its own behind the lines, so that
+	// the table holds the #text type (the lines' texts are fused and cite
+	// none).
+	rec := &Record{Root: figure2().AppendChild(NewTextLiteral("Exit"))}
 	img, err := Encode(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -195,9 +221,14 @@ func TestSpliceRefusals(t *testing.T) {
 	if _, ok := sp.Insert(fresh(), []int{0}, text, len(img)+text.TotalSize()-1); ok {
 		t.Fatal("insert past the limit accepted")
 	}
-	big := NewTextLiteral(string(make([]byte, math.MaxUint16-len(img))))
+	// No record grows past what a 15-bit content size can hold.
+	big := NewTextLiteral(string(make([]byte, maxContentSize-len(img)-EmbeddedHeaderSize)))
+	if got, ok := sp.Insert(fresh(), []int{0}, big, 1<<17); !ok || len(got) != maxContentSize {
+		t.Fatalf("insert up to the 15-bit sizes refused (ok %v)", ok)
+	}
+	big.Payload = append(big.Payload, 0)
 	if _, ok := sp.Insert(fresh(), []int{0}, big, 1<<17); ok {
-		t.Fatal("insert past the 16-bit offsets accepted")
+		t.Fatal("insert past the 15-bit sizes accepted")
 	}
 	for _, path := range [][]int{nil, {-1}, {len(rec.Root.Children) + 1}, {0, 0, 0, 0, 0, 0}} {
 		if _, ok := sp.Insert(fresh(), path, text, 1<<17); ok {
@@ -218,13 +249,78 @@ func TestSpliceRefusals(t *testing.T) {
 	if _, ok := sp.Insert(limg, []int{0}, text, 1<<17); ok {
 		t.Fatal("insert under a literal root accepted")
 	}
+
+	// Fusing and unfusing. A second child on either side of the text of a
+	// text-only element would give the text its header back, which is not
+	// the same insert; so would, backwards, the removal of a text's last
+	// sibling. The text itself comes out of its element, and goes back in,
+	// as a splice; below the text there is nothing to address.
+	for _, path := range [][]int{{1, 0}, {1, 1}} {
+		if _, ok := sp.Insert(fresh(), path, text, 1<<17); ok {
+			t.Fatalf("insert at %v, beside the text of a fused element, accepted", path)
+		}
+	}
+	if _, ok := sp.Remove(fresh(), []int{1, 1}); ok {
+		t.Fatal("remove of a second child of a fused element accepted")
+	}
+	if _, ok := sp.Remove(fresh(), []int{1, 0, 0}); ok {
+		t.Fatal("remove below the text of a fused element accepted")
+	}
+	empty, ok := sp.Remove(fresh(), []int{1, 0})
+	if !ok {
+		t.Fatal("remove of the text of a fused element refused")
+	}
+	line1 := rec.Root.Children[1].RemoveChild(0)
+	checkSplicedImage(t, &sp, img, empty, rec)
+	before := append([]byte(nil), empty...)
+	again, ok := sp.Insert(append(make([]byte, 0, 1<<17), empty...), []int{1, 0}, line1, 1<<17)
+	if !ok {
+		t.Fatal("insert of a text into an empty element refused")
+	}
+	rec.Root.Children[1].AppendChild(line1)
+	checkSplicedImage(t, &sp, before, again, rec)
+	if !bytes.Equal(again, img) {
+		t.Fatal("the text taken out and put back does not give the image back")
+	}
+	two := &Record{Root: NewAggregate(lSpeech).AppendChild(NewTextLiteral("some")).AppendChild(NewTextLiteral("words"))}
+	timg, _ := Encode(two)
+	if _, ok := sp.Remove(append([]byte(nil), timg...), []int{0}); ok {
+		t.Fatal("remove of the last sibling of a text accepted")
+	}
+	// Under a scaffolding root nothing fuses: the same removal is a splice.
+	two.Root.Scaffold, two.Root.Label = true, dict.Scaffold
+	timg, _ = Encode(two)
+	if _, ok := sp.Remove(append([]byte(nil), timg...), []int{0}); !ok {
+		t.Fatal("remove of the last sibling of a text under a scaffolding root refused")
+	}
+	// The record root fuses through its flags byte.
+	root := &Record{Root: NewAggregate(lLine), ParentRID: records.RID{Page: 3, Slot: 1}}
+	rimg, _ := Encode(root)
+	before = append([]byte(nil), rimg...)
+	fused, ok := sp.Insert(append(make([]byte, 0, 64), rimg...), []int{0}, text, 64)
+	if !ok {
+		t.Fatal("insert of a text into an empty root element refused")
+	}
+	root.Root.AppendChild(text)
+	checkSplicedImage(t, &sp, before, fused, root)
+	if want, _ := Encode(root); !bytes.Equal(fused, want) || !slices.Equal(sp.Fields, []int{0}) {
+		t.Fatalf("fused root: fields %v, image differs from the encoder's: %v", sp.Fields, !bytes.Equal(fused, want))
+	}
+	unfusedRoot, ok := sp.Remove(append([]byte(nil), fused...), []int{0})
+	if !ok || !bytes.Equal(unfusedRoot, rimg) {
+		t.Fatalf("remove of the text of a fused root: ok %v", ok)
+	}
 }
 
 // TestDecodeRejectsWhatMeasureRejects: the shapes the encoder never
 // writes are corrupt records to the decoder too — embedded scaffolding
-// aggregates and a type table with an unused or a repeated entry. An
-// aggregate past offset 65535 was a third while children had to cite it
-// in 16 bits; version 2 writes and reads it.
+// aggregates, a type table with an unused or a repeated entry or with
+// bits set that no node type has, and since
+// version 3 a text-only element written out as two nodes, the fused mark
+// on anything but a facade aggregate or in an image of an older version,
+// and a flag no version defines. An aggregate past offset 65535 was one
+// more while children had to cite it in 16 bits; since version 2 it is
+// written and read.
 func TestDecodeRejectsWhatMeasureRejects(t *testing.T) {
 	good, err := Encode(&Record{Root: NewAggregate(3).AppendChild(NewAggregate(4)).AppendChild(NewTextLiteral("t"))})
 	if err != nil {
@@ -233,13 +329,15 @@ func TestDecodeRejectsWhatMeasureRejects(t *testing.T) {
 	if _, err := Decode(good); err != nil {
 		t.Fatal(err)
 	}
-	mutate := func(name string, fn func(b []byte) []byte) {
+	mutateOf := func(good []byte, name string, fn func(b []byte) []byte) {
 		t.Helper()
 		if _, err := Decode(fn(append([]byte(nil), good...))); !errors.Is(err, ErrCorruptRecord) {
 			t.Errorf("%s: Decode error %v, want ErrCorruptRecord", name, err)
 		}
 	}
+	mutate := func(name string, fn func(b []byte) []byte) { t.Helper(); mutateOf(good, name, fn) }
 	// Type table: 0 = root aggregate(3), 1 = aggregate(4), 2 = text.
+	first := recHeaderSize + 3*ttEntrySize + StandaloneHeaderSize // the embedded aggregate's header
 	mutate("embedded scaffolding aggregate", func(b []byte) []byte {
 		b[recHeaderSize+ttEntrySize*1] |= scaffoldFlag
 		return b
@@ -250,14 +348,82 @@ func TestDecodeRejectsWhatMeasureRejects(t *testing.T) {
 	})
 	mutate("unused type entry", func(b []byte) []byte {
 		// Point the embedded aggregate at the root's entry: entry 1 is idle.
-		putU16(b[recHeaderSize+3*ttEntrySize+StandaloneHeaderSize:], 0)
+		putU16(b[first:], 0)
+		return b
+	})
+	mutate("kind flags the encoder leaves zero", func(b []byte) []byte {
+		b[recHeaderSize+ttEntrySize*1] |= 0x10
+		return b
+	})
+	mutate("literal type on an aggregate", func(b []byte) []byte {
+		// Two such entries would be one on a re-encode (FuzzDecode's seed
+		// type-entry-unknown-bits is an image of that kind).
+		b[recHeaderSize+ttEntrySize*1+3] = byte(LitURI)
+		return b
+	})
+	mutate("fused mark on a literal", func(b []byte) []byte {
+		b[first+EmbeddedHeaderSize+3] |= fusedMark >> 8
+		return b
+	})
+	mutate("fused root flag on an aggregate with children", func(b []byte) []byte {
+		// The content, two headers and a byte, would be the text: the types
+		// the headers cited are then unused.
+		b[1] = rootFusedFlag
+		return b
+	})
+	mutate("unknown flag", func(b []byte) []byte {
+		b[1] = 0x02
+		return b
+	})
+	mutate("fused mark in a version 2 image", func(b []byte) []byte {
+		b[0] = formatVersion2
+		b[first+3] |= fusedMark >> 8
+		return b
+	})
+	mutate("fused root flag in a version 2 image", func(b []byte) []byte {
+		b[0], b[1] = formatVersion2, rootFusedFlag
+		return b
+	})
+	// The same image with the mark on the (empty) embedded aggregate is a
+	// record: an element with an empty text.
+	marked := append([]byte(nil), good...)
+	marked[first+3] |= fusedMark >> 8
+	if rec, err := Decode(marked); err != nil || rec.Root.Children[0].FusedText() == nil {
+		t.Errorf("fused mark on an empty facade aggregate: %v", err)
+	}
+
+	// A text-only element written out in full, as version 2 wrote it: a
+	// version 2 image is a record, the same bytes called version 3 are not.
+	pair := &Record{Root: NewAggregate(3).AppendChild(NewAggregate(4).AppendChild(NewTextLiteral("t")))}
+	unfused, err := refEncodeV2(pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := Decode(unfused); err != nil || !Equal(rec.Root, pair.Root) {
+		t.Fatalf("version 2 image of a text-only element: %v", err)
+	}
+	mutateOf(unfused, "unfused text-only element in a version 3 image", func(b []byte) []byte {
+		b[0] = FormatVersion
+		return b
+	})
+	scaf := &Record{Root: NewScaffoldAggregate().AppendChild(NewTextLiteral("t"))}
+	simg, err := Encode(scaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := Decode(simg); err != nil || !Equal(rec.Root, scaf.Root) || simg[1] != 0 {
+		t.Fatalf("a text alone under a scaffolding root is not fused: flags %#x, err %v", simg[1], err)
+	}
+	mutateOf(simg, "fused root flag on a scaffolding aggregate", func(b []byte) []byte {
+		b[1] = rootFusedFlag
 		return b
 	})
 
-	// An aggregate with a child, its header past offset 65535.
+	// An aggregate with a child, its header past offset 65535 (literals of
+	// 30 000 bytes in front of it, 60 000 while a size had 16 bits).
 	far := &Record{Root: NewAggregate(3)}
-	for size := 0; size <= math.MaxUint16; size += 60000 + EmbeddedHeaderSize {
-		far.Root.AppendChild(NewLiteral(5, LitString, make([]byte, 60000)))
+	for size := 0; size <= math.MaxUint16; size += 30000 + EmbeddedHeaderSize {
+		far.Root.AppendChild(NewLiteral(5, LitString, make([]byte, 30000)))
 	}
 	far.Root.AppendChild(NewAggregate(3).AppendChild(NewLiteral(5, LitString, []byte("x"))))
 	img, err := Encode(far)
@@ -291,8 +457,10 @@ func fuzzNode(kind uint8, label uint16, payload []byte) *Node {
 // FuzzSplice feeds Insert and Remove arbitrary images, paths and nodes.
 // Whatever the image, neither may panic or write outside the buffer it
 // was given; on an image Decode accepts, a splice that is reported done
-// decodes to the tree-level edit and has the size of its re-encode; and
-// an image of format version 1 is never spliced.
+// decodes to the tree-level edit — which Decode holds to the canonical
+// form, every text-only element fused and nothing else — and has the
+// size of its re-encode; and an image of an older format version is
+// never spliced.
 func FuzzSplice(f *testing.F) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 12; i++ {
@@ -318,6 +486,24 @@ func FuzzSplice(f *testing.F) {
 	img, _ = refEncodeV1(fig)
 	f.Add(img, []byte{1, 0}, uint8(3), uint16(dict.Text), []byte("between the lines"))
 	f.Add(img, []byte{2}, uint8(3), uint16(dict.Text), []byte("at the end"))
+	// Fusing and unfusing: the text out of a text-only element (the
+	// Remove of {1, 0}) and a second child beside it (the Insert), on the
+	// first seed above already; a text into an empty element, embedded and
+	// at the record root, and the text out again; the removal that leaves a
+	// text alone; a version 2 image.
+	speech := figure2()
+	speech.Children[1].RemoveChild(0)
+	img, _ = Encode(&Record{Root: speech})
+	f.Add(img, []byte{1, 0}, uint8(3), uint16(dict.Text), []byte("Let me see your eyes;"))
+	f.Add(img, []byte{0, 1}, uint8(0), uint16(lLine), []byte("a second child into a fused element"))
+	img, _ = Encode(&Record{Root: NewAggregate(lLine), ParentRID: records.RID{Page: 9}})
+	f.Add(img, []byte{0}, uint8(3), uint16(dict.Text), []byte("into the root"))
+	img, _ = Encode(&Record{Root: NewAggregate(lLine).AppendChild(NewTextLiteral("out of the root"))})
+	f.Add(img, []byte{0}, uint8(0), uint16(lLine), []byte("or a sibling before it"))
+	img, _ = Encode(&Record{Root: NewAggregate(lSpeech).AppendChild(NewAggregate(lLine).AppendChild(NewTextLiteral("a")).AppendChild(NewTextLiteral("b")))})
+	f.Add(img, []byte{0, 1}, uint8(3), uint16(dict.Text), []byte("c"))
+	img, _ = refEncodeV2(fig)
+	f.Add(img, []byte{1, 0}, uint8(3), uint16(dict.Text), []byte("between the lines"))
 
 	f.Fuzz(func(t *testing.T, image, pathBytes []byte, kind uint8, label uint16, payload []byte) {
 		if len(pathBytes) > 16 || len(image) > 1<<16 {
@@ -373,8 +559,8 @@ func FuzzSplice(f *testing.F) {
 			}
 		}
 		removed, okRem := sp.Remove(append([]byte(nil), image...), path)
-		if image[0] == formatVersion1 && (okIns || okRem) {
-			t.Fatalf("version 1 image spliced (insert %v, remove %v)", okIns, okRem)
+		if image[0] != FormatVersion && (okIns || okRem) {
+			t.Fatalf("version %d image spliced (insert %v, remove %v)", image[0], okIns, okRem)
 		}
 		if okRem {
 			if parent == nil || parent.Kind != KindAggregate || idx < 0 || idx >= len(parent.Children) {
@@ -392,31 +578,41 @@ func FuzzSplice(f *testing.F) {
 	})
 }
 
-// BenchmarkSplice is the node-edit write path in noderep alone: one text
-// node added in the middle of a 200-node record, against the measure and
-// emit of the whole record it replaced.
+// BenchmarkSplice is the node-edit write path in noderep alone: a line
+// of verse added in the middle of a 200-node record — as an element with
+// its text (53 bytes; while texts had headers the benchmark added the
+// text beside another, the same 53), and as a text into an element that
+// is there and empty, which is how a document built breadth-first gets
+// every one of its texts — against the measure and emit of the whole
+// record that a splice replaced.
 func BenchmarkSplice(b *testing.B) {
 	rec := &Record{Root: benchTree(100)} // 100 LINE elements, 100 texts
-	img, err := Encode(rec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	line := NewTextLiteral("a line of verse of the usual length, more or less")
-	b.Run("splice", func(b *testing.B) {
-		var sp Splice
-		work := make([]byte, 0, 1<<14)
-		path := []int{50, 1}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			work = append(work[:0], img...)
-			if _, ok := sp.Insert(work, path, line, 1<<14); !ok {
-				b.Fatal("not spliceable")
-			}
+	verse := "a line of verse of the usual length, more or less"
+	run := func(name string, rec *Record, path []int, n *Node) {
+		img, err := Encode(rec)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
+		b.Run(name, func(b *testing.B) {
+			var sp Splice
+			work := make([]byte, 0, 1<<14)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				work = append(work[:0], img...)
+				if _, ok := sp.Insert(work, path, n, 1<<14); !ok {
+					b.Fatal("not spliceable")
+				}
+			}
+		})
+	}
+	run("splice", rec, []int{50}, NewAggregate(dict.LabelID(4)).AppendChild(NewTextLiteral(verse)))
+	hollow := &Record{Root: benchTree(100)}
+	hollow.Root.Children[50].RemoveChild(0)
+	run("text-into-empty-element", hollow, []int{50, 0}, NewTextLiteral(verse))
 	b.Run("measure+emit", func(b *testing.B) {
 		var l Layout
 		var buf []byte
+		var err error
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := Measure(rec, &l); err != nil {

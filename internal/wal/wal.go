@@ -141,6 +141,7 @@ type Record struct {
 	OpID        uint64 // begin/commit/abort
 	PreNumPages uint64 // begin: device size before the operation
 	Kind        string // begin: operation label ("import:name", ...)
+	Subject     string // begin, writing only: the rest of the label, stored behind Kind and read back as part of it
 
 	Page        pagedev.PageNo // update/first-update/image/shift
 	BeforeImage []byte         // first-update
@@ -237,8 +238,9 @@ func appendPayload(b []byte, r *Record) []byte {
 	case RecBegin:
 		b = binary.LittleEndian.AppendUint64(b, r.OpID)
 		b = binary.LittleEndian.AppendUint64(b, r.PreNumPages)
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(r.Kind)))
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(r.Kind)+len(r.Subject)))
 		b = append(b, r.Kind...)
+		b = append(b, r.Subject...)
 	case RecCommit, RecAbort:
 		b = binary.LittleEndian.AppendUint64(b, r.OpID)
 	case RecUpdate:

@@ -145,6 +145,40 @@ func TestWriterSingleOperationRule(t *testing.T) {
 	}
 }
 
+// TestBeginOnWritesTheJoinedLabel: an operation begun with its label in
+// two parts logs the record Begin writes for the joined string, byte for
+// byte, and reads back with the whole label as its kind.
+func TestBeginOnWritesTheJoinedLabel(t *testing.T) {
+	logOf := func(begin func(w *Writer) (LSN, error)) []byte {
+		st := NewMemStorage()
+		w, err := OpenWriter(st, Options{PageSize: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := begin(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return st.Snapshot()
+	}
+	joined := logOf(func(w *Writer) (LSN, error) { return w.Begin("mutate:play07", 12) })
+	parts := logOf(func(w *Writer) (LSN, error) { return w.BeginOn("mutate:", "play07", 12) })
+	if !bytes.Equal(joined, parts) {
+		t.Fatal("BeginOn(kind, subject) and Begin(kind+subject) log different bytes")
+	}
+	var kinds []string
+	if _, _, err := Scan(NewMemStorageFrom(parts), func(r Record) error {
+		if r.Type == RecBegin {
+			kinds = append(kinds, r.Kind+"|"+r.Subject)
+		}
+		return nil
+	}); err != nil || len(kinds) != 1 || kinds[0] != "mutate:play07|" {
+		t.Fatalf("begin records read back as %q (err %v)", kinds, err)
+	}
+}
+
 func TestCheckpointTruncatesAndKeepsLSNsMonotonic(t *testing.T) {
 	st := NewMemStorage()
 	w, _ := OpenWriter(st, Options{PageSize: 4096})

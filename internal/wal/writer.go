@@ -282,14 +282,22 @@ func (w *Writer) FlushTo(lsn LSN) error {
 // Commit or Abort. preNumPages is the device size before the operation;
 // undo truncates back to it. Returns the begin record's LSN.
 func (w *Writer) Begin(kind string, preNumPages uint64) (LSN, error) {
+	return w.BeginOn(kind, "", preNumPages)
+}
+
+// BeginOn is Begin for an operation labelled kind+subject — "mutate:"
+// and a document's name, say — by a caller that begins one per node edit
+// and would rather not build that string each time: the log record is the
+// one Begin(kind+subject, ...) writes.
+func (w *Writer) BeginOn(kind, subject string, preNumPages uint64) (LSN, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.activeOp != 0 {
-		return 0, fmt.Errorf("%w: %q", ErrInOp, kind)
+		return 0, fmt.Errorf("%w: %q", ErrInOp, kind+subject)
 	}
 	w.opSeq++
 	w.opAppends = w.appends
-	rec := Record{Type: RecBegin, OpID: w.opSeq, PreNumPages: preNumPages, Kind: kind}
+	rec := Record{Type: RecBegin, OpID: w.opSeq, PreNumPages: preNumPages, Kind: kind, Subject: subject}
 	lsn, err := w.appendLocked(&rec)
 	if err != nil {
 		return 0, err

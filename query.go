@@ -2,8 +2,11 @@ package natix
 
 import (
 	"context"
+	"errors"
+	"fmt"
 
 	"natix/internal/docstore"
+	"natix/internal/pagedev"
 )
 
 // Match is one result of a path query. Matches may be consumed after
@@ -16,10 +19,32 @@ type Match struct {
 }
 
 // Text returns the concatenated character data of the matched subtree.
-func (m Match) Text() (string, error) { return m.res.Text() }
+func (m Match) Text() (string, error) {
+	s, err := m.res.Text()
+	if err != nil {
+		err = closedErr(err)
+	}
+	return s, err
+}
 
 // Markup returns the XML serialization of the matched subtree.
-func (m Match) Markup() (string, error) { return m.res.Markup() }
+func (m Match) Markup() (string, error) {
+	s, err := m.res.Markup()
+	if err != nil {
+		err = closedErr(err)
+	}
+	return s, err
+}
+
+// closedErr makes the error of a read-out that ran into the closed device
+// an ErrClosed: a Match carries no handle on its DB to ask beforehand, and
+// nothing but DB.Close closes the device, so the failure itself says it.
+func closedErr(err error) error {
+	if errors.Is(err, pagedev.ErrClosed) {
+		return fmt.Errorf("%w: %w", ErrClosed, err)
+	}
+	return err
+}
 
 // Query evaluates a path expression against the named document and
 // returns the matches in document order. It is QueryContext under

@@ -730,6 +730,7 @@ func TestCrashRecoveryNodeEdits(t *testing.T) {
 	exports := []string{xmlkit.SerializeString(model)}
 	var states []crashState
 	var inPlace, relocated, compacted, moved int
+	var fusing, unfusing int // splices that fused a text with its element, or took it out again
 	counters := map[string]int64{}
 	closeSession := func() {
 		m, err := db.Metrics()
@@ -756,8 +757,26 @@ func TestCrashRecoveryNodeEdits(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := recordPlaces(t, db, doc)
+		// A text into an element without children, or the only child, a
+		// text, out of its element: record format 3 stores the two under one
+		// header, so these edits set or clear a mark besides moving bytes.
+		target := model
+		for _, i := range e.parent {
+			target = target.Children[i]
+		}
+		fuses := !e.del && e.name == "" && len(target.Children) == 0
+		unfuses := e.del && len(target.Children) == 1 && target.Children[0].IsText()
+		spliced := db.store.Trees().Stats().RecordsSpliced
 		if err := e.apply(doc); err != nil {
 			t.Fatalf("edit %d: %v", g, err)
+		}
+		if db.store.Trees().Stats().RecordsSpliced > spliced {
+			if fuses {
+				fusing++
+			}
+			if unfuses {
+				unfusing++
+			}
 		}
 		e.applyToModel(model)
 		want := xmlkit.SerializeString(model)
@@ -786,12 +805,19 @@ func TestCrashRecoveryNodeEdits(t *testing.T) {
 		}
 	}
 	closeSession()
-	t.Logf("%d edits: records resized where they lay %d times, relocated in their page %d times (%d with compaction), moved behind a stub %d times; %v",
-		len(script), inPlace, relocated, compacted, moved, counters)
+	t.Logf("%d edits: records resized where they lay %d times, relocated in their page %d times (%d with compaction), moved behind a stub %d times; %d splices fused a text with its element, %d unfused one; %v",
+		len(script), inPlace, relocated, compacted, moved, fusing, unfusing, counters)
 	if inPlace == 0 || relocated == compacted || compacted == 0 || moved == 0 ||
 		counters["core.records_spliced"] == 0 || counters["core.records_rewritten"] == 0 ||
 		counters["core.splits"] == 0 || counters["core.parent_patches"] == 0 {
 		t.Fatal("the script does not cross every way an edit reaches its page")
+	}
+	// The commonest edit of all — a text into the empty element BFS order
+	// put there before it — is a splice that also sets the fused mark, and
+	// the script's delete-and-reinsert of every ninth node takes some of
+	// those texts out again: the crash points must keep covering both.
+	if fusing < 50 || unfusing < 5 {
+		t.Fatalf("%d fusing and %d unfusing splices: the matrix no longer covers them", fusing, unfusing)
 	}
 	// Most splices log a shift record (a session's first edit of a page
 	// logs its before-image instead); the crash points below are only as
