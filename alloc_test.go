@@ -42,9 +42,9 @@ func TestQueryZeroAlloc(t *testing.T) {
 
 	src := itemsXML(400)
 
-	open := func(t *testing.T, pathIndex bool, tierBytes int) *DB {
+	open := func(t *testing.T, pathIndex bool) *DB {
 		t.Helper()
-		db, err := Open(Options{PageSize: 4096, PathIndex: pathIndex, CompressedCacheBytes: tierBytes})
+		db, err := Open(Options{PageSize: 4096, PathIndex: pathIndex})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,30 +84,15 @@ func TestQueryZeroAlloc(t *testing.T) {
 	}
 
 	t.Run("indexed", func(t *testing.T) {
-		db := open(t, true, 0)
+		db := open(t, true)
 		if avg := measure(t, db, true); avg != 0 {
 			t.Errorf("indexed cursor: %.2f allocs/op, want 0", avg)
 		}
 	})
 	t.Run("scan", func(t *testing.T) {
-		db := open(t, false, 0)
+		db := open(t, false)
 		if avg := measure(t, db, false); avg != 0 {
 			t.Errorf("scan cursor: %.2f allocs/op, want 0", avg)
-		}
-	})
-	// With the tier-2 victim cache attached, the warm path is unchanged:
-	// every touched page is resident, so no tier-2 lookup happens. Both
-	// must stay 0 allocs.
-	t.Run("indexed-tier2", func(t *testing.T) {
-		db := open(t, true, 1<<20)
-		if avg := measure(t, db, true); avg != 0 {
-			t.Errorf("indexed cursor with tier-2: %.2f allocs/op, want 0", avg)
-		}
-	})
-	t.Run("scan-tier2", func(t *testing.T) {
-		db := open(t, false, 1<<20)
-		if avg := measure(t, db, false); avg != 0 {
-			t.Errorf("scan cursor with tier-2: %.2f allocs/op, want 0", avg)
 		}
 	})
 }

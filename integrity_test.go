@@ -35,11 +35,7 @@ func integrityOpts() Options {
 // device while the engine runs normally.
 func openIntegrityDB(t *testing.T) (*DB, *pagedev.Mem, *pagedev.Fault) {
 	t.Helper()
-	return openIntegrityDBWith(t, integrityOpts())
-}
-
-func openIntegrityDBWith(t *testing.T, opts Options) (*DB, *pagedev.Mem, *pagedev.Fault) {
-	t.Helper()
+	opts := integrityOpts()
 	mem, err := pagedev.NewMem(opts.PageSize)
 	if err != nil {
 		t.Fatal(err)
@@ -300,22 +296,7 @@ func TestExplainRefusesQuarantined(t *testing.T) {
 // inventory pages), quarantine the documents owning the rest, and never
 // serve a wrong answer.
 func TestCorruptionMatrixEveryPage(t *testing.T) {
-	// Run once with the buffer pool alone and once with the tier-2
-	// compressed victim cache attached: the scrubber's trust model
-	// (device bytes are what is verified; tier-2 is never trusted on
-	// the way out) must make the matrix outcome identical.
-	t.Run("tier-off", func(t *testing.T) {
-		corruptionMatrixEveryPage(t, integrityOpts())
-	})
-	t.Run("tier-on", func(t *testing.T) {
-		opts := integrityOpts()
-		opts.CompressedCacheBytes = 1 << 20
-		corruptionMatrixEveryPage(t, opts)
-	})
-}
-
-func corruptionMatrixEveryPage(t *testing.T, opts Options) {
-	db, mem, fault := openIntegrityDBWith(t, opts)
+	db, mem, fault := openIntegrityDB(t)
 	mustImport(t, db, "alpha", 4)
 	mustImport(t, db, "beta", 3)
 	if err := db.Flush(); err != nil {

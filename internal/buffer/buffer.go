@@ -83,8 +83,6 @@ type Stats struct {
 	Evictions    int64 // frames evicted to make room
 	LatchWaits   int64 // latch acquisitions that had to block
 
-	Tier2Hits          int64 // misses served by decompressing a tier-2 entry
-	Tier2Misses        int64 // tier-2 lookups that fell through to the device
 	CoalescedWriteRuns int64 // multi-page vectored writes issued by flushes
 }
 
@@ -129,10 +127,6 @@ type Pool struct {
 	// tick and a short backoff instead of failing the operation.
 	retry ioretry.Retryer
 
-	// t2 is the optional compressed victim cache (tier-2, see
-	// tier2.go); nil until EnableCompressedCache.
-	t2 *tier2
-
 	// spare holds the page images of evicted frames for the next misses
 	// to load into (at most maxSpareImages; see takeImage/recycle).
 	spareMu sync.Mutex
@@ -141,20 +135,13 @@ type Pool struct {
 	// Hit-path counters are sharded: every Get on every goroutine
 	// bumps them, so a single cache line would be the pool's hottest
 	// contention point. The rest increment only around physical I/O.
-	logicalReads telemetry.ShardedCounter
-	hits         telemetry.ShardedCounter
-	physReads    telemetry.Counter
-	physWrites   telemetry.Counter
-	evictions    telemetry.Counter
-	latchWaits   telemetry.Counter
-
-	// Memory-hierarchy counters; all off the tier-1 hit path.
-	tier2Hits      telemetry.Counter
-	tier2Misses    telemetry.Counter
-	tier2Admits    telemetry.Counter
-	tier2Evictions telemetry.Counter
-	tier2Corrupt   telemetry.Counter
-	coalescedRuns  telemetry.Counter
+	logicalReads  telemetry.ShardedCounter
+	hits          telemetry.ShardedCounter
+	physReads     telemetry.Counter
+	physWrites    telemetry.Counter
+	evictions     telemetry.Counter
+	latchWaits    telemetry.Counter
+	coalescedRuns telemetry.Counter
 }
 
 // Frame is a pinned page image. Callers must Release every frame they
@@ -251,8 +238,6 @@ func (p *Pool) Stats() Stats {
 		Evictions:    p.evictions.Load(),
 		LatchWaits:   p.latchWaits.Load(),
 
-		Tier2Hits:          p.tier2Hits.Load(),
-		Tier2Misses:        p.tier2Misses.Load(),
 		CoalescedWriteRuns: p.coalescedRuns.Load(),
 	}
 }
@@ -265,11 +250,6 @@ func (p *Pool) ResetStats() {
 	p.physWrites.Store(0)
 	p.evictions.Store(0)
 	p.latchWaits.Store(0)
-	p.tier2Hits.Store(0)
-	p.tier2Misses.Store(0)
-	p.tier2Admits.Store(0)
-	p.tier2Evictions.Store(0)
-	p.tier2Corrupt.Store(0)
 	p.coalescedRuns.Store(0)
 }
 
@@ -286,23 +266,6 @@ func (p *Pool) AttachTelemetry(reg *telemetry.Registry) {
 	reg.Func("buffer.latch_waits", p.latchWaits.Load)
 	reg.Func("buffer.resident_frames", func() int64 { return p.size.Load() })
 	reg.Func("buffer.io_retries", p.retry.Retries)
-	reg.Func("buffer.tier2_hits", p.tier2Hits.Load)
-	reg.Func("buffer.tier2_misses", p.tier2Misses.Load)
-	reg.Func("buffer.tier2_admitted", p.tier2Admits.Load)
-	reg.Func("buffer.tier2_evictions", p.tier2Evictions.Load)
-	reg.Func("buffer.tier2_corrupt", p.tier2Corrupt.Load)
-	reg.Func("buffer.tier2_bytes", func() int64 {
-		if p.t2 == nil {
-			return 0
-		}
-		return p.t2.bytes()
-	})
-	reg.Func("buffer.tier2_pages", func() int64 {
-		if p.t2 == nil {
-			return 0
-		}
-		return p.t2.pages()
-	})
 	reg.Func("buffer.coalesced_write_runs", p.coalescedRuns.Load)
 }
 
@@ -375,10 +338,6 @@ func (p *Pool) get(pn pagedev.PageNo, read bool) (*Frame, error) {
 			p.recycle(f)
 			return nil, err
 		}
-	} else if p.t2 != nil {
-		// The caller is re-formatting the page from scratch; a cached
-		// image of its previous life must never resurface.
-		p.t2.drop(pn)
 	}
 	sh.frames[pn] = f
 	f.ringIdx = len(sh.ring)
@@ -430,32 +389,11 @@ func (p *Pool) recycle(f *Frame) {
 	p.spareMu.Unlock()
 }
 
-// loadInto fills f.data for page f.page, serving from the compressed
-// victim cache when it holds the page and falling back to a physical
-// read. Either way the image is checksum-verified (when verification
-// is on) before the caller may see it: tier-2 is not trusted — a bit
-// flipped while the page sat compressed is detected here and the load
-// falls back to the device copy, so corruption is never served.
+// loadInto fills f.data for page f.page with one device read and,
+// when verification is on, checks the page checksum before the caller
+// may see it.
 func (p *Pool) loadInto(f *Frame) error {
 	pn := f.page
-	if p.t2 != nil {
-		switch p.t2.lookup(pn, f.data) {
-		case t2Hit:
-			if !p.verify.Load() {
-				p.tier2Hits.Inc()
-				return nil
-			}
-			if err := pageformat.VerifyChecksum(f.data); err == nil {
-				p.tier2Hits.Inc()
-				return nil
-			}
-			p.tier2Corrupt.Inc()
-		case t2Corrupt:
-			p.tier2Corrupt.Inc()
-		default:
-			p.tier2Misses.Inc()
-		}
-	}
 	if err := p.retry.Do(func() error { return p.dev.Read(pn, f.data) }); err != nil {
 		return err
 	}
@@ -501,11 +439,8 @@ func (p *Pool) evictOne() error {
 	// freshly-logged page forces an fsync under the WAL rule, and during
 	// a bulk load the pool is full of older, already-durable pages that
 	// cost nothing to drop.
-	var durableLSN wal.LSN
 	if p.wal != nil {
-		durableLSN = p.wal.SyncedLSN()
-	}
-	if p.wal != nil {
+		durableLSN := p.wal.SyncedLSN()
 		for i := 0; i < numShards; i++ {
 			sh := &p.shards[p.handShard]
 			evicted, _, err := p.sweepShard(sh, durableLSN, false)
@@ -540,40 +475,17 @@ func (p *Pool) evictOne() error {
 	return ErrPoolFull
 }
 
-// sweepShard advances the shard's clock hand once (see
-// sweepShardLocked) and, when a frame was evicted, admits its image to
-// the compressed victim cache. Admission runs after the shard lock is
-// released — the frame is off the page table with zero pins, so its
-// image is exclusively ours and the compression cost never stalls
-// same-shard hits. Only then is the image handed on to the next miss:
-// tier-2 must have read the victim's bytes, not the next tenant's.
-// Caller holds evictMu.
+// sweepShard advances the shard's clock hand over its ring once,
+// evicting the first second-chance victim it finds: the victim is
+// written back if dirty, unlinked, and its image recycled for the next
+// miss. A non-zero durableLSN (the log's SyncedLSN) makes the pass
+// selective: dirty frames the log does not yet cover — their last
+// record starts at or past durableLSN — are passed over (their
+// reference bits untouched), so a cheaper victim can be found before
+// paying for a log sync. force takes the first unpinned frame without
+// looking at its reference bit. unpinned reports whether the pass came
+// by any unpinned frame, victim or not. Caller holds evictMu.
 func (p *Pool) sweepShard(sh *shard, durableLSN wal.LSN, force bool) (evicted, unpinned bool, err error) {
-	victim, admissible, unpinned, err := p.sweepShardLocked(sh, durableLSN, force)
-	if victim == nil || err != nil {
-		return false, unpinned, err
-	}
-	if p.t2 != nil && admissible {
-		p.t2.admit(p, victim.page, victim.data)
-	}
-	p.recycle(victim)
-	return true, true, nil
-}
-
-// sweepShardLocked advances the shard's clock hand over its ring once,
-// evicting the first second-chance victim it finds and returning it. A
-// non-zero durableLSN makes the pass selective: dirty frames the log
-// does not yet cover are passed over (their reference bits untouched),
-// so a cheaper victim can be found before paying for a log sync. force
-// takes the first unpinned frame without looking at its reference bit.
-// unpinned reports whether the pass came by any unpinned frame, victim
-// or not. admissible reports whether the victim's image matches the
-// device copy and may therefore enter tier-2: true for anything written
-// back and for clean frames loaded from the device, false for a fresh
-// (GetNew) frame that was never dirtied — its bytes never reached the
-// device and caching them would resurrect content the device does not
-// hold. Caller holds evictMu.
-func (p *Pool) sweepShardLocked(sh *shard, durableLSN wal.LSN, force bool) (victim *Frame, admissible, unpinned bool, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	n := len(sh.ring)
@@ -587,7 +499,7 @@ func (p *Pool) sweepShardLocked(sh *shard, durableLSN wal.LSN, force bool) (vict
 			continue
 		}
 		unpinned = true
-		if durableLSN > 0 && f.dirty.Load() && wal.LSN(f.pageLSN.Load()) > durableLSN {
+		if durableLSN > 0 && f.dirty.Load() && wal.LSN(f.pageLSN.Load()) >= durableLSN {
 			sh.hand++
 			continue
 		}
@@ -598,10 +510,9 @@ func (p *Pool) sweepShardLocked(sh *shard, durableLSN wal.LSN, force bool) (vict
 		// Victim: write back if dirty, then drop. No pins and the shard
 		// lock is held, so no caller can hold the frame's latch or pin
 		// it concurrently.
-		wasDirty := f.dirty.Load()
-		if wasDirty {
+		if f.dirty.Load() {
 			if err := p.writeBack(f); err != nil {
-				return nil, false, true, err
+				return false, true, err
 			}
 		}
 		delete(sh.frames, f.page)
@@ -612,11 +523,12 @@ func (p *Pool) sweepShardLocked(sh *shard, durableLSN wal.LSN, force bool) (vict
 		if sh.hand > last {
 			sh.hand = 0
 		}
+		p.recycle(f)
 		p.size.Add(-1)
 		p.evictions.Add(1)
-		return f, wasDirty || !f.fresh, true, nil
+		return true, true, nil
 	}
-	return nil, false, unpinned, nil
+	return false, unpinned, nil
 }
 
 // writeBack flushes one frame's bytes to the device. The caller must
@@ -852,11 +764,6 @@ func (p *Pool) Clear() error {
 	if err := p.dev.Sync(); err != nil {
 		return err
 	}
-	if p.t2 != nil {
-		// The paper clears the buffer to make measurements cold; that
-		// must empty both tiers of the hierarchy.
-		p.t2.reset()
-	}
 	var removed int64
 	for i := range p.shards {
 		sh := &p.shards[i]
@@ -899,11 +806,6 @@ func (p *Pool) Restore(pn pagedev.PageNo, img []byte) error {
 	}
 	if p.Resident(pn) {
 		return fmt.Errorf("buffer: restore page %d: page is resident", pn)
-	}
-	if p.t2 != nil {
-		// The device copy is being rewritten; a compressed image of the
-		// (possibly corrupt) previous content must not resurface.
-		p.t2.drop(pn)
 	}
 	buf := make([]byte, len(img))
 	copy(buf, img)
@@ -1388,9 +1290,6 @@ func (p *Pool) ShrinkTo(n pagedev.PageNo) error {
 		}
 	}
 	p.unlockAll()
-	if p.t2 != nil {
-		p.t2.dropFrom(n)
-	}
 	if p.wal != nil {
 		if _, err := p.wal.AppendShrink(uint64(n)); err != nil {
 			return err

@@ -7,6 +7,7 @@ import (
 
 	"natix/internal/pagedev"
 	"natix/internal/pageformat"
+	"natix/internal/wal"
 )
 
 func newPool(t *testing.T, pageSize, frames, pages int) (*Pool, *pagedev.Mem) {
@@ -343,5 +344,198 @@ func TestFlushAllElevatorOrder(t *testing.T) {
 	// average-seek accesses (~14ms each on the modeled drive).
 	if st.Elapsed > 60*time.Millisecond {
 		t.Fatalf("elevator flush cost %v, expected well under 60ms", st.Elapsed)
+	}
+}
+
+// rangeCountingDev wraps Mem and counts vectored vs single-page writes.
+type rangeCountingDev struct {
+	*pagedev.Mem
+	rangeWrites  int
+	rangePages   int
+	singleWrites int
+}
+
+func (d *rangeCountingDev) Write(p pagedev.PageNo, buf []byte) error {
+	d.singleWrites++
+	return d.Mem.Write(p, buf)
+}
+
+func (d *rangeCountingDev) WriteRange(p pagedev.PageNo, buf []byte) error {
+	d.rangeWrites++
+	d.rangePages += len(buf) / d.PageSize()
+	return d.Mem.WriteRange(p, buf)
+}
+
+func TestFlushAllCoalescesAdjacentPages(t *testing.T) {
+	mem, err := pagedev.NewMem(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := &rangeCountingDev{Mem: mem}
+	p, err := New(dev, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Grow(32); err != nil {
+		t.Fatal(err)
+	}
+	// Two adjacent runs (0..5, 10..12) and one isolated page (20),
+	// dirtied out of order.
+	dirty := []pagedev.PageNo{10, 3, 20, 0, 5, 11, 1, 4, 12, 2}
+	for _, pn := range dirty {
+		f, err := p.GetNew(pn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		format(f, byte(pn))
+		f.Release()
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if dev.rangeWrites != 2 {
+		t.Fatalf("rangeWrites = %d, want 2 (runs 0..5 and 10..12)", dev.rangeWrites)
+	}
+	if dev.rangePages != 9 {
+		t.Fatalf("rangePages = %d, want 9", dev.rangePages)
+	}
+	if dev.singleWrites != 1 {
+		t.Fatalf("singleWrites = %d, want 1 (page 20)", dev.singleWrites)
+	}
+	if st := p.Stats(); st.CoalescedWriteRuns != 2 {
+		t.Fatalf("CoalescedWriteRuns = %d, want 2", st.CoalescedWriteRuns)
+	}
+	if st := p.Stats(); st.PhysWrites != 10 {
+		t.Fatalf("PhysWrites = %d, want 10", st.PhysWrites)
+	}
+	// Every flushed page must verify on the device.
+	buf := make([]byte, 1024)
+	for _, pn := range dirty {
+		if err := mem.Read(pn, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := pageformat.VerifyChecksum(buf); err != nil {
+			t.Fatalf("page %d after coalesced flush: %v", pn, err)
+		}
+		s, err := pageformat.AsSlotted(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell, err := s.Cell(0)
+		if err != nil || cell[0] != byte(pn) {
+			t.Fatalf("page %d cell = %v, %v", pn, cell, err)
+		}
+	}
+}
+
+// TestSelectiveEvictionUnderWAL pins the clock's selective first pass:
+// under a log, a dirty frame whose records are not yet durable is passed
+// over while a clean frame can be evicted, so a miss does not force a
+// log sync. Once the log is synced, the dirty frames are victims like
+// any other and write back their own bytes.
+func TestSelectiveEvictionUnderWAL(t *testing.T) {
+	dev, _ := pagedev.NewMem(1024)
+	pool, err := New(dev, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := wal.OpenWriter(wal.NewMemStorage(), wal.Options{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.AttachWAL(w)
+	if _, err := w.Begin("test", 0); err != nil {
+		t.Fatal(err)
+	}
+	dev.Grow(16)
+
+	// Two clean frames (written back, still resident) and two dirty
+	// logged frames whose records are not yet synced.
+	mutate := func(pn pagedev.PageNo) {
+		t.Helper()
+		f, err := pool.GetNew(pn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Latch()
+		u := f.BeginUpdate()
+		pageformat.FormatSlotted(f.Data()).Insert([]byte{byte(pn)})
+		if err := f.EndUpdate(u); err != nil {
+			t.Fatal(err)
+		}
+		f.Unlatch()
+		f.Release()
+	}
+	get := func(pn pagedev.PageNo) {
+		t.Helper()
+		f, err := pool.Get(pn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Release()
+	}
+	mutate(0)
+	mutate(1)
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	// Hits set the clean frames' reference bits, so a clock blind to
+	// the log would pass over them and take page 2 first.
+	get(0)
+	get(1)
+	mutate(2)
+	mutate(3)
+	if w.SyncedLSN() >= w.End() {
+		t.Fatal("test premise: pages 2 and 3 must have unsynced log records")
+	}
+
+	// Under pressure the selective pass takes a clean victim (0 or 1)
+	// and neither syncs the log nor writes a page.
+	synced, before := w.SyncedLSN(), pool.Stats()
+	get(8)
+	after := pool.Stats()
+	if w.SyncedLSN() != synced {
+		t.Fatal("eviction forced a log sync despite clean victims being available")
+	}
+	if after.Evictions != before.Evictions+1 || after.PhysWrites != before.PhysWrites {
+		t.Fatalf("evictions %d -> %d, writes %d -> %d: want one clean eviction",
+			before.Evictions, after.Evictions, before.PhysWrites, after.PhysWrites)
+	}
+	if pool.Resident(0) && pool.Resident(1) {
+		t.Fatal("neither clean frame was evicted")
+	}
+	if !pool.Resident(2) || !pool.Resident(3) {
+		t.Fatal("a dirty frame with unsynced log records was evicted")
+	}
+
+	// Once the log is durable, further misses evict the dirty frames,
+	// writing them back.
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for pn := pagedev.PageNo(9); pool.Resident(2) || pool.Resident(3); pn++ {
+		if pn == 16 {
+			t.Fatal("pages 2 and 3 were never evicted after the log sync")
+		}
+		get(pn)
+	}
+	if st := pool.Stats(); st.PhysWrites < after.PhysWrites+2 {
+		t.Fatalf("writes %d -> %d: pages 2 and 3 not written back", after.PhysWrites, st.PhysWrites)
+	}
+	// Reloading page 2 from the device gives its own cell.
+	g, err := pool.Get(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := pageformat.AsSlotted(g.Data())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell, err := s.Cell(0); err != nil || cell[0] != 2 {
+		t.Fatalf("page 2 after write-back: cell %v, %v", cell, err)
+	}
+	g.Release()
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
 	}
 }

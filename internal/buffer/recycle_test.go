@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"natix/internal/compress"
 	"natix/internal/pagedev"
 	"natix/internal/pageformat"
 )
@@ -62,38 +61,24 @@ func checkPage(p *Pool, pn int) error {
 
 // TestRecycledImageCarriesOwnPage cycles 24 pages through a 4-frame pool
 // several times: from the fifth load on every frame is built on the image
-// of an evicted one, and each page read must still be its own — from the
-// device, and from the victim cache, where the image admitted at an
-// eviction has to be the victim's and not that of the page loaded into
-// the same bytes right after.
+// of an evicted one, and each page read must still be its own.
 func TestRecycledImageCarriesOwnPage(t *testing.T) {
-	for _, tier2 := range []bool{false, true} {
-		t.Run(fmt.Sprintf("tier2=%v", tier2), func(t *testing.T) {
-			const pages = 24
-			p, _ := newPool(t, 1024, 4, pages)
-			if tier2 {
-				p.EnableCompressedCache(1<<20, compress.NewFlate(compress.DefaultLevel))
+	const pages = 24
+	p, _ := newPool(t, 1024, 4, pages)
+	fillPages(t, p, pages)
+	p.ResetStats()
+	for pass := 0; pass < 3; pass++ {
+		for pn := 0; pn < pages; pn++ {
+			if err := checkPage(p, pn); err != nil {
+				t.Fatalf("pass %d: %v", pass, err)
 			}
-			fillPages(t, p, pages)
-			p.ResetStats()
-			for pass := 0; pass < 3; pass++ {
-				for pn := 0; pn < pages; pn++ {
-					if err := checkPage(p, pn); err != nil {
-						t.Fatalf("pass %d: %v", pass, err)
-					}
-				}
-			}
-			st := p.Stats()
-			if st.Evictions < 2*pages {
-				t.Fatalf("only %d evictions: the pool did not cycle", st.Evictions)
-			}
-			if tier2 && st.Tier2Hits == 0 {
-				t.Fatal("no load was served from the victim cache")
-			}
-			if n := len(p.spare); n > maxSpareImages {
-				t.Fatalf("%d spare images kept, bound is %d", n, maxSpareImages)
-			}
-		})
+		}
+	}
+	if st := p.Stats(); st.Evictions < 2*pages {
+		t.Fatalf("only %d evictions: the pool did not cycle", st.Evictions)
+	}
+	if n := len(p.spare); n > maxSpareImages {
+		t.Fatalf("%d spare images kept, bound is %d", n, maxSpareImages)
 	}
 }
 
@@ -176,34 +161,27 @@ func TestEvictedFrameDataPanics(t *testing.T) {
 // each other in a small pool, so images change hands between goroutines;
 // every page read must be its own. Run under -race.
 func TestRecycleUnderConcurrentChurn(t *testing.T) {
-	for _, tier2 := range []bool{false, true} {
-		t.Run(fmt.Sprintf("tier2=%v", tier2), func(t *testing.T) {
-			const pages = 32
-			p, _ := newPool(t, 1024, 6, pages)
-			if tier2 {
-				p.EnableCompressedCache(8<<10, compress.NewFlate(compress.DefaultLevel))
+	const pages = 32
+	p, _ := newPool(t, 1024, 6, pages)
+	fillPages(t, p, pages)
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 2000; i++ {
+				if err := checkPage(p, rng.Intn(pages)); err != nil {
+					errs <- err
+					return
+				}
 			}
-			fillPages(t, p, pages)
-			var wg sync.WaitGroup
-			errs := make(chan error, 4)
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed))
-					for i := 0; i < 2000; i++ {
-						if err := checkPage(p, rng.Intn(pages)); err != nil {
-							errs <- err
-							return
-						}
-					}
-				}(int64(g + 1))
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Error(err)
-			}
-		})
+		}(int64(g + 1))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

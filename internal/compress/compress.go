@@ -1,15 +1,11 @@
-// Package compress provides the page codecs behind the buffer pool's
-// compressed victim cache (tier-2). The paper stores text-heavy XML
-// whose page bodies deflate extremely well; keeping evicted pages in
-// compressed form lets a working set several times the frame budget
-// stay in memory, turning ~10 ms simulated disk reads into ~µs
-// decompressions.
+// Package compress is a deflate page codec. Nothing in the engine uses
+// it: it backs the compress.* per-layer probes of bench/ (what a page
+// image of the store costs to deflate and inflate, and how far it
+// shrinks), and it goes when the harness retires those probes.
 //
 // Only the standard library is used: Flate wraps compress/flate with
 // pooled encoder and decoder state so the steady-state paths allocate
-// nothing, and Raw is the identity codec the cache falls back to for
-// pages that do not compress (a page of random blob bytes can inflate
-// under deflate framing; the cache keeps whichever form is smaller).
+// nothing.
 package compress
 
 import (
@@ -24,50 +20,13 @@ import (
 // expected length: truncated, trailing garbage, or a length mismatch.
 var ErrBadData = errors.New("compress: malformed compressed data")
 
-// Codec encodes and decodes fixed-size page images.
-type Codec interface {
-	// Name identifies the codec (for stats and debugging).
-	Name() string
-	// Compress appends the encoded form of src to dst[:0] and returns
-	// the resulting slice. The returned slice may alias dst's backing
-	// array or a freshly grown one, like append.
-	Compress(dst, src []byte) ([]byte, error)
-	// Decompress decodes enc into dst, which must be exactly the
-	// original length. Every byte of dst is overwritten on success.
-	Decompress(dst, enc []byte) error
-}
-
-// Raw is the identity codec: Compress copies, Decompress copies back.
-// The victim cache stores a page raw when deflate fails to shrink it.
-type Raw struct{}
-
-// Name implements Codec.
-func (Raw) Name() string { return "raw" }
-
-// Compress implements Codec.
-func (Raw) Compress(dst, src []byte) ([]byte, error) {
-	return append(dst[:0], src...), nil
-}
-
-// Decompress implements Codec.
-//
-//natix:noalloc
-func (Raw) Decompress(dst, enc []byte) error {
-	if len(enc) != len(dst) {
-		return ErrBadData
-	}
-	copy(dst, enc)
-	return nil
-}
-
-// DefaultLevel is the deflate level used by the engine: BestSpeed keeps
-// the eviction path cheap, and page-sized XML text still shrinks by
-// 3-5x at this level.
+// DefaultLevel is the deflate level the probes use: BestSpeed, at which
+// page-sized XML text still shrinks by 3-5x.
 const DefaultLevel = flate.BestSpeed
 
-// Flate is a deflate Codec with pooled encoder and decoder state. It is
-// safe for concurrent use; the zero value is not usable, construct with
-// NewFlate.
+// Flate is a deflate page codec with pooled encoder and decoder state.
+// It is safe for concurrent use; the zero value is not usable,
+// construct with NewFlate.
 type Flate struct {
 	enc sync.Pool // *flateEnc
 	dec sync.Pool // *flateDec
@@ -120,10 +79,12 @@ func NewFlate(level int) *Flate {
 	return f
 }
 
-// Name implements Codec.
+// Name identifies the codec.
 func (f *Flate) Name() string { return "flate" }
 
-// Compress implements Codec.
+// Compress appends the encoded form of src to dst[:0] and returns the
+// resulting slice, which may alias dst's backing array or a freshly
+// grown one, like append.
 func (f *Flate) Compress(dst, src []byte) ([]byte, error) {
 	e := f.enc.Get().(*flateEnc)
 	e.sink.b = dst[:0]
@@ -142,8 +103,9 @@ func (f *Flate) Compress(dst, src []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Decompress implements Codec. The steady state allocates nothing: the
-// inflater, its window and the input reader all come from the pool.
+// Decompress decodes enc into dst, which must be exactly the original
+// length. The steady state allocates nothing: the inflater, its window
+// and the input reader all come from the pool.
 //
 //natix:noalloc
 func (f *Flate) Decompress(dst, enc []byte) error {

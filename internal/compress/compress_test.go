@@ -68,28 +68,6 @@ func TestFlateScratchReuse(t *testing.T) {
 	}
 }
 
-func TestRawCodec(t *testing.T) {
-	var r Raw
-	src := []byte{1, 2, 3, 4}
-	enc, err := r.Compress(nil, src)
-	if err != nil {
-		t.Fatalf("compress: %v", err)
-	}
-	if !bytes.Equal(enc, src) {
-		t.Fatal("raw compress changed bytes")
-	}
-	dst := make([]byte, len(src))
-	if err := r.Decompress(dst, enc); err != nil {
-		t.Fatalf("decompress: %v", err)
-	}
-	if !bytes.Equal(dst, src) {
-		t.Fatal("raw round trip mismatch")
-	}
-	if err := r.Decompress(dst, enc[:2]); err == nil {
-		t.Fatal("raw length mismatch not detected")
-	}
-}
-
 func TestIncompressiblePageGrows(t *testing.T) {
 	// Random bytes inflate under deflate framing; the victim cache
 	// relies on comparing lengths and keeping the raw form.

@@ -266,3 +266,35 @@ func TestNoSyncSkipsBarriers(t *testing.T) {
 		t.Fatalf("NoSync log has %d records, want 3", n)
 	}
 }
+
+// TestFlushToCoversRecordAtSyncedBoundary: SyncedLSN is the end of the
+// durable prefix, and a record's LSN is its start, so the first record
+// appended after a sync has LSN == SyncedLSN and is not durable yet.
+// FlushTo of that LSN — what the buffer pool asks before writing back a
+// page that record covers — must make it durable.
+func TestFlushToCoversRecordAtSyncedBoundary(t *testing.T) {
+	st := NewMemStorage()
+	w, err := OpenWriter(st, Options{PageSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Begin("test", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := w.AppendImage(3, make([]byte, 512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn != w.SyncedLSN() {
+		t.Fatalf("test premise: record at %d, synced through %d", lsn, w.SyncedLSN())
+	}
+	if err := w.FlushTo(lsn); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.SyncedLSN(); got <= lsn {
+		t.Fatalf("FlushTo(%d) left the log synced through %d: the record is not durable", lsn, got)
+	}
+}

@@ -155,7 +155,9 @@ func (w *Writer) End() LSN {
 	return w.endLocked()
 }
 
-// SyncedLSN returns the LSN through which the log is durable.
+// SyncedLSN returns the end of the durable prefix of the log: every
+// record whose LSN (its start) lies below it is durable, and a record at
+// exactly SyncedLSN is the first one that is not.
 func (w *Writer) SyncedLSN() LSN {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -267,12 +269,13 @@ func (w *Writer) Sync() error {
 	return w.syncLocked()
 }
 
-// FlushTo ensures the log is durable through lsn. The buffer manager
-// calls it before writing back a dirty page (the WAL rule).
+// FlushTo ensures the log is durable through the record at lsn. The
+// buffer manager calls it before writing back a dirty page (the WAL
+// rule).
 func (w *Writer) FlushTo(lsn LSN) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.synced >= lsn {
+	if w.synced > lsn {
 		return nil
 	}
 	return w.syncLocked()

@@ -118,7 +118,6 @@ import (
 	"time"
 
 	"natix/internal/buffer"
-	"natix/internal/compress"
 	"natix/internal/core"
 	"natix/internal/dict"
 	"natix/internal/docstore"
@@ -161,21 +160,9 @@ type Options struct {
 	// setting, §4.2).
 	BufferBytes int
 
-	// CompressedCacheBytes, when positive, attaches a second memory
-	// tier to the buffer pool: a compressed victim cache of
-	// approximately this many bytes. Clean page images evicted by the
-	// pool's clock are kept compressed (deflate, or raw when a page
-	// does not compress); a later miss on such a page is decompressed
-	// back into a frame in microseconds instead of paying a device
-	// read. Every image leaving the cache is re-verified against its
-	// page checksum, so the tier cannot serve corrupted bytes. Most
-	// effective when the working set exceeds BufferBytes but its
-	// compressed form does not — e.g. text-heavy documents under a
-	// paper-sized 2 MB pool. Zero disables the tier.
-	CompressedCacheBytes int
-
 	// SplitTarget is the desired left-partition fraction on splits,
-	// in (0,1). Default 0.5.
+	// in (0,1). Zero means the default, 0.5; Open rejects anything else
+	// outside (0,1) with ErrBadOptions.
 	SplitTarget float64
 
 	// SplitTolerance is the minimum splittable subtree size in bytes.
@@ -255,12 +242,6 @@ type Options struct {
 	// as it completes. Keep it fast (hand off to a channel or logger);
 	// it runs on the operation's goroutine.
 	SlowOpSink func(SlowOp)
-
-	// PprofLabels tags query goroutines with pprof labels
-	// (natix_op, natix_doc) for the duration of each prepared-query
-	// evaluation, so CPU profiles of a mixed workload break down by
-	// operation and document.
-	PprofLabels bool
 
 	// ScrubInterval, when positive, runs the integrity scrubber in the
 	// background every interval: allocated pages are verified against
@@ -375,6 +356,9 @@ func Open(opts Options) (*DB, error) {
 	if !pagedev.ValidPageSize(opts.PageSize) {
 		return nil, fmt.Errorf("%w: invalid page size %d", ErrBadOptions, opts.PageSize)
 	}
+	if t := opts.SplitTarget; !(t >= 0 && t < 1) { // NaN fails both
+		return nil, fmt.Errorf("%w: split target %v outside [0,1)", ErrBadOptions, t)
+	}
 
 	var (
 		dev      pagedev.Device
@@ -474,9 +458,6 @@ func openWith(opts Options, dev pagedev.Device, sim *pagedev.SimDisk, walSt wal.
 	pool, err := buffer.NewSized(dev, opts.BufferBytes)
 	if err != nil {
 		return nil, err
-	}
-	if opts.CompressedCacheBytes > 0 {
-		pool.EnableCompressedCache(int64(opts.CompressedCacheBytes), compress.NewFlate(compress.DefaultLevel))
 	}
 	if w != nil {
 		pool.AttachWAL(w)
@@ -855,17 +836,12 @@ func (db *DB) Close() error {
 // Stats reports storage activity since the store was opened.
 type Stats struct {
 	// Buffer manager.
-	LogicalReads int64
-	BufferHits   int64
-	PhysReads    int64
-	PhysWrites   int64
-	Evictions    int64 // frames reclaimed by the clock sweep
-	LatchWaits   int64 // frame-latch acquisitions that had to block
-	// Memory hierarchy (the tier-2 fields are zero when
-	// CompressedCacheBytes is off; write coalescing is always live).
-	Tier2Hits          int64 // misses served from the compressed victim cache
-	Tier2Misses        int64 // misses that fell through to the device
-	Tier2Bytes         int64 // current compressed payload held in tier-2
+	LogicalReads       int64
+	BufferHits         int64
+	PhysReads          int64
+	PhysWrites         int64
+	Evictions          int64 // frames reclaimed by the clock sweep
+	LatchWaits         int64 // frame-latch acquisitions that had to block
 	CoalescedWriteRuns int64 // multi-page vectored writes issued by flushes
 	// Tree storage manager.
 	Splits           int64
@@ -903,9 +879,6 @@ func (db *DB) Stats() (Stats, error) {
 			PhysWrites:         c["buffer.phys_writes"],
 			Evictions:          c["buffer.evictions"],
 			LatchWaits:         c["buffer.latch_waits"],
-			Tier2Hits:          c["buffer.tier2_hits"],
-			Tier2Misses:        c["buffer.tier2_misses"],
-			Tier2Bytes:         c["buffer.tier2_bytes"],
 			CoalescedWriteRuns: c["buffer.coalesced_write_runs"],
 			Splits:             c["core.splits"],
 			RecordsCreated:     c["core.records_created"],

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -258,6 +259,29 @@ func TestSimulateDisk(t *testing.T) {
 func TestErrBadOptions(t *testing.T) {
 	if _, err := Open(Options{PageSize: 1000}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("invalid page size: err = %v, want ErrBadOptions", err)
+	}
+}
+
+// TestOpenRejectsBadSplitTarget: a split target outside [0,1) — NaN
+// included, which slips past range checks written as two comparisons —
+// fails Open instead of being replaced by the default or reaching the
+// split descent. Zero still means the default.
+func TestOpenRejectsBadSplitTarget(t *testing.T) {
+	for _, target := range []float64{math.NaN(), -0.1, 1, 1.5, math.Inf(1)} {
+		db, err := Open(Options{SplitTarget: target})
+		if err == nil {
+			db.Close()
+		}
+		if !errors.Is(err, ErrBadOptions) {
+			t.Errorf("SplitTarget %v: err = %v, want ErrBadOptions", target, err)
+		}
+	}
+	for _, target := range []float64{0, 0.2} {
+		db, err := Open(Options{SplitTarget: target})
+		if err != nil {
+			t.Fatalf("SplitTarget %v: %v", target, err)
+		}
+		db.Close()
 	}
 }
 

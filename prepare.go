@@ -2,7 +2,6 @@ package natix
 
 import (
 	"context"
-	"runtime/pprof"
 
 	"natix/internal/docstore"
 )
@@ -35,37 +34,19 @@ func (db *DB) Prepare(expr string) (*PreparedQuery, error) {
 // Expr returns the source expression the query was prepared from.
 func (p *PreparedQuery) Expr() string { return p.expr }
 
-// withLabels runs fn, tagging the goroutine with pprof labels for the
-// duration when Options.PprofLabels is set — CPU profiles of a mixed
-// workload then break down by operation and document.
-func (p *PreparedQuery) withLabels(ctx context.Context, op, name string, fn func(context.Context) error) error {
-	if !p.db.opts.PprofLabels {
-		return fn(ctx)
-	}
-	var err error
-	pprof.Do(ctx, pprof.Labels("natix_op", op, "natix_doc", name), func(cx context.Context) {
-		err = fn(cx)
-	})
-	return err
-}
-
 // Query evaluates the prepared expression against the named document,
 // materializing every match in document order.
 func (p *PreparedQuery) Query(ctx context.Context, name string) ([]Match, error) {
 	return viewE(p.db, func() ([]Match, error) {
-		var out []Match
-		err := p.withLabels(ctx, "query", name, func(cx context.Context) error {
-			res, err := p.db.store.QuerySteps(cx, name, p.steps)
-			if err != nil {
-				return err
-			}
-			out = make([]Match, len(res))
-			for i, r := range res {
-				out[i] = Match{res: r}
-			}
-			return nil
-		})
-		return out, err
+		res, err := p.db.store.QuerySteps(ctx, name, p.steps)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]Match, len(res))
+		for i, r := range res {
+			out[i] = Match{res: r}
+		}
+		return out, nil
 	})
 }
 
@@ -73,13 +54,7 @@ func (p *PreparedQuery) Query(ctx context.Context, name string) ([]Match, error)
 // against the named document without materializing them.
 func (p *PreparedQuery) Count(ctx context.Context, name string) (int, error) {
 	return viewE(p.db, func() (int, error) {
-		var n int
-		err := p.withLabels(ctx, "count", name, func(cx context.Context) error {
-			var err error
-			n, err = p.db.store.QueryCountSteps(cx, name, p.steps)
-			return err
-		})
-		return n, err
+		return p.db.store.QueryCountSteps(ctx, name, p.steps)
 	})
 }
 

@@ -242,12 +242,7 @@ func exportOf(t *testing.T, db *DB, name string) (string, bool) {
 // at every write offset (and, in torn mode, tearing the crashing
 // write), then verifies recovery after each crash.
 func runCrashMatrix(t *testing.T, torn bool, op func(db *DB) error, check func(t *testing.T, db *DB, crashed bool)) {
-	runCrashMatrixOpts(t, crashOpts(), torn, op, check)
-}
-
-// runCrashMatrixOpts is runCrashMatrix under an explicit store
-// configuration (e.g. with the tier-2 compressed cache attached).
-func runCrashMatrixOpts(t *testing.T, opts Options, torn bool, op func(db *DB) error, check func(t *testing.T, db *DB, crashed bool)) {
+	opts := crashOpts()
 	state, keepXML := buildBaseState(t, opts)
 	completed := false
 	for budget := int64(1); budget <= 10000; budget++ {
@@ -486,43 +481,6 @@ func TestCrashRecoveryImport(t *testing.T) {
 			)
 		})
 	}
-}
-
-// TestCrashRecoveryImportWithTier2 reruns the import crash matrix with
-// the compressed victim cache attached. Tier-2 admissions happen on the
-// eviction path, after write-back — the matrix proves they perturb
-// neither the WAL rule nor the write ordering recovery depends on, and
-// that a store rebooted mid-import recovers identically with the tier
-// configured on both sides of the crash.
-func TestCrashRecoveryImportWithTier2(t *testing.T) {
-	importXML := testPlayXML("doomed", 30)
-	opts := crashOpts()
-	opts.CompressedCacheBytes = 1 << 20
-	runCrashMatrixOpts(t,
-		opts,
-		false,
-		func(db *DB) error {
-			return db.ImportXML("doomed", strings.NewReader(importXML))
-		},
-		func(t *testing.T, db *DB, crashed bool) {
-			got, ok := exportOf(t, db, "doomed")
-			if !ok {
-				return
-			}
-			ref, err := Open(Options{PageSize: 2048})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ref.Close()
-			if err := ref.ImportXML("doomed", strings.NewReader(importXML)); err != nil {
-				t.Fatal(err)
-			}
-			want, _ := exportOf(t, ref, "doomed")
-			if got != want {
-				t.Fatal("recovered import is not byte-identical with tier-2 enabled")
-			}
-		},
-	)
 }
 
 func TestCrashRecoveryDelete(t *testing.T) {

@@ -261,19 +261,3 @@ func TestExplainFacade(t *testing.T) {
 		t.Errorf("scan run reports %d logical reads", ex.LogicalReads)
 	}
 }
-
-// TestPprofLabelsSmoke just exercises the labeled path.
-func TestPprofLabelsSmoke(t *testing.T) {
-	db := openTelemetryDB(t, Options{PathIndex: true, PprofLabels: true})
-	q, err := db.Prepare("//LINE")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := q.Count(context.Background(), "p")
-	if err != nil || n != 3 {
-		t.Fatalf("labeled count: n=%d err=%v", n, err)
-	}
-	if _, err := q.Query(context.Background(), "p"); err != nil {
-		t.Fatal(err)
-	}
-}
