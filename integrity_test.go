@@ -296,6 +296,12 @@ func TestExplainRefusesQuarantined(t *testing.T) {
 // inventory pages), quarantine the documents owning the rest, and never
 // serve a wrong answer.
 func TestCorruptionMatrixEveryPage(t *testing.T) {
+	// The buffer pool is the only cache tier: the scrubber verifies
+	// device bytes, with nothing between the pool and the device.
+	t.Run("tier-off", corruptionMatrixEveryPage)
+}
+
+func corruptionMatrixEveryPage(t *testing.T) {
 	db, mem, fault := openIntegrityDB(t)
 	mustImport(t, db, "alpha", 4)
 	mustImport(t, db, "beta", 3)

@@ -61,8 +61,13 @@ func checkPage(p *Pool, pn int) error {
 
 // TestRecycledImageCarriesOwnPage cycles 24 pages through a 4-frame pool
 // several times: from the fifth load on every frame is built on the image
-// of an evicted one, and each page read must still be its own.
+// of an evicted one, and each page read must still be its own. The
+// subtest name records that no second cache tier sits behind the pool.
 func TestRecycledImageCarriesOwnPage(t *testing.T) {
+	t.Run("tier2=false", recycledImageCarriesOwnPage)
+}
+
+func recycledImageCarriesOwnPage(t *testing.T) {
 	const pages = 24
 	p, _ := newPool(t, 1024, 4, pages)
 	fillPages(t, p, pages)
@@ -159,8 +164,13 @@ func TestEvictedFrameDataPanics(t *testing.T) {
 
 // TestRecycleUnderConcurrentChurn has four readers miss and evict against
 // each other in a small pool, so images change hands between goroutines;
-// every page read must be its own. Run under -race.
+// every page read must be its own. Run under -race. The subtest name
+// records that no second cache tier sits behind the pool.
 func TestRecycleUnderConcurrentChurn(t *testing.T) {
+	t.Run("tier2=false", recycleUnderConcurrentChurn)
+}
+
+func recycleUnderConcurrentChurn(t *testing.T) {
 	const pages = 32
 	p, _ := newPool(t, 1024, 6, pages)
 	fillPages(t, p, pages)
