@@ -153,7 +153,7 @@ func TestCursorLifetimeAllocs(t *testing.T) {
 }
 
 // TestReadOutAllocs pins what reading a match out costs once the cursor
-// has produced it: the read-out walks the parsed records appending into
+// has produced it: the read-out walks the record images appending into
 // pooled scratch, so Text pays for its result string and nothing else,
 // Markup for the string and at most one more, and a whole-document
 // export a small constant that does not grow with the document (the

@@ -221,7 +221,7 @@ func BenchmarkAblationSplitTarget(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRecordCache compares wall time with the parsed-record
+// BenchmarkAblationRecordCache compares wall time with the record
 // cache on and off (simulated time is unaffected by design).
 func BenchmarkAblationRecordCache(b *testing.B) {
 	for _, cache := range []int{-1, 4096} {

@@ -143,7 +143,7 @@ func TestCursorLimit(t *testing.T) {
 // termination does strictly fewer logical page reads than full
 // materialization: a //SPEAKER[1]-style positional query and a
 // limit-1 cursor against the materializing //SPEAKER query, on the
-// scan path and on the indexed path. The parsed-record cache is
+// scan path and on the indexed path. The record cache is
 // disabled so every record access is a buffer-pool access.
 func TestCursorEarlyTerminationFewerReads(t *testing.T) {
 	for _, tc := range []struct {

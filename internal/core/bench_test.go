@@ -98,14 +98,17 @@ func BenchmarkResolveRun(b *testing.B) {
 	}
 
 	b.Run("walker", func(b *testing.B) {
-		var w FacadeWalker
+		var (
+			w   FacadeWalker
+			ref ReadRef
+		)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for idx := 0; idx < nodes; idx++ {
 				if err := w.Load(s, rid); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := w.Ref(idx); err != nil {
+				if err := w.Ref(idx, &ref); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -590,6 +591,7 @@ func TestModelEquivalence(t *testing.T) {
 					copy(parent.children[idx+1:], parent.children[idx:])
 					parent.children[idx] = rn
 				}
+				cachedImagesAreStored(t, s, tr.RootRID())
 				if op%25 == 0 {
 					if err := tr.CheckInvariants(); err != nil {
 						t.Fatalf("op %d: invariants: %v", op, err)
@@ -606,6 +608,39 @@ func TestModelEquivalence(t *testing.T) {
 				t.Fatalf("final divergence\ngot:\n%swant:\n%s", got, ref)
 			}
 		})
+	}
+}
+
+// cachedImagesAreStored fails unless every record image the cache holds
+// is the image stored for its record — no write left a stale one behind
+// — and then loads the image of every record of the tree, so the next
+// edit meets them cached.
+func cachedImagesAreStored(t *testing.T, s *Store, root records.RID) {
+	t.Helper()
+	if s.cache == nil {
+		return
+	}
+	for i := range s.cache.shards {
+		sh := &s.cache.shards[i]
+		sh.mu.Lock()
+		for rid, e := range sh.entries {
+			it := e.Value.(*cacheItem)
+			if it.img == nil {
+				continue
+			}
+			stored, err := s.rm.Read(rid)
+			if err != nil || !bytes.Equal(stored, it.img.Bytes()) {
+				sh.mu.Unlock()
+				t.Fatalf("record %s: the cached image is not the stored one (%v)", rid, err)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	rids, _ := recordsOf(t, s, root)
+	for _, rid := range rids {
+		if _, err := s.loadImage(rid); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -673,13 +708,16 @@ func TestTextContent(t *testing.T) {
 		}
 		want.WriteString(text)
 	}
-	root, _ := tr.Root()
-	got, err := s.TextContent(root)
+	root, err := s.ReadRoot(tr.RootRID())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want.String() {
-		t.Fatalf("TextContent mismatch:\n%q\n%q", got, want.String())
+	got, err := s.AppendReadText(&root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want.String() {
+		t.Fatalf("AppendReadText mismatch:\n%q\n%q", got, want.String())
 	}
 }
 

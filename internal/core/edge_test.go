@@ -187,7 +187,7 @@ func TestCorruptRecordDetected(t *testing.T) {
 			if err3 == nil && len(kids) == 20 {
 				ok := true
 				for i, k := range kids {
-					txt, err := s.TextContent(k)
+					txt, err := refTextContent(s, k)
 					if err != nil || txt != fmt.Sprintf("some content %02d here", i) {
 						ok = false
 						break

@@ -303,7 +303,7 @@ func testStoreUpgradesByEdit(t *testing.T, old byte) {
 	var texts []string
 	err = c.WalkPreOrder(func(c *Cursor) bool {
 		if c.IsLiteral() {
-			text, err := s.TextContent(c.Ref())
+			text, err := refTextContent(s, c.Ref())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,7 +333,7 @@ func testStoreUpgradesByEdit(t *testing.T, old byte) {
 				t.Fatal(err)
 			}
 			wantRef, err := refRefByFacadeIndex(s, rid, idx)
-			if err != nil || !sameNode(got, wantRef, false) {
+			if err != nil || !sameReadNode(got, wantRef, idx) {
 				t.Fatalf("record %s facade %d resolves differently from the reference (err %v)", rid, idx, err)
 			}
 		}

@@ -280,9 +280,7 @@ func (s *Store) spliceRecord(pos physPos, node *noderep.Node) (bool, error) {
 		return false, err
 	}
 	s.stats.recordsSpliced.Add(1)
-	if s.cache != nil {
-		s.cache.put(pos.rid, pos.rec)
-	}
+	s.wrote(pos.rid, pos.rec)
 	return true, nil
 }
 

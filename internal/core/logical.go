@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"natix/internal/dict"
 	"natix/internal/noderep"
@@ -82,7 +81,7 @@ func isFacade(n *noderep.Node) bool {
 // Together with the record RID the facade index forms a persistable
 // logical node address that stays valid as long as the record is not
 // rewritten — the address the path index stores in its postings, and
-// what a FacadeWalker resolves.
+// what a FacadeWalker resolves over the record's image.
 //
 // Enumerations are memoized per parsed record, so addressing every
 // node of a record costs one walk instead of one walk per node. The
@@ -103,11 +102,12 @@ func (fi *FacadeIndexer) Index(ref NodeRef) (int, error) {
 	m, ok := fi.memo[ref.rec]
 	if !ok {
 		m = make(map[*noderep.Node]int)
-		var w FacadeWalker
-		w.restart(ref.rec)
-		for n := w.next(); n != nil; n = w.next() {
-			m[n] = len(m)
-		}
+		ref.rec.Root.Walk(func(n *noderep.Node) bool {
+			if isFacade(n) {
+				m[n] = len(m)
+			}
+			return true
+		})
 		fi.memo[ref.rec] = m
 	}
 	idx, ok := m[ref.node]
@@ -115,134 +115,6 @@ func (fi *FacadeIndexer) Index(ref NodeRef) (int, error) {
 		return 0, fmt.Errorf("core: node not found in record %s", ref.rid)
 	}
 	return idx, nil
-}
-
-// FacadeWalker is the facade enumeration of one record, resumable: it
-// resolves (record, facade index) addresses back to nodes and keeps its
-// place in the pre-order walk between calls. The postings of a record
-// arrive in ascending facade order, so resolving all of them costs one
-// walk of the record in total instead of one walk from the record root
-// per posting. An index at or past the current one continues the walk
-// (the current one again returns the same node); a lower index, or a
-// different parsed instance of the record, restarts it.
-//
-// The walker keeps pointers into the parsed record, so it must not
-// outlive a mutation of the tree: it belongs to one reader that holds
-// the document readable (a query cursor), never to the Store. The zero
-// value is ready to use; the first levels of its stack are inline, so a
-// walker embedded in its owner never allocates on records of ordinary
-// depth.
-type FacadeWalker struct {
-	rid   records.RID
-	rec   *noderep.Record // parsed instance the walk is over
-	cur   *noderep.Node   // facade node number idx; nil before the first and past the last
-	idx   int             // -1 before the first node, math.MaxInt past the last
-	stack []facadeFrame   // open aggregates of the walk, root first
-	first bool            // the record root is a facade node not yet returned
-
-	inline [12]facadeFrame
-}
-
-// facadeFrame is one aggregate the walk is inside of and the child it
-// visits next.
-type facadeFrame struct {
-	n    *noderep.Node
-	next int
-}
-
-// restart positions the walk before the first facade node of rec.
-//
-//natix:noalloc
-func (w *FacadeWalker) restart(rec *noderep.Record) {
-	w.rec, w.cur, w.idx = rec, nil, -1
-	w.stack = append(w.inline[:0], facadeFrame{n: rec.Root})
-	w.first = isFacade(rec.Root)
-}
-
-// next advances the pre-order walk to the next facade node and returns
-// it, nil once the record is exhausted. Proxies and literals have no
-// children, so the walk never leaves the record.
-//
-//natix:noalloc
-func (w *FacadeWalker) next() *noderep.Node {
-	if w.first {
-		w.first = false
-		return w.rec.Root
-	}
-	for len(w.stack) > 0 {
-		f := &w.stack[len(w.stack)-1]
-		if f.next == len(f.n.Children) {
-			w.stack = w.stack[:len(w.stack)-1]
-			continue
-		}
-		c := f.n.Children[f.next]
-		f.next++
-		if len(c.Children) > 0 {
-			w.stack = append(w.stack, facadeFrame{n: c})
-		}
-		if isFacade(c) {
-			return c
-		}
-	}
-	return nil
-}
-
-// Load makes record rid the walker's record. When the walker is already
-// on rid it returns at once — the parsed instance it holds stays valid
-// for as long as its owner keeps the document readable — so a run of
-// addresses in one record costs one record access (one logical read
-// through the buffer pool) in total; any other rid is loaded like any
-// record. The walk keeps its place unless the parsed instance changes.
-//
-//natix:noalloc
-func (w *FacadeWalker) Load(s *Store, rid records.RID) error {
-	if w.rec != nil && rid == w.rid {
-		return nil
-	}
-	rec, err := s.loadRecord(rid)
-	if err != nil {
-		return err
-	}
-	if rec != w.rec {
-		w.restart(rec)
-	}
-	w.rid = rid
-	return nil
-}
-
-// Ref resolves facade index idx of the loaded record to a NodeRef (with
-// no record loaded, every index is missing). On a warm record it does
-// not allocate.
-//
-//natix:noalloc
-func (w *FacadeWalker) Ref(idx int) (NodeRef, error) {
-	if idx < w.idx && w.rec != nil {
-		w.restart(w.rec)
-	}
-	for w.idx < idx {
-		if w.cur = w.next(); w.cur == nil {
-			w.idx = math.MaxInt // exhausted: any further index restarts
-			break
-		}
-		w.idx++
-	}
-	if w.cur == nil {
-		return NodeRef{}, fmt.Errorf("core: facade node %d missing in record %s", idx, w.rid) //natix:vet-ignore corrupt-record path
-	}
-	return NodeRef{rid: w.rid, node: w.cur, rec: w.rec}, nil
-}
-
-// RefByFacadeIndex resolves one (record, facade index) address back to
-// a NodeRef with a walker of its own: one record load, one allocation
-// (the walker) and a walk from the record root up to the node. Callers
-// resolving several addresses keep a FacadeWalker instead, which pays
-// the walk once per record and allocates nothing.
-func (s *Store) RefByFacadeIndex(rid records.RID, idx int) (NodeRef, error) {
-	var w FacadeWalker
-	if err := w.Load(s, rid); err != nil {
-		return NodeRef{}, err
-	}
-	return w.Ref(idx)
 }
 
 // physPos locates a physical child slot: the record, the physical parent
@@ -572,40 +444,4 @@ func (s *Store) BuildSubtree(ref NodeRef) (*noderep.Node, error) {
 		out.AppendChild(sub)
 	}
 	return out, nil
-}
-
-// TextContent concatenates the payloads of all string literals in the
-// subtree under ref, in document order.
-func (s *Store) TextContent(ref NodeRef) (string, error) {
-	var stack []NodeRef
-	text, err := s.AppendText(ref, nil, &stack)
-	if err != nil {
-		return "", err
-	}
-	return string(text), nil
-}
-
-// AppendText appends the text content of the subtree under ref to buf
-// and returns the extended slice. Non-string literals contribute
-// nothing. The child lists of the descent are stacked on *stack above
-// its current length, which is restored on return; a caller that keeps
-// buf and *stack between calls reads text out without allocating.
-//
-//natix:noalloc
-func (s *Store) AppendText(ref NodeRef, buf []byte, stack *[]NodeRef) ([]byte, error) {
-	if ref.IsLiteral() {
-		if ref.node.IsString() {
-			buf = append(buf, ref.node.Payload...)
-		}
-		return buf, nil
-	}
-	base := len(*stack)
-	kids, err := s.ChildrenAppend(ref, *stack)
-	*stack = kids
-	// The recursion may move *stack; it never touches [base:end).
-	for i, end := base, len(kids); i < end && err == nil; i++ {
-		buf, err = s.AppendText((*stack)[i], buf, stack)
-	}
-	*stack = (*stack)[:base]
-	return buf, err
 }

@@ -15,8 +15,10 @@ import (
 	"natix/internal/records"
 )
 
-// The implementations FacadeWalker and AppendText replaced, kept as the
-// reference the differential tests below hold the new ones to.
+// The implementations FacadeWalker and AppendReadText replaced, kept as
+// the reference the differential tests below hold the new ones to: the
+// walk of a decoded record from its root, and the text of a decoded
+// subtree gathered a child list at a time.
 
 // refFindFacade returns the *seq-th facade node of the pre-order walk
 // under n (proxies are leaves of the walk), counting *seq down as it
@@ -155,6 +157,21 @@ func sameNode(a, b NodeRef, cached bool) bool {
 		string(a.node.Payload) == string(b.node.Payload) && len(a.node.Children) == len(b.node.Children)
 }
 
+// sameReadNode reports whether a resolution over the record's image names
+// the node b of the decoded record, b being facade node idx: the same
+// record, type and payload, and the same place in the facade order.
+func sameReadNode(a ReadRef, b NodeRef, idx int) bool {
+	n := b.node
+	if a.rid != b.rid || a.n.Kind != n.Kind || a.n.Label != n.Label || a.n.Scaffold != n.Scaffold {
+		return false
+	}
+	if a.IsLiteral() && (a.n.LitType != n.LitType || string(a.im.Payload(&a.n)) != string(n.Payload)) {
+		return false
+	}
+	i, err := a.FacadeIndex()
+	return err == nil && i == idx
+}
+
 // TestFacadeWalkerMatchesReference resolves (record, facade index)
 // addresses through one long-lived walker in every order a consumer can
 // produce — ascending, each index twice, descending, shuffled, two
@@ -174,15 +191,16 @@ func TestFacadeWalkerMatchesReference(t *testing.T) {
 						if err := w.Load(s, rid); err != nil {
 							t.Fatal(err)
 						}
-						got, gotErr := w.Ref(idx)
+						var got ReadRef
+						gotErr := w.Ref(idx, &got)
 						if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
 							t.Fatalf("record %s index %d: error %v, reference %v", rid, idx, gotErr, wantErr)
 						}
-						if wantErr == nil && !sameNode(got, want, cache > 0) {
+						if wantErr == nil && !sameReadNode(got, want, idx) {
 							t.Fatalf("record %s index %d: resolved to a different node than the reference", rid, idx)
 						}
 						one, oneErr := s.RefByFacadeIndex(rid, idx)
-						if (wantErr == nil) != (oneErr == nil) || (wantErr == nil && !sameNode(one, want, cache > 0)) {
+						if (wantErr == nil) != (oneErr == nil) || (wantErr == nil && !sameReadNode(one, want, idx)) {
 							t.Fatalf("record %s index %d: RefByFacadeIndex disagrees with the reference (%v)", rid, idx, oneErr)
 						}
 					}
@@ -226,9 +244,11 @@ func TestFacadeWalkerMatchesReference(t *testing.T) {
 	}
 }
 
-// TestAppendTextMatchesReference reads the text of every node of every
-// tree through one reused buffer and stack and holds it to the old
-// TextContent.
+// TestAppendTextMatchesReference walks every tree twice in step — over
+// the decoded records (Children) and over the record images
+// (ReadChildren) — and holds the text AppendReadText reads out of the
+// images, through one reused buffer, to the text the reference gathers
+// from the decoded nodes, node by node.
 func TestAppendTextMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, dt := range diffTrees(t, seed, 4096) {
@@ -236,37 +256,41 @@ func TestAppendTextMatchesReference(t *testing.T) {
 				s := dt.store
 				var (
 					buf   []byte
-					stack []NodeRef
 					nodes int
 				)
-				var visit func(ref NodeRef)
-				visit = func(ref NodeRef) {
+				var visit func(ref NodeRef, rr *ReadRef)
+				visit = func(ref NodeRef, rr *ReadRef) {
 					nodes++
+					if rr.IsLiteral() != ref.IsLiteral() || rr.Label() != ref.Label() {
+						t.Fatalf("node %d: the image and the decoded record name different nodes", nodes)
+					}
 					want, err := refTextContent(s, ref)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if buf, err = s.AppendText(ref, buf[:0], &stack); err != nil {
+					if buf, err = s.AppendReadText(rr, buf[:0]); err != nil {
 						t.Fatal(err)
 					}
 					if string(buf) != want {
-						t.Fatalf("AppendText = %q, reference %q", buf, want)
-					}
-					if len(stack) != 0 {
-						t.Fatalf("AppendText left %d refs stacked", len(stack))
-					}
-					if got, err := s.TextContent(ref); err != nil || got != want {
-						t.Fatalf("TextContent = %q, %v; reference %q", got, err, want)
+						t.Fatalf("AppendReadText = %q, reference %q", buf, want)
 					}
 					kids, err := s.Children(ref)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, k := range kids {
-						visit(k)
+					read, err := s.ReadChildren(rr, nil)
+					if err != nil || len(read) != len(kids) {
+						t.Fatalf("ReadChildren: %d children (%v), the decoded record %d", len(read), err, len(kids))
+					}
+					for i, k := range kids {
+						visit(k, &read[i])
 					}
 				}
-				visit(mustRoot(t, dt.tree))
+				root, err := s.ReadRoot(dt.tree.RootRID())
+				if err != nil {
+					t.Fatal(err)
+				}
+				visit(mustRoot(t, dt.tree), &root)
 				if nodes < 50 {
 					t.Fatalf("only %d nodes visited", nodes)
 				}
@@ -283,13 +307,16 @@ func TestResolveAllocs(t *testing.T) {
 	s := dt.store
 	rids, facades := recordsOf(t, s, dt.tree.RootRID())
 	rid, n := rids[0], facades[0]
-	var w FacadeWalker
+	var (
+		w   FacadeWalker
+		ref ReadRef
+	)
 	if avg := testing.AllocsPerRun(50, func() {
 		for i := 0; i < n; i++ {
 			if err := w.Load(s, rid); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := w.Ref(i); err != nil {
+			if err := w.Ref(i, &ref); err != nil {
 				t.Fatal(err)
 			}
 		}

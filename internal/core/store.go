@@ -30,9 +30,10 @@ type Config struct {
 	// Matrix is the split matrix (§3.3). nil means all-other.
 	Matrix *SplitMatrix
 
-	// CacheRecords bounds the parsed-record cache (number of records).
-	// The cache saves re-decoding CPU but never hides I/O: hits still
-	// touch the buffer manager. 0 disables the cache.
+	// CacheRecords bounds the record cache (number of records): their
+	// images, which queries read in place, and the trees the write path
+	// decoded from them. The cache saves copying and decoding CPU but never
+	// hides I/O: hits still touch the buffer manager. 0 disables the cache.
 	CacheRecords int
 
 	// MergeOnDelete inlines a shrunken record back into its parent
@@ -64,6 +65,7 @@ type Stats struct {
 	RecordsRewritten int64 // full re-encodes of an existing record
 	RecordsSpliced   int64 // node edits written as a splice of the stored image
 	ParentPatches    int64 // standalone parent-RID fixups written
+	RecordsDecoded   int64 // record images decoded into trees (the write path's)
 	CacheHits        int64
 	CacheMisses      int64
 }
@@ -77,10 +79,11 @@ var (
 	ErrIsRoot       = errors.New("core: operation not allowed on the tree root")
 )
 
-// Store is the tree storage manager. Read traversals (Root, Children,
-// Cursor walks, AppendText, FacadeWalker, loadRecord paths) are
-// safe for any number of concurrent callers: the parsed-record cache is
-// sharded and the counters are atomics. Mutating operations
+// Store is the tree storage manager. Read traversals (ReadRoot,
+// ReadChildren, AppendReadText, FacadeWalker, and Root, Children, Cursor
+// walks, AppendText over decoded records) are safe for any number of
+// concurrent callers: the record cache is sharded and the counters are
+// atomics. Mutating operations
 // (InsertChild, Delete, splits) must be serialized by the caller and
 // must not run concurrently with readers of the same document — package
 // docstore's per-document locks provide both.
@@ -109,6 +112,7 @@ type storeStats struct {
 	recordsRewritten atomic.Int64
 	recordsSpliced   atomic.Int64
 	parentPatches    atomic.Int64
+	recordsDecoded   atomic.Int64
 	cacheHits        atomic.Int64
 	cacheMisses      atomic.Int64
 }
@@ -138,6 +142,7 @@ func (s *Store) Stats() Stats {
 		RecordsRewritten: s.stats.recordsRewritten.Load(),
 		RecordsSpliced:   s.stats.recordsSpliced.Load(),
 		ParentPatches:    s.stats.parentPatches.Load(),
+		RecordsDecoded:   s.stats.recordsDecoded.Load(),
 		CacheHits:        s.stats.cacheHits.Load(),
 		CacheMisses:      s.stats.cacheMisses.Load(),
 	}
@@ -152,6 +157,7 @@ func (s *Store) AttachTelemetry(reg *telemetry.Registry) {
 	reg.Func("core.records_rewritten", s.stats.recordsRewritten.Load)
 	reg.Func("core.records_spliced", s.stats.recordsSpliced.Load)
 	reg.Func("core.parent_patches", s.stats.parentPatches.Load)
+	reg.Func("core.records_decoded", s.stats.recordsDecoded.Load)
 	reg.Func("core.cache_hits", s.stats.cacheHits.Load)
 	reg.Func("core.cache_misses", s.stats.cacheMisses.Load)
 }
@@ -164,11 +170,13 @@ func (s *Store) ResetStats() {
 	s.stats.recordsRewritten.Store(0)
 	s.stats.recordsSpliced.Store(0)
 	s.stats.parentPatches.Store(0)
+	s.stats.recordsDecoded.Store(0)
 	s.stats.cacheHits.Store(0)
 	s.stats.cacheMisses.Store(0)
 }
 
-// InvalidateCache drops all parsed records (e.g. after a buffer clear).
+// InvalidateCache drops every cached record (e.g. after a buffer clear
+// or a rollback restored pages under it).
 func (s *Store) InvalidateCache() {
 	if s.cache != nil {
 		s.cache.clear()
@@ -178,30 +186,47 @@ func (s *Store) InvalidateCache() {
 // maxRecordSize is the net page capacity (§3.2.2).
 func (s *Store) maxRecordSize() int { return s.rm.MaxRecordSize() }
 
-// loadRecord returns the parsed form of a record. Cache hits still touch
-// the record's page through the buffer manager so I/O accounting (and
-// eviction-driven physical reads) remain faithful.
+// loadRecord returns the decoded tree of a record: the write path's
+// form, which its operations edit in place before writing the record
+// back. A cached tree is returned as it is; otherwise the record's image
+// — the cached one, or a copy read from its page — is decoded, and the
+// tree takes the image's place in the cache: the write path mostly goes
+// on to change the record, which drops the image anyway, and an entry
+// holding both would keep the record in memory twice. Cache hits still
+// touch the record's page through the buffer manager so I/O accounting
+// (and eviction-driven physical reads) remain faithful.
 func (s *Store) loadRecord(rid records.RID) (*noderep.Record, error) {
+	var im *noderep.Image
 	if s.cache != nil {
-		if rec, ok := s.cache.get(rid); ok {
+		if rec, cached, ok := s.cache.record(rid); ok {
 			s.stats.cacheHits.Add(1)
 			if err := s.rm.Touch(rid); err != nil {
 				return nil, err
 			}
-			return rec, nil
+			if rec != nil {
+				return rec, nil
+			}
+			im = cached
+		} else {
+			s.stats.cacheMisses.Add(1)
 		}
-		s.stats.cacheMisses.Add(1)
 	}
-	body, err := s.rm.Read(rid)
-	if err != nil {
-		return nil, err
+	if im == nil {
+		buf, err := s.rm.Read(rid)
+		if err != nil {
+			return nil, err
+		}
+		if im, err = openImage(rid, buf); err != nil {
+			return nil, err
+		}
 	}
-	rec, err := noderep.Decode(body)
+	s.stats.recordsDecoded.Add(1)
+	rec, err := noderep.Decode(im.Bytes())
 	if err != nil {
 		return nil, fmt.Errorf("record %s: %w", rid, err)
 	}
 	if s.cache != nil {
-		s.cache.put(rid, rec)
+		s.cache.putRecord(rid, rec)
 	}
 	return rec, nil
 }
@@ -242,10 +267,16 @@ func (s *Store) writeMeasured(rid records.RID, rec *noderep.Record) error {
 	if err := s.rm.Update(rid, body); err != nil {
 		return err
 	}
-	if s.cache != nil {
-		s.cache.put(rid, rec)
-	}
+	s.wrote(rid, rec)
 	return nil
+}
+
+// wrote notes that record rid was just written from the tree rec: the
+// cache keeps rec and drops the image it held, which the write changed.
+func (s *Store) wrote(rid records.RID, rec *noderep.Record) {
+	if s.cache != nil {
+		s.cache.putRecord(rid, rec)
+	}
 }
 
 // insertRecord stores rec as a new record near the hint page.
@@ -268,9 +299,7 @@ func (s *Store) insertMeasured(rec *noderep.Record, near pagedev.PageNo) (record
 		return records.NilRID, err
 	}
 	s.stats.recordsCreated.Add(1)
-	if s.cache != nil {
-		s.cache.put(rid, rec)
-	}
+	s.wrote(rid, rec)
 	return rid, nil
 }
 
@@ -298,7 +327,11 @@ func (s *Store) patchParentRID(child, parent records.RID) error {
 	parent.Put(enc[:])
 	off := noderep.RecordParentRIDOffset(rec)
 	s.stats.parentPatches.Add(1)
-	return s.rm.Patch(child, off, enc[:])
+	if err := s.rm.Patch(child, off, enc[:]); err != nil {
+		return err
+	}
+	s.wrote(child, rec)
+	return nil
 }
 
 // Tree is a handle to one stored document tree. The root record RID
@@ -337,7 +370,7 @@ func (t *Tree) DeleteTree() error {
 	return t.store.deleteRecordTree(t.rootRID)
 }
 
-// LoadRecordForInspection exposes the parsed form of a record for
+// LoadRecordForInspection exposes the decoded form of a record for
 // diagnostic tools (cmd/natix-inspect). The returned record must be
 // treated as read-only.
 func (s *Store) LoadRecordForInspection(rid records.RID) (*noderep.Record, error) {
@@ -366,12 +399,20 @@ func (s *Store) deleteRecordTree(rid records.RID) error {
 	return s.deleteRecord(rid)
 }
 
-// recCache is a small LRU of parsed records, sharded by RID so
-// concurrent readers of different records rarely contend. Each shard
-// keeps its own LRU order under its own mutex — an approximation of
-// global LRU that stays exact within a shard. Mutating operations
-// always write through (writeRecord/insertRecord) so cache contents
-// never diverge from disk.
+// recCache is a small LRU of records, sharded by RID so concurrent
+// readers of different records rarely contend. Each shard keeps its own
+// LRU order under its own mutex — an approximation of global LRU that
+// stays exact within a shard.
+//
+// An entry holds up to two forms of its record. The image is a copy of
+// the stored bytes, made once per miss (loadImage, loadRecord) and never
+// written: the read path works on it in place and hands slices of it out
+// in ReadRefs. The tree is decoded from the image the first time the
+// write path asks for the record, takes the image's place, and is edited
+// in place by the write path; a read copies the image in again beside
+// it. Every write of a record replaces the entry's tree and drops its
+// image (wrote, remove, clear), so the next read copies the new image
+// in; no query ever decodes.
 type recCache struct {
 	shards [cacheShards]cacheShard
 }
@@ -389,7 +430,8 @@ type cacheShard struct {
 
 type cacheItem struct {
 	rid records.RID
-	rec *noderep.Record
+	img *noderep.Image  // the stored image; nil once a write changed it or the tree replaced it
+	rec *noderep.Record // the decoded tree; nil until the write path asks for it
 }
 
 func newRecCache(capacity int) *recCache {
@@ -411,25 +453,59 @@ func (c *recCache) shardOf(rid records.RID) *cacheShard {
 	return &c.shards[h%cacheShards]
 }
 
-func (c *recCache) get(rid records.RID) (*noderep.Record, bool) {
-	sh := c.shardOf(rid)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+// lookup returns rid's entry, marked most recently used. Caller holds
+// sh.mu.
+func (sh *cacheShard) lookup(rid records.RID) (*cacheItem, bool) {
 	e, ok := sh.entries[rid]
 	if !ok {
 		return nil, false
 	}
 	sh.order.MoveToFront(e)
-	return e.Value.(*cacheItem).rec, true
+	return e.Value.(*cacheItem), true
 }
 
-func (c *recCache) put(rid records.RID, rec *noderep.Record) {
+// image returns the cached image of rid, if the entry holds one.
+func (c *recCache) image(rid records.RID) (*noderep.Image, bool) {
 	sh := c.shardOf(rid)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e, ok := sh.entries[rid]; ok {
-		e.Value.(*cacheItem).rec = rec
-		sh.order.MoveToFront(e)
+	it, ok := sh.lookup(rid)
+	if !ok || it.img == nil {
+		return nil, false
+	}
+	return it.img, true
+}
+
+// record returns what the entry of rid holds, ok when that is anything.
+func (c *recCache) record(rid records.RID) (rec *noderep.Record, img *noderep.Image, ok bool) {
+	sh := c.shardOf(rid)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	it, ok := sh.lookup(rid)
+	if !ok || (it.rec == nil && it.img == nil) {
+		return nil, nil, false
+	}
+	return it.rec, it.img, true
+}
+
+// putImage caches the image of rid beside whatever tree the entry holds.
+func (c *recCache) putImage(rid records.RID, img *noderep.Image) {
+	c.update(rid, func(it *cacheItem) { it.img = img })
+}
+
+// putRecord caches the tree of rid in place of its image.
+func (c *recCache) putRecord(rid records.RID, rec *noderep.Record) {
+	c.update(rid, func(it *cacheItem) { it.rec, it.img = rec, nil })
+}
+
+// update applies set to the entry of rid, made (evicting as needed) when
+// there is none.
+func (c *recCache) update(rid records.RID, set func(*cacheItem)) {
+	sh := c.shardOf(rid)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if it, ok := sh.lookup(rid); ok {
+		set(it)
 		return
 	}
 	for len(sh.entries) >= sh.capacity {
@@ -440,7 +516,9 @@ func (c *recCache) put(rid records.RID, rec *noderep.Record) {
 		sh.order.Remove(back)
 		delete(sh.entries, back.Value.(*cacheItem).rid)
 	}
-	sh.entries[rid] = sh.order.PushFront(&cacheItem{rid: rid, rec: rec})
+	it := &cacheItem{rid: rid}
+	set(it)
+	sh.entries[rid] = sh.order.PushFront(it)
 }
 
 func (c *recCache) remove(rid records.RID) {

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -43,6 +44,10 @@ const (
 // reservedNames maps the reserved ids to their display names.
 var reservedNames = []string{"", "#text", "#scaffold"}
 
+// AttrPrefix marks attribute labels: attribute a of an element is stored
+// as a child aggregate labelled "@a" holding a string literal.
+const AttrPrefix = "@"
+
 // Errors.
 var (
 	ErrUnknownID = errors.New("dict: unknown label id")
@@ -51,11 +56,32 @@ var (
 )
 
 // dictState is one immutable snapshot of the mapping. Never mutate a
-// published snapshot: Intern builds a fresh byName map (the names slice
-// is append-only, so older snapshots index safely into their prefix).
+// published snapshot: Intern builds a fresh byName map (the names and
+// attr slices are append-only, so older snapshots index safely into
+// their prefix).
 type dictState struct {
 	byName map[string]LabelID
 	names  []string
+	attr   []bool // per id: the name is an attribute's (AttrPrefix)
+}
+
+// add appends name under the next id.
+func (st *dictState) add(name string) {
+	st.names = append(st.names, name)
+	st.attr = append(st.attr, strings.HasPrefix(name, AttrPrefix))
+}
+
+// extend returns a copy of st to add names to, leaving st as it is.
+func (st *dictState) extend(more int) *dictState {
+	next := &dictState{
+		byName: make(map[string]LabelID, len(st.byName)+more),
+		names:  st.names[:len(st.names):len(st.names)],
+		attr:   st.attr[:len(st.attr):len(st.attr)],
+	}
+	for n, i := range st.byName {
+		next.byName[n] = i
+	}
+	return next
 }
 
 // Dict is the persistent label dictionary. It is serialized as a blob
@@ -76,8 +102,8 @@ type Dict struct {
 func Create(rm *records.Manager) (*Dict, error) {
 	d := &Dict{blobs: blobstore.New(rm), seg: rm.Segment()}
 	st := &dictState{byName: make(map[string]LabelID)}
-	st.names = append(st.names, reservedNames...)
-	for id, n := range st.names {
+	for id, n := range reservedNames {
+		st.add(n)
 		if id > 0 {
 			st.byName[n] = LabelID(id)
 		}
@@ -190,7 +216,7 @@ func decode(b []byte) (*dictState, error) {
 		}
 		name := string(b[pos : pos+n])
 		pos += n
-		st.names = append(st.names, name)
+		st.add(name)
 		if i > 0 {
 			st.byName[name] = LabelID(i)
 		}
@@ -236,13 +262,8 @@ func (d *Dict) Intern(name string) (LabelID, error) {
 		return Invalid, fmt.Errorf("%w: 16-bit id space exhausted", ErrFull)
 	}
 	id := LabelID(len(cur.names))
-	next := &dictState{
-		byName: make(map[string]LabelID, len(cur.byName)+1),
-		names:  append(cur.names[:len(cur.names):len(cur.names)], name),
-	}
-	for n, i := range cur.byName {
-		next.byName[n] = i
-	}
+	next := cur.extend(1)
+	next.add(name)
 	next.byName[name] = id
 	// Persist before publishing, so in-memory state never runs ahead of
 	// disk when the save fails.
@@ -318,13 +339,7 @@ func (b *Batch) Commit() error {
 	// and ids match trivially, but if another writer interned between
 	// NewBatch and Commit (a serialization bug upstream) the handed-out
 	// ids may be stale — fail closed rather than persist a lie.
-	next := &dictState{
-		byName: make(map[string]LabelID, len(cur.byName)+len(b.names)),
-		names:  cur.names[:len(cur.names):len(cur.names)],
-	}
-	for n, i := range cur.byName {
-		next.byName[n] = i
-	}
+	next := cur.extend(len(b.names))
 	for _, name := range b.names {
 		want := b.ids[name]
 		if id, ok := next.byName[name]; ok {
@@ -336,7 +351,7 @@ func (b *Batch) Commit() error {
 		if LabelID(len(next.names)) != want {
 			return fmt.Errorf("dict: concurrent intern invalidated batch id for %q", name)
 		}
-		next.names = append(next.names, name)
+		next.add(name)
 		next.byName[name] = want
 	}
 	if err := d.save(next); err != nil {
@@ -380,6 +395,17 @@ func (d *Dict) Name(id LabelID) (string, error) {
 		return "", fmt.Errorf("%w: %d", ErrUnknownID, id)
 	}
 	return st.names[id], nil
+}
+
+// IsAttr reports whether id labels an attribute: its name starts with
+// AttrPrefix. The bit is set as a name is interned or loaded, so the
+// test costs no string compare.
+func (d *Dict) IsAttr(id LabelID) (bool, error) {
+	st := d.state.Load()
+	if int(id) >= len(st.attr) || id == Invalid {
+		return false, fmt.Errorf("%w: %d", ErrUnknownID, id)
+	}
+	return st.attr[id], nil
 }
 
 // Len returns the number of labels including the reserved ones.

@@ -1,13 +1,17 @@
 package dict
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"natix/internal/buffer"
+	"natix/internal/corpus"
 	"natix/internal/pagedev"
 	"natix/internal/records"
 	"natix/internal/segment"
+	"natix/internal/xmlkit"
 )
 
 func newEnv(t *testing.T) (*records.Manager, *buffer.Pool, *pagedev.Mem) {
@@ -145,5 +149,76 @@ func TestManyLabelsGrowRecord(t *testing.T) {
 	}
 	if n, _ := d2.Name(id); n != "ELEMENT-0299" {
 		t.Fatalf("Name round trip = %q", n)
+	}
+}
+
+// TestIsAttrBit: for every label of a dictionary holding a corpus play's
+// element names and the attribute form of each, interned one by one and
+// in a batch, the attribute bit equals the string test it replaces —
+// before and after the dictionary is reopened from its blob.
+func TestIsAttrBit(t *testing.T) {
+	rm, pool, _ := newEnv(t)
+	d, err := Create(rm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	var collect func(n *xmlkit.Node)
+	collect = func(n *xmlkit.Node) {
+		if !n.IsText() {
+			names[n.Name] = true
+			for _, a := range n.Attrs {
+				names[AttrPrefix+a.Name] = true
+			}
+		}
+		for _, c := range n.Children {
+			collect(c)
+		}
+	}
+	collect(corpus.GeneratePlay(corpus.SmallSpec(1), 0))
+	for name := range names {
+		if _, err := d.Intern(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := d.NewBatch()
+	for name := range names {
+		if _, err := b.Intern(AttrPrefix + name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(rm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*Dict{d, reopened} {
+		attrs := 0
+		for id := LabelID(1); int(id) < d.Len(); id++ {
+			name, err := d.Name(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			attr, err := d.IsAttr(id)
+			if err != nil || attr != strings.HasPrefix(name, AttrPrefix) {
+				t.Fatalf("IsAttr(%d %q) = %v, %v", id, name, attr, err)
+			}
+			if attr {
+				attrs++
+			}
+		}
+		if attrs < len(names) || d.Len() < 2*len(names) {
+			t.Fatalf("%d labels, %d of them attributes, from %d names", d.Len(), attrs, len(names))
+		}
+		for _, id := range []LabelID{Invalid, LabelID(d.Len())} {
+			if _, err := d.IsAttr(id); !errors.Is(err, ErrUnknownID) {
+				t.Fatalf("IsAttr(%d) = %v, want ErrUnknownID", id, err)
+			}
+		}
 	}
 }

@@ -26,8 +26,8 @@ func benchPlayStore(b *testing.B) (*Store, int) {
 
 // BenchmarkMarkup reads every //SPEECH match of a play out as markup
 // (the paper's query 2: "recreate the textual representation") — by the
-// streaming writer, and by the materialize-then-serialize reference it
-// replaced.
+// streaming writer over the record images, and by the tree route: the
+// scan over decoded records and the materialize-then-serialize read-out.
 func BenchmarkMarkup(b *testing.B) {
 	s, _ := benchPlayStore(b)
 	steps, err := ParseQuery("//SPEECH")
@@ -58,8 +58,25 @@ func BenchmarkMarkup(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(matches), "ns/match")
 	}
 	b.Run("stream", func(b *testing.B) { run(b, Result.Markup) })
-	b.Run("reference", func(b *testing.B) {
-		run(b, func(r Result) (string, error) { return refMarkup(s, r.Ref) })
+	b.Run("tree", func(b *testing.B) {
+		b.ReportAllocs()
+		var matches, bytes int64
+		for i := 0; i < b.N; i++ {
+			refs, err := treeQuery(s, "play", steps)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, ref := range refs {
+				m, err := refMarkup(s, ref)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bytes += int64(len(m))
+				matches++
+			}
+		}
+		b.SetBytes(bytes / int64(b.N))
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(matches), "ns/match")
 	})
 }
 

@@ -214,7 +214,7 @@ func (l *bulkLoader) literalBytes(b []byte) error {
 // the pending one. Full textLimit chunks are emitted eagerly (memory
 // stays bounded), the tail at token end — so a token becomes exactly
 // the sibling literals insertText would produce, however the parser
-// split it (TextContent and export concatenate them back).
+// split it (Text and export concatenate them back).
 func (l *bulkLoader) text(text string, cont bool) error {
 	if !cont {
 		if err := l.flushTextRun(); err != nil {

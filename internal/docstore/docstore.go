@@ -77,7 +77,7 @@ const (
 // AttrPrefix marks attribute labels in the dictionary: attribute a of an
 // element is stored as a child aggregate labelled "@a" holding a string
 // literal.
-const AttrPrefix = "@"
+const AttrPrefix = dict.AttrPrefix
 
 // Errors.
 var (
@@ -804,8 +804,8 @@ func (s *Store) insertText(tree *core.Tree, path core.Path, pos int, text string
 	if len(text) <= limit {
 		return 1, tree.InsertChild(path, pos, noderep.NewTextLiteral(text))
 	}
-	// Chunk the run into sibling literals; TextContent concatenates them
-	// back on export.
+	// Chunk the run into sibling literals; Text and export concatenate them
+	// back.
 	inserted := 0
 	for i := 0; i < len(text); i += limit {
 		end := i + limit
@@ -947,14 +947,13 @@ func (s *Store) exportXMLLocked(cx context.Context, name string, w io.Writer) er
 		_, err = w.Write(body)
 		return err
 	default:
-		tree := s.trees.OpenTree(info.Root)
-		root, err := tree.Root()
+		root, err := s.trees.ReadRoot(info.Root)
 		if err != nil {
 			return err
 		}
 		ro := s.getReadOut(w)
 		defer s.putReadOut(ro)
-		if err := s.writeXML(cx, ro, root); err != nil {
+		if err := s.writeXML(cx, ro, &root); err != nil {
 			return err
 		}
 		return ro.flush(true)

@@ -172,11 +172,13 @@ func evalSources(t *testing.T, text string) []evalSource {
 // TestEvaluatorsAgreeWithReference holds the one machine to the
 // recursive evaluator it replaced (reference_test.go): seeded random
 // documents × random paths × the three sources × the four consumers —
-// cursor, cursor with a limit, eager Query, Count. Every combination
-// must produce the reference's match list: the same markup, in the same
-// order, duplicates included. The hand-written corner cases
-// (equivalenceQueries over the play and the nested document) run through
-// the same check.
+// cursor, cursor with a limit, eager Query, Count — and, on the stored
+// sources, the navigating scan over decoded records read out through
+// the decoded tree (treeread_test.go), the route the record images
+// replaced. Every combination must produce the reference's match list:
+// the same markup, in the same order, duplicates included. The
+// hand-written corner cases (equivalenceQueries over the play and the
+// nested document) run through the same check.
 func TestEvaluatorsAgreeWithReference(t *testing.T) {
 	cx := context.Background()
 	ran := map[EvaluatorKind]int{}
@@ -219,6 +221,10 @@ func TestEvaluatorsAgreeWithReference(t *testing.T) {
 
 			res, err := src.s.QuerySteps(cx, "d", steps)
 			fail("eager", markupsOf(t, res), err)
+
+			if src.kind(plain) != EvalFlat {
+				fail("scan over decoded records", treeMarkups(t, src.s, "d", query), nil)
+			}
 
 			n, err := src.s.QueryCountSteps(cx, "d", steps)
 			if err != nil || n != len(want) {

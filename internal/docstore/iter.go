@@ -45,9 +45,7 @@ type Iter struct {
 	// exhausting (or cancelling) the cursor on another one.
 	relmu sync.RWMutex
 
-	// m is the evaluation. Only the goroutine inside Next touches it;
-	// what it points at in parsed records stays valid exactly as long as
-	// the cursor holds the document lock.
+	// m is the evaluation. Only the goroutine inside Next touches it.
 	m matcher
 
 	cur   Result

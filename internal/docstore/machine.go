@@ -2,7 +2,6 @@ package docstore
 
 import (
 	"context"
-	"strings"
 	"sync"
 
 	"natix/internal/core"
@@ -71,8 +70,8 @@ func (f *frame) matchesLabel(d *dict.Dict, label dict.LabelID) (bool, error) {
 	case nameLabel:
 		return label == f.label, nil
 	case nameAny:
-		name, err := d.Name(label)
-		return err == nil && !strings.HasPrefix(name, AttrPrefix), err
+		attr, err := d.IsAttr(label)
+		return err == nil && !attr, err
 	}
 	return false, nil
 }
@@ -219,7 +218,7 @@ type walk[N any, T tree[N]] struct {
 
 // The two walks: over stored records, and over a parsed flat document.
 type (
-	recordWalk = walk[core.NodeRef, recordTree]
+	recordWalk = walk[core.ReadRef, recordTree]
 	parsedWalk = walk[*xmlkit.Node, *parsedTree]
 )
 
@@ -331,24 +330,24 @@ func (w *walk[N, T]) release() {
 	}
 }
 
-// recordTree navigates a stored document through its records
-// (core.ChildrenAppend resolves proxies and skips scaffolding).
+// recordTree navigates a stored document through its record images
+// (core.ReadChildren resolves proxies and skips scaffolding).
 type recordTree struct {
 	s    *Store
 	root records.RID
 }
 
-func (t recordTree) rootNode() (core.NodeRef, error) {
-	return t.s.trees.OpenTree(t.root).Root()
+func (t recordTree) rootNode() (core.ReadRef, error) {
+	return t.s.trees.ReadRoot(t.root)
 }
 
 //natix:noalloc
-func (t recordTree) children(n *core.NodeRef, buf []core.NodeRef) ([]core.NodeRef, error) {
-	return t.s.trees.ChildrenAppend(*n, buf)
+func (t recordTree) children(n *core.ReadRef, buf []core.ReadRef) ([]core.ReadRef, error) {
+	return t.s.trees.ReadChildren(n, buf)
 }
 
 //natix:noalloc
-func (t recordTree) matches(n *core.NodeRef, st *frame) (bool, error) {
+func (t recordTree) matches(n *core.ReadRef, st *frame) (bool, error) {
 	if n.IsLiteral() {
 		return st.kind == nameText, nil
 	}
@@ -356,7 +355,7 @@ func (t recordTree) matches(n *core.NodeRef, st *frame) (bool, error) {
 }
 
 //natix:noalloc
-func (recordTree) result(n *core.NodeRef, r *Result) { r.Mode, r.Ref = ModeTree, *n }
+func (recordTree) result(n *core.ReadRef, r *Result) { r.Mode, r.Ref = ModeTree, *n }
 
 // parsedTree is a flat-mode document: "Accessing the documents'
 // structure is only possible through parsing" (§1), so the first access

@@ -32,6 +32,12 @@ func forcePipelined(t *testing.T) {
 // the docstore-level equivalent of the facade's logged configuration.
 func walStore(t *testing.T) (*Store, *buffer.Pool, *pagedev.Mem) {
 	t.Helper()
+	return walStoreWith(t, core.Config{})
+}
+
+// walStoreWith is walStore with the given tree storage configuration.
+func walStoreWith(t *testing.T, cfg core.Config) (*Store, *buffer.Pool, *pagedev.Mem) {
+	t.Helper()
 	dev, err := pagedev.NewMem(2048)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +63,7 @@ func walStore(t *testing.T) (*Store, *buffer.Pool, *pagedev.Mem) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Create(core.New(rm, core.Config{}), d)
+	s, err := Create(core.New(rm, cfg), d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,21 +116,21 @@ func ctxErr(cx context.Context) error {
 // consuming matches stays safe while other goroutines query or mutate.
 // Results produced by a live Iter skip the re-lock while the cursor
 // still holds the document lock (re-locking there could deadlock behind
-// a queued writer). A mutation of the matched document between query
-// and consumption still invalidates the refs themselves (they address
-// parsed records); hold off concurrent edits of a document whose
-// matches are still being read.
+// a queued writer).
 //
-// A tree-mode match is read out straight from the parsed records: one
+// A tree-mode match is read out straight from the record images: one
 // walk that appends bytes into scratch taken from the Store's pool for
 // the call (see readout.go), so a Result shares no state with the
 // cursor that produced it and several may be read out at once, also
-// while the cursor iterates. Text allocates its result string and
-// nothing else; Markup at most one allocation more.
+// while the cursor iterates. Ref holds the image of the match's own
+// record, which is never written, so a Result stays valid however long
+// it is kept; the records below it are read as they are when it is read
+// out. Text allocates its result string and nothing else; Markup at most
+// one allocation more.
 type Result struct {
 	Mode Mode
 	Doc  string // catalog name of the queried document
-	Ref  core.NodeRef
+	Ref  core.ReadRef
 	XML  *xmlkit.Node
 
 	store *Store
@@ -155,12 +155,17 @@ func (r Result) Text() (string, error) {
 	if r.Mode == ModeFlat {
 		return r.XML.TextContent(), nil
 	}
+	if text, ok := r.Ref.TextOnly(); ok {
+		// The common match: its text lies in the image Ref holds, which no
+		// write changes, so there is no lock to take and no scratch to use.
+		return string(text), nil
+	}
 	var out string
 	err := r.view(func() error {
 		ro := r.store.getReadOut(nil)
 		defer r.store.putReadOut(ro)
 		var err error
-		if ro.out, err = r.store.trees.AppendText(r.Ref, ro.out, &ro.stack); err != nil {
+		if ro.out, err = r.store.trees.AppendReadText(&r.Ref, ro.out); err != nil {
 			return err
 		}
 		out = string(ro.out)
@@ -176,15 +181,20 @@ func (r Result) Markup() (string, error) {
 		return xmlkit.SerializeString(r.XML), nil
 	}
 	var out string
-	err := r.view(func() error {
+	read := func() error {
 		ro := r.store.getReadOut(nil)
 		defer r.store.putReadOut(ro)
-		if err := r.store.writeXML(context.Background(), ro, r.Ref); err != nil {
+		if err := r.store.writeXML(context.Background(), ro, &r.Ref); err != nil {
 			return err
 		}
 		out = string(ro.out)
 		return nil
-	})
+	}
+	if _, ok := r.Ref.TextOnly(); ok || r.Ref.IsLiteral() {
+		// All it reads is the image Ref holds, which no write changes.
+		return out, read()
+	}
+	err := r.view(read)
 	return out, err
 }
 

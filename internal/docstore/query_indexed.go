@@ -57,14 +57,13 @@ type postings struct {
 	idx    *pathindex.Handle
 	frames []postingFrame
 
-	// walker resolves matches to nodes. It keeps its record and its
-	// place in it between matches: matches arrive in document order and
-	// a record covers a contiguous pre-order range, so same-record
-	// matches come in runs, and a run costs one record load and one
-	// facade walk in total. A duplicate from a nested descendant context
-	// can split a run; the repeat load hits the parsed-record cache and
-	// the walker restarts. It points into parsed records, which is safe
-	// exactly as long as the evaluation holds the document lock.
+	// walker resolves matches to nodes of the record images. It keeps its
+	// record and its place in it between matches: matches arrive in
+	// document order and a record covers a contiguous pre-order range, so
+	// same-record matches come in runs, and a run costs one record load
+	// and one pass over the record's headers in total. A duplicate from a
+	// nested descendant context can split a run; the repeat load hits the
+	// record cache and the walker restarts.
 	walker core.FacadeWalker
 }
 
@@ -125,9 +124,8 @@ func (p *postings) result(c *pathindex.Posting, r *Result) error {
 	if err := p.walker.Load(p.trees, c.RID); err != nil {
 		return err
 	}
-	ref, err := p.walker.Ref(int(c.Local))
-	r.Mode, r.Ref = ModeTree, ref
-	return err
+	r.Mode = ModeTree
+	return p.walker.Ref(int(c.Local), &r.Ref)
 }
 
 func (p *postings) release() {}

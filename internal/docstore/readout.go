@@ -3,23 +3,34 @@ package docstore
 import (
 	"context"
 	"io"
-	"strings"
 
 	"natix/internal/core"
 	"natix/internal/xmlkit"
 )
 
 // Reading a stored subtree out — as markup (Result.Markup, ExportXML,
-// Convert) or as text (Result.Text) — is one walk over the parsed
-// records that appends bytes: no intermediate xmlkit tree, no per-node
-// allocation. The walk is the paper's reconstruction (§2.3.3,
+// Convert) or as text (Result.Text) — is one walk over the record images
+// that appends bytes: no decoded record, no intermediate xmlkit tree, no
+// per-node allocation. The walk is the paper's reconstruction (§2.3.3,
 // "substituting all proxies by their respective subtrees"), done by
-// core.ChildrenAppend, with the "@name" aggregates folded back into
-// attributes on the way.
+// core.ReadChildren and core.AppendReadText, with the "@name"
+// aggregates folded back into attributes on the way.
 
 // exportChunk is the unit in which an export reaches its io.Writer:
 // every Write but the last carries a whole number of chunks.
 const exportChunk = 32 << 10
+
+// What a pooled read-out scratch may keep: 128 KB of output, the child
+// lists of 8192 nodes (≈ 400 KB) and a 32 KB attribute value. An export
+// flushes its output in chunks and stays under the first; a Markup of a
+// whole document (≈ 230 KB for a play) does not, nor does an element
+// some ten thousand children wide, and such a scratch goes back to the
+// GC instead of riding along with every later small read-out.
+const (
+	maxReadOutBytes = 4 * exportChunk
+	maxReadOutRefs  = 8192
+	maxReadOutVal   = exportChunk
+)
 
 // readOut is the scratch of one read-out: the output bytes, the child
 // lists of the elements the walk is inside of (stacked, innermost
@@ -29,7 +40,7 @@ const exportChunk = 32 << 10
 // never shared.
 type readOut struct {
 	out   []byte
-	stack []core.NodeRef
+	stack []core.ReadRef
 	val   []byte
 	w     io.Writer // nil: everything stays in out
 }
@@ -45,8 +56,12 @@ func (s *Store) getReadOut(w io.Writer) *readOut {
 }
 
 // putReadOut returns a scratch, emptied (an error unwind leaves child
-// lists stacked) and detached from its writer.
+// lists stacked) and detached from its writer — unless it has grown past
+// what a parked scratch may keep.
 func (s *Store) putReadOut(ro *readOut) {
+	if cap(ro.out) > maxReadOutBytes || cap(ro.stack) > maxReadOutRefs || cap(ro.val) > maxReadOutVal {
+		return
+	}
 	ro.out, ro.stack, ro.val = ro.out[:0], ro.stack[:0], ro.val[:0]
 	ro.w = nil
 	s.readPool.Put(ro)
@@ -78,7 +93,7 @@ func (ro *readOut) flush(final bool) error {
 // flushing whole chunks to ro.w as they fill.
 //
 //natix:noalloc
-func (s *Store) writeXML(cx context.Context, ro *readOut, ref core.NodeRef) error {
+func (s *Store) writeXML(cx context.Context, ro *readOut, ref *core.ReadRef) error {
 	if ref.IsLiteral() {
 		return ro.writeText(ref)
 	}
@@ -92,8 +107,8 @@ func (s *Store) writeXML(cx context.Context, ro *readOut, ref core.NodeRef) erro
 // writeText appends one text node, escaped.
 //
 //natix:noalloc
-func (ro *readOut) writeText(ref core.NodeRef) error {
-	text, err := ref.Literal().StringBytes()
+func (ro *readOut) writeText(ref *core.ReadRef) error {
+	text, err := ref.StringBytes()
 	if err != nil {
 		return err
 	}
@@ -110,13 +125,24 @@ func (ro *readOut) writeText(ref core.NodeRef) error {
 // text child does not count as absent.
 //
 //natix:noalloc
-func (s *Store) writeElement(cx context.Context, ro *readOut, ref core.NodeRef, name string) error {
+func (s *Store) writeElement(cx context.Context, ro *readOut, ref *core.ReadRef, name string) error {
 	if err := ctxErr(cx); err != nil {
 		return err
 	}
+	if text, ok := ref.TextOnly(); ok {
+		// Its one child is its text: no attribute, no child list to stack.
+		ro.out = append(ro.out, '<')
+		ro.out = append(ro.out, name...)
+		ro.out = append(ro.out, '>')
+		ro.out = xmlkit.AppendEscapedText(ro.out, text)
+		ro.out = append(ro.out, "</"...)
+		ro.out = append(ro.out, name...)
+		ro.out = append(ro.out, '>')
+		return ro.flush(false)
+	}
 	base := len(ro.stack)
 	var err error
-	if ro.stack, err = s.trees.ChildrenAppend(ref, ro.stack); err != nil {
+	if ro.stack, err = s.trees.ReadChildren(ref, ro.stack); err != nil {
 		return err
 	}
 	end := len(ro.stack) // children are ro.stack[base:end]; deeper levels stack above
@@ -125,18 +151,20 @@ func (s *Store) writeElement(cx context.Context, ro *readOut, ref core.NodeRef, 
 	ro.out = append(ro.out, name...)
 	content := 0 // children that are not attributes
 	for i := base; i < end; i++ {
-		k := ro.stack[i]
-		if k.IsLiteral() {
+		k := &ro.stack[i]
+		attr := false
+		if !k.IsLiteral() {
+			if attr, err = s.dict.IsAttr(k.Label()); err != nil {
+				return err
+			}
+		}
+		if !attr {
 			content++
 			continue
 		}
 		kname, err := s.dict.Name(k.Label())
 		if err != nil {
 			return err
-		}
-		if !strings.HasPrefix(kname, AttrPrefix) {
-			content++
-			continue
 		}
 		if err := s.writeAttr(ro, base, i, end, kname[len(AttrPrefix):]); err != nil {
 			return err
@@ -149,16 +177,24 @@ func (s *Store) writeElement(cx context.Context, ro *readOut, ref core.NodeRef, 
 	}
 	ro.out = append(ro.out, '>')
 	for i := base; i < end; i++ {
-		k := ro.stack[i]
+		// A child's own children stack above end: they may move ro.stack
+		// to a new array, but never write below end in either.
+		k := &ro.stack[i]
 		if k.IsLiteral() {
 			err = ro.writeText(k)
 		} else {
+			if content < end-base { // some children are attributes, written above
+				var attr bool
+				if attr, err = s.dict.IsAttr(k.Label()); attr || err != nil {
+					if err != nil {
+						return err
+					}
+					continue
+				}
+			}
 			var kname string
 			if kname, err = s.dict.Name(k.Label()); err != nil {
 				return err
-			}
-			if strings.HasPrefix(kname, AttrPrefix) {
-				continue
 			}
 			err = s.writeElement(cx, ro, k, kname)
 		}
@@ -182,7 +218,7 @@ func (s *Store) writeElement(cx context.Context, ro *readOut, ref core.NodeRef, 
 func (s *Store) writeAttr(ro *readOut, base, i, end int, name string) error {
 	label, last := ro.stack[i].Label(), i
 	for j := base; j < end; j++ {
-		if k := ro.stack[j]; j != i && !k.IsLiteral() && k.Label() == label {
+		if k := &ro.stack[j]; j != i && !k.IsLiteral() && k.Label() == label {
 			if j < i {
 				return nil
 			}
@@ -190,7 +226,7 @@ func (s *Store) writeAttr(ro *readOut, base, i, end int, name string) error {
 		}
 	}
 	var err error
-	if ro.val, err = s.trees.AppendText(ro.stack[last], ro.val[:0], &ro.stack); err != nil {
+	if ro.val, err = s.trees.AppendReadText(&ro.stack[last], ro.val[:0]); err != nil {
 		return err
 	}
 	ro.out = append(ro.out, ' ')

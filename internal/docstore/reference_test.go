@@ -356,10 +356,10 @@ func TestReadOutMatchesReference(t *testing.T) {
 					t.Fatalf("ExportXML differs from the reference\n got: %.300s\nwant: %.300s", got.String(), want)
 				}
 				nodes, attrOnly, reordered := 0, 0, 0
-				var visit func(ref core.NodeRef)
-				visit = func(ref core.NodeRef) {
+				var visit func(ref core.NodeRef, rr core.ReadRef)
+				visit = func(ref core.NodeRef, rr core.ReadRef) {
 					nodes++
-					res := Result{Mode: ModeTree, Doc: "d", Ref: ref, store: s}
+					res := Result{Mode: ModeTree, Doc: "d", Ref: rr, store: s}
 					want, err := refMarkup(s, ref)
 					if err != nil {
 						t.Fatal(err)
@@ -381,8 +381,15 @@ func TestReadOutMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					rkids, err := s.trees.ReadChildren(&rr, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sameChildren(kids, rkids); err != nil {
+						t.Fatal(err)
+					}
 					content := false
-					for _, k := range kids {
+					for i, k := range kids {
 						name := ""
 						if !k.IsLiteral() {
 							if name, err = s.dict.Name(k.Label()); err != nil {
@@ -394,10 +401,10 @@ func TestReadOutMatchesReference(t *testing.T) {
 						} else if content {
 							reordered++
 						}
-						visit(k)
+						visit(k, rkids[i])
 					}
 				}
-				visit(root)
+				visit(root, mustReadRoot(t, s, "d"))
 				// The generator must actually have produced the hard cases.
 				if nodes < 500 || attrOnly == 0 || reordered == 0 {
 					t.Fatalf("weak document: %d nodes, %d attribute-only elements, %d attributes after content", nodes, attrOnly, reordered)
@@ -451,8 +458,7 @@ func TestReadOutNonStringLiteral(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := func() (Result, core.NodeRef) {
-		root := mustRootRef(t, s, "d")
-		return Result{Mode: ModeTree, Doc: "d", Ref: root, store: s}, root
+		return Result{Mode: ModeTree, Doc: "d", Ref: mustReadRoot(t, s, "d"), store: s}, mustRootRef(t, s, "d")
 	}
 
 	// Inside the attribute: skipped, as by the reference.

@@ -15,14 +15,8 @@ import (
 
 // A cursor loads a record once per run of same-record postings (the
 // walker returns at once when it is already on the record). These tests
-// hold that to the resolver it replaced — a record load and a walk from
-// the record root for every single posting — kept here as the reference.
-
-// refResolve resolves one posting the old way: its own record load, its
-// own walker.
-func refResolve(s *Store, p pathindex.Posting) (core.NodeRef, error) {
-	return s.trees.RefByFacadeIndex(p.RID, int(p.Local))
-}
+// hold that to the tree route (treeread_test.go): every posting resolved
+// to its node of the decoded records, and read out from there.
 
 // genRuns builds a seeded document whose postings come in long
 // same-record runs (speeches of many short LINEs) and whose nested A
@@ -191,11 +185,10 @@ func TestCursorResolveMatchesReference(t *testing.T) {
 					}
 					type want struct{ text, markup string }
 					wants := make([]want, len(posts))
+					resolve := refResolver(t, s, "d")
 					for i, p := range posts {
-						ref, err := refResolve(s, p)
-						if err != nil {
-							t.Fatal(err)
-						}
+						ref := resolve(p)
+						var err error
 						if wants[i].text, err = refTextContent(s, ref); err != nil {
 							t.Fatal(err)
 						}
@@ -203,13 +196,12 @@ func TestCursorResolveMatchesReference(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					fi := core.NewFacadeIndexer()
 					check := func(how string, i int, r Result) {
 						t.Helper()
 						if i >= len(posts) {
 							t.Fatalf("%s %s: match %d past the %d postings", q, how, i, len(posts))
 						}
-						local, err := fi.Index(r.Ref)
+						local, err := r.Ref.FacadeIndex()
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -259,7 +251,7 @@ func TestCursorResolveMatchesReference(t *testing.T) {
 // TestCursorLoadsOneRecordPerRun: draining a "//LINE" cursor costs
 // exactly one record load per same-record run of its posting list — the
 // count is computed from the postings, not measured. A load served by
-// the parsed-record cache is one logical read (the Touch of the record's
+// the record cache is one logical read (the Touch of the record's
 // page); without the cache it is two, the slot lookup and the body read
 // (bulk-loaded records are never forwarded).
 func TestCursorLoadsOneRecordPerRun(t *testing.T) {

@@ -17,7 +17,7 @@ package docstore
 // truncated back to its pre-operation size, and an abort record closes
 // the operation. Because the rollback is physical, the in-memory
 // mirrors of rolled-back pages — catalog map, dictionary snapshot,
-// path-index catalog, parsed-record cache — are reloaded from the
+// path-index catalog, record cache — are reloaded from the
 // restored pages afterwards.
 
 import (

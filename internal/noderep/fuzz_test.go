@@ -21,24 +21,7 @@ import (
 // all three versions; the older two are decode-only inputs by nature —
 // nothing writes them.
 func FuzzDecode(f *testing.F) {
-	var seeds []*Record
-	seeds = append(seeds,
-		&Record{Root: figure2(), ParentRID: records.RID{Page: 77, Slot: 3}},
-		&Record{Root: NewScaffoldAggregate().AppendChild(NewProxy(records.RID{Page: 5, Slot: 1})).AppendChild(NewTextLiteral("tail"))})
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 8; i++ {
-		seeds = append(seeds, randomRecord(rng))
-	}
-	for _, encode := range []func(*Record) ([]byte, error){Encode, refEncodeV1, refEncodeV2} {
-		for _, rec := range seeds {
-			buf, err := encode(rec)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(buf)
-		}
-	}
-
+	addRecordSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := Decode(data)
 		if err != nil {
@@ -92,4 +75,27 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("encoding is not canonical (err %v)", err)
 		}
 	})
+}
+
+// addRecordSeeds adds FuzzDecode's generated seeds: the paper's Figure 2
+// record, a scaffolding root over a proxy, and random records, each in
+// all three format versions.
+func addRecordSeeds(f *testing.F) {
+	var seeds []*Record
+	seeds = append(seeds,
+		&Record{Root: figure2(), ParentRID: records.RID{Page: 77, Slot: 3}},
+		&Record{Root: NewScaffoldAggregate().AppendChild(NewProxy(records.RID{Page: 5, Slot: 1})).AppendChild(NewTextLiteral("tail"))})
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 8; i++ {
+		seeds = append(seeds, randomRecord(rng))
+	}
+	for _, encode := range []func(*Record) ([]byte, error){Encode, refEncodeV1, refEncodeV2} {
+		for _, rec := range seeds {
+			buf, err := encode(rec)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf)
+		}
+	}
 }

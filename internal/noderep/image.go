@@ -1,0 +1,278 @@
+package noderep
+
+import (
+	"encoding/binary"
+
+	"natix/internal/dict"
+	"natix/internal/records"
+)
+
+// Reading a record where it lies. A stored image lists its nodes in
+// pre-order: an embedded node is its header — typeIdx(2) size(2) — and
+// then its content, and an aggregate's content is its children, header
+// and content, back to back. So an aggregate's first child is the header
+// at the start of its content, a node's next sibling the header behind
+// its content, and a pre-order walk one pass over the headers. Image
+// reads nodes that way, with no Node in sight: the query path resolves
+// postings, navigates and reads text and markup out of the image bytes,
+// and only the write path decodes (Decode).
+//
+// Every read checks the header it reaches — the type index against the
+// table, the content against the image's end and against the content
+// enclosing it — and reports ErrCorruptRecord rather than reading past
+// the buffer, so no image makes Image panic or loop. Decode holds an
+// image to more than that (every table entry cited, the canonical fused
+// form, version 1's parent offsets); on an image Decode accepts, both
+// read the same nodes.
+
+// Image is a record image opened for reading in place. It keeps the
+// bytes it was opened on and never writes them.
+type Image struct {
+	buf    []byte
+	hdr    int  // embedded header size of the image's version
+	fusing bool // version 3: the top bit of a size field is the fused mark
+	types  int  // type-table entries
+	root   int  // offset of the standalone header
+}
+
+// ImageNode is one node read out of an image: its type and where its
+// content lies. The text of a fused element — the second of the two
+// nodes Decode expands it into — is an ImageNode of its own (ToText).
+// The readers fill an ImageNode in place, where its user keeps it.
+type ImageNode struct {
+	Start, End int32 // content: payload, proxy target, children, or a fused element's text
+	Label      dict.LabelID
+	Kind       Kind
+	LitType    LitType // literals only
+	Scaffold   bool
+	Fused      bool // a text-only element: its content is its text's payload
+}
+
+// OpenImage reads the record header of buf: the version, its flags, and
+// the type table and standalone header, which must lie inside buf. The
+// nodes are checked as they are read.
+//
+//natix:noalloc
+func OpenImage(buf []byte) (Image, error) {
+	if len(buf) < recHeaderSize+StandaloneHeaderSize {
+		return Image{}, ErrCorruptRecord
+	}
+	im := Image{buf: buf, hdr: EmbeddedHeaderSize}
+	var flags byte // the flags the version defines
+	switch buf[0] {
+	case FormatVersion:
+		im.fusing, flags = true, rootFusedFlag
+	case formatVersion2:
+	case formatVersion1:
+		im.hdr = embeddedHeaderSizeV1
+	default:
+		return Image{}, ErrCorruptRecord
+	}
+	if buf[1]&^flags != 0 {
+		return Image{}, ErrCorruptRecord
+	}
+	im.types = int(binary.LittleEndian.Uint16(buf[2:]))
+	im.root = recHeaderSize + ttEntrySize*im.types
+	if im.root+StandaloneHeaderSize > len(buf) {
+		return Image{}, ErrCorruptRecord
+	}
+	return im, nil
+}
+
+// Bytes returns the image Image was opened on.
+func (im *Image) Bytes() []byte { return im.buf }
+
+// Root reads the record's standalone root, whose content runs to the end
+// of the image, into n.
+//
+//natix:noalloc
+func (im *Image) Root(n *ImageNode) error {
+	err := im.typed(n, im.root, im.root+StandaloneHeaderSize, len(im.buf), im.buf[1]&rootFusedFlag != 0)
+	if err == nil && n.Kind == KindAggregate && n.Scaffold && n.Fused {
+		err = ErrCorruptRecord
+	}
+	return err
+}
+
+// Child reads the embedded node whose header is at off, inside content
+// that ends at end, into n: the first child of an aggregate p is
+// Child(p.Start, p.End) when p.Start < p.End, and the sibling behind
+// child c is Child(c.End, p.End) when c.End < p.End.
+//
+//natix:noalloc
+func (im *Image) Child(n *ImageNode, off, end int) error {
+	if off < im.root+StandaloneHeaderSize || off+im.hdr > end || end > len(im.buf) {
+		return ErrCorruptRecord
+	}
+	size := int(binary.LittleEndian.Uint16(im.buf[off+2:]))
+	cs := size &^ fusedMark
+	start := off + im.hdr
+	if start+cs > end {
+		return ErrCorruptRecord
+	}
+	err := im.typed(n, off, start, start+cs, size != cs)
+	if err == nil && n.Kind == KindAggregate && n.Scaffold {
+		// Scaffolding aggregates only ever stand alone (§3.2.2).
+		err = ErrCorruptRecord
+	}
+	return err
+}
+
+// typed fills in n, whose header at off cites a type and whose content
+// is buf[start:end].
+//
+//natix:noalloc
+func (im *Image) typed(n *ImageNode, off, start, end int, fused bool) error {
+	ti := int(binary.LittleEndian.Uint16(im.buf[off:]))
+	if ti >= im.types {
+		return ErrCorruptRecord
+	}
+	im.fill(n, ti, start, end, fused)
+	switch n.Kind {
+	case KindLiteral:
+	case KindProxy:
+		if end-start != records.RIDSize {
+			return ErrCorruptRecord
+		}
+	case KindAggregate:
+	default:
+		return ErrCorruptRecord
+	}
+	if fused && (!im.fusing || n.Kind != KindAggregate) {
+		return ErrCorruptRecord
+	}
+	return nil
+}
+
+// fill sets n to a node of type-table entry ti, ti < im.types.
+func (im *Image) fill(n *ImageNode, ti, start, end int, fused bool) {
+	e := im.buf[recHeaderSize+ttEntrySize*ti:]
+	e = e[:ttEntrySize]
+	n.Start, n.End = int32(start), int32(end)
+	n.Kind, n.LitType = Kind(e[0]&kindMask), 0
+	if n.Kind == KindLiteral {
+		n.LitType = LitType(e[3])
+	}
+	n.Label = dict.LabelID(binary.LittleEndian.Uint16(e[1:]))
+	n.Scaffold, n.Fused = e[0]&scaffoldFlag != 0, fused
+}
+
+// ToText turns a fused element n into its text: a facade #text string
+// literal whose payload is n's content.
+func (n *ImageNode) ToText() {
+	n.Kind, n.LitType, n.Label, n.Scaffold, n.Fused = KindLiteral, LitString, dict.Text, false, false
+}
+
+// Payload returns n's content bytes — a literal's payload — as a slice of
+// the image, which the caller must not modify.
+func (im *Image) Payload(n *ImageNode) []byte { return im.buf[n.Start:n.End:n.End] }
+
+// Target returns the record a proxy points to.
+//
+//natix:noalloc
+func (im *Image) Target(n *ImageNode) (records.RID, error) {
+	if n.Kind != KindProxy || n.End-n.Start != records.RIDSize {
+		return records.NilRID, ErrCorruptRecord
+	}
+	rid := records.DecodeRID(im.buf[n.Start:n.End])
+	if rid.IsNil() {
+		return records.NilRID, ErrCorruptRecord
+	}
+	return rid, nil
+}
+
+// Facades is the pre-order walk over the facade nodes of an image — the
+// enumeration a facade index counts in. A proxy is a leaf of the walk,
+// so it never leaves the record. Advance steps from header to header
+// reading only what it must to tell a facade node and find the next
+// header, and keeps that much of the node it stops on for Node.
+type Facades struct {
+	im         *Image
+	next       int  // offset of the next header; -1 before the root
+	ti         int  // the current node's type-table entry; -1 before the first node
+	start, end int  // the current node's content
+	text       bool // the current node is the text of the fused element before it
+	fused      bool // the current node is a fused element: its text is next
+}
+
+// Facades starts a facade walk of the image, which must stay open for
+// the walk.
+func (im *Image) Facades() Facades { return Facades{im: im, next: -1, ti: -1} }
+
+// Advance moves to the next facade node, false once the record is
+// exhausted. An error ends the walk.
+//
+//natix:noalloc
+func (f *Facades) Advance() (bool, error) {
+	if f.fused {
+		f.fused, f.text = false, true
+		return true, nil
+	}
+	f.text = false
+	im := f.im
+	buf := im.buf
+	for {
+		off, start, end := f.next, 0, len(buf)
+		var ti int
+		fused := false
+		switch {
+		case off < 0:
+			off, start = im.root, im.root+StandaloneHeaderSize
+			ti = int(binary.LittleEndian.Uint16(buf[off:]))
+			fused = buf[1]&rootFusedFlag != 0
+		case off == len(buf):
+			f.ti = -1
+			return false, nil
+		default:
+			if off+im.hdr > len(buf) {
+				return f.fail()
+			}
+			ti = int(binary.LittleEndian.Uint16(buf[off:]))
+			size := int(binary.LittleEndian.Uint16(buf[off+2:]))
+			cs := size &^ fusedMark
+			start, fused = off+im.hdr, size != cs
+			if end = start + cs; end > len(buf) {
+				return f.fail()
+			}
+		}
+		if ti >= im.types {
+			return f.fail()
+		}
+		kf := buf[recHeaderSize+ttEntrySize*ti]
+		kind, scaffold := Kind(kf&kindMask), kf&scaffoldFlag != 0
+		switch {
+		case kind == KindInvalid,
+			fused && (!im.fusing || kind != KindAggregate || scaffold),
+			scaffold && kind == KindAggregate && off != im.root:
+			return f.fail()
+		}
+		// Into an aggregate's children, past anything else's content.
+		if f.next = end; kind == KindAggregate && !fused {
+			f.next = start
+		}
+		if kind == KindLiteral || kind == KindAggregate && !scaffold {
+			f.ti, f.start, f.end, f.fused = ti, start, end, fused
+			return true, nil
+		}
+	}
+}
+
+// fail ends the walk on a corrupt header.
+func (f *Facades) fail() (bool, error) {
+	f.next, f.ti, f.fused = len(f.im.buf), -1, false
+	return false, ErrCorruptRecord
+}
+
+// Node reads the node Advance stopped on into n.
+//
+//natix:noalloc
+func (f *Facades) Node(n *ImageNode) error {
+	if f.ti < 0 {
+		return ErrCorruptRecord
+	}
+	f.im.fill(n, f.ti, f.start, f.end, !f.text && f.fused)
+	if f.text {
+		n.ToText()
+	}
+	return nil
+}

@@ -103,20 +103,29 @@ func (n *Node) StringValue() (string, error) {
 // StringBytes is StringValue without the copy: the payload of a string
 // or URI literal, which the caller must not modify.
 func (n *Node) StringBytes() ([]byte, error) {
-	if n.Kind != KindLiteral {
-		return nil, fmt.Errorf("%w: StringValue on %s", ErrBadNode, n.Kind)
+	return StringPayload(n.Kind, n.LitType, n.Payload)
+}
+
+// StringPayload is StringBytes for a node given by its kind, literal
+// type and payload — one read out of an image (Image).
+func StringPayload(kind Kind, lt LitType, payload []byte) ([]byte, error) {
+	if kind != KindLiteral {
+		return nil, fmt.Errorf("%w: StringValue on %s", ErrBadNode, kind)
 	}
-	if !n.IsString() {
-		return nil, fmt.Errorf("%w: StringValue on literal type %d", ErrBadNode, n.LitType)
+	if !IsStringType(lt) {
+		return nil, fmt.Errorf("%w: StringValue on literal type %d", ErrBadNode, lt)
 	}
-	return n.Payload, nil
+	return payload, nil
 }
 
 // IsString reports whether n is a literal whose payload is character
 // data (a string or a URI).
 func (n *Node) IsString() bool {
-	return n.Kind == KindLiteral && (n.LitType == LitString || n.LitType == LitURI)
+	return n.Kind == KindLiteral && IsStringType(n.LitType)
 }
+
+// IsStringType reports whether literals of type lt hold character data.
+func IsStringType(lt LitType) bool { return lt == LitString || lt == LitURI }
 
 // BlobID decodes the blob reference of an overflow literal.
 func (n *Node) BlobID() (records.RID, error) {

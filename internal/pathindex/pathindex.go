@@ -20,7 +20,6 @@ package pathindex
 
 import (
 	"slices"
-	"sort"
 
 	"natix/internal/dict"
 	"natix/internal/records"
@@ -134,9 +133,35 @@ func (x *Index) PostingLabels() []dict.LabelID {
 }
 
 // Within returns the sub-slice of list contained in the subtree below
-// ctx. Lists are sorted by Seq, so the range is found by binary search.
+// ctx (Contains). Lists are sorted by Seq, so the range is found by
+// binary search: its start in the whole list, its end behind the start —
+// galloping first, since a subtree mostly holds a short run of a list.
+// It runs once per context node of every indexed step, so the searches
+// are written out rather than given sort.Search a closure.
 func Within(list []Posting, ctx Posting) []Posting {
-	lo := sort.Search(len(list), func(i int) bool { return list[i].Seq > ctx.Seq })
-	hi := sort.Search(len(list), func(i int) bool { return list[i].Seq > ctx.Seq+ctx.Size })
-	return list[lo:hi]
+	list = list[after(list, ctx.Seq):]
+	end := ctx.Seq + ctx.Size
+	hi := 1
+	for hi < len(list) && list[hi].Seq <= end {
+		hi *= 2
+	}
+	// The end lies in (hi/2, hi]: list[hi/2] is inside when hi > 1, and
+	// list[hi] past it unless hi runs off the list.
+	lo := hi / 2
+	return list[:lo+after(list[lo:min(hi+1, len(list))], end)]
+}
+
+// after returns the index of the first posting of list whose Seq is
+// above seq, len(list) if none is.
+func after(list []Posting, seq uint32) int {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if list[m].Seq > seq {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }

@@ -179,9 +179,11 @@ type Options struct {
 	// MergeOnDelete re-clusters shrunken records into their parents.
 	MergeOnDelete bool
 
-	// CacheRecords bounds the parsed-record cache (0 = default 4096,
-	// -1 = disabled). The cache only saves decoding CPU; all I/O still
-	// flows through the buffer manager.
+	// CacheRecords bounds the record cache (0 = default 4096,
+	// -1 = disabled): copies of stored record images, which queries read
+	// in place, and the trees edits decode from them. The cache only
+	// saves copying and decoding CPU; all I/O still flows through the
+	// buffer manager.
 	CacheRecords int
 
 	// ImportWorkers bounds the concurrent per-document import pipelines
@@ -296,7 +298,7 @@ func (o Options) withDefaults() Options {
 //     concurrently with a mutation.
 //   - Below the API, the buffer pool serves hits without a pool-wide
 //     lock (sharded page table, atomic pin counts) and guards page
-//     bytes with per-frame latches; the parsed-record and path-index
+//     bytes with per-frame latches; the record and path-index
 //     caches take sharded or per-entry locks; dictionary lookups are
 //     lock-free snapshot reads; statistics counters are atomics.
 //

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"natix/internal/core"
 	"natix/internal/corpus"
 	"natix/internal/xmlkit"
 )
@@ -273,5 +274,117 @@ func TestPoolReadsOnlyWhatIsAsked(t *testing.T) {
 	}
 	if again.PhysReads != warm.PhysReads || again.Evictions != 0 {
 		t.Errorf("second pass over a pool that holds the file: %d pages read, %d evictions", again.PhysReads-warm.PhysReads, again.Evictions)
+	}
+}
+
+// TestQueryPassDecodesNothing: a query reads its matches from the stored
+// record images, so a pass of the benchmark's query classes over a
+// reopened store — through the path index and through the record walk,
+// export included — decodes no record (core.records_decoded stays 0)
+// while the record cache serves it; a cursor walk over the same store
+// does decode.
+func TestQueryPassDecodesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "q.natix")
+	db, err := Open(Options{Path: path, PageSize: 2048, PathIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ImportXML("play", strings.NewReader(smallPlayXML())); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, indexed := range []bool{true, false} {
+		db, err := Open(Options{Path: path, PageSize: 2048, PathIndex: indexed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		benchClassAnswers(t, db, "play")
+		benchClassAnswers(t, db, "play")
+		m, err := db.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, ok := m.Counters["core.records_decoded"]; n != 0 || !ok {
+			t.Errorf("path index %v: a query-only pass decoded %d records (counter registered: %v)", indexed, n, ok)
+		}
+		if m.Counters["core.cache_hits"] == 0 {
+			t.Errorf("path index %v: the second pass had no record cache hits", indexed)
+		}
+		// The decoded tree is still there for whoever walks nodes: the
+		// document cursor decodes, and the counter sees it.
+		doc, err := db.Document("play")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := doc.NodeCount(); err != nil {
+			t.Fatal(err)
+		}
+		if m, err = db.Metrics(); err != nil || m.Counters["core.records_decoded"] == 0 {
+			t.Errorf("path index %v: a cursor walk decoded no record (%v)", indexed, err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestVersion2StoreFacadeIndexesAgree: on every node of the version 2
+// store file, the facade index the decoded tree gives it (FacadeIndexer,
+// which the path-index builder numbers postings with) resolves over the
+// record's image to a node of the same kind, label and text.
+func TestVersion2StoreFacadeIndexesAgree(t *testing.T) {
+	db := openStoreCopy(t, v2StoreFile, Options{PageSize: 1024})
+	defer db.Close()
+	info, err := db.store.Lookup("play")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := db.store.Trees()
+	root, err := trees.OpenTree(info.Root).Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi := core.NewFacadeIndexer()
+	nodes := 0
+	var visit func(ref core.NodeRef)
+	visit = func(ref core.NodeRef) {
+		nodes++
+		idx, err := fi.Index(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := trees.RefByFacadeIndex(ref.RID(), idx)
+		if err != nil {
+			t.Fatalf("record %s facade %d over the image: %v", ref.RID(), idx, err)
+		}
+		if r.RID() != ref.RID() || r.IsLiteral() != ref.IsLiteral() || r.Label() != ref.Label() {
+			t.Fatalf("record %s facade %d: the image and the decoded tree name different nodes", ref.RID(), idx)
+		}
+		if again, err := r.FacadeIndex(); err != nil || again != idx {
+			t.Fatalf("record %s facade %d: the image numbers it %d (%v)", ref.RID(), idx, again, err)
+		}
+		if ref.IsLiteral() {
+			got, gotErr := r.StringBytes()
+			want, wantErr := ref.Literal().StringBytes()
+			if (gotErr == nil) != (wantErr == nil) || string(got) != string(want) {
+				t.Fatalf("record %s facade %d: the image reads %q, the decoded tree %q", ref.RID(), idx, got, want)
+			}
+		}
+		kids, err := trees.Children(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range kids {
+			visit(k)
+		}
+	}
+	visit(root)
+	if v := recordVersions(t, db); v[2] == 0 || len(v) != 1 {
+		t.Fatalf("%s is not all version 2: %v", v2StoreFile, v)
+	}
+	if nodes < 500 {
+		t.Fatalf("only %d nodes compared", nodes)
 	}
 }
