@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
 
@@ -21,8 +23,11 @@ import (
 // that record's image as the record cache holds it, and where the node
 // lies in the image, its type read from its header. It holds no pointer
 // into a decoded tree, and the image it holds is never written — a write
-// of the record replaces the cached image instead — so a ReadRef stays
-// valid, and reads the record as it was, however long it is kept.
+// of the record replaces the cached image instead — so what lies in its
+// own record reads as it was however long the ReadRef is kept. The
+// records behind its proxies are read as they are when they are reached;
+// after a write of its record, that is only sound once CheckCurrent
+// passes.
 type ReadRef struct {
 	rid records.RID
 	im  *noderep.Image
@@ -53,26 +58,6 @@ func (r *ReadRef) TextOnly() (text []byte, ok bool) {
 // error noderep.Node.StringBytes reports.
 func (r *ReadRef) StringBytes() ([]byte, error) {
 	return noderep.StringPayload(r.n.Kind, r.n.LitType, r.im.Payload(&r.n))
-}
-
-// FacadeIndex returns the node's facade index: its position in its
-// record's facade enumeration, the number FacadeIndexer gives the same
-// node of the decoded record.
-func (r *ReadRef) FacadeIndex() (int, error) {
-	walk := r.im.Facades()
-	for i := 0; ; i++ {
-		ok, err := walk.Advance()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			return 0, fmt.Errorf("core: node not found in record %s", r.rid)
-		}
-		var n noderep.ImageNode
-		if err := walk.Node(&n); err == nil && n.Start == r.n.Start && n.Kind == r.n.Kind {
-			return i, nil
-		}
-	}
 }
 
 // openImage opens buf, a copy of record rid's image, for the cache.
@@ -112,6 +97,25 @@ func (s *Store) loadImage(rid records.RID) (*noderep.Image, error) {
 		s.cache.putImage(rid, im)
 	}
 	return im, nil
+}
+
+// CheckCurrent reports ErrStaleRef unless record ref.RID still stores
+// the image ref holds. A ReadRef kept past a write of its record reads a
+// copy whose proxies may name records since deleted, merged into their
+// parent or reused for other records; one that passes reads, from its
+// own record down, what a fresh read would. The check is one record
+// access, a hit in the record cache unless the record was written.
+func (s *Store) CheckCurrent(ref *ReadRef) error {
+	im, err := s.loadImage(ref.rid)
+	switch {
+	case errors.Is(err, records.ErrNotFound):
+		return fmt.Errorf("%w: record %s is gone", ErrStaleRef, ref.rid)
+	case err != nil:
+		return err
+	case im != ref.im && !bytes.Equal(im.Bytes(), ref.im.Bytes()):
+		return fmt.Errorf("%w: record %s", ErrStaleRef, ref.rid)
+	}
+	return nil
 }
 
 // ReadRoot returns the root node of record rid — for a tree's root

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"natix/internal/corpus"
@@ -89,4 +90,24 @@ func facadesAgree(t *testing.T, s *Store, root records.RID) int {
 		total += n
 	}
 	return total
+}
+
+// FacadeIndex returns the node's facade index: its position in its
+// record's facade enumeration, the number FacadeIndexer gives the same
+// node of the decoded record. A rescan of the record, for tests only.
+func (r *ReadRef) FacadeIndex() (int, error) {
+	walk := r.im.Facades()
+	for i := 0; ; i++ {
+		ok, err := walk.Advance()
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			return 0, fmt.Errorf("core: node not found in record %s", r.rid)
+		}
+		var n noderep.ImageNode
+		if err := walk.Node(&n); err == nil && n.Start == r.n.Start && n.Kind == r.n.Kind {
+			return i, nil
+		}
+	}
 }

@@ -77,11 +77,12 @@ var (
 	ErrNotAggregate = errors.New("core: operation requires an aggregate node")
 	ErrCannotSplit  = errors.New("core: record cannot be split further")
 	ErrIsRoot       = errors.New("core: operation not allowed on the tree root")
+	ErrStaleRef     = errors.New("core: record written since the reference was read")
 )
 
 // Store is the tree storage manager. Read traversals (ReadRoot,
-// ReadChildren, AppendReadText, FacadeWalker, and Root, Children, Cursor
-// walks, AppendText over decoded records) are safe for any number of
+// ReadChildren, AppendReadText, FacadeWalker, and Root, Children and
+// Cursor walks over decoded records) are safe for any number of
 // concurrent callers: the record cache is sharded and the counters are
 // atomics. Mutating operations
 // (InsertChild, Delete, splits) must be serialized by the caller and

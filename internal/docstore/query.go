@@ -122,11 +122,19 @@ func ctxErr(cx context.Context) error {
 // walk that appends bytes into scratch taken from the Store's pool for
 // the call (see readout.go), so a Result shares no state with the
 // cursor that produced it and several may be read out at once, also
-// while the cursor iterates. Ref holds the image of the match's own
-// record, which is never written, so a Result stays valid however long
-// it is kept; the records below it are read as they are when it is read
-// out. Text allocates its result string and nothing else; Markup at most
-// one allocation more.
+// while the cursor iterates. Text allocates its result string and
+// nothing else; Markup at most one allocation more.
+//
+// Ref holds a copy of the image of the match's own record, which no
+// write changes. A literal or text-only match lies wholly in that copy,
+// so it is a snapshot: it reads the same however long it is kept, also
+// after the node or the whole document is deleted, and takes no lock.
+// Any other match reads the records below its own as they are when it
+// is read out. Editing the document between query and read-out may
+// invalidate it: once its own record has been written (or deleted), its
+// proxies may name records since deleted, merged into their parent or
+// reused, so a read-out after the query's lock was released first
+// checks the record and fails with core.ErrStaleRef if it changed.
 type Result struct {
 	Mode Mode
 	Doc  string // catalog name of the queried document
@@ -140,14 +148,20 @@ type Result struct {
 // view runs fn with the document readable: under the cursor's lock when
 // one is still held (pinned for fn's duration, so a concurrent
 // exhaustion cannot release it mid-access), otherwise under a freshly
-// taken read lock.
+// taken read lock once the match's record is found unchanged — a writer
+// may have run since the query let go of the lock.
 func (r Result) view(fn func() error) error {
 	if r.iter != nil {
 		if done, err := r.iter.withLock(fn); done {
 			return err
 		}
 	}
-	return r.store.View(r.Doc, fn)
+	return r.store.View(r.Doc, func() error {
+		if err := r.store.trees.CheckCurrent(&r.Ref); err != nil {
+			return err
+		}
+		return fn()
+	})
 }
 
 // Text returns the concatenated text content of the match.
@@ -158,6 +172,10 @@ func (r Result) Text() (string, error) {
 	if text, ok := r.Ref.TextOnly(); ok {
 		// The common match: its text lies in the image Ref holds, which no
 		// write changes, so there is no lock to take and no scratch to use.
+		return string(text), nil
+	}
+	if r.Ref.IsLiteral() {
+		text, _ := r.Ref.StringBytes() // nil for a literal that is not character data
 		return string(text), nil
 	}
 	var out string

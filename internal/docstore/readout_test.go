@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -58,9 +59,25 @@ var errAbandon = errors.New("abandoned on purpose")
 // images the live store caches, over its decoded records (the tree
 // route), and over the images of a store freshly reopened from the
 // device. Text, Markup and ExportXML must agree byte for byte, so no
-// write leaves a stale image behind in the cache.
+// write leaves a stale image behind in the cache. The script runs once
+// as is and once with MergeOnDelete, which folds shrunken records into
+// their parents.
+//
+// Results read before a step are read again after it. A text-only LINE
+// is a snapshot and reads as before. Any other match either fails with
+// core.ErrStaleRef or reads exactly what the same node reads when
+// queried afresh, so a Result whose record changed under it never reads
+// through a proxy into a record deleted, merged or reused since.
 func TestReadOutAfterEditsAllRoutes(t *testing.T) {
-	s, pool, dev := walStoreWith(t, core.Config{CacheRecords: 4096})
+	for _, merge := range []bool{false, true} {
+		t.Run(fmt.Sprintf("merge=%v", merge), func(t *testing.T) {
+			readOutAfterEdits(t, merge)
+		})
+	}
+}
+
+func readOutAfterEdits(t *testing.T, merge bool) {
+	s, pool, dev := walStoreWith(t, core.Config{CacheRecords: 4096, MergeOnDelete: merge})
 	if _, err := s.ImportXML("d", strings.NewReader(xmlkit.SerializeString(corpus.GeneratePlay(corpus.SmallSpec(1), 0)))); err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +122,9 @@ func TestReadOutAfterEditsAllRoutes(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(27))
-	// A Result read before a step keeps reading its own record as it was.
-	var held []Result
-	var heldText []string
+	var held []heldRead
+	var grown core.Path // the speech grown last, while no speech is deleted
+	stale, fresh, merged := 0, 0, int64(0)
 	before := s.trees.Stats()
 	for step := 0; step < 60; step++ {
 		speeches := pathsOf(t, s, "d", speech)
@@ -128,19 +145,40 @@ func TestReadOutAfterEditsAllRoutes(t *testing.T) {
 			if !errors.Is(err, errAbandon) {
 				t.Fatalf("rolled-back step: %v", err)
 			}
+		case step%15 == 14:
+			what = "delete a speech"
+			err = edit(func() error { return tree.Delete(at) })
+			grown = nil
 		case step%5 == 4:
 			lines := pathsOf(t, s, "d", line)
 			what = "delete a line"
 			err = edit(func() error { return tree.Delete(lines[rng.Intn(len(lines))]) })
-		case step%15 == 14:
-			what = "delete a speech"
-			err = edit(func() error { return tree.Delete(at) })
+		case step%5 == 2 && grown != nil:
+			// Back down to its speaker and first line: the record split
+			// off by the growth shrinks, and with MergeOnDelete folds
+			// into its parent.
+			what = "trim a grown speech"
+			n := s.trees.Stats().RecordsDeleted
+			for err == nil {
+				var ref core.NodeRef
+				var kids []core.NodeRef
+				if ref, err = tree.Locate(grown); err == nil {
+					kids, err = s.trees.Children(ref)
+				}
+				if err != nil || len(kids) <= 2 {
+					break
+				}
+				err = edit(func() error { return tree.Delete(append(grown[:len(grown):len(grown)], len(kids)-1)) })
+			}
+			merged += s.trees.Stats().RecordsDeleted - n
+			grown = nil
 		case step%3 == 0:
 			// Long lines into one speech until its record splits.
 			what = "grow a speech"
 			for i := 0; i < 6 && err == nil; i++ {
 				err = insertLine(at, -1, strings.Repeat(fmt.Sprintf("line %d of step %d, & <more> ", i, step), 4))
 			}
+			grown = at
 		default:
 			what = "insert a line"
 			err = insertLine(at, 1, fmt.Sprintf("step %d says \"%s\"", step, strings.Repeat("x", rng.Intn(40))))
@@ -153,31 +191,88 @@ func TestReadOutAfterEditsAllRoutes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for i, r := range held {
-			if got, err := r.Text(); err != nil || got != heldText[i] {
-				t.Fatalf("step %d (%s): a line read before the step reads %q, %v; it read %q", step, what, got, err, heldText[i])
-			}
-		}
-		held, heldText = sameOnAllRoutes(t, s, pool, dev, fmt.Sprintf("step %d (%s)", step, what))
+		when := fmt.Sprintf("step %d (%s)", step, what)
+		s1, f1 := heldReadsHold(t, s, held, when)
+		stale, fresh = stale+s1, fresh+f1
+		held = sameOnAllRoutes(t, s, pool, dev, when)
 	}
 	st := s.trees.Stats()
 	spliced, splits := st.RecordsSpliced-before.RecordsSpliced, st.Splits-before.Splits
 	patches, deleted := st.ParentPatches-before.ParentPatches, st.RecordsDeleted-before.RecordsDeleted
-	t.Logf("%d splices, %d splits, %d parent patches, %d records deleted", spliced, splits, patches, deleted)
+	t.Logf("%d splices, %d splits, %d parent patches, %d records deleted (%d by trims); held reads: %d stale, %d current", spliced, splits, patches, deleted, merged, stale, fresh)
+	if merge && merged == 0 {
+		t.Fatal("no trimmed record was merged into its parent")
+	}
 	if spliced == 0 || splits == 0 || patches == 0 || deleted == 0 {
 		t.Fatalf("the script missed an edit kind: %d splices, %d splits, %d parent patches, %d records deleted", spliced, splits, patches, deleted)
 	}
+	if stale == 0 || fresh == 0 {
+		t.Fatalf("held reads: %d stale, %d current; the script must produce both", stale, fresh)
+	}
+}
+
+// heldRead is a Result read before an edit step: the query that found
+// it, and for a text-only match the text it read.
+type heldRead struct {
+	r    Result
+	expr string
+	text string
+}
+
+// heldReadsHold reads every held Result again after an edit step: a
+// text-only one must read its old text, and any other one must fail with
+// core.ErrStaleRef or read what a fresh query's match at the same place
+// reads. It returns how many of the others were stale and how many read.
+func heldReadsHold(t *testing.T, s *Store, held []heldRead, when string) (stale, current int) {
+	t.Helper()
+	now := map[string][]Result{}
+	for _, h := range held {
+		if _, ok := h.r.Ref.TextOnly(); ok {
+			if got, err := h.r.Text(); err != nil || got != h.text {
+				t.Fatalf("%s: a line read before the step reads %q, %v; it read %q", when, got, err, h.text)
+			}
+			continue
+		}
+		got, err := h.r.Markup()
+		if err != nil {
+			if !errors.Is(err, core.ErrStaleRef) {
+				t.Fatalf("%s: a %s match read before the step: %v", when, h.expr, err)
+			}
+			stale++
+			continue
+		}
+		if now[h.expr] == nil {
+			if now[h.expr], err = s.Query("d", h.expr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		found := false
+		for _, f := range now[h.expr] {
+			if reflect.DeepEqual(f.Ref, h.r.Ref) {
+				want, err := f.Markup()
+				if err != nil || got != want {
+					t.Fatalf("%s: a %s match read before the step reads\n%.300q\nqueried afresh\n%.300q (%v)", when, h.expr, got, want, err)
+				}
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Fatalf("%s: a %s match read before the step reads %.300q, but no fresh match lies where it does", when, h.expr, got)
+		}
+		current++
+	}
+	return stale, current
 }
 
 // sameOnAllRoutes reads the document "d" of s out over the images s
 // caches, over its decoded records and over a store reopened from the
-// device, and fails unless the three agree. It returns the text-only
-// lines it read over the images, with their texts.
-func sameOnAllRoutes(t *testing.T, s *Store, pool *buffer.Pool, dev *pagedev.Mem, when string) ([]Result, []string) {
+// device, and fails unless the three agree. It returns a sample of the
+// matches it read over the images.
+func sameOnAllRoutes(t *testing.T, s *Store, pool *buffer.Pool, dev *pagedev.Mem, when string) []heldRead {
 	t.Helper()
 	reopened := reopenStore(t, pool, dev, core.Config{CacheRecords: 4096})
-	var lines []Result
-	var lineText []string
+	var held []heldRead
 	for _, q := range []struct {
 		expr   string
 		markup bool
@@ -215,8 +310,8 @@ func sameOnAllRoutes(t *testing.T, s *Store, pool *buffer.Pool, dev *pagedev.Mem
 				if err != nil || got != tree[i] {
 					t.Fatalf("%s: %s match %d over the %s reads\n%.300q (%v)\nover decoded records\n%.300q", when, q.expr, i, route.name, got, err, tree[i])
 				}
-				if _, ok := r.Ref.TextOnly(); ok && route.s == s && q.expr == "//LINE" && i%7 == 0 {
-					lines, lineText = append(lines, r), append(lineText, got)
+				if route.s == s && q.expr != "/PLAY" && i%7 == 0 {
+					held = append(held, heldRead{r: r, expr: q.expr, text: got})
 				}
 			}
 		}
@@ -234,7 +329,7 @@ func sameOnAllRoutes(t *testing.T, s *Store, pool *buffer.Pool, dev *pagedev.Mem
 	if n := reopened.trees.Stats().RecordsDecoded; n != 0 {
 		t.Fatalf("%s: reading the reopened store decoded %d records", when, n)
 	}
-	return lines, lineText
+	return held
 }
 
 // reopenStore flushes pool and opens the store on dev again, over a pool,

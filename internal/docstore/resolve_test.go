@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"natix/internal/core"
@@ -201,12 +202,12 @@ func TestCursorResolveMatchesReference(t *testing.T) {
 						if i >= len(posts) {
 							t.Fatalf("%s %s: match %d past the %d postings", q, how, i, len(posts))
 						}
-						local, err := r.Ref.FacadeIndex()
+						at, err := s.trees.RefByFacadeIndex(posts[i].RID, int(posts[i].Local))
 						if err != nil {
 							t.Fatal(err)
 						}
-						if r.Ref.RID() != posts[i].RID || local != int(posts[i].Local) {
-							t.Fatalf("%s %s: match %d is (%s, %d), reference (%s, %d)", q, how, i, r.Ref.RID(), local, posts[i].RID, posts[i].Local)
+						if !reflect.DeepEqual(r.Ref, at) {
+							t.Fatalf("%s %s: match %d in record %s is not facade node (%s, %d)", q, how, i, r.Ref.RID(), posts[i].RID, posts[i].Local)
 						}
 						if got, err := r.Text(); err != nil || got != wants[i].text {
 							t.Fatalf("%s %s: match %d Text = %q, %v\nreference %q", q, how, i, got, err, wants[i].text)

@@ -13,20 +13,11 @@ var markup = [256]bool{'<': true, '>': true, '&': true, '"': true}
 // replaced by their entity references and, for a double-quoted attribute
 // value, " as well. It is the one escape routine behind EscapeText,
 // EscapeAttr, Serialize and the store's streaming writer, so the two
-// serialisers cannot drift. Text is mostly runs with nothing to escape,
-// so it is scanned eight bytes at a time (clean8), a tail shorter than
-// eight as part of the last eight, and byte by byte only around a byte
-// that may need escaping.
+// serialisers cannot drift.
 func appendEscaped[S ~string | ~[]byte](dst []byte, s S, attr bool) []byte {
 	run := 0 // start of the pending unescaped run
 	for i := 0; i < len(s); i++ {
-		for i+8 <= len(s) && clean8(load8(s, i)) {
-			i += 8
-		}
-		if i+8 > len(s) && len(s) >= 8 && clean8(load8(s, len(s)-8)) {
-			break // what is left lies in the last eight bytes, all clean
-		}
-		if i == len(s) || !markup[s[i]] {
+		if !markup[s[i]] {
 			continue
 		}
 		var esc string
@@ -48,24 +39,6 @@ func appendEscaped[S ~string | ~[]byte](dst []byte, s S, attr bool) []byte {
 		run = i + 1
 	}
 	return append(dst, s[run:]...)
-}
-
-// clean8 reports whether none of the eight bytes of x is a markup
-// character. A byte b is '<' or '>' exactly when b|2 is '>', and '&' or
-// '"' exactly when b|4 is '&'; so x holds none when neither x|2 xor '>'s
-// nor x|4 xor '&'s has a zero byte.
-func clean8(x uint64) bool {
-	const ones, highs = 0x0101010101010101, 0x8080808080808080
-	a := (x | 2*ones) ^ '>'*ones
-	b := (x | 4*ones) ^ '&'*ones
-	return ((a-ones)&^a|(b-ones)&^b)&highs == 0
-}
-
-// load8 reads the eight bytes of s at i, little-endian; i+8 <= len(s).
-func load8[S ~string | ~[]byte](s S, i int) uint64 {
-	s = s[i : i+8]
-	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
 // AppendEscapedText appends character data, escaped for element

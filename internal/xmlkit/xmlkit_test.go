@@ -303,51 +303,3 @@ func TestTextContentNested(t *testing.T) {
 		t.Fatalf("TextContent = %q", got)
 	}
 }
-
-// TestEscapeMatchesByteLoop holds the word-at-a-time escape to the
-// byte-at-a-time rule it speeds up, on random strings drawn mostly from
-// the bytes around the markup characters — the ones clean8's bit tricks
-// could confuse with them — at every length and alignment, as strings
-// and as byte slices.
-func TestEscapeMatchesByteLoop(t *testing.T) {
-	ref := func(s string, attr bool) string {
-		var b strings.Builder
-		for i := 0; i < len(s); i++ {
-			switch c := s[i]; {
-			case c == '<':
-				b.WriteString("&lt;")
-			case c == '>':
-				b.WriteString("&gt;")
-			case c == '&':
-				b.WriteString("&amp;")
-			case c == '"' && attr:
-				b.WriteString("&quot;")
-			default:
-				b.WriteByte(c)
-			}
-		}
-		return b.String()
-	}
-	near := []byte(`<>&"` + "\x20\x21\x23\x24\x25\x27\x2a\x2e\x38\x39\x3a\x3b\x3d\x3f\x7c\x7e\xa2\xa6\xbc\xbe\xff\x00a")
-	rng := rand.New(rand.NewSource(1))
-	for round := 0; round < 20000; round++ {
-		b := make([]byte, rng.Intn(40))
-		for i := range b {
-			if rng.Intn(4) == 0 {
-				b[i] = byte(rng.Intn(256))
-			} else {
-				b[i] = near[rng.Intn(len(near))]
-			}
-		}
-		s := string(b)
-		for _, attr := range []bool{false, true} {
-			want := ref(s, attr)
-			if got := string(appendEscaped([]byte("x"), s, attr)); got != "x"+want {
-				t.Fatalf("appendEscaped(%q, attr %v) = %q, want %q", s, attr, got[1:], want)
-			}
-			if got := string(appendEscaped(nil, b, attr)); got != want {
-				t.Fatalf("appendEscaped([]byte %q, attr %v) = %q, want %q", s, attr, got, want)
-			}
-		}
-	}
-}

@@ -362,9 +362,6 @@ func TestVersion2StoreFacadeIndexesAgree(t *testing.T) {
 		if r.RID() != ref.RID() || r.IsLiteral() != ref.IsLiteral() || r.Label() != ref.Label() {
 			t.Fatalf("record %s facade %d: the image and the decoded tree name different nodes", ref.RID(), idx)
 		}
-		if again, err := r.FacadeIndex(); err != nil || again != idx {
-			t.Fatalf("record %s facade %d: the image numbers it %d (%v)", ref.RID(), idx, again, err)
-		}
 		if ref.IsLiteral() {
 			got, gotErr := r.StringBytes()
 			want, wantErr := ref.Literal().StringBytes()
