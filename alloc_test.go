@@ -159,6 +159,9 @@ func TestCursorLifetimeAllocs(t *testing.T) {
 // export a small constant that does not grow with the document (the
 // materialize-then-serialize read-out it replaced allocated 10 and 18
 // times for these four-node matches, and 17 per item for the export).
+// Text of a text-only match is a substring of its record image and
+// allocates nothing (it copied its string, one allocation, before the
+// cached images became strings).
 func TestReadOutAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under -race")
@@ -208,6 +211,30 @@ func TestReadOutAllocs(t *testing.T) {
 	t.Logf("Match.Text: %.0f allocs, Match.Markup: %.0f allocs", text, markup)
 	if text > 1 || markup > 2 {
 		t.Errorf("Match.Text: %.0f allocs/op, want at most 1; Match.Markup: %.0f, want at most 2", text, markup)
+	}
+
+	// A text-only match: an element whose one child is its text.
+	if err := db.ImportXML("lines", strings.NewReader("<root><line>first &amp; line</line><line>second</line></root>")); err != nil {
+		t.Fatal(err)
+	}
+	lines, err := db.QueryIter(context.Background(), "lines", "//line")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lines.Close()
+	if !lines.Next() {
+		t.Fatal("no line")
+	}
+	line := lines.Match()
+	if text, err := line.Text(); err != nil || text != "first & line" {
+		t.Fatalf("Text = %q, %v", text, err)
+	}
+	if textOnly := testing.AllocsPerRun(200, func() {
+		if _, err := line.Text(); err != nil {
+			t.Fatal(err)
+		}
+	}); textOnly != 0 {
+		t.Errorf("Match.Text of a text-only match: %.0f allocs/op, want 0", textOnly)
 	}
 
 	export := func(db *DB) float64 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"natix/internal/buffer"
+	"natix/internal/core"
 	"natix/internal/docstore"
 	"natix/internal/pagedev"
 )
@@ -55,3 +56,11 @@ var ErrQuarantined = docstore.ErrQuarantined
 // retry budget is exhausted — seeing it means the device misbehaved
 // repeatedly, not once. Test with errors.Is(err, natix.ErrTransientIO).
 var ErrTransientIO = pagedev.ErrTransient
+
+// ErrStaleMatch reports a Match read out after an edit of its document
+// rewrote or deleted the record that holds the matched node: the match
+// could read through its stored proxies into records since deleted,
+// merged or reused, so it refuses instead. Query again for a current
+// match. Text-only and literal matches never fail with it (see Match).
+// Test with errors.Is(err, natix.ErrStaleMatch).
+var ErrStaleMatch = core.ErrStaleRef

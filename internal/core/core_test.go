@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -629,7 +628,7 @@ func cachedImagesAreStored(t *testing.T, s *Store, root records.RID) {
 				continue
 			}
 			stored, err := s.rm.Read(rid)
-			if err != nil || !bytes.Equal(stored, it.img.Bytes()) {
+			if err != nil || string(stored) != it.img.Data() {
 				sh.mu.Unlock()
 				t.Fatalf("record %s: the cached image is not the stored one (%v)", rid, err)
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -18,6 +17,11 @@ import (
 // decoded, and a query over a warm store allocates nothing per node. The
 // decoded tree (loadRecord, NodeRef) is the write path's, and what Cursor
 // and BuildSubtree hand to callers that want nodes.
+//
+// A cached image is an immutable string (noderep.Image), so the text a
+// ReadRef reads out of its own record — TextOnly, StringValue — is a
+// substring of it: no copy, however long the caller keeps it, at the
+// price of keeping the whole image alive as long as the substring.
 
 // ReadRef addresses one facade node for reading: the record it lives in,
 // that record's image as the record cache holds it, and where the node
@@ -44,24 +48,73 @@ func (r *ReadRef) Label() dict.LabelID { return r.n.Label }
 func (r *ReadRef) IsLiteral() bool { return r.n.Kind == noderep.KindLiteral }
 
 // TextOnly returns the text of a text-only element — one stored with
-// its text under a single header — which the caller must not modify; ok
-// is false for every other node.
-func (r *ReadRef) TextOnly() (text []byte, ok bool) {
+// its text under a single header — as a substring of the record image;
+// ok is false for every other node.
+func (r *ReadRef) TextOnly() (text string, ok bool) {
 	if !r.n.Fused {
-		return nil, false
+		return "", false
 	}
 	return r.im.Payload(&r.n), true
 }
 
-// StringBytes returns the character data of a string or URI literal, a
-// slice of the image the caller must not modify; for any other node the
-// error noderep.Node.StringBytes reports.
-func (r *ReadRef) StringBytes() ([]byte, error) {
+// StringValue returns the character data of a string or URI literal, a
+// substring of the record image; for any other node the error
+// noderep.Node.StringValue reports.
+func (r *ReadRef) StringValue() (string, error) {
 	return noderep.StringPayload(r.n.Kind, r.n.LitType, r.im.Payload(&r.n))
 }
 
-// openImage opens buf, a copy of record rid's image, for the cache.
-func openImage(rid records.RID, buf []byte) (*noderep.Image, error) {
+// RecordHas reports whether the type table of ref's record holds a type
+// pred accepts (noderep.Image.TableHas).
+//
+//natix:noalloc
+func (r *ReadRef) RecordHas(pred func(noderep.Kind, dict.LabelID) bool) bool {
+	return r.im.TableHas(pred)
+}
+
+// FirstChild reads into c the first node stored in ref's content — a
+// proxy as the proxy, not the record behind it — and reports false when
+// there is none: ref is a leaf, a text-only element or an empty
+// aggregate. NextSibling steps on from there; ReadChildren is the same
+// walk with proxies followed and scaffolding spliced away.
+//
+//natix:noalloc
+func (r *ReadRef) FirstChild(c *ReadRef) (bool, error) {
+	if r.n.Kind != noderep.KindAggregate || r.n.Fused || r.n.Start == r.n.End {
+		return false, nil
+	}
+	c.rid, c.im = r.rid, r.im
+	err := r.im.Child(&c.n, int(r.n.Start), int(r.n.End))
+	return err == nil, err
+}
+
+// NextSibling moves c, a node FirstChild or NextSibling read out of
+// parent's content, to the node stored behind it, and reports false past
+// the last.
+//
+//natix:noalloc
+func (c *ReadRef) NextSibling(parent *ReadRef) (bool, error) {
+	if c.n.End >= parent.n.End {
+		return false, nil
+	}
+	err := c.im.Child(&c.n, int(c.n.End), int(parent.n.End))
+	return err == nil, err
+}
+
+// ChildHas reports whether a node stored in ref's content — a child as
+// FirstChild and NextSibling read it, a proxy as the proxy — has a type
+// pred accepts, reading no more than the children's headers.
+//
+//natix:noalloc
+func (r *ReadRef) ChildHas(pred func(noderep.Kind, dict.LabelID) bool) (bool, error) {
+	if r.n.Kind != noderep.KindAggregate || r.n.Fused {
+		return false, nil
+	}
+	return r.im.ChildHas(int(r.n.Start), int(r.n.End), pred)
+}
+
+// openImage opens buf, record rid's image, for the cache.
+func openImage(rid records.RID, buf string) (*noderep.Image, error) {
 	im, err := noderep.OpenImage(buf)
 	if err != nil {
 		return nil, fmt.Errorf("record %s: %w", rid, err)
@@ -72,8 +125,8 @@ func openImage(rid records.RID, buf []byte) (*noderep.Image, error) {
 // loadImage returns the stored image of a record, opened. A cache hit
 // still touches the record's page through the buffer manager, as
 // loadRecord's does, so I/O accounting (and eviction-driven physical
-// reads) stay faithful; a miss reads a copy of the image, the copy the
-// cache then keeps.
+// reads) stay faithful; a miss copies the image out of its page into a
+// string, the one the cache then keeps.
 func (s *Store) loadImage(rid records.RID) (*noderep.Image, error) {
 	if s.cache != nil {
 		if im, ok := s.cache.image(rid); ok {
@@ -85,7 +138,7 @@ func (s *Store) loadImage(rid records.RID) (*noderep.Image, error) {
 		}
 		s.stats.cacheMisses.Add(1)
 	}
-	buf, err := s.rm.Read(rid)
+	buf, err := s.rm.ReadString(rid)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +165,7 @@ func (s *Store) CheckCurrent(ref *ReadRef) error {
 		return fmt.Errorf("%w: record %s is gone", ErrStaleRef, ref.rid)
 	case err != nil:
 		return err
-	case im != ref.im && !bytes.Equal(im.Bytes(), ref.im.Bytes()):
+	case im != ref.im && im.Data() != ref.im.Data():
 		return fmt.Errorf("%w: record %s", ErrStaleRef, ref.rid)
 	}
 	return nil

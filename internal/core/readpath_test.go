@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -72,12 +71,12 @@ func facadesAgree(t *testing.T, s *Store, root records.RID) int {
 			if err := w.Ref(idx, &r); err != nil {
 				t.Fatalf("record %s: facade %d over the image: %v", rid, idx, err)
 			}
-			var payload []byte
+			var payload string
 			if r.IsLiteral() {
 				payload = r.im.Payload(&r.n)
 			}
 			if r.rid != rid || r.n.Kind != node.Kind || r.n.Label != node.Label || r.n.LitType != node.LitType ||
-				r.n.Scaffold != node.Scaffold || !bytes.Equal(payload, node.Payload) {
+				r.n.Scaffold != node.Scaffold || payload != string(node.Payload) {
 				t.Fatalf("record %s facade %d: the image reads %s %d %q, the decoded tree %s %d %q",
 					rid, idx, r.n.Kind, r.n.Label, payload, node.Kind, node.Label, node.Payload)
 			}

@@ -94,6 +94,10 @@ type Store struct {
 	cache *recCache
 	stats storeStats
 
+	// decodeBufs holds the buffers loadRecord decodes record images from;
+	// loadRecord runs concurrently for readers that walk decoded trees.
+	decodeBufs sync.Pool
+
 	// Scratch of the (serialized) mutating operations: the layout of the
 	// record last measured, the image buffer it is emitted (or read and
 	// spliced) into, the splice state and physical path of a node edit,
@@ -190,12 +194,14 @@ func (s *Store) maxRecordSize() int { return s.rm.MaxRecordSize() }
 // loadRecord returns the decoded tree of a record: the write path's
 // form, which its operations edit in place before writing the record
 // back. A cached tree is returned as it is; otherwise the record's image
-// — the cached one, or a copy read from its page — is decoded, and the
-// tree takes the image's place in the cache: the write path mostly goes
-// on to change the record, which drops the image anyway, and an entry
-// holding both would keep the record in memory twice. Cache hits still
-// touch the record's page through the buffer manager so I/O accounting
-// (and eviction-driven physical reads) remain faithful.
+// — the cached one, or the one stored in its page — is copied into a
+// pooled buffer (noderep.Decode takes bytes and keeps none of them) and
+// decoded, and the tree takes the image's place in the cache: the write
+// path mostly goes on to change the record, which drops the image
+// anyway, and an entry holding both would keep the record in memory
+// twice. Cache hits still touch the record's page through the buffer
+// manager so I/O accounting (and eviction-driven physical reads) remain
+// faithful.
 func (s *Store) loadRecord(rid records.RID) (*noderep.Record, error) {
 	var im *noderep.Image
 	if s.cache != nil {
@@ -212,17 +218,21 @@ func (s *Store) loadRecord(rid records.RID) (*noderep.Record, error) {
 			s.stats.cacheMisses.Add(1)
 		}
 	}
-	if im == nil {
-		buf, err := s.rm.Read(rid)
-		if err != nil {
-			return nil, err
-		}
-		if im, err = openImage(rid, buf); err != nil {
+	buf, _ := s.decodeBufs.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	defer s.decodeBufs.Put(buf)
+	if im != nil {
+		*buf = append((*buf)[:0], im.Data()...)
+	} else {
+		var err error
+		if *buf, err = s.rm.ReadInto(rid, *buf); err != nil {
 			return nil, err
 		}
 	}
 	s.stats.recordsDecoded.Add(1)
-	rec, err := noderep.Decode(im.Bytes())
+	rec, err := noderep.Decode(*buf)
 	if err != nil {
 		return nil, fmt.Errorf("record %s: %w", rid, err)
 	}
@@ -405,14 +415,15 @@ func (s *Store) deleteRecordTree(rid records.RID) error {
 // LRU order under its own mutex — an approximation of global LRU that
 // stays exact within a shard.
 //
-// An entry holds up to two forms of its record. The image is a copy of
-// the stored bytes, made once per miss (loadImage, loadRecord) and never
-// written: the read path works on it in place and hands slices of it out
-// in ReadRefs. The tree is decoded from the image the first time the
-// write path asks for the record, takes the image's place, and is edited
-// in place by the write path; a read copies the image in again beside
-// it. Every write of a record replaces the entry's tree and drops its
-// image (wrote, remove, clear), so the next read copies the new image
+// An entry holds up to two forms of its record. The image is a string
+// copied out of the record's page once per miss (loadImage): immutable,
+// so the read path works on it in place and hands out substrings of it —
+// in ReadRefs, and as the text of a match — that keep it alive after the
+// entry lets go of it. The tree is decoded from the image the first time
+// the write path asks for the record, takes the image's place, and is
+// edited in place by the write path; a read copies the image in again
+// beside it. Every write of a record replaces the entry's tree and drops
+// its image (wrote, remove, clear), so the next read copies the new image
 // in; no query ever decodes.
 type recCache struct {
 	shards [cacheShards]cacheShard

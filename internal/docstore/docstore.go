@@ -919,8 +919,10 @@ func (s *Store) ExportXML(name string, w io.Writer) error {
 	return s.ExportXMLContext(context.Background(), name, w)
 }
 
-// ExportXMLContext is ExportXML honoring a context, checked before each
-// element's children are expanded (that is, before each record access).
+// ExportXMLContext is ExportXML honoring a context, checked at the start
+// and before each element whose children are expanded — the walk reads
+// the records behind proxies only there — so per record access, not per
+// element.
 func (s *Store) ExportXMLContext(cx context.Context, name string, w io.Writer) error {
 	if err := s.checkQuarantine(name); err != nil {
 		return err

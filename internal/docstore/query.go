@@ -122,13 +122,15 @@ func ctxErr(cx context.Context) error {
 // walk that appends bytes into scratch taken from the Store's pool for
 // the call (see readout.go), so a Result shares no state with the
 // cursor that produced it and several may be read out at once, also
-// while the cursor iterates. Text allocates its result string and
-// nothing else; Markup at most one allocation more.
+// while the cursor iterates. Text allocates at most its result string;
+// Markup at most one allocation more.
 //
-// Ref holds a copy of the image of the match's own record, which no
-// write changes. A literal or text-only match lies wholly in that copy,
+// Ref holds the image of the match's own record, an immutable string no
+// write changes. A literal or text-only match lies wholly in that image,
 // so it is a snapshot: it reads the same however long it is kept, also
 // after the node or the whole document is deleted, and takes no lock.
+// Its Text allocates nothing: it is a substring of the image, and keeps
+// the whole image (up to a page) alive as long as it is kept.
 // Any other match reads the records below its own as they are when it
 // is read out. Editing the document between query and read-out may
 // invalidate it: once its own record has been written (or deleted), its
@@ -171,12 +173,13 @@ func (r Result) Text() (string, error) {
 	}
 	if text, ok := r.Ref.TextOnly(); ok {
 		// The common match: its text lies in the image Ref holds, which no
-		// write changes, so there is no lock to take and no scratch to use.
-		return string(text), nil
+		// write changes, so there is no lock to take, no scratch to use and
+		// nothing to copy.
+		return text, nil
 	}
 	if r.Ref.IsLiteral() {
-		text, _ := r.Ref.StringBytes() // nil for a literal that is not character data
-		return string(text), nil
+		text, _ := r.Ref.StringValue() // "" for a literal that is not character data
+		return text, nil
 	}
 	var out string
 	err := r.view(func() error {

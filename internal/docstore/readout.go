@@ -5,6 +5,8 @@ import (
 	"io"
 
 	"natix/internal/core"
+	"natix/internal/dict"
+	"natix/internal/noderep"
 	"natix/internal/xmlkit"
 )
 
@@ -12,9 +14,16 @@ import (
 // Convert) or as text (Result.Text) — is one walk over the record images
 // that appends bytes: no decoded record, no intermediate xmlkit tree, no
 // per-node allocation. The walk is the paper's reconstruction (§2.3.3,
-// "substituting all proxies by their respective subtrees"), done by
-// core.ReadChildren and core.AppendReadText, with the "@name"
-// aggregates folded back into attributes on the way.
+// "substituting all proxies by their respective subtrees"), with the
+// "@name" aggregates folded back into attributes on the way. Markup is
+// one pass over each record image: a tag opens where the walk reaches
+// its element's header and closes at the element's content end. Only an
+// element with a proxy or an attribute among its children is expanded
+// into a child list first (core.ReadChildren), which follows its proxies
+// — each record is still read once, where its proxy stands — and lets
+// its attributes be written before its content; a record whose type
+// table holds neither has no such element, and its elements are not
+// even scanned for one. Text is core.AppendReadText.
 
 // exportChunk is the unit in which an export reaches its io.Writer:
 // every Write but the last carries a whole number of chunks.
@@ -33,8 +42,8 @@ const (
 )
 
 // readOut is the scratch of one read-out: the output bytes, the child
-// lists of the elements the walk is inside of (stacked, innermost
-// last) and the value of the attribute being folded. Read-outs of one
+// lists of the expanded elements the walk is inside of (stacked,
+// innermost last) and the value of the attribute being folded. Read-outs of one
 // cursor's matches may run concurrently with each other and with the
 // iteration, so a scratch is taken from the Store's pool per call and
 // never shared.
@@ -94,6 +103,17 @@ func (ro *readOut) flush(final bool) error {
 //
 //natix:noalloc
 func (s *Store) writeXML(cx context.Context, ro *readOut, ref *core.ReadRef) error {
+	if err := ctxErr(cx); err != nil {
+		return err
+	}
+	return s.writeNode(cx, ro, ref, ref.RecordHas(s.expands))
+}
+
+// writeNode appends the text or element ref. nested says whether ref's
+// record holds a type that expands (see expands).
+//
+//natix:noalloc
+func (s *Store) writeNode(cx context.Context, ro *readOut, ref *core.ReadRef, nested bool) error {
 	if ref.IsLiteral() {
 		return ro.writeText(ref)
 	}
@@ -101,14 +121,14 @@ func (s *Store) writeXML(cx context.Context, ro *readOut, ref *core.ReadRef) err
 	if err != nil {
 		return err
 	}
-	return s.writeElement(cx, ro, ref, name)
+	return s.writeElement(cx, ro, ref, name, nested)
 }
 
 // writeText appends one text node, escaped.
 //
 //natix:noalloc
 func (ro *readOut) writeText(ref *core.ReadRef) error {
-	text, err := ref.StringBytes()
+	text, err := ref.StringValue()
 	if err != nil {
 		return err
 	}
@@ -116,21 +136,33 @@ func (ro *readOut) writeText(ref *core.ReadRef) error {
 	return nil
 }
 
+// expands reports whether a child of this kind and label makes its
+// element expand into a child list: a proxy, whose record may hold an
+// attribute or, under a scaffolding root, several children, or an
+// attribute to fold. An unknown label counts too, so that the expansion
+// reports it.
+func (s *Store) expands(kind noderep.Kind, label dict.LabelID) bool {
+	switch kind {
+	case noderep.KindProxy:
+		return true
+	case noderep.KindAggregate:
+		attr, err := s.dict.IsAttr(label)
+		return attr || err != nil
+	}
+	return false
+}
+
 // writeElement appends the element ref, whose name the caller has
-// looked up. The context is checked before the element's children —
-// that is, before each record access. "@name" children become
-// attributes with xmlkit.Node.SetAttr's semantics: a repeated name
-// keeps the position of its first occurrence and the value of its last.
-// An element whose children are all attributes self-closes; an empty
-// text child does not count as absent.
+// looked up, in one pass over its part of the record image: the tag opens
+// here, each child stored in the element is written where it stands, and
+// the tag closes at the element's content end. An element with a child
+// that expands (expands; only looked for when nested says ref's record
+// holds one) is written from its child list instead (writeExpanded).
 //
 //natix:noalloc
-func (s *Store) writeElement(cx context.Context, ro *readOut, ref *core.ReadRef, name string) error {
-	if err := ctxErr(cx); err != nil {
-		return err
-	}
+func (s *Store) writeElement(cx context.Context, ro *readOut, ref *core.ReadRef, name string, nested bool) error {
 	if text, ok := ref.TextOnly(); ok {
-		// Its one child is its text: no attribute, no child list to stack.
+		// Its one child is its text, a node without a header.
 		ro.out = append(ro.out, '<')
 		ro.out = append(ro.out, name...)
 		ro.out = append(ro.out, '>')
@@ -139,6 +171,55 @@ func (s *Store) writeElement(cx context.Context, ro *readOut, ref *core.ReadRef,
 		ro.out = append(ro.out, name...)
 		ro.out = append(ro.out, '>')
 		return ro.flush(false)
+	}
+	if nested {
+		expand, err := ref.ChildHas(s.expands)
+		if err != nil {
+			return err
+		}
+		if expand {
+			return s.writeExpanded(cx, ro, ref, name)
+		}
+	}
+	var c core.ReadRef
+	ok, err := ref.FirstChild(&c)
+	if err != nil {
+		return err
+	}
+	ro.out = append(ro.out, '<')
+	ro.out = append(ro.out, name...)
+	if !ok {
+		ro.out = append(ro.out, "/>"...)
+		return ro.flush(false)
+	}
+	ro.out = append(ro.out, '>')
+	for ; ok; ok, err = c.NextSibling(ref) {
+		if err := s.writeNode(cx, ro, &c, nested); err != nil {
+			return err
+		}
+	}
+	if err != nil {
+		return err
+	}
+	ro.out = append(ro.out, "</"...)
+	ro.out = append(ro.out, name...)
+	ro.out = append(ro.out, '>')
+	return ro.flush(false)
+}
+
+// writeExpanded appends the element ref from the list of its logical
+// children (core.ReadChildren), which reads the records behind its
+// proxies; the context is checked before, so once per such expansion,
+// not per element. "@name" children become attributes with
+// xmlkit.Node.SetAttr's semantics: a repeated name keeps the position of
+// its first occurrence and the value of its last. An element whose
+// children are all attributes self-closes; an empty text child does not
+// count as absent.
+//
+//natix:noalloc
+func (s *Store) writeExpanded(cx context.Context, ro *readOut, ref *core.ReadRef, name string) error {
+	if err := ctxErr(cx); err != nil {
+		return err
 	}
 	base := len(ro.stack)
 	var err error
@@ -196,7 +277,9 @@ func (s *Store) writeElement(cx context.Context, ro *readOut, ref *core.ReadRef,
 			if kname, err = s.dict.Name(k.Label()); err != nil {
 				return err
 			}
-			err = s.writeElement(cx, ro, k, kname)
+			// A child read from behind a proxy lies in a record of its
+			// own; one stored in ref's record shares its nested.
+			err = s.writeElement(cx, ro, k, kname, k.RID() == ref.RID() || k.RecordHas(s.expands))
 		}
 		if err != nil {
 			return err

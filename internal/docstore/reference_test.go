@@ -340,78 +340,129 @@ func TestReadOutMatchesReference(t *testing.T) {
 		model := genStored(rand.New(rand.NewSource(seed)), 400)
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			storedVariants(t, model, func(t *testing.T, s *Store) {
-				root := mustRootRef(t, s, "d")
-				want, err := refMarkup(s, root)
-				if err != nil {
-					t.Fatal(err)
+				r := readOutAgrees(t, s)
+				if len(r.export) < 3*exportChunk/2 {
+					t.Fatalf("document is %d bytes: too small to cross a chunk", len(r.export))
 				}
-				if len(want) < 3*exportChunk/2 {
-					t.Fatalf("document is %d bytes: too small to cross a chunk", len(want))
-				}
-				var got bytes.Buffer
-				if err := s.ExportXML("d", &got); err != nil {
-					t.Fatal(err)
-				}
-				if got.String() != want {
-					t.Fatalf("ExportXML differs from the reference\n got: %.300s\nwant: %.300s", got.String(), want)
-				}
-				nodes, attrOnly, reordered := 0, 0, 0
-				var visit func(ref core.NodeRef, rr core.ReadRef)
-				visit = func(ref core.NodeRef, rr core.ReadRef) {
-					nodes++
-					res := Result{Mode: ModeTree, Doc: "d", Ref: rr, store: s}
-					want, err := refMarkup(s, ref)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got, err := res.Markup(); err != nil || got != want {
-						t.Fatalf("Markup = %q, %v\nreference %q", got, err, want)
-					}
-					if strings.HasSuffix(want, `"/>`) {
-						attrOnly++
-					}
-					wantText, err := refTextContent(s, ref)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got, err := res.Text(); err != nil || got != wantText {
-						t.Fatalf("Text = %q, %v\nreference %q", got, err, wantText)
-					}
-					kids, err := s.trees.Children(ref)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rkids, err := s.trees.ReadChildren(&rr, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := sameChildren(kids, rkids); err != nil {
-						t.Fatal(err)
-					}
-					content := false
-					for i, k := range kids {
-						name := ""
-						if !k.IsLiteral() {
-							if name, err = s.dict.Name(k.Label()); err != nil {
-								t.Fatal(err)
-							}
-						}
-						if !strings.HasPrefix(name, AttrPrefix) {
-							content = true
-						} else if content {
-							reordered++
-						}
-						visit(k, rkids[i])
-					}
-				}
-				visit(root, mustReadRoot(t, s, "d"))
 				// The generator must actually have produced the hard cases.
-				if nodes < 500 || attrOnly == 0 || reordered == 0 {
-					t.Fatalf("weak document: %d nodes, %d attribute-only elements, %d attributes after content", nodes, attrOnly, reordered)
+				if r.nodes < 500 || r.attrOnly == 0 || r.reordered == 0 {
+					t.Fatalf("weak document: %d nodes, %d attribute-only elements, %d attributes after content", r.nodes, r.attrOnly, r.reordered)
+				}
+				if s.trees.Config().Matrix.Default() == core.PolicyStandalone && r.proxied == 0 {
+					t.Fatal("no attribute is read from behind a proxy")
 				}
 			})
 		})
 	}
+}
+
+// readOutCase is what readOutAgrees met: the export, the stored nodes, the
+// elements with only attributes, the attributes after content and the
+// attributes stored in another record than their element.
+type readOutCase struct {
+	export                              string
+	nodes, attrOnly, reordered, proxied int
+}
+
+// readOutAgrees holds the read-out of the document "d" to the reference:
+// ExportXML, and Markup and Text of every stored node.
+func readOutAgrees(t *testing.T, s *Store) readOutCase {
+	t.Helper()
+	root := mustRootRef(t, s, "d")
+	want, err := refMarkup(s, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := s.ExportXML("d", &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want {
+		t.Fatalf("ExportXML differs from the reference\n got: %.300s\nwant: %.300s", got.String(), want)
+	}
+	r := readOutCase{export: want}
+	var visit func(ref core.NodeRef, rr core.ReadRef)
+	visit = func(ref core.NodeRef, rr core.ReadRef) {
+		r.nodes++
+		res := Result{Mode: ModeTree, Doc: "d", Ref: rr, store: s}
+		want, err := refMarkup(s, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := res.Markup(); err != nil || got != want {
+			t.Fatalf("Markup = %q, %v\nreference %q", got, err, want)
+		}
+		if strings.HasSuffix(want, `"/>`) {
+			r.attrOnly++
+		}
+		wantText, err := refTextContent(s, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := res.Text(); err != nil || got != wantText {
+			t.Fatalf("Text = %q, %v\nreference %q", got, err, wantText)
+		}
+		kids, err := s.trees.Children(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rkids, err := s.trees.ReadChildren(&rr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameChildren(kids, rkids); err != nil {
+			t.Fatal(err)
+		}
+		content := false
+		for i, k := range kids {
+			name := ""
+			if !k.IsLiteral() {
+				if name, err = s.dict.Name(k.Label()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			switch {
+			case !strings.HasPrefix(name, AttrPrefix):
+				content = true
+			case content:
+				r.reordered++
+			}
+			if strings.HasPrefix(name, AttrPrefix) && k.RID() != ref.RID() {
+				r.proxied++
+			}
+			visit(k, rkids[i])
+		}
+	}
+	visit(root, mustReadRoot(t, s, "d"))
+	return r
+}
+
+// FuzzReadOutMatchesReference stores a seeded genStored document on
+// 512-, 1024- or 2048-byte pages, bulk-loaded or built node by node,
+// under either split-matrix extreme — so that attributes sit behind
+// proxies (every node a record of its own) and behind scaffolding roots
+// (a split that moves several siblings out together) — and holds
+// ExportXML, and Markup and Text of every node, to the decoded-tree
+// reference.
+func FuzzReadOutMatchesReference(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 27} {
+		for _, page := range []uint8{0, 1, 2} {
+			f.Add(seed, page, uint8(60), seed%2 == 0, seed%3 == 0)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, page, items uint8, standalone, bfs bool) {
+		m, store := splitExtremes[0], storeBulk
+		if standalone {
+			m = splitExtremes[1]
+		}
+		if bfs {
+			store = storeBFS
+		}
+		model := genStored(rand.New(rand.NewSource(seed)), 20+int(items)%80)
+		s, _ := newDocStore(t, 512<<(page%3), core.Config{Matrix: m.matrix(), CacheRecords: 4096})
+		store(t, s, "d", model)
+		readOutAgrees(t, s)
+	})
 }
 
 // TestReadOutAttrFolding spells the folding rules out on one hand-built

@@ -1,8 +1,6 @@
 package noderep
 
 import (
-	"encoding/binary"
-
 	"natix/internal/dict"
 	"natix/internal/records"
 )
@@ -15,7 +13,10 @@ import (
 // its content, and a pre-order walk one pass over the headers. Image
 // reads nodes that way, with no Node in sight: the query path resolves
 // postings, navigates and reads text and markup out of the image bytes,
-// and only the write path decodes (Decode).
+// and only the write path decodes (Decode). The image is a string: what
+// Image reads out of it — a payload, a fused element's text — is a
+// substring, which shares the image's memory and needs no copy to outlive
+// the read.
 //
 // Every read checks the header it reaches — the type index against the
 // table, the content against the image's end and against the content
@@ -26,9 +27,9 @@ import (
 // read the same nodes.
 
 // Image is a record image opened for reading in place. It keeps the
-// bytes it was opened on and never writes them.
+// string it was opened on.
 type Image struct {
-	buf    []byte
+	buf    string
 	hdr    int  // embedded header size of the image's version
 	fusing bool // version 3: the top bit of a size field is the fused mark
 	types  int  // type-table entries
@@ -53,7 +54,7 @@ type ImageNode struct {
 // nodes are checked as they are read.
 //
 //natix:noalloc
-func OpenImage(buf []byte) (Image, error) {
+func OpenImage(buf string) (Image, error) {
 	if len(buf) < recHeaderSize+StandaloneHeaderSize {
 		return Image{}, ErrCorruptRecord
 	}
@@ -71,7 +72,7 @@ func OpenImage(buf []byte) (Image, error) {
 	if buf[1]&^flags != 0 {
 		return Image{}, ErrCorruptRecord
 	}
-	im.types = int(binary.LittleEndian.Uint16(buf[2:]))
+	im.types = u16(buf[2:])
 	im.root = recHeaderSize + ttEntrySize*im.types
 	if im.root+StandaloneHeaderSize > len(buf) {
 		return Image{}, ErrCorruptRecord
@@ -79,8 +80,8 @@ func OpenImage(buf []byte) (Image, error) {
 	return im, nil
 }
 
-// Bytes returns the image Image was opened on.
-func (im *Image) Bytes() []byte { return im.buf }
+// Data returns the image Image was opened on.
+func (im *Image) Data() string { return im.buf }
 
 // Root reads the record's standalone root, whose content runs to the end
 // of the image, into n.
@@ -104,7 +105,7 @@ func (im *Image) Child(n *ImageNode, off, end int) error {
 	if off < im.root+StandaloneHeaderSize || off+im.hdr > end || end > len(im.buf) {
 		return ErrCorruptRecord
 	}
-	size := int(binary.LittleEndian.Uint16(im.buf[off+2:]))
+	size := u16(im.buf[off+2:])
 	cs := size &^ fusedMark
 	start := off + im.hdr
 	if start+cs > end {
@@ -123,7 +124,7 @@ func (im *Image) Child(n *ImageNode, off, end int) error {
 //
 //natix:noalloc
 func (im *Image) typed(n *ImageNode, off, start, end int, fused bool) error {
-	ti := int(binary.LittleEndian.Uint16(im.buf[off:]))
+	ti := u16(im.buf[off:])
 	if ti >= im.types {
 		return ErrCorruptRecord
 	}
@@ -144,6 +145,56 @@ func (im *Image) typed(n *ImageNode, off, start, end int, fused bool) error {
 	return nil
 }
 
+// ChildHas reports whether a node stored in the aggregate content
+// [off, end) — a child, not a deeper node — has a type pred accepts. It
+// reads the headers and their types only; Child checks the rest when
+// the nodes are read.
+//
+//natix:noalloc
+func (im *Image) ChildHas(off, end int, pred func(Kind, dict.LabelID) bool) (bool, error) {
+	if end > len(im.buf) {
+		return false, ErrCorruptRecord
+	}
+	for off < end {
+		if off < im.root+StandaloneHeaderSize || off+im.hdr > end {
+			return false, ErrCorruptRecord
+		}
+		ti := u16(im.buf[off:])
+		if ti >= im.types {
+			return false, ErrCorruptRecord
+		}
+		if pred(im.typeAt(ti)) {
+			return true, nil
+		}
+		off += im.hdr + u16(im.buf[off+2:])&^fusedMark
+	}
+	if off > end {
+		return false, ErrCorruptRecord
+	}
+	return false, nil
+}
+
+// TableHas reports whether the image's type table holds a type pred
+// accepts: a pass over the table, not over the nodes, so a type the
+// table does not hold rules out every node of the record at once.
+//
+//natix:noalloc
+func (im *Image) TableHas(pred func(Kind, dict.LabelID) bool) bool {
+	for i := range im.types {
+		if pred(im.typeAt(i)) {
+			return true
+		}
+	}
+	return false
+}
+
+// typeAt returns the kind and label of type-table entry i, i < im.types.
+func (im *Image) typeAt(i int) (Kind, dict.LabelID) {
+	e := im.buf[recHeaderSize+ttEntrySize*i:]
+	e = e[:ttEntrySize]
+	return Kind(e[0] & kindMask), dict.LabelID(u16(e[1:]))
+}
+
 // fill sets n to a node of type-table entry ti, ti < im.types.
 func (im *Image) fill(n *ImageNode, ti, start, end int, fused bool) {
 	e := im.buf[recHeaderSize+ttEntrySize*ti:]
@@ -153,7 +204,7 @@ func (im *Image) fill(n *ImageNode, ti, start, end int, fused bool) {
 	if n.Kind == KindLiteral {
 		n.LitType = LitType(e[3])
 	}
-	n.Label = dict.LabelID(binary.LittleEndian.Uint16(e[1:]))
+	n.Label = dict.LabelID(u16(e[1:]))
 	n.Scaffold, n.Fused = e[0]&scaffoldFlag != 0, fused
 }
 
@@ -163,9 +214,9 @@ func (n *ImageNode) ToText() {
 	n.Kind, n.LitType, n.Label, n.Scaffold, n.Fused = KindLiteral, LitString, dict.Text, false, false
 }
 
-// Payload returns n's content bytes — a literal's payload — as a slice of
-// the image, which the caller must not modify.
-func (im *Image) Payload(n *ImageNode) []byte { return im.buf[n.Start:n.End:n.End] }
+// Payload returns n's content bytes — a literal's payload — as a
+// substring of the image.
+func (im *Image) Payload(n *ImageNode) string { return im.buf[n.Start:n.End] }
 
 // Target returns the record a proxy points to.
 //
@@ -218,7 +269,7 @@ func (f *Facades) Advance() (bool, error) {
 		switch {
 		case off < 0:
 			off, start = im.root, im.root+StandaloneHeaderSize
-			ti = int(binary.LittleEndian.Uint16(buf[off:]))
+			ti = u16(buf[off:])
 			fused = buf[1]&rootFusedFlag != 0
 		case off == len(buf):
 			f.ti = -1
@@ -227,8 +278,8 @@ func (f *Facades) Advance() (bool, error) {
 			if off+im.hdr > len(buf) {
 				return f.fail()
 			}
-			ti = int(binary.LittleEndian.Uint16(buf[off:]))
-			size := int(binary.LittleEndian.Uint16(buf[off+2:]))
+			ti = u16(buf[off:])
+			size := u16(buf[off+2:])
 			cs := size &^ fusedMark
 			start, fused = off+im.hdr, size != cs
 			if end = start + cs; end > len(buf) {

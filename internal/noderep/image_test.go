@@ -1,20 +1,22 @@
 package noderep
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"natix/internal/dict"
 )
 
 // FuzzWalkImage feeds the in-place reader arbitrary bytes, seeded with
 // FuzzDecode's seeds and its checked-in corpus (records of corpus plays
 // in all three format versions). On any input the facade walk and the
 // navigation by Root and Child end, never panic, report nothing but
-// ErrCorruptRecord and hand out only content inside the input. When
+// ErrCorruptRecord and hand out only content inside the input, and
+// ChildHas finds what a walk of the children with Child finds. When
 // Decode accepts the input, both read exactly the nodes of the decoded
 // tree: the walk its facade nodes in pre-order, the navigation every node
 // in pre-order, each with its kind, label, literal type and payload.
@@ -24,7 +26,7 @@ func FuzzWalkImage(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		im, err := OpenImage(data)
+		im, err := OpenImage(string(data))
 		if err != nil {
 			if !errors.Is(err, ErrCorruptRecord) {
 				t.Fatalf("OpenImage error outside ErrCorruptRecord: %v", err)
@@ -86,6 +88,23 @@ func FuzzWalkImage(f *testing.F) {
 				visit(n)
 				return
 			}
+			// ChildHas reads what Child reads of the headers, and no more.
+			odd := func(k Kind, l dict.LabelID) bool { return k == KindProxy || l%2 == 1 }
+			has, hasErr := im.ChildHas(int(n.Start), int(n.End), odd)
+			if hasErr != nil && !errors.Is(hasErr, ErrCorruptRecord) {
+				t.Fatalf("ChildHas error outside ErrCorruptRecord: %v", hasErr)
+			}
+			want, wantErr := false, error(nil)
+			for off := int(n.Start); off < int(n.End) && !want; {
+				var c ImageNode
+				if wantErr = im.Child(&c, off, int(n.End)); wantErr != nil {
+					break
+				}
+				want, off = odd(c.Kind, c.Label), int(c.End)
+			}
+			if wantErr == nil && (hasErr != nil || has != want) {
+				t.Fatalf("ChildHas of [%d, %d) = %v, %v; the children read %v", n.Start, n.End, has, hasErr, want)
+			}
 			for off := int(n.Start); off < int(n.End) && navErr == nil; {
 				var c ImageNode
 				if navErr = im.Child(&c, off, int(n.End)); navErr != nil {
@@ -130,16 +149,16 @@ func FuzzWalkImage(f *testing.F) {
 				g := &got[i]
 				payload := im.Payload(g)
 				if g.Kind == KindAggregate {
-					payload = nil // an aggregate's content is its children
+					payload = "" // an aggregate's content is its children
 				}
 				if g.Kind == KindProxy {
 					target, err := im.Target(g)
 					if err != nil || target != n.Target {
 						t.Fatalf("%s: node %d is a proxy to %s (%v), Decode's to %s", what, i, target, err, n.Target)
 					}
-					payload = nil
+					payload = ""
 				}
-				if g.Kind != n.Kind || g.Label != n.Label || g.LitType != n.LitType || g.Scaffold != n.Scaffold || !bytes.Equal(payload, n.Payload) {
+				if g.Kind != n.Kind || g.Label != n.Label || g.LitType != n.LitType || g.Scaffold != n.Scaffold || payload != string(n.Payload) {
 					t.Fatalf("%s: node %d is %s %d/%d %q, Decode's %s %d/%d %q", what, i,
 						g.Kind, g.Label, g.LitType, payload, n.Kind, n.Label, n.LitType, n.Payload)
 				}

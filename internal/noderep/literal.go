@@ -107,13 +107,14 @@ func (n *Node) StringBytes() ([]byte, error) {
 }
 
 // StringPayload is StringBytes for a node given by its kind, literal
-// type and payload — one read out of an image (Image).
-func StringPayload(kind Kind, lt LitType, payload []byte) ([]byte, error) {
+// type and payload — for one read out of an image (Image), a substring.
+func StringPayload[P ~[]byte | ~string](kind Kind, lt LitType, payload P) (P, error) {
+	var none P
 	if kind != KindLiteral {
-		return nil, fmt.Errorf("%w: StringValue on %s", ErrBadNode, kind)
+		return none, fmt.Errorf("%w: StringValue on %s", ErrBadNode, kind)
 	}
 	if !IsStringType(lt) {
-		return nil, fmt.Errorf("%w: StringValue on literal type %d", ErrBadNode, lt)
+		return none, fmt.Errorf("%w: StringValue on literal type %d", ErrBadNode, lt)
 	}
 	return payload, nil
 }

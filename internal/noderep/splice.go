@@ -38,7 +38,10 @@ type Splice struct {
 }
 
 // u16 and putU16 read and write the little-endian header fields.
-func u16(b []byte) int { return int(binary.LittleEndian.Uint16(b)) }
+func u16[B ~[]byte | ~string](b B) int {
+	_ = b[1]
+	return int(b[0]) | int(b[1])<<8
+}
 
 func putU16(b []byte, v int) { binary.LittleEndian.PutUint16(b, uint16(v)) }
 

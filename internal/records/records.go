@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 
 	"natix/internal/buffer"
 	"natix/internal/pagedev"
@@ -66,11 +67,11 @@ func (r RID) Put(b []byte) {
 }
 
 // DecodeRID reads an 8-byte RID from b.
-func DecodeRID(b []byte) RID {
+func DecodeRID[B ~[]byte | ~string](b B) RID {
 	_ = b[7]
 	page := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 |
 		uint64(b[3])<<24 | uint64(b[4])<<32 | uint64(b[5])<<40
-	return RID{Page: pagedev.PageNo(page), Slot: binary.LittleEndian.Uint16(b[6:])}
+	return RID{Page: pagedev.PageNo(page), Slot: uint16(b[6]) | uint16(b[7])<<8}
 }
 
 // Errors.
@@ -204,31 +205,50 @@ func (m *Manager) Read(rid RID) ([]byte, error) { return m.ReadInto(rid, nil) }
 
 // ReadInto is Read into dst[:0], grown when too small.
 func (m *Manager) ReadInto(rid RID, dst []byte) ([]byte, error) {
+	if err := m.readCell(rid, func(cell []byte) { dst = append(dst[:0], cell...) }); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// ReadString is Read into an immutable string, made in one allocation.
+func (m *Manager) ReadString(rid RID) (string, error) {
+	var b strings.Builder
+	err := m.readCell(rid, func(cell []byte) {
+		b.Grow(len(cell))
+		b.Write(cell)
+	})
+	return b.String(), err
+}
+
+// readCell hands the record body, in its read-latched page, to fn.
+func (m *Manager) readCell(rid RID, fn func(cell []byte)) error {
 	loc, fwd, err := m.resolve(rid)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	f, err := m.seg.Pool().Get(loc.Page)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Release()
 	f.RLatch()
 	defer f.RUnlatch()
 	sl, err := pageformat.AsSlotted(f.Data())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if fwd {
 		if fl, err := sl.Flag(int(loc.Slot)); err != nil || fl {
-			return nil, fmt.Errorf("%w: %s forwards to %s which is %v/%v", ErrCorrupt, rid, loc, fl, err)
+			return fmt.Errorf("%w: %s forwards to %s which is %v/%v", ErrCorrupt, rid, loc, fl, err)
 		}
 	}
 	cell, err := sl.Cell(int(loc.Slot))
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrNotFound, rid, err)
+		return fmt.Errorf("%w: %s: %v", ErrNotFound, rid, err)
 	}
-	return append(dst[:0], cell...), nil
+	fn(cell)
+	return nil
 }
 
 // VerifyRID checks that rid resolves to a readable record body —

@@ -303,3 +303,78 @@ func TestTextContentNested(t *testing.T) {
 		t.Fatalf("TextContent = %q", got)
 	}
 }
+
+// escapeByByte is the byte-at-a-time escape rule appendEscaped speeds up.
+func escapeByByte(s string, attr bool) string {
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '<':
+			b.WriteString("&lt;")
+		case c == '>':
+			b.WriteString("&gt;")
+		case c == '&':
+			b.WriteString("&amp;")
+		case c == '"' && attr:
+			b.WriteString("&quot;")
+		default:
+			b.WriteByte(c)
+		}
+	}
+	return b.String()
+}
+
+// checkEscape holds appendEscaped to escapeByByte on s, as a string and
+// as a byte slice, appended behind a prefix and to nothing.
+func checkEscape(t *testing.T, s string) {
+	t.Helper()
+	for _, attr := range []bool{false, true} {
+		want := escapeByByte(s, attr)
+		if got := string(appendEscaped([]byte("x"), s, attr)); got != "x"+want {
+			t.Fatalf("appendEscaped(%q, attr %v) = %q, want %q", s, attr, got[1:], want)
+		}
+		if got := string(appendEscaped(nil, []byte(s), attr)); got != want {
+			t.Fatalf("appendEscaped([]byte %q, attr %v) = %q, want %q", s, attr, got, want)
+		}
+	}
+}
+
+// TestEscapeMatchesByteLoop holds the word-at-a-time escape to the
+// byte-at-a-time rule, on random strings drawn mostly from the bytes
+// around the markup characters — the ones clean8's bit tricks could
+// confuse with them — at every length and alignment.
+func TestEscapeMatchesByteLoop(t *testing.T) {
+	near := []byte(`<>&"` + "\x20\x21\x23\x24\x25\x27\x2a\x2e\x38\x39\x3a\x3b\x3c\x3d\x3f\x7c\x7e\xa2\xa6\xbc\xbe\xff\x00a")
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 20000; round++ {
+		b := make([]byte, rng.Intn(40))
+		for i := range b {
+			if rng.Intn(4) == 0 {
+				b[i] = byte(rng.Intn(256))
+			} else {
+				b[i] = near[rng.Intn(len(near))]
+			}
+		}
+		checkEscape(t, string(b))
+	}
+	// Every byte value alone and at each place of an otherwise clean word
+	// and tail.
+	for c := 0; c < 256; c++ {
+		for n := 1; n <= 17; n++ {
+			for at := 0; at < n; at++ {
+				b := []byte(strings.Repeat("a", n))
+				b[at] = byte(c)
+				checkEscape(t, string(b))
+			}
+		}
+	}
+}
+
+// FuzzEscape holds the word-at-a-time escape to the byte-at-a-time rule
+// on arbitrary input.
+func FuzzEscape(f *testing.F) {
+	for _, s := range []string{"", "plain text of a line", `a<b & "c" > d`, "<<<<<<<<>>>>>>>>", "12345678&", "&2345678", "\x3c\x3e\x26\x22\x3d\x3f\x27\x24"} {
+		f.Add(s)
+	}
+	f.Fuzz(checkEscape)
+}

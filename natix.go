@@ -764,8 +764,9 @@ func (db *DB) ExportXML(name string, w io.Writer) error {
 	return db.ExportXMLContext(context.Background(), name, w)
 }
 
-// ExportXMLContext is ExportXML honoring a context, checked before each
-// element's children are read (that is, before each record access).
+// ExportXMLContext is ExportXML honoring a context, checked at the start
+// and before the export reads the records behind an element's proxies:
+// per record access, not per element.
 func (db *DB) ExportXMLContext(ctx context.Context, name string, w io.Writer) error {
 	return db.view(func() error { return db.store.ExportXMLContext(ctx, name, w) })
 }

@@ -10,10 +10,25 @@ import (
 )
 
 // Match is one result of a path query. Matches may be consumed after
-// Query returns, concurrently with other queries: Text and Markup take
-// the matched document's read lock per call (matches pulled from a live
-// Cursor reuse the cursor's lock instead). Mutating the matched
-// document invalidates its outstanding matches, as documented on DB.
+// Query returns, concurrently with other queries and with the cursor
+// that produced them.
+//
+// A text-only match (an element whose one child is its text, such as a
+// LINE) and a literal match take no lock: they lie wholly in the stored
+// image of their record, which no edit changes, so each is a snapshot
+// that reads the same however long it is kept, also after its node or
+// its whole document is deleted.
+//
+// Any other match reads the records below its own as they are when it is
+// read out. Text and Markup take the matched document's read lock per
+// call (matches pulled from a live Cursor reuse the cursor's lock
+// instead), and once an edit has rewritten or deleted the match's own
+// record they fail with ErrStaleMatch.
+//
+// The string Text returns for a text-only or literal match is a slice of
+// its record's image, not a copy: keeping it keeps that image (up to a
+// page) in memory. To keep a few strings out of many records, keep
+// strings.Clone of them.
 type Match struct {
 	res docstore.Result
 }

@@ -2,6 +2,7 @@ package natix
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -363,9 +364,9 @@ func TestVersion2StoreFacadeIndexesAgree(t *testing.T) {
 			t.Fatalf("record %s facade %d: the image and the decoded tree name different nodes", ref.RID(), idx)
 		}
 		if ref.IsLiteral() {
-			got, gotErr := r.StringBytes()
-			want, wantErr := ref.Literal().StringBytes()
-			if (gotErr == nil) != (wantErr == nil) || string(got) != string(want) {
+			got, gotErr := r.StringValue()
+			want, wantErr := ref.Literal().StringValue()
+			if (gotErr == nil) != (wantErr == nil) || got != want {
 				t.Fatalf("record %s facade %d: the image reads %q, the decoded tree %q", ref.RID(), idx, got, want)
 			}
 		}
@@ -384,4 +385,129 @@ func TestVersion2StoreFacadeIndexesAgree(t *testing.T) {
 	if nodes < 500 {
 		t.Fatalf("only %d nodes compared", nodes)
 	}
+}
+
+// pathOf returns the path of the first node named name in document
+// order.
+func pathOf(t *testing.T, doc *Document, name string) []int {
+	t.Helper()
+	var at []int
+	if err := doc.Walk(func(path []int, n, _ string) bool {
+		if n == name && at == nil {
+			at = append([]int(nil), path...)
+		}
+		return at == nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if at == nil {
+		t.Fatalf("no %s in %s", name, doc.Name())
+	}
+	return at
+}
+
+// TestHeldMatchStale: a //SPEECH match held past an edit of its own
+// record fails Text and Markup with ErrStaleMatch, which callers test
+// with errors.Is, while a held text-only LINE of the same speech still
+// reads what it read.
+func TestHeldMatchStale(t *testing.T) {
+	db, err := Open(Options{PageSize: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.ImportXML("play", strings.NewReader(smallPlayXML())); err != nil {
+		t.Fatal(err)
+	}
+	speeches, err := db.Query("play", "//SPEECH")
+	if err != nil || len(speeches) == 0 {
+		t.Fatalf("//SPEECH: %d matches, %v", len(speeches), err)
+	}
+	lines, err := db.Query("play", "//SPEECH[1]/LINE[1]")
+	if err != nil || len(lines) == 0 {
+		t.Fatalf("//SPEECH[1]/LINE[1]: %d matches, %v", len(lines), err)
+	}
+	speech, line := speeches[0], lines[0]
+	if _, err := speech.Markup(); err != nil {
+		t.Fatal(err)
+	}
+	lineText, err := line.Text()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := db.Document("play")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := doc.InsertElement(pathOf(t, doc, "SPEECH"), -1, "LINE"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := speech.Markup(); !errors.Is(err, ErrStaleMatch) {
+		t.Errorf("Markup of a held //SPEECH match after an edit of its record: %v, want ErrStaleMatch", err)
+	}
+	if _, err := speech.Text(); !errors.Is(err, ErrStaleMatch) {
+		t.Errorf("Text of a held //SPEECH match after an edit of its record: %v, want ErrStaleMatch", err)
+	}
+	if got, err := line.Text(); err != nil || got != lineText {
+		t.Errorf("a held LINE after the edit reads %q, %v; it read %q", got, err, lineText)
+	}
+}
+
+// TestHeldTextOutlivesItsRecord: the string Text returns for a text-only
+// match is a slice of its record's image, and stays byte-identical after
+// the record is rewritten, the record cache is cleared and the document
+// is deleted; the held match itself reads the same throughout.
+func TestHeldTextOutlivesItsRecord(t *testing.T) {
+	db, err := Open(Options{PageSize: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.ImportXML("play", strings.NewReader(smallPlayXML())); err != nil {
+		t.Fatal(err)
+	}
+	lines, err := db.Query("play", "//LINE")
+	if err != nil || len(lines) < 100 {
+		t.Fatalf("//LINE: %d matches, %v", len(lines), err)
+	}
+	texts, want := make([]string, len(lines)), make([]string, len(lines))
+	for i, m := range lines {
+		if texts[i], err = m.Text(); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = strings.Clone(texts[i])
+	}
+	same := func(when string) {
+		t.Helper()
+		runtime.GC()
+		for i, m := range lines {
+			if texts[i] != want[i] {
+				t.Fatalf("%s: held string %d reads %q, it was %q", when, i, texts[i], want[i])
+			}
+			if got, err := m.Text(); err != nil || got != want[i] {
+				t.Fatalf("%s: held match %d reads %q, %v; it read %q", when, i, got, err, want[i])
+			}
+		}
+	}
+
+	doc, err := db.Document("play")
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := pathOf(t, doc, "LINE")
+	if err := doc.InsertText(at, 0, "rewritten: "); err != nil {
+		t.Fatal(err)
+	}
+	if now, err := db.Query("play", "//LINE"); err != nil || len(now) == 0 {
+		t.Fatal(err)
+	} else if got, _ := now[0].Text(); got != "rewritten: "+want[0] {
+		t.Fatalf("the first LINE reads %q after the edit", got)
+	}
+	same("after its record is rewritten")
+	db.store.Trees().InvalidateCache()
+	same("after the record cache is cleared")
+	if err := db.Delete("play"); err != nil {
+		t.Fatal(err)
+	}
+	same("after the document is deleted")
 }
