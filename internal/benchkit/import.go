@@ -149,7 +149,7 @@ type ImportCell struct {
 	RecordsCreated   int64   `json:"records_created"`
 	RecordsRewritten int64   `json:"records_rewritten"`
 
-	// Pipeline stage times (bulk path only): CPU in the tokenizer,
+	// Pipeline stage times (bulk path only): CPU in the parser,
 	// packer and page-flush stages, summed across shards — so on a
 	// multi-core run their sum exceeds wall time.
 	ParseMS float64 `json:"parse_ms,omitempty"`

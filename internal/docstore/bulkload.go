@@ -258,26 +258,6 @@ func (l *bulkLoader) apply(ev *xmlkit.Event) error {
 	return nil
 }
 
-// loadDOM replays an already parsed tree through the loader (ImportTree
-// and Convert hold a DOM; ImportXML streams and never builds one).
-func (l *bulkLoader) loadDOM(cx context.Context, n *xmlkit.Node) error {
-	if err := ctxErr(cx); err != nil {
-		return err
-	}
-	if n.IsText() {
-		return l.text(n.Text, false) // each DOM text node is one token
-	}
-	if err := l.openElement(n.Name, n.Attrs); err != nil {
-		return err
-	}
-	for _, c := range n.Children {
-		if err := l.loadDOM(cx, c); err != nil {
-			return err
-		}
-	}
-	return l.closeElement()
-}
-
 // releaseScratch ends the loader's use of its import-time memory: the
 // load scratch goes back to the store for the next import, the
 // builder's own pools and recycled record bodies are dropped. Call it
@@ -327,27 +307,6 @@ func (s *Store) importStreamLocked(cx context.Context, name string, p *xmlkit.St
 		s.abortBulk(l)
 		return DocInfo{}, err
 	}
-	return s.finishBulkImport(name, l, sp)
-}
-
-// importTreeLocked runs a bulk import over a parsed tree. Mutator
-// context. sp as in importStreamLocked.
-func (s *Store) importTreeLocked(cx context.Context, name string, root *xmlkit.Node, sp *telemetry.Span) (DocInfo, error) {
-	if _, ok := s.lookup(name); ok {
-		return DocInfo{}, fmt.Errorf("%w: %q", ErrDuplicate, name)
-	}
-	if root.IsText() {
-		return DocInfo{}, errors.New("docstore: document root must be an element")
-	}
-	l := s.newBulkLoader()
-	ch := sp.Child("load")
-	if err := l.loadDOM(cx, root); err != nil {
-		ch.End()
-		s.abortBulk(l)
-		return DocInfo{}, err
-	}
-	ch.Add("nodes", l.nodes)
-	ch.End()
 	return s.finishBulkImport(name, l, sp)
 }
 

@@ -21,7 +21,7 @@
 // the cursor is closed or exhausted, so writers of that document wait
 // out open cursors (only). Catalog-only reads (Documents, Lookup, Tree) take just the
 // catalog lock: they serialize with catalog updates, not with document
-// content mutation. Mutations (ImportXML, ImportTree, ImportFlat,
+// content mutation. Mutations (ImportXML, ImportXMLBatch, ImportFlat,
 // Delete, Convert, ReindexDocument, RegisterTree) take the target
 // document's write lock and then a store-wide writer mutex — one
 // mutator at a time, because they share the segment allocator and the
@@ -43,6 +43,7 @@
 package docstore
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -295,7 +296,7 @@ func (s *Store) Trees() *core.Store { return s.trees }
 func (s *Store) Dict() *dict.Dict { return s.dict }
 
 // EnablePathIndex attaches a path-index store and turns indexing on:
-// ImportXML / ImportTree build an index for each new tree-mode
+// ImportXML / ImportXMLBatch build an index for each new tree-mode
 // document, Delete drops it, mutations through FinishBulk drop it,
 // and Query answers descendant steps from it when it can.
 func (s *Store) EnablePathIndex(px *pathindex.Store) {
@@ -592,37 +593,6 @@ func (s *Store) InternLabel(name string) (dict.LabelID, error) {
 	return id, err
 }
 
-// nodeFromXML converts one parsed XML node into a facade subtree:
-// elements become aggregates, attributes become "@name" aggregates with
-// a string-literal child, text becomes text literals.
-func (s *Store) nodeFromXML(n *xmlkit.Node) (*noderep.Node, error) {
-	if n.IsText() {
-		return noderep.NewTextLiteral(n.Text), nil
-	}
-	label, err := s.labelFor(n.Name)
-	if err != nil {
-		return nil, err
-	}
-	agg := noderep.NewAggregate(label)
-	for _, a := range n.Attrs {
-		alabel, err := s.labelFor(AttrPrefix + a.Name)
-		if err != nil {
-			return nil, err
-		}
-		attr := noderep.NewAggregate(alabel)
-		attr.AppendChild(noderep.NewTextLiteral(a.Value))
-		agg.AppendChild(attr)
-	}
-	for _, c := range n.Children {
-		child, err := s.nodeFromXML(c)
-		if err != nil {
-			return nil, err
-		}
-		agg.AppendChild(child)
-	}
-	return agg, nil
-}
-
 // ImportXML stores an XML document in tree mode through the streaming
 // bulk path: the reader is tokenized incrementally and subtrees are
 // packed bottom-up into maximal records, each written exactly once,
@@ -654,27 +624,6 @@ func (s *Store) ImportXMLContext(cx context.Context, name string, r io.Reader) (
 		var err error
 		p := xmlkit.NewStreamParser(r, xmlkit.ParseOptions{})
 		info, err = s.importStreamLocked(cx, name, p, sp)
-		return err
-	})
-	return info, err
-}
-
-// ImportTree stores a parsed XML tree in tree mode through the bulk
-// path (see ImportXML; the tree is replayed as events).
-func (s *Store) ImportTree(name string, root *xmlkit.Node) (DocInfo, error) {
-	return s.ImportTreeContext(context.Background(), name, root)
-}
-
-// ImportTreeContext is ImportTree honoring a context (see
-// ImportXMLContext).
-func (s *Store) ImportTreeContext(cx context.Context, name string, root *xmlkit.Node) (DocInfo, error) {
-	sp := s.startOp("import_tree", name)
-	defer sp.End()
-	s.mImports.Inc()
-	var info DocInfo
-	err := s.Mutate(name, func() error {
-		var err error
-		info, err = s.importTreeLocked(cx, name, root, sp)
 		return err
 	})
 	return info, err
@@ -878,7 +827,7 @@ func (s *Store) ImportFlatContext(cx context.Context, name string, r io.Reader) 
 		ch.End()
 		return DocInfo{}, err
 	}
-	if _, err := xmlkit.ParseString(string(text), xmlkit.ParseOptions{}); err != nil {
+	if err := checkWellFormed(text); err != nil {
 		ch.End()
 		return DocInfo{}, fmt.Errorf("docstore: flat import: %w", err)
 	}
@@ -893,6 +842,20 @@ func (s *Store) ImportFlatContext(cx context.Context, name string, r io.Reader) 
 		return err
 	})
 	return info, err
+}
+
+// checkWellFormed drains a stream parser over text: the flat route
+// accepts exactly the documents the tree route does.
+func checkWellFormed(text []byte) error {
+	p := xmlkit.NewStreamParser(bytes.NewReader(text), xmlkit.ParseOptions{})
+	for {
+		if _, err := p.Next(); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+	}
 }
 
 func (s *Store) importFlatLocked(name string, text []byte) (DocInfo, error) {
@@ -980,11 +943,11 @@ func (s *Store) RegisterTree(name string, tree *core.Tree) (DocInfo, error) {
 
 // Convert re-stores a document in the other representation (tree ↔
 // flat) under the same name, preserving content. Converting to flat
-// serializes the tree; converting to tree parses the stream. This is
-// the migration path between the paper's storage categories (§1). The
-// whole conversion holds the document's write lock, so readers see
-// either the old representation or the new one, never the gap between
-// delete and re-import.
+// serializes the tree; converting to tree streams the text through
+// ImportXML's import pipeline. This is the migration path between the
+// paper's storage categories (§1). The whole conversion holds the
+// document's write lock, so readers see either the old representation
+// or the new one, never the gap between delete and re-import.
 func (s *Store) Convert(name string, to Mode) error {
 	return s.ConvertContext(context.Background(), name, to)
 }
@@ -1024,11 +987,8 @@ func (s *Store) convertLocked(cx context.Context, name string, to Mode, sp *tele
 		_, err := s.importFlatLocked(name, []byte(buf.String()))
 		return err
 	}
-	doc, err := xmlkit.ParseString(buf.String(), xmlkit.ParseOptions{})
-	if err != nil {
-		return err
-	}
-	_, err = s.importTreeLocked(context.Background(), name, doc.Root, sp)
+	p := xmlkit.NewStreamParser(strings.NewReader(buf.String()), xmlkit.ParseOptions{})
+	_, err := s.importStreamLocked(context.Background(), name, p, sp)
 	return err
 }
 

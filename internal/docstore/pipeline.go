@@ -4,11 +4,12 @@ package docstore
 // different cost profiles: tokenizing the input (pure CPU over the read
 // window), packing events into records (pure CPU over the builder
 // frames), and flushing full pages (buffer-pool and log traffic, done
-// by records.BatchWriter's flusher goroutine). importStreamLocked used
-// to run the first two in one loop on one goroutine; here the parser
-// runs as a producer goroutine handing event batches across a bounded
-// channel to the packing loop, so parse and pack overlap — and, through
-// the BatchWriter, page flushing overlaps with both.
+// by records.BatchWriter's flusher goroutine). The parser runs as a
+// producer goroutine handing event batches across a bounded channel to
+// the packing loop, so parse and pack overlap — and, through the
+// BatchWriter, page flushing overlaps with both. It is the one loop
+// every bulk tree import runs: ImportXML, each shard of ImportXMLBatch,
+// and Convert to tree mode.
 //
 // ImportXMLBatch extends the same idea across documents: a multi-
 // document corpus is sharded one-document-per-worker over N concurrent
@@ -46,12 +47,6 @@ const (
 	eventQueueLen = 4
 )
 
-// importInline folds the parse and pack stages into one goroutine when
-// there is only one CPU to run them on: the stages cannot overlap, so
-// the channel handoff would be pure scheduler overhead. Tests override
-// it to pin down one path or the other.
-var importInline = runtime.GOMAXPROCS(0) == 1
-
 // eventBatch is one producer→packer handoff: n valid events, or a
 // terminal parser error.
 type eventBatch struct {
@@ -67,10 +62,6 @@ type eventBatch struct {
 func (s *Store) runImportPipeline(cx context.Context, l *bulkLoader, p *xmlkit.StreamParser, sp *telemetry.Span) error {
 	ch := sp.Child("stream")
 	defer ch.End()
-
-	if importInline {
-		return s.runImportInline(cx, l, p, ch)
-	}
 
 	// Event batches circulate: the producer fills one from free (making
 	// a new one only when none is idle), the packer sends it back once
@@ -154,45 +145,6 @@ func (s *Store) runImportPipeline(cx context.Context, l *bulkLoader, p *xmlkit.S
 		l.sc.events = append(l.sc.events, buf)
 	}
 	s.mImportParseNS.Add(parseNS.Load())
-	s.mImportPackNS.Add(packNS)
-	ch.Add("nodes", l.nodes)
-	return err
-}
-
-// runImportInline is the single-goroutine degradation of the pipeline:
-// the same batched parse/apply loop with the same cancellation points
-// and stage accounting, minus the channel handoff.
-func (s *Store) runImportInline(cx context.Context, l *bulkLoader, p *xmlkit.StreamParser, ch *telemetry.Span) error {
-	buf := l.sc.eventBatch()
-	defer func() {
-		clear(buf)
-		l.sc.events = append(l.sc.events, buf)
-	}()
-	var parseNS, packNS int64
-	var err error
-	for err == nil {
-		t0 := telemetry.Now()
-		n, rerr := p.ReadBatch(buf)
-		parseNS += int64(telemetry.Since(t0))
-		if n > 0 {
-			t0 = telemetry.Now()
-			for i := 0; i < n; i++ {
-				if err = l.apply(&buf[i]); err != nil {
-					break
-				}
-			}
-			packNS += int64(telemetry.Since(t0))
-			if err == nil {
-				err = ctxErr(cx)
-			}
-			continue
-		}
-		if rerr != io.EOF {
-			err = rerr
-		}
-		break
-	}
-	s.mImportParseNS.Add(parseNS)
 	s.mImportPackNS.Add(packNS)
 	ch.Add("nodes", l.nodes)
 	return err
@@ -294,8 +246,8 @@ func (s *Store) importBatchLocked(cx context.Context, docs []ImportDoc, workers 
 			return nil, fmt.Errorf("%w: %q", ErrDuplicate, d.Name)
 		}
 	}
-	cctx, cancel := context.WithCancel(orBackground(cx))
-	defer cancel()
+	cctx, cancel := context.WithCancelCause(orBackground(cx))
+	defer cancel(nil)
 
 	shared := &lockedBatch{b: s.dict.NewBatch()}
 	loaders := make([]*bulkLoader, len(docs))
@@ -336,7 +288,7 @@ func (s *Store) importBatchLocked(cx context.Context, docs []ImportDoc, workers 
 			}
 			if err != nil {
 				errs[i] = err
-				cancel() // fail fast: unblock sibling shards
+				cancel(err) // fail fast: unblock sibling shards
 				return
 			}
 			writeNS[i] = l.bb.BatchStats().WriteNS
@@ -355,7 +307,9 @@ func (s *Store) importBatchLocked(cx context.Context, docs []ImportDoc, workers 
 	}
 	for _, err := range errs {
 		if err != nil {
-			return fail(err)
+			// The first failure cancelled the other shards: report it,
+			// not a sibling's cancellation.
+			return fail(context.Cause(cctx))
 		}
 	}
 

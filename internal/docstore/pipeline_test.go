@@ -18,16 +18,6 @@ import (
 	"natix/internal/wal"
 )
 
-// forcePipelined pins the two-goroutine import pipeline on for the
-// duration of a test: on a single-CPU machine importInline defaults to
-// true, and the failure paths under test live in the concurrent code.
-func forcePipelined(t *testing.T) {
-	t.Helper()
-	old := importInline
-	importInline = false
-	t.Cleanup(func() { importInline = old })
-}
-
 // walStore builds a WAL-backed store over an inspectable Mem device —
 // the docstore-level equivalent of the facade's logged configuration.
 func walStore(t *testing.T) (*Store, *buffer.Pool, *pagedev.Mem) {
@@ -181,7 +171,6 @@ func verifyIntact(t *testing.T, s *Store, keepXML string, absent ...string) {
 // TestPipelineParserErrorRollsBack: a parse error in the producer stage
 // must fail the import and leave the store byte-identical.
 func TestPipelineParserErrorRollsBack(t *testing.T) {
-	forcePipelined(t)
 	s, pool, dev := walStore(t)
 	keepXML := seedKeepDoc(t, s)
 	before := devImage(t, pool, dev)
@@ -217,7 +206,6 @@ func (c *cancelReader) Read(p []byte) (int, error) {
 // must abort the pipeline (producer and packer both unwind) and roll
 // the store back byte-identically.
 func TestPipelineCancellationRollsBack(t *testing.T) {
-	forcePipelined(t)
 	s, pool, dev := walStore(t)
 	keepXML := seedKeepDoc(t, s)
 	before := devImage(t, pool, dev)
@@ -239,7 +227,6 @@ func TestPipelineCancellationRollsBack(t *testing.T) {
 // is malformed, the healthy shards have already packed and written
 // records when the batch fails — the WAL rollback must erase all of it.
 func TestBatchPartialShardRollsBack(t *testing.T) {
-	forcePipelined(t)
 	s, pool, dev := walStore(t)
 	keepXML := seedKeepDoc(t, s)
 	before := devImage(t, pool, dev)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"natix/internal/core"
@@ -88,7 +89,7 @@ func runVariants(t *testing.T, model *xmlkit.Node, fn func(t *testing.T, s *Stor
 					s, _ := newDocStore(t, 2048, core.Config{Matrix: m.matrix(), CacheRecords: cache})
 					enableIndex(t, s)
 					if build == "bulk" {
-						if _, err := s.ImportTree("d", model); err != nil {
+						if _, err := s.ImportXML("d", strings.NewReader(xmlkit.SerializeString(model))); err != nil {
 							t.Fatal(err)
 						}
 					} else {
@@ -262,7 +263,7 @@ func TestCursorLoadsOneRecordPerRun(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/cache%d", m.name, cache), func(t *testing.T) {
 				s, pool := newDocStore(t, 2048, core.Config{Matrix: m.matrix(), CacheRecords: cache})
 				enableIndex(t, s)
-				if _, err := s.ImportTree("d", model); err != nil {
+				if _, err := s.ImportXML("d", strings.NewReader(xmlkit.SerializeString(model))); err != nil {
 					t.Fatal(err)
 				}
 				posts, steps := postingsOf(t, s, "//LINE")
@@ -307,7 +308,7 @@ func TestCursorStopsMidRun(t *testing.T) {
 	model := genRuns(rand.New(rand.NewSource(5)), 120)
 	s, _ := newDocStore(t, 2048, core.Config{Matrix: core.AllOther(), CacheRecords: 4096})
 	enableIndex(t, s)
-	if _, err := s.ImportTree("d", model); err != nil {
+	if _, err := s.ImportXML("d", strings.NewReader(xmlkit.SerializeString(model))); err != nil {
 		t.Fatal(err)
 	}
 	posts, steps := postingsOf(t, s, "//LINE")

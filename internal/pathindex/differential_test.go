@@ -211,8 +211,8 @@ func TestStreamIndexMatchesReference(t *testing.T) {
 					}
 					src := doc.xml(rand.New(rand.NewSource(int64(100*pageSize + i))))
 
-					// One copy streamed, one through the parsed tree, one in
-					// the concurrent batch below.
+					// One copy streamed, one parsed and serialized again, one
+					// in the concurrent batch below.
 					if _, err := e.store.ImportXML(doc.name+"/xml", strings.NewReader(src)); err != nil {
 						t.Fatalf("%s: ImportXML: %v", doc.name, err)
 					}
@@ -220,8 +220,8 @@ func TestStreamIndexMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := e.store.ImportTree(doc.name+"/tree", tree.Root); err != nil {
-						t.Fatalf("%s: ImportTree: %v", doc.name, err)
+					if _, err := e.store.ImportXML(doc.name+"/tree", strings.NewReader(xmlkit.SerializeString(tree.Root))); err != nil {
+						t.Fatalf("%s: ImportXML of the parsed tree: %v", doc.name, err)
 					}
 					names = append(names, doc.name+"/xml", doc.name+"/tree", doc.name+"/batch")
 					batch = append(batch, docstore.ImportDoc{Name: doc.name + "/batch", R: strings.NewReader(src)})

@@ -77,7 +77,7 @@ func indexBytes(t testing.TB, px *pathindex.Store, name string) (total, summary 
 // most 512 bytes.
 func TestPostingBytes(t *testing.T) {
 	e := newDiffEnv(t, 8192, nil)
-	if _, err := e.store.ImportTree("play", corpus.GeneratePlay(corpus.DefaultSpec(), 0)); err != nil {
+	if _, err := e.store.ImportXML("play", strings.NewReader(xmlkit.SerializeString(corpus.GeneratePlay(corpus.DefaultSpec(), 0)))); err != nil {
 		t.Fatal(err)
 	}
 	total, summary, postings := indexBytes(t, e.px, "play")
@@ -229,7 +229,7 @@ func TestOldStoreAnswersAndUpgrades(t *testing.T) {
 // (TITLE).
 func BenchmarkPostingsCodec(b *testing.B) {
 	e := newDiffEnv(b, 8192, nil)
-	if _, err := e.store.ImportTree("play", corpus.GeneratePlay(corpus.DefaultSpec(), 0)); err != nil {
+	if _, err := e.store.ImportXML("play", strings.NewReader(xmlkit.SerializeString(corpus.GeneratePlay(corpus.DefaultSpec(), 0)))); err != nil {
 		b.Fatal(err)
 	}
 	h, err := e.px.Get("play")

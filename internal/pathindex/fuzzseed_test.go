@@ -17,16 +17,16 @@ var updateSeeds = flag.Bool("update-fuzz-seeds", false, "rewrite the fuzz seed c
 
 // fuzzSeeds generates the seed corpus of the three fuzz targets, keyed
 // by file path: every blob of the indexes of three corpus plays in one
-// store at 2 KB pages — two bulk-loaded (streamed and from the parsed
-// tree) and one stored node by node and then reindexed — plus, for the
-// last, its lists in the fixed-width layout.
+// store at 2 KB pages — two bulk-loaded and one stored node by node and
+// then reindexed — plus, for the last, its lists in the fixed-width
+// layout.
 func fuzzSeeds(t *testing.T) map[string]string {
 	e := newDiffEnv(t, 2048, nil)
 	spec := corpus.SmallSpec(3)
 	if _, err := e.store.ImportXML("streamed", strings.NewReader(xmlkit.SerializeString(corpus.GeneratePlay(spec, 0)))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.store.ImportTree("parsed", corpus.GeneratePlay(spec, 1)); err != nil {
+	if _, err := e.store.ImportXML("parsed", strings.NewReader(xmlkit.SerializeString(corpus.GeneratePlay(spec, 1)))); err != nil {
 		t.Fatal(err)
 	}
 	storeBFS(t, e.store, "bfs", corpus.GeneratePlay(spec, 2))

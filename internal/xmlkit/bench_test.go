@@ -1,6 +1,7 @@
 package xmlkit
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
@@ -9,17 +10,17 @@ import (
 var benchDoc = "<PLAY><TITLE>Benchmark</TITLE>" + strings.Repeat(
 	`<SPEECH><SPEAKER>IAGO</SPEAKER><LINE>I am not what I am &amp; never was;</LINE><LINE>demand me nothing</LINE></SPEECH>`, 200) + "</PLAY>"
 
-func BenchmarkTokenize(b *testing.B) {
+func BenchmarkStream(b *testing.B) {
 	b.SetBytes(int64(len(benchDoc)))
 	for i := 0; i < b.N; i++ {
-		tz := NewTokenizerString(benchDoc)
+		p := NewStreamParser(strings.NewReader(benchDoc), ParseOptions{})
 		for {
-			tok, err := tz.Next()
+			_, err := p.Next()
+			if err == io.EOF {
+				break
+			}
 			if err != nil {
 				b.Fatal(err)
-			}
-			if tok.Kind == TokenEOF {
-				break
 			}
 		}
 	}

@@ -1,12 +1,12 @@
 package xmlkit
 
-// Streaming (pull) parsing mode. The DOM parser (Parse) materializes the
-// whole document before anything can be stored; StreamParser instead
-// yields structural events straight off the tokenizer, reading the input
-// in small chunks. Memory is bounded by the open-element stack plus one
-// buffered window (plus one held-back whitespace run), not by document
-// size — which is what lets the bulk loader import documents larger than
-// RAM in a single pass.
+// StreamParser is the package's one XML parser: a pull parser yielding
+// structural events off the input, which it reads in small chunks. The
+// bulk loader packs the events into records as they arrive; Parse
+// builds its tree from them. Memory is bounded by the open-element stack
+// plus one buffered window (plus one held-back whitespace run), not by
+// document size — which is what lets the bulk loader import documents
+// larger than RAM in a single pass.
 
 import (
 	"bytes"
@@ -18,8 +18,9 @@ import (
 // EventKind classifies streaming parse events.
 type EventKind uint8
 
-// Streaming events. Comments, PIs and the DOCTYPE are consumed silently,
-// exactly as the DOM parser drops them from the logical tree.
+// Streaming events. Comments, PIs and the DOCTYPE produce none: they are
+// not part of the logical tree. (The parser keeps the DOCTYPE's name and
+// body for Parse, which hands them on in its Document.)
 const (
 	EventStart EventKind = iota // element open: Name, Attrs
 	EventEnd                    // element close: Name
@@ -51,7 +52,7 @@ type Event struct {
 	// Consumers that must reproduce token boundaries exactly (the bulk
 	// loader chunking text into literals) join Cont chunks; Cont=false
 	// starts a new token — distinct tokens (text vs. an adjacent CDATA
-	// section) stay distinct nodes, as the DOM parser stores them.
+	// section) stay distinct nodes, as Parse stores them.
 	Cont bool
 }
 
@@ -92,13 +93,20 @@ type StreamParser struct {
 	// plain text up to the next markup, or one CDATA section — possibly
 	// split into several chunks for memory. Whitespace-only chunks are
 	// held back until the run proves non-whitespace, so a split run is
-	// dropped or kept exactly as the DOM parser treats the whole token.
+	// dropped or kept exactly as the whole token would be.
 	inText   bool
 	inCData  bool     // consuming a CDATA section across Next calls
 	textHeld []string // decoded chunks, all whitespace so far
 	textKeep bool     // run has contained non-whitespace
 	runCont  bool     // run has emitted at least one event
+
+	// The last DOCTYPE read: its name and its whole trimmed body (name
+	// plus internal subset), for consumers that parse content models.
+	doctypeName, doctypeRaw string
 }
+
+// byteOrderMark is UTF-8's; a document may start with it.
+const byteOrderMark = "\xef\xbb\xbf"
 
 // NewStreamParser returns a pull parser over r.
 func NewStreamParser(r io.Reader, opts ParseOptions) *StreamParser {
@@ -140,6 +148,9 @@ func (p *StreamParser) fill() (bool, error) {
 		p.eof = true
 	default:
 		return false, fmt.Errorf("xmlkit: read input: %w", err)
+	}
+	if p.base == 0 && off == 0 && hasPrefix(p.buf, byteOrderMark) {
+		p.pos = len(byteOrderMark) // the first read: skip a byte-order mark
 	}
 	return n > 0, nil
 }
@@ -308,7 +319,7 @@ func (p *StreamParser) scanMarkup() (Event, bool, error) {
 	case hasPrefix(rest, "<![CDATA["):
 		return p.scanCDataStream()
 	case hasPrefix(rest, "<!DOCTYPE"):
-		return Event{}, false, p.skipDoctype()
+		return Event{}, false, p.scanDoctype()
 	case hasPrefix(rest, "<?"):
 		return Event{}, false, p.skipUntil("<?", "?>", "unterminated processing instruction")
 	case hasPrefix(rest, "</"):
@@ -336,8 +347,9 @@ func (p *StreamParser) skipUntil(open, close, msg string) error {
 	return nil
 }
 
-// skipDoctype consumes <!DOCTYPE ...> with a bracketed internal subset.
-func (p *StreamParser) skipDoctype() error {
+// scanDoctype consumes <!DOCTYPE ...> with a bracketed internal subset,
+// keeping its name and body.
+func (p *StreamParser) scanDoctype() error {
 	p.advance(len("<!DOCTYPE"))
 	depth := 0
 	from := 0
@@ -351,6 +363,11 @@ func (p *StreamParser) skipDoctype() error {
 				depth--
 			case '>':
 				if depth <= 0 {
+					p.doctypeRaw = strings.TrimSpace(string(win[:i]))
+					p.doctypeName = p.doctypeRaw
+					if j := strings.IndexAny(p.doctypeRaw, " \t\r\n["); j >= 0 {
+						p.doctypeName = p.doctypeRaw[:j]
+					}
 					p.advance(i + 1)
 					return nil
 				}
@@ -370,8 +387,7 @@ func (p *StreamParser) skipDoctype() error {
 // scanCDataStream enters a CDATA section. The section is its own
 // character-data token: it was preceded by a run flush (all markup is),
 // and scanCDataChunk closes the run at "]]>", so its whitespace-only
-// fate is decided independently of adjacent text — as the DOM parser
-// decides each token.
+// fate is decided independently of adjacent text, as each token's is.
 func (p *StreamParser) scanCDataStream() (Event, bool, error) {
 	p.advance(len("<![CDATA["))
 	p.inCData = true

@@ -1,118 +1,10 @@
 package xmlkit
 
 import (
-	"errors"
-	"fmt"
 	"io"
 	"strings"
 	"testing"
 )
-
-// treeFromEvents rebuilds a DOM from streaming events, merging nothing.
-func treeFromEvents(src string, opts ParseOptions) (*Node, error) {
-	p := NewStreamParser(strings.NewReader(src), opts)
-	var stack []*Node
-	var root *Node
-	for {
-		ev, err := p.Next()
-		if err == io.EOF {
-			if root == nil {
-				return nil, errors.New("no root")
-			}
-			return root, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		switch ev.Kind {
-		case EventStart:
-			n := &Node{Name: ev.Name, Attrs: ev.Attrs}
-			if len(stack) == 0 {
-				root = n
-			} else {
-				top := stack[len(stack)-1]
-				top.Children = append(top.Children, n)
-			}
-			stack = append(stack, n)
-		case EventEnd:
-			stack = stack[:len(stack)-1]
-		case EventText:
-			top := stack[len(stack)-1]
-			top.Children = append(top.Children, NewText(ev.Text))
-		}
-	}
-}
-
-// mergeText coalesces adjacent text children in place, recursively, so
-// trees built from split text runs compare equal to DOM-parsed ones.
-func mergeText(n *Node) {
-	var out []*Node
-	for _, c := range n.Children {
-		if c.IsText() && len(out) > 0 && out[len(out)-1].IsText() {
-			out[len(out)-1].Text += c.Text
-			continue
-		}
-		mergeText(c)
-		out = append(out, c)
-	}
-	n.Children = out
-}
-
-// checkStreamEquiv parses src both ways and requires identical logical
-// trees (after text-run coalescing on both sides).
-func checkStreamEquiv(t *testing.T, src string, opts ParseOptions) {
-	t.Helper()
-	doc, err := ParseString(src, opts)
-	if err != nil {
-		t.Fatalf("DOM parse: %v", err)
-	}
-	got, err := treeFromEvents(src, opts)
-	if err != nil {
-		t.Fatalf("stream parse: %v", err)
-	}
-	mergeText(doc.Root)
-	mergeText(got)
-	if !Equal(doc.Root, got) {
-		t.Fatalf("stream tree differs from DOM tree\nDOM:    %s\nstream: %s",
-			SerializeString(doc.Root), SerializeString(got))
-	}
-}
-
-func TestStreamEquivalence(t *testing.T) {
-	cases := map[string]string{
-		"simple":     `<a><b>hi</b><c x="1" y="two"/></a>`,
-		"attrs":      `<r id="1" name="n&amp;m"><e a='sq'/><e a="&#65;"/></r>`,
-		"mixedText":  `<p>before<b>bold</b>after<i>it</i>tail</p>`,
-		"cdata":      `<a>x<![CDATA[<raw> & stuff]]>y</a>`,
-		"comments":   `<?xml version="1.0"?><!-- c --><a><!-- in -->t<?pi data?></a><!-- after -->`,
-		"doctype":    `<!DOCTYPE a [<!ELEMENT a (b)*>]><a><b/></a>`,
-		"entities":   `<a>&lt;&gt;&amp;&apos;&quot;&#x41;&#66;</a>`,
-		"whitespace": "<a>\n  <b> x </b>\n  <c/>\n</a>",
-		"deep":       strings.Repeat("<d>", 200) + "leaf" + strings.Repeat("</d>", 200),
-		"gtInAttr":   `<a x="1>2"><b y='a>b'/></a>`,
-		"emptyRoot":  `<a/>`,
-		"utf8":       `<räksmörgås läge="åäö">grüße</räksmörgås>`,
-	}
-	for name, src := range cases {
-		t.Run(name, func(t *testing.T) {
-			checkStreamEquiv(t, src, ParseOptions{})
-			checkStreamEquiv(t, src, ParseOptions{KeepWhitespace: true})
-		})
-	}
-}
-
-// TestStreamEquivalenceLarge drives the chunked refill paths: a document
-// bigger than several read chunks with tags likely to straddle chunk
-// boundaries.
-func TestStreamEquivalenceLarge(t *testing.T) {
-	var b strings.Builder
-	b.WriteString("<root>")
-	for i := 0; i < 4000; i++ {
-		fmt.Fprintf(&b, `<item id="%d" cls="odd&amp;even">value %d with some padding text</item>`, i, i)
-	}
-	b.WriteString("</root>")
-	checkStreamEquiv(t, b.String(), ParseOptions{})
-}
 
 // TestStreamLongTextSplit checks that a text run beyond the split limit
 // arrives as several events that concatenate to the original, with no
@@ -148,6 +40,14 @@ func TestStreamLongTextSplit(t *testing.T) {
 	if got.String() != want {
 		t.Fatalf("reassembled text differs: got %d bytes, want %d", got.Len(), len(want))
 	}
+	// Parse joins the chunks again: the run is one text node.
+	doc, err := ParseString(src, ParseOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := doc.Root.Children; len(c) != 1 || c[0].Text != want {
+		t.Fatalf("Parse made %d text nodes of one long run, want one holding it whole", len(c))
+	}
 }
 
 // TestStreamWhitespaceRunSplit: a run whose first chunks are whitespace
@@ -156,22 +56,19 @@ func TestStreamLongTextSplit(t *testing.T) {
 // chunks.
 func TestStreamWhitespaceRunSplit(t *testing.T) {
 	ws := strings.Repeat(" \n\t", textSplitLimit/2)
-	src := "<a>" + ws + "word</a>"
-	root, err := treeFromEvents(src, ParseOptions{})
+	doc, err := ParseString("<a>"+ws+"word</a>", ParseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mergeText(root)
-	if len(root.Children) != 1 || root.Children[0].Text != ws+"word" {
+	if root := doc.Root; len(root.Children) != 1 || root.Children[0].Text != ws+"word" {
 		t.Fatalf("leading-whitespace run not preserved whole")
 	}
-	src = "<a><b/>" + ws + "<c/></a>"
-	root, err = treeFromEvents(src, ParseOptions{})
+	doc, err = ParseString("<a><b/>"+ws+"<c/></a>", ParseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(root.Children) != 2 {
-		t.Fatalf("whitespace-only run not dropped: %d children", len(root.Children))
+	if len(doc.Root.Children) != 2 {
+		t.Fatalf("whitespace-only run not dropped: %d children", len(doc.Root.Children))
 	}
 }
 

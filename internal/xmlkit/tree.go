@@ -1,7 +1,6 @@
 package xmlkit
 
 import (
-	"fmt"
 	"io"
 	"strings"
 )
@@ -114,9 +113,6 @@ type Document struct {
 	// DoctypeRaw is the full DOCTYPE body (name plus internal subset),
 	// for consumers that parse content models (package schema).
 	DoctypeRaw string
-	// DTDElements lists element names declared in the DOCTYPE internal
-	// subset, in declaration order — the node alphabet Σ_DTD (§2.2).
-	DTDElements []string
 }
 
 // ParseOptions control tree construction.
@@ -126,125 +122,56 @@ type ParseOptions struct {
 	KeepWhitespace bool
 }
 
-// Parse reads an XML document from r into a tree.
+// Parse reads an XML document from r into a tree, built from the events
+// of a StreamParser: each character-data token becomes one text node,
+// its Cont chunks joined again.
 func Parse(r io.Reader, opts ParseOptions) (*Document, error) {
-	tz, err := NewTokenizer(r)
-	if err != nil {
-		return nil, err
+	p := NewStreamParser(r, opts)
+	doc := &Document{}
+	var stack []*Node
+	var last *Node          // the text node of the latest token
+	var run strings.Builder // last's text, once a Cont chunk has followed
+	for {
+		ev, err := p.Next()
+		if run.Len() > 0 && (err != nil || ev.Kind != EventText || !ev.Cont) {
+			last.Text = run.String()
+			run.Reset()
+		}
+		if err == io.EOF {
+			doc.DoctypeName, doc.DoctypeRaw = p.doctypeName, p.doctypeRaw
+			return doc, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		switch ev.Kind {
+		case EventStart:
+			n := &Node{Name: ev.Name, Attrs: ev.Attrs}
+			if len(stack) == 0 {
+				doc.Root = n
+			} else {
+				top := stack[len(stack)-1]
+				top.Children = append(top.Children, n)
+			}
+			stack = append(stack, n)
+		case EventEnd:
+			stack = stack[:len(stack)-1]
+		case EventText:
+			if ev.Cont {
+				if run.Len() == 0 {
+					run.WriteString(last.Text)
+				}
+				run.WriteString(ev.Text)
+				continue
+			}
+			last = NewText(ev.Text)
+			top := stack[len(stack)-1]
+			top.Children = append(top.Children, last)
+		}
 	}
-	return parseTokens(tz, opts)
 }
 
 // ParseString parses a document held in a string.
 func ParseString(src string, opts ParseOptions) (*Document, error) {
-	return parseTokens(NewTokenizerString(src), opts)
-}
-
-func parseTokens(tz *Tokenizer, opts ParseOptions) (*Document, error) {
-	doc := &Document{}
-	var stack []*Node
-	push := func(n *Node) error {
-		if len(stack) == 0 {
-			if doc.Root != nil {
-				return fmt.Errorf("xmlkit: multiple root elements (%q and %q)", doc.Root.Name, n.Name)
-			}
-			if n.IsText() {
-				return fmt.Errorf("xmlkit: text %q outside the root element", truncate(n.Text, 20))
-			}
-			doc.Root = n
-		} else {
-			top := stack[len(stack)-1]
-			top.Children = append(top.Children, n)
-		}
-		return nil
-	}
-	for {
-		tok, err := tz.Next()
-		if err != nil {
-			return nil, err
-		}
-		switch tok.Kind {
-		case TokenEOF:
-			if len(stack) > 0 {
-				return nil, fmt.Errorf("xmlkit: unclosed element <%s>", stack[len(stack)-1].Name)
-			}
-			if doc.Root == nil {
-				return nil, fmt.Errorf("xmlkit: document has no root element")
-			}
-			return doc, nil
-		case TokenStartTag:
-			n := &Node{Name: tok.Name, Attrs: tok.Attrs}
-			if len(stack) == 0 {
-				if err := push(n); err != nil {
-					return nil, err
-				}
-				stack = append(stack, n)
-			} else {
-				stack[len(stack)-1].Children = append(stack[len(stack)-1].Children, n)
-				stack = append(stack, n)
-			}
-		case TokenEmptyTag:
-			if err := push(&Node{Name: tok.Name, Attrs: tok.Attrs}); err != nil {
-				return nil, err
-			}
-		case TokenEndTag:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmlkit: unexpected </%s>", tok.Name)
-			}
-			top := stack[len(stack)-1]
-			if top.Name != tok.Name {
-				return nil, fmt.Errorf("xmlkit: </%s> closes <%s>", tok.Name, top.Name)
-			}
-			stack = stack[:len(stack)-1]
-		case TokenText:
-			if !opts.KeepWhitespace && strings.TrimSpace(tok.Text) == "" {
-				continue
-			}
-			if len(stack) == 0 {
-				if strings.TrimSpace(tok.Text) == "" {
-					continue // whitespace between prolog and root is fine
-				}
-				return nil, fmt.Errorf("xmlkit: text %q outside the root element", truncate(tok.Text, 20))
-			}
-			if err := push(NewText(tok.Text)); err != nil {
-				return nil, err
-			}
-		case TokenDoctype:
-			doc.DoctypeName = tok.Name
-			doc.DoctypeRaw = tok.Text
-			doc.DTDElements = parseDTDElements(tok.Text)
-		case TokenComment, TokenPI:
-			// Not represented in the logical tree.
-		}
-	}
-}
-
-// parseDTDElements extracts element names from a DOCTYPE internal subset.
-// It recognizes <!ELEMENT name ...> declarations; everything else in the
-// subset is skipped. This is the "DTD-lite" the repository needs: "for
-// our purposes, the DTD is just a way of specifying the node alphabet"
-// (paper §2.2).
-func parseDTDElements(subset string) []string {
-	var names []string
-	seen := map[string]bool{}
-	for {
-		i := strings.Index(subset, "<!ELEMENT")
-		if i < 0 {
-			return names
-		}
-		subset = subset[i+len("<!ELEMENT"):]
-		j := 0
-		for j < len(subset) && isSpace(subset[j]) {
-			j++
-		}
-		k := j
-		for k < len(subset) && isNameByte(subset[k]) {
-			k++
-		}
-		if name := subset[j:k]; validName(name) && !seen[name] {
-			seen[name] = true
-			names = append(names, name)
-		}
-		subset = subset[k:]
-	}
+	return Parse(strings.NewReader(src), opts)
 }

@@ -1,6 +1,7 @@
 package xmlkit
 
 import (
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -13,32 +14,34 @@ const speech = `<SPEECH>
 <LINE>Look in my face.</LINE>
 </SPEECH>`
 
-func TestTokenizerSpeech(t *testing.T) {
-	tz := NewTokenizerString(speech)
-	var kinds []TokenKind
+// TestStreamSpeech: with KeepWhitespace the parser yields every element
+// and every character-data token of the figure 2 speech, in order.
+func TestStreamSpeech(t *testing.T) {
+	p := NewStreamParser(strings.NewReader(speech), ParseOptions{KeepWhitespace: true})
+	var kinds []EventKind
 	var names []string
 	for {
-		tok, err := tz.Next()
+		ev, err := p.Next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tok.Kind == TokenEOF {
-			break
-		}
-		kinds = append(kinds, tok.Kind)
-		names = append(names, tok.Name)
+		kinds = append(kinds, ev.Kind)
+		names = append(names, ev.Name)
 	}
-	want := []TokenKind{
-		TokenStartTag, TokenText, TokenStartTag, TokenText, TokenEndTag,
-		TokenText, TokenStartTag, TokenText, TokenEndTag, TokenText,
-		TokenStartTag, TokenText, TokenEndTag, TokenText, TokenEndTag,
+	want := []EventKind{
+		EventStart, EventText, EventStart, EventText, EventEnd,
+		EventText, EventStart, EventText, EventEnd, EventText,
+		EventStart, EventText, EventEnd, EventText, EventEnd,
 	}
 	if len(kinds) != len(want) {
-		t.Fatalf("got %d tokens %v, want %d", len(kinds), kinds, len(want))
+		t.Fatalf("got %d events %v, want %d", len(kinds), kinds, len(want))
 	}
 	for i := range want {
 		if kinds[i] != want[i] {
-			t.Fatalf("token %d = %v (%q), want %v", i, kinds[i], names[i], want[i])
+			t.Fatalf("event %d = %v (%q), want %v", i, kinds[i], names[i], want[i])
 		}
 	}
 }
@@ -126,16 +129,18 @@ func TestCDataAndComments(t *testing.T) {
 	}
 }
 
-func TestDoctypeAndDTDElements(t *testing.T) {
-	src := `<?xml version="1.0"?>
-<!DOCTYPE PLAY [
+// TestDoctypeNameAndBody: the DOCTYPE's name and its whole body, internal
+// subset included, reach the Document (schema.ParseDTD reads the body).
+func TestDoctypeNameAndBody(t *testing.T) {
+	subset := `[
   <!ELEMENT PLAY (TITLE, ACT+)>
   <!ELEMENT TITLE (#PCDATA)>
   <!ELEMENT ACT (SCENE+)>
   <!ATTLIST ACT n CDATA #IMPLIED>
   <!ELEMENT SCENE (SPEECH+)>
-]>
-<PLAY><TITLE>x</TITLE><ACT><SCENE><SPEECH/></SCENE></ACT></PLAY>`
+]`
+	src := "<?xml version=\"1.0\"?>\n<!DOCTYPE PLAY " + subset + ">\n" +
+		`<PLAY><TITLE>x</TITLE><ACT><SCENE><SPEECH/></SCENE></ACT></PLAY>`
 	doc, err := ParseString(src, ParseOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -143,14 +148,8 @@ func TestDoctypeAndDTDElements(t *testing.T) {
 	if doc.DoctypeName != "PLAY" {
 		t.Fatalf("doctype = %q", doc.DoctypeName)
 	}
-	want := []string{"PLAY", "TITLE", "ACT", "SCENE"}
-	if len(doc.DTDElements) != len(want) {
-		t.Fatalf("DTDElements = %v", doc.DTDElements)
-	}
-	for i, w := range want {
-		if doc.DTDElements[i] != w {
-			t.Fatalf("DTDElements[%d] = %q, want %q", i, doc.DTDElements[i], w)
-		}
+	if want := "PLAY " + subset; doc.DoctypeRaw != want {
+		t.Fatalf("doctype body = %q, want %q", doc.DoctypeRaw, want)
 	}
 }
 
