@@ -328,19 +328,14 @@ func dumpBytes(seg *segment.Segment, free map[pagedev.PageNo]int, store *docstor
 	var count, size [noderep.FormatVersion + 1]int64 // by format version
 	var logical, textOnly, fused, payload int64
 	recordPages := map[pagedev.PageNo]bool{}
-	var walk func(rid records.RID)
-	walk = func(rid records.RID) {
-		rec, err := trees.LoadRecordForInspection(rid)
-		if err != nil {
-			fatalf("record %s: %v", rid, err)
-		}
+	census := func(rid records.RID, rec *noderep.Record) error {
 		n, err := rm.Size(rid)
 		if err != nil {
-			fatalf("record %s: %v", rid, err)
+			return fmt.Errorf("record %s: %w", rid, err)
 		}
 		page, err := rm.PageOf(rid)
 		if err != nil {
-			fatalf("record %s: %v", rid, err)
+			return fmt.Errorf("record %s: %w", rid, err)
 		}
 		v := rec.ImageVersion()
 		count[v]++
@@ -357,15 +352,16 @@ func dumpBytes(seg *segment.Segment, free map[pagedev.PageNo]int, store *docstor
 					fused++
 				}
 			}
-			if n.Kind == noderep.KindProxy {
-				walk(n.Target)
-			}
 			return true
 		})
+		return nil
 	}
 	for _, info := range store.Documents() {
-		if info.Mode == docstore.ModeTree {
-			walk(info.Root)
+		if info.Mode != docstore.ModeTree {
+			continue
+		}
+		if err := trees.OpenTree(info.Root).WalkRecords(census); err != nil {
+			fatalf("document %s: %v", info.Name, err)
 		}
 	}
 	px, err := pathindex.Open(rm)
@@ -419,17 +415,25 @@ func dumpDoc(store *docstore.Store, trees *core.Store, d *dict.Dict, name string
 		fatalf("%q is flat; nothing to dump", name)
 	}
 	fmt.Printf("\nrecord tree of %q:\n", name)
-	dumpRecord(trees, d, info.Root, 0)
+	dumpRecord(trees, d, info.Root, 0, map[records.RID]bool{})
 }
 
-func dumpRecord(trees *core.Store, d *dict.Dict, rid records.RID, depth int) {
-	rec, err := trees.LoadRecordForInspection(rid)
-	if err != nil {
-		fatalf("record %s: %v", rid, err)
-	}
+// dumpRecord prints record rid and, where each of its proxies stands, the
+// record the proxy points to. A record printed before is named, not
+// printed again: a damaged store may reach a record twice, or in a cycle.
+func dumpRecord(trees *core.Store, d *dict.Dict, rid records.RID, depth int, printed map[records.RID]bool) {
 	indent := ""
 	for i := 0; i < depth; i++ {
 		indent += "  "
+	}
+	if printed[rid] {
+		fmt.Printf("%srecord %s (printed above: reached twice)\n", indent, rid)
+		return
+	}
+	printed[rid] = true
+	rec, err := trees.LoadRecordForInspection(rid)
+	if err != nil {
+		fatalf("record %s: %v", rid, err)
 	}
 	fmt.Printf("%srecord %s (%d bytes, parent %s)\n",
 		indent, rid, noderep.EncodedSize(rec), rec.ParentRID)
@@ -458,7 +462,7 @@ func dumpRecord(trees *core.Store, d *dict.Dict, rid records.RID, depth int) {
 			fmt.Printf("%sliteral %q (%d bytes)\n", pad, v, len(n.Payload))
 		case noderep.KindProxy:
 			fmt.Printf("%sproxy -> %s\n", pad, n.Target)
-			dumpRecord(trees, d, n.Target, depth+1)
+			dumpRecord(trees, d, n.Target, depth+1, printed)
 		}
 	}
 	dump(rec.Root, 0)

@@ -143,8 +143,8 @@ func TestCursorLimit(t *testing.T) {
 // termination does strictly fewer logical page reads than full
 // materialization: a //SPEAKER[1]-style positional query and a
 // limit-1 cursor against the materializing //SPEAKER query, on the
-// scan path and on the indexed path. The record cache is
-// disabled so every record access is a buffer-pool access.
+// scan path and on the indexed path. A record cache hit
+// still touches its page, so every record access is a buffer-pool access.
 func TestCursorEarlyTerminationFewerReads(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -154,7 +154,7 @@ func TestCursorEarlyTerminationFewerReads(t *testing.T) {
 		{"indexed", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			db, err := Open(Options{PathIndex: tc.indexed, CacheRecords: -1})
+			db, err := Open(Options{PathIndex: tc.indexed})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -141,7 +141,8 @@ func (d *Document) Walk(fn func(path []int, name, text string) bool) error {
 		dictionary := d.db.store.Dict()
 		return c.WalkPreOrder(func(c *core.Cursor) bool {
 			if c.IsLiteral() {
-				text, err := c.Ref().Literal().StringValue()
+				ref := c.Ref()
+				text, err := ref.StringValue()
 				if err != nil {
 					text = fmt.Sprintf("<binary literal: %v>", err)
 				}

@@ -55,7 +55,7 @@ func hasNoallocMarker(doc *ast.CommentGroup) bool {
 func checkNoalloc(pass *Pass, fd *ast.FuncDecl) {
 	c := &naChecker{pass: pass, owned: make(map[types.Object]bool)}
 	// Parameters and the receiver are caller-owned: appending into
-	// them (ChildrenAppend's buf) reuses caller capacity by contract.
+	// them (ReadChildren's buf) reuses caller capacity by contract.
 	if fd.Recv != nil {
 		c.addOwned(fd.Recv.List)
 	}

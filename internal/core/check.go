@@ -2,10 +2,74 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"natix/internal/noderep"
 	"natix/internal/records"
 )
+
+// WalkRecords calls fn for every record of the tree: the root record
+// first, each record before the records its proxies point to, and those
+// in the order of their proxies — the record graph whose proxies,
+// substituted by their records, give the document back (§2.3.3). Each
+// record is read once, through the record cache's image (loadImage), and
+// decoded into memory of the walk's own: no decoded tree enters the
+// cache, so the walk leaves the images the read path works on where they
+// were. The tree fn gets is valid until fn returns. A record reached a
+// second time — the graph is not a tree — ends the walk with an error, as
+// does the first error fn returns.
+func (t *Tree) WalkRecords(fn func(rid records.RID, rec *noderep.Record) error) error {
+	return t.store.walkRecords(t.rootRID, fn)
+}
+
+// walkRecords is WalkRecords from record root down.
+func (s *Store) walkRecords(root records.RID, fn func(records.RID, *noderep.Record) error) error {
+	seen := make(map[records.RID]bool)
+	var buf []byte
+	todo := []records.RID{root}
+	for len(todo) > 0 {
+		rid := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		if seen[rid] {
+			return fmt.Errorf("record %s reachable twice", rid)
+		}
+		seen[rid] = true
+		rec, err := s.decodeImage(rid, &buf)
+		if err != nil {
+			return err
+		}
+		if err := fn(rid, rec); err != nil {
+			return err
+		}
+		// Stacked last to first, so the first proxy's record comes next.
+		mark := len(todo)
+		rec.Root.Walk(func(n *noderep.Node) bool {
+			if n.Kind == noderep.KindProxy {
+				todo = append(todo, n.Target)
+			}
+			return true
+		})
+		slices.Reverse(todo[mark:])
+	}
+	return nil
+}
+
+// decodeImage decodes record rid's image, read through the record cache,
+// into a tree of the caller's own, with *buf as the decoder's scratch:
+// nothing of it enters the cache.
+func (s *Store) decodeImage(rid records.RID, buf *[]byte) (*noderep.Record, error) {
+	im, err := s.loadImage(rid)
+	if err != nil {
+		return nil, err
+	}
+	*buf = append((*buf)[:0], im.Data()...)
+	s.stats.recordsDecoded.Add(1)
+	rec, err := noderep.Decode(*buf)
+	if err != nil {
+		return nil, fmt.Errorf("record %s: %w", rid, err)
+	}
+	return rec, nil
+}
 
 // CheckInvariants walks every record reachable from the tree root and
 // verifies the physical invariants the storage manager maintains:
@@ -24,20 +88,13 @@ import (
 // It is exercised heavily by tests and by cmd/natix-inspect.
 func (t *Tree) CheckInvariants() error {
 	s := t.store
-	seen := make(map[records.RID]bool)
 	// A layout of its own: checks run under read locks, beside the writer
 	// that owns the store's scratch.
 	var l noderep.Layout
-	var walk func(rid, wantParent records.RID, isRoot bool) error
-	walk = func(rid, wantParent records.RID, isRoot bool) error {
-		if seen[rid] {
-			return fmt.Errorf("record %s reachable twice", rid)
-		}
-		seen[rid] = true
-		rec, err := s.loadRecord(rid)
-		if err != nil {
-			return fmt.Errorf("record %s: %w", rid, err)
-		}
+	// Every record the walk has seen a proxy to, mapped to the record
+	// holding the proxy: a parent comes before its children.
+	parents := map[records.RID]records.RID{t.rootRID: records.NilRID}
+	return t.WalkRecords(func(rid records.RID, rec *noderep.Record) error {
 		if err := noderep.Measure(rec, &l); err != nil {
 			return fmt.Errorf("record %s: %w", rid, err)
 		}
@@ -52,54 +109,32 @@ func (t *Tree) CheckInvariants() error {
 		} else if want := l.StoredSize(rec); stored != want {
 			return fmt.Errorf("record %s: stored image has %d bytes, its tree encodes to %d", rid, stored, want)
 		}
-		if rec.ParentRID != wantParent {
-			return fmt.Errorf("record %s: parent RID %s, want %s", rid, rec.ParentRID, wantParent)
+		if want := parents[rid]; rec.ParentRID != want {
+			return fmt.Errorf("record %s: parent RID %s, want %s", rid, rec.ParentRID, want)
 		}
-		if isRoot && rec.Root.Scaffold {
+		if rid == t.rootRID && rec.Root.Scaffold {
 			return fmt.Errorf("root record %s rooted in scaffolding", rid)
 		}
 		if rec.Root.Scaffold && len(rec.Root.Children) == 0 {
 			return fmt.Errorf("record %s: empty scaffolding record", rid)
 		}
-		var firstErr error
 		rec.Root.Walk(func(n *noderep.Node) bool {
 			if n.Kind == noderep.KindProxy {
-				if err := walk(n.Target, rid, false); err != nil && firstErr == nil {
-					firstErr = err
-					return false
-				}
+				parents[n.Target] = rid
 			}
 			return true
 		})
-		return firstErr
-	}
-	return walk(t.rootRID, records.NilRID, true)
+		return nil
+	})
 }
 
 // RecordCount returns the number of records the tree currently occupies.
 func (t *Tree) RecordCount() (int, error) {
-	s := t.store
 	count := 0
-	var walk func(rid records.RID) error
-	walk = func(rid records.RID) error {
+	if err := t.WalkRecords(func(records.RID, *noderep.Record) error {
 		count++
-		rec, err := s.loadRecord(rid)
-		if err != nil {
-			return err
-		}
-		var firstErr error
-		rec.Root.Walk(func(n *noderep.Node) bool {
-			if n.Kind == noderep.KindProxy {
-				if err := walk(n.Target); err != nil && firstErr == nil {
-					firstErr = err
-					return false
-				}
-			}
-			return true
-		})
-		return firstErr
-	}
-	if err := walk(t.rootRID); err != nil {
+		return nil
+	}); err != nil {
 		return 0, err
 	}
 	return count, nil

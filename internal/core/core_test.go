@@ -107,11 +107,37 @@ func materialize(t *testing.T, tr *Tree) *refNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := tr.Store().BuildSubtree(root)
+	sub, err := buildSubtree(tr.Store(), root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return toRef(sub)
+}
+
+// buildSubtree materializes the logical subtree under ref as a pure
+// facade tree (no proxies, no scaffolds) from the decoded records: the
+// reconstruction the paper describes in §2.3.3.
+func buildSubtree(s *Store, ref NodeRef) (*noderep.Node, error) {
+	n := ref.node
+	out := &noderep.Node{
+		Kind: n.Kind, Label: n.Label, LitType: n.LitType,
+	}
+	if n.Kind == noderep.KindLiteral {
+		out.Payload = append([]byte(nil), n.Payload...)
+		return out, nil
+	}
+	kids, err := s.Children(ref)
+	if err != nil {
+		return nil, err
+	}
+	for _, k := range kids {
+		sub, err := buildSubtree(s, k)
+		if err != nil {
+			return nil, err
+		}
+		out.AppendChild(sub)
+	}
+	return out, nil
 }
 
 func TestCreateAndSmallInserts(t *testing.T) {
@@ -670,7 +696,8 @@ func TestCursorTraversalOrder(t *testing.T) {
 	err = c.WalkPreOrder(func(c *Cursor) bool {
 		labels = append(labels, c.Label())
 		if c.IsLiteral() {
-			v, _ := c.Ref().Literal().StringValue()
+			ref := c.Ref()
+			v, _ := ref.StringValue()
 			gotTexts = append(gotTexts, v)
 		}
 		return true

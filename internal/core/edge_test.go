@@ -269,13 +269,13 @@ func TestTypedLiteralsThroughStorage(t *testing.T) {
 	if err != nil || len(kids) != 3 {
 		t.Fatalf("kids = %d, %v", len(kids), err)
 	}
-	if v, err := kids[0].Literal().IntValue(); err != nil || v != -123456789 {
+	if v, err := kids[0].node.IntValue(); err != nil || v != -123456789 {
 		t.Fatalf("int = %d, %v", v, err)
 	}
-	if v, err := kids[1].Literal().FloatValue(); err != nil || v != 2.5 {
+	if v, err := kids[1].node.FloatValue(); err != nil || v != 2.5 {
 		t.Fatalf("float = %v, %v", v, err)
 	}
-	if v, err := kids[2].Literal().StringValue(); err != nil || v != "https://example.org/atlas" {
+	if v, err := kids[2].StringValue(); err != nil || v != "https://example.org/atlas" {
 		t.Fatalf("uri = %q, %v", v, err)
 	}
 }
@@ -482,5 +482,65 @@ func TestRecordAtExactCapacity(t *testing.T) {
 		if got := materialize(t, tr); len(got.children) != 14 {
 			t.Fatalf("%d children, want 14", len(got.children))
 		}
+	}
+}
+
+// TestProxyCycleIsAnError: a record rewritten to hold a proxy back to the
+// tree's root record closes a cycle in the record graph. Every walk of
+// the graph — RecordCount, CheckInvariants, DeleteTree — returns an error
+// instead of following the proxies until the stack overflows, and
+// DeleteTree removes no record before it fails.
+func TestProxyCycleIsAnError(t *testing.T) {
+	s := newStore(t, 512, Config{})
+	tr, err := s.CreateTree(lPlay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if err := tr.AppendChild(Path{}, noderep.NewTextLiteral(fmt.Sprintf("%-40s", fmt.Sprint("text ", i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root := tr.RootRID()
+	rec, err := s.LoadRecordForInspection(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := records.NilRID
+	rec.Root.Walk(func(n *noderep.Node) bool {
+		if n.Kind == noderep.KindProxy && child.IsNil() {
+			child = n.Target
+		}
+		return true
+	})
+	if child.IsNil() {
+		t.Fatal("the root record holds no proxy")
+	}
+	crec, err := s.LoadRecordForInspection(child)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crec.Root.AppendChild(noderep.NewProxy(root))
+	body, err := noderep.Encode(crec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Records().Update(child, body); err != nil {
+		t.Fatal(err)
+	}
+	s.InvalidateCache()
+
+	if n, err := tr.RecordCount(); err == nil {
+		t.Errorf("RecordCount = %d over a proxy cycle, want an error", n)
+	}
+	if err := tr.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "reachable twice") {
+		t.Errorf("CheckInvariants = %v, want a record reachable twice", err)
+	}
+	deleted := s.Stats().RecordsDeleted
+	if err := tr.DeleteTree(); err == nil {
+		t.Error("DeleteTree over a proxy cycle succeeded")
+	}
+	if n := s.Stats().RecordsDeleted - deleted; n != 0 {
+		t.Errorf("DeleteTree removed %d records before it failed", n)
 	}
 }

@@ -303,7 +303,8 @@ func testStoreUpgradesByEdit(t *testing.T, old byte) {
 	var texts []string
 	err = c.WalkPreOrder(func(c *Cursor) bool {
 		if c.IsLiteral() {
-			text, err := refTextContent(s, c.Ref())
+			ref := c.Ref()
+			text, err := ref.StringValue()
 			if err != nil {
 				t.Fatal(err)
 			}

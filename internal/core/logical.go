@@ -8,10 +8,11 @@ import (
 	"natix/internal/records"
 )
 
-// NodeRef addresses one facade node: the record it lives in plus the
-// parsed physical node. Refs are invalidated by any mutation of the tree;
-// they are meant for read traversals and for immediate use during one
-// insert/delete operation.
+// NodeRef addresses one facade node of a decoded record: the record it
+// lives in plus the parsed physical node. It is the write path's address
+// (Locate, childEntries) and, through Root and Children, the decoded
+// reference the differential tests hold ReadRef to. Refs are invalidated
+// by any mutation of the tree.
 type NodeRef struct {
 	rid  records.RID
 	node *noderep.Node
@@ -21,18 +22,15 @@ type NodeRef struct {
 // RID returns the record holding the node.
 func (r NodeRef) RID() records.RID { return r.rid }
 
-// Kind returns the physical node kind (aggregate or literal; proxies and
-// scaffolds are never exposed through logical navigation).
-func (r NodeRef) Kind() noderep.Kind { return r.node.Kind }
-
 // Label returns the node's label id.
 func (r NodeRef) Label() dict.LabelID { return r.node.Label }
 
 // IsLiteral reports whether the node is a literal leaf.
 func (r NodeRef) IsLiteral() bool { return r.node.Kind == noderep.KindLiteral }
 
-// Literal returns the underlying literal node for payload access.
-func (r NodeRef) Literal() *noderep.Node { return r.node }
+// StringValue returns the character data of a string or URI literal; for
+// any other node the error noderep.Node.StringValue reports.
+func (r NodeRef) StringValue() (string, error) { return r.node.StringValue() }
 
 // Path is a logical path from the tree root: a sequence of child indexes.
 type Path []int
@@ -59,62 +57,6 @@ func (t *Tree) Root() (NodeRef, error) {
 		return NodeRef{}, err
 	}
 	return NodeRef{rid: t.rootRID, node: rec.Root, rec: rec}, nil
-}
-
-// isFacade reports whether a physical node is part of the logical
-// document (a non-scaffold aggregate or a literal), as opposed to the
-// scaffolding proxies and helper aggregates introduced by splits.
-func isFacade(n *noderep.Node) bool {
-	switch n.Kind {
-	case noderep.KindAggregate:
-		return !n.Scaffold
-	case noderep.KindLiteral:
-		return true
-	}
-	return false
-}
-
-// FacadeIndexer assigns each node its *facade index*: the node's
-// position in its record's facade enumeration — the pre-order walk of
-// the record's physical tree counting only facade nodes (proxies are
-// leaves of that walk, so the enumeration never leaves the record).
-// Together with the record RID the facade index forms a persistable
-// logical node address that stays valid as long as the record is not
-// rewritten — the address the path index stores in its postings, and
-// what a FacadeWalker resolves over the record's image.
-//
-// Enumerations are memoized per parsed record, so addressing every
-// node of a record costs one walk instead of one walk per node. The
-// memo is keyed on parsed record instances and must not outlive
-// mutations of the tree.
-type FacadeIndexer struct {
-	memo map[*noderep.Record]map[*noderep.Node]int
-}
-
-// NewFacadeIndexer returns an empty indexer.
-func NewFacadeIndexer() *FacadeIndexer {
-	return &FacadeIndexer{memo: make(map[*noderep.Record]map[*noderep.Node]int)}
-}
-
-// Index returns FacadeIndex(ref), computing each record's enumeration
-// at most once.
-func (fi *FacadeIndexer) Index(ref NodeRef) (int, error) {
-	m, ok := fi.memo[ref.rec]
-	if !ok {
-		m = make(map[*noderep.Node]int)
-		ref.rec.Root.Walk(func(n *noderep.Node) bool {
-			if isFacade(n) {
-				m[n] = len(m)
-			}
-			return true
-		})
-		fi.memo[ref.rec] = m
-	}
-	idx, ok := m[ref.node]
-	if !ok {
-		return 0, fmt.Errorf("core: node not found in record %s", ref.rid)
-	}
-	return idx, nil
 }
 
 // physPos locates a physical child slot: the record, the physical parent
@@ -188,47 +130,22 @@ func (s *Store) collectEntries(rid records.RID, rec *noderep.Record, agg *nodere
 	return nil
 }
 
-// Children returns the logical children of ref in document order.
+// Children returns the logical children of ref in document order, read
+// off the decoded records (collectEntries): the reference the image walk,
+// ReadChildren, is held to.
 func (s *Store) Children(ref NodeRef) ([]NodeRef, error) {
-	return s.ChildrenAppend(ref, nil)
-}
-
-// ChildrenAppend appends ref's logical children to buf and returns the
-// extended slice — the allocation-free variant of Children for callers
-// that recycle traversal buffers. Unlike childEntries it carries no
-// physical slot information, which is all the read paths need.
-//
-//natix:noalloc
-func (s *Store) ChildrenAppend(ref NodeRef, buf []NodeRef) ([]NodeRef, error) {
 	if ref.node.Kind != noderep.KindAggregate {
-		return buf, nil
+		return nil, nil
 	}
-	return s.appendChildRefs(ref.rid, ref.rec, ref.node, buf)
-}
-
-// appendChildRefs is collectEntries minus the slot bookkeeping,
-// appending bare refs into a caller-owned buffer.
-//
-//natix:noalloc
-func (s *Store) appendChildRefs(rid records.RID, rec *noderep.Record, agg *noderep.Node, out []NodeRef) ([]NodeRef, error) {
-	for _, n := range agg.Children {
-		if n.Kind == noderep.KindProxy {
-			child, err := s.loadRecord(n.Target)
-			if err != nil {
-				return out, fmt.Errorf("resolving proxy to %s: %w", n.Target, err) //natix:vet-ignore I/O error path
-			}
-			if child.Root.Scaffold && child.Root.Kind == noderep.KindAggregate {
-				if out, err = s.appendChildRefs(n.Target, child, child.Root, out); err != nil {
-					return out, err
-				}
-			} else {
-				out = append(out, NodeRef{rid: n.Target, node: child.Root, rec: child})
-			}
-		} else {
-			out = append(out, NodeRef{rid: rid, node: n, rec: rec})
-		}
+	var entries []childEntry
+	if err := s.collectEntries(ref.rid, ref.rec, ref.node, -1, &entries); err != nil {
+		return nil, err
 	}
-	return out, nil
+	kids := make([]NodeRef, len(entries))
+	for i, e := range entries {
+		kids[i] = e.ref
+	}
+	return kids, nil
 }
 
 // Locate resolves a logical path from the root. Each step stops at the
@@ -254,10 +171,10 @@ func (t *Tree) Locate(path Path) (NodeRef, error) {
 }
 
 // childAt returns logical child idx of the aggregate agg, which lives in
-// record rid — the idx-th node appendChildRefs would append, found
-// without building the list or expanding anything behind it. When agg
-// has no such child the ref is zero and n is the number of logical
-// children it does have.
+// record rid — the idx-th node Children would return, found without
+// building the list or expanding anything behind it. When agg has no such
+// child the ref is zero and n is the number of logical children it does
+// have.
 //
 //natix:noalloc
 func (s *Store) childAt(rid records.RID, rec *noderep.Record, agg *noderep.Node, idx int) (ref NodeRef, n int, err error) {
@@ -288,34 +205,35 @@ func (s *Store) childAt(rid records.RID, rec *noderep.Record, agg *noderep.Node,
 	return NodeRef{}, n, nil
 }
 
-// Cursor provides DOM-style navigation over the logical tree. It holds
+// Cursor provides DOM-style navigation over the logical tree, reading the
+// record images (ReadRoot, ReadChildren): it decodes nothing. It holds
 // the expanded child lists of the current ancestor chain, so a full
-// traversal loads each record once per visit path.
+// traversal reads each record once per visit path.
 type Cursor struct {
-	tree  *Tree
+	store *Store
 	stack []cursorFrame
 }
 
 type cursorFrame struct {
-	ref  NodeRef
-	kids []NodeRef // expanded lazily
+	ref  ReadRef
+	kids []ReadRef // expanded lazily
 	idx  int       // index of ref within parent's kids (-1 for root)
 }
 
 // Cursor opens a cursor positioned at the tree root.
 func (t *Tree) Cursor() (*Cursor, error) {
-	root, err := t.Root()
+	root, err := t.store.ReadRoot(t.rootRID)
 	if err != nil {
 		return nil, err
 	}
-	return &Cursor{tree: t, stack: []cursorFrame{{ref: root, idx: -1}}}, nil
+	return &Cursor{store: t.store, stack: []cursorFrame{{ref: root, idx: -1}}}, nil
 }
 
 // cur returns the top frame.
 func (c *Cursor) cur() *cursorFrame { return &c.stack[len(c.stack)-1] }
 
 // Ref returns the node the cursor points at.
-func (c *Cursor) Ref() NodeRef { return c.cur().ref }
+func (c *Cursor) Ref() ReadRef { return c.cur().ref }
 
 // Label returns the current node's label.
 func (c *Cursor) Label() dict.LabelID { return c.cur().ref.Label() }
@@ -336,15 +254,15 @@ func (c *Cursor) Path() Path {
 }
 
 // kids returns (computing if needed) the expanded children of the top.
-func (c *Cursor) kids() ([]NodeRef, error) {
+func (c *Cursor) kids() ([]ReadRef, error) {
 	f := c.cur()
 	if f.kids == nil {
-		k, err := c.tree.store.Children(f.ref)
+		k, err := c.store.ReadChildren(&f.ref, nil)
 		if err != nil {
 			return nil, err
 		}
 		if k == nil {
-			k = []NodeRef{}
+			k = []ReadRef{}
 		}
 		f.kids = k
 	}
@@ -418,30 +336,4 @@ func (c *Cursor) WalkPreOrder(fn func(*Cursor) bool) error {
 	}
 	c.Parent()
 	return nil
-}
-
-// BuildSubtree materializes the logical subtree under ref as a pure
-// facade tree (no proxies, no scaffolds): the reconstruction the paper
-// describes in §2.3.3. Used for export and for model-equivalence tests.
-func (s *Store) BuildSubtree(ref NodeRef) (*noderep.Node, error) {
-	n := ref.node
-	out := &noderep.Node{
-		Kind: n.Kind, Label: n.Label, LitType: n.LitType,
-	}
-	if n.Kind == noderep.KindLiteral {
-		out.Payload = append([]byte(nil), n.Payload...)
-		return out, nil
-	}
-	kids, err := s.Children(ref)
-	if err != nil {
-		return nil, err
-	}
-	for _, k := range kids {
-		sub, err := s.BuildSubtree(k)
-		if err != nil {
-			return nil, err
-		}
-		out.AppendChild(sub)
-	}
-	return out, nil
 }

@@ -14,9 +14,12 @@ import (
 // is a small subtree inside one page, stored in pre-order (noderep.Image),
 // so resolving a posting, listing a node's children and reading its text
 // are passes over headers in the image the record cache holds: nothing is
-// decoded, and a query over a warm store allocates nothing per node. The
-// decoded tree (loadRecord, NodeRef) is the write path's, and what Cursor
-// and BuildSubtree hand to callers that want nodes.
+// decoded, and a query over a warm store allocates nothing per node.
+// Every reader that is not a mutator reads this way — queries and their
+// read-out, Cursor (Document.Walk), pathindex.Build — and the diagnostics
+// that want trees decode their own (WalkRecords). The decoded tree
+// (loadRecord, NodeRef) is the write path's, and the differential tests'
+// reference (Root, Children).
 //
 // A cached image is an immutable string (noderep.Image), so the text a
 // ReadRef reads out of its own record — TextOnly, StringValue — is a
@@ -192,7 +195,7 @@ func (s *Store) readRoot(rid records.RID, r *ReadRef) error {
 }
 
 // ReadChildren appends the logical children of ref to buf in document
-// order and returns the extended slice: ChildrenAppend over images. The
+// order and returns the extended slice: Children over images. The
 // records behind proxies are loaded as they are reached, and scaffolding
 // aggregates are spliced away.
 //

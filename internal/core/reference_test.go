@@ -20,6 +20,19 @@ import (
 // walk of a decoded record from its root, and the text of a decoded
 // subtree gathered a child list at a time.
 
+// isFacade reports whether a physical node is part of the logical
+// document (a non-scaffold aggregate or a literal), as opposed to the
+// scaffolding proxies and helper aggregates introduced by splits.
+func isFacade(n *noderep.Node) bool {
+	switch n.Kind {
+	case noderep.KindAggregate:
+		return !n.Scaffold
+	case noderep.KindLiteral:
+		return true
+	}
+	return false
+}
+
 // refFindFacade returns the *seq-th facade node of the pre-order walk
 // under n (proxies are leaves of the walk), counting *seq down as it
 // goes; nil if the subtree has fewer facade nodes.
@@ -348,7 +361,7 @@ func refLocate(t *Tree, path Path) (NodeRef, error) {
 	}
 	var kids []NodeRef
 	for depth, idx := range path {
-		kids, err = t.store.ChildrenAppend(ref, kids[:0])
+		kids, err = t.store.Children(ref)
 		if err != nil {
 			return NodeRef{}, err
 		}

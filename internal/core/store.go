@@ -65,7 +65,7 @@ type Stats struct {
 	RecordsRewritten int64 // full re-encodes of an existing record
 	RecordsSpliced   int64 // node edits written as a splice of the stored image
 	ParentPatches    int64 // standalone parent-RID fixups written
-	RecordsDecoded   int64 // record images decoded into trees (the write path's)
+	RecordsDecoded   int64 // record images decoded into trees (the write path's, and WalkRecords' own)
 	CacheHits        int64
 	CacheMisses      int64
 }
@@ -81,8 +81,8 @@ var (
 )
 
 // Store is the tree storage manager. Read traversals (ReadRoot,
-// ReadChildren, AppendReadText, FacadeWalker, and Root, Children and
-// Cursor walks over decoded records) are safe for any number of
+// ReadChildren, AppendReadText, FacadeWalker, Cursor, WalkRecords, and
+// the decoded reference Root and Children) are safe for any number of
 // concurrent callers: the record cache is sharded and the counters are
 // atomics. Mutating operations
 // (InsertChild, Delete, splits) must be serialized by the caller and
@@ -95,7 +95,8 @@ type Store struct {
 	stats storeStats
 
 	// decodeBufs holds the buffers loadRecord decodes record images from;
-	// loadRecord runs concurrently for readers that walk decoded trees.
+	// loadRecord runs concurrently when the decoded reference (Root,
+	// Children) is read beside other readers.
 	decodeBufs sync.Pool
 
 	// Scratch of the (serialized) mutating operations: the layout of the
@@ -192,8 +193,10 @@ func (s *Store) InvalidateCache() {
 func (s *Store) maxRecordSize() int { return s.rm.MaxRecordSize() }
 
 // loadRecord returns the decoded tree of a record: the write path's
-// form, which its operations edit in place before writing the record
-// back. A cached tree is returned as it is; otherwise the record's image
+// form, which its operations (insert, delete, split, patchParentRID, and
+// Locate, childAt and collectEntries on their way) edit in place before
+// writing the record back; Root and Children read it as the decoded
+// reference. No other reader calls it. A cached tree is returned as it is; otherwise the record's image
 // — the cached one, or the one stored in its page — is copied into a
 // pooled buffer (noderep.Decode takes bytes and keeps none of them) and
 // decoded, and the tree takes the image's place in the cache: the write
@@ -381,33 +384,33 @@ func (t *Tree) DeleteTree() error {
 	return t.store.deleteRecordTree(t.rootRID)
 }
 
-// LoadRecordForInspection exposes the decoded form of a record for
-// diagnostic tools (cmd/natix-inspect). The returned record must be
-// treated as read-only.
+// LoadRecordForInspection decodes a record for diagnostic tools
+// (cmd/natix-inspect) and tests: a tree of the caller's own, which never
+// enters the record cache.
 func (s *Store) LoadRecordForInspection(rid records.RID) (*noderep.Record, error) {
-	return s.loadRecord(rid)
+	var buf []byte
+	return s.decodeImage(rid, &buf)
 }
 
 // deleteRecordTree removes rid and every record reachable through its
-// proxies.
+// proxies, each after the records below it. The records are listed
+// first (walkRecords), so a damaged graph — a record that cannot be
+// read, or one reached twice — fails the delete before anything is
+// removed.
 func (s *Store) deleteRecordTree(rid records.RID) error {
-	rec, err := s.loadRecord(rid)
-	if err != nil {
+	var rids []records.RID
+	if err := s.walkRecords(rid, func(rid records.RID, _ *noderep.Record) error {
+		rids = append(rids, rid)
+		return nil
+	}); err != nil {
 		return err
 	}
-	var firstErr error
-	rec.Root.Walk(func(n *noderep.Node) bool {
-		if n.Kind == noderep.KindProxy {
-			if err := s.deleteRecordTree(n.Target); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	for i := len(rids) - 1; i >= 0; i-- {
+		if err := s.deleteRecord(rids[i]); err != nil {
+			return err
 		}
-		return true
-	})
-	if firstErr != nil {
-		return firstErr
 	}
-	return s.deleteRecord(rid)
+	return nil
 }
 
 // recCache is a small LRU of records, sharded by RID so concurrent

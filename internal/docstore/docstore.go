@@ -991,92 +991,3 @@ func (s *Store) convertLocked(cx context.Context, name string, to Mode, sp *tele
 	_, err := s.importStreamLocked(context.Background(), name, p, sp)
 	return err
 }
-
-// TreeStats describes the physical organization of one tree-mode
-// document — the "physical schema information and statistics" the
-// paper's schema manager keeps (§2.1).
-type TreeStats struct {
-	Nodes        int            // logical nodes
-	Records      int            // physical records
-	Proxies      int            // scaffolding proxies
-	Scaffolds    int            // scaffolding aggregates
-	Depth        int            // logical tree depth
-	Bytes        int            // sum of encoded record sizes
-	LabelCounts  map[string]int // facade nodes per element name
-	MaxRecordLen int            // largest record in bytes
-}
-
-// Stats computes physical statistics for a tree-mode document by
-// walking its record tree.
-func (s *Store) Stats(name string) (TreeStats, error) {
-	if err := s.checkQuarantine(name); err != nil {
-		return TreeStats{}, err
-	}
-	l := s.lockFor(name)
-	l.RLock()
-	defer l.RUnlock()
-	info, ok := s.lookup(name)
-	if !ok {
-		return TreeStats{}, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if info.Mode != ModeTree {
-		return TreeStats{}, fmt.Errorf("%w: %q", ErrNotTree, name)
-	}
-	st := TreeStats{LabelCounts: make(map[string]int)}
-	tree := s.trees.OpenTree(info.Root)
-	var walkRecords func(rid records.RID) error
-	walkRecords = func(rid records.RID) error {
-		rec, err := s.trees.LoadRecordForInspection(rid)
-		if err != nil {
-			return err
-		}
-		st.Records++
-		size := noderep.EncodedSize(rec)
-		st.Bytes += size
-		if size > st.MaxRecordLen {
-			st.MaxRecordLen = size
-		}
-		var firstErr error
-		rec.Root.Walk(func(n *noderep.Node) bool {
-			switch n.Kind {
-			case noderep.KindProxy:
-				st.Proxies++
-				if err := walkRecords(n.Target); err != nil && firstErr == nil {
-					firstErr = err
-					return false
-				}
-			case noderep.KindAggregate:
-				if n.Scaffold {
-					st.Scaffolds++
-				} else {
-					lbl, err := s.dict.Name(n.Label)
-					if err == nil {
-						st.LabelCounts[lbl]++
-					}
-					st.Nodes++
-				}
-			case noderep.KindLiteral:
-				st.Nodes++
-			}
-			return true
-		})
-		return firstErr
-	}
-	if err := walkRecords(info.Root); err != nil {
-		return TreeStats{}, err
-	}
-	// Depth via logical cursor.
-	c, err := tree.Cursor()
-	if err != nil {
-		return TreeStats{}, err
-	}
-	if err := c.WalkPreOrder(func(c *core.Cursor) bool {
-		if c.Depth()+1 > st.Depth {
-			st.Depth = c.Depth() + 1
-		}
-		return true
-	}); err != nil {
-		return TreeStats{}, err
-	}
-	return st, nil
-}

@@ -9,6 +9,7 @@ import (
 	"natix/internal/buffer"
 	"natix/internal/core"
 	"natix/internal/dict"
+	"natix/internal/noderep"
 	"natix/internal/pagedev"
 	"natix/internal/records"
 	"natix/internal/segment"
@@ -425,40 +426,54 @@ func TestConvertBetweenModes(t *testing.T) {
 	}
 }
 
-func TestTreeStats(t *testing.T) {
+// TestProxyCyclePageOwnersAndDelete: over a document whose record graph
+// has a cycle — the record behind the root record's first proxy rewritten
+// to end in a proxy back to the root — PageOwners, which the scrubber
+// attributes damaged pages with, and Delete return an error instead of
+// following the proxies until the stack overflows.
+func TestProxyCyclePageOwnersAndDelete(t *testing.T) {
 	s, _ := newDocStore(t, 512, core.Config{})
-	if _, err := s.ImportXML("p", strings.NewReader(play)); err != nil {
-		t.Fatal(err)
+	var src strings.Builder
+	src.WriteString("<doc>")
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&src, "<t>%-40s</t>", fmt.Sprint("text ", i))
 	}
-	st, err := s.Stats("p")
+	src.WriteString("</doc>")
+	info, err := s.ImportXML("d", strings.NewReader(src.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Nodes == 0 || st.Records == 0 || st.Bytes == 0 {
-		t.Fatalf("stats empty: %+v", st)
-	}
-	if st.LabelCounts["SPEAKER"] != 5 || st.LabelCounts["SPEECH"] != 5 {
-		t.Fatalf("label counts wrong: %v", st.LabelCounts)
-	}
-	// PLAY > ACT > SCENE > SPEECH > SPEAKER > text = depth 6.
-	if st.Depth != 6 {
-		t.Fatalf("depth = %d, want 6", st.Depth)
-	}
-	if st.MaxRecordLen > 512 {
-		t.Fatalf("MaxRecordLen = %d exceeds page", st.MaxRecordLen)
-	}
-	// Every record beyond the root is referenced by exactly one proxy.
-	if st.Proxies != st.Records-1 {
-		t.Fatalf("proxies = %d, records = %d (want records-1)", st.Proxies, st.Records)
-	}
-	// Flat documents have no tree stats.
-	if _, err := s.ImportFlat("f", strings.NewReader(play)); err != nil {
+	rec, err := s.trees.LoadRecordForInspection(info.Root)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Stats("f"); err == nil {
-		t.Fatal("Stats on flat doc succeeded")
+	child := records.NilRID
+	rec.Root.Walk(func(n *noderep.Node) bool {
+		if n.Kind == noderep.KindProxy && child.IsNil() {
+			child = n.Target
+		}
+		return true
+	})
+	if child.IsNil() {
+		t.Fatal("the root record holds no proxy")
 	}
-	if _, err := s.Stats("missing"); err == nil {
-		t.Fatal("Stats on missing doc succeeded")
+	crec, err := s.trees.LoadRecordForInspection(child)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crec.Root.AppendChild(noderep.NewProxy(info.Root))
+	body, err := noderep.Encode(crec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.trees.Records().Update(child, body); err != nil {
+		t.Fatal(err)
+	}
+	s.trees.InvalidateCache()
+	if _, err := s.PageOwners("d"); err == nil {
+		t.Error("PageOwners over a proxy cycle succeeded")
+	}
+	if err := s.Delete("d"); err == nil {
+		t.Error("Delete over a proxy cycle succeeded")
 	}
 }

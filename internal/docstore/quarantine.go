@@ -94,8 +94,8 @@ func (s *Store) checkQuarantine(name string) error {
 // PageOwners returns every data page the named document's on-disk
 // representation touches: its record graph (tree mode) or blob chain
 // (flat mode), overflow-literal blobs, and its path-index blobs. A page
-// that cannot be walked past (a corrupt record mid-graph) ends the walk
-// early: the pages collected so far are returned together with the
+// that cannot be walked past (a corrupt record mid-graph, or a record
+// graph that reaches a record twice) ends the walk early: the pages collected so far are returned together with the
 // error, so the scrubber can still attribute the intact prefix — and
 // the error itself tells it the document is implicated in whatever page
 // broke the walk.
@@ -124,45 +124,38 @@ func (s *Store) PageOwners(name string) ([]pagedev.PageNo, error) {
 		add(ps...)
 		firstErr = err
 	} else {
-		visited := make(map[records.RID]bool)
-		var walk func(rid records.RID) error
-		walk = func(rid records.RID) error {
-			if visited[rid] {
-				return nil
-			}
-			visited[rid] = true
+		// A record's pages: the one its RID names and, for a forwarded
+		// record, the one holding its body. A record is counted when the
+		// proxy to it is seen, so one that cannot be read still is.
+		owns := func(rid records.RID) {
 			add(rid.Page)
 			if p, err := s.trees.Records().PageOf(rid); err == nil {
 				add(p)
 			}
-			rec, err := s.trees.LoadRecordForInspection(rid)
-			if err != nil {
-				return err
-			}
-			var inner error
+		}
+		owns(info.Root)
+		var blobErr error
+		firstErr = s.trees.OpenTree(info.Root).WalkRecords(func(_ records.RID, rec *noderep.Record) error {
 			rec.Root.Walk(func(n *noderep.Node) bool {
-				switch n.Kind {
-				case noderep.KindProxy:
-					if err := walk(n.Target); err != nil && inner == nil {
-						inner = err
-						return false
-					}
-				case noderep.KindLiteral:
-					if n.LitType == noderep.LitLongString {
-						if id, err := n.BlobID(); err == nil {
-							ps, err := s.blobs.Pages(id)
-							add(ps...)
-							if err != nil && inner == nil {
-								inner = err
-							}
+				switch {
+				case n.Kind == noderep.KindProxy:
+					owns(n.Target)
+				case n.Kind == noderep.KindLiteral && n.LitType == noderep.LitLongString:
+					if id, err := n.BlobID(); err == nil {
+						ps, err := s.blobs.Pages(id)
+						add(ps...)
+						if err != nil && blobErr == nil {
+							blobErr = err
 						}
 					}
 				}
 				return true
 			})
-			return inner
+			return nil
+		})
+		if firstErr == nil {
+			firstErr = blobErr
 		}
-		firstErr = walk(info.Root)
 	}
 
 	// Path-index blobs belong to the document too: a corrupt posting

@@ -116,7 +116,7 @@ func xmlMatches(n *xmlkit.Node, name string) bool {
 // folding "@name" aggregates back into attributes.
 func refXMLFromRef(s *Store, ref core.NodeRef) (*xmlkit.Node, error) {
 	if ref.IsLiteral() {
-		v, err := ref.Literal().StringValue()
+		v, err := ref.StringValue()
 		if err != nil {
 			return nil, err
 		}
@@ -169,7 +169,7 @@ func refMarkup(s *Store, ref core.NodeRef) (string, error) {
 // refTextContent is the old core.TextContent.
 func refTextContent(s *Store, ref core.NodeRef) (string, error) {
 	if ref.IsLiteral() {
-		v, err := ref.Literal().StringValue()
+		v, err := ref.StringValue()
 		if err != nil {
 			return "", nil // non-string literal contributes nothing
 		}

@@ -26,7 +26,8 @@ func (t treeRecordTree) rootNode() (core.NodeRef, error) {
 }
 
 func (t treeRecordTree) children(n *core.NodeRef, buf []core.NodeRef) ([]core.NodeRef, error) {
-	return t.s.trees.ChildrenAppend(*n, buf)
+	kids, err := t.s.trees.Children(*n)
+	return append(buf, kids...), err
 }
 
 func (t treeRecordTree) matches(n *core.NodeRef, st *frame) (bool, error) {
@@ -85,19 +86,16 @@ type facadeAddr struct {
 
 // refResolver maps every node address of the named document to its node
 // in the decoded records, found by walking the decoded tree and numbering
-// each record's nodes with core.FacadeIndexer — what the path index
-// builder stores in the postings.
+// each record's nodes in the order the walk reaches them — the record's
+// facade order, what the path index stores in the postings.
 func refResolver(t testing.TB, s *Store, name string) func(pathindex.Posting) core.NodeRef {
 	t.Helper()
 	nodes := map[facadeAddr]core.NodeRef{}
-	fi := core.NewFacadeIndexer()
+	next := map[records.RID]int{}
 	var visit func(ref core.NodeRef)
 	visit = func(ref core.NodeRef) {
-		local, err := fi.Index(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[facadeAddr{ref.RID(), local}] = ref
+		nodes[facadeAddr{ref.RID(), next[ref.RID()]}] = ref
+		next[ref.RID()]++
 		kids, err := s.trees.Children(ref)
 		if err != nil {
 			t.Fatal(err)

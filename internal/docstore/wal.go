@@ -71,9 +71,6 @@ func (s *Store) HeaderSnapshot() []byte {
 	return s.headerCopy
 }
 
-// WALEnabled reports whether mutations run as logged operations.
-func (s *Store) WALEnabled() bool { return s.walW != nil }
-
 // Checkpoint makes every committed operation durable and resets the
 // log: log first, then all dirty pages, then the checkpoint record and
 // log truncation. It excludes mutators for its duration but not

@@ -119,12 +119,6 @@ func StringPayload[P ~[]byte | ~string](kind Kind, lt LitType, payload P) (P, er
 	return payload, nil
 }
 
-// IsString reports whether n is a literal whose payload is character
-// data (a string or a URI).
-func (n *Node) IsString() bool {
-	return n.Kind == KindLiteral && IsStringType(n.LitType)
-}
-
 // IsStringType reports whether literals of type lt hold character data.
 func IsStringType(lt LitType) bool { return lt == LitString || lt == LitURI }
 

@@ -93,15 +93,6 @@ func InitCommon(b []byte, t PageType) {
 	binary.LittleEndian.PutUint64(b[offLSN:], 0)
 }
 
-// PageLSN returns the LSN of the last log record applied to the page,
-// or 0 for pages written before logging (or never written).
-func PageLSN(b []byte) uint64 {
-	if len(b) < CommonHeaderSize {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b[offLSN:])
-}
-
 // SetPageLSN stamps the page LSN. Called by the buffer manager when a
 // logged update completes and by recovery when it applies log records.
 func SetPageLSN(b []byte, lsn uint64) {

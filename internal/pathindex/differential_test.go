@@ -239,6 +239,22 @@ func TestStreamIndexMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := referenceIndex(t, e.store.Trees(), info.Root)
+					// Build over the record images, against the same walk
+					// over the decoded records and the reference builder.
+					got, err := pathindex.Build(e.store.Trees(), info.Root)
+					if err != nil {
+						t.Fatalf("%s: Build: %v", name, err)
+					}
+					ref, err := pathindex.RefBuild(e.store.Trees(), info.Root)
+					if err != nil {
+						t.Fatalf("%s: reference Build: %v", name, err)
+					}
+					if d := pathindex.DiffIndex(got, ref); d != "" {
+						t.Errorf("%s: Build over images, against decoded records: %s", name, d)
+					}
+					if d := pathindex.DiffIndex(got, want); d != "" {
+						t.Errorf("%s: Build, against the reference builder: %s", name, d)
+					}
 					for _, built := range []string{"stream-built", "rebuilt"} {
 						if built == "rebuilt" {
 							if err := e.store.ReindexDocument(name); err != nil {

@@ -47,7 +47,7 @@ type Posting struct {
 	Seq   uint32      // pre-order sequence number over all logical nodes
 	Size  uint32      // logical nodes in the subtree below (descendants)
 	RID   records.RID // record holding the node
-	Local uint16      // facade index within that record (core.FacadeIndexer)
+	Local uint16      // facade index within that record (core.FacadeWalker)
 	Path  PathID      // summary path of the node
 }
 

@@ -9,6 +9,11 @@ package pathindex
 // for its name; StreamBuilder's oracle (differential_test.go and
 // stream_test.go) and the "old" side of BenchmarkStreamBuilder.
 //
+// The index builder before it read record images: one logical
+// pre-order walk over the decoded records (core.NodeRef, Children), each
+// node numbered by a count of its record's nodes the walk reached before
+// it. Build's oracle (differential_test.go).
+//
 // The fixed-width postings encoder of index version 2, 22 bytes a
 // posting. Its decoder is still in codec.go, for stores written before
 // version 3; the encoder lives on here, as the other half of the codec
@@ -24,6 +29,7 @@ import (
 	"slices"
 	"sort"
 
+	"natix/internal/core"
 	"natix/internal/dict"
 	"natix/internal/noderep"
 	"natix/internal/records"
@@ -46,12 +52,70 @@ func refEncodeV2(out []byte, list []Posting) []byte {
 	return out
 }
 
+// refBuild is Build over decoded records.
+func refBuild(trees *core.Store, root records.RID) (*Index, error) {
+	rootRef, err := trees.OpenTree(root).Root()
+	if err != nil {
+		return nil, err
+	}
+	if rootRef.IsLiteral() {
+		return nil, fmt.Errorf("pathindex: root of %s is a literal", root)
+	}
+	b := &refBuilder{trees: trees, idx: NewIndex(), local: make(map[records.RID]int)}
+	b.idx.root = rootRef.Label()
+	if err := b.walk(rootRef, b.idx.InternPath(NilPath, rootRef.Label())); err != nil {
+		return nil, err
+	}
+	b.idx.nodes = b.seq
+	return b.idx, nil
+}
+
+type refBuilder struct {
+	trees *core.Store
+	idx   *Index
+	local map[records.RID]int
+	seq   uint32
+}
+
+func (b *refBuilder) walk(ref core.NodeRef, path PathID) error {
+	seq := b.seq
+	b.seq++
+	local := b.local[ref.RID()]
+	b.local[ref.RID()]++
+	if local > math.MaxUint16 {
+		return fmt.Errorf("pathindex: facade index %d exceeds uint16 in record %s", local, ref.RID())
+	}
+	label := ref.Label()
+	b.idx.paths[path].Count++
+	b.idx.postings[label] = append(b.idx.postings[label], Posting{
+		Seq: seq, RID: ref.RID(), Local: uint16(local), Path: path,
+	})
+	slot := len(b.idx.postings[label]) - 1
+	kids, err := b.trees.Children(ref)
+	if err != nil {
+		return err
+	}
+	for _, k := range kids {
+		if k.IsLiteral() {
+			b.local[k.RID()]++
+			b.seq++
+			continue
+		}
+		if err := b.walk(k, b.idx.InternPath(path, k.Label())); err != nil {
+			return err
+		}
+	}
+	b.idx.postings[label][slot].Size = b.seq - seq - 1
+	return nil
+}
+
 // The codec, for the tests and benchmarks of package pathindex_test
 // (which, unlike this package's own tests, can import the document
 // store and so get at real lists).
 var (
 	EncodePostings = encodePostings
 	RefEncodeV2    = refEncodeV2
+	RefBuild       = refBuild
 	DecodePostings = decodePostings
 )
 

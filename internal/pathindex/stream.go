@@ -150,7 +150,7 @@ func (b *StreamBuilder) Exit(n *noderep.Node) error {
 
 // OnRecord is the bulk builder's record sink: enumerating the emitted
 // record's facade nodes in pre-order (the enumeration
-// core.FacadeIndexer defines) yields each element's facade index,
+// core.FacadeWalker resolves) yields each element's facade index,
 // completing its posting.
 func (b *StreamBuilder) OnRecord(rid records.RID, root *noderep.Node) error {
 	sc := b.sc

@@ -466,12 +466,6 @@ func (s *Segment) ForEachDataPage(fn func(p pagedev.PageNo) error) error {
 	return nil
 }
 
-// FSIPageFor returns the inventory page covering data page p.
-func (s *Segment) FSIPageFor(p pagedev.PageNo) (pagedev.PageNo, error) {
-	fsiPage, _, err := s.fsiLocation(p)
-	return fsiPage, err
-}
-
 // RebuildFSIPage reconstructs one free-space-inventory page from the
 // ground truth: the slot directories of the data pages it covers. The
 // integrity scrubber calls it when an FSI page fails verification and

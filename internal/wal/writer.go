@@ -51,7 +51,6 @@ type Writer struct {
 	buf      []byte
 	synced   LSN // log is durable through here (exclusive)
 	activeOp uint64
-	beginLSN LSN
 	opSeq    uint64
 
 	appends     int64
@@ -306,15 +305,7 @@ func (w *Writer) BeginOn(kind, subject string, preNumPages uint64) (LSN, error) 
 		return 0, err
 	}
 	w.activeOp = w.opSeq
-	w.beginLSN = lsn
 	return lsn, nil
-}
-
-// ActiveOp returns the begin LSN of the operation in progress, if any.
-func (w *Writer) ActiveOp() (LSN, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.beginLSN, w.activeOp != 0
 }
 
 // Commit closes the active operation and makes it durable: the group
@@ -344,7 +335,6 @@ func (w *Writer) endOp(t uint8) error {
 	// (begin + updates + commit/abort) travels under this one sync.
 	w.batchRecs.Observe(w.appends - w.opAppends)
 	w.activeOp = 0
-	w.beginLSN = 0
 	return w.syncLocked()
 }
 

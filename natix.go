@@ -179,19 +179,6 @@ type Options struct {
 	// MergeOnDelete re-clusters shrunken records into their parents.
 	MergeOnDelete bool
 
-	// CacheRecords bounds the record cache (0 = default 4096,
-	// -1 = disabled): copies of stored record images, which queries read
-	// in place, and the trees edits decode from them. The cache only
-	// saves copying and decoding CPU; all I/O still flows through the
-	// buffer manager.
-	CacheRecords int
-
-	// ImportWorkers bounds the concurrent per-document import pipelines
-	// ImportXMLBatch shards a multi-document corpus across. 0 means
-	// GOMAXPROCS. Single-document imports always pipeline parsing and
-	// packing across two goroutines regardless of this setting.
-	ImportWorkers int
-
 	// SimulateDisk routes every physical page access through a cost
 	// model of the paper's IBM DCAS-34330W disk; SimStats reports the
 	// accumulated simulated time. Only valid with in-memory stores.
@@ -272,13 +259,14 @@ func (o Options) withDefaults() Options {
 	if o.BufferBytes == 0 {
 		o.BufferBytes = 2 << 20
 	}
-	if o.CacheRecords == 0 {
-		o.CacheRecords = 4096
-	} else if o.CacheRecords < 0 {
-		o.CacheRecords = 0
-	}
 	return o
 }
+
+// recordCacheSize bounds the record cache, in records: the stored images
+// readers work on in place, and the trees edits decode from them. The
+// cache saves copying and decoding CPU; all I/O still flows through the
+// buffer pool.
+const recordCacheSize = 4096
 
 // DB is an open repository. All methods are safe for concurrent use,
 // and the read path is built to scale with cores rather than serialize
@@ -495,7 +483,7 @@ func openWith(opts Options, dev pagedev.Device, sim *pagedev.SimDisk, walSt wal.
 		SplitTarget:    opts.SplitTarget,
 		SplitTolerance: opts.SplitTolerance,
 		Matrix:         matrix,
-		CacheRecords:   opts.CacheRecords,
+		CacheRecords:   recordCacheSize,
 		MergeOnDelete:  opts.MergeOnDelete,
 	})
 	var store *docstore.Store
@@ -729,13 +717,13 @@ func (db *DB) ImportXMLContext(ctx context.Context, name string, r io.Reader) er
 type ImportDoc = docstore.ImportDoc
 
 // ImportXMLBatch imports several documents in one atomic operation,
-// sharded one document per worker across Options.ImportWorkers
-// concurrent import pipelines. The stored result is byte-identical to
-// importing the documents one at a time in input order; any failure
-// rolls the whole batch back.
+// sharded one document per worker across GOMAXPROCS concurrent import
+// pipelines. The stored result is byte-identical to importing the
+// documents one at a time in input order; any failure rolls the whole
+// batch back.
 func (db *DB) ImportXMLBatch(ctx context.Context, docs []ImportDoc) error {
 	return db.view(func() error {
-		_, err := db.store.ImportXMLBatch(ctx, docs, db.opts.ImportWorkers)
+		_, err := db.store.ImportXMLBatch(ctx, docs, 0)
 		return err
 	})
 }

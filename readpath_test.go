@@ -12,6 +12,7 @@ import (
 
 	"natix/internal/core"
 	"natix/internal/corpus"
+	"natix/internal/records"
 	"natix/internal/xmlkit"
 )
 
@@ -280,10 +281,13 @@ func TestPoolReadsOnlyWhatIsAsked(t *testing.T) {
 
 // TestQueryPassDecodesNothing: a query reads its matches from the stored
 // record images, so a pass of the benchmark's query classes over a
-// reopened store — through the path index and through the record walk,
-// export included — decodes no record (core.records_decoded stays 0)
-// while the record cache serves it; a cursor walk over the same store
-// does decode.
+// reopened store — through the path index and through the record walk —
+// decodes no record (core.records_decoded stays 0) while the record cache
+// serves it. The other readers read the images too: after a warm pass,
+// Walk, NodeCount, RecordCount, Check and ReindexDocument leave every
+// image the next pass reads in the cache (it misses none), and Walk,
+// NodeCount and ReindexDocument decode nothing. An edit does decode: the
+// counter counts.
 func TestQueryPassDecodesNothing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "q.natix")
 	db, err := Open(Options{Path: path, PageSize: 2048, PathIndex: true})
@@ -301,29 +305,64 @@ func TestQueryPassDecodesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		counter := func(name string) int64 {
+			t.Helper()
+			m, err := db.Metrics()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, ok := m.Counters[name]
+			if !ok {
+				t.Fatalf("counter %s not registered", name)
+			}
+			return n
+		}
 		benchClassAnswers(t, db, "play")
 		benchClassAnswers(t, db, "play")
-		m, err := db.Metrics()
-		if err != nil {
-			t.Fatal(err)
+		if n := counter("core.records_decoded"); n != 0 {
+			t.Errorf("path index %v: a query-only pass decoded %d records", indexed, n)
 		}
-		if n, ok := m.Counters["core.records_decoded"]; n != 0 || !ok {
-			t.Errorf("path index %v: a query-only pass decoded %d records (counter registered: %v)", indexed, n, ok)
-		}
-		if m.Counters["core.cache_hits"] == 0 {
+		if counter("core.cache_hits") == 0 {
 			t.Errorf("path index %v: the second pass had no record cache hits", indexed)
 		}
-		// The decoded tree is still there for whoever walks nodes: the
-		// document cursor decodes, and the counter sees it.
 		doc, err := db.Document("play")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := doc.NodeCount(); err != nil {
+		type reader struct {
+			name    string
+			decodes bool // decodes each record into memory of its own (WalkRecords)
+			run     func() error
+		}
+		readers := []reader{
+			{"Walk", false, func() error { return doc.Walk(func([]int, string, string) bool { return true }) }},
+			{"NodeCount", false, func() error { _, err := doc.NodeCount(); return err }},
+			{"RecordCount", true, func() error { _, err := doc.RecordCount(); return err }},
+			{"Check", true, doc.Check},
+		}
+		if indexed {
+			readers = append(readers, reader{"ReindexDocument", false, func() error { return db.ReindexDocument("play") }})
+		}
+		for _, r := range readers {
+			before := counter("core.records_decoded")
+			if err := r.run(); err != nil {
+				t.Fatalf("path index %v: %s: %v", indexed, r.name, err)
+			}
+			if n := counter("core.records_decoded") - before; n != 0 && !r.decodes {
+				t.Errorf("path index %v: %s decoded %d records", indexed, r.name, n)
+			}
+		}
+		misses := counter("core.cache_misses")
+		benchClassAnswers(t, db, "play")
+		if n := counter("core.cache_misses") - misses; n != 0 {
+			t.Errorf("path index %v: the pass after the readers missed the record cache %d times", indexed, n)
+		}
+		decoded := counter("core.records_decoded")
+		if err := doc.InsertText(pathOf(t, doc, "LINE"), 0, "an edit decodes"); err != nil {
 			t.Fatal(err)
 		}
-		if m, err = db.Metrics(); err != nil || m.Counters["core.records_decoded"] == 0 {
-			t.Errorf("path index %v: a cursor walk decoded no record (%v)", indexed, err)
+		if counter("core.records_decoded") == decoded {
+			t.Errorf("path index %v: an edit decoded no record", indexed)
 		}
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
@@ -332,9 +371,10 @@ func TestQueryPassDecodesNothing(t *testing.T) {
 }
 
 // TestVersion2StoreFacadeIndexesAgree: on every node of the version 2
-// store file, the facade index the decoded tree gives it (FacadeIndexer,
-// which the path-index builder numbers postings with) resolves over the
-// record's image to a node of the same kind, label and text.
+// store file, the facade index the decoded tree gives it — its count
+// among the nodes of its record the pre-order walk reached before it, as
+// the path-index builder numbers postings — resolves over the record's
+// image to a node of the same kind, label and text.
 func TestVersion2StoreFacadeIndexesAgree(t *testing.T) {
 	db := openStoreCopy(t, v2StoreFile, Options{PageSize: 1024})
 	defer db.Close()
@@ -347,15 +387,13 @@ func TestVersion2StoreFacadeIndexesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fi := core.NewFacadeIndexer()
+	next := map[records.RID]int{}
 	nodes := 0
 	var visit func(ref core.NodeRef)
 	visit = func(ref core.NodeRef) {
 		nodes++
-		idx, err := fi.Index(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
+		idx := next[ref.RID()]
+		next[ref.RID()]++
 		r, err := trees.RefByFacadeIndex(ref.RID(), idx)
 		if err != nil {
 			t.Fatalf("record %s facade %d over the image: %v", ref.RID(), idx, err)
@@ -365,7 +403,7 @@ func TestVersion2StoreFacadeIndexesAgree(t *testing.T) {
 		}
 		if ref.IsLiteral() {
 			got, gotErr := r.StringValue()
-			want, wantErr := ref.Literal().StringValue()
+			want, wantErr := ref.StringValue()
 			if (gotErr == nil) != (wantErr == nil) || got != want {
 				t.Fatalf("record %s facade %d: the image reads %q, the decoded tree %q", ref.RID(), idx, got, want)
 			}
