@@ -408,8 +408,21 @@ func (p *Pool) loadInto(f *Frame) error {
 
 // Touch registers a logical access to a page without keeping it pinned.
 // Upper-level caches call this so their hits still exercise the buffer
-// (and pay physical I/O if the page was evicted).
+// (and pay physical I/O if the page was evicted). It counts as a Get
+// does: a resident page costs one lookup under the shard's read lock
+// and sets the frame's reference bit — no pin, no latch — and a page
+// that is not resident is read in by Get and released at once.
 func (p *Pool) Touch(pn pagedev.PageNo) error {
+	sh := p.shardOf(pn)
+	sh.mu.RLock()
+	if f, ok := sh.frames[pn]; ok {
+		f.ref.Store(true)
+		sh.mu.RUnlock()
+		p.logicalReads.Add(1)
+		p.hits.Add(1)
+		return nil
+	}
+	sh.mu.RUnlock()
 	f, err := p.Get(pn)
 	if err != nil {
 		return err

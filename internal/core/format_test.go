@@ -238,9 +238,7 @@ func downgradeStore(t testing.TB, s *Store, root records.RID, version byte) (rid
 		if err := s.rm.Update(rid, old); err != nil {
 			t.Fatal(err)
 		}
-		if s.cache != nil {
-			s.cache.remove(rid)
-		}
+		s.forget(rid)
 	}
 	return rids
 }

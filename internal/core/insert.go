@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 
 	"natix/internal/noderep"
@@ -31,11 +33,18 @@ func (ctx *opCtx) patch(child, parent records.RID) {
 // drop forgets a record that was deleted mid-operation.
 func (ctx *opCtx) drop(rid records.RID) { delete(ctx.patches, rid) }
 
-// apply writes all pending parent-pointer fixups.
+// apply writes all pending parent-pointer fixups, in RID order, so the
+// operation logs them in an order of its own and not the map's.
 func (ctx *opCtx) apply() error {
+	if len(ctx.patches) == 0 {
+		return nil
+	}
 	s := ctx.t.store
-	for child, parent := range ctx.patches {
-		if err := s.patchParentRID(child, parent); err != nil {
+	children := slices.SortedFunc(maps.Keys(ctx.patches), func(a, b records.RID) int {
+		return cmp.Or(cmp.Compare(a.Page, b.Page), cmp.Compare(a.Slot, b.Slot))
+	})
+	for _, child := range children {
+		if err := s.patchParentRID(child, ctx.patches[child]); err != nil {
 			return fmt.Errorf("patching parent of %s: %w", child, err)
 		}
 	}
@@ -102,7 +111,7 @@ func (t *Tree) InsertChild(parentPath Path, idx int, n *noderep.Node) error {
 		if err != nil {
 			return err
 		}
-		near, err := s.rm.PageOf(cand.rid)
+		near, err := s.pageOf(cand.rid)
 		if err != nil {
 			return err
 		}
@@ -211,12 +220,21 @@ func (s *Store) chooseCandidate(cands []physPos, policy Policy, parentRID record
 		}
 	}
 	best := cands[0]
-	bestFree := -1
+	if len(cands) == 1 {
+		return best, nil
+	}
+	// A candidate on a page already read cannot have more room: the page
+	// is not read again.
+	bestFree, seen := -1, make([]pagedev.PageNo, 0, 4)
 	for _, c := range cands {
-		p, err := s.rm.PageOf(c.rid)
+		p, err := s.pageOf(c.rid)
 		if err != nil {
 			return physPos{}, err
 		}
+		if slices.Contains(seen, p) {
+			continue
+		}
+		seen = append(seen, p)
 		free, err := s.rm.PageFreeBytes(p)
 		if err != nil {
 			return physPos{}, err
@@ -252,51 +270,76 @@ func (s *Store) placeAt(cand physPos, node *noderep.Node, ctx *opCtx) error {
 // — as a splice of the record's stored image: the common case, in which
 // the edit needs no new type-table entry and the record stays on its
 // page, costs the node's own bytes instead of a re-encode of the record
-// (noderep.Splice, records.Manager.Splice). The parsed tree pos.rec must
-// already show the edit. It reports false, with nothing written, for
-// every other case; the caller then takes the full path (writeRecord, or
-// afterPlacement and its move or split).
+// (noderep.Splice), and the record's page one visit: the splice is
+// planned on the image where it lies and applied to it inside the same
+// pinned, latched frame (records.Manager.Edit). The parsed tree pos.rec
+// must already show the edit. It reports false, with nothing written,
+// for every other case; the caller then takes the full path
+// (writeRecord, or afterPlacement and its move or split).
 func (s *Store) spliceRecord(pos physPos, node *noderep.Node) (bool, error) {
-	path, ok := s.physPath(pos)
-	if !ok {
+	if s.spliceHook != nil {
+		return s.spliceHook(s, pos, node)
+	}
+	e := &s.edit
+	if !e.at(pos, node, s.maxRecordSize()) {
 		return false, nil
 	}
-	if s.image == nil {
-		s.image = make([]byte, 0, s.maxRecordSize())
-	}
-	img, err := s.rm.ReadInto(pos.rid, s.image)
-	if err != nil {
-		return false, err
-	}
-	if node != nil {
-		img, ok = s.splice.Insert(img, path, node, s.maxRecordSize())
-	} else {
-		img, ok = s.splice.Remove(img, path)
-	}
-	if !ok {
-		return false, nil
-	}
-	if ok, err := s.rm.Splice(pos.rid, img, s.splice.From, s.splice.Fields); !ok || err != nil {
+	if ok, err := s.rm.Edit(pos.rid, e); !ok || err != nil {
 		return false, err
 	}
 	s.stats.recordsSpliced.Add(1)
-	s.wrote(pos.rid, pos.rec)
+	// A splice leaves the body on the page it lay on.
+	s.wrote(pos.rid, pos.rec, s.trees.body(pos.rid))
 	return true, nil
 }
 
-// physPath returns the physical child indexes that lead from the root of
-// pos.rec to child pos.idx of pos.parent, in the store's scratch.
-func (s *Store) physPath(pos physPos) ([]int, bool) {
-	path := append(s.path[:0], pos.idx)
+// nodeEdit is one node edit as a records.Editor: node inserted at the
+// physical path, or the node there removed when node is nil
+// (noderep.Splice planned on the stored image, then applied).
+type nodeEdit struct {
+	sp    noderep.Splice
+	path  []int
+	node  *noderep.Node
+	limit int
+}
+
+// at readies the edit of pos (see spliceRecord), reporting false when
+// pos has no physical path from its record's root.
+func (e *nodeEdit) at(pos physPos, node *noderep.Node, limit int) bool {
+	path, ok := physPath(e.path[:0], pos)
+	e.path, e.node, e.limit = path, node, limit
+	return ok
+}
+
+// Plan implements records.Editor.
+func (e *nodeEdit) Plan(cell []byte) (int, int, []int, bool) {
+	var (
+		n  int
+		ok bool
+	)
+	if e.node != nil {
+		n, ok = e.sp.PlanInsert(cell, e.path, e.node, e.limit)
+	} else {
+		n, ok = e.sp.PlanRemove(cell, e.path)
+	}
+	return n, e.sp.From, e.sp.Fields, ok
+}
+
+// Apply implements records.Editor.
+func (e *nodeEdit) Apply(body []byte) []byte { return e.sp.Apply(body) }
+
+// physPath appends to path the physical child indexes that lead from
+// the root of pos.rec to child pos.idx of pos.parent.
+func physPath(path []int, pos physPos) ([]int, bool) {
+	path = append(path, pos.idx)
 	n := pos.parent
 	for ; n.Parent != nil; n = n.Parent {
 		i := n.Parent.ChildIndex(n)
 		if i < 0 {
-			return nil, false
+			return path, false
 		}
 		path = append(path, i)
 	}
-	s.path = path
 	slices.Reverse(path)
 	return path, n == pos.rec.Root
 }

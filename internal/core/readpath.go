@@ -125,23 +125,23 @@ func openImage(rid records.RID, buf string) (*noderep.Image, error) {
 	return &im, nil
 }
 
-// loadImage returns the stored image of a record, opened. A cache hit
-// still touches the record's page through the buffer manager, as
-// loadRecord's does, so I/O accounting (and eviction-driven physical
-// reads) stay faithful; a miss copies the image out of its page into a
-// string, the one the cache then keeps.
+// loadImage returns the stored image of a record, opened. A hit in the
+// image cache still charges the record's pages to the buffer manager, as
+// loadRecord's does (charge), so I/O accounting (and eviction-driven
+// physical reads) stay faithful; a miss copies the image out of its page
+// into a string, the one the cache then keeps.
 func (s *Store) loadImage(rid records.RID) (*noderep.Image, error) {
-	if s.cache != nil {
-		if im, ok := s.cache.image(rid); ok {
-			s.stats.cacheHits.Add(1)
-			if err := s.rm.Touch(rid); err != nil {
-				return nil, err
-			}
-			return im, nil
+	if im, body, ok := s.cache.image(rid); ok {
+		s.stats.cacheHits.Add(1)
+		if _, err := s.charge(rid, body); err != nil {
+			return nil, err
 		}
+		return im, nil
+	}
+	if s.cache != nil {
 		s.stats.cacheMisses.Add(1)
 	}
-	buf, err := s.rm.ReadString(rid)
+	buf, body, err := s.rm.ReadString(rid)
 	if err != nil {
 		return nil, err
 	}
@@ -149,9 +149,7 @@ func (s *Store) loadImage(rid records.RID) (*noderep.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.cache != nil {
-		s.cache.putImage(rid, im)
-	}
+	s.cache.putImage(rid, im, body)
 	return im, nil
 }
 

@@ -566,6 +566,38 @@ func refRemovePhysical(s *Store, slot physPos, ctx *opCtx) error {
 	return s.writeRecord(slot.rid, rec)
 }
 
+// refSpliceRecord is spliceRecord as it stood before the splice moved
+// into the pinned frame: the stored image read out with ReadInto (a
+// resolve and a pin of its own), spliced, and handed to
+// records.Manager.Splice, which resolves the RID and pins the page
+// again. TestSpliceInFrameMatchesReadIntoSplice runs it beside the
+// production path (Store.spliceHook).
+func refSpliceRecord(s *Store, pos physPos, node *noderep.Node) (bool, error) {
+	path, ok := physPath(nil, pos)
+	if !ok {
+		return false, nil
+	}
+	img, err := s.rm.ReadInto(pos.rid, make([]byte, 0, s.maxRecordSize()))
+	if err != nil {
+		return false, err
+	}
+	var sp noderep.Splice
+	if node != nil {
+		img, ok = sp.Insert(img, path, node, s.maxRecordSize())
+	} else {
+		img, ok = sp.Remove(img, path)
+	}
+	if !ok {
+		return false, nil
+	}
+	if ok, err := s.rm.Splice(pos.rid, img, sp.From, sp.Fields); !ok || err != nil {
+		return false, err
+	}
+	s.stats.recordsSpliced.Add(1)
+	s.wrote(pos.rid, pos.rec, records.NilRID)
+	return true, nil
+}
+
 // spliceCell is one setting of the splice differential.
 type spliceCell struct {
 	name   string
@@ -576,13 +608,6 @@ type spliceCell struct {
 }
 
 func spliceCells() []spliceCell {
-	mixed := func() *SplitMatrix {
-		m := AllOther()
-		m.Set(lScene, lSpeech, PolicyCluster)
-		m.Set(lSpeech, lSpeaker, PolicyCluster)
-		m.Set(lAct, lScene, PolicyStandalone)
-		return m
-	}
 	var cells []spliceCell
 	for _, page := range []int{2048, 4096, 8192, 16384, 32768} {
 		for _, m := range []struct {
@@ -592,7 +617,7 @@ func spliceCells() []spliceCell {
 			{"other", AllOther},
 			{"cluster", func() *SplitMatrix { return NewSplitMatrix(PolicyCluster) }},
 			{"standalone", AllStandalone},
-			{"mixed", mixed},
+			{"mixed", mixedMatrix},
 		} {
 			cells = append(cells, spliceCell{
 				name: fmt.Sprintf("%s-%d", m.name, page), page: page,

@@ -15,7 +15,7 @@ import (
 // record holding just the separator is created.
 func (s *Store) splitRecord(rid records.RID, rec *noderep.Record, ctx *opCtx) error {
 	s.stats.splits.Add(1)
-	near, err := s.rm.PageOf(rid)
+	near, err := s.pageOf(rid)
 	if err != nil {
 		return err
 	}

@@ -30,10 +30,10 @@ type Config struct {
 	// Matrix is the split matrix (§3.3). nil means all-other.
 	Matrix *SplitMatrix
 
-	// CacheRecords bounds the record cache (number of records): their
-	// images, which queries read in place, and the trees the write path
-	// decoded from them. The cache saves copying and decoding CPU but never
-	// hides I/O: hits still touch the buffer manager. 0 disables the cache.
+	// CacheRecords bounds the record caches (number of records each): the
+	// images queries read in place, and the trees the write path decoded.
+	// The caches save copying and decoding CPU but never hide I/O: hits
+	// still touch the buffer manager. 0 disables both.
 	CacheRecords int
 
 	// MergeOnDelete inlines a shrunken record back into its parent
@@ -81,33 +81,35 @@ var (
 )
 
 // Store is the tree storage manager. Read traversals (ReadRoot,
-// ReadChildren, AppendReadText, FacadeWalker, Cursor, WalkRecords, and
-// the decoded reference Root and Children) are safe for any number of
-// concurrent callers: the record cache is sharded and the counters are
-// atomics. Mutating operations
-// (InsertChild, Delete, splits) must be serialized by the caller and
-// must not run concurrently with readers of the same document — package
-// docstore's per-document locks provide both.
+// ReadChildren, AppendReadText, FacadeWalker, Cursor, WalkRecords) are
+// safe for any number of concurrent callers: the image cache is sharded
+// and the counters are atomics. Mutating operations (InsertChild,
+// Delete, splits) and the decoded reference (Root, Children, Locate)
+// work on the writer's tree cache: the caller serializes them and keeps
+// them apart from readers of the same document — package docstore's
+// writer mutex and per-document locks provide both — while readers of
+// other documents run beside them.
 type Store struct {
 	rm    *records.Manager
 	cfg   Config
-	cache *recCache
+	cache *recCache // the readers' images; nil when caching is off
+	trees treeCache // the writer's decoded trees
 	stats storeStats
 
-	// decodeBufs holds the buffers loadRecord decodes record images from;
-	// loadRecord runs concurrently when the decoded reference (Root,
-	// Children) is read beside other readers.
-	decodeBufs sync.Pool
+	// Scratch of the (serialized) mutating operations: the buffer record
+	// images are decoded from, the layout of the record last measured,
+	// the image buffer it is emitted into, the node edit spliced into a
+	// stored image (its splice state and physical path), and the child
+	// list of the insert or delete point.
+	decodeBuf []byte
+	layout    noderep.Layout
+	image     []byte
+	edit      nodeEdit
+	entries   []childEntry
 
-	// Scratch of the (serialized) mutating operations: the layout of the
-	// record last measured, the image buffer it is emitted (or read and
-	// spliced) into, the splice state and physical path of a node edit,
-	// and the child list of the insert or delete point.
-	layout  noderep.Layout
-	image   []byte
-	splice  noderep.Splice
-	path    []int
-	entries []childEntry
+	// spliceHook, when set, writes node edits in place of spliceRecord's
+	// own path; the differential tests set it to the path it replaced.
+	spliceHook func(s *Store, pos physPos, node *noderep.Node) (bool, error)
 }
 
 // storeStats is the internal atomic form of Stats.
@@ -129,6 +131,7 @@ func New(rm *records.Manager, cfg Config) *Store {
 	s := &Store{rm: rm, cfg: cfg}
 	if cfg.CacheRecords > 0 {
 		s.cache = newRecCache(cfg.CacheRecords)
+		s.trees = newTreeCache(cfg.CacheRecords)
 	}
 	return s
 }
@@ -181,12 +184,14 @@ func (s *Store) ResetStats() {
 	s.stats.cacheMisses.Store(0)
 }
 
-// InvalidateCache drops every cached record (e.g. after a buffer clear
-// or a rollback restored pages under it).
+// InvalidateCache drops every cached record, image and tree (e.g. after
+// a buffer clear or a rollback restored pages under it). Mutator
+// context: the tree cache is the writer's.
 func (s *Store) InvalidateCache() {
 	if s.cache != nil {
 		s.cache.clear()
 	}
+	s.trees.clear()
 }
 
 // maxRecordSize is the net page capacity (§3.2.2).
@@ -196,53 +201,76 @@ func (s *Store) maxRecordSize() int { return s.rm.MaxRecordSize() }
 // form, which its operations (insert, delete, split, patchParentRID, and
 // Locate, childAt and collectEntries on their way) edit in place before
 // writing the record back; Root and Children read it as the decoded
-// reference. No other reader calls it. A cached tree is returned as it is; otherwise the record's image
-// — the cached one, or the one stored in its page — is copied into a
-// pooled buffer (noderep.Decode takes bytes and keeps none of them) and
-// decoded, and the tree takes the image's place in the cache: the write
-// path mostly goes on to change the record, which drops the image
-// anyway, and an entry holding both would keep the record in memory
-// twice. Cache hits still touch the record's page through the buffer
-// manager so I/O accounting (and eviction-driven physical reads) remain
-// faithful.
+// reference. Only the writer calls it (see Store). A tree in the tree
+// cache is returned as it is; otherwise the record's image — the one in
+// the image cache, which the tree then replaces there, or the one stored
+// in its page — is copied into the writer's decode buffer
+// (noderep.Decode takes bytes and keeps none of them) and decoded into a
+// tree the tree cache keeps: the write path mostly goes on to change the
+// record, which drops the image anyway, and keeping both would hold the
+// record in memory twice. A hit in either cache still charges the
+// record's pages to the buffer manager (charge), so I/O accounting (and
+// eviction-driven physical reads) remain faithful.
 func (s *Store) loadRecord(rid records.RID) (*noderep.Record, error) {
-	var im *noderep.Image
-	if s.cache != nil {
-		if rec, cached, ok := s.cache.record(rid); ok {
-			s.stats.cacheHits.Add(1)
-			if err := s.rm.Touch(rid); err != nil {
-				return nil, err
-			}
-			if rec != nil {
-				return rec, nil
-			}
-			im = cached
-		} else {
+	if e, ok := s.trees.get(rid); ok {
+		s.stats.cacheHits.Add(1)
+		body, err := s.charge(rid, e.body)
+		if err != nil {
+			return nil, err
+		}
+		if body != e.body {
+			s.trees.put(rid, e.rec, body)
+		}
+		return e.rec, nil
+	}
+	var (
+		body records.RID
+		err  error
+	)
+	if im, at, ok := s.cache.take(rid); ok {
+		s.stats.cacheHits.Add(1)
+		if body, err = s.charge(rid, at); err != nil {
+			return nil, err
+		}
+		s.decodeBuf = append(s.decodeBuf[:0], im.Data()...)
+	} else {
+		if s.cache != nil {
 			s.stats.cacheMisses.Add(1)
 		}
-	}
-	buf, _ := s.decodeBufs.Get().(*[]byte)
-	if buf == nil {
-		buf = new([]byte)
-	}
-	defer s.decodeBufs.Put(buf)
-	if im != nil {
-		*buf = append((*buf)[:0], im.Data()...)
-	} else {
-		var err error
-		if *buf, err = s.rm.ReadInto(rid, *buf); err != nil {
+		if s.decodeBuf, err = s.rm.ReadInto(rid, s.decodeBuf); err != nil {
 			return nil, err
 		}
 	}
 	s.stats.recordsDecoded.Add(1)
-	rec, err := noderep.Decode(*buf)
+	rec, err := noderep.Decode(s.decodeBuf)
 	if err != nil {
 		return nil, fmt.Errorf("record %s: %w", rid, err)
 	}
-	if s.cache != nil {
-		s.cache.putRecord(rid, rec)
-	}
+	s.trees.put(rid, rec, body)
 	return rec, nil
+}
+
+// charge bills a cache hit of record rid to the buffer manager page by
+// page, as reading it would be billed: its home page and, for a
+// forwarded record, the page its body lies on. body is where the body
+// lies as the cache entry remembers it, NilRID when the entry does not
+// know; then the home page is looked into (records.Manager.Touch) and
+// the answer returned for the entry to keep.
+func (s *Store) charge(rid, body records.RID) (records.RID, error) {
+	if body.IsNil() {
+		return s.rm.Touch(rid)
+	}
+	return body, s.rm.TouchAt(rid, body)
+}
+
+// pageOf returns the page the body of record rid lies on: the tree
+// cache knows it for every record the operation has loaded, and only
+// the others cost a look into the home page (records.Manager.PageOf).
+func (s *Store) pageOf(rid records.RID) (pagedev.PageNo, error) {
+	if body := s.trees.body(rid); !body.IsNil() {
+		return body.Page, nil
+	}
+	return s.rm.PageOf(rid)
 }
 
 // measure validates rec and returns its encoded size, leaving its
@@ -278,19 +306,17 @@ func (s *Store) writeMeasured(rid records.RID, rec *noderep.Record) error {
 		return err
 	}
 	s.stats.recordsRewritten.Add(1)
-	if err := s.rm.Update(rid, body); err != nil {
-		return err
-	}
-	s.wrote(rid, rec)
-	return nil
+	// The body may move: where it lies is looked up again at the next hit.
+	s.wrote(rid, rec, records.NilRID)
+	return s.rm.Update(rid, body)
 }
 
-// wrote notes that record rid was just written from the tree rec: the
-// cache keeps rec and drops the image it held, which the write changed.
-func (s *Store) wrote(rid records.RID, rec *noderep.Record) {
-	if s.cache != nil {
-		s.cache.putRecord(rid, rec)
-	}
+// wrote notes that record rid was just written from the tree rec, its
+// body now lying at body (NilRID: not known): the tree cache keeps rec
+// and the image cache drops the image it held, which the write changed.
+func (s *Store) wrote(rid records.RID, rec *noderep.Record, body records.RID) {
+	s.cache.remove(rid)
+	s.trees.put(rid, rec, body)
 }
 
 // insertRecord stores rec as a new record near the hint page.
@@ -313,15 +339,13 @@ func (s *Store) insertMeasured(rec *noderep.Record, near pagedev.PageNo) (record
 		return records.NilRID, err
 	}
 	s.stats.recordsCreated.Add(1)
-	s.wrote(rid, rec)
+	s.wrote(rid, rec, rid)
 	return rid, nil
 }
 
-// deleteRecord removes a record and its cache entry.
+// deleteRecord removes a record and its cache entries.
 func (s *Store) deleteRecord(rid records.RID) error {
-	if s.cache != nil {
-		s.cache.remove(rid)
-	}
+	s.forget(rid)
 	s.stats.recordsDeleted.Add(1)
 	return s.rm.Delete(rid)
 }
@@ -344,7 +368,7 @@ func (s *Store) patchParentRID(child, parent records.RID) error {
 	if err := s.rm.Patch(child, off, enc[:]); err != nil {
 		return err
 	}
-	s.wrote(child, rec)
+	s.wrote(child, rec, s.trees.body(child))
 	return nil
 }
 
@@ -413,21 +437,86 @@ func (s *Store) deleteRecordTree(rid records.RID) error {
 	return nil
 }
 
-// recCache is a small LRU of records, sharded by RID so concurrent
-// readers of different records rarely contend. Each shard keeps its own
-// LRU order under its own mutex — an approximation of global LRU that
-// stays exact within a shard.
+// forget drops record rid from both caches.
+func (s *Store) forget(rid records.RID) {
+	s.cache.remove(rid)
+	s.trees.remove(rid)
+}
+
+// The store keeps two record caches, one per role. The image cache is
+// the readers': the stored image of a record, copied out of its page
+// once per miss, which queries read in place — sharded and locked, since
+// any number of readers share it. The tree cache is the writer's: the
+// decoded tree each mutating operation edits in place, a plain map only
+// the writer touches. A record's entries are kept apart from each other:
+// a write replaces the tree and drops the image (wrote, forget), a tree
+// decoded from a cached image takes it out of the image cache (take),
+// and an image read in beside a cached tree lasts until the next write
+// of the record. Both remember where the record's body lies, so a hit
+// charges the buffer manager one Pool.Touch per page (charge).
+
+// treeCache holds the write path's decoded trees. It takes no lock and
+// keeps no recency order: only the writer reads or changes it, and when
+// it is full it is emptied. A decoded tree takes about 6.5 times its
+// image's bytes, all of it pointers every garbage collection marks, and
+// the writer's working set is the records of the document it edits now,
+// which come back at one miss each: a full cache of trees of documents
+// edited earlier costs every goroutine longer collections and saves
+// little. The zero value caches nothing.
+type treeCache struct {
+	capacity int
+	entries  map[uint64]treeEntry // keyed by ridKey
+}
+
+type treeEntry struct {
+	rec  *noderep.Record
+	body records.RID // where the body lies (records.Manager.Touch); NilRID until known
+}
+
+// ridKey packs a RID (48-bit page, 16-bit slot) into a map key that
+// hashes as one word.
+func ridKey(rid records.RID) uint64 { return uint64(rid.Page)<<16 | uint64(rid.Slot) }
+
+func newTreeCache(capacity int) treeCache {
+	return treeCache{capacity: capacity, entries: make(map[uint64]treeEntry, min(capacity, 1024))}
+}
+
+func (c *treeCache) get(rid records.RID) (treeEntry, bool) {
+	e, ok := c.entries[ridKey(rid)]
+	return e, ok
+}
+
+// body returns where the body of rid lies as the cache knows it, NilRID
+// when it does not.
+func (c *treeCache) body(rid records.RID) records.RID { return c.entries[ridKey(rid)].body }
+
+// put caches the tree of rid, its body lying at body.
+func (c *treeCache) put(rid records.RID, rec *noderep.Record, body records.RID) {
+	if c.capacity == 0 {
+		return
+	}
+	k := ridKey(rid)
+	if _, ok := c.entries[k]; !ok && len(c.entries) >= c.capacity {
+		clear(c.entries)
+	}
+	c.entries[k] = treeEntry{rec: rec, body: body}
+}
+
+func (c *treeCache) remove(rid records.RID) { delete(c.entries, ridKey(rid)) }
+
+func (c *treeCache) clear() { clear(c.entries) }
+
+// recCache is the image cache: a small LRU of record images, sharded by
+// RID so concurrent readers of different records rarely contend. Each
+// shard keeps its own LRU order under its own mutex — an approximation of
+// global LRU that stays exact within a shard.
 //
-// An entry holds up to two forms of its record. The image is a string
-// copied out of the record's page once per miss (loadImage): immutable,
-// so the read path works on it in place and hands out substrings of it —
-// in ReadRefs, and as the text of a match — that keep it alive after the
-// entry lets go of it. The tree is decoded from the image the first time
-// the write path asks for the record, takes the image's place, and is
-// edited in place by the write path; a read copies the image in again
-// beside it. Every write of a record replaces the entry's tree and drops
-// its image (wrote, remove, clear), so the next read copies the new image
-// in; no query ever decodes.
+// An image is a string copied out of the record's page once per miss
+// (loadImage): immutable, so the read path works on it in place and
+// hands out substrings of it — in ReadRefs, and as the text of a match —
+// that keep it alive after the entry lets go of it. Every write of a
+// record drops its entry, so the next read copies the new image in; no
+// query ever decodes. A nil *recCache caches nothing.
 type recCache struct {
 	shards [cacheShards]cacheShard
 }
@@ -444,9 +533,9 @@ type cacheShard struct {
 }
 
 type cacheItem struct {
-	rid records.RID
-	img *noderep.Image  // the stored image; nil once a write changed it or the tree replaced it
-	rec *noderep.Record // the decoded tree; nil until the write path asks for it
+	rid  records.RID
+	img  *noderep.Image
+	body records.RID // where the body lies (records.Manager.ReadString)
 }
 
 func newRecCache(capacity int) *recCache {
@@ -468,59 +557,56 @@ func (c *recCache) shardOf(rid records.RID) *cacheShard {
 	return &c.shards[h%cacheShards]
 }
 
-// lookup returns rid's entry, marked most recently used. Caller holds
-// sh.mu.
-func (sh *cacheShard) lookup(rid records.RID) (*cacheItem, bool) {
+// image returns the cached image of rid and where its body lies, marked
+// most recently used.
+func (c *recCache) image(rid records.RID) (*noderep.Image, records.RID, bool) {
+	if c == nil {
+		return nil, records.NilRID, false
+	}
+	sh := c.shardOf(rid)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	e, ok := sh.entries[rid]
 	if !ok {
-		return nil, false
+		return nil, records.NilRID, false
 	}
 	sh.order.MoveToFront(e)
-	return e.Value.(*cacheItem), true
+	it := e.Value.(*cacheItem)
+	return it.img, it.body, true
 }
 
-// image returns the cached image of rid, if the entry holds one.
-func (c *recCache) image(rid records.RID) (*noderep.Image, bool) {
-	sh := c.shardOf(rid)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	it, ok := sh.lookup(rid)
-	if !ok || it.img == nil {
-		return nil, false
+// take is image for a caller that replaces the image with a tree of its
+// own: the entry goes.
+func (c *recCache) take(rid records.RID) (*noderep.Image, records.RID, bool) {
+	if c == nil {
+		return nil, records.NilRID, false
 	}
-	return it.img, true
-}
-
-// record returns what the entry of rid holds, ok when that is anything.
-func (c *recCache) record(rid records.RID) (rec *noderep.Record, img *noderep.Image, ok bool) {
 	sh := c.shardOf(rid)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	it, ok := sh.lookup(rid)
-	if !ok || (it.rec == nil && it.img == nil) {
-		return nil, nil, false
+	e, ok := sh.entries[rid]
+	if !ok {
+		return nil, records.NilRID, false
 	}
-	return it.rec, it.img, true
+	sh.order.Remove(e)
+	delete(sh.entries, rid)
+	it := e.Value.(*cacheItem)
+	return it.img, it.body, true
 }
 
-// putImage caches the image of rid beside whatever tree the entry holds.
-func (c *recCache) putImage(rid records.RID, img *noderep.Image) {
-	c.update(rid, func(it *cacheItem) { it.img = img })
-}
-
-// putRecord caches the tree of rid in place of its image.
-func (c *recCache) putRecord(rid records.RID, rec *noderep.Record) {
-	c.update(rid, func(it *cacheItem) { it.rec, it.img = rec, nil })
-}
-
-// update applies set to the entry of rid, made (evicting as needed) when
-// there is none.
-func (c *recCache) update(rid records.RID, set func(*cacheItem)) {
+// putImage caches the image of rid, its body lying at body, evicting the
+// shard's least recently used entries as needed.
+func (c *recCache) putImage(rid records.RID, img *noderep.Image, body records.RID) {
+	if c == nil {
+		return
+	}
 	sh := c.shardOf(rid)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if it, ok := sh.lookup(rid); ok {
-		set(it)
+	if e, ok := sh.entries[rid]; ok {
+		sh.order.MoveToFront(e)
+		it := e.Value.(*cacheItem)
+		it.img, it.body = img, body
 		return
 	}
 	for len(sh.entries) >= sh.capacity {
@@ -531,12 +617,13 @@ func (c *recCache) update(rid records.RID, set func(*cacheItem)) {
 		sh.order.Remove(back)
 		delete(sh.entries, back.Value.(*cacheItem).rid)
 	}
-	it := &cacheItem{rid: rid}
-	set(it)
-	sh.entries[rid] = sh.order.PushFront(it)
+	sh.entries[rid] = sh.order.PushFront(&cacheItem{rid: rid, img: img, body: body})
 }
 
 func (c *recCache) remove(rid records.RID) {
+	if c == nil {
+		return
+	}
 	sh := c.shardOf(rid)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -547,6 +634,9 @@ func (c *recCache) remove(rid records.RID) {
 }
 
 func (c *recCache) clear() {
+	if c == nil {
+		return
+	}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()

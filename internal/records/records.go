@@ -97,6 +97,9 @@ const MinRecordSize = RIDSize
 // docstore holds a single writer lock).
 type Manager struct {
 	seg *segment.Segment
+
+	// edit is Edit's copy of a body it cannot edit where it lies.
+	edit []byte
 }
 
 // New creates a record manager over seg.
@@ -205,50 +208,53 @@ func (m *Manager) Read(rid RID) ([]byte, error) { return m.ReadInto(rid, nil) }
 
 // ReadInto is Read into dst[:0], grown when too small.
 func (m *Manager) ReadInto(rid RID, dst []byte) ([]byte, error) {
-	if err := m.readCell(rid, func(cell []byte) { dst = append(dst[:0], cell...) }); err != nil {
+	if _, err := m.readCell(rid, func(cell []byte) { dst = append(dst[:0], cell...) }); err != nil {
 		return nil, err
 	}
 	return dst, nil
 }
 
 // ReadString is Read into an immutable string, made in one allocation.
-func (m *Manager) ReadString(rid RID) (string, error) {
+// It also returns where the body lies — rid itself unless the record is
+// forwarded — for a cache that charges its hits with TouchAt.
+func (m *Manager) ReadString(rid RID) (string, RID, error) {
 	var b strings.Builder
-	err := m.readCell(rid, func(cell []byte) {
+	loc, err := m.readCell(rid, func(cell []byte) {
 		b.Grow(len(cell))
 		b.Write(cell)
 	})
-	return b.String(), err
+	return b.String(), loc, err
 }
 
-// readCell hands the record body, in its read-latched page, to fn.
-func (m *Manager) readCell(rid RID, fn func(cell []byte)) error {
+// readCell hands the record body, in its read-latched page, to fn, and
+// returns where the body lies.
+func (m *Manager) readCell(rid RID, fn func(cell []byte)) (RID, error) {
 	loc, fwd, err := m.resolve(rid)
 	if err != nil {
-		return err
+		return NilRID, err
 	}
 	f, err := m.seg.Pool().Get(loc.Page)
 	if err != nil {
-		return err
+		return NilRID, err
 	}
 	defer f.Release()
 	f.RLatch()
 	defer f.RUnlatch()
 	sl, err := pageformat.AsSlotted(f.Data())
 	if err != nil {
-		return err
+		return NilRID, err
 	}
 	if fwd {
 		if fl, err := sl.Flag(int(loc.Slot)); err != nil || fl {
-			return fmt.Errorf("%w: %s forwards to %s which is %v/%v", ErrCorrupt, rid, loc, fl, err)
+			return NilRID, fmt.Errorf("%w: %s forwards to %s which is %v/%v", ErrCorrupt, rid, loc, fl, err)
 		}
 	}
 	cell, err := sl.Cell(int(loc.Slot))
 	if err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrNotFound, rid, err)
+		return NilRID, fmt.Errorf("%w: %s: %v", ErrNotFound, rid, err)
 	}
 	fn(cell)
-	return nil
+	return loc, nil
 }
 
 // VerifyRID checks that rid resolves to a readable record body —
@@ -295,15 +301,33 @@ func (m *Manager) PageOf(rid RID) (pagedev.PageNo, error) {
 }
 
 // Touch registers a logical access to the record's page(s) without
-// reading the body. Upper-level caches use it so cache hits still flow
-// through the buffer manager.
-func (m *Manager) Touch(rid RID) error {
+// reading the body, and returns where the body lies — rid itself unless
+// the record is forwarded. Upper-level caches use it so cache hits still
+// flow through the buffer manager; one that keeps the location charges
+// later hits with TouchAt instead, which does not look into the page.
+func (m *Manager) Touch(rid RID) (RID, error) {
 	loc, fwd, err := m.resolve(rid)
 	if err != nil {
-		return err
+		return NilRID, err
 	}
 	if fwd {
-		return m.seg.Pool().Touch(loc.Page)
+		return loc, m.seg.Pool().Touch(loc.Page)
+	}
+	return loc, nil
+}
+
+// TouchAt is Touch for a caller that knows where the body lies (body,
+// as Touch or ReadString returned it, and valid as long as the record
+// has not been written since): the same pages are charged, the home
+// page and for a forwarded record the body's, each with one
+// buffer.Pool.Touch — a resident page is not pinned, latched or parsed.
+func (m *Manager) TouchAt(rid, body RID) error {
+	pool := m.seg.Pool()
+	if err := pool.Touch(rid.Page); err != nil {
+		return err
+	}
+	if body != rid {
+		return pool.Touch(body.Page)
 	}
 	return nil
 }
@@ -341,30 +365,153 @@ func (m *Manager) spliceAt(loc RID, data []byte, from int, fields []int) (bool, 
 		f.Release()
 		return false, err
 	}
+	ok, err := spliceLatched(f, sl, int(loc.Slot), data, from, fields)
+	return m.endSplice(f, sl, ok, err)
+}
+
+// spliceLatched splices data into the cell in slot of the page of f,
+// which the caller holds latched exclusively, inside one logged update
+// bracket: a shift when it is one, else the spans Splice writes. It
+// reports false, with nothing changed, when the page cannot hold data.
+func spliceLatched(f *buffer.Frame, sl pageformat.Slotted, slot int, data []byte, from int, fields []int) (bool, error) {
 	var (
 		buf [16]pageformat.Span
 		u   buffer.Update
 	)
-	if spans, sh, ok := sl.SpliceShift(buf[:0], int(loc.Slot), data, from, fields); ok {
+	if spans, sh, ok := sl.SpliceShift(buf[:0], slot, data, from, fields); ok {
 		u = f.BeginShift(sh, spans...)
 	} else {
-		spans, ok := sl.SpliceSpans(buf[:0], int(loc.Slot), len(data), from, fields)
+		spans, ok := sl.SpliceSpans(buf[:0], slot, len(data), from, fields)
 		if !ok {
-			f.Unlatch()
-			f.Release()
 			return false, nil
 		}
 		u = f.BeginUpdate(spans...)
 	}
-	sl.Splice(int(loc.Slot), data, from, fields)
+	sl.Splice(slot, data, from, fields)
+	return true, f.EndUpdate(u)
+}
+
+// endSplice unlatches and releases the frame of a splice that reported
+// ok and err, and tells the free-space inventory what the page has left
+// when the splice happened.
+func (m *Manager) endSplice(f *buffer.Frame, sl pageformat.Slotted, ok bool, err error) (bool, error) {
 	free := sl.FreeBytes()
-	err = f.EndUpdate(u)
+	page := f.Page()
 	f.Unlatch()
 	f.Release()
+	if !ok || err != nil {
+		return false, err
+	}
+	return true, m.seg.NotifyFree(page, free)
+}
+
+// An Editor computes the new body of a record from its stored one, for
+// Edit, in two steps. Plan reads the stored body (cell, valid only during
+// the call) and returns the new body's length and where it will differ
+// from the stored one, as Splice is told (from, fields), or false for no
+// edit; it changes nothing. Apply then turns body — the stored body, or
+// a copy of it, with capacity for the new length — into the new body
+// and returns it.
+type Editor interface {
+	Plan(cell []byte) (n, from int, fields []int, ok bool)
+	Apply(body []byte) []byte
+}
+
+// Edit is Splice for a caller that computes the new body from the stored
+// one: the page the body lies on is pinned and latched once, ed plans
+// the edit on the body where it lies, and when the edit is a shift of
+// the cell where it lies (pageformat.Slotted.ShiftSpans) — the common
+// node edit — ed applies it to the cell itself inside the update
+// bracket: no copy of the body, and no second resolve of the RID. Any
+// other edit is applied to a copy and written as Splice writes it. A
+// forwarded record costs its home page's visit too. It reports false,
+// with nothing changed, when ed declines or the page cannot hold the
+// new body; Update then moves the body. The page bytes and the log
+// records are those Splice writes for the same new body. Mutator
+// context: the copy is made in the manager's own buffer.
+func (m *Manager) Edit(rid RID, ed Editor) (bool, error) {
+	f, sl, loc, err := m.latchBody(rid)
 	if err != nil {
 		return false, err
 	}
-	return true, m.seg.NotifyFree(loc.Page, free)
+	slot := int(loc.Slot)
+	cell, err := sl.Cell(slot)
+	if err != nil {
+		return m.endSplice(f, sl, false, fmt.Errorf("%w: %s: %v", ErrNotFound, rid, err))
+	}
+	n, from, fields, ok := ed.Plan(cell)
+	if ok {
+		err = m.checkSize(n)
+	}
+	if !ok || err != nil {
+		return m.endSplice(f, sl, false, err)
+	}
+	var buf [16]pageformat.Span
+	if spans, sh, ok := sl.ShiftSpans(buf[:0], slot, n, from, fields); ok {
+		u := f.BeginShift(sh, spans...)
+		ed.Apply(sl.ResizeInPlace(slot, n))
+		return m.endSplice(f, sl, true, f.EndUpdate(u))
+	}
+	if cap(m.edit) < n {
+		m.edit = make([]byte, 0, m.MaxRecordSize())
+	}
+	m.edit = append(m.edit[:0], cell...)
+	ok, err = spliceLatched(f, sl, slot, ed.Apply(m.edit), from, fields)
+	return m.endSplice(f, sl, ok, err)
+}
+
+// latchBody pins and latches exclusively the page the body of record
+// rid lies on, and returns it with where the body lies: the home page,
+// or for a forwarded record — after a visit to the home page to read the
+// stub — the page the stub names. On error nothing is held.
+func (m *Manager) latchBody(rid RID) (*buffer.Frame, pageformat.Slotted, RID, error) {
+	f, sl, fwd, err := m.latchSlot(rid)
+	if err != nil || !fwd {
+		return f, sl, rid, err
+	}
+	cell, err := sl.Cell(int(rid.Slot))
+	if err == nil && len(cell) != RIDSize {
+		err = fmt.Errorf("%w: stub at %s has %d bytes", ErrCorrupt, rid, len(cell))
+	}
+	var loc RID
+	if err == nil {
+		loc = DecodeRID(cell)
+	}
+	f.Unlatch()
+	f.Release()
+	if err != nil {
+		return nil, sl, NilRID, err
+	}
+	if f, sl, fwd, err = m.latchSlot(loc); err == nil && fwd {
+		f.Unlatch()
+		f.Release()
+		err = fmt.Errorf("%w: %s forwards to %s, itself a stub", ErrCorrupt, rid, loc)
+	}
+	return f, sl, loc, err
+}
+
+// latchSlot pins and latches exclusively page loc.Page and reports
+// whether slot loc.Slot holds a forwarding stub. On error nothing is
+// held.
+func (m *Manager) latchSlot(loc RID) (*buffer.Frame, pageformat.Slotted, bool, error) {
+	f, err := m.seg.Pool().Get(loc.Page)
+	if err != nil {
+		return nil, pageformat.Slotted{}, false, err
+	}
+	f.Latch()
+	sl, err := pageformat.AsSlotted(f.Data())
+	var fl bool
+	if err == nil {
+		if fl, err = sl.Flag(int(loc.Slot)); err != nil {
+			err = fmt.Errorf("%w: %s: %v", ErrNotFound, loc, err)
+		}
+	}
+	if err != nil {
+		f.Unlatch()
+		f.Release()
+		return nil, sl, false, err
+	}
+	return f, sl, fl, nil
 }
 
 // Update replaces the record body. The RID stays valid: if the new body

@@ -395,7 +395,7 @@ func TestTouchForwarded(t *testing.T) {
 	if err := m.Update(rid, bytes.Repeat([]byte{3}, 950)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Touch(rid); err != nil {
+	if _, err := m.Touch(rid); err != nil {
 		t.Fatalf("Touch on forwarded record: %v", err)
 	}
 }
