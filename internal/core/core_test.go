@@ -814,3 +814,20 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatal("ResetStats did not clear")
 	}
 }
+
+// TestTreeCacheRejectsSecondUser checks the test-binary guard of the
+// writer's tree cache: a use of the cache while another goroutine is
+// inside it — the decoded reference read beside a mutator — panics with
+// a message that names the cause.
+func TestTreeCacheRejectsSecondUser(t *testing.T) {
+	var c treeCache
+	c.init(8)
+	c.enter() // another user, inside the cache
+	defer c.leave()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "two goroutines at once") {
+			t.Fatalf("second user of the tree cache: recovered %v, want the guard's panic", r)
+		}
+	}()
+	c.get(records.RID{Page: 1})
+}

@@ -220,21 +220,12 @@ func (s *Store) chooseCandidate(cands []physPos, policy Policy, parentRID record
 		}
 	}
 	best := cands[0]
-	if len(cands) == 1 {
-		return best, nil
-	}
-	// A candidate on a page already read cannot have more room: the page
-	// is not read again.
-	bestFree, seen := -1, make([]pagedev.PageNo, 0, 4)
+	bestFree := -1
 	for _, c := range cands {
 		p, err := s.pageOf(c.rid)
 		if err != nil {
 			return physPos{}, err
 		}
-		if slices.Contains(seen, p) {
-			continue
-		}
-		seen = append(seen, p)
 		free, err := s.rm.PageFreeBytes(p)
 		if err != nil {
 			return physPos{}, err
@@ -270,9 +261,9 @@ func (s *Store) placeAt(cand physPos, node *noderep.Node, ctx *opCtx) error {
 // — as a splice of the record's stored image: the common case, in which
 // the edit needs no new type-table entry and the record stays on its
 // page, costs the node's own bytes instead of a re-encode of the record
-// (noderep.Splice), and the record's page one visit: the splice is
-// planned on the image where it lies and applied to it inside the same
-// pinned, latched frame (records.Manager.Edit). The parsed tree pos.rec
+// (noderep.Splice), and the record's page one visit: the image is copied
+// out of its page and spliced back into it inside the same pinned,
+// latched frame (records.Manager.Edit). The parsed tree pos.rec
 // must already show the edit. It reports false, with nothing written,
 // for every other case; the caller then takes the full path
 // (writeRecord, or afterPlacement and its move or split).
@@ -295,7 +286,7 @@ func (s *Store) spliceRecord(pos physPos, node *noderep.Node) (bool, error) {
 
 // nodeEdit is one node edit as a records.Editor: node inserted at the
 // physical path, or the node there removed when node is nil
-// (noderep.Splice planned on the stored image, then applied).
+// (noderep.Splice).
 type nodeEdit struct {
 	sp    noderep.Splice
 	path  []int
@@ -311,22 +302,16 @@ func (e *nodeEdit) at(pos physPos, node *noderep.Node, limit int) bool {
 	return ok
 }
 
-// Plan implements records.Editor.
-func (e *nodeEdit) Plan(cell []byte) (int, int, []int, bool) {
-	var (
-		n  int
-		ok bool
-	)
+// Edit implements records.Editor.
+func (e *nodeEdit) Edit(body []byte) ([]byte, int, []int, bool) {
+	var ok bool
 	if e.node != nil {
-		n, ok = e.sp.PlanInsert(cell, e.path, e.node, e.limit)
+		body, ok = e.sp.Insert(body, e.path, e.node, e.limit)
 	} else {
-		n, ok = e.sp.PlanRemove(cell, e.path)
+		body, ok = e.sp.Remove(body, e.path)
 	}
-	return n, e.sp.From, e.sp.Fields, ok
+	return body, e.sp.From, e.sp.Fields, ok
 }
-
-// Apply implements records.Editor.
-func (e *nodeEdit) Apply(body []byte) []byte { return e.sp.Apply(body) }
 
 // physPath appends to path the physical child indexes that lead from
 // the root of pos.rec to child pos.idx of pos.parent.

@@ -50,7 +50,10 @@ func (p Path) String() string {
 // Clone returns a copy of the path.
 func (p Path) Clone() Path { return append(Path(nil), p...) }
 
-// Root returns a ref to the tree's logical root node.
+// Root returns a ref to the tree's logical root node. It reads the
+// decoded records through the writer's tree cache: like a mutating
+// operation it must not run beside one, whatever document that is on
+// (see Store).
 func (t *Tree) Root() (NodeRef, error) {
 	rec, err := t.store.loadRecord(t.rootRID)
 	if err != nil {
@@ -132,7 +135,8 @@ func (s *Store) collectEntries(rid records.RID, rec *noderep.Record, agg *nodere
 
 // Children returns the logical children of ref in document order, read
 // off the decoded records (collectEntries): the reference the image walk,
-// ReadChildren, is held to.
+// ReadChildren, is held to. Like Root it is the writer's: it must not
+// run beside a mutating operation.
 func (s *Store) Children(ref NodeRef) ([]NodeRef, error) {
 	if ref.node.Kind != noderep.KindAggregate {
 		return nil, nil
@@ -150,7 +154,8 @@ func (s *Store) Children(ref NodeRef) ([]NodeRef, error) {
 
 // Locate resolves a logical path from the root. Each step stops at the
 // child it wants (childAt): the siblings behind it — and the records
-// their proxies point to — are not touched.
+// their proxies point to — are not touched. Like Root it is the
+// writer's: it must not run beside a mutating operation.
 func (t *Tree) Locate(path Path) (NodeRef, error) {
 	ref, err := t.Root()
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"testing"
 
 	"natix/internal/dict"
 	"natix/internal/noderep"
@@ -85,10 +86,12 @@ var (
 // safe for any number of concurrent callers: the image cache is sharded
 // and the counters are atomics. Mutating operations (InsertChild,
 // Delete, splits) and the decoded reference (Root, Children, Locate)
-// work on the writer's tree cache: the caller serializes them and keeps
-// them apart from readers of the same document — package docstore's
-// writer mutex and per-document locks provide both — while readers of
-// other documents run beside them.
+// are the writer's: they share the writer's tree cache, a map with no
+// lock, so the caller serializes all of them, whatever document each is
+// on, and keeps mutators apart from readers of the same document —
+// package docstore's writer mutex and per-document locks provide both.
+// Readers run beside a mutator of another document. In test binaries a
+// second goroutine inside the tree cache at the same time panics.
 type Store struct {
 	rm    *records.Manager
 	cfg   Config
@@ -131,7 +134,7 @@ func New(rm *records.Manager, cfg Config) *Store {
 	s := &Store{rm: rm, cfg: cfg}
 	if cfg.CacheRecords > 0 {
 		s.cache = newRecCache(cfg.CacheRecords)
-		s.trees = newTreeCache(cfg.CacheRecords)
+		s.trees.init(cfg.CacheRecords)
 	}
 	return s
 }
@@ -466,6 +469,30 @@ func (s *Store) forget(rid records.RID) {
 type treeCache struct {
 	capacity int
 	entries  map[uint64]treeEntry // keyed by ridKey
+
+	// users counts the goroutines inside the cache's methods, in test
+	// binaries only (checkTreeCache).
+	users atomic.Int32
+}
+
+// checkTreeCache makes the tree cache's methods check that no other
+// goroutine is inside one at the same time: a caller that runs the
+// decoded reference beside a mutator then fails with a panic that names
+// the cause, instead of a fatal concurrent map access or, without -race,
+// nothing at all. It is on in test binaries.
+var checkTreeCache = testing.Testing()
+
+// enter and leave bracket each method of the cache.
+func (c *treeCache) enter() {
+	if checkTreeCache && c.users.Add(1) != 1 {
+		panic("core: the tree cache used by two goroutines at once: mutating operations and the decoded reference (Tree.Root, Store.Children, Tree.Locate) are the writer's and must be serialized")
+	}
+}
+
+func (c *treeCache) leave() {
+	if checkTreeCache {
+		c.users.Add(-1)
+	}
 }
 
 type treeEntry struct {
@@ -477,21 +504,29 @@ type treeEntry struct {
 // hashes as one word.
 func ridKey(rid records.RID) uint64 { return uint64(rid.Page)<<16 | uint64(rid.Slot) }
 
-func newTreeCache(capacity int) treeCache {
-	return treeCache{capacity: capacity, entries: make(map[uint64]treeEntry, min(capacity, 1024))}
+func (c *treeCache) init(capacity int) {
+	c.capacity, c.entries = capacity, make(map[uint64]treeEntry, min(capacity, 1024))
 }
 
 func (c *treeCache) get(rid records.RID) (treeEntry, bool) {
+	c.enter()
+	defer c.leave()
 	e, ok := c.entries[ridKey(rid)]
 	return e, ok
 }
 
 // body returns where the body of rid lies as the cache knows it, NilRID
 // when it does not.
-func (c *treeCache) body(rid records.RID) records.RID { return c.entries[ridKey(rid)].body }
+func (c *treeCache) body(rid records.RID) records.RID {
+	c.enter()
+	defer c.leave()
+	return c.entries[ridKey(rid)].body
+}
 
 // put caches the tree of rid, its body lying at body.
 func (c *treeCache) put(rid records.RID, rec *noderep.Record, body records.RID) {
+	c.enter()
+	defer c.leave()
 	if c.capacity == 0 {
 		return
 	}
@@ -502,9 +537,17 @@ func (c *treeCache) put(rid records.RID, rec *noderep.Record, body records.RID) 
 	c.entries[k] = treeEntry{rec: rec, body: body}
 }
 
-func (c *treeCache) remove(rid records.RID) { delete(c.entries, ridKey(rid)) }
+func (c *treeCache) remove(rid records.RID) {
+	c.enter()
+	defer c.leave()
+	delete(c.entries, ridKey(rid))
+}
 
-func (c *treeCache) clear() { clear(c.entries) }
+func (c *treeCache) clear() {
+	c.enter()
+	defer c.leave()
+	clear(c.entries)
+}
 
 // recCache is the image cache: a small LRU of record images, sharded by
 // RID so concurrent readers of different records rarely contend. Each

@@ -26,27 +26,15 @@ import (
 // the text's header as well, which is not one contiguous insert or
 // removal, and is not spliceable.
 //
-// An edit is planned (PlanInsert, PlanRemove), which reads the image and
-// changes nothing, and then applied (Apply) to the image — a copy, or
-// the stored cell itself where its page has the room, once the caller
-// has declared to its log what the plan says will change.
-//
 // A Splice is reusable; the zero value is ready.
 type Splice struct {
-	// From and Fields describe the last successful plan: the edited
-	// image differs from the one planned on from byte From on, and before
+	// From and Fields describe the last successful edit: the returned
+	// image differs from the one passed in from byte From on, and before
 	// that only in the two-byte fields at the offsets in Fields — the
 	// ancestors' size fields, and for an edit that fuses or unfuses the
 	// record root the record header's first two bytes (the flags).
 	From   int
 	Fields []int
-
-	// The planned edit: delta bytes inserted at From (ins) or, negative,
-	// removed there; the first sizes of Fields are content sizes that
-	// move by delta; mark sets (+1) or clears (-1) the fused mark of the
-	// aggregate the path of depth steps leads to.
-	delta, sizes, mark, depth int
-	ins                       []byte
 }
 
 // u16 and putU16 read and write the little-endian header fields.
@@ -152,18 +140,19 @@ func (sp *Splice) locate(img []byte, path []int) (ep editPoint, ok bool) {
 	return ep, true
 }
 
-// setMark sets or clears the fused mark of the aggregate the planned
-// path leads to: on its size field, the last of the sizes in sp.Fields,
-// or for the record root in the flags byte.
-func (sp *Splice) setMark(img []byte, fused bool) {
-	if sp.depth == 1 {
+// setFused sets or clears the fused mark of the aggregate the last locate
+// led to: on its size field, the last of sp.Fields, or for the record
+// root in the flags byte, whose two-byte field joins sp.Fields.
+func (sp *Splice) setFused(img []byte, depth int, fused bool) {
+	if depth == 1 {
 		img[1] &^= rootFusedFlag
 		if fused {
 			img[1] |= rootFusedFlag
 		}
+		sp.Fields = append(sp.Fields, 0)
 		return
 	}
-	f := sp.Fields[sp.sizes-1]
+	f := sp.Fields[len(sp.Fields)-1]
 	size := u16(img[f:]) &^ fusedMark
 	if fused {
 		size |= fusedMark
@@ -171,90 +160,48 @@ func (sp *Splice) setMark(img []byte, fused bool) {
 	putU16(img[f:], size)
 }
 
-// plan records an edit locate led to: delta bytes at pos, the content
-// sizes in sp.Fields moved by them, the fused mark set or cleared. A
-// mark on the record root joins sp.Fields as the field at offset 0.
-func (sp *Splice) plan(pos, delta, mark, depth int) {
-	sp.From, sp.delta, sp.sizes, sp.mark, sp.depth = pos, delta, len(sp.Fields), mark, depth
-	if mark != 0 && depth == 1 {
-		sp.Fields = append(sp.Fields, 0)
-	}
-}
-
-// Apply makes the edit the last successful plan describes on img, the
-// image the plan read or a copy of it, with capacity for the edited
-// image, and returns the edited image (img's array).
-func (sp *Splice) Apply(img []byte) []byte {
-	old, pos := len(img), sp.From
-	if sp.delta >= 0 {
-		img = img[:old+sp.delta]
-		copy(img[pos+sp.delta:], img[pos:old])
-		copy(img[pos:], sp.ins)
-	} else {
-		copy(img[pos:], img[pos-sp.delta:])
-		img = img[:old+sp.delta]
-	}
-	for _, f := range sp.Fields[:sp.sizes] {
-		putU16(img[f:], u16(img[f:])+sp.delta)
-	}
-	if sp.mark != 0 {
-		sp.setMark(img, sp.mark > 0)
-	}
-	return img
-}
-
 // Insert returns img with the subtree n added as child path[len-1] of
 // the aggregate at path[:len-1], or false when that is not a splice: a
 // node type missing from img's type table, a record past limit bytes or
 // past 32 KB (no 15-bit content size in it can then overflow), a path
 // that does not resolve, a child beside the text of a fused element, an
-// image of an older format version. The result reuses img's backing
-// array when that has room for it; img is not changed when the edit is
-// not a splice. n must be well-formed (Validate). Insert is PlanInsert
-// and Apply.
+// image of an older format version. img is consumed either way — the
+// result reuses its backing array when that has room for limit bytes —
+// so the caller passes a copy of the stored image, and n must be
+// well-formed (Validate).
 func (sp *Splice) Insert(img []byte, path []int, n *Node, limit int) ([]byte, bool) {
-	size, ok := sp.PlanInsert(img, path, n, limit)
-	if !ok {
+	ep, ok := sp.locate(img, path)
+	if !ok || ep.fused {
+		return nil, false
+	}
+	// A text into an empty element fuses: its payload is all that goes in.
+	fuse := ep.start == ep.end && ep.facade(img) && nodeTypeKey(n) == textKey
+	pos, old, delta := ep.pos, len(img), n.TotalSize()
+	if fuse {
+		delta = len(n.Payload)
+	}
+	size := old + delta
+	if size > limit || size > maxContentSize {
 		return nil, false
 	}
 	if cap(img) < size {
 		img = append(make([]byte, 0, size), img...)
 	}
-	return sp.Apply(img), true
-}
-
-// PlanInsert plans Insert's edit of img, reading it and changing
-// nothing: the new subtree's bytes, with the table indexes img's type
-// table already has, go into the Splice's own buffer. It returns the
-// size of the edited image.
-func (sp *Splice) PlanInsert(img []byte, path []int, n *Node, limit int) (int, bool) {
-	ep, ok := sp.locate(img, path)
-	if !ok || ep.fused {
-		return 0, false
-	}
-	// A text into an empty element fuses: its payload is all that goes in.
-	fuse := ep.start == ep.end && ep.facade(img) && nodeTypeKey(n) == textKey
-	delta := n.TotalSize()
+	img = img[:size]
+	copy(img[pos+delta:], img[pos:old])
 	if fuse {
-		delta = len(n.Payload)
+		copy(img[pos:], n.Payload)
+	} else if end, ok := emitEmbedded(img, pos, n); !ok || end != pos+delta {
+		return nil, false
 	}
-	size := len(img) + delta
-	if size > limit || size > maxContentSize {
-		return 0, false
+	for _, f := range sp.Fields {
+		putU16(img[f:], u16(img[f:])+delta)
 	}
-	if cap(sp.ins) < delta {
-		sp.ins = make([]byte, delta)
-	}
-	sp.ins = sp.ins[:delta]
-	mark := 0
 	if fuse {
-		copy(sp.ins, n.Payload)
-		mark = 1
-	} else if end, ok := emitEmbedded(img, sp.ins, 0, n); !ok || end != delta {
-		return 0, false
+		sp.setFused(img, len(path), true)
 	}
-	sp.plan(ep.pos, delta, mark, len(path))
-	return size, true
+	sp.From = pos
+	return img, true
 }
 
 // Remove returns img without child path[len-1] of the aggregate at
@@ -262,40 +209,35 @@ func (sp *Splice) PlanInsert(img []byte, path []int, n *Node, limit int) (int, b
 // not a splice: the subtree holds the last node of some type, so a
 // re-encode would drop the type-table entry, the child's only sibling is
 // a text a re-encode would fuse with the aggregate, or the path does not
-// resolve. The result is img's array; img is not changed when the edit
-// is not a splice. Remove is PlanRemove and Apply.
+// resolve. img is consumed either way.
 func (sp *Splice) Remove(img []byte, path []int) ([]byte, bool) {
-	if _, ok := sp.PlanRemove(img, path); !ok {
-		return nil, false
-	}
-	return sp.Apply(img), true
-}
-
-// PlanRemove plans Remove's edit of img, reading it and changing
-// nothing. It returns the size of the edited image.
-func (sp *Splice) PlanRemove(img []byte, path []int) (int, bool) {
 	ep, ok := sp.locate(img, path)
 	if !ok {
-		return 0, false
+		return nil, false
 	}
 	pos, del := ep.pos, ep.end-ep.start
-	mark := 0
-	if ep.fused {
+	if !ep.fused {
 		// (The text of a fused element has no header and cites no type:
 		// its payload, all of the content, goes and nothing else changes.)
-		mark = -1
-	} else {
 		if pos+EmbeddedHeaderSize > ep.end {
-			return 0, false
+			return nil, false
 		}
 		del = EmbeddedHeaderSize + sizeAt(img, pos)
 		if pos+del > ep.end || leavesLoneText(img, ep, del) || !typesSurvive(img, pos, pos+del) {
-			return 0, false
+			return nil, false
 		}
 	}
-	sp.ins = sp.ins[:0]
-	sp.plan(pos, -del, mark, len(path))
-	return len(img) - del, true
+	size := len(img) - del
+	copy(img[pos:], img[pos+del:])
+	img = img[:size]
+	for _, f := range sp.Fields {
+		putU16(img[f:], u16(img[f:])-del)
+	}
+	if ep.fused {
+		sp.setFused(img, len(path), false)
+	}
+	sp.From = pos
+	return img, true
 }
 
 // leavesLoneText reports whether removing the del bytes of the child at
@@ -314,17 +256,17 @@ func leavesLoneText(img []byte, ep editPoint, del int) bool {
 	return EmbeddedHeaderSize+sizeAt(img, sib) == rest && ti < u16(img[2:]) && tableIs(img, ti, textKey)
 }
 
-// emitEmbedded writes n as an embedded node at dst[pos:] — header,
-// content, its content size backpatched, a text-only element fused —
-// with the table indexes img's type table already has, and returns the
-// offset behind it.
-func emitEmbedded(img, dst []byte, pos int, n *Node) (int, bool) {
+// emitEmbedded writes n as an embedded node at pos — header, content,
+// its content size backpatched, a text-only element fused — with the
+// table indexes img's type table already has, and returns the offset
+// behind it.
+func emitEmbedded(img []byte, pos int, n *Node) (int, bool) {
 	ti := tableIndex(img, nodeTypeKey(n))
-	if ti < 0 || pos+EmbeddedHeaderSize > len(dst) {
+	if ti < 0 || pos+EmbeddedHeaderSize > len(img) {
 		return 0, false
 	}
 	hdr := pos
-	putU16(dst[hdr:], ti)
+	putU16(img[hdr:], ti)
 	pos += EmbeddedHeaderSize
 	mark := 0
 	if t := n.FusedText(); t != nil {
@@ -332,27 +274,27 @@ func emitEmbedded(img, dst []byte, pos int, n *Node) (int, bool) {
 	}
 	switch n.Kind {
 	case KindLiteral:
-		if pos+len(n.Payload) > len(dst) {
+		if pos+len(n.Payload) > len(img) {
 			return 0, false
 		}
-		pos += copy(dst[pos:], n.Payload)
+		pos += copy(img[pos:], n.Payload)
 	case KindProxy:
-		if pos+records.RIDSize > len(dst) {
+		if pos+records.RIDSize > len(img) {
 			return 0, false
 		}
-		n.Target.Put(dst[pos:])
+		n.Target.Put(img[pos:])
 		pos += records.RIDSize
 	case KindAggregate:
 		for _, c := range n.Children {
 			var ok bool
-			if pos, ok = emitEmbedded(img, dst, pos, c); !ok {
+			if pos, ok = emitEmbedded(img, pos, c); !ok {
 				return 0, false
 			}
 		}
 	default:
 		return 0, false
 	}
-	putU16(dst[hdr+2:], (pos-hdr-EmbeddedHeaderSize)|mark)
+	putU16(img[hdr+2:], (pos-hdr-EmbeddedHeaderSize)|mark)
 	return pos, true
 }
 

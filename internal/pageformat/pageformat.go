@@ -413,7 +413,12 @@ func (s Slotted) Splice(slot int, data []byte, from int, fields []int) bool {
 			copy(s.b[off+f:off+f+2], data[f:])
 		}
 		copy(s.b[off+from:], data[from:])
-		s.resize(slot, len(data))
+		if off+length == s.cellEnd() {
+			s.setCellEnd(off + len(data))
+		} else {
+			s.setFrag(s.frag() + length - len(data))
+		}
+		s.setSlot(slot, off, len(data), flag)
 		return true
 	}
 	// Retire the old cell, then place the new bytes.
@@ -480,19 +485,6 @@ func (sh Shift) Destroyed() Span {
 	return Span{Off: sh.Off + sh.Tail, Len: sh.Delta}
 }
 
-// resize sets the length of the cell in slot, edited where it lies, to
-// n: the cell area's end moves with a cell that borders the free area,
-// the fragmented count takes what any other cell gives back.
-func (s Slotted) resize(slot, n int) {
-	off, length, flag := s.slot(slot)
-	if off+length == s.cellEnd() {
-		s.setCellEnd(off + n)
-	} else {
-		s.setFrag(s.frag() + length - n)
-	}
-	s.setSlot(slot, off, n, flag)
-}
-
 // SpliceShift reports whether Splice(slot, data, from, fields) is a
 // shift: the cell is edited where it lies, it changes size, and behind
 // the inserted or removed bytes data carries the cell's old tail byte
@@ -501,31 +493,12 @@ func (s Slotted) resize(slot, n int) {
 // the splice changes beside the shift: everything SpliceSpans declares
 // except the body.
 func (s Slotted) SpliceShift(buf []Span, slot int, data []byte, from int, fields []int) (spans []Span, sh Shift, ok bool) {
-	spans, sh, ok = s.ShiftSpans(buf, slot, len(data), from, fields)
-	if !ok {
-		return buf, Shift{}, false
-	}
-	at := sh.Off + max(-sh.Delta, 0)
-	if !bytes.Equal(s.b[at:at+sh.Tail], data[from+max(sh.Delta, 0):]) {
-		return buf, Shift{}, false
-	}
-	return spans, sh, true
-}
-
-// ShiftSpans reports whether a new body of n bytes that differs from
-// the cell in slot from byte from on, and before that only in the
-// two-byte fields at the offsets in fields, can take the cell's place
-// as a shift — the cell edited where it lies, its size changing, the
-// bytes behind from moving — for a caller that makes the shift itself
-// (ResizeInPlace) and so needs no body to compare. It returns the shift
-// and appends to buf the small spans the edit changes beside it.
-func (s Slotted) ShiftSpans(buf []Span, slot, n, from int, fields []int) (spans []Span, sh Shift, ok bool) {
-	if s.spliceMode(slot, n) != spliceInPlace {
+	if s.spliceMode(slot, len(data)) != spliceInPlace {
 		return buf, Shift{}, false
 	}
 	off, length, _ := s.slot(slot)
-	delta := n - length
-	if delta == 0 || from < 0 || from > min(length, n) {
+	delta := len(data) - length
+	if delta == 0 || from < 0 || from > min(length, len(data)) {
 		return buf, Shift{}, false
 	}
 	for _, f := range fields {
@@ -533,18 +506,11 @@ func (s Slotted) ShiftSpans(buf []Span, slot, n, from int, fields []int) (spans 
 			return buf, Shift{}, false // a field inside the moved bytes
 		}
 	}
-	tail := length - from - max(-delta, 0)
-	return s.smallSpans(buf, slot, fields), Shift{Off: off + from, Tail: tail, Delta: delta}, true
-}
-
-// ResizeInPlace gives the cell in slot, for which ShiftSpans reported a
-// shift to n bytes, its new length where it lies, and returns its old
-// contents with capacity for n bytes: the caller moves the bytes and
-// fills the gap, leaving the page as Splice would have.
-func (s Slotted) ResizeInPlace(slot, n int) []byte {
-	off, length, _ := s.slot(slot)
-	s.resize(slot, n)
-	return s.b[off : off+length : off+max(length, n)]
+	tail := s.b[off+from+max(-delta, 0) : off+length]
+	if !bytes.Equal(tail, data[from+max(delta, 0):]) {
+		return buf, Shift{}, false
+	}
+	return s.smallSpans(buf, slot, fields), Shift{Off: off + from, Tail: len(tail), Delta: delta}, true
 }
 
 // Delete removes the cell in the given slot. The slot becomes reusable;

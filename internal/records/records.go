@@ -98,7 +98,7 @@ const MinRecordSize = RIDSize
 type Manager struct {
 	seg *segment.Segment
 
-	// edit is Edit's copy of a body it cannot edit where it lies.
+	// edit is Edit's copy of the body it edits.
 	edit []byte
 }
 
@@ -405,30 +405,23 @@ func (m *Manager) endSplice(f *buffer.Frame, sl pageformat.Slotted, ok bool, err
 	return true, m.seg.NotifyFree(page, free)
 }
 
-// An Editor computes the new body of a record from its stored one, for
-// Edit, in two steps. Plan reads the stored body (cell, valid only during
-// the call) and returns the new body's length and where it will differ
-// from the stored one, as Splice is told (from, fields), or false for no
-// edit; it changes nothing. Apply then turns body — the stored body, or
-// a copy of it, with capacity for the new length — into the new body
-// and returns it.
+// An Editor turns a copy of a record's stored body into its new body,
+// for Edit. Edit hands it body, with capacity for the largest record,
+// and it returns the new body and where it differs from the stored one,
+// as Splice is told (from, fields), or false for no edit.
 type Editor interface {
-	Plan(cell []byte) (n, from int, fields []int, ok bool)
-	Apply(body []byte) []byte
+	Edit(body []byte) (data []byte, from int, fields []int, ok bool)
 }
 
 // Edit is Splice for a caller that computes the new body from the stored
-// one: the page the body lies on is pinned and latched once, ed plans
-// the edit on the body where it lies, and when the edit is a shift of
-// the cell where it lies (pageformat.Slotted.ShiftSpans) — the common
-// node edit — ed applies it to the cell itself inside the update
-// bracket: no copy of the body, and no second resolve of the RID. Any
-// other edit is applied to a copy and written as Splice writes it. A
-// forwarded record costs its home page's visit too. It reports false,
-// with nothing changed, when ed declines or the page cannot hold the
-// new body; Update then moves the body. The page bytes and the log
-// records are those Splice writes for the same new body. Mutator
-// context: the copy is made in the manager's own buffer.
+// one: the page the body lies on is pinned and latched once, the body is
+// copied into the manager's buffer, ed edits the copy and the result is
+// spliced into the page inside that same frame — no second resolve of
+// the RID and no second pin. A forwarded record costs its home page's
+// visit too. It reports false, with nothing changed, when ed declines or
+// the page cannot hold the new body; Update then moves the body. The
+// page bytes and the log records are those Splice writes for the same
+// new body. Mutator context: the manager's buffer is the writer's.
 func (m *Manager) Edit(rid RID, ed Editor) (bool, error) {
 	f, sl, loc, err := m.latchBody(rid)
 	if err != nil {
@@ -439,24 +432,17 @@ func (m *Manager) Edit(rid RID, ed Editor) (bool, error) {
 	if err != nil {
 		return m.endSplice(f, sl, false, fmt.Errorf("%w: %s: %v", ErrNotFound, rid, err))
 	}
-	n, from, fields, ok := ed.Plan(cell)
+	if m.edit == nil {
+		m.edit = make([]byte, 0, m.MaxRecordSize())
+	}
+	data, from, fields, ok := ed.Edit(append(m.edit[:0], cell...))
 	if ok {
-		err = m.checkSize(n)
+		err = m.checkSize(len(data))
 	}
 	if !ok || err != nil {
 		return m.endSplice(f, sl, false, err)
 	}
-	var buf [16]pageformat.Span
-	if spans, sh, ok := sl.ShiftSpans(buf[:0], slot, n, from, fields); ok {
-		u := f.BeginShift(sh, spans...)
-		ed.Apply(sl.ResizeInPlace(slot, n))
-		return m.endSplice(f, sl, true, f.EndUpdate(u))
-	}
-	if cap(m.edit) < n {
-		m.edit = make([]byte, 0, m.MaxRecordSize())
-	}
-	m.edit = append(m.edit[:0], cell...)
-	ok, err = spliceLatched(f, sl, slot, ed.Apply(m.edit), from, fields)
+	ok, err = spliceLatched(f, sl, slot, data, from, fields)
 	return m.endSplice(f, sl, ok, err)
 }
 
