@@ -548,18 +548,22 @@ func (s *Store) register(info *DocInfo) error {
 }
 
 // updateRoot persists a changed root RID (tree roots move when the root
-// record splits). Mutator context.
+// record splits). Mutator context: only a mutator changes the catalog,
+// so the entry is read under the read lock — beside the readers looking
+// documents up, not waiting for them to leave — and the write lock is
+// taken only for the rare edit that moved the root.
 func (s *Store) updateRoot(name string, root records.RID) error {
-	s.cmu.Lock()
+	s.cmu.RLock()
 	info, ok := s.catalog[name]
+	moved := ok && info.Root != root
+	s.cmu.RUnlock()
 	if !ok {
-		s.cmu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	if info.Root == root {
-		s.cmu.Unlock()
+	if !moved {
 		return nil
 	}
+	s.cmu.Lock()
 	info.Root = root
 	s.cmu.Unlock()
 	return s.saveCatalog()

@@ -14,7 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"natix/internal/corpus"
@@ -662,6 +664,95 @@ func recordPlaces(t *testing.T, db *DB, doc *Document) map[records.RID]recordPla
 // record lies, a relocation inside its page (with and without the cell
 // area being compacted), a move to another page behind a forwarding
 // stub, and a split that patches parent pointers.
+// TestCatalogFollowsRootMoves runs the node edit script on 512-byte
+// pages, where the root record splits and the tree's root moves to
+// another record, while a reader queries another document. After every
+// edit the catalog names the tree's root, and the document exports as
+// the model — at the end, and again after a reopen reads the root from
+// the stored catalog.
+func TestCatalogFollowsRootMoves(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.natix")
+	db, err := Open(Options{Path: path, PageSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { db.Close() }()
+	rootName, script := nodeEditScript(420)
+	if err := db.ImportXML("play", strings.NewReader("<"+rootName+"/>")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ImportXML("other", strings.NewReader(othello)); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := db.Document("play")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer halt()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := db.Query("other", "//SPEAKER"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	model := xmlkit.NewElement(rootName)
+	moves, root := 0, doc.tree.RootRID()
+	for i, e := range script {
+		if err := e.apply(doc); err != nil {
+			t.Fatalf("edit %d: %v", i, err)
+		}
+		e.applyToModel(model)
+		info, err := db.store.Lookup("play")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := doc.tree.RootRID(); r != root {
+			moves++
+			root = r
+		}
+		if info.Root != root {
+			t.Fatalf("edit %d: the catalog names root %s, the tree's is %s", i, info.Root, root)
+		}
+	}
+	halt()
+	if moves == 0 {
+		t.Fatal("no edit moved the root: the script no longer covers a root split")
+	}
+	want := xmlkit.SerializeString(model)
+	export := func() string {
+		var b strings.Builder
+		if err := db.ExportXML("play", &b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if got := export(); got != want {
+		t.Fatalf("after %d root moves the export differs from the model", moves)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(Options{Path: path, PageSize: 512}); err != nil {
+		t.Fatal(err)
+	}
+	if got := export(); got != want {
+		t.Fatalf("reopened after %d root moves: the export differs from the model", moves)
+	}
+}
+
 func TestCrashRecoveryNodeEdits(t *testing.T) {
 	const session = 8
 	opts := crashOpts()
