@@ -252,10 +252,10 @@ func TestCursorResolveMatchesReference(t *testing.T) {
 
 // TestCursorLoadsOneRecordPerRun: draining a "//LINE" cursor costs
 // exactly one record load per same-record run of its posting list — the
-// count is computed from the postings, not measured. A load served by
-// the record cache is one logical read (the Touch of the record's
-// page); without the cache it is two, the slot lookup and the body read
-// (bulk-loaded records are never forwarded).
+// count is computed from the postings, not measured. A load is one
+// logical read with the record cache or without it: a hit touches the
+// record's page, a miss reads the body in one visit of it (bulk-loaded
+// records are never forwarded).
 func TestCursorLoadsOneRecordPerRun(t *testing.T) {
 	model := genRuns(rand.New(rand.NewSource(4)), 120)
 	for _, m := range splitExtremes {
@@ -270,10 +270,6 @@ func TestCursorLoadsOneRecordPerRun(t *testing.T) {
 				runs := sameRecordRuns(posts)
 				if m.name == "other" && runs*4 > len(posts) {
 					t.Fatalf("%d runs over %d postings: records hold too few LINEs to tell a run from a match", runs, len(posts))
-				}
-				readsPerLoad := int64(1)
-				if cache == 0 {
-					readsPerLoad = 2
 				}
 				// The first drain leaves the index handle, its posting list
 				// and (when there is one) the record cache warm: the second
@@ -291,8 +287,8 @@ func TestCursorLoadsOneRecordPerRun(t *testing.T) {
 					if err := it.Close(); err != nil || n != len(posts) {
 						t.Fatalf("drained %d of %d matches, %v", n, len(posts), err)
 					}
-					if got := pool.Stats().LogicalReads - before; pass == 1 && got != readsPerLoad*int64(runs) {
-						t.Fatalf("%d logical reads for %d matches in %d same-record runs, want %d", got, n, runs, readsPerLoad*int64(runs))
+					if got := pool.Stats().LogicalReads - before; pass == 1 && got != int64(runs) {
+						t.Fatalf("%d logical reads for %d matches in %d same-record runs, want %d", got, n, runs, runs)
 					}
 				}
 			})

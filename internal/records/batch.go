@@ -31,7 +31,6 @@ package records
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -52,13 +51,6 @@ type BatchStats struct {
 // the flusher busy, small enough that a stalled device back-pressures
 // the packer instead of buffering the whole document.
 const flusherQueueLen = 8
-
-// flushInline short-circuits the flusher stage on single-CPU machines:
-// with no parallelism to win, queueing pages only widens the window in
-// which allocated-but-unmaterialized pages sit in the buffer pool, where
-// an eviction flushes a half-built page (and, under WAL, forces a log
-// sync). Tests toggle it to pin either path.
-var flushInline = runtime.GOMAXPROCS(0) == 1
 
 // BatchWriter packs records onto sequential pages. Create with
 // Manager.NewBatchWriter.
@@ -183,13 +175,6 @@ func (w *BatchWriter) submit() error {
 	}
 	w.pending[w.page] = w.bodies
 	w.mu.Unlock()
-	if flushInline {
-		p := w.page
-		w.page = 0
-		w.bodies = make([][]byte, 0, cap(w.bodies))
-		w.used = 0
-		return w.runFlush(p)
-	}
 	if w.jobs == nil {
 		w.jobs = make(chan pagedev.PageNo, flusherQueueLen)
 		w.done = make(chan struct{})
@@ -203,86 +188,54 @@ func (w *BatchWriter) submit() error {
 }
 
 // flusher drains the page queue, materializing each page in allocation
-// order. After a failure it keeps draining (recording the first error)
-// so the packer never blocks on a full queue.
+// order and charging its wall time to the flusher stage. After a failure
+// it keeps draining (recording the first error) so the packer never
+// blocks on a full queue.
 func (w *BatchWriter) flusher() {
 	defer close(w.done)
 	for p := range w.jobs {
 		if w.abandoned.Load() {
 			continue
 		}
-		if err := w.runFlush(p); err != nil {
-			w.mu.Lock()
-			if w.flushErr == nil {
-				w.flushErr = err
-			}
-			w.mu.Unlock()
+		start := telemetry.Now()
+		err := w.flushPage(p)
+		w.mu.Lock()
+		w.stats.WriteNS += int64(telemetry.Since(start))
+		if err != nil && w.flushErr == nil {
+			w.flushErr = err
 		}
+		w.mu.Unlock()
 	}
-}
-
-// runFlush materializes one page, charging its wall time to the flusher
-// stage.
-func (w *BatchWriter) runFlush(p pagedev.PageNo) error {
-	start := telemetry.Now()
-	err := w.flushPage(p)
-	w.mu.Lock()
-	w.stats.WriteNS += int64(telemetry.Since(start))
-	w.mu.Unlock()
-	return err
 }
 
 // flushPage writes one submitted page's bodies onto the page under a
 // single pin/latch and registers its remaining free space.
 func (w *BatchWriter) flushPage(p pagedev.PageNo) error {
-	f, err := w.m.seg.Pool().Get(p)
-	if err != nil {
-		w.mu.Lock()
-		delete(w.pending, p)
-		w.mu.Unlock()
-		return err
-	}
-	f.Latch()
-	sl, err := pageformat.AsSlotted(f.Data())
-	if err != nil {
-		w.mu.Lock()
-		delete(w.pending, p)
-		w.mu.Unlock()
-		f.Unlatch()
-		f.Release()
-		return err
-	}
+	var v visit
+	err := w.m.pin(&v, p, true)
+	pinned := err == nil
 	// Copy the bodies out under mu while holding the frame latch: Patch
 	// callers either still see the pending entry (and patch the body
 	// before this copy) or miss it and serialize behind the latch.
 	w.mu.Lock()
 	bodies := w.pending[p]
-	var copyErr error
-	for i, body := range bodies {
-		slot, ok := sl.Insert(body)
-		if !ok || slot != i {
-			copyErr = fmt.Errorf("records: batch page %d: slot %d/%v, want %d (page not empty?)", p, slot, ok, i)
-			break
+	delete(w.pending, p)
+	for i := 0; err == nil && i < len(bodies); i++ {
+		if slot, ok := v.sl.Insert(bodies[i]); !ok || slot != i {
+			err = fmt.Errorf("records: batch page %d: slot %d/%v, want %d (page not empty?)", p, slot, ok, i)
 		}
 	}
-	delete(w.pending, p)
 	w.mu.Unlock()
-	if copyErr != nil {
-		f.Unlatch()
-		f.Release()
-		return copyErr
-	}
-	free := sl.FreeBytes()
-	// One page-image log record covers the whole packed page (the page
-	// was freshly allocated by this writer), preserving the bulk path's
-	// one-write-per-page property on the log as well.
-	err = f.LogImage()
-	f.Unlatch()
-	f.Release()
-	if err != nil {
+	if !pinned {
 		return err
 	}
-	if err := w.m.seg.NotifyFree(p, free); err != nil {
+	if err == nil {
+		// One page-image log record covers the whole packed page (the
+		// page was freshly allocated by this writer), preserving the bulk
+		// path's one-write-per-page property on the log as well.
+		err = v.f.LogImage()
+	}
+	if err := w.m.end(&v, true, err); err != nil {
 		return err
 	}
 	w.mu.Lock()

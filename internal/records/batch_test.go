@@ -278,22 +278,11 @@ func TestBatchWriterManyPagesStats(t *testing.T) {
 	}
 }
 
-// forceAsyncFlusher pins the flusher-goroutine path on: a single-CPU
-// machine defaults to inline flushing, and the handoff protocol under
-// test lives in the concurrent code.
-func forceAsyncFlusher(t *testing.T) {
-	t.Helper()
-	old := flushInline
-	flushInline = false
-	t.Cleanup(func() { flushInline = old })
-}
-
-// TestBatchWriterAsyncFlusher drives the two-stage writer with the
-// flusher goroutine pinned on: bodies round-trip, patches race the
+// TestBatchWriterAsyncFlusher drives the two-stage writer, its flusher
+// goroutine beside the packer: bodies round-trip, patches race the
 // materialization without being lost, and Discard unwinds everything
 // the flusher already wrote.
 func TestBatchWriterAsyncFlusher(t *testing.T) {
-	forceAsyncFlusher(t)
 	m := newManager(t, 1024)
 	w := m.NewBatchWriter(0.9)
 	var rids []RID
@@ -368,7 +357,6 @@ func TestBatchWriterAsyncFlusher(t *testing.T) {
 // whatever was materialized stays for the rollback to restore, and a
 // later Discard finds nothing of this batch to delete.
 func TestBatchWriterAbandon(t *testing.T) {
-	forceAsyncFlusher(t)
 	m := newManager(t, 1024)
 	w := m.NewBatchWriter(0.9)
 	var rids []RID

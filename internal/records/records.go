@@ -7,7 +7,10 @@
 // forwarding stub holding the new location, so references held by upper
 // layers (proxies, parent pointers, catalog entries) never need rewriting
 // just because a record moved. Forwarding chains are at most one hop —
-// re-moving a forwarded record patches the original stub.
+// re-moving a forwarded record patches the original stub. An access
+// reaches a record in one visit of each page its body lies on — the home
+// page and, behind a stub, the page the stub names — so it costs one
+// logical read per such page (see Manager).
 //
 // Allocation takes a proximity hint so callers can "store parent with
 // children and sibling nodes on the same page if possible" (§4.2).
@@ -17,7 +20,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 
 	"natix/internal/buffer"
 	"natix/internal/pagedev"
@@ -95,6 +97,14 @@ const MinRecordSize = RIDSize
 // to readers of a neighboring record on the same page. Mutating
 // operations themselves must be serialized by the caller (package
 // docstore holds a single writer lock).
+//
+// Every page access is one visit: the page pinned, latched and parsed
+// once, and let go on one path. An access to a record visits the pages
+// its body lies on — the home page and, for a forwarded record, once the
+// stub is read and the home page let go, the page the stub names, whose
+// slot must hold the body and not another stub — and runs inside that
+// visit, so it costs one logical read per page its body lies on, read or
+// write, hit or miss.
 type Manager struct {
 	seg *segment.Segment
 
@@ -123,6 +133,111 @@ func (m *Manager) checkSize(n int) error {
 	return nil
 }
 
+// A visit is one page held by the manager: pinned, latched — shared to
+// read, exclusively to write — and parsed. A visit of a record's body
+// also says where the body lies.
+type visit struct {
+	f    *buffer.Frame
+	sl   pageformat.Slotted
+	loc  RID             // where the body lies: the record's own RID unless fwd
+	cell pageformat.Span // the visited slot's cell: the body, or home's stub
+
+	write bool
+	fwd   bool // the record's home slot holds a forwarding stub
+}
+
+// pin visits page p, into v. On error nothing is held; otherwise done
+// ends the visit.
+func (m *Manager) pin(v *visit, p pagedev.PageNo, write bool) error {
+	f, err := m.seg.Pool().Get(p)
+	if err != nil {
+		return err
+	}
+	*v = visit{f: f, write: write}
+	if write {
+		f.Latch()
+	} else {
+		f.RLatch()
+	}
+	if v.sl, err = pageformat.AsSlotted(f.Data()); err != nil {
+		v.done()
+		return err
+	}
+	return nil
+}
+
+// done unlatches and unpins the page of v.
+func (v *visit) done() {
+	if v.write {
+		v.f.Unlatch()
+	} else {
+		v.f.RUnlatch()
+	}
+	v.f.Release()
+}
+
+// bytes returns the body's bytes in the page; they alias the page and are
+// valid until done.
+func (v *visit) bytes() []byte { return v.f.Data()[v.cell.Off : v.cell.Off+v.cell.Len] }
+
+// home visits the home page of rid, into v, and reads its slot: the body
+// itself, or a forwarding stub whose RID becomes v.loc. On error nothing
+// is held.
+func (m *Manager) home(v *visit, rid RID, write bool) error {
+	if err := m.pin(v, rid.Page, write); err != nil {
+		return err
+	}
+	fwd, err := v.sl.Flag(int(rid.Slot))
+	if err != nil {
+		v.done()
+		return fmt.Errorf("%w: %s: %v", ErrNotFound, rid, err)
+	}
+	v.loc, v.fwd = rid, fwd
+	v.cell, _ = v.sl.CellSpan(int(rid.Slot)) // Flag found the slot live
+	if fwd {
+		if v.cell.Len != RIDSize {
+			v.done()
+			return fmt.Errorf("%w: stub at %s has %d bytes", ErrCorrupt, rid, v.cell.Len)
+		}
+		v.loc = DecodeRID(v.bytes())
+	}
+	return nil
+}
+
+// body visits the page the body of rid lies on, into v: the home page,
+// or for a forwarded record the page the stub names, after the home page
+// is let go. A stub that names no live body — a dead slot or another
+// stub — is ErrCorrupt. On error nothing is held.
+func (m *Manager) body(v *visit, rid RID, write bool) error {
+	if err := m.home(v, rid, write); err != nil || !v.fwd {
+		return err
+	}
+	loc := v.loc
+	v.done()
+	if err := m.pin(v, loc.Page, write); err != nil {
+		return err
+	}
+	if fl, err := v.sl.Flag(int(loc.Slot)); err != nil || fl {
+		v.done()
+		return fmt.Errorf("%w: %s forwards to %s which is %v/%v", ErrCorrupt, rid, loc, fl, err)
+	}
+	v.loc, v.fwd = loc, true
+	v.cell, _ = v.sl.CellSpan(int(loc.Slot)) // Flag found the slot live
+	return nil
+}
+
+// end ends write visit v of an update that returned err, and when notify
+// and err is nil tells the free-space inventory what the page has left.
+func (m *Manager) end(v *visit, notify bool, err error) error {
+	free := v.sl.FreeBytes()
+	page := v.f.Page()
+	v.done()
+	if !notify || err != nil {
+		return err
+	}
+	return m.seg.NotifyFree(page, free)
+}
+
 // Insert stores data as a new record, preferring pages near the hint
 // page (0 = no preference), and returns its RID.
 func (m *Manager) Insert(data []byte, near pagedev.PageNo) (RID, error) {
@@ -131,76 +246,31 @@ func (m *Manager) Insert(data []byte, near pagedev.PageNo) (RID, error) {
 	}
 	// Retry a few times: the free-space inventory is conservative but a
 	// page may still refuse a cell when its directory needs a new slot.
-	needNear := near
 	for attempt := 0; attempt < 4; attempt++ {
-		p, err := m.seg.FindSpace(len(data)+pageformat.SlotOverhead, needNear)
+		p, err := m.seg.FindSpace(len(data)+pageformat.SlotOverhead, near)
 		if err != nil {
 			return NilRID, err
 		}
-		f, err := m.seg.Pool().Get(p)
-		if err != nil {
+		var v visit
+		if err := m.pin(&v, p, true); err != nil {
 			return NilRID, err
 		}
-		f.Latch()
-		sl, err := pageformat.AsSlotted(f.Data())
-		if err != nil {
-			f.Unlatch()
-			f.Release()
-			return NilRID, err
-		}
-		u := f.BeginUpdate()
-		slot, ok := sl.Insert(data)
-		free := sl.FreeBytes()
+		u := v.f.BeginUpdate()
+		slot, ok := v.sl.Insert(data)
 		if ok {
-			err = f.EndUpdate(u)
+			err = v.f.EndUpdate(u)
 		} else {
-			f.CancelUpdate(u)
+			v.f.CancelUpdate(u)
 		}
-		f.Unlatch()
-		f.Release()
-		if err != nil {
-			return NilRID, err
-		}
-		if err := m.seg.NotifyFree(p, free); err != nil {
+		if err := m.end(&v, true, err); err != nil {
 			return NilRID, err
 		}
 		if ok {
 			return RID{Page: p, Slot: uint16(slot)}, nil
 		}
-		needNear = 0 // hint page failed; let the inventory pick elsewhere
+		near = 0 // hint page failed; let the inventory pick elsewhere
 	}
 	return NilRID, fmt.Errorf("records: could not place %d-byte record", len(data))
-}
-
-// resolve follows at most one forwarding hop and returns the physical
-// location of the record body. home==loc when the record is not forwarded.
-func (m *Manager) resolve(rid RID) (loc RID, forwarded bool, err error) {
-	f, err := m.seg.Pool().Get(rid.Page)
-	if err != nil {
-		return NilRID, false, err
-	}
-	defer f.Release()
-	f.RLatch()
-	defer f.RUnlatch()
-	sl, err := pageformat.AsSlotted(f.Data())
-	if err != nil {
-		return NilRID, false, err
-	}
-	fl, err := sl.Flag(int(rid.Slot))
-	if err != nil {
-		return NilRID, false, fmt.Errorf("%w: %s: %v", ErrNotFound, rid, err)
-	}
-	if !fl {
-		return rid, false, nil
-	}
-	cell, err := sl.Cell(int(rid.Slot))
-	if err != nil {
-		return NilRID, false, err
-	}
-	if len(cell) != RIDSize {
-		return NilRID, false, fmt.Errorf("%w: stub at %s has %d bytes", ErrCorrupt, rid, len(cell))
-	}
-	return DecodeRID(cell), true, nil
 }
 
 // Read returns a copy of the record body.
@@ -208,9 +278,12 @@ func (m *Manager) Read(rid RID) ([]byte, error) { return m.ReadInto(rid, nil) }
 
 // ReadInto is Read into dst[:0], grown when too small.
 func (m *Manager) ReadInto(rid RID, dst []byte) ([]byte, error) {
-	if _, err := m.readCell(rid, func(cell []byte) { dst = append(dst[:0], cell...) }); err != nil {
+	var v visit
+	if err := m.body(&v, rid, false); err != nil {
 		return nil, err
 	}
+	dst = append(dst[:0], v.bytes()...)
+	v.done()
 	return dst, nil
 }
 
@@ -218,49 +291,19 @@ func (m *Manager) ReadInto(rid RID, dst []byte) ([]byte, error) {
 // It also returns where the body lies — rid itself unless the record is
 // forwarded — for a cache that charges its hits with TouchAt.
 func (m *Manager) ReadString(rid RID) (string, RID, error) {
-	var b strings.Builder
-	loc, err := m.readCell(rid, func(cell []byte) {
-		b.Grow(len(cell))
-		b.Write(cell)
-	})
-	return b.String(), loc, err
-}
-
-// readCell hands the record body, in its read-latched page, to fn, and
-// returns where the body lies.
-func (m *Manager) readCell(rid RID, fn func(cell []byte)) (RID, error) {
-	loc, fwd, err := m.resolve(rid)
-	if err != nil {
-		return NilRID, err
+	var v visit
+	if err := m.body(&v, rid, false); err != nil {
+		return "", NilRID, err
 	}
-	f, err := m.seg.Pool().Get(loc.Page)
-	if err != nil {
-		return NilRID, err
-	}
-	defer f.Release()
-	f.RLatch()
-	defer f.RUnlatch()
-	sl, err := pageformat.AsSlotted(f.Data())
-	if err != nil {
-		return NilRID, err
-	}
-	if fwd {
-		if fl, err := sl.Flag(int(loc.Slot)); err != nil || fl {
-			return NilRID, fmt.Errorf("%w: %s forwards to %s which is %v/%v", ErrCorrupt, rid, loc, fl, err)
-		}
-	}
-	cell, err := sl.Cell(int(loc.Slot))
-	if err != nil {
-		return NilRID, fmt.Errorf("%w: %s: %v", ErrNotFound, rid, err)
-	}
-	fn(cell)
-	return loc, nil
+	s := string(v.bytes())
+	v.done()
+	return s, v.loc, nil
 }
 
 // VerifyRID checks that rid resolves to a readable record body —
-// forwarding stub intact, target slot live, cell bounds valid — without
-// copying the body out. The integrity scrubber uses it to confirm that
-// catalog and index entries still point at live records.
+// forwarding stub intact and naming a live body, cell bounds valid —
+// without copying the body out. The integrity scrubber uses it to
+// confirm that catalog and index entries still point at live records.
 func (m *Manager) VerifyRID(rid RID) error {
 	_, err := m.Size(rid)
 	return err
@@ -268,36 +311,23 @@ func (m *Manager) VerifyRID(rid RID) error {
 
 // Size returns the record body length in bytes.
 func (m *Manager) Size(rid RID) (int, error) {
-	loc, _, err := m.resolve(rid)
-	if err != nil {
+	var v visit
+	if err := m.body(&v, rid, false); err != nil {
 		return 0, err
 	}
-	f, err := m.seg.Pool().Get(loc.Page)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Release()
-	f.RLatch()
-	defer f.RUnlatch()
-	sl, err := pageformat.AsSlotted(f.Data())
-	if err != nil {
-		return 0, err
-	}
-	cell, err := sl.Cell(int(loc.Slot))
-	if err != nil {
-		return 0, err
-	}
-	return len(cell), nil
+	v.done()
+	return v.cell.Len, nil
 }
 
 // PageOf returns the page physically holding the record body, for use as
-// an allocation proximity hint.
+// an allocation proximity hint. It visits the home page only.
 func (m *Manager) PageOf(rid RID) (pagedev.PageNo, error) {
-	loc, _, err := m.resolve(rid)
-	if err != nil {
+	var v visit
+	if err := m.home(&v, rid, false); err != nil {
 		return 0, err
 	}
-	return loc.Page, nil
+	v.done()
+	return v.loc.Page, nil
 }
 
 // Touch registers a logical access to the record's page(s) without
@@ -306,14 +336,15 @@ func (m *Manager) PageOf(rid RID) (pagedev.PageNo, error) {
 // flow through the buffer manager; one that keeps the location charges
 // later hits with TouchAt instead, which does not look into the page.
 func (m *Manager) Touch(rid RID) (RID, error) {
-	loc, fwd, err := m.resolve(rid)
-	if err != nil {
+	var v visit
+	if err := m.home(&v, rid, false); err != nil {
 		return NilRID, err
 	}
-	if fwd {
-		return loc, m.seg.Pool().Touch(loc.Page)
+	v.done()
+	if v.fwd {
+		return v.loc, m.seg.Pool().Touch(v.loc.Page)
 	}
-	return loc, nil
+	return v.loc, nil
 }
 
 // TouchAt is Touch for a caller that knows where the body lies (body,
@@ -345,64 +376,40 @@ func (m *Manager) Splice(rid RID, data []byte, from int, fields []int) (bool, er
 	if err := m.checkSize(len(data)); err != nil {
 		return false, err
 	}
-	loc, _, err := m.resolve(rid)
-	if err != nil {
+	var v visit
+	if err := m.body(&v, rid, true); err != nil {
 		return false, err
 	}
-	return m.spliceAt(loc, data, from, fields)
+	ok, err := v.splice(data, from, fields)
+	return m.endSplice(&v, ok, err)
 }
 
-// spliceAt is Splice at the resolved location of the body.
-func (m *Manager) spliceAt(loc RID, data []byte, from int, fields []int) (bool, error) {
-	f, err := m.seg.Pool().Get(loc.Page)
-	if err != nil {
-		return false, err
-	}
-	f.Latch()
-	sl, err := pageformat.AsSlotted(f.Data())
-	if err != nil {
-		f.Unlatch()
-		f.Release()
-		return false, err
-	}
-	ok, err := spliceLatched(f, sl, int(loc.Slot), data, from, fields)
-	return m.endSplice(f, sl, ok, err)
-}
-
-// spliceLatched splices data into the cell in slot of the page of f,
-// which the caller holds latched exclusively, inside one logged update
-// bracket: a shift when it is one, else the spans Splice writes. It
-// reports false, with nothing changed, when the page cannot hold data.
-func spliceLatched(f *buffer.Frame, sl pageformat.Slotted, slot int, data []byte, from int, fields []int) (bool, error) {
+// splice splices data into the body of write visit v inside one logged
+// update bracket: a shift when it is one, else the spans Splice writes.
+// It reports false, with nothing changed, when the page cannot hold data.
+func (v *visit) splice(data []byte, from int, fields []int) (bool, error) {
 	var (
 		buf [16]pageformat.Span
 		u   buffer.Update
 	)
-	if spans, sh, ok := sl.SpliceShift(buf[:0], slot, data, from, fields); ok {
-		u = f.BeginShift(sh, spans...)
+	slot := int(v.loc.Slot)
+	if spans, sh, ok := v.sl.SpliceShift(buf[:0], slot, data, from, fields); ok {
+		u = v.f.BeginShift(sh, spans...)
 	} else {
-		spans, ok := sl.SpliceSpans(buf[:0], slot, len(data), from, fields)
+		spans, ok := v.sl.SpliceSpans(buf[:0], slot, len(data), from, fields)
 		if !ok {
 			return false, nil
 		}
-		u = f.BeginUpdate(spans...)
+		u = v.f.BeginUpdate(spans...)
 	}
-	sl.Splice(slot, data, from, fields)
-	return true, f.EndUpdate(u)
+	v.sl.Splice(slot, data, from, fields)
+	return true, v.f.EndUpdate(u)
 }
 
-// endSplice unlatches and releases the frame of a splice that reported
-// ok and err, and tells the free-space inventory what the page has left
-// when the splice happened.
-func (m *Manager) endSplice(f *buffer.Frame, sl pageformat.Slotted, ok bool, err error) (bool, error) {
-	free := sl.FreeBytes()
-	page := f.Page()
-	f.Unlatch()
-	f.Release()
-	if !ok || err != nil {
-		return false, err
-	}
-	return true, m.seg.NotifyFree(page, free)
+// endSplice ends the visit of a splice that reported ok and err; the
+// free-space inventory hears of the page only when the splice happened.
+func (m *Manager) endSplice(v *visit, ok bool, err error) (bool, error) {
+	return ok && err == nil, m.end(v, ok, err)
 }
 
 // An Editor turns a copy of a record's stored body into its new body,
@@ -414,90 +421,28 @@ type Editor interface {
 }
 
 // Edit is Splice for a caller that computes the new body from the stored
-// one: the page the body lies on is pinned and latched once, the body is
-// copied into the manager's buffer, ed edits the copy and the result is
-// spliced into the page inside that same frame — no second resolve of
-// the RID and no second pin. A forwarded record costs its home page's
-// visit too. It reports false, with nothing changed, when ed declines or
+// one, inside the same visit of the body's page: the body is copied into
+// the manager's buffer, ed edits the copy and the result is spliced into
+// the page. It reports false, with nothing changed, when ed declines or
 // the page cannot hold the new body; Update then moves the body. The
 // page bytes and the log records are those Splice writes for the same
 // new body. Mutator context: the manager's buffer is the writer's.
 func (m *Manager) Edit(rid RID, ed Editor) (bool, error) {
-	f, sl, loc, err := m.latchBody(rid)
+	var v visit
+	err := m.body(&v, rid, true)
 	if err != nil {
 		return false, err
-	}
-	slot := int(loc.Slot)
-	cell, err := sl.Cell(slot)
-	if err != nil {
-		return m.endSplice(f, sl, false, fmt.Errorf("%w: %s: %v", ErrNotFound, rid, err))
 	}
 	if m.edit == nil {
 		m.edit = make([]byte, 0, m.MaxRecordSize())
 	}
-	data, from, fields, ok := ed.Edit(append(m.edit[:0], cell...))
+	data, from, fields, ok := ed.Edit(append(m.edit[:0], v.bytes()...))
 	if ok {
-		err = m.checkSize(len(data))
-	}
-	if !ok || err != nil {
-		return m.endSplice(f, sl, false, err)
-	}
-	ok, err = spliceLatched(f, sl, slot, data, from, fields)
-	return m.endSplice(f, sl, ok, err)
-}
-
-// latchBody pins and latches exclusively the page the body of record
-// rid lies on, and returns it with where the body lies: the home page,
-// or for a forwarded record — after a visit to the home page to read the
-// stub — the page the stub names. On error nothing is held.
-func (m *Manager) latchBody(rid RID) (*buffer.Frame, pageformat.Slotted, RID, error) {
-	f, sl, fwd, err := m.latchSlot(rid)
-	if err != nil || !fwd {
-		return f, sl, rid, err
-	}
-	cell, err := sl.Cell(int(rid.Slot))
-	if err == nil && len(cell) != RIDSize {
-		err = fmt.Errorf("%w: stub at %s has %d bytes", ErrCorrupt, rid, len(cell))
-	}
-	var loc RID
-	if err == nil {
-		loc = DecodeRID(cell)
-	}
-	f.Unlatch()
-	f.Release()
-	if err != nil {
-		return nil, sl, NilRID, err
-	}
-	if f, sl, fwd, err = m.latchSlot(loc); err == nil && fwd {
-		f.Unlatch()
-		f.Release()
-		err = fmt.Errorf("%w: %s forwards to %s, itself a stub", ErrCorrupt, rid, loc)
-	}
-	return f, sl, loc, err
-}
-
-// latchSlot pins and latches exclusively page loc.Page and reports
-// whether slot loc.Slot holds a forwarding stub. On error nothing is
-// held.
-func (m *Manager) latchSlot(loc RID) (*buffer.Frame, pageformat.Slotted, bool, error) {
-	f, err := m.seg.Pool().Get(loc.Page)
-	if err != nil {
-		return nil, pageformat.Slotted{}, false, err
-	}
-	f.Latch()
-	sl, err := pageformat.AsSlotted(f.Data())
-	var fl bool
-	if err == nil {
-		if fl, err = sl.Flag(int(loc.Slot)); err != nil {
-			err = fmt.Errorf("%w: %s: %v", ErrNotFound, loc, err)
+		if err = m.checkSize(len(data)); err == nil {
+			ok, err = v.splice(data, from, fields)
 		}
 	}
-	if err != nil {
-		f.Unlatch()
-		f.Release()
-		return nil, sl, false, err
-	}
-	return f, sl, fl, nil
+	return m.endSplice(&v, ok, err)
 }
 
 // Update replaces the record body. The RID stays valid: if the new body
@@ -508,194 +453,134 @@ func (m *Manager) Update(rid RID, data []byte) error {
 	if err := m.checkSize(len(data)); err != nil {
 		return err
 	}
-	loc, fwd, err := m.resolve(rid)
-	if err != nil {
+	var v visit
+	if err := m.body(&v, rid, true); err != nil {
 		return err
 	}
 	// Try in place at the current body location.
-	if ok, err := m.spliceAt(loc, data, 0, nil); ok || err != nil {
+	ok, err := v.splice(data, 0, nil)
+	if ok, err = m.endSplice(&v, ok, err); ok || err != nil {
 		return err
 	}
 
-	// Move: place the new body elsewhere, then point the home slot at it.
-	newLoc, err := m.insertBody(data, loc.Page)
+	// Move: place the new body elsewhere — the visit is over, as Insert
+	// may pick the same page — then point the home slot at it.
+	newLoc, err := m.Insert(data, v.loc.Page)
 	if err != nil {
 		return err
 	}
-	if fwd {
+	if v.fwd {
 		// Home already holds a stub: delete the old body, retarget stub.
-		if err := m.deleteCell(loc); err != nil {
+		if err := m.deleteCell(v.loc); err != nil {
 			return err
 		}
 		return m.patchStub(rid, newLoc)
 	}
 	// Shrink the home cell into a stub in place (records are always at
 	// least RIDSize bytes, so this cannot fail for lack of space).
-	f, err := m.seg.Pool().Get(rid.Page)
-	if err != nil {
+	var h visit
+	if err := m.pin(&h, rid.Page, true); err != nil {
 		return err
 	}
-	f.Latch()
-	sl, err := pageformat.AsSlotted(f.Data())
-	if err != nil {
-		f.Unlatch()
-		f.Release()
-		return err
-	}
-	u := f.BeginUpdate()
+	u := h.f.BeginUpdate()
 	var stub [RIDSize]byte
 	newLoc.Put(stub[:])
-	if !sl.Update(int(rid.Slot), stub[:]) {
-		f.CancelUpdate(u)
-		f.Unlatch()
-		f.Release()
+	if !h.sl.Update(int(rid.Slot), stub[:]) {
+		h.f.CancelUpdate(u)
+		h.done()
 		return fmt.Errorf("records: cannot install forwarding stub at %s", rid)
 	}
-	if err := sl.SetFlag(int(rid.Slot), true); err != nil {
-		// The stub bytes are already in place: log them even on this
-		// (unreachable) path so the log never lags the page.
-		_ = f.EndUpdate(u)
-		f.Unlatch()
-		f.Release()
-		return err
+	// The stub bytes are already in place: log them even if the flag
+	// cannot be set (it can: Update just found the slot live), so the
+	// log never lags the page.
+	err = h.sl.SetFlag(int(rid.Slot), true)
+	if uerr := h.f.EndUpdate(u); err == nil {
+		err = uerr
 	}
-	free := sl.FreeBytes()
-	err = f.EndUpdate(u)
-	f.Unlatch()
-	f.Release()
-	if err != nil {
-		return err
-	}
-	return m.seg.NotifyFree(rid.Page, free)
-}
-
-// insertBody places a record body on some page (near a hint), without
-// touching forwarding state. Used by Update when relocating.
-func (m *Manager) insertBody(data []byte, near pagedev.PageNo) (RID, error) {
-	// Never place the body on the near page itself — Update already
-	// failed there — so clear the hint if it matches.
-	rid, err := m.Insert(data, near)
-	if err != nil {
-		return NilRID, err
-	}
-	return rid, nil
+	return m.end(&h, true, err)
 }
 
 // patchStub rewrites the stub at home to point at newLoc.
 func (m *Manager) patchStub(home, newLoc RID) error {
-	f, err := m.seg.Pool().Get(home.Page)
-	if err != nil {
+	var v visit
+	if err := m.pin(&v, home.Page, true); err != nil {
 		return err
 	}
-	defer f.Release()
-	f.Latch()
-	defer f.Unlatch()
-	sl, err := pageformat.AsSlotted(f.Data())
-	if err != nil {
-		return err
-	}
-	cell, err := sl.CellSpan(int(home.Slot))
+	defer v.done()
+	cell, err := v.sl.CellSpan(int(home.Slot))
 	if err != nil {
 		return err
 	}
 	if cell.Len != RIDSize {
 		return fmt.Errorf("%w: stub at %s has %d bytes", ErrCorrupt, home, cell.Len)
 	}
-	u := f.BeginUpdate(cell)
-	newLoc.Put(f.Data()[cell.Off:])
-	return f.EndUpdate(u)
+	u := v.f.BeginUpdate(cell)
+	newLoc.Put(v.f.Data()[cell.Off:])
+	return v.f.EndUpdate(u)
 }
 
 // deleteCell removes one physical cell and updates the inventory.
 func (m *Manager) deleteCell(loc RID) error {
-	f, err := m.seg.Pool().Get(loc.Page)
-	if err != nil {
+	var v visit
+	if err := m.pin(&v, loc.Page, true); err != nil {
 		return err
 	}
-	f.Latch()
-	sl, err := pageformat.AsSlotted(f.Data())
-	if err != nil {
-		f.Unlatch()
-		f.Release()
-		return err
-	}
-	u := f.BeginUpdate()
-	if err := sl.Delete(int(loc.Slot)); err != nil {
-		f.CancelUpdate(u)
-		f.Unlatch()
-		f.Release()
-		return err
-	}
-	free := sl.FreeBytes()
-	err = f.EndUpdate(u)
-	f.Unlatch()
-	f.Release()
-	if err != nil {
-		return err
-	}
-	return m.seg.NotifyFree(loc.Page, free)
+	v.loc = loc
+	return m.deleteIn(&v)
 }
 
-// Delete removes the record, including its forwarding stub if any.
-func (m *Manager) Delete(rid RID) error {
-	loc, fwd, err := m.resolve(rid)
+// deleteIn removes cell v.loc in write visit v, ends the visit and
+// updates the inventory.
+func (m *Manager) deleteIn(v *visit) error {
+	u := v.f.BeginUpdate()
+	err := v.sl.Delete(int(v.loc.Slot))
 	if err != nil {
+		v.f.CancelUpdate(u)
+	} else {
+		err = v.f.EndUpdate(u)
+	}
+	return m.end(v, true, err)
+}
+
+// Delete removes the record, including its forwarding stub if any: the
+// body inside the body's visit, then the stub in a visit of the home
+// page of its own.
+func (m *Manager) Delete(rid RID) error {
+	var v visit
+	if err := m.body(&v, rid, true); err != nil {
 		return err
 	}
-	if err := m.deleteCell(loc); err != nil {
+	if err := m.deleteIn(&v); err != nil || !v.fwd {
 		return err
 	}
-	if fwd {
-		return m.deleteCell(rid)
-	}
-	return nil
+	return m.deleteCell(rid)
 }
 
 // Patch overwrites len(data) bytes of the record body in place at the
 // given offset. The record length is unchanged. Used for cheap parent-
 // pointer fixups after splits.
 func (m *Manager) Patch(rid RID, off int, data []byte) error {
-	loc, _, err := m.resolve(rid)
-	if err != nil {
+	var v visit
+	if err := m.body(&v, rid, true); err != nil {
 		return err
 	}
-	f, err := m.seg.Pool().Get(loc.Page)
-	if err != nil {
-		return err
+	defer v.done()
+	if off < 0 || off+len(data) > v.cell.Len {
+		return fmt.Errorf("%w: [%d,%d) of %d", ErrBadOffset, off, off+len(data), v.cell.Len)
 	}
-	defer f.Release()
-	f.Latch()
-	defer f.Unlatch()
-	sl, err := pageformat.AsSlotted(f.Data())
-	if err != nil {
-		return err
-	}
-	cell, err := sl.CellSpan(int(loc.Slot))
-	if err != nil {
-		return err
-	}
-	if off < 0 || off+len(data) > cell.Len {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrBadOffset, off, off+len(data), cell.Len)
-	}
-	u := f.BeginUpdate(buffer.Window{Off: cell.Off + off, Len: len(data)})
-	copy(f.Data()[cell.Off+off:], data)
-	return f.EndUpdate(u)
+	u := v.f.BeginUpdate(buffer.Window{Off: v.cell.Off + off, Len: len(data)})
+	copy(v.f.Data()[v.cell.Off+off:], data)
+	return v.f.EndUpdate(u)
 }
 
 // PageFreeBytes returns the exact free byte count of a data page. The
 // tree manager compares candidate insertion pages with it ("wherever
 // there is more free space", §3.3).
 func (m *Manager) PageFreeBytes(p pagedev.PageNo) (int, error) {
-	f, err := m.seg.Pool().Get(p)
-	if err != nil {
+	var v visit
+	if err := m.pin(&v, p, false); err != nil {
 		return 0, err
 	}
-	defer f.Release()
-	f.RLatch()
-	defer f.RUnlatch()
-	sl, err := pageformat.AsSlotted(f.Data())
-	if err != nil {
-		return 0, err
-	}
-	return sl.FreeBytes(), nil
+	defer v.done()
+	return v.sl.FreeBytes(), nil
 }
