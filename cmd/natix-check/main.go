@@ -30,6 +30,10 @@ import (
 	"sort"
 
 	"natix"
+	"natix/internal/buffer"
+	"natix/internal/noderep"
+	"natix/internal/pagedev"
+	"natix/internal/segment"
 )
 
 func main() {
@@ -40,6 +44,12 @@ func main() {
 		asJSON   = flag.Bool("json", false, "emit the scrub report as JSON")
 	)
 	flag.Parse()
+
+	// natix.Open would upgrade a store written before record format 4 —
+	// writing to it. A verifier does not write: it names the fix instead.
+	if v, ok := segmentVersion(*dbPath, *pageSize); ok && v < segment.FormatVersion {
+		fatalf("%s is a segment of format version %d, written before record format %d: open it once (natix-cli or natix.Open) to upgrade it, then check it", *dbPath, v, noderep.FormatVersion)
+	}
 
 	db, err := natix.Open(natix.Options{
 		Path:           *dbPath,
@@ -125,4 +135,28 @@ func printReport(rep *natix.ScrubReport) {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "natix-check: "+format+"\n", args...)
 	os.Exit(3)
+}
+
+// segmentVersion reads the segment format version of the store file at
+// path, straight from its header page and without writing; false when
+// there is no store there to read one from (natix.Open then reports what
+// is wrong).
+func segmentVersion(path string, pageSize int) (int, bool) {
+	if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+		return 0, false
+	}
+	dev, err := pagedev.OpenFile(path, pageSize)
+	if err != nil {
+		return 0, false
+	}
+	defer dev.Close()
+	pool, err := buffer.NewSized(dev, 64<<10)
+	if err != nil {
+		return 0, false
+	}
+	seg, err := segment.Open(pool)
+	if err != nil {
+		return 0, false
+	}
+	return seg.FormatVersion(), true
 }

@@ -70,6 +70,9 @@ func main() {
 	if err != nil {
 		fatalf("open segment: %v", err)
 	}
+	if v := seg.FormatVersion(); v < segment.FormatVersion {
+		fatalf("%s is a segment of format version %d, written before record format %d: open it once (natix-cli or natix.Open) to upgrade it", *dbPath, v, noderep.FormatVersion)
+	}
 	rm := records.New(seg)
 	d, err := dict.Open(rm)
 	if err != nil {
@@ -96,8 +99,8 @@ func main() {
 		sp.End()
 	}
 
-	fmt.Printf("segment: %d pages × %d bytes = %d bytes\n",
-		seg.NumPages(), seg.PageSize(), seg.TotalBytes())
+	fmt.Printf("segment: %d pages × %d bytes = %d bytes, format version %d (record format %d)\n",
+		seg.NumPages(), seg.PageSize(), seg.TotalBytes(), seg.FormatVersion(), noderep.FormatVersion)
 	fmt.Printf("labels:  %d in dictionary\n", d.Len())
 	fmt.Printf("documents:\n")
 	for _, info := range store.Documents() {
@@ -315,18 +318,17 @@ func dumpPages(seg *segment.Segment, pool *buffer.Pool, store *docstore.Store, t
 }
 
 // dumpBytes closes -pages with the rows of DESIGN.md's "Where the file's
-// bytes go": the documents' records by the format version of their
-// stored images (a store written before the current version shows as
-// upgraded as far as it has been edited), the free bytes in allocated
-// pages, the path-index blobs, everything else, the fill over the pages
-// that hold records, the text-only elements (stored under one header in
-// a version 3 image) and what the store spends on structure: the record
-// bytes that are not literal payload, per logical node. free is the free
-// byte count of every data page.
+// bytes go": the documents' records (all of record format 4: the tool
+// refuses a store that has not been upgraded), the free bytes in
+// allocated pages, the path-index blobs, everything else, the fill over
+// the pages that hold records, the text-only elements (stored under one
+// header) and what the store spends on structure: the record bytes that
+// are not literal payload, per logical node. free is the free byte count
+// of every data page.
 func dumpBytes(seg *segment.Segment, free map[pagedev.PageNo]int, store *docstore.Store, trees *core.Store) {
 	rm := trees.Records()
-	var count, size [noderep.FormatVersion + 1]int64 // by format version
-	var logical, textOnly, fused, payload int64
+	var count, recordBytes int64
+	var logical, fused, payload int64
 	recordPages := map[pagedev.PageNo]bool{}
 	census := func(rid records.RID, rec *noderep.Record) error {
 		n, err := rm.Size(rid)
@@ -337,9 +339,8 @@ func dumpBytes(seg *segment.Segment, free map[pagedev.PageNo]int, store *docstor
 		if err != nil {
 			return fmt.Errorf("record %s: %w", rid, err)
 		}
-		v := rec.ImageVersion()
-		count[v]++
-		size[v] += int64(n)
+		count++
+		recordBytes += int64(n)
 		recordPages[page] = true
 		rec.Root.Walk(func(n *noderep.Node) bool {
 			if !n.Scaffold {
@@ -347,10 +348,7 @@ func dumpBytes(seg *segment.Segment, free map[pagedev.PageNo]int, store *docstor
 			}
 			payload += int64(len(n.Payload))
 			if n.FusedText() != nil {
-				textOnly++
-				if v == noderep.FormatVersion {
-					fused++
-				}
+				fused++
 			}
 			return true
 		})
@@ -384,22 +382,16 @@ func dumpBytes(seg *segment.Segment, free map[pagedev.PageNo]int, store *docstor
 		}
 	}
 	fmt.Printf("\nwhere the file's bytes go:\n")
-	for v := 1; v < len(count); v++ {
-		fmt.Printf("  %-46s %12d  (%d records)\n", fmt.Sprintf("record bytes, format version %d", v), size[v], count[v])
-	}
+	fmt.Printf("  %-46s %12d  (%d records)\n", fmt.Sprintf("record bytes, format %d", noderep.FormatVersion), recordBytes, count)
 	fmt.Printf("  %-46s %12d\n", "free bytes in allocated pages", freeAll)
 	fmt.Printf("  %-46s %12d\n", "index blobs", index)
-	var recordBytes int64
-	for _, n := range size {
-		recordBytes += n
-	}
 	fmt.Printf("  %-46s %12d\n", "page headers, slots, FSI, dictionary, catalogs", seg.TotalBytes()-recordBytes-freeAll-index)
 	fmt.Printf("  %-46s %12d\n", "file", seg.TotalBytes())
 	if n := int64(len(recordPages)); n > 0 {
 		fmt.Printf("  %-46s %12.3f  (%d pages)\n", "fill over record pages",
 			1-float64(freeRecordPages)/float64(n*int64(seg.PageSize())), n)
 	}
-	fmt.Printf("  %-46s %12d  (of %d text-only elements in records)\n", "elements fused with their text", fused, textOnly)
+	fmt.Printf("  %-46s %12d\n", "elements fused with their text", fused)
 	if logical > 0 {
 		fmt.Printf("  %-46s %12.2f  (%d record bytes - %d literal payload bytes, %d logical nodes)\n",
 			"structural bytes per node", float64(recordBytes-payload)/float64(logical), recordBytes, payload, logical)

@@ -119,14 +119,15 @@ type bulkFrame struct {
 	// re-walking whole subtrees.
 	kidTypes []*noderep.TypeSet
 	types    *noderep.TypeSet // types of node + all pending subtrees
-	// content is Σ (EmbeddedHeaderSize + sizes[i]) while the element is
-	// open; Close takes the header of a text-only element's text back out.
+	// content is Σ (header + sizes[i]) over the pending children, their
+	// headers as noderep.HeaderSize sizes them, while the element is open;
+	// Close leaves a text-only element its text's payload alone.
 	content int
 }
 
 // recordSize returns the record size if the frame were emitted now.
 func (f *bulkFrame) recordSize() int {
-	return noderep.RecordOverhead(f.types.Len()) + f.content
+	return noderep.RecordSize(f.types.Len(), f.content)
 }
 
 // NewBulkBuilder returns a builder over the store's record manager.
@@ -261,11 +262,11 @@ func (b *BulkBuilder) Close() (*noderep.Node, error) {
 	f := b.stack[len(b.stack)-1]
 	b.stack = b.stack[:len(b.stack)-1]
 	if f.node.FusedText() != nil {
-		// A text-only element is stored under one header (noderep, record
-		// format 3): now that its children are final, the text's header
-		// leaves the content and its type, which no header cites, the set
-		// (the element's own type is always the set's first).
-		f.content -= noderep.EmbeddedHeaderSize
+		// A text-only element is stored under one header (noderep's fused
+		// mark): now that its children are final, the text's header leaves
+		// the content and its type, which no header cites, the set (the
+		// element's own type is always the set's first).
+		f.content = f.sizes[0]
 		f.types.TruncateTo(1)
 	}
 	if len(b.stack) == 0 {
@@ -387,42 +388,51 @@ func (b *BulkBuilder) appendChild(f *bulkFrame, n *noderep.Node, cs int, types *
 	} else {
 		f.types.AddNode(n)
 	}
-	f.content += noderep.EmbeddedHeaderSize + cs
+	f.content += noderep.HeaderSize(n, cs) + cs
 	return b.reduce(f)
 }
 
 // reduce flushes pending children into partition records until the
-// frame fits the record budget again. The first pass honors the split
+// frame fits the record budget again. While the page being packed has a
+// quarter of its capacity or more left, the first pass only flushes a run
+// that fills at least half of that room, wherever among the children it
+// starts: the first flushable child may be a subtree too large for the
+// room, and flushing it first would leave the room empty for good. The
+// next pass flushes the first productive run and honors the split
 // matrix's ∞ pins; if pinning prevents progress ("kept as long as
 // possible in the same record", §3.3), a relaxed pass ignores it —
 // mirroring separatorWithProgress on the incremental path.
 func (b *BulkBuilder) reduce(f *bulkFrame) error {
 	for f.recordSize() > b.budget {
-		progress, err := b.flushOnce(f, false)
+		progress, err := b.flushOnce(f, false, true)
+		if err == nil && !progress {
+			progress, err = b.flushOnce(f, false, false)
+		}
+		if err == nil && !progress {
+			progress, err = b.flushOnce(f, true, false)
+		}
 		if err != nil {
 			return err
 		}
 		if !progress {
-			progress, err = b.flushOnce(f, true)
-			if err != nil {
-				return err
-			}
-			if !progress {
-				// Nothing reducible (e.g. a single proxy child): the frame
-				// is as small as it can get; emission enforces the page
-				// bound.
-				return nil
-			}
+			// Nothing reducible (e.g. a single proxy child): the frame is as
+			// small as it can get; emission enforces the page bound.
+			return nil
 		}
 	}
 	return nil
 }
 
 // flushOnce packs one maximal run of flushable children into a
-// partition record, replacing the run with a proxy. Returns whether the
-// frame shrank.
-func (b *BulkBuilder) flushOnce(f *bulkFrame, relax bool) (bool, error) {
+// partition record, replacing the run with a proxy; with fit, only a run
+// that fills the room left in the page being packed at least half (see
+// reduce). Returns whether the frame shrank.
+func (b *BulkBuilder) flushOnce(f *bulkFrame, relax, fit bool) (bool, error) {
 	kids := f.node.Children
+	room := b.w.Room()
+	if fit && (room >= b.budget || room < b.budget/4) {
+		return false, nil
+	}
 	pinned := func(c *noderep.Node) bool {
 		return !relax && b.s.cfg.Matrix.Get(f.node.Label, c.Label) == PolicyCluster
 	}
@@ -439,7 +449,7 @@ func (b *BulkBuilder) flushOnce(f *bulkFrame, relax bool) (bool, error) {
 		// overshoots is rolled back out, so the set stays exact for the
 		// emitted record.
 		limit := b.budget
-		if room := b.w.Room(); room < limit && room >= b.minRoom {
+		if room < limit && room >= b.minRoom {
 			limit = room
 		}
 		runTypes := b.runScratch
@@ -458,29 +468,36 @@ func (b *BulkBuilder) flushOnce(f *bulkFrame, relax bool) (bool, error) {
 			} else {
 				runTypes.AddNode(c)
 			}
-			next := noderep.RecordOverhead(runTypes.Len()+1) + runContent + noderep.EmbeddedHeaderSize + f.sizes[end]
-			if next > limit && limit < b.budget && runContent < b.minRoom {
+			size := noderep.HeaderSize(c, f.sizes[end]) + f.sizes[end]
+			next := noderep.RecordSize(runTypes.Len()+1, runContent+size)
+			if next > limit && !fit && limit < b.budget && runContent < b.minRoom {
 				// The room ends before the run is worth a record of its
 				// own: leave it empty.
 				limit = b.budget
 			}
-			if next > limit && end > start {
+			if next > limit && (end > start || fit) {
 				// The run without c was already within the limit (checked
-				// on the previous iteration).
+				// on the previous iteration), or is empty: c alone does not
+				// fit the room.
 				runTypes.TruncateTo(mark)
 				break
 			}
-			runContent += noderep.EmbeddedHeaderSize + f.sizes[end]
+			runContent += size
 			runProxy = runProxy || f.kidProxy[end]
 			end++
 		}
 		// Replacing the run with a proxy must shrink the frame: skip
-		// unproductive runs (a lone proxy, or tinier-than-a-proxy tails).
-		gain := runContent - (noderep.EmbeddedHeaderSize + records.RIDSize)
-		if gain <= 0 || (end-start == 1 && kids[start].Kind == noderep.KindProxy) {
+		// unproductive runs (a lone proxy, or tinier-than-a-proxy tails),
+		// and when filling the room, runs that leave most of it empty.
+		gain := runContent - noderep.ProxySize
+		if gain <= 0 || (end-start == 1 && kids[start].Kind == noderep.KindProxy) || fit && runContent < room/2 {
 			continue
 		}
-		proxy, err := b.emitGroup(kids[start:end], runTypes, runContent, runProxy)
+		content := runContent
+		if end-start == 1 {
+			content = f.sizes[start] // a single subtree is the record root
+		}
+		proxy, err := b.emitGroup(kids[start:end], runTypes, content, runProxy)
 		if err != nil {
 			return false, err
 		}
@@ -512,7 +529,7 @@ func (b *BulkBuilder) flushOnce(f *bulkFrame, relax bool) (bool, error) {
 			} else {
 				f.types.AddNode(c)
 			}
-			f.content += noderep.EmbeddedHeaderSize + f.sizes[i]
+			f.content += noderep.HeaderSize(c, f.sizes[i]) + f.sizes[i]
 		}
 		return true, nil
 	}
@@ -524,7 +541,8 @@ func (b *BulkBuilder) flushOnce(f *bulkFrame, relax bool) (bool, error) {
 // §3.2.2's special cases: a run that is just one proxy is returned
 // as-is (no record), and a single subtree needs no scaffolding
 // aggregate. types is the exact type set of the run's subtrees and
-// content their embedded content total (run headers included).
+// content the new record root's content: the run's embedded total,
+// headers included, or a single subtree's own content.
 func (b *BulkBuilder) emitGroup(group []*noderep.Node, types *noderep.TypeSet, content int, hasProxy bool) (*noderep.Node, error) {
 	if len(group) == 1 && group[0].Kind == noderep.KindProxy {
 		return group[0], nil
@@ -533,9 +551,6 @@ func (b *BulkBuilder) emitGroup(group []*noderep.Node, types *noderep.TypeSet, c
 	if len(group) == 1 {
 		root = group[0]
 		root.Parent = nil
-		// A single subtree is the record root itself: its content size
-		// excludes its own embedded header.
-		content -= noderep.EmbeddedHeaderSize
 	} else {
 		root = noderep.NewScaffoldAggregate()
 		for _, g := range group {

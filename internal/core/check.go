@@ -22,10 +22,50 @@ func (t *Tree) WalkRecords(fn func(rid records.RID, rec *noderep.Record) error) 
 	return t.store.walkRecords(t.rootRID, fn)
 }
 
+// UpgradeRecords rewrites, in place, every record of the tree whose image
+// is in a record format older than 4 (noderep.Upgrade), walking the
+// record graph as WalkRecords does but reading each image straight from
+// its page: the runtime decoder, and with it the record cache, reads
+// format 4 only. An upgraded image is never longer than the old one, so
+// it stays where it is. It returns how many records it rewrote; a tree
+// already in format 4 is read and not written.
+func (t *Tree) UpgradeRecords() (int, error) {
+	s := t.store
+	var buf []byte
+	upgraded := 0
+	err := s.walkRecordsWith(t.rootRID, func(rid records.RID) (*noderep.Record, error) {
+		var err error
+		if buf, err = s.rm.ReadInto(rid, buf[:0]); err != nil {
+			return nil, err
+		}
+		rec, img, err := noderep.Upgrade(buf)
+		if err != nil {
+			return nil, fmt.Errorf("record %s: %w", rid, err)
+		}
+		if img != nil {
+			if err := s.rm.Update(rid, img); err != nil {
+				return nil, fmt.Errorf("record %s: %w", rid, err)
+			}
+			s.forget(rid)
+			upgraded++
+		}
+		return rec, nil
+	}, func(records.RID, *noderep.Record) error { return nil })
+	return upgraded, err
+}
+
 // walkRecords is WalkRecords from record root down.
 func (s *Store) walkRecords(root records.RID, fn func(records.RID, *noderep.Record) error) error {
-	seen := make(map[records.RID]bool)
 	var buf []byte
+	return s.walkRecordsWith(root, func(rid records.RID) (*noderep.Record, error) {
+		return s.decodeImage(rid, &buf)
+	}, fn)
+}
+
+// walkRecordsWith is the record-graph walk from record root down, each
+// record read by read.
+func (s *Store) walkRecordsWith(root records.RID, read func(records.RID) (*noderep.Record, error), fn func(records.RID, *noderep.Record) error) error {
+	seen := make(map[records.RID]bool)
 	todo := []records.RID{root}
 	for len(todo) > 0 {
 		rid := todo[len(todo)-1]
@@ -34,7 +74,7 @@ func (s *Store) walkRecords(root records.RID, fn func(records.RID, *noderep.Reco
 			return fmt.Errorf("record %s reachable twice", rid)
 		}
 		seen[rid] = true
-		rec, err := s.decodeImage(rid, &buf)
+		rec, err := read(rid)
 		if err != nil {
 			return err
 		}
@@ -75,8 +115,7 @@ func (s *Store) decodeImage(rid records.RID, buf *[]byte) (*noderep.Record, erro
 // verifies the physical invariants the storage manager maintains:
 //
 //   - every record's encoded size fits the net page capacity, and its
-//     stored image has the length its tree encodes to in the image's
-//     format version;
+//     stored image has the length its tree encodes to;
 //   - every record's subtree is structurally valid (noderep.Validate);
 //   - scaffolding aggregates appear only as record roots, and the tree's
 //     root record is rooted in a facade node;
@@ -106,7 +145,7 @@ func (t *Tree) CheckInvariants() error {
 		// image must still be exactly as long as its tree encodes to.
 		if stored, err := s.rm.Size(rid); err != nil {
 			return fmt.Errorf("record %s: %w", rid, err)
-		} else if want := l.StoredSize(rec); stored != want {
+		} else if want := l.Size(); stored != want {
 			return fmt.Errorf("record %s: stored image has %d bytes, its tree encodes to %d", rid, stored, want)
 		}
 		if want := parents[rid]; rec.ParentRID != want {

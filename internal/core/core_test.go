@@ -479,11 +479,13 @@ func TestDeleteSubtrees(t *testing.T) {
 func TestDeleteWithMerge(t *testing.T) {
 	s := newStore(t, 512, Config{MergeOnDelete: true})
 	tr, _ := s.CreateTree(lPlay)
+	// Nine texts an act grow the tree to four records (eight did while
+	// every embedded header was 4 bytes).
 	for a := 0; a < 3; a++ {
 		if err := tr.AppendChild(Path{}, noderep.NewAggregate(lAct)); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 8; i++ {
+		for i := 0; i < 9; i++ {
 			if err := tr.AppendChild(Path{a}, noderep.NewTextLiteral(fmt.Sprintf("act %d item %d padding padding", a, i))); err != nil {
 				t.Fatal(err)
 			}
@@ -491,7 +493,7 @@ func TestDeleteWithMerge(t *testing.T) {
 	}
 	grown, _ := tr.RecordCount()
 	// Shrink act 0 down to one child: merging should reclaim records.
-	for i := 0; i < 7; i++ {
+	for i := 0; i < 8; i++ {
 		if err := tr.Delete(Path{0, 0}); err != nil {
 			t.Fatal(err)
 		}

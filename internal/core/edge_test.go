@@ -433,9 +433,13 @@ func TestRecordAtExactCapacity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The record already holds a text literal, so the last one adds an
-		// embedded header and its payload, no type.
-		pad := s.maxRecordSize() - noderep.EncodedSize(rec) - noderep.EmbeddedHeaderSize + over
+		// What the record takes with a text of a long size form added: that
+		// text's header and payload, and a type entry if the record cites
+		// no #text yet.
+		probe := noderep.NewTextLiteral(strings.Repeat("x", 200))
+		rec.Root.AppendChild(probe)
+		pad := s.maxRecordSize() - (noderep.EncodedSize(rec) - 200) + over
+		rec.Root.RemoveChild(len(rec.Root.Children) - 1)
 		if err := tr.AppendChild(Path{}, noderep.NewTextLiteral(strings.Repeat("x", pad))); err != nil {
 			t.Fatal(err)
 		}

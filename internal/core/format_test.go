@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -118,17 +117,26 @@ func TestBulkFillsPages(t *testing.T) {
 	}
 }
 
-// oldImage re-encodes a stored record image in format version 1 or 2:
-// every node under a header of its own — 4 bytes, in version 1 two more
-// for the offset of its parent's header — and every node type in the
-// table, nothing fused. (The encoders proper of the old versions are
-// noderep's test reference; this is their layout written out from the
-// decoded tree, for a package that cannot import another's test files.)
+// oldImage re-encodes a stored record image in format version 1, 2 or 3:
+// every node under a 4-byte header of its own — in version 1 two more
+// bytes for the offset of its parent's header — and every node type in
+// the table; in version 3 a text-only element's text under its element's
+// header, marked in the top bit of its size (for the record root, in the
+// flags byte), and not in the table. (The encoders proper of the old
+// versions are noderep's test reference; this is their layout written out
+// from the decoded tree, for a package that cannot import another's test
+// files.)
 func oldImage(t testing.TB, img []byte, version byte) []byte {
 	t.Helper()
 	rec, err := noderep.Decode(img)
 	if err != nil {
 		t.Fatal(err)
+	}
+	fuses := func(n *noderep.Node) *noderep.Node {
+		if version == 3 {
+			return n.FusedText()
+		}
+		return nil
 	}
 	typeOf := func(n *noderep.Node) [4]byte {
 		k := [4]byte{byte(n.Kind), byte(n.Label), byte(n.Label >> 8), 0}
@@ -149,7 +157,16 @@ func oldImage(t testing.TB, img []byte, version byte) []byte {
 		table = append(table, k)
 		return len(table) - 1
 	}
-	rec.Root.Walk(func(n *noderep.Node) bool { index(n); return true })
+	var types func(n *noderep.Node)
+	types = func(n *noderep.Node) {
+		index(n)
+		if fuses(n) == nil {
+			for _, c := range n.Children {
+				types(c)
+			}
+		}
+	}
+	types(rec.Root)
 	out := binary.LittleEndian.AppendUint16([]byte{version, 0}, uint16(len(table)))
 	for _, k := range table {
 		out = append(out, k[:]...)
@@ -174,45 +191,65 @@ func oldImage(t testing.TB, img []byte, version byte) []byte {
 				if version == 1 {
 					out = binary.LittleEndian.AppendUint16(out, uint16(hdrOff))
 				}
-				body := len(out)
+				body, mark := len(out), 0
+				if text := fuses(c); text != nil {
+					c, mark = text, 0x8000
+				}
 				content(c, hdr)
-				binary.LittleEndian.PutUint16(out[hdr+2:], uint16(len(out)-body))
+				binary.LittleEndian.PutUint16(out[hdr+2:], uint16(len(out)-body|mark))
 			}
 		}
 	}
-	content(rec.Root, rootOff)
+	root := rec.Root
+	if text := fuses(root); text != nil {
+		root, out[1] = text, 1
+	}
+	content(root, rootOff)
 	return out
 }
 
-// oldImageSize is the arithmetic oldImage is held to: a version 3 image of
-// size bytes grows by a header per text it fuses and by the #text type
-// entry if all its texts are fused, and in version 1 by a parent offset
-// per embedded node.
-func oldImageSize(root *noderep.Node, size int, version byte) int {
-	fused, typed := 0, false
-	root.Walk(func(n *noderep.Node) bool {
-		if n.FusedText() != nil {
-			fused++
-		} else if n.Kind == noderep.KindLiteral && n.Label == dict.Text && n.LitType == noderep.LitString &&
-			(n.Parent == nil || n.Parent.FusedText() == nil) {
-			typed = true
-		}
-		return true
-	})
-	size += noderep.EmbeddedHeaderSize * fused
-	if fused > 0 && !typed {
-		size += 4
-	}
+// oldImageSize is the arithmetic oldImage is held to: the record header,
+// the table, the standalone header, and a header of 4 bytes, in version 1
+// of 6, per embedded node — in version 3 but for the texts of text-only
+// elements, whose types the table then lacks — and the payloads.
+func oldImageSize(root *noderep.Node, version byte) int {
+	hdr, fuse := 4, version == 3
 	if version == 1 {
-		size += 2 * (root.CountNodes() - 1)
+		hdr = 6
 	}
-	return size
+	var types [][4]byte
+	var size func(n *noderep.Node) int
+	size = func(n *noderep.Node) int {
+		k := [4]byte{byte(n.Kind), byte(n.Label), byte(n.Label >> 8), 0}
+		if n.Scaffold {
+			k[0] |= 4
+		}
+		if n.Kind == noderep.KindLiteral {
+			k[3] = byte(n.LitType)
+		}
+		if !slices.Contains(types, k) {
+			types = append(types, k)
+		}
+		if text := n.FusedText(); fuse && text != nil {
+			return len(text.Payload)
+		}
+		total := len(n.Payload)
+		if n.Kind == noderep.KindProxy {
+			total = records.RIDSize
+		}
+		for _, c := range n.Children {
+			total += hdr + size(c)
+		}
+		return total
+	}
+	content := size(root)
+	return 4 + 4*len(types) + noderep.StandaloneHeaderSize + content
 }
 
-// downgradeStore rewrites every record of the tree that is stored in the
-// current format version as an image of the given older one — but for
-// records so full that the longer old image would not fit a page — and
-// drops the parsed records that describe the images replaced.
+// downgradeStore rewrites every record of the tree that is stored in
+// format 4 as an image of the given older version — but for records so
+// full that the longer old image would not fit a page — and drops the
+// parsed records that describe the images replaced.
 func downgradeStore(t testing.TB, s *Store, root records.RID, version byte) (rids []records.RID) {
 	t.Helper()
 	rids, _ = recordsOf(t, s, root)
@@ -221,7 +258,7 @@ func downgradeStore(t testing.TB, s *Store, root records.RID, version byte) (rid
 		if err != nil {
 			t.Fatal(err)
 		}
-		if img[0] == version {
+		if img[0] != noderep.FormatVersion {
 			continue
 		}
 		rec, err := noderep.Decode(img)
@@ -229,7 +266,7 @@ func downgradeStore(t testing.TB, s *Store, root records.RID, version byte) (rid
 			t.Fatal(err)
 		}
 		old := oldImage(t, img, version)
-		if want := oldImageSize(rec.Root, len(img), version); len(old) != want || old[0] != version {
+		if want := oldImageSize(rec.Root, version); len(old) != want || old[0] != version {
 			t.Fatalf("record %s: version %d image has %d bytes, want %d", rid, old[0], len(old), want)
 		}
 		if len(old) > s.maxRecordSize() {
@@ -243,388 +280,213 @@ func downgradeStore(t testing.TB, s *Store, root records.RID, version byte) (rid
 	return rids
 }
 
-// imageVersions counts the tree's stored record images by format version.
+// imageVersions counts the tree's stored record images by format version,
+// following the proxies of each as the upgrade reads it.
 func imageVersions(t *testing.T, s *Store, root records.RID) map[byte]int {
 	t.Helper()
 	versions := map[byte]int{}
-	rids, _ := recordsOf(t, s, root)
-	for _, rid := range rids {
+	todo := []records.RID{root}
+	for len(todo) > 0 {
+		rid := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
 		img, err := s.rm.Read(rid)
 		if err != nil {
 			t.Fatal(err)
 		}
 		versions[img[0]]++
+		rec, _, err := noderep.Upgrade(img)
+		if err != nil {
+			t.Fatalf("record %s: %v", rid, err)
+		}
+		rec.Root.Walk(func(n *noderep.Node) bool {
+			if n.Kind == noderep.KindProxy {
+				todo = append(todo, n.Target)
+			}
+			return true
+		})
 	}
 	return versions
 }
 
-// TestVersion1StoreUpgradesByEdit: a document whose records are all
-// stored as format version 1 images opens, passes the invariant check and
-// reads back as the same document; a node insert rewrites the one record
-// it touches in the current version, the next insert into that record is
-// a splice, and the mixed-version document still passes the check.
-func TestVersion1StoreUpgradesByEdit(t *testing.T) { testStoreUpgradesByEdit(t, 1) }
-
-// TestVersion2StoreUpgradesByEdit: the same for a store written before
-// text-only elements were fused (format version 2, PRs 21–22).
-func TestVersion2StoreUpgradesByEdit(t *testing.T) { testStoreUpgradesByEdit(t, 2) }
-
-func testStoreUpgradesByEdit(t *testing.T, old byte) {
-	const cur = 3
+// TestUpgradeRecords: a document whose records are all stored as format
+// version 1, 2 or 3 images — as the builds before format 4 wrote them —
+// is rewritten by UpgradeRecords, every record in place on its page and
+// none longer; it then reads back through the runtime decoder and the
+// image walk as the same document, passes the invariant check and takes
+// a node edit as a splice. A second upgrade reads every record and
+// rewrites none.
+func TestUpgradeRecords(t *testing.T) {
 	ref := playRef(corpus.GeneratePlay(corpus.SmallSpec(1), 0))
-	built := newStore(t, 2048, Config{})
-	// Images of the older versions are longer — 4 bytes a text-only
-	// element, in version 1 another 2 a node: leave them the room.
-	root := buildBulk(t, built.NewBulkBuilder(BulkOptions{FillFactor: 0.7}), ref)
-	rids := downgradeStore(t, built, root, old)
+	for _, old := range []byte{1, 2, 3} {
+		t.Run(fmt.Sprintf("version-%d", old), func(t *testing.T) {
+			built := newStore(t, 2048, Config{})
+			// Images of the older versions are longer: leave them the room.
+			root := buildBulk(t, built.NewBulkBuilder(BulkOptions{FillFactor: 0.7}), ref)
+			rids := downgradeStore(t, built, root, old)
 
-	// A store of its own over the same records: nothing parsed is cached.
-	s := New(built.rm, Config{})
-	tr := s.OpenTree(root)
-	if v := imageVersions(t, s, root); v[old] != len(rids) || len(v) != 1 {
-		t.Fatalf("images by version before the first read: %v, want %d of version %d", v, len(rids), old)
+			// A store of its own over the same records: nothing parsed is cached.
+			s := New(built.rm, Config{})
+			if v := imageVersions(t, s, root); v[old] != len(rids) || len(v) != 1 {
+				t.Fatalf("images by version: %v, want %d of version %d", v, len(rids), old)
+			}
+			size, page := map[records.RID]int{}, map[records.RID]records.RID{}
+			for _, rid := range rids {
+				n, err := s.rm.Size(rid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				size[rid] = n
+				if page[rid], err = s.rm.Touch(rid); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tr := s.OpenTree(root)
+			n, err := tr.UpgradeRecords()
+			if err != nil || n != len(rids) {
+				t.Fatalf("upgraded %d of %d records (err %v)", n, len(rids), err)
+			}
+			if v := imageVersions(t, s, root); v[noderep.FormatVersion] != len(rids) || len(v) != 1 {
+				t.Fatalf("images by version after the upgrade: %v", v)
+			}
+			for _, rid := range rids {
+				n, err := s.rm.Size(rid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, err := s.rm.Touch(rid)
+				if err != nil || n > size[rid] || body != page[rid] {
+					t.Fatalf("record %s: %d bytes at %s after the upgrade, %d at %s before (err %v)", rid, n, body, size[rid], page[rid], err)
+				}
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if !refEqual(materialize(t, tr), ref) {
+				t.Fatal("the upgraded document reads back differently")
+			}
+			facadesAgree(t, s, root)
+			if n, err := tr.UpgradeRecords(); err != nil || n != 0 {
+				t.Fatalf("a second upgrade rewrote %d records (err %v)", n, err)
+			}
+			// A line into the first speech: a splice, as in any store.
+			path := Path{}
+			for n := ref; ; {
+				last := -1
+				for i, c := range n.children {
+					if !c.isText && len(c.children) > 0 && !c.children[0].isText {
+						last = i
+					}
+				}
+				if last < 0 {
+					break
+				}
+				path, n = append(path, last), n.children[last]
+			}
+			before := s.Stats().RecordsSpliced
+			if err := tr.InsertChild(path, 1, noderep.NewAggregate(modelAt(ref, path).children[0].label)); err != nil {
+				t.Fatal(err)
+			}
+			if s.Stats().RecordsSpliced != before+1 {
+				t.Fatal("the first edit of an upgraded record is not a splice")
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
+}
+
+// TestWideTypeTable: a document whose records cite more than 128 node
+// types — the most one-byte type indexes can name — is stored with the
+// record flag for two-byte ones: bulk-loaded (whose size accounting is
+// then a bound, and whose encoder measures such a record) and edited
+// node by node (whose splice refuses such an image and takes the full
+// encode), it reads back as the document and passes the invariant check.
+func TestWideTypeTable(t *testing.T) {
+	doc := &refNode{label: 3}
+	for i := 0; i < 300; i++ {
+		doc.children = append(doc.children, &refNode{label: dict.LabelID(4 + i), children: []*refNode{
+			{isText: true, label: dict.Text, text: fmt.Sprintf("element %d", i)},
+			{label: dict.LabelID(4 + (i+1)%300)},
+		}})
+	}
+	for _, pageSize := range []int{2048, 8192} {
+		s := newStore(t, pageSize, Config{})
+		tr := loadBulk(t, s, doc, BulkOptions{})
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if !refEqual(materialize(t, tr), doc) {
+			t.Fatalf("%d-byte pages: the bulk-loaded document reads back differently", pageSize)
+		}
+		wide := 0
+		if err := tr.WalkRecords(func(rid records.RID, _ *noderep.Record) error {
+			img, err := s.rm.Read(rid)
+			if err != nil {
+				return err
+			}
+			if img[1]&2 != 0 {
+				wide++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if pageSize == 8192 && wide == 0 {
+			t.Fatal("no record cites more than 128 types")
+		}
+		model := doc.clone()
+		for i := 0; i < 40; i++ {
+			rn := &refNode{label: dict.LabelID(4 + (i*7)%300)}
+			if err := tr.InsertChild(Path{i * 5}, 1, modelNode(rn)); err != nil {
+				t.Fatal(err)
+			}
+			m := model.children[i*5]
+			m.children = append(m.children[:1:1], append([]*refNode{rn}, m.children[1:]...)...)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if !refEqual(materialize(t, tr), model) {
+			t.Fatalf("%d-byte pages: the edited document reads back differently", pageSize)
+		}
+	}
+}
+
+// TestBulkFillsRoomPastLargeChild: when the first child left to flush is
+// a subtree too large for the room left in the page being packed (the
+// scene behind the act), a run of the later siblings that fits it goes
+// there — the page is not left a third empty.
+func TestBulkFillsRoomPastLargeChild(t *testing.T) {
+	text := func(n int) *refNode { return &refNode{isText: true, label: dict.Text, text: strings.Repeat("x", n)} }
+	doc := &refNode{label: lPlay, children: []*refNode{
+		{label: lAct, children: []*refNode{text(600), text(600)}},
+		{label: lScene, children: []*refNode{text(700), text(700)}},
+	}}
+	for i := 0; i < 12; i++ {
+		doc.children = append(doc.children, &refNode{label: lLine, children: []*refNode{text(60)}})
+	}
+	s := newStore(t, 2048, Config{})
+	pages := map[dict.LabelID]records.RID{}
+	b := s.NewBulkBuilder(BulkOptions{OnRecord: func(rid records.RID, root *noderep.Node) error {
+		label := root.Label
+		if root.Scaffold {
+			label = root.Children[0].Label
+		}
+		if _, ok := pages[label]; !ok {
+			pages[label] = rid
+		}
+		return nil
+	}})
+	tr := s.OpenTree(buildBulk(t, b, doc))
 	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("version %d document: %v", old, err)
-	}
-	if !refEqual(materialize(t, tr), ref) {
-		t.Fatalf("version %d document reads back differently", old)
-	}
-	// The three ways a query reaches a node: the children of a context
-	// node (materialize, above), the document-order cursor, and a posting's
-	// (record, facade index) pair — held to the reference resolution, over
-	// every facade node of every record.
-	c, err := tr.Cursor()
-	if err != nil {
 		t.Fatal(err)
 	}
-	var texts []string
-	err = c.WalkPreOrder(func(c *Cursor) bool {
-		if c.IsLiteral() {
-			ref := c.Ref()
-			text, err := ref.StringValue()
-			if err != nil {
-				t.Fatal(err)
-			}
-			texts = append(texts, text)
-		}
-		return true
-	})
-	var want []string
-	var collect func(r *refNode)
-	collect = func(r *refNode) {
-		if r.isText {
-			want = append(want, r.text)
-		}
-		for _, c := range r.children {
-			collect(c)
-		}
+	if !refEqual(materialize(t, tr), doc) {
+		t.Fatal("the document reads back differently")
 	}
-	collect(ref)
-	if err != nil || !slices.Equal(texts, want) {
-		t.Fatalf("cursor over the version %d document: %d texts, want %d (err %v)", old, len(texts), len(want), err)
+	act, lines := pages[lAct], pages[lLine]
+	if act.IsNil() || lines.IsNil() || lines.Page != act.Page {
+		t.Fatalf("the act's record at %s, the lines' at %s: want the lines in the room the act left on its page", act, lines)
 	}
-	_, facades := recordsOf(t, s, root)
-	for i, rid := range rids {
-		for idx := 0; idx < facades[i]; idx++ {
-			got, err := s.RefByFacadeIndex(rid, idx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantRef, err := refRefByFacadeIndex(s, rid, idx)
-			if err != nil || !sameReadNode(got, wantRef, idx) {
-				t.Fatalf("record %s facade %d resolves differently from the reference (err %v)", rid, idx, err)
-			}
-		}
-	}
-
-	// Two lines into the first speech of the last scene.
-	path := Path{}
-	for n := ref; ; {
-		last := -1
-		for i, c := range n.children {
-			if !c.isText && len(c.children) > 0 && !c.children[0].isText {
-				last = i
-			}
-		}
-		if last < 0 {
-			break
-		}
-		path, n = append(path, last), n.children[last]
-	}
-	model := ref.clone()
-	speech := modelAt(model, path)
-	for i := 0; i < 2; i++ {
-		before := s.Stats()
-		line := noderep.NewAggregate(speech.children[len(speech.children)-1].label)
-		if err := tr.InsertChild(path, 1, line); err != nil {
-			t.Fatal(err)
-		}
-		speech.children = append(speech.children[:1], append([]*refNode{{label: line.Label}}, speech.children[1:]...)...)
-		after := s.Stats()
-		rewritten, spliced := after.RecordsRewritten-before.RecordsRewritten, after.RecordsSpliced-before.RecordsSpliced
-		if i == 0 && (rewritten != 1 || spliced != 0) {
-			t.Fatalf("first edit of a version %d record: %d records rewritten, %d spliced; want a full encode of one", old, rewritten, spliced)
-		}
-		if i == 1 && (rewritten != 0 || spliced != 1) {
-			t.Fatalf("second edit of the record: %d records rewritten, %d spliced; want one splice", rewritten, spliced)
-		}
-		if v := imageVersions(t, s, tr.RootRID()); v[cur] != 1 || v[old] != len(rids)-1 {
-			t.Fatalf("images by version after edit %d: %v, want one of version %d and %d of version %d", i, v, cur, len(rids)-1, old)
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("mixed-version document after edit %d: %v", i, err)
-		}
-	}
-	if !refEqual(materialize(t, tr), model) {
-		t.Fatal("mixed-version document differs from the model")
-	}
-
-	// Edited on, the document upgrades record by record — no edit brings an
-	// old image back — and passes the check at every mix. The script first
-	// puts texts at random places, then an empty element behind every
-	// element there is, last to first, which reaches every record.
-	rng := rand.New(rand.NewSource(5))
-	left := len(rids) - 1
-	var aggs []Path
-	modelPaths(model, nil, true, &aggs)
-	edit := func(i int, p Path, idx int, rn *refNode) {
-		m := modelAt(model, p)
-		if err := tr.InsertChild(p, idx, modelNode(rn)); err != nil {
-			t.Fatal(err)
-		}
-		m.children = append(m.children[:idx], append([]*refNode{rn}, m.children[idx:]...)...)
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("edit %d: %v", i, err)
-		}
-		v := imageVersions(t, s, tr.RootRID())
-		if v[old] > left || v[old]+v[cur] < len(rids) || len(v) > 2 {
-			t.Fatalf("edit %d: images by version %v, %d of version %d before it", i, v, left, old)
-		}
-		left = v[old]
-	}
-	for i := 0; i < 40; i++ {
-		p := aggs[rng.Intn(len(aggs))]
-		edit(i, p, rng.Intn(len(modelAt(model, p).children)+1), &refNode{isText: true, label: dict.Text, text: "upgraded"})
-	}
-	if left == len(rids)-1 {
-		t.Fatal("the edit script upgraded no further record")
-	}
-	for i := len(aggs) - 1; i >= 0 && left > 0; i-- {
-		if p := aggs[i]; len(p) > 0 {
-			edit(40+i, p[:len(p)-1], p[len(p)-1]+1, &refNode{label: modelAt(model, p).label})
-		}
-	}
-	if left != 0 {
-		t.Fatalf("%d records still of version %d after an edit beside every element", left, old)
-	}
-	if !refEqual(materialize(t, tr), model) {
-		t.Fatal("document differs from the model after the edit script")
-	}
-}
-
-// formatTwin is one document kept in two stores by the same operations:
-// prod through the production path, which splices and writes format
-// version 3, and ref through the reference path of the splice
-// differential, which re-encodes the record of every edit whole and whose
-// records are put back into format version 2 every fourth operation — so
-// ref reads, edits and splits what a build before version 3 stored, with
-// a header on every text. The two cut their records at different places
-// (a version 2 record is longer); what they must agree on is the
-// document.
-type formatTwin struct {
-	t        *testing.T
-	prod     *Tree
-	ref      *Tree
-	model    *refNode
-	ops      int
-	memo     map[records.RID]storedRecord
-	oldReads int // records of ref found in version 2 when they were next read
-}
-
-// newFormatTwin wraps two stores that hold model.
-func newFormatTwin(t *testing.T, prod, ref *Tree, model *refNode) *formatTwin {
-	tw := &formatTwin{t: t, prod: prod, ref: ref, model: model, memo: map[records.RID]storedRecord{}}
-	tw.check()
-	return tw
-}
-
-func (tw *formatTwin) insert(p Path, idx int, rn *refNode) {
-	tw.t.Helper()
-	if err := tw.prod.InsertChild(p, idx, modelNode(rn)); err != nil {
-		tw.t.Fatalf("op %d: insert at %s[%d]: %v", tw.ops, p, idx, err)
-	}
-	if err := refInsertChild(tw.ref, p, idx, modelNode(rn)); err != nil {
-		tw.t.Fatalf("op %d: version 2 twin: insert at %s[%d]: %v", tw.ops, p, idx, err)
-	}
-	m := modelAt(tw.model, p)
-	m.children = append(m.children[:idx:idx], append([]*refNode{rn}, m.children[idx:]...)...)
-	tw.done()
-}
-
-func (tw *formatTwin) remove(p Path) {
-	tw.t.Helper()
-	if err := tw.prod.Delete(p); err != nil {
-		tw.t.Fatalf("op %d: delete %s: %v", tw.ops, p, err)
-	}
-	if err := refDelete(tw.ref, p); err != nil {
-		tw.t.Fatalf("op %d: version 2 twin: delete %s: %v", tw.ops, p, err)
-	}
-	m, i := modelAt(tw.model, p[:len(p)-1]), p[len(p)-1]
-	m.children = append(m.children[:i], m.children[i+1:]...)
-	tw.done()
-}
-
-// done counts an operation; every 4th turns ref's records back into
-// version 2 images, every 64th checks the twins.
-func (tw *formatTwin) done() {
-	switch tw.ops++; {
-	case tw.ops%64 == 0:
-		tw.check()
-	case tw.ops%4 == 0:
-		tw.downgrade()
-	}
-}
-
-func (tw *formatTwin) downgrade() {
-	tw.oldReads += imageVersions(tw.t, tw.ref.store, tw.ref.RootRID())[2]
-	downgradeStore(tw.t, tw.ref.store, tw.ref.RootRID(), 2)
-}
-
-// check holds both stores to the model and to their invariants and every
-// stored image of prod to the size a full encode of its tree has.
-func (tw *formatTwin) check() {
-	t := tw.t
-	t.Helper()
-	for name, tr := range map[string]*Tree{"version 3": tw.prod, "version 2": tw.ref} {
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("op %d: %s store: %v", tw.ops, name, err)
-		}
-		if !refEqual(materialize(t, tr), tw.model) {
-			t.Fatalf("op %d: %s store differs from the model", tw.ops, name)
-		}
-	}
-	_, stored := storedRecords(t, tw.prod.store, tw.prod.RootRID(), tw.memo)
-	for _, sr := range stored {
-		if sr.fresh && (sr.body[0] != noderep.FormatVersion || len(sr.body) != noderep.EncodedSize(sr.rec)) {
-			t.Fatalf("op %d: an image of version %d and %d bytes, its tree encodes to %d", tw.ops, sr.body[0], len(sr.body), noderep.EncodedSize(sr.rec))
-		}
-	}
-	tw.downgrade()
-}
-
-// edits runs the seeded script of the differential over the twins: the
-// text of a text-only element deleted and put back (unfuse, fuse), a
-// second child into a text-only element before or behind its text and
-// sometimes out again (which leaves the text alone), and inserts and
-// deletes at random places.
-func (tw *formatTwin) edits(rng *rand.Rand, n int) {
-	for i := 0; i < n; i++ {
-		var aggs []Path
-		modelPaths(tw.model, Path{}, true, &aggs)
-		p := aggs[rng.Intn(len(aggs))]
-		m := modelAt(tw.model, p)
-		textOnly := len(m.children) == 1 && m.children[0].isText
-		switch k := rng.Intn(8); {
-		case textOnly && k < 3:
-			text := m.children[0]
-			tw.remove(append(p.Clone(), 0))
-			tw.insert(p, 0, text)
-		case textOnly && k < 6:
-			idx := rng.Intn(2)
-			rn := &refNode{label: lLine}
-			if rng.Intn(2) == 0 {
-				rn = &refNode{isText: true, label: dict.Text, text: fmt.Sprintf("aside %d", i)}
-			}
-			tw.insert(p, idx, rn)
-			if rng.Intn(2) == 0 {
-				tw.remove(append(p.Clone(), idx))
-			}
-		case k == 7 && len(p) > 0:
-			tw.remove(p)
-		default:
-			rn := &refNode{label: m.label}
-			if rng.Intn(3) > 0 {
-				rn = &refNode{isText: true, label: dict.Text, text: fmt.Sprintf("edit %d %s", i, strings.Repeat("ha", rng.Intn(40)))}
-			}
-			tw.insert(p, rng.Intn(len(m.children)+1), rn)
-		}
-	}
-	tw.check()
-}
-
-// TestVersion3MatchesVersion2 is the twin-store differential of record
-// format 3: a bulk-loaded play and a play built node by node in
-// binary-tree BFS order, then edited by the script above, held in a store
-// of version 3 images written by the production path and in one of
-// version 2 images (formatTwin). At every checkpoint the two are the same
-// document and pass the invariant check, and every image the production
-// path wrote — spliced or not — is as long as a full encode of its tree.
-// Over the BFS build, which puts each text into an element that is
-// already there and empty, at least 97 % of the record writes are still
-// splices.
-func TestVersion3MatchesVersion2(t *testing.T) {
-	play := corpus.GeneratePlay(corpus.DefaultSpec(), 0)
-	model := playRef(play)
-	const page = 8192
-	cfg := Config{CacheRecords: 64}
-
-	t.Run("bulk", func(t *testing.T) {
-		prod, ref := newStore(t, page, cfg), newStore(t, page, cfg)
-		pt := loadBulk(t, prod, model, BulkOptions{})
-		// Version 2 images are longer: leave them the room.
-		rt := loadBulk(t, ref, model, BulkOptions{FillFactor: 0.7})
-		tw := newFormatTwin(t, pt, rt, model.clone())
-		tw.edits(rand.New(rand.NewSource(3)), 400)
-		ps := prod.Stats()
-		t.Logf("%d operations: %d spliced, %d rewritten, %d splits; %d version 2 records read back", tw.ops, ps.RecordsSpliced, ps.RecordsRewritten, ps.Splits, tw.oldReads)
-		if ps.RecordsSpliced == 0 || ps.RecordsRewritten == 0 || tw.oldReads == 0 {
-			t.Fatal("the script does not cross both write paths over version 2 records")
-		}
-	})
-
-	t.Run("bfs", func(t *testing.T) {
-		prod, ref := newStore(t, page, cfg), newStore(t, page, cfg)
-		pt, err := prod.CreateTree(model.label)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt, err := ref.CreateTree(model.label)
-		if err != nil {
-			t.Fatal(err)
-		}
-		labels := map[string]dict.LabelID{}
-		for i, name := range corpus.ElementNames {
-			labels[name] = dict.LabelID(3 + i)
-		}
-		tw := newFormatTwin(t, pt, rt, &refNode{label: model.label})
-		fusing := 0
-		for _, op := range corpus.BinaryBFSOps(play) {
-			rn := &refNode{isText: op.IsText, label: dict.Text, text: op.Text}
-			if !op.IsText {
-				rn = &refNode{label: labels[op.Name]}
-			}
-			before := prod.Stats().RecordsSpliced
-			fuses := op.IsText && len(modelAt(tw.model, Path(op.ParentPath)).children) == 0
-			tw.insert(Path(op.ParentPath), op.Index, rn)
-			if fuses && prod.Stats().RecordsSpliced > before {
-				fusing++
-			}
-		}
-		tw.check()
-		if !refEqual(tw.model, model) {
-			t.Fatal("the BFS script does not build the play")
-		}
-		ps := prod.Stats()
-		writes := ps.RecordsSpliced + ps.RecordsRewritten
-		t.Logf("%d inserts: %d of %d record writes spliced (%.1f %%), %d of them fusing a text with its element; %d splits",
-			tw.ops, ps.RecordsSpliced, writes, 100*float64(ps.RecordsSpliced)/float64(writes), fusing, ps.Splits)
-		if ps.RecordsSpliced*100 < writes*97 {
-			t.Fatalf("%d of %d record writes spliced, want at least 97 %%", ps.RecordsSpliced, writes)
-		}
-		if texts := len(corpus.BinaryBFSOps(play)) / 3; fusing < texts {
-			t.Fatalf("%d fusing splices over the BFS build, want at least %d", fusing, texts)
-		}
-		tw.edits(rand.New(rand.NewSource(4)), 400)
-	})
 }

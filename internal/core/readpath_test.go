@@ -15,7 +15,8 @@ import (
 // which resolves them) give every facade node the same index, and at
 // that index the same kind, label, literal type and payload; one past
 // the last index is missing on both. The stores: the paper's 37 plays,
-// bulk-loaded, and a play whose records are all format version 1 images.
+// bulk-loaded, and a play whose records were all format version 1 images,
+// upgraded.
 func TestFacadeIndexesAgree(t *testing.T) {
 	t.Run("37-plays", func(t *testing.T) {
 		plays := corpus.Generate(corpus.DefaultSpec())
@@ -36,6 +37,9 @@ func TestFacadeIndexesAgree(t *testing.T) {
 		s := New(built.rm, Config{CacheRecords: 4096})
 		if v := imageVersions(t, s, root); v[1] != len(rids) {
 			t.Fatalf("images by version: %v, want all %d of version 1", v, len(rids))
+		}
+		if n, err := s.OpenTree(root).UpgradeRecords(); err != nil || n != len(rids) {
+			t.Fatalf("upgraded %d of %d records (err %v)", n, len(rids), err)
 		}
 		facadesAgree(t, s, root)
 	})

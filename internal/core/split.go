@@ -161,7 +161,7 @@ func (s *Store) descend(root *noderep.Node, ignoreMatrix bool) (sepPath, bool) {
 		}
 		p.nodes = append(p.nodes, cur)
 		p.steps = append(p.steps, chosen)
-		target -= acc + noderep.EmbeddedHeaderSize
+		target -= acc + noderep.HeaderSize(c, c.ContentSize())
 		if target < 0 {
 			target = 0
 		}

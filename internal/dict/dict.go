@@ -198,13 +198,23 @@ func (d *Dict) encode(st *dictState) []byte {
 	return out
 }
 
+// decode parses what encode writes, and only that: every name of a user
+// label non-empty (Intern refuses the empty one) and no name twice, the
+// reserved labels at their ids, and behind the entries nothing but
+// encode's zero padding. Anything else is ErrCorrupt — a dictionary that
+// took a second "LINE" would answer Lookup with the later id and miss
+// every node stored under the first. The count is held to what the bytes
+// can hold, two per entry, before anything is allocated.
 func decode(b []byte) (*dictState, error) {
 	if len(b) < 2 {
 		return nil, ErrCorrupt
 	}
 	count := int(binary.LittleEndian.Uint16(b))
+	if count < len(reservedNames) || count > (len(b)-2)/2 {
+		return nil, fmt.Errorf("%w: %d entries in %d bytes", ErrCorrupt, count, len(b))
+	}
 	pos := 2
-	st := &dictState{byName: make(map[string]LabelID, count)}
+	st := &dictState{byName: make(map[string]LabelID, count), names: make([]string, 0, count), attr: make([]bool, 0, count)}
 	for i := 0; i < count; i++ {
 		if pos+2 > len(b) {
 			return nil, fmt.Errorf("%w: truncated at entry %d", ErrCorrupt, i)
@@ -216,17 +226,22 @@ func decode(b []byte) (*dictState, error) {
 		}
 		name := string(b[pos : pos+n])
 		pos += n
+		switch _, dup := st.byName[name]; {
+		case i < len(reservedNames) && name != reservedNames[i]:
+			return nil, fmt.Errorf("%w: reserved id %d is %q, want %q", ErrCorrupt, i, name, reservedNames[i])
+		case i > 0 && name == "":
+			return nil, fmt.Errorf("%w: empty name at entry %d", ErrCorrupt, i)
+		case dup:
+			return nil, fmt.Errorf("%w: %q named twice, the second time at entry %d", ErrCorrupt, name, i)
+		}
 		st.add(name)
 		if i > 0 {
 			st.byName[name] = LabelID(i)
 		}
 	}
-	if len(st.names) < len(reservedNames) {
-		return nil, fmt.Errorf("%w: missing reserved labels", ErrCorrupt)
-	}
-	for i, want := range reservedNames {
-		if i > 0 && st.names[i] != want {
-			return nil, fmt.Errorf("%w: reserved id %d is %q, want %q", ErrCorrupt, i, st.names[i], want)
+	for _, c := range b[pos:] {
+		if c != 0 || len(b) > max(pos, records.MinRecordSize) {
+			return nil, fmt.Errorf("%w: %d bytes behind the last entry", ErrCorrupt, len(b)-pos)
 		}
 	}
 	return st, nil

@@ -244,3 +244,40 @@ func (s *Store) reloadAfterRollback() error {
 	s.trees.InvalidateCache()
 	return nil
 }
+
+// Upgrade brings a store whose segment predates record format 4 (a
+// segment format version below segment.FormatVersion) up to it: the
+// records of every tree-mode document are rewritten in place
+// (core.Tree.UpgradeRecords), each document as one logged operation; then
+// a checkpoint makes them durable, and only then does the segment header
+// take the current version, itself a logged operation, checkpointed too.
+// A crash anywhere leaves a store the next Open upgrades again from where
+// it stood — a record already in format 4 is read, not written — and a
+// store whose header is current is not touched at all. It runs before
+// the store serves anything: Open calls it.
+func (s *Store) Upgrade() error {
+	if s.seg.FormatVersion() >= segment.FormatVersion {
+		return nil
+	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	for _, info := range s.Documents() {
+		if info.Mode != ModeTree {
+			continue
+		}
+		tree := s.trees.OpenTree(info.Root)
+		if err := s.runOp("upgrade ", info.Name, func() error {
+			_, err := tree.UpgradeRecords()
+			return err
+		}); err != nil {
+			return fmt.Errorf("docstore: upgrade of %q: %w", info.Name, err)
+		}
+	}
+	if err := s.checkpointLocked(); err != nil {
+		return err
+	}
+	if err := s.runOp("upgrade", "", s.seg.FinishUpgrade); err != nil {
+		return err
+	}
+	return s.checkpointLocked()
+}

@@ -112,65 +112,121 @@ func typeSetOf(root *Node) *TypeSet {
 	return ts
 }
 
-// checkAllVersions holds one well-formed record's version 1 and version 2
-// images, from the reference encoder, against its version 3 image from
-// every production entry point: all three decode to the record, the
-// version 2 image is smaller than the version 1 one by exactly the parent
-// offsets it does not store, the version 3 image smaller again by exactly
-// the headers of the texts it fuses and the #text type entry once no
-// header cites it, and the standalone parent RID sits where
-// ParentRIDOffset says in each.
+// refSize4 is the size of rec's format 4 image, header by header as the
+// package comment's grammar spells it out.
+func refSize4(rec *Record) int {
+	types := len(tableTypes(rec.Root))
+	typeBytes := 1
+	if types > narrowTypes {
+		typeBytes = 2
+	}
+	var content func(n *Node) int
+	content = func(n *Node) int {
+		switch {
+		case n.Kind == KindProxy:
+			return records.RIDSize
+		case n.Kind == KindLiteral:
+			return len(n.Payload)
+		case n.FusedText() != nil:
+			return len(n.FusedText().Payload)
+		}
+		total := 0
+		for _, c := range n.Children {
+			cs := content(c)
+			switch {
+			case c.Kind == KindProxy:
+				total += typeBytes
+			case c.Kind == KindAggregate && c.FusedText() == nil, cs >= 128:
+				total += typeBytes + 2
+			default:
+				total += typeBytes + 1
+			}
+			total += cs
+		}
+		return total
+	}
+	return recHeaderSize + ttEntrySize*types + StandaloneHeaderSize + content(rec.Root)
+}
+
+// checkAllVersions holds one well-formed record's version 1, 2 and 3
+// images, from the reference encoder, against its format 4 image from
+// every production entry point: each older image is a step smaller than
+// the one before — version 2 by the parent offsets it does not store,
+// version 3 by the headers of the texts it fuses and the #text type entry
+// once no header cites it — and upgrades to exactly the format 4 image,
+// which has the size the grammar gives, decodes to the record, and holds
+// the standalone parent RID where ParentRIDOffset says. The runtime
+// decoder refuses the older images.
 func checkAllVersions(t *testing.T, rec *Record) {
 	t.Helper()
 	v1, err := refEncodeV1(rec)
 	if err != nil {
 		t.Fatalf("version 1 reference rejects a well-formed record: %v", err)
 	}
-	if len(v1) != refEncodedSizeV1(rec) || v1[0] != formatVersion1 {
-		t.Fatalf("reference image: %d bytes of version %d, sized %d", len(v1), v1[0], refEncodedSizeV1(rec))
+	if len(v1) != refEncodedSize(rec, formatVersion1) || v1[0] != formatVersion1 {
+		t.Fatalf("reference image: %d bytes of version %d, sized %d", len(v1), v1[0], refEncodedSize(rec, formatVersion1))
 	}
 	v2, err := refEncodeV2(rec)
-	if err != nil || len(v2) != refEncodedSizeV2(rec) || v2[0] != formatVersion2 {
-		t.Fatalf("version 2 reference image: %d bytes, sized %d, err %v", len(v2), refEncodedSizeV2(rec), err)
+	if err != nil || len(v2) != refEncodedSize(rec, formatVersion2) || v2[0] != formatVersion2 {
+		t.Fatalf("version 2 reference image: %d bytes, sized %d, err %v", len(v2), refEncodedSize(rec, formatVersion2), err)
 	}
-	if saved := (embeddedHeaderSizeV1 - EmbeddedHeaderSize) * (rec.Root.CountNodes() - 1); len(v2) != len(v1)-saved {
+	if saved := 2 * (rec.Root.CountNodes() - 1); len(v2) != len(v1)-saved {
 		t.Fatalf("version 2 image has %d bytes, version 1 %d: want %d saved", len(v2), len(v1), saved)
 	}
-	want, err := Encode(rec)
-	if err != nil || want[0] != FormatVersion {
-		t.Fatalf("Encode: version %d, err %v", want[0], err)
+	v3, err := refEncodeV3(rec)
+	if err != nil {
+		t.Fatalf("version 3 reference: %v", err)
 	}
 	allTypes, types := len(collectTypes(rec.Root)), len(tableTypes(rec.Root))
 	if allTypes-types > 1 || (allTypes != types && fusedTexts(rec.Root) == 0) {
 		t.Fatalf("%d node types, %d in the version 3 table, %d fused texts", allTypes, types, fusedTexts(rec.Root))
 	}
-	saved := EmbeddedHeaderSize*fusedTexts(rec.Root) + ttEntrySize*(allTypes-types)
-	if len(want) != len(v2)-saved || EncodedSize(rec) != len(want) {
-		t.Fatalf("version 3 image has %d bytes (EncodedSize %d), version 2 %d: want %d saved", len(want), EncodedSize(rec), len(v2), saved)
+	if saved := 4*fusedTexts(rec.Root) + ttEntrySize*(allTypes-types); len(v3) != len(v2)-saved {
+		t.Fatalf("version 3 image has %d bytes, version 2 %d: want %d saved", len(v3), len(v2), saved)
+	}
+	want, err := Encode(rec)
+	if err != nil || want[0] != FormatVersion {
+		t.Fatalf("Encode: %v", err)
+	}
+	if len(want) != refSize4(rec) || EncodedSize(rec) != len(want) || len(want) > len(v3) {
+		t.Fatalf("format 4 image has %d bytes (EncodedSize %d), the grammar gives %d, version 3 %d", len(want), EncodedSize(rec), refSize4(rec), len(v3))
 	}
 
 	// ParentRIDOffset depends on the table's length alone: the record
 	// header, the table's entries and the standalone header are the same in
 	// every version.
-	for _, img := range [][]byte{v1, v2, want} {
-		off := ParentRIDOffset(types)
-		if img[0] != FormatVersion {
-			off = ParentRIDOffset(allTypes)
+	for _, img := range [][]byte{v1, v2, v3, want} {
+		off := ParentRIDOffset(len(refTypes(rec, img[0])))
+		if img[0] == FormatVersion {
+			off = ParentRIDOffset(types)
 		}
-		dec, err := Decode(img)
-		if err != nil || !Equal(dec.Root, rec.Root) || dec.ParentRID != rec.ParentRID {
-			t.Fatalf("version %d image does not decode to the record (err %v)", img[0], err)
-		}
-		if RecordParentRIDOffset(dec) != off || records.DecodeRID(img[off:off+records.RIDSize]) != rec.ParentRID {
+		if records.DecodeRID(img[off:off+records.RIDSize]) != rec.ParentRID {
 			t.Fatalf("version %d image: parent RID not at offset %d", img[0], off)
 		}
-		// What core's invariant check holds a stored image to.
-		var l Layout
-		if err := Measure(dec, &l); err != nil || l.StoredSize(dec) != len(img) {
-			t.Fatalf("version %d image: %d bytes, StoredSize %d (err %v)", img[0], len(img), l.StoredSize(dec), err)
+		dec, up, err := Upgrade(img)
+		if up == nil {
+			up = img
+		}
+		if err != nil || !Equal(dec.Root, rec.Root) || dec.ParentRID != rec.ParentRID || !bytes.Equal(up, want) {
+			t.Fatalf("version %d image does not upgrade to the record's format 4 image (err %v)", img[0], err)
+		}
+		if img[0] != FormatVersion {
+			if _, err := Decode(img); !errors.Is(err, ErrCorruptRecord) {
+				t.Fatalf("Decode of a version %d image: %v, want ErrCorruptRecord", img[0], err)
+			}
+			if _, err := OpenImage(string(img)); !errors.Is(err, ErrCorruptRecord) {
+				t.Fatalf("OpenImage of a version %d image: %v, want ErrCorruptRecord", img[0], err)
+			}
 		}
 	}
+	dec, err := Decode(want)
+	if err != nil || !Equal(dec.Root, rec.Root) || dec.ParentRID != rec.ParentRID {
+		t.Fatalf("the format 4 image does not decode to the record (err %v)", err)
+	}
 	off := ParentRIDOffset(types)
+	if got := RecordParentRIDOffset(dec); got != off {
+		t.Fatalf("RecordParentRIDOffset after Decode = %d, want %d", got, off)
+	}
 	if got := RecordParentRIDOffset(rec); got != off {
 		t.Fatalf("RecordParentRIDOffset after Encode = %d, want %d", got, off)
 	}
@@ -224,31 +280,29 @@ func TestEncodeMatchesReference(t *testing.T) {
 		pad := NewTextLiteral("")
 		rec.Root.AppendChild(pad)
 		pad.Payload = make([]byte, target-EncodedSize(rec))
+		pad.Payload = pad.Payload[:len(pad.Payload)-(EncodedSize(rec)-target)] // its size took a second byte
 		if EncodedSize(rec) != target {
 			t.Fatalf("padding produced %d bytes, want %d", EncodedSize(rec), target)
 		}
 		checkAllVersions(t, rec)
 	}
 
-	// The size limit from the inside. It was 65535 while a content size had
-	// all 16 bits of its field; version 3 keeps the top one for the fused
-	// mark, a record being at most a 32 KB page: a fused text of exactly
-	// 32767 bytes, the same text unfused beside a sibling, and a nested
-	// content of exactly 32767. The older versions spend a header more on
-	// each, which puts their images past what still decodes, so these are
-	// held to the round trip alone. (Version 1's other limit, a header past
-	// offset 65535 that its children could not cite, lies further out
-	// still.)
+	// The size limit from the inside: a content size has 15 bits, a record
+	// being at most a 32 KB page — a fused text of exactly 32767 bytes, the
+	// same text unfused beside a sibling, and a nested content of exactly
+	// 32767. The older versions spend more on headers, which puts their
+	// images past what still decodes, so these are held to the round trip
+	// alone.
 	big := NewAggregate(dict.LabelID(3))
 	big.AppendChild(NewAggregate(dict.LabelID(4)).AppendChild(NewTextLiteral(string(make([]byte, maxContentSize)))))
 	unfused := NewAggregate(dict.LabelID(3))
 	unfused.AppendChild(NewTextLiteral("")).AppendChild(NewTextLiteral(string(make([]byte, maxContentSize))))
 	nested := NewAggregate(dict.LabelID(4)).AppendChild(NewTextLiteral("")).AppendChild(NewTextLiteral(""))
-	nested.Children[1].Payload = make([]byte, maxContentSize-2*EmbeddedHeaderSize)
+	nested.Children[1].Payload = make([]byte, maxContentSize-2-3) // two text headers, one long
 	for _, root := range []*Node{big, unfused, NewAggregate(dict.LabelID(3)).AppendChild(nested)} {
 		rec := &Record{Root: root}
 		img, err := Encode(rec)
-		if err != nil || len(img) != EncodedSize(rec) {
+		if err != nil || len(img) != EncodedSize(rec) || len(img) != refSize4(rec) {
 			t.Fatalf("record at the size limit: %d bytes, EncodedSize %d, err %v", len(img), EncodedSize(rec), err)
 		}
 		if dec, err := Decode(img); err != nil || !Equal(dec.Root, root) {
@@ -259,22 +313,22 @@ func TestEncodeMatchesReference(t *testing.T) {
 	// The records of a corpus play as older commits stored them — the fuzz
 	// seed corpus, bulk-loaded and built node by node: each is an image of
 	// exactly the reference encoder's size for its version, and the -v3
-	// seeds are what the current encoder writes for their trees.
+	// seeds upgrade to the -v4 seeds.
 	for _, name := range []string{"play-bulk-", "play-incremental-"} {
 		for i := 0; i < 4; i++ {
-			for suffix, version := range map[string]byte{"": formatVersion1, "-v2": formatVersion2, "-v3": FormatVersion} {
+			v4 := readFuzzSeed(t, fmt.Sprintf("%s%d-v4", name, i))
+			for suffix, version := range map[string]byte{"": formatVersion1, "-v2": formatVersion2, "-v3": formatVersion3} {
 				seed := fmt.Sprintf("%s%d%s", name, i, suffix)
 				img := readFuzzSeed(t, seed)
-				rec, err := Decode(img)
+				rec, up, err := Upgrade(img)
 				if err != nil || img[0] != version {
 					t.Fatalf("%s: version %d, %d bytes, err %v", seed, img[0], len(img), err)
 				}
-				want := EncodedSize(rec)
-				if version != FormatVersion {
-					want = refEncodedSize(rec, version)
-				}
-				if len(img) != want {
+				if want := refEncodedSize(rec, version); len(img) != want {
 					t.Fatalf("%s: %d bytes, its tree encodes to %d in version %d", seed, len(img), want, version)
+				}
+				if version == formatVersion3 && !bytes.Equal(up, v4) {
+					t.Fatalf("%s does not upgrade to %s%d-v4", seed, name, i)
 				}
 				checkAllVersions(t, rec)
 			}
@@ -342,7 +396,7 @@ func TestEncodeErrorsMatchReference(t *testing.T) {
 		{"embedded scaffolding aggregate", &Record{Root: agg(NewScaffoldAggregate())}, ErrBadNode},
 		{"malformed and oversized", &Record{Root: agg(NewTextLiteral(string(make([]byte, math.MaxUint16+1))), litKids)}, ErrBadNode},
 		{"child content past 16 bits", &Record{Root: agg(NewTextLiteral(""), NewTextLiteral(string(make([]byte, math.MaxUint16+1))))}, ErrTooLarge},
-		{"nested content past 16 bits", &Record{Root: agg(agg(NewTextLiteral(string(make([]byte, math.MaxUint16-EmbeddedHeaderSize+1)))))}, ErrTooLarge},
+		{"nested content past 16 bits", &Record{Root: agg(agg(NewTextLiteral(string(make([]byte, math.MaxUint16-4+1)))))}, ErrTooLarge},
 	}
 	for _, c := range cases {
 		_, refErr := refEncodeV1(c.rec)
@@ -360,15 +414,15 @@ func TestEncodeErrorsMatchReference(t *testing.T) {
 		}
 	}
 
-	// Version 3 alone refuses a content size past 15 bits — the top bit of
-	// the field is the fused mark — which the older versions wrote; Decode
-	// reads such a size in an older image as a mark the version does not
-	// have. No stored record can hold one: a record is at most a page, and
-	// a page at most 32 KB.
+	// Format 4 refuses a content size past 15 bits, which is all its long
+	// size form holds; the older versions wrote one, and read it back as a
+	// mark (version 3) or a mark the version does not have, so what they
+	// wrote does not upgrade. No stored record can hold one: a record is
+	// at most a page, and a page at most 32 KB.
 	for name, rec := range map[string]*Record{
 		"child content at 15 bits":  {Root: agg(NewTextLiteral(""), NewTextLiteral(string(make([]byte, maxContentSize+1))))},
 		"fused content at 15 bits":  {Root: agg(agg(NewTextLiteral(string(make([]byte, maxContentSize+1)))))},
-		"nested content at 15 bits": {Root: agg(agg(NewTextLiteral(""), NewTextLiteral(string(make([]byte, maxContentSize-2*EmbeddedHeaderSize+1)))))},
+		"nested content at 15 bits": {Root: agg(agg(NewTextLiteral(""), NewTextLiteral(string(make([]byte, maxContentSize-5+1)))))},
 	} {
 		if _, err := Encode(rec); !errors.Is(err, ErrTooLarge) {
 			t.Errorf("%s: Encode error %v, want ErrTooLarge", name, err)
@@ -378,8 +432,8 @@ func TestEncodeErrorsMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: reference encoder: %v", name, err)
 			}
-			if _, err := Decode(img); !errors.Is(err, ErrCorruptRecord) {
-				t.Errorf("%s: Decode of the version %d image: %v, want ErrCorruptRecord", name, img[0], err)
+			if _, _, err := Upgrade(img); !errors.Is(err, ErrCorruptRecord) {
+				t.Errorf("%s: Upgrade of the version %d image: %v, want ErrCorruptRecord", name, img[0], err)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"natix/internal/dict"
 	"natix/internal/records"
 )
 
@@ -13,13 +14,11 @@ import (
 // pages whose checksum only proves they were not damaged in flight, so on
 // any input it must return a record or ErrCorruptRecord — no panic, no
 // allocation out of proportion to the input — and whatever it accepts
-// the encoder accepts too and re-encodes to the same size, or, accepted
-// as an older format version, to exactly what that version spends on top
-// less (Layout.StoredSize: parent offsets, the headers of texts version 3
-// fuses, their type entry). The checked-in corpus under testdata/fuzz
-// holds records of a bulk-loaded and a node-by-node-built corpus play in
-// all three versions; the older two are decode-only inputs by nature —
-// nothing writes them.
+// the encoder accepts too and re-encodes to the same bytes: the format
+// is canonical. The checked-in corpus under testdata/fuzz holds records
+// of a bulk-loaded and a node-by-node-built corpus play, in format 4 (the
+// -v4 files) and as the older builds stored them (versions 1, 2 and 3,
+// which Decode refuses; FuzzUpgrade reads them).
 func FuzzDecode(f *testing.F) {
 	addRecordSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -30,39 +29,35 @@ func FuzzDecode(f *testing.F) {
 			}
 			return
 		}
-		// Every node but the root spends an embedded header of input — of
-		// the input's own version — or is the text of a fused element that
-		// spends one, and payload bytes are input bytes: the tree cannot
-		// outgrow its image.
+		// Every node but the root spends an embedded header of at least a
+		// byte and its own content or text's, or is the text of a fused
+		// element whose header is two bytes, and payload bytes are input
+		// bytes: the tree cannot outgrow its image.
 		nodes, payload := 0, 0
 		rec.Root.Walk(func(n *Node) bool {
 			nodes++
 			payload += len(n.Payload)
 			return true
 		})
-		if nodes > 2+2*len(data)/EmbeddedHeaderSize || payload > len(data) {
+		if nodes > 2+len(data) || payload > len(data) {
 			t.Fatalf("%d nodes and %d payload bytes decoded from %d input bytes", nodes, payload, len(data))
 		}
-		// What Decode accepts, Measure accepts, and the image is exactly as
-		// long as its tree encodes to in the image's version: no shape only
-		// the decoder knows (an embedded scaffolding aggregate was one, until
-		// the splice path stopped re-measuring stored records; an unfused
-		// text-only element in a version 3 image would be another) and no
+		// What Decode accepts, Measure accepts, and the image is exactly
+		// what its tree encodes to: no shape only the decoder knows (an
+		// embedded scaffolding aggregate was one, until the splice path
+		// stopped re-measuring stored records; an unfused text-only element
+		// would be another), no size in a longer form than it needs and no
 		// slack in the type table.
 		var l Layout
 		if err := Measure(rec, &l); err != nil {
 			t.Fatalf("Measure rejects a record Decode accepted: %v", err)
 		}
-		if l.StoredSize(rec) != len(data) {
-			t.Fatalf("accepted %d bytes of version %d, its tree is stored in %d", len(data), data[0], l.StoredSize(rec))
-		}
 		enc, err := l.Emit(nil, rec)
 		if err != nil {
 			t.Fatalf("re-encode of an accepted record: %v", err)
 		}
-		if len(enc) != l.Size() || enc[0] != FormatVersion || (data[0] == FormatVersion && len(enc) != len(data)) {
-			t.Fatalf("accepted %d bytes of version %d, re-encode measures %d and writes %d of version %d",
-				len(data), data[0], l.Size(), len(enc), enc[0])
+		if l.Size() != len(data) || !bytes.Equal(enc, data) {
+			t.Fatalf("accepted %d bytes, re-encode measures %d and writes %d other bytes", len(data), l.Size(), len(enc))
 		}
 		again, err := Decode(enc)
 		if err != nil {
@@ -71,31 +66,91 @@ func FuzzDecode(f *testing.F) {
 		if !Equal(again.Root, rec.Root) || again.ParentRID != rec.ParentRID {
 			t.Fatal("Decode(Encode(rec)) is not rec")
 		}
-		if enc2, err := Encode(again); err != nil || !bytes.Equal(enc, enc2) {
-			t.Fatalf("encoding is not canonical (err %v)", err)
-		}
 	})
 }
 
-// addRecordSeeds adds FuzzDecode's generated seeds: the paper's Figure 2
-// record, a scaffolding root over a proxy, and random records, each in
-// all three format versions.
-func addRecordSeeds(f *testing.F) {
-	var seeds []*Record
-	seeds = append(seeds,
-		&Record{Root: figure2(), ParentRID: records.RID{Page: 77, Slot: 3}},
-		&Record{Root: NewScaffoldAggregate().AppendChild(NewProxy(records.RID{Page: 5, Slot: 1})).AppendChild(NewTextLiteral("tail"))})
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 8; i++ {
-		seeds = append(seeds, randomRecord(rng))
-	}
-	for _, encode := range []func(*Record) ([]byte, error){Encode, refEncodeV1, refEncodeV2} {
-		for _, rec := range seeds {
+// FuzzUpgrade feeds Upgrade arbitrary bytes, seeded with FuzzDecode's
+// records in all four format versions and its checked-in corpus (corpus
+// plays as the older builds stored them). An image the legacy decoder
+// accepts upgrades to a format 4 image that decodes to the same tree and
+// is never longer; a format 4 image needs none; anything else is
+// ErrCorruptRecord — never a panic — and the input is never written.
+func FuzzUpgrade(f *testing.F) {
+	for _, rec := range seedRecords() {
+		for _, encode := range []func(*Record) ([]byte, error){refEncodeV1, refEncodeV2, refEncodeV3, Encode} {
 			buf, err := encode(rec)
 			if err != nil {
 				f.Fatal(err)
 			}
 			f.Add(buf)
 		}
+	}
+	for _, data := range corpusOf(f, "FuzzDecode") {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := bytes.Clone(data)
+		rec, out, err := Upgrade(data)
+		if !bytes.Equal(data, in) {
+			t.Fatal("Upgrade wrote to its input")
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorruptRecord) {
+				t.Fatalf("Upgrade error outside ErrCorruptRecord: %v", err)
+			}
+			if _, err := Decode(data); err == nil {
+				t.Fatal("Upgrade refuses an image Decode accepts")
+			}
+			return
+		}
+		if (out == nil) != (data[0] == FormatVersion) {
+			t.Fatalf("an image of version %d upgraded to %d bytes", data[0], len(out))
+		}
+		if out == nil {
+			out = data
+		}
+		if len(out) > len(data) {
+			t.Fatalf("a %d-byte image of version %d upgraded to %d bytes", len(data), data[0], len(out))
+		}
+		dec, err := Decode(out)
+		if err != nil {
+			t.Fatalf("the upgraded image does not decode: %v", err)
+		}
+		if !Equal(dec.Root, rec.Root) || dec.ParentRID != rec.ParentRID {
+			t.Fatal("the upgraded image decodes to another tree")
+		}
+	})
+}
+
+// seedRecords returns the records the fuzz targets are seeded with: the
+// paper's Figure 2 record, a scaffolding root over a proxy, a text past
+// the short size form, a type table past the narrow form, and random
+// records — thirty in all.
+func seedRecords() []*Record {
+	wide := NewAggregate(dict.LabelID(3))
+	for i := 0; i <= narrowTypes; i++ {
+		wide.AppendChild(NewAggregate(dict.LabelID(4 + i)).AppendChild(NewTextLiteral("w")))
+	}
+	seeds := []*Record{
+		{Root: figure2(), ParentRID: records.RID{Page: 77, Slot: 3}},
+		{Root: NewScaffoldAggregate().AppendChild(NewProxy(records.RID{Page: 5, Slot: 1})).AppendChild(NewTextLiteral("tail"))},
+		{Root: NewAggregate(lSpeech).AppendChild(NewAggregate(lLine).AppendChild(NewTextLiteral(string(bytes.Repeat([]byte("long "), 40)))))},
+		{Root: wide},
+	}
+	rng := rand.New(rand.NewSource(7))
+	for len(seeds) < 30 {
+		seeds = append(seeds, randomRecord(rng))
+	}
+	return seeds
+}
+
+// addRecordSeeds adds the format 4 images of seedRecords.
+func addRecordSeeds(f *testing.F) {
+	for _, rec := range seedRecords() {
+		buf, err := Encode(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
 	}
 }

@@ -6,11 +6,12 @@ import (
 )
 
 // Reading a record where it lies. A stored image lists its nodes in
-// pre-order: an embedded node is its header — typeIdx(2) size(2) — and
-// then its content, and an aggregate's content is its children, header
-// and content, back to back. So an aggregate's first child is the header
-// at the start of its content, a node's next sibling the header behind
-// its content, and a pre-order walk one pass over the headers. Image
+// pre-order: an embedded node is its header — its type and, unless it is
+// a proxy, its size — and then its content, and an aggregate's content
+// is its children, header and content, back to back. So an aggregate's
+// first child is the header at the start of its content, a node's next
+// sibling the header behind its content, and a pre-order walk one pass
+// over the headers. Image
 // reads nodes that way, with no Node in sight: the query path resolves
 // postings, navigates and reads text and markup out of the image bytes,
 // and only the write path decodes (Decode). The image is a string: what
@@ -22,18 +23,16 @@ import (
 // table, the content against the image's end and against the content
 // enclosing it — and reports ErrCorruptRecord rather than reading past
 // the buffer, so no image makes Image panic or loop. Decode holds an
-// image to more than that (every table entry cited, the canonical fused
-// form, version 1's parent offsets); on an image Decode accepts, both
-// read the same nodes.
+// image to more than that (every table entry cited, every text-only
+// element fused); on an image Decode accepts, both read the same nodes.
 
 // Image is a record image opened for reading in place. It keeps the
 // string it was opened on.
 type Image struct {
-	buf    string
-	hdr    int  // embedded header size of the image's version
-	fusing bool // version 3: the top bit of a size field is the fused mark
-	types  int  // type-table entries
-	root   int  // offset of the standalone header
+	buf   string
+	wide  bool // two-byte type indexes
+	types int  // type-table entries
+	root  int  // offset of the standalone header
 }
 
 // ImageNode is one node read out of an image: its type and where its
@@ -55,26 +54,12 @@ type ImageNode struct {
 //
 //natix:noalloc
 func OpenImage(buf string) (Image, error) {
-	if len(buf) < recHeaderSize+StandaloneHeaderSize {
+	if len(buf) < recHeaderSize+StandaloneHeaderSize || buf[0] != FormatVersion || buf[1]&^(rootFusedFlag|wideFlag) != 0 {
 		return Image{}, ErrCorruptRecord
 	}
-	im := Image{buf: buf, hdr: EmbeddedHeaderSize}
-	var flags byte // the flags the version defines
-	switch buf[0] {
-	case FormatVersion:
-		im.fusing, flags = true, rootFusedFlag
-	case formatVersion2:
-	case formatVersion1:
-		im.hdr = embeddedHeaderSizeV1
-	default:
-		return Image{}, ErrCorruptRecord
-	}
-	if buf[1]&^flags != 0 {
-		return Image{}, ErrCorruptRecord
-	}
-	im.types = u16(buf[2:])
+	im := Image{buf: buf, wide: buf[1]&wideFlag != 0, types: u16(buf[2:])}
 	im.root = recHeaderSize + ttEntrySize*im.types
-	if im.root+StandaloneHeaderSize > len(buf) {
+	if im.root+StandaloneHeaderSize > len(buf) || im.wide != (im.types > narrowTypes) {
 		return Image{}, ErrCorruptRecord
 	}
 	return im, nil
@@ -88,11 +73,19 @@ func (im *Image) Data() string { return im.buf }
 //
 //natix:noalloc
 func (im *Image) Root(n *ImageNode) error {
-	err := im.typed(n, im.root, im.root+StandaloneHeaderSize, len(im.buf), im.buf[1]&rootFusedFlag != 0)
-	if err == nil && n.Kind == KindAggregate && n.Scaffold && n.Fused {
-		err = ErrCorruptRecord
+	ti := u16(im.buf[im.root:])
+	if ti >= im.types {
+		return ErrCorruptRecord
 	}
-	return err
+	start, end, fused := im.root+StandaloneHeaderSize, len(im.buf), im.buf[1]&rootFusedFlag != 0
+	im.fill(n, ti, start, end, fused)
+	switch {
+	case n.Kind == KindInvalid,
+		n.Kind == KindProxy && end-start != records.RIDSize,
+		fused && (n.Kind != KindAggregate || n.Scaffold):
+		return ErrCorruptRecord
+	}
+	return nil
 }
 
 // Child reads the embedded node whose header is at off, inside content
@@ -102,46 +95,14 @@ func (im *Image) Root(n *ImageNode) error {
 //
 //natix:noalloc
 func (im *Image) Child(n *ImageNode, off, end int) error {
-	if off < im.root+StandaloneHeaderSize || off+im.hdr > end || end > len(im.buf) {
+	if off < im.root+StandaloneHeaderSize || end > len(im.buf) {
 		return ErrCorruptRecord
 	}
-	size := u16(im.buf[off+2:])
-	cs := size &^ fusedMark
-	start := off + im.hdr
-	if start+cs > end {
+	var h header
+	if !readHeader(im.buf, im.wide, im.types, off, end, &h) {
 		return ErrCorruptRecord
 	}
-	err := im.typed(n, off, start, start+cs, size != cs)
-	if err == nil && n.Kind == KindAggregate && n.Scaffold {
-		// Scaffolding aggregates only ever stand alone (§3.2.2).
-		err = ErrCorruptRecord
-	}
-	return err
-}
-
-// typed fills in n, whose header at off cites a type and whose content
-// is buf[start:end].
-//
-//natix:noalloc
-func (im *Image) typed(n *ImageNode, off, start, end int, fused bool) error {
-	ti := u16(im.buf[off:])
-	if ti >= im.types {
-		return ErrCorruptRecord
-	}
-	im.fill(n, ti, start, end, fused)
-	switch n.Kind {
-	case KindLiteral:
-	case KindProxy:
-		if end-start != records.RIDSize {
-			return ErrCorruptRecord
-		}
-	case KindAggregate:
-	default:
-		return ErrCorruptRecord
-	}
-	if fused && (!im.fusing || n.Kind != KindAggregate) {
-		return ErrCorruptRecord
-	}
+	im.fill(n, h.ti, h.start, h.end(), h.fused)
 	return nil
 }
 
@@ -152,24 +113,18 @@ func (im *Image) typed(n *ImageNode, off, start, end int, fused bool) error {
 //
 //natix:noalloc
 func (im *Image) ChildHas(off, end int, pred func(Kind, dict.LabelID) bool) (bool, error) {
-	if end > len(im.buf) {
+	if end > len(im.buf) || off < im.root+StandaloneHeaderSize && off < end {
 		return false, ErrCorruptRecord
 	}
+	var h header
 	for off < end {
-		if off < im.root+StandaloneHeaderSize || off+im.hdr > end {
+		if !readHeader(im.buf, im.wide, im.types, off, end, &h) {
 			return false, ErrCorruptRecord
 		}
-		ti := u16(im.buf[off:])
-		if ti >= im.types {
-			return false, ErrCorruptRecord
-		}
-		if pred(im.typeAt(ti)) {
+		if pred(im.typeAt(h.ti)) {
 			return true, nil
 		}
-		off += im.hdr + u16(im.buf[off+2:])&^fusedMark
-	}
-	if off > end {
-		return false, ErrCorruptRecord
+		off = h.end()
 	}
 	return false, nil
 }
@@ -263,46 +218,34 @@ func (f *Facades) Advance() (bool, error) {
 	im := f.im
 	buf := im.buf
 	for {
-		off, start, end := f.next, 0, len(buf)
-		var ti int
-		fused := false
+		off := f.next
+		var h header
 		switch {
 		case off < 0:
-			off, start = im.root, im.root+StandaloneHeaderSize
-			ti = u16(buf[off:])
-			fused = buf[1]&rootFusedFlag != 0
+			off = im.root
+			h = header{ti: u16(buf[off:]), start: off + StandaloneHeaderSize, cs: len(buf) - off - StandaloneHeaderSize, fused: buf[1]&rootFusedFlag != 0}
+			if h.ti >= im.types {
+				return f.fail()
+			}
+			h.kf = buf[recHeaderSize+ttEntrySize*h.ti]
+			if kind := Kind(h.kf & kindMask); kind == KindInvalid || h.fused && (kind != KindAggregate || h.kf&scaffoldFlag != 0) {
+				return f.fail()
+			}
 		case off == len(buf):
 			f.ti = -1
 			return false, nil
 		default:
-			if off+im.hdr > len(buf) {
-				return f.fail()
-			}
-			ti = u16(buf[off:])
-			size := u16(buf[off+2:])
-			cs := size &^ fusedMark
-			start, fused = off+im.hdr, size != cs
-			if end = start + cs; end > len(buf) {
+			if !readHeader(buf, im.wide, im.types, off, len(buf), &h) {
 				return f.fail()
 			}
 		}
-		if ti >= im.types {
-			return f.fail()
-		}
-		kf := buf[recHeaderSize+ttEntrySize*ti]
-		kind, scaffold := Kind(kf&kindMask), kf&scaffoldFlag != 0
-		switch {
-		case kind == KindInvalid,
-			fused && (!im.fusing || kind != KindAggregate || scaffold),
-			scaffold && kind == KindAggregate && off != im.root:
-			return f.fail()
-		}
+		kind, scaffold := Kind(h.kf&kindMask), h.kf&scaffoldFlag != 0
 		// Into an aggregate's children, past anything else's content.
-		if f.next = end; kind == KindAggregate && !fused {
-			f.next = start
+		if f.next = h.end(); h.aggregate() {
+			f.next = h.start
 		}
 		if kind == KindLiteral || kind == KindAggregate && !scaffold {
-			f.ti, f.start, f.end, f.fused = ti, start, end, fused
+			f.ti, f.start, f.end, f.fused = h.ti, h.start, h.end(), h.fused
 			return true, nil
 		}
 	}

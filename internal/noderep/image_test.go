@@ -12,8 +12,8 @@ import (
 )
 
 // FuzzWalkImage feeds the in-place reader arbitrary bytes, seeded with
-// FuzzDecode's seeds and its checked-in corpus (records of corpus plays
-// in all three format versions). On any input the facade walk and the
+// FuzzDecode's seeds and the format 4 images of its checked-in corpus
+// (records of corpus plays; a file Upgrade refuses is added as it is). On any input the facade walk and the
 // navigation by Root and Child end, never panic, report nothing but
 // ErrCorruptRecord and hand out only content inside the input, and
 // ChildHas finds what a walk of the children with Child finds. When
@@ -23,6 +23,9 @@ import (
 func FuzzWalkImage(f *testing.F) {
 	addRecordSeeds(f)
 	for _, data := range corpusOf(f, "FuzzDecode") {
+		if _, up, err := Upgrade(data); up != nil && err == nil {
+			data = up
+		}
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -49,7 +52,7 @@ func FuzzWalkImage(f *testing.F) {
 		for steps := 0; ; steps++ {
 			// Every facade node spends a header of input, or is the text of
 			// a fused element that spends one.
-			if steps > 2+2*len(data)/EmbeddedHeaderSize {
+			if steps > 2+len(data) {
 				t.Fatalf("the facade walk of %d bytes does not end", len(data))
 			}
 			ok, err := walk.Advance()
@@ -76,7 +79,7 @@ func FuzzWalkImage(f *testing.F) {
 		var visit func(n ImageNode)
 		visit = func(n ImageNode) {
 			inside(&n)
-			if len(nodes) > 2+2*len(data)/EmbeddedHeaderSize {
+			if len(nodes) > 2+len(data) {
 				t.Fatalf("the navigation of %d bytes does not end", len(data))
 			}
 			nodes = append(nodes, n)

@@ -12,25 +12,35 @@
 //     large trees (§2.3.3).
 //
 // One record stores exactly one subtree. Its byte layout (format
-// version 3) is:
+// version 4) is:
 //
-//	record   := version(1) flags(1) ttCount(2) ttEntry*  standalone
-//	ttEntry  := kindFlags(1) label(2) litType(1)
+//	record     := version(1) flags(1) ttCount(2) ttEntry* standalone
+//	flags      := 0(6 bits) wide(1 bit) rootFused(1 bit, the lowest)
+//	ttEntry    := kindFlags(1) label(2) litType(1)
 //	standalone := typeIdx(2) parentRID(8) content
-//	embedded := typeIdx(2) size(2) content
-//	size     := fused(1 bit, the top one) contentSize(15 bits)
-//	flags    := 0(7 bits) rootFused(1 bit, the lowest)
-//	content  := children* | literalPayload | targetRID(8) | textPayload
+//	embedded   := type size content
+//	type       := fused(1 bit, the top one) typeIdx(7 bits)     wide = 0
+//	            | typeIdx(15 bits) fused(1 bit, the top one)    wide = 1
+//	size       := nothing                                      a proxy
+//	            | contentSize(16 bits)                         an aggregate, not fused
+//	            | 0(1 bit) contentSize(7 bits)                 a literal or a fused
+//	            | 1(1 bit) low(7 bits) high(8 bits)            element: short, long
+//	content    := children* | literalPayload | targetRID(8) | textPayload
 //
-// Standalone headers are 10 bytes, the cost Appendix A reports. Embedded
-// headers are 4 bytes, two fewer than Appendix A's 6: the paper's
-// embedded node also stores a 2-byte offset to its parent's header, and
-// nothing here reads one — a record is at most a page and is always
-// parsed top-down from its standalone root (Decode), which hands every
-// node its parent as it goes; navigation, Locate, the facade walker and
-// the evaluators all work on that parsed tree. Format version 1 did
-// store the offset (embedded := typeIdx(2) contentSize(2) parentOff(2)
-// content).
+// Multi-byte fields are little-endian. Standalone headers are 10 bytes,
+// the cost Appendix A reports. An embedded header is a one-byte type
+// index and a size whose width depends on the node: a proxy's content is
+// always a RID, so its size is implied and its header is 1 byte; a
+// literal and a fused element never change size in place, so theirs is
+// one byte under 128 bytes of content and two from there (2 or 3 bytes
+// of header); every other aggregate keeps a fixed two-byte size (3
+// bytes), which is what lets a splice patch its ancestors' sizes in
+// place. Appendix A's embedded header is 6 bytes: its 2-byte type index
+// and size and a 2-byte offset to the parent's header, which nothing
+// here reads — a record is at most a page and is always parsed top-down
+// from its standalone root, which hands every node its parent as it
+// goes. A record whose type table has more than 128 entries sets the
+// wide flag and spends two bytes on every embedded type index.
 //
 // The rule for the fused mark: a facade (non-scaffolding) aggregate whose
 // only child is one facade #text string literal — <LINE>words</LINE>,
@@ -40,16 +50,21 @@
 // texts are all fused has no #text entry in its type table. Decode
 // expands the pair into the same two Nodes, so nothing above the image
 // can tell; FusedText is the one predicate the encoder, the sizes and
-// the splice share. The mark costs no byte: a record is at most a page,
-// pagedev.MaxPageSize is 32 KB, so a content size needs 15 of its 16
-// bits, and the standalone root, which has no size field, uses a bit of
-// the record header's flags byte. The form is canonical — the encoder
-// always fuses, and Decode rejects a version 3 image that holds an
-// unfused text-only element, the mark on anything but a facade aggregate,
-// or an unknown flag. Format version 2 is the same grammar without the
-// mark (size := contentSize(16 bits), flags := 0). Decode still reads
-// images of versions 1 and 2, nothing writes them, and a record of either
-// becomes version 3 the first time it is edited.
+// the splice share. The standalone root has no type byte to carry the
+// mark and uses the record header's rootFused flag instead.
+//
+// The form is canonical: the encoder sets the wide flag only when the
+// table needs it, takes the short size form whenever it fits and always
+// fuses, and Decode rejects an image that does otherwise, holds an
+// unfused text-only element, puts the mark on anything but a facade
+// aggregate, or sets an unknown flag. A stored image is therefore
+// exactly as long as its tree encodes to.
+//
+// Format 4 is the only format the runtime reads. Images of the older
+// versions — 3 (the fused mark in the top bit of a 2-byte size), 2 (no
+// mark) and 1 (an extra parent offset per embedded header) — are read
+// only by Upgrade, which re-encodes them in format 4 when a store
+// written before it is opened (see package segment's format version).
 //
 // The node type table lives in the record rather than on the page (a
 // deviation of its own; all three are recorded in DESIGN.md, "Native
@@ -58,10 +73,8 @@
 package noderep
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"natix/internal/dict"
 	"natix/internal/records"
@@ -112,40 +125,59 @@ const (
 	LitLongString
 )
 
-// Header sizes (the standalone one is Appendix A's; the embedded one
-// drops Appendix A's parent offset, see the package comment).
 const (
-	EmbeddedHeaderSize   = 4  // typeIdx(2) + size(2)
-	StandaloneHeaderSize = 10 // typeIdx(2) + parentRID(8)
+	// StandaloneHeaderSize is Appendix A's: typeIdx(2) + parentRID(8).
+	StandaloneHeaderSize = 10
 
-	// FormatVersion is the version every image is written in. Images of
-	// version 2, which has no fused mark, and of version 1, whose embedded
-	// headers also carry a parentOff(2) behind the size, are only decoded.
-	FormatVersion = 3
+	// FormatVersion is the version every image is written and read in.
+	// Images of the older versions are only read by Upgrade.
+	FormatVersion = 4
+
+	// ProxySize is what an embedded proxy takes: its type byte and the
+	// RID, the size being implied.
+	ProxySize = 1 + records.RIDSize
 
 	recHeaderSize = 4 // version(1) + flags(1) + ttCount(2)
 	ttEntrySize   = 4 // kindFlags(1) + label(2) + litType(1)
 
-	formatVersion2       = 2
-	formatVersion1       = 1
-	embeddedHeaderSizeV1 = 6
+	// narrowTypes is the largest type table whose indexes fit the 7 bits a
+	// one-byte type leaves beside the fused mark; a larger table sets
+	// wideFlag and cites its entries in 15 bits of two bytes, up to
+	// maxTypes.
+	narrowTypes = 1 << 7
+	maxTypes    = 1 << 15
 
-	// fusedMark is the top bit of an embedded node's size field and
-	// rootFusedFlag its stand-in for the standalone root, in the record
-	// header's flags byte: the node is a text-only element and its content
-	// the text's payload (see the package comment).
-	fusedMark      = 0x8000
-	maxContentSize = fusedMark - 1
-	rootFusedFlag  = 0x01
+	// fusedMark is the top bit of an embedded node's type, narrowFused in
+	// its one byte and wideFused in its two, and rootFusedFlag its
+	// stand-in for the standalone root, in the record header's flags byte:
+	// the node is a text-only element and its content the text's payload
+	// (see the package comment).
+	narrowFused   = 0x80
+	wideFused     = 0x8000
+	rootFusedFlag = 0x01
+	wideFlag      = 0x02
+
+	// longSize is the top bit of the first byte of a literal's or fused
+	// element's size: the size takes a second byte.
+	longSize = 0x80
+
+	// maxContentSize bounds a node's content: a record is at most a page
+	// and pagedev.MaxPageSize is 32 KB, which the long size form's 15 bits
+	// cover.
+	maxContentSize = 1<<15 - 1
 
 	kindMask     = 0x03
 	scaffoldFlag = 0x04
+
+	// idxFused marks a fused element in a Layout's per-node type indexes,
+	// which Emit holds to 15 bits.
+	idxFused = 0x8000
 )
 
 // Errors.
 var (
 	ErrCorruptRecord = errors.New("noderep: corrupt record")
-	ErrTooLarge      = errors.New("noderep: node content exceeds its 15-bit size field")
+	ErrTooLarge      = errors.New("noderep: node content exceeds its 15-bit size")
 	ErrBadNode       = errors.New("noderep: malformed node")
 )
 
@@ -232,8 +264,8 @@ func (n *Node) ChildIndex(c *Node) int {
 }
 
 // ContentSize returns the serialized size of the node's content,
-// excluding its own header. A text-only element's content is its text's
-// payload (FusedText).
+// excluding its own header, in a record with one-byte type indexes. A
+// text-only element's content is its text's payload (FusedText).
 func (n *Node) ContentSize() int {
 	switch n.Kind {
 	case KindLiteral:
@@ -246,11 +278,31 @@ func (n *Node) ContentSize() int {
 		}
 		total := 0
 		for _, c := range n.Children {
-			total += EmbeddedHeaderSize + c.ContentSize()
+			total += c.TotalSize()
 		}
 		return total
 	default:
 		return 0
+	}
+}
+
+// HeaderSize returns the size of n's embedded header, in a record with
+// one-byte type indexes, when n's content is cs bytes: the type byte and
+// the size field n's kind calls for (see the package comment).
+func HeaderSize(n *Node, cs int) int {
+	return 1 + sizeLen(n.Kind, n.FusedText() != nil, cs)
+}
+
+// sizeLen returns the width of the size field of an embedded node of the
+// given kind, fused or not, with cs bytes of content.
+func sizeLen(kind Kind, fused bool, cs int) int {
+	switch {
+	case kind == KindProxy:
+		return 0
+	case kind == KindAggregate && !fused, cs >= longSize:
+		return 2
+	default:
+		return 1
 	}
 }
 
@@ -269,9 +321,13 @@ func (n *Node) FusedText() *Node {
 }
 
 // TotalSize returns the serialized size of the node as an embedded
-// object: header plus content. (The text of a text-only element is not
-// one; its TotalSize is what it would take beside a sibling.)
-func (n *Node) TotalSize() int { return EmbeddedHeaderSize + n.ContentSize() }
+// object, header plus content, in a record with one-byte type indexes.
+// (The text of a text-only element is not one; its TotalSize is what it
+// would take beside a sibling.)
+func (n *Node) TotalSize() int {
+	cs := n.ContentSize()
+	return HeaderSize(n, cs) + cs
+}
 
 // CountNodes returns the number of physical nodes in the subtree.
 func (n *Node) CountNodes() int {
@@ -351,18 +407,10 @@ type Record struct {
 	ParentRID records.RID
 	Root      *Node
 
-	// types and version are the type-table entry count and the format
-	// version of the record's stored image, set by Decode and by Emit; 0
-	// when the record has no image yet.
-	types   int
-	version byte
+	// types is the type-table entry count of the record's stored image,
+	// set by Decode and by Emit; 0 when the record has no image yet.
+	types int
 }
-
-// ImageVersion returns the format version of rec's stored image: the one
-// Decode parsed it from or Emit last wrote, 0 when it has none yet. A
-// store written before version 3 holds records of the older versions
-// until each is next edited.
-func (rec *Record) ImageVersion() int { return int(rec.version) }
 
 // ParentRIDOffset is the byte offset of the standalone parent RID within
 // an encoded record, given its type-table entry count. Exposed so the
@@ -421,11 +469,24 @@ func typeIndex(order []typeKey, k typeKey) int {
 
 // RecordOverhead returns the fixed cost of a record with ttCount node
 // type table entries: record header, type table and standalone header.
-// Record size = RecordOverhead(types) + root content size. The bulk
-// builder uses it to account record sizes incrementally instead of
-// re-walking subtrees.
+// The bulk builder uses it, through RecordSize, to account record sizes
+// incrementally instead of re-walking subtrees.
 func RecordOverhead(ttCount int) int {
 	return recHeaderSize + ttEntrySize*ttCount + StandaloneHeaderSize
+}
+
+// RecordSize returns the size of a record with ttCount type-table entries
+// whose root's content, accounted with one-byte type indexes
+// (ContentSize), is content bytes: exact while the table is narrow, and
+// an upper bound past that, where every embedded header takes one more
+// byte — no more than content/2 of them, every embedded node taking at
+// least two.
+func RecordSize(ttCount, content int) int {
+	size := RecordOverhead(ttCount) + content
+	if ttCount > narrowTypes {
+		size += content / 2
+	}
+	return size
 }
 
 // TypeSet incrementally tracks the distinct node types of a prospective
@@ -481,31 +542,17 @@ func (ts *TypeSet) Reset() {
 // A Layout is reusable; the zero value is ready.
 type Layout struct {
 	types   []typeKey
-	idx     []uint16 // type-table index per node with a header, pre-order
-	content int
-	nodes   int // nodes of the tree
-	fused   int // of them, texts stored under their element's header
+	idx     []uint16 // type-table index per node with a header, pre-order; idxFused marks a fused element
+	content int      // with one-byte type indexes
+	nodes   int      // nodes of the tree
+	fused   int      // of them, texts stored under their element's header
 }
 
 // Size returns the exact on-disk size of the measured record.
-func (l *Layout) Size() int { return RecordOverhead(len(l.types)) + l.content }
-
-// StoredSize returns the length rec's stored image must have, l being
-// the layout measured from rec: Size, plus, while the image is still of
-// an older format version, what that version spends on top — a header
-// per text that version 3 fuses and the #text type entry if no other
-// node keeps it, and in version 1 a parent offset per embedded node.
-func (l *Layout) StoredSize(rec *Record) int {
-	size := l.Size()
-	if rec.version != formatVersion1 && rec.version != formatVersion2 {
-		return size
-	}
-	size += EmbeddedHeaderSize * l.fused
-	if l.fused > 0 && typeIndex(l.types, textKey) < 0 {
-		size += ttEntrySize
-	}
-	if rec.version == formatVersion1 {
-		size += (embeddedHeaderSizeV1 - EmbeddedHeaderSize) * (l.nodes - 1)
+func (l *Layout) Size() int {
+	size := RecordOverhead(len(l.types)) + l.content
+	if len(l.types) > narrowTypes {
+		size += l.nodes - 1 - l.fused // a second type byte per embedded header
 	}
 	return size
 }
@@ -524,70 +571,71 @@ func (l *Layout) measure(root *Node) error {
 	l.idx = l.idx[:0]
 	l.nodes, l.fused = 0, 0
 	var err error
-	l.content, err = l.measureNode(root, true)
+	l.content, _, err = l.measureNode(root, true)
 	return err
 }
 
 // measureNode assigns n its type-table index, checks its well-formedness
-// and returns its content size.
-func (l *Layout) measureNode(n *Node, isRoot bool) (int, error) {
+// and returns its content size and the size of its header as an
+// embedded node (HeaderSize).
+func (l *Layout) measureNode(n *Node, isRoot bool) (cs, hdr int, err error) {
 	k := nodeTypeKey(n)
 	ti := typeIndex(l.types, k)
 	if ti < 0 {
 		ti = len(l.types)
 		l.types = append(l.types, k)
 	}
-	l.idx = append(l.idx, uint16(ti)) // Emit rejects tables past 16 bits
+	l.idx = append(l.idx, uint16(ti)) // Emit rejects tables past 15 bits
 	l.nodes++
 	switch n.Kind {
 	case KindAggregate:
 		if len(n.Payload) != 0 {
-			return 0, fmt.Errorf("%w: aggregate with payload", ErrBadNode)
+			return 0, 0, fmt.Errorf("%w: aggregate with payload", ErrBadNode)
 		}
 		if t := n.FusedText(); t != nil {
 			// The text has no header of its own: no type, no index.
 			if t.Parent != n {
-				return 0, fmt.Errorf("%w: child with stale parent link", ErrBadNode)
+				return 0, 0, fmt.Errorf("%w: child with stale parent link", ErrBadNode)
 			}
 			if len(t.Children) != 0 {
-				return 0, fmt.Errorf("%w: literal with children", ErrBadNode)
+				return 0, 0, fmt.Errorf("%w: literal with children", ErrBadNode)
 			}
 			l.nodes++
 			l.fused++
-			return len(t.Payload), nil
+			l.idx[len(l.idx)-1] |= idxFused
+			return len(t.Payload), 1 + sizeLen(KindLiteral, true, len(t.Payload)), nil
 		}
-		total := 0
 		for _, c := range n.Children {
 			if c.Parent != n {
-				return 0, fmt.Errorf("%w: child with stale parent link", ErrBadNode)
+				return 0, 0, fmt.Errorf("%w: child with stale parent link", ErrBadNode)
 			}
-			cs, err := l.measureNode(c, false)
+			ccs, chdr, err := l.measureNode(c, false)
 			if err != nil {
-				return 0, err
+				return 0, 0, err
 			}
-			total += EmbeddedHeaderSize + cs
+			cs += chdr + ccs
 		}
 		// Scaffolding aggregates only ever stand alone as record roots; the
 		// split algorithm's special cases guarantee it (§3.2.2).
 		if n.Scaffold && !isRoot {
-			return 0, fmt.Errorf("%w: embedded scaffolding aggregate", ErrBadNode)
+			return 0, 0, fmt.Errorf("%w: embedded scaffolding aggregate", ErrBadNode)
 		}
-		return total, nil
+		return cs, 3, nil
 	case KindLiteral:
 		if len(n.Children) != 0 {
-			return 0, fmt.Errorf("%w: literal with children", ErrBadNode)
+			return 0, 0, fmt.Errorf("%w: literal with children", ErrBadNode)
 		}
-		return len(n.Payload), nil
+		return len(n.Payload), 1 + sizeLen(KindLiteral, false, len(n.Payload)), nil
 	case KindProxy:
 		if len(n.Children) != 0 || len(n.Payload) != 0 {
-			return 0, fmt.Errorf("%w: proxy with children or payload", ErrBadNode)
+			return 0, 0, fmt.Errorf("%w: proxy with children or payload", ErrBadNode)
 		}
 		if n.Target.IsNil() {
-			return 0, fmt.Errorf("%w: proxy with nil target", ErrBadNode)
+			return 0, 0, fmt.Errorf("%w: proxy with nil target", ErrBadNode)
 		}
-		return records.RIDSize, nil
+		return records.RIDSize, 1, nil
 	default:
-		return 0, fmt.Errorf("%w: kind %d", ErrBadNode, n.Kind)
+		return 0, 0, fmt.Errorf("%w: kind %d", ErrBadNode, n.Kind)
 	}
 }
 
@@ -602,9 +650,8 @@ func EncodedSize(rec *Record) int {
 
 // Emit writes the image of the record l was measured from into dst
 // (reused when large enough). rec must not have changed since Measure.
-// Emit notes the image's type count and version in rec (for
-// RecordParentRIDOffset and StoredSize), so the caller must hold rec
-// exclusively.
+// Emit notes the image's type count in rec (for RecordParentRIDOffset),
+// so the caller must hold rec exclusively.
 func (l *Layout) Emit(dst []byte, rec *Record) ([]byte, error) {
 	e := emitter{order: l.types, idx: l.idx}
 	buf, err := e.emit(dst, rec, l.Size())
@@ -614,7 +661,7 @@ func (l *Layout) Emit(dst []byte, rec *Record) ([]byte, error) {
 	if e.next != len(l.idx) {
 		return nil, fmt.Errorf("noderep: encode node count mismatch: wrote %d of %d", e.next, len(l.idx))
 	}
-	rec.types, rec.version = len(l.types), FormatVersion
+	rec.types = len(l.types)
 	return buf, nil
 }
 
@@ -637,19 +684,31 @@ func Encode(rec *Record) ([]byte, error) {
 // rec.Root.ContentSize(); a mismatch either way is reported as an encode
 // error, not silently miswritten. Nodes find their type index by key: the
 // builder merges type sets bottom-up, so no per-node index survives to
-// here.
+// here. A set too large for one-byte type indexes takes the measured path,
+// whose table must then have as many entries as ts.
 func EncodeWith(dst []byte, rec *Record, ts *TypeSet, content int) ([]byte, error) {
 	if rec.Root == nil {
 		return nil, fmt.Errorf("%w: nil root", ErrBadNode)
+	}
+	if ts.Len() > narrowTypes {
+		var l Layout
+		if err := Measure(rec, &l); err != nil {
+			return nil, err
+		}
+		if len(l.types) != ts.Len() {
+			return nil, fmt.Errorf("%w: type set of %d types for a tree of %d", ErrBadNode, ts.Len(), len(l.types))
+		}
+		return l.Emit(dst, rec)
 	}
 	e := emitter{order: ts.order}
 	buf, err := e.emit(dst, rec, RecordOverhead(ts.Len())+content)
 	if err != nil {
 		return nil, err
 	}
-	// Tables past 64 entries are not tracked (no record comes near).
-	if n := uint(ts.Len()); n <= 64 && e.cited != uint64(1)<<n-1 {
-		return nil, fmt.Errorf("%w: type set holds a type no node has", ErrBadNode)
+	for i := range ts.Len() {
+		if e.cited[i/64]&(1<<(i%64)) == 0 {
+			return nil, fmt.Errorf("%w: type set holds a type no node has", ErrBadNode)
+		}
 	}
 	return buf, nil
 }
@@ -658,36 +717,38 @@ func EncodeWith(dst []byte, rec *Record, ts *TypeSet, content int) ([]byte, erro
 type emitter struct {
 	buf   []byte
 	order []typeKey
-	idx   []uint16 // measured per-node type indexes; nil resolves by key
-	next  int      // nodes written so far
-	cited uint64   // table entries resolved by key so far, one bit each
+	idx   []uint16                 // measured per-node type indexes; nil resolves by key
+	next  int                      // nodes written so far
+	wide  bool                     // two-byte type indexes
+	cited [narrowTypes / 64]uint64 // table entries resolved by key, one bit each
 }
 
-// typeOf returns n's type-table index, n being the next node in
-// pre-order.
-func (e *emitter) typeOf(n *Node) (uint16, error) {
+// typeOf returns n's type-table index and whether n is a text-only
+// element stored fused (FusedText), n being the next node in pre-order.
+func (e *emitter) typeOf(n *Node) (int, bool, error) {
 	if e.idx == nil {
 		ti := typeIndex(e.order, nodeTypeKey(n))
 		if ti < 0 {
-			return 0, fmt.Errorf("%w: node type missing from type set", ErrBadNode)
+			return 0, false, fmt.Errorf("%w: node type missing from type set", ErrBadNode)
 		}
-		e.cited |= 1 << (ti & 63)
-		return uint16(ti), nil
+		e.cited[ti/64] |= 1 << (ti % 64) // resolved by key only below narrowTypes
+		return ti, n.FusedText() != nil, nil
 	}
 	if e.next >= len(e.idx) {
-		return 0, fmt.Errorf("noderep: encode node count mismatch: more than %d nodes", len(e.idx))
+		return 0, false, fmt.Errorf("noderep: encode node count mismatch: more than %d nodes", len(e.idx))
 	}
-	ti := e.idx[e.next]
+	v := e.idx[e.next]
 	e.next++
-	return ti, nil
+	return int(v &^ idxFused), v&idxFused != 0, nil
 }
 
 // emit writes the record image of the given total size into dst (reused
 // when large enough).
 func (e *emitter) emit(dst []byte, rec *Record, size int) ([]byte, error) {
-	if len(e.order) > math.MaxUint16 {
+	if len(e.order) > maxTypes {
 		return nil, fmt.Errorf("%w: %d node types", ErrTooLarge, len(e.order))
 	}
+	e.wide = len(e.order) > narrowTypes
 	if cap(dst) >= size {
 		e.buf = dst[:size]
 	} else {
@@ -696,29 +757,34 @@ func (e *emitter) emit(dst []byte, rec *Record, size int) ([]byte, error) {
 	buf := e.buf
 	buf[0] = FormatVersion
 	buf[1] = 0
-	binary.LittleEndian.PutUint16(buf[2:], uint16(len(e.order)))
+	if e.wide {
+		buf[1] = wideFlag
+	}
+	putU16(buf[2:], len(e.order))
 	pos := recHeaderSize
 	for _, k := range e.order {
 		buf[pos] = k.kindFlags
-		binary.LittleEndian.PutUint16(buf[pos+1:], uint16(k.label))
+		putU16(buf[pos+1:], int(k.label))
 		buf[pos+3] = byte(k.litType)
 		pos += ttEntrySize
 	}
 	// Standalone header.
-	ti, err := e.typeOf(rec.Root)
+	ti, fused, err := e.typeOf(rec.Root)
 	if err != nil {
 		return nil, err
 	}
-	binary.LittleEndian.PutUint16(buf[pos:], ti)
+	putU16(buf[pos:], ti)
 	rec.ParentRID.Put(buf[pos+2:])
 	pos += StandaloneHeaderSize
 	// Root content.
-	end, fused, err := e.body(pos, rec.Root)
+	n := rec.Root
+	if fused {
+		n = n.Children[0]
+		buf[1] |= rootFusedFlag
+	}
+	end, err := e.content(pos, n)
 	if err != nil {
 		return nil, err
-	}
-	if fused {
-		buf[1] = rootFusedFlag
 	}
 	if end != size {
 		return nil, fmt.Errorf("noderep: encode size mismatch: wrote %d of %d", end, size)
@@ -726,21 +792,10 @@ func (e *emitter) emit(dst []byte, rec *Record, size int) ([]byte, error) {
 	return buf, nil
 }
 
-// body writes what follows n's header starting at pos: the payload of
-// its text when n is a text-only element — fused then says so, for the
-// caller to mark n's header — and n's content otherwise.
-func (e *emitter) body(pos int, n *Node) (end int, fused bool, err error) {
-	if t := n.FusedText(); t != nil {
-		n = t
-		fused = true
-	}
-	end, err = e.content(pos, n)
-	return end, fused, err
-}
-
-// content writes the content of n starting at pos. Embedded content
-// sizes are backpatched after each child is written, so encoding never
-// re-walks subtrees to size them.
+// content writes the content of n starting at pos. An aggregate's size
+// fields are backpatched after each child is written, so encoding never
+// re-walks subtrees to size them; a literal's and a fused element's,
+// whose width follows from the size, are known before.
 func (e *emitter) content(pos int, n *Node) (int, error) {
 	buf := e.buf
 	switch n.Kind {
@@ -748,8 +803,7 @@ func (e *emitter) content(pos int, n *Node) (int, error) {
 		if pos+len(n.Payload) > len(buf) {
 			return 0, fmt.Errorf("%w: literal overruns record", ErrTooLarge)
 		}
-		copy(buf[pos:], n.Payload)
-		return pos + len(n.Payload), nil
+		return pos + copy(buf[pos:], n.Payload), nil
 	case KindProxy:
 		if pos+records.RIDSize > len(buf) {
 			return 0, fmt.Errorf("%w: proxy overruns record", ErrTooLarge)
@@ -758,28 +812,43 @@ func (e *emitter) content(pos int, n *Node) (int, error) {
 		return pos + records.RIDSize, nil
 	case KindAggregate:
 		for _, c := range n.Children {
-			cHdr := pos
-			if pos+EmbeddedHeaderSize > len(buf) {
+			ti, fused, err := e.typeOf(c)
+			if err != nil {
+				return 0, err
+			}
+			body := c
+			if fused {
+				body = c.Children[0]
+			}
+			hdr := 1 + sizeLen(c.Kind, fused, len(body.Payload))
+			if e.wide {
+				hdr++
+			}
+			if pos+hdr > len(buf) {
 				return 0, fmt.Errorf("%w: embedded header overruns record", ErrTooLarge)
 			}
-			ti, err := e.typeOf(c)
-			if err != nil {
+			pos = putType(buf, pos, ti, fused, e.wide)
+			if c.Kind == KindAggregate && !fused {
+				sz := pos
+				if pos, err = e.content(pos+2, c); err != nil {
+					return 0, err
+				}
+				cs := pos - sz - 2
+				if cs > maxContentSize {
+					return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, cs)
+				}
+				putU16(buf[sz:], cs)
+				continue
+			}
+			if c.Kind != KindProxy {
+				if len(body.Payload) > maxContentSize {
+					return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(body.Payload))
+				}
+				pos = putSize(buf, pos, len(body.Payload))
+			}
+			if pos, err = e.content(pos, body); err != nil {
 				return 0, err
 			}
-			binary.LittleEndian.PutUint16(buf[pos:], ti)
-			var fused bool
-			pos, fused, err = e.body(pos+EmbeddedHeaderSize, c)
-			if err != nil {
-				return 0, err
-			}
-			cs := pos - cHdr - EmbeddedHeaderSize
-			if cs > maxContentSize {
-				return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, cs)
-			}
-			if fused {
-				cs |= fusedMark
-			}
-			binary.LittleEndian.PutUint16(buf[cHdr+2:], uint16(cs))
 		}
 		return pos, nil
 	default:
@@ -787,12 +856,157 @@ func (e *emitter) content(pos int, n *Node) (int, error) {
 	}
 }
 
-// Decode parses a record image of any format version back into a node
-// tree, validating sizes, type indexes and the canonical form of its
-// version — in a version 1 image the stored parent offsets, in a version
-// 3 image that every text-only element is fused and nothing else is, in
-// the older two that nothing carries the mark. A fused element is
-// expanded into its two nodes.
+// putType writes an embedded type — table index ti, fused or not — at
+// pos of buf, in two bytes when wide, and returns the offset behind it.
+func putType(buf []byte, pos, ti int, fused, wide bool) int {
+	if wide {
+		if fused {
+			ti |= wideFused
+		}
+		putU16(buf[pos:], ti)
+		return pos + 2
+	}
+	if fused {
+		ti |= narrowFused
+	}
+	buf[pos] = byte(ti)
+	return pos + 1
+}
+
+// putSize writes a literal's or fused element's content size cs at pos
+// of buf, in its shortest form, and returns the offset behind it.
+func putSize(buf []byte, pos, cs int) int {
+	if cs < longSize {
+		buf[pos] = byte(cs)
+		return pos + 1
+	}
+	buf[pos] = byte(cs) | longSize
+	buf[pos+1] = byte(cs >> 7)
+	return pos + 2
+}
+
+// header is one embedded header read out of an image.
+type header struct {
+	ti    int  // type-table index
+	kf    byte // the entry's kind flags
+	fused bool
+	start int // offset of the content
+	cs    int // content size
+}
+
+// end returns the offset behind h's content.
+func (h *header) end() int { return h.start + h.cs }
+
+// aggregate reports whether h's content is children's headers: an
+// aggregate that is not fused.
+func (h *header) aggregate() bool { return Kind(h.kf&kindMask) == KindAggregate && !h.fused }
+
+// readHeader reads the embedded header at p of img, a format 4 image
+// with types type-table entries and, when wide, two-byte type indexes,
+// inside content that ends at end, into h. It reports false for a header
+// or content that crosses end, a type not in the table, a mark on
+// anything but a facade aggregate, an embedded scaffolding aggregate
+// (they only ever stand alone, §3.2.2) or a size not in its shortest
+// form. The table must lie inside img.
+//
+//natix:noalloc
+func readHeader[B ~[]byte | ~string](img B, wide bool, types, p, end int, h *header) bool {
+	var ti int
+	if !wide {
+		if p >= end {
+			return false
+		}
+		ti, p = int(img[p]), p+1
+		h.fused, ti = ti&narrowFused != 0, ti&^narrowFused
+	} else {
+		if p+2 > end {
+			return false
+		}
+		ti, p = u16(img[p:]), p+2
+		h.fused, ti = ti&wideFused != 0, ti&^wideFused
+	}
+	if ti >= types {
+		return false
+	}
+	kf := img[recHeaderSize+ttEntrySize*ti]
+	h.ti, h.kf = ti, kf
+	var cs int
+	switch kind := Kind(kf & kindMask); {
+	case kind == KindAggregate && !h.fused:
+		if p+2 > end || kf&scaffoldFlag != 0 {
+			return false
+		}
+		cs, p = u16(img[p:]), p+2
+	case kind == KindProxy && !h.fused:
+		cs = records.RIDSize
+	case kind == KindLiteral && !h.fused, kind == KindAggregate && kf&scaffoldFlag == 0:
+		if p >= end {
+			return false
+		}
+		cs, p = int(img[p]), p+1
+		if cs&longSize != 0 {
+			if p >= end {
+				return false
+			}
+			cs, p = cs&^longSize|int(img[p])<<7, p+1
+			if cs < longSize {
+				return false
+			}
+		}
+	default:
+		return false
+	}
+	h.start, h.cs = p, cs
+	return p+cs <= end
+}
+
+// hop returns the offset behind the n embedded nodes whose first header
+// is at p of img — a narrow image with tt type-table entries — inside
+// content that ends at end, or -1 when a header or its content crosses
+// end or cites a type not in the table: the step from a node to the
+// sibling n on, without readHeader's checks of what the nodes hold.
+func hop(img []byte, tt, p, end, n int) int {
+	for ; n > 0; n-- {
+		if p+2 > end {
+			return -1 // every embedded node takes two bytes or more
+		}
+		b := int(img[p])
+		if b&narrowFused == 0 {
+			// Not a fused element: the type says how the size is stored.
+			if b >= tt {
+				return -1
+			}
+			switch Kind(img[recHeaderSize+ttEntrySize*b] & kindMask) {
+			case KindProxy:
+				p += 1 + records.RIDSize
+				continue
+			case KindAggregate:
+				if p+3 > end {
+					return -1
+				}
+				p += 3 + u16(img[p+1:])
+				continue
+			}
+		}
+		cs := int(img[p+1])
+		if p += 2; cs&longSize != 0 {
+			if p >= end {
+				return -1
+			}
+			cs = cs&^longSize | int(img[p])<<7
+			p++
+		}
+		p += cs
+	}
+	if p > end {
+		return -1
+	}
+	return p
+}
+
+// Decode parses a format 4 record image back into a node tree, validating
+// sizes, type indexes and the canonical form (see the package comment).
+// A fused element is expanded into its two nodes.
 //
 // The returned tree is arena-backed: a structural pre-pass sizes three
 // shared allocations (the Node array, the child-pointer backing and the
@@ -807,22 +1021,13 @@ func Decode(buf []byte) (*Record, error) {
 	if len(buf) < recHeaderSize+StandaloneHeaderSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrCorruptRecord, len(buf)) //natix:vet-ignore cold corrupt-input path
 	}
-	a := decodeArena{buf: buf, hdr: EmbeddedHeaderSize}
-	var flags byte // the flags the version defines
-	switch buf[0] {
-	case FormatVersion:
-		a.fusing = true
-		flags = rootFusedFlag
-	case formatVersion2:
-	case formatVersion1:
-		a.hdr = embeddedHeaderSizeV1
-	default:
+	if buf[0] != FormatVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrCorruptRecord, buf[0]) //natix:vet-ignore cold corrupt-input path
 	}
-	if buf[1]&^flags != 0 {
-		return nil, fmt.Errorf("%w: flags %#x in a version %d image", ErrCorruptRecord, buf[1], buf[0]) //natix:vet-ignore cold corrupt-input path
+	ttCount := u16(buf[2:])
+	if buf[1]&^(rootFusedFlag|wideFlag) != 0 || (buf[1]&wideFlag != 0) != (ttCount > narrowTypes) {
+		return nil, fmt.Errorf("%w: flags %#x with %d types", ErrCorruptRecord, buf[1], ttCount) //natix:vet-ignore cold corrupt-input path
 	}
-	ttCount := int(binary.LittleEndian.Uint16(buf[2:]))
 	pos := recHeaderSize
 	if pos+ttEntrySize*ttCount+StandaloneHeaderSize > len(buf) {
 		return nil, fmt.Errorf("%w: truncated type table", ErrCorruptRecord) //natix:vet-ignore cold corrupt-input path
@@ -831,7 +1036,7 @@ func Decode(buf []byte) (*Record, error) {
 	for i := range types {
 		types[i].typeKey = typeKey{
 			kindFlags: buf[pos],
-			label:     dict.LabelID(binary.LittleEndian.Uint16(buf[pos+1:])),
+			label:     dict.LabelID(u16(buf[pos+1:])),
 			litType:   LitType(buf[pos+3]),
 		}
 		// What the encoder leaves zero is zero: two entries that differ
@@ -841,9 +1046,8 @@ func Decode(buf []byte) (*Record, error) {
 		}
 		pos += ttEntrySize
 	}
-	a.types = types
-	rootOff := pos
-	rootIdx := int(binary.LittleEndian.Uint16(buf[pos:]))
+	a := decodeArena{buf: buf, types: types, wide: buf[1]&wideFlag != 0}
+	rootIdx := u16(buf[pos:])
 	if rootIdx >= ttCount {
 		return nil, fmt.Errorf("%w: root type index %d of %d", ErrCorruptRecord, rootIdx, ttCount) //natix:vet-ignore cold corrupt-input path
 	}
@@ -865,10 +1069,10 @@ func Decode(buf []byte) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := a.decodeContent(pos, len(buf), root, rootOff, rootFused); err != nil {
+	if err := a.decodeContent(pos, len(buf), root, rootFused); err != nil {
 		return nil, err
 	}
-	return &Record{ParentRID: parentRID, Root: root, types: ttCount, version: buf[0]}, nil
+	return &Record{ParentRID: parentRID, Root: root, types: ttCount}, nil
 }
 
 // tableEntry is one type-table entry during Decode, marked once a node
@@ -899,14 +1103,12 @@ func checkTableExact(types []tableEntry) error {
 	return nil
 }
 
-// decodeArena is the state of one Decode: the image, its type table, the
-// embedded header size of its format version and whether that version
-// fuses, and the record's shared allocations.
+// decodeArena is the state of one Decode: the image, its type table and
+// index width, and the record's shared allocations.
 type decodeArena struct {
-	buf    []byte
-	types  []tableEntry
-	hdr    int
-	fusing bool
+	buf   []byte
+	types []tableEntry
+	wide  bool
 
 	nodes   []Node
 	kids    []*Node
@@ -922,7 +1124,7 @@ type decodeArena struct {
 func (a *decodeArena) count(pos, end int, kf byte, fused bool) (nodes, payload int, err error) {
 	kind := Kind(kf & kindMask)
 	if fused {
-		if !a.fusing || kind != KindAggregate || kf&scaffoldFlag != 0 {
+		if kind != KindAggregate || kf&scaffoldFlag != 0 {
 			return 0, 0, fmt.Errorf("%w: fused mark on a node that cannot carry it", ErrCorruptRecord)
 		}
 		return 1, end - pos, nil
@@ -933,29 +1135,19 @@ func (a *decodeArena) count(pos, end int, kf byte, fused bool) (nodes, payload i
 	case KindProxy:
 		return 0, 0, nil
 	case KindAggregate:
-		buf, types := a.buf, a.types
 		for pos < end {
-			if pos+a.hdr > end {
-				return 0, 0, fmt.Errorf("%w: truncated embedded header", ErrCorruptRecord)
+			var h header
+			if !readHeader(a.buf, a.wide, len(a.types), pos, end, &h) {
+				return 0, 0, fmt.Errorf("%w: embedded header at %d", ErrCorruptRecord, pos)
 			}
-			ti := int(binary.LittleEndian.Uint16(buf[pos:]))
-			size := int(binary.LittleEndian.Uint16(buf[pos+2:]))
-			cs := size &^ fusedMark
-			if ti >= len(types) {
-				return 0, 0, fmt.Errorf("%w: type index %d of %d", ErrCorruptRecord, ti, len(types))
-			}
-			types[ti].used = true
-			pos += a.hdr
-			if pos+cs > end {
-				return 0, 0, fmt.Errorf("%w: child content overruns parent", ErrCorruptRecord)
-			}
-			cn, cp, err := a.count(pos, pos+cs, types[ti].kindFlags, size != cs)
+			a.types[h.ti].used = true
+			cn, cp, err := a.count(h.start, h.end(), h.kf, h.fused)
 			if err != nil {
 				return 0, 0, err
 			}
 			nodes += 1 + cn
 			payload += cp
-			pos += cs
+			pos = h.end()
 		}
 		return nodes, payload, nil
 	default:
@@ -1010,10 +1202,9 @@ func (a *decodeArena) takePayload(b []byte) []byte {
 }
 
 // decodeContent fills n from buf[pos:end] — with the text that is all of
-// a fused element's content, when fused is set; hdrOff is the offset of
-// n's header, which the children of a version 1 image must cite as their
-// parent offset. count has vetted the sizes and the marks.
-func (a *decodeArena) decodeContent(pos, end int, n *Node, hdrOff int, fused bool) error {
+// a fused element's content, when fused is set. count has vetted the
+// headers.
+func (a *decodeArena) decodeContent(pos, end int, n *Node, fused bool) error {
 	buf := a.buf
 	if fused {
 		t, err := a.newNode(textKey)
@@ -1039,43 +1230,35 @@ func (a *decodeArena) decodeContent(pos, end int, n *Node, hdrOff int, fused boo
 		}
 		return nil
 	case KindAggregate:
-		// The encoder refuses it (Measure): a helper aggregate only ever
-		// stands alone as a record root (§3.2.2).
-		if n.Scaffold && n.Parent != nil {
-			return fmt.Errorf("%w: embedded scaffolding aggregate", ErrCorruptRecord)
-		}
 		// First sweep: count this level's children by hopping the
 		// embedded headers, so their pointer slice is carved contiguously
 		// before the recursion below carves deeper levels.
+		var h header
 		count := 0
 		for p := pos; p < end; count++ {
-			p += a.hdr + int(binary.LittleEndian.Uint16(buf[p+2:]))&^fusedMark
+			if a.wide {
+				readHeader(buf, a.wide, len(a.types), p, end, &h)
+				p = h.end()
+			} else {
+				p = hop(buf, len(a.types), p, end, 1)
+			}
 		}
 		n.Children = a.takeKids(count)
 		for pos < end {
-			ti := int(binary.LittleEndian.Uint16(buf[pos:]))
-			size := int(binary.LittleEndian.Uint16(buf[pos+2:]))
-			cs := size &^ fusedMark
-			if a.hdr == embeddedHeaderSizeV1 {
-				if po := int(binary.LittleEndian.Uint16(buf[pos+4:])); po != hdrOff {
-					return fmt.Errorf("%w: parent offset %d, want %d", ErrCorruptRecord, po, hdrOff)
-				}
-			}
-			cHdr := pos
-			pos += a.hdr
-			c, err := a.newNode(a.types[ti].typeKey)
+			readHeader(buf, a.wide, len(a.types), pos, end, &h)
+			c, err := a.newNode(a.types[h.ti].typeKey)
 			if err != nil {
 				return err
 			}
 			n.AppendChild(c)
-			if err := a.decodeContent(pos, pos+cs, c, cHdr, size != cs); err != nil {
+			if err := a.decodeContent(h.start, h.end(), c, h.fused); err != nil {
 				return err
 			}
-			pos += cs
+			pos = h.end()
 		}
 		// The encoder always fuses: the pair written out in full is not an
 		// image it produces.
-		if a.fusing && n.FusedText() != nil {
+		if n.FusedText() != nil {
 			return fmt.Errorf("%w: unfused text-only element", ErrCorruptRecord)
 		}
 		return nil

@@ -36,28 +36,29 @@ func figure2() *Node {
 
 func TestFigure15Sizes(t *testing.T) {
 	// Appendix A, figure 15: standalone headers are 10 bytes and embedded
-	// ones 6; since format version 2 no parent offset is stored, so
-	// embedded headers are 4, and version 3 stores a text-only element —
-	// every SPEAKER and LINE of the paper's own example — under one of
-	// them. Check the arithmetic on that example.
+	// ones 6. Format version 2 dropped the parent offset (4-byte embedded
+	// headers), version 3 stored a text-only element — every SPEAKER and
+	// LINE of the paper's own example — under one of them, and format 4
+	// spends a type byte and a size byte on such an element. Check the
+	// arithmetic on that example.
 	speech := figure2()
-	// Each LINE aggregate: one 4-byte header and its text's bytes; the same
-	// pair cost 4 + (4 + len(text)) in version 2 and 6 + (6 + len(text))
-	// in version 1.
+	// Each LINE aggregate: one 2-byte header and its text's bytes; the same
+	// pair cost 4 + len(text) in version 3, 4 + (4 + len(text)) in version
+	// 2 and 6 + (6 + len(text)) in version 1.
 	line1 := speech.Children[1]
-	if got, want := line1.TotalSize(), 4+len("Let me see your eyes;"); got != want {
+	if got, want := line1.TotalSize(), 2+len("Let me see your eyes;"); got != want {
 		t.Fatalf("LINE size = %d, want %d", got, want)
 	}
-	if got, want := refContentSize(line1, EmbeddedHeaderSize), 4+len("Let me see your eyes;"); got != want {
+	if got, want := refContentSize(line1, 4, false), 4+len("Let me see your eyes;"); got != want {
 		t.Fatalf("version 2 LINE content = %d, want %d", got, want)
 	}
-	if got, want := refContentSize(line1, embeddedHeaderSizeV1), 6+len("Let me see your eyes;"); got != want {
+	if got, want := refContentSize(line1, 6, false), 6+len("Let me see your eyes;"); got != want {
 		t.Fatalf("version 1 LINE content = %d, want Appendix A's %d", got, want)
 	}
 	rec := &Record{Root: speech}
 	// Record: header(4) + type table (SPEECH agg, SPEAKER agg, LINE agg —
-	// 3 entries; the #text literal type the older versions list fourth has
-	// no header left to cite it) + standalone(10) + content.
+	// 3 entries; the #text literal type version 2 lists fourth has no
+	// header left to cite it) + standalone(10) + content.
 	if order := collectTypes(speech); len(order) != 4 {
 		t.Fatalf("the tree has %d node types, want 4", len(order))
 	}
@@ -72,10 +73,13 @@ func TestFigure15Sizes(t *testing.T) {
 	if len(buf) != wantSize {
 		t.Fatalf("len(Encode) = %d, EncodedSize = %d", len(buf), wantSize)
 	}
-	// Three fused texts: a header each and the type entry, 16 bytes less
-	// than version 2 spends on the same record.
-	if got := refEncodedSizeV2(rec); got != wantSize+3*EmbeddedHeaderSize+ttEntrySize {
-		t.Fatalf("version 2 size = %d, want %d", got, wantSize+3*EmbeddedHeaderSize+ttEntrySize)
+	// Three text-only elements: two bytes each less than version 3, and
+	// the text's header and the type entry less again in version 2.
+	if got := refEncodedSize(rec, formatVersion3); got != wantSize+3*2 {
+		t.Fatalf("version 3 size = %d, want %d", got, wantSize+3*2)
+	}
+	if got := refEncodedSize(rec, formatVersion2); got != wantSize+3*(2+4)+ttEntrySize {
+		t.Fatalf("version 2 size = %d, want %d", got, wantSize+3*(2+4)+ttEntrySize)
 	}
 }
 
@@ -203,17 +207,21 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := Decode(bad); err != nil {
 		t.Fatalf("payload change should still decode: %v", err)
 	}
-	// A version 1 image has its parent offsets checked.
+	// A version 1 image has its parent offsets checked by the upgrade,
+	// and the runtime decoder refuses it outright.
 	v1, err := refEncodeV1(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(v1); err != nil {
+	if _, _, err := Upgrade(v1); err != nil {
 		t.Fatalf("version 1 image: %v", err)
 	}
-	lastHdr := len(v1) - len("Look in my face.") - embeddedHeaderSizeV1
-	v1[lastHdr+4] ^= 0x01
 	if _, err := Decode(v1); !errors.Is(err, ErrCorruptRecord) {
+		t.Fatalf("Decode of a version 1 image: %v", err)
+	}
+	lastHdr := len(v1) - len("Look in my face.") - 6
+	v1[lastHdr+4] ^= 0x01
+	if _, _, err := Upgrade(v1); !errors.Is(err, ErrCorruptRecord) {
 		t.Fatalf("version 1 image with a wrong parent offset: %v", err)
 	}
 }

@@ -1,18 +1,17 @@
 package noderep
 
-// The encoder of format versions 1 and 2, in the shape it had before
+// The encoder of format versions 1, 2 and 3, in the shape it had before
 // measure and emit were fused: five walks (validate, collectTypes,
 // content size, encodeContent with a type scan per node). Version 1
 // embedded headers are 6 bytes — typeIdx(2) contentSize(2) parentOff(2) —
 // and an aggregate whose header lies past offset 65535 cannot be written,
 // since its children could not cite it; version 2 headers are the first 4
-// of those bytes, and that is all that sets the two apart. Neither knows
-// the fused mark of version 3: every node has a header and a type, and a
-// content size uses all 16 bits. Production code only decodes these
-// formats; the differential tests hold the current encoder against this
-// one tree for tree, size for size and error for error, and the stores of
-// version 1 and version 2 records the upgrade tests open are written with
-// it.
+// of those bytes; version 3 headers are version 2's, with the top bit of
+// the size the fused mark of a text-only element, whose text then has no
+// header and no type entry. Production code only reads these formats, in
+// Upgrade; the differential tests hold the format 4 encoder against this
+// one tree for tree and size for size, and the stores of older records
+// the upgrade tests open are written with it.
 
 import (
 	"encoding/binary"
@@ -68,39 +67,56 @@ func collectTypes(root *Node) []typeKey {
 	return order
 }
 
+// The older format versions.
+const (
+	formatVersion1 = 1
+	formatVersion2 = 2
+	formatVersion3 = 3
+)
+
 // refHeaderSize is the embedded header size of an old format version.
 func refHeaderSize(version byte) int {
 	if version == formatVersion1 {
-		return embeddedHeaderSizeV1
+		return 6
 	}
-	return EmbeddedHeaderSize
+	return 4
 }
 
-// refContentSize is ContentSize with hdr-byte headers and nothing fused.
-func refContentSize(n *Node, hdr int) int {
+// refContentSize is ContentSize with hdr-byte headers, texts fused when
+// fuse is set.
+func refContentSize(n *Node, hdr int, fuse bool) int {
 	switch n.Kind {
 	case KindLiteral:
 		return len(n.Payload)
 	case KindProxy:
 		return records.RIDSize
 	}
+	if t := n.FusedText(); fuse && t != nil {
+		return len(t.Payload)
+	}
 	total := 0
 	for _, c := range n.Children {
-		total += hdr + refContentSize(c, hdr)
+		total += hdr + refContentSize(c, hdr, fuse)
 	}
 	return total
 }
 
-func refEncodedSize(rec *Record, version byte) int {
-	order := collectTypes(rec.Root)
-	return recHeaderSize + ttEntrySize*len(order) + StandaloneHeaderSize + refContentSize(rec.Root, refHeaderSize(version))
+// refTypes is the type table of rec's image in version.
+func refTypes(rec *Record, version byte) []typeKey {
+	if version == formatVersion3 {
+		return tableTypes(rec.Root)
+	}
+	return collectTypes(rec.Root)
 }
 
-func refEncodedSizeV1(rec *Record) int { return refEncodedSize(rec, formatVersion1) }
-func refEncodedSizeV2(rec *Record) int { return refEncodedSize(rec, formatVersion2) }
+func refEncodedSize(rec *Record, version byte) int {
+	return recHeaderSize + ttEntrySize*len(refTypes(rec, version)) + StandaloneHeaderSize +
+		refContentSize(rec.Root, refHeaderSize(version), version == formatVersion3)
+}
 
 func refEncodeV1(rec *Record) ([]byte, error) { return refEncode(rec, formatVersion1) }
 func refEncodeV2(rec *Record) ([]byte, error) { return refEncode(rec, formatVersion2) }
+func refEncodeV3(rec *Record) ([]byte, error) { return refEncode(rec, formatVersion3) }
 
 func refEncode(rec *Record, version byte) ([]byte, error) {
 	if rec.Root == nil {
@@ -109,7 +125,7 @@ func refEncode(rec *Record, version byte) ([]byte, error) {
 	if err := refValidate(rec.Root, true); err != nil {
 		return nil, err
 	}
-	return refEncodeInto(rec, version, refEncodedSize(rec, version), collectTypes(rec.Root))
+	return refEncodeInto(rec, version, refEncodedSize(rec, version), refTypes(rec, version))
 }
 
 func refEncodeInto(rec *Record, version byte, size int, order []typeKey) ([]byte, error) {
@@ -131,7 +147,11 @@ func refEncodeInto(rec *Record, version byte, size int, order []typeKey) ([]byte
 	binary.LittleEndian.PutUint16(buf[pos:], uint16(typeIndex(order, nodeTypeKey(rec.Root))))
 	rec.ParentRID.Put(buf[pos+2:])
 	pos += StandaloneHeaderSize
-	end, err := refEncodeContent(buf, pos, rec.Root, rootOff, order)
+	root := rec.Root
+	if t := root.FusedText(); version == formatVersion3 && t != nil {
+		root, buf[1] = t, rootFusedFlag
+	}
+	end, err := refEncodeContent(buf, pos, root, rootOff, order)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +177,7 @@ func refEncodeContent(buf []byte, pos int, n *Node, hdrOff int, order []typeKey)
 		return pos + records.RIDSize, nil
 	case KindAggregate:
 		hdr := refHeaderSize(buf[0])
-		if hdr == embeddedHeaderSizeV1 && hdrOff > math.MaxUint16 {
+		if hdr == 6 && hdrOff > math.MaxUint16 {
 			return 0, fmt.Errorf("%w: parent offset %d", ErrTooLarge, hdrOff)
 		}
 		for _, c := range n.Children {
@@ -166,20 +186,24 @@ func refEncodeContent(buf []byte, pos int, n *Node, hdrOff int, order []typeKey)
 				return 0, fmt.Errorf("%w: embedded header overruns record", ErrTooLarge)
 			}
 			binary.LittleEndian.PutUint16(buf[pos:], uint16(typeIndex(order, nodeTypeKey(c))))
-			if hdr == embeddedHeaderSizeV1 {
+			if hdr == 6 {
 				binary.LittleEndian.PutUint16(buf[pos+4:], uint16(hdrOff))
 			}
 			pos += hdr
+			body, mark := c, 0
+			if t := c.FusedText(); buf[0] == formatVersion3 && t != nil {
+				body, mark = t, legacyFused
+			}
 			var err error
-			pos, err = refEncodeContent(buf, pos, c, cHdr, order)
+			pos, err = refEncodeContent(buf, pos, body, cHdr, order)
 			if err != nil {
 				return 0, err
 			}
 			cs := pos - cHdr - hdr
-			if cs > math.MaxUint16 {
+			if cs > math.MaxUint16 || mark != 0 && cs >= legacyFused {
 				return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, cs)
 			}
-			binary.LittleEndian.PutUint16(buf[cHdr+2:], uint16(cs))
+			binary.LittleEndian.PutUint16(buf[cHdr+2:], uint16(cs|mark))
 		}
 		return pos, nil
 	default:

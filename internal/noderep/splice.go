@@ -13,26 +13,30 @@ import (
 // (typesSurvive) — no Measure, no Emit, no tree walk. The image keeps
 // its type table as stored (Decode does not care about the table's
 // order), so an edit that would need a new entry, or leave one unused,
-// is not spliceable and takes the full encode. Neither is an image of an
-// older format version: its first edit re-encodes it in the current one.
+// is not spliceable and takes the full encode. Neither is an image with
+// two-byte type indexes (the wide flag), which no real record needs.
 //
 // A text into an empty element, the commonest edit of all, fuses the
-// two (see the package comment) and is still a splice: the bytes
-// inserted are the payload alone, and the mark goes on the element's own
-// size field, which is among the fields the splice patches anyway.
-// Removing the text of a text-only element is the same backwards. Any
-// other edit that fuses or unfuses a pair — a second child into a
-// text-only element, the removal of the last sibling of a text — moves
-// the text's header as well, which is not one contiguous insert or
-// removal, and is not spliceable.
+// two (see the package comment) and is still a splice: the element's
+// header — its type and a two-byte size of 0 — becomes the marked type,
+// the text's one- or two-byte size and the text's bytes, one contiguous
+// change from the header on, behind which the record moves as a whole.
+// For the record root the mark is the record header's flags byte, which
+// joins the fields the splice patches. Removing the text of a text-only
+// element is the same backwards. Any other edit that fuses or unfuses a
+// pair — a second child into a text-only element, the removal of the
+// last sibling of a text — moves the text's header as well, which is not
+// one contiguous insert or removal, and is not spliceable.
 //
 // A Splice is reusable; the zero value is ready.
 type Splice struct {
 	// From and Fields describe the last successful edit: the returned
 	// image differs from the one passed in from byte From on, and before
 	// that only in the two-byte fields at the offsets in Fields — the
-	// ancestors' size fields, and for an edit that fuses or unfuses the
-	// record root the record header's first two bytes (the flags).
+	// ancestors' size fields, for an edit that fuses or unfuses the record
+	// root the record header's first two bytes (the flags), and for one
+	// that fuses or unfuses an embedded element the bytes of its header
+	// in front of From.
 	From   int
 	Fields []int
 }
@@ -45,10 +49,6 @@ func u16[B ~[]byte | ~string](b B) int {
 
 func putU16(b []byte, v int) { binary.LittleEndian.PutUint16(b, uint16(v)) }
 
-// sizeAt returns the content size in the embedded header at p, without
-// the fused mark.
-func sizeAt(img []byte, p int) int { return u16(img[p+2:]) &^ fusedMark }
-
 // tableFlags returns the kind flags of type-table entry ti of img.
 func tableFlags(img []byte, ti int) byte { return img[recHeaderSize+ttEntrySize*ti] }
 
@@ -58,25 +58,14 @@ func tableIs(img []byte, ti int, k typeKey) bool {
 	return img[p] == k.kindFlags && u16(img[p+1:]) == int(k.label) && img[p+3] == byte(k.litType)
 }
 
-// nextHeader is one step of a flat pass over embedded headers: from the
-// header at p, of table type ti, to the header that follows it in the
-// image — its first child's when it is an aggregate with children's
-// headers for content (not a fused one, whose content is a payload),
-// else the one behind its content.
-func nextHeader(img []byte, p, ti int) int {
-	size := u16(img[p+2:])
-	if Kind(tableFlags(img, ti)&kindMask) == KindAggregate && size&fusedMark == 0 {
-		return p + EmbeddedHeaderSize
-	}
-	return p + EmbeddedHeaderSize + size&^fusedMark
-}
-
 // editPoint is where a path leads: child idx of an aggregate of table
-// type ti whose content is img[start:end), the child at byte pos. When
-// the aggregate is a fused element its content is its text's payload and
-// the only child there is to name is that text (idx 0, pos == start).
+// type ti whose header is at hdr (-1 for the record root) and whose
+// content is img[start:end), the child at byte pos. When the aggregate
+// is a fused element its content is its text's payload and the only
+// child there is to name is that text (idx 0, pos == start).
 type editPoint struct {
 	pos, start, end int
+	hdr             int
 	ti              int
 	fused           bool
 }
@@ -88,19 +77,19 @@ func (ep editPoint) facade(img []byte) bool { return tableFlags(img, ep.ti)&scaf
 // locate header-hops img along path — the child indexes from the record
 // root down to the edit point — to child path[len-1] of the aggregate
 // the rest of the path leads to. The offsets of the size fields of the
-// embedded aggregates on the way, that aggregate's last, are left in
-// sp.Fields. It reads nothing outside img, whatever img holds.
+// unfused embedded aggregates on the way, that aggregate's last, are
+// left in sp.Fields. It reads nothing outside img, whatever img holds.
 func (sp *Splice) locate(img []byte, path []int) (ep editPoint, ok bool) {
 	sp.Fields = sp.Fields[:0]
-	if len(path) == 0 || len(img) < recHeaderSize+StandaloneHeaderSize || img[0] != FormatVersion {
+	if len(path) == 0 || len(img) < recHeaderSize+StandaloneHeaderSize || img[0] != FormatVersion || img[1]&wideFlag != 0 {
 		return ep, false
 	}
 	tt := u16(img[2:])
 	root := recHeaderSize + ttEntrySize*tt
-	if root+StandaloneHeaderSize > len(img) {
+	if tt > narrowTypes || root+StandaloneHeaderSize > len(img) {
 		return ep, false
 	}
-	ep = editPoint{ti: u16(img[root:]), start: root + StandaloneHeaderSize, end: len(img), fused: img[1]&rootFusedFlag != 0}
+	ep = editPoint{ti: u16(img[root:]), hdr: -1, start: root + StandaloneHeaderSize, end: len(img), fused: img[1]&rootFusedFlag != 0}
 	for depth, idx := range path {
 		last := depth == len(path)-1
 		if ep.ti >= tt || Kind(tableFlags(img, ep.ti)&kindMask) != KindAggregate || idx < 0 {
@@ -112,95 +101,68 @@ func (sp *Splice) locate(img []byte, path []int) (ep editPoint, ok bool) {
 				return ep, false
 			}
 		} else {
-			for ; idx > 0; idx-- {
-				if pos+EmbeddedHeaderSize > ep.end {
-					return ep, false
-				}
-				pos += EmbeddedHeaderSize + sizeAt(img, pos)
+			if pos = hop(img, tt, pos, ep.end, idx); pos < 0 {
+				return ep, false
 			}
-		}
-		if pos > ep.end {
-			return ep, false
 		}
 		if last {
 			ep.pos = pos
 			break
 		}
-		if pos+EmbeddedHeaderSize > ep.end {
+		var h header
+		if !readHeader(img, false, tt, pos, ep.end, &h) {
 			return ep, false
 		}
-		size := u16(img[pos+2:])
-		cs := size &^ fusedMark
-		if pos+EmbeddedHeaderSize+cs > ep.end {
-			return ep, false
+		if h.aggregate() {
+			sp.Fields = append(sp.Fields, h.start-2)
 		}
-		sp.Fields = append(sp.Fields, pos+2)
-		ep = editPoint{ti: u16(img[pos:]), start: pos + EmbeddedHeaderSize, end: pos + EmbeddedHeaderSize + cs, fused: size != cs}
+		ep = editPoint{ti: h.ti, hdr: pos, start: h.start, end: h.end(), fused: h.fused}
 	}
 	return ep, true
-}
-
-// setFused sets or clears the fused mark of the aggregate the last locate
-// led to: on its size field, the last of sp.Fields, or for the record
-// root in the flags byte, whose two-byte field joins sp.Fields.
-func (sp *Splice) setFused(img []byte, depth int, fused bool) {
-	if depth == 1 {
-		img[1] &^= rootFusedFlag
-		if fused {
-			img[1] |= rootFusedFlag
-		}
-		sp.Fields = append(sp.Fields, 0)
-		return
-	}
-	f := sp.Fields[len(sp.Fields)-1]
-	size := u16(img[f:]) &^ fusedMark
-	if fused {
-		size |= fusedMark
-	}
-	putU16(img[f:], size)
 }
 
 // Insert returns img with the subtree n added as child path[len-1] of
 // the aggregate at path[:len-1], or false when that is not a splice: a
 // node type missing from img's type table, a record past limit bytes or
 // past 32 KB (no 15-bit content size in it can then overflow), a path
-// that does not resolve, a child beside the text of a fused element, an
-// image of an older format version. img is consumed either way — the
-// result reuses its backing array when that has room for limit bytes —
-// so the caller passes a copy of the stored image, and n must be
+// that does not resolve, a child beside the text of a fused element, a
+// wide image or one of an older format version. img is consumed either
+// way — the result reuses its backing array when that has room for limit
+// bytes — so the caller passes a copy of the stored image, and n must be
 // well-formed (Validate).
 func (sp *Splice) Insert(img []byte, path []int, n *Node, limit int) ([]byte, bool) {
 	ep, ok := sp.locate(img, path)
 	if !ok || ep.fused {
 		return nil, false
 	}
-	// A text into an empty element fuses: its payload is all that goes in.
-	fuse := ep.start == ep.end && ep.facade(img) && nodeTypeKey(n) == textKey
-	pos, old, delta := ep.pos, len(img), n.TotalSize()
-	if fuse {
-		delta = len(n.Payload)
-	}
-	size := old + delta
-	if size > limit || size > maxContentSize {
-		return nil, false
-	}
-	if cap(img) < size {
-		img = append(make([]byte, 0, size), img...)
-	}
-	img = img[:size]
-	copy(img[pos+delta:], img[pos:old])
-	if fuse {
+	if ep.start == ep.end && ep.facade(img) && nodeTypeKey(n) == textKey {
+		// A text into an empty element fuses: its payload is all that goes
+		// in, under the element's header.
+		if ep.hdr < 0 {
+			if img, ok = sp.replace(img, ep.pos, 0, len(n.Payload), limit); !ok {
+				return nil, false
+			}
+			copy(img[ep.pos:], n.Payload)
+			img[1] |= rootFusedFlag
+			sp.Fields = append(sp.Fields, 0)
+			return img, true
+		}
+		sp.Fields = sp.Fields[:len(sp.Fields)-1] // the header is rewritten whole
+		size := len(n.Payload)
+		if img, ok = sp.replace(img, ep.hdr, ep.start-ep.hdr, 1+sizeLen(KindLiteral, false, size)+size, limit); !ok {
+			return nil, false
+		}
+		pos := putSize(img, putType(img, ep.hdr, ep.ti, true, false), size)
 		copy(img[pos:], n.Payload)
-	} else if end, ok := emitEmbedded(img, pos, n); !ok || end != pos+delta {
+		return img, true
+	}
+	delta := n.TotalSize()
+	if img, ok = sp.replace(img, ep.pos, 0, delta, limit); !ok {
 		return nil, false
 	}
-	for _, f := range sp.Fields {
-		putU16(img[f:], u16(img[f:])+delta)
+	if end, ok := emitEmbedded(img, ep.pos, n); !ok || end != ep.pos+delta {
+		return nil, false
 	}
-	if fuse {
-		sp.setFused(img, len(path), true)
-	}
-	sp.From = pos
 	return img, true
 }
 
@@ -215,28 +177,62 @@ func (sp *Splice) Remove(img []byte, path []int) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	pos, del := ep.pos, ep.end-ep.start
-	if !ep.fused {
-		// (The text of a fused element has no header and cites no type:
-		// its payload, all of the content, goes and nothing else changes.)
-		if pos+EmbeddedHeaderSize > ep.end {
-			return nil, false
-		}
-		del = EmbeddedHeaderSize + sizeAt(img, pos)
-		if pos+del > ep.end || leavesLoneText(img, ep, del) || !typesSurvive(img, pos, pos+del) {
-			return nil, false
-		}
-	}
-	size := len(img) - del
-	copy(img[pos:], img[pos+del:])
-	img = img[:size]
-	for _, f := range sp.Fields {
-		putU16(img[f:], u16(img[f:])-del)
-	}
 	if ep.fused {
-		sp.setFused(img, len(path), false)
+		// The text of a fused element has no header and cites no type: its
+		// payload goes, and the element's header loses the mark.
+		if ep.hdr < 0 {
+			img, _ = sp.replace(img, ep.start, ep.end-ep.start, 0, maxContentSize)
+			img[1] &^= rootFusedFlag
+			sp.Fields = append(sp.Fields, 0)
+			return img, true
+		}
+		if img, ok = sp.replace(img, ep.hdr, ep.end-ep.hdr, 3, maxContentSize); !ok {
+			return nil, false
+		}
+		putU16(img[putType(img, ep.hdr, ep.ti, false, false):], 0)
+		return img, true
 	}
-	sp.From = pos
+	var h header
+	if !readHeader(img, false, u16(img[2:]), ep.pos, ep.end, &h) {
+		return nil, false
+	}
+	del := h.end() - ep.pos
+	if leavesLoneText(img, ep, del) || !typesSurvive(img, ep.pos, h.end()) {
+		return nil, false
+	}
+	return sp.replace(img, ep.pos, del, 0, maxContentSize)
+}
+
+// replace makes room in img for b bytes in place of the a at offset at,
+// moving what follows, patches the size fields in sp.Fields by the
+// difference, and records the change in sp: from at+min(a, b) on, what
+// follows having moved as a whole, and before that the two-byte fields
+// covering the rest of the b bytes, which the caller writes. It reports
+// false, with img consumed, when the result would pass limit bytes or 32
+// KB.
+func (sp *Splice) replace(img []byte, at, a, b, limit int) ([]byte, bool) {
+	old, delta := len(img), b-a
+	size := old + delta
+	if size > limit || size > maxContentSize {
+		return nil, false
+	}
+	if delta > 0 {
+		if cap(img) < size {
+			img = append(make([]byte, 0, size), img...)
+		}
+		img = img[:size]
+		copy(img[at+b:], img[at+a:old])
+	} else {
+		copy(img[at+b:], img[at+a:])
+		img = img[:size]
+	}
+	for _, f := range sp.Fields {
+		putU16(img[f:], u16(img[f:])+delta)
+	}
+	sp.From = at + min(a, b)
+	for f := at - (sp.From-at)%2; f < sp.From; f += 2 {
+		sp.Fields = append(sp.Fields, f)
+	}
 	return img, true
 }
 
@@ -245,57 +241,61 @@ func (sp *Splice) Remove(img []byte, path []int) ([]byte, bool) {
 // fused with.
 func leavesLoneText(img []byte, ep editPoint, del int) bool {
 	rest := ep.end - ep.start - del
-	if rest < EmbeddedHeaderSize || !ep.facade(img) {
+	if rest == 0 || !ep.facade(img) {
 		return false
 	}
 	sib := ep.start
 	if ep.pos == ep.start {
 		sib += del
 	}
-	ti := u16(img[sib:])
-	return EmbeddedHeaderSize+sizeAt(img, sib) == rest && ti < u16(img[2:]) && tableIs(img, ti, textKey)
+	var h header
+	return readHeader(img, false, u16(img[2:]), sib, ep.end, &h) && h.end()-sib == rest && tableIs(img, h.ti, textKey)
 }
 
 // emitEmbedded writes n as an embedded node at pos — header, content,
-// its content size backpatched, a text-only element fused — with the
-// table indexes img's type table already has, and returns the offset
-// behind it.
+// an aggregate's content size backpatched, a text-only element fused —
+// with the one-byte table indexes img's type table already has, and
+// returns the offset behind it.
 func emitEmbedded(img []byte, pos int, n *Node) (int, bool) {
 	ti := tableIndex(img, nodeTypeKey(n))
-	if ti < 0 || pos+EmbeddedHeaderSize > len(img) {
+	body, fused := n, false
+	if t := n.FusedText(); t != nil {
+		body, fused = t, true
+	}
+	if ti < 0 || ti >= narrowTypes || pos >= len(img) {
 		return 0, false
 	}
-	hdr := pos
-	putU16(img[hdr:], ti)
-	pos += EmbeddedHeaderSize
-	mark := 0
-	if t := n.FusedText(); t != nil {
-		n, mark = t, fusedMark
-	}
-	switch n.Kind {
-	case KindLiteral:
-		if pos+len(n.Payload) > len(img) {
+	pos = putType(img, pos, ti, fused, false)
+	switch {
+	case n.Kind == KindAggregate && !fused:
+		if pos+2 > len(img) {
 			return 0, false
 		}
-		pos += copy(img[pos:], n.Payload)
-	case KindProxy:
-		if pos+records.RIDSize > len(img) {
-			return 0, false
-		}
-		n.Target.Put(img[pos:])
-		pos += records.RIDSize
-	case KindAggregate:
+		sz := pos
+		pos += 2
 		for _, c := range n.Children {
 			var ok bool
 			if pos, ok = emitEmbedded(img, pos, c); !ok {
 				return 0, false
 			}
 		}
-	default:
-		return 0, false
+		putU16(img[sz:], pos-sz-2)
+		return pos, true
+	case n.Kind == KindProxy:
+		if pos+records.RIDSize > len(img) {
+			return 0, false
+		}
+		n.Target.Put(img[pos:])
+		return pos + records.RIDSize, true
+	case body.Kind == KindLiteral:
+		size := len(body.Payload)
+		if pos+sizeLen(KindLiteral, false, size)+size > len(img) {
+			return 0, false
+		}
+		pos = putSize(img, pos, size)
+		return pos + copy(img[pos:], body.Payload), true
 	}
-	putU16(img[hdr+2:], (pos-hdr-EmbeddedHeaderSize)|mark)
-	return pos, true
+	return 0, false
 }
 
 // tableIndex returns the index of k in img's type table, or -1.
@@ -310,27 +310,32 @@ func tableIndex(img []byte, k typeKey) int {
 
 // typesSurvive reports whether every node type used inside img[lo:hi)
 // — one embedded subtree — is also used by a node outside it, which is
-// what keeps the type table exact when the subtree goes. Tables past 64
-// entries are not tracked (no record comes near).
+// what keeps the type table exact when the subtree goes. It hops every
+// embedded header of img, a narrow image whose root is not fused.
 func typesSurvive(img []byte, lo, hi int) bool {
 	tt := u16(img[2:])
-	if tt > 64 {
-		return false
-	}
 	root := recHeaderSize + ttEntrySize*tt
-	kept := uint64(1) << u16(img[root:])
-	var gone uint64
-	for p := root + StandaloneHeaderSize; p+EmbeddedHeaderSize <= len(img); {
-		ti := u16(img[p:])
-		if ti >= tt {
+	var kept, gone [narrowTypes / 64]uint64
+	ti := u16(img[root:])
+	kept[ti/64] |= 1 << (ti % 64)
+	var h header
+	for p := root + StandaloneHeaderSize; p < len(img); {
+		if !readHeader(img, false, tt, p, len(img), &h) {
 			return false
 		}
 		if p >= lo && p < hi {
-			gone |= 1 << ti
+			gone[h.ti/64] |= 1 << (h.ti % 64)
 		} else {
-			kept |= 1 << ti
+			kept[h.ti/64] |= 1 << (h.ti % 64)
 		}
-		p = nextHeader(img, p, ti)
+		if p = h.end(); h.aggregate() {
+			p = h.start
+		}
 	}
-	return gone&^kept == 0
+	for i := range gone {
+		if gone[i]&^kept[i] != 0 {
+			return false
+		}
+	}
+	return true
 }

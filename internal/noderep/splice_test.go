@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"natix/internal/dict"
@@ -77,6 +78,12 @@ func checkSplicedImage(t *testing.T, sp *Splice, before, got []byte, want *Recor
 	}
 	if len(got) != EncodedSize(want) {
 		t.Fatalf("spliced image has %d bytes, a re-encode %d", len(got), EncodedSize(want))
+	}
+	// Behind From the image moved as a whole: the edit is one insertion or
+	// removal there, which the log can say as a shift.
+	if d := len(got) - len(before); d >= 0 && !bytes.Equal(got[sp.From+d:], before[sp.From:]) ||
+		d < 0 && !bytes.Equal(got[sp.From:], before[sp.From-d:]) {
+		t.Fatalf("the image behind From=%d did not move as a whole by %d", sp.From, d)
 	}
 	mask := append([]byte(nil), before[:sp.From]...)
 	for _, f := range sp.Fields {
@@ -222,7 +229,7 @@ func TestSpliceRefusals(t *testing.T) {
 		t.Fatal("insert past the limit accepted")
 	}
 	// No record grows past what a 15-bit content size can hold.
-	big := NewTextLiteral(string(make([]byte, maxContentSize-len(img)-EmbeddedHeaderSize)))
+	big := NewTextLiteral(string(make([]byte, maxContentSize-len(img)-3))) // a long size
 	if got, ok := sp.Insert(fresh(), []int{0}, big, 1<<17); !ok || len(got) != maxContentSize {
 		t.Fatalf("insert up to the 15-bit sizes refused (ok %v)", ok)
 	}
@@ -315,11 +322,12 @@ func TestSpliceRefusals(t *testing.T) {
 // TestDecodeRejectsWhatMeasureRejects: the shapes the encoder never
 // writes are corrupt records to the decoder too — embedded scaffolding
 // aggregates, a type table with an unused or a repeated entry or with
-// bits set that no node type has, and since
-// version 3 a text-only element written out as two nodes, the fused mark
-// on anything but a facade aggregate or in an image of an older version,
-// and a flag no version defines. An aggregate past offset 65535 was one
-// more while children had to cite it in 16 bits; since version 2 it is
+// bits set that no node type has, a text-only element written out as two
+// nodes, the fused mark on anything but a facade aggregate, a size in a
+// longer form than it needs, the wide flag on a table that does not need
+// it, a flag format 4 does not define, and an image of an older version
+// (Upgrade reads those). An aggregate past offset 65535 was one more
+// while children had to cite it in 16 bits; since version 2 it is
 // written and read.
 func TestDecodeRejectsWhatMeasureRejects(t *testing.T) {
 	good, err := Encode(&Record{Root: NewAggregate(3).AppendChild(NewAggregate(4)).AppendChild(NewTextLiteral("t"))})
@@ -336,8 +344,11 @@ func TestDecodeRejectsWhatMeasureRejects(t *testing.T) {
 		}
 	}
 	mutate := func(name string, fn func(b []byte) []byte) { t.Helper(); mutateOf(good, name, fn) }
-	// Type table: 0 = root aggregate(3), 1 = aggregate(4), 2 = text.
-	first := recHeaderSize + 3*ttEntrySize + StandaloneHeaderSize // the embedded aggregate's header
+	// Type table: 0 = root aggregate(3), 1 = aggregate(4), 2 = text. The
+	// embedded aggregate's header is its type byte and a 2-byte size; the
+	// text's, behind it, its type byte and a 1-byte size.
+	first := recHeaderSize + 3*ttEntrySize + StandaloneHeaderSize
+	text := first + 3
 	mutate("embedded scaffolding aggregate", func(b []byte) []byte {
 		b[recHeaderSize+ttEntrySize*1] |= scaffoldFlag
 		return b
@@ -348,7 +359,7 @@ func TestDecodeRejectsWhatMeasureRejects(t *testing.T) {
 	})
 	mutate("unused type entry", func(b []byte) []byte {
 		// Point the embedded aggregate at the root's entry: entry 1 is idle.
-		putU16(b[first:], 0)
+		b[first] = 0
 		return b
 	})
 	mutate("kind flags the encoder leaves zero", func(b []byte) []byte {
@@ -362,8 +373,11 @@ func TestDecodeRejectsWhatMeasureRejects(t *testing.T) {
 		return b
 	})
 	mutate("fused mark on a literal", func(b []byte) []byte {
-		b[first+EmbeddedHeaderSize+3] |= fusedMark >> 8
+		b[text] |= narrowFused
 		return b
+	})
+	mutate("size in the long form under 128", func(b []byte) []byte {
+		return append(append(b[:text+1:text+1], byte(b[text+1])|longSize, 0), b[text+2:]...)
 	})
 	mutate("fused root flag on an aggregate with children", func(b []byte) []byte {
 		// The content, two headers and a byte, would be the text: the types
@@ -371,41 +385,49 @@ func TestDecodeRejectsWhatMeasureRejects(t *testing.T) {
 		b[1] = rootFusedFlag
 		return b
 	})
+	mutate("wide flag on a narrow table", func(b []byte) []byte {
+		b[1] = wideFlag
+		return b
+	})
 	mutate("unknown flag", func(b []byte) []byte {
-		b[1] = 0x02
+		b[1] = 0x04
 		return b
 	})
-	mutate("fused mark in a version 2 image", func(b []byte) []byte {
-		b[0] = formatVersion2
-		b[first+3] |= fusedMark >> 8
+	mutate("an image of version 3", func(b []byte) []byte {
+		b[0] = formatVersion3
 		return b
 	})
-	mutate("fused root flag in a version 2 image", func(b []byte) []byte {
-		b[0], b[1] = formatVersion2, rootFusedFlag
-		return b
-	})
-	// The same image with the mark on the (empty) embedded aggregate is a
-	// record: an element with an empty text.
-	marked := append([]byte(nil), good...)
-	marked[first+3] |= fusedMark >> 8
+	// The same image with the mark on the (empty) embedded aggregate, and
+	// its size in the one byte a fused element's takes, is a record: an
+	// element with an empty text.
+	marked := append(append(good[:first:first], byte(1|narrowFused), 0), good[first+3:]...)
 	if rec, err := Decode(marked); err != nil || rec.Root.Children[0].FusedText() == nil {
 		t.Errorf("fused mark on an empty facade aggregate: %v", err)
 	}
 
-	// A text-only element written out in full, as version 2 wrote it: a
-	// version 2 image is a record, the same bytes called version 3 are not.
+	// A text-only element written out in full: a version 2 image is a
+	// record to the upgrade, the same bytes called version 3 are not, and
+	// neither is format 4's shape of it — the element's 2-byte size, the
+	// text's header — to Decode.
 	pair := &Record{Root: NewAggregate(3).AppendChild(NewAggregate(4).AppendChild(NewTextLiteral("t")))}
 	unfused, err := refEncodeV2(pair)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec, err := Decode(unfused); err != nil || !Equal(rec.Root, pair.Root) {
+	if rec, _, err := Upgrade(unfused); err != nil || !Equal(rec.Root, pair.Root) {
 		t.Fatalf("version 2 image of a text-only element: %v", err)
 	}
-	mutateOf(unfused, "unfused text-only element in a version 3 image", func(b []byte) []byte {
-		b[0] = FormatVersion
-		return b
-	})
+	unfused[0] = formatVersion3
+	if _, _, err := Upgrade(unfused); !errors.Is(err, ErrCorruptRecord) {
+		t.Errorf("unfused text-only element in a version 3 image: %v", err)
+	}
+	v4 := []byte{FormatVersion, 0, 3, 0}
+	for _, k := range []typeKey{nodeTypeKey(pair.Root), nodeTypeKey(pair.Root.Children[0]), textKey} {
+		v4 = append(v4, k.kindFlags, byte(k.label), byte(k.label>>8), byte(k.litType))
+	}
+	v4 = append(v4, make([]byte, StandaloneHeaderSize)...)
+	v4 = append(v4, 1, 3, 0, 2, 1, 't')
+	mutateOf(v4, "unfused text-only element", func(b []byte) []byte { return b })
 	scaf := &Record{Root: NewScaffoldAggregate().AppendChild(NewTextLiteral("t"))}
 	simg, err := Encode(scaf)
 	if err != nil {
@@ -422,7 +444,7 @@ func TestDecodeRejectsWhatMeasureRejects(t *testing.T) {
 	// An aggregate with a child, its header past offset 65535 (literals of
 	// 30 000 bytes in front of it, 60 000 while a size had 16 bits).
 	far := &Record{Root: NewAggregate(3)}
-	for size := 0; size <= math.MaxUint16; size += 30000 + EmbeddedHeaderSize {
+	for size := 0; size <= math.MaxUint16; size += 30000 + 3 {
 		far.Root.AppendChild(NewLiteral(5, LitString, make([]byte, 30000)))
 	}
 	far.Root.AppendChild(NewAggregate(3).AppendChild(NewLiteral(5, LitString, []byte("x"))))
@@ -459,8 +481,8 @@ func fuzzNode(kind uint8, label uint16, payload []byte) *Node {
 // was given; on an image Decode accepts, a splice that is reported done
 // decodes to the tree-level edit — which Decode holds to the canonical
 // form, every text-only element fused and nothing else — and has the
-// size of its re-encode; and an image of an older format version is
-// never spliced.
+// size of its re-encode; and an image of an older format version, or one
+// with two-byte type indexes, is never spliced.
 func FuzzSplice(f *testing.F) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 12; i++ {
@@ -483,14 +505,18 @@ func FuzzSplice(f *testing.F) {
 	fig := &Record{Root: figure2(), ParentRID: records.RID{Page: 77, Slot: 3}}
 	img, _ := Encode(fig)
 	f.Add(img, []byte{1, 0}, uint8(3), uint16(dict.Text), []byte("between the lines"))
-	img, _ = refEncodeV1(fig)
-	f.Add(img, []byte{1, 0}, uint8(3), uint16(dict.Text), []byte("between the lines"))
-	f.Add(img, []byte{2}, uint8(3), uint16(dict.Text), []byte("at the end"))
+	f.Add(img, []byte{2}, uint8(2), uint16(lLine), bytes.Repeat([]byte("a line past the short size form "), 5))
+	wide := NewAggregate(lSpeech)
+	for i := 0; i <= narrowTypes; i++ {
+		wide.AppendChild(NewAggregate(dict.LabelID(100 + i)))
+	}
+	img, _ = Encode(&Record{Root: wide})
+	f.Add(img, []byte{1}, uint8(0), uint16(100), []byte(nil))
 	// Fusing and unfusing: the text out of a text-only element (the
 	// Remove of {1, 0}) and a second child beside it (the Insert), on the
 	// first seed above already; a text into an empty element, embedded and
 	// at the record root, and the text out again; the removal that leaves a
-	// text alone; a version 2 image.
+	// text alone; a text of the long size form out of its element.
 	speech := figure2()
 	speech.Children[1].RemoveChild(0)
 	img, _ = Encode(&Record{Root: speech})
@@ -502,8 +528,8 @@ func FuzzSplice(f *testing.F) {
 	f.Add(img, []byte{0}, uint8(0), uint16(lLine), []byte("or a sibling before it"))
 	img, _ = Encode(&Record{Root: NewAggregate(lSpeech).AppendChild(NewAggregate(lLine).AppendChild(NewTextLiteral("a")).AppendChild(NewTextLiteral("b")))})
 	f.Add(img, []byte{0, 1}, uint8(3), uint16(dict.Text), []byte("c"))
-	img, _ = refEncodeV2(fig)
-	f.Add(img, []byte{1, 0}, uint8(3), uint16(dict.Text), []byte("between the lines"))
+	img, _ = Encode(&Record{Root: NewAggregate(lSpeech).AppendChild(NewAggregate(lLine).AppendChild(NewTextLiteral(strings.Repeat("long ", 30))))})
+	f.Add(img, []byte{0, 0}, uint8(3), uint16(dict.Text), []byte("x"))
 
 	f.Fuzz(func(t *testing.T, image, pathBytes []byte, kind uint8, label uint16, payload []byte) {
 		if len(pathBytes) > 16 || len(image) > 1<<16 {
@@ -559,8 +585,8 @@ func FuzzSplice(f *testing.F) {
 			}
 		}
 		removed, okRem := sp.Remove(append([]byte(nil), image...), path)
-		if image[0] != FormatVersion && (okIns || okRem) {
-			t.Fatalf("version %d image spliced (insert %v, remove %v)", image[0], okIns, okRem)
+		if (image[0] != FormatVersion || image[1]&wideFlag != 0) && (okIns || okRem) {
+			t.Fatalf("version %d image with flags %#x spliced (insert %v, remove %v)", image[0], image[1], okIns, okRem)
 		}
 		if okRem {
 			if parent == nil || parent.Kind != KindAggregate || idx < 0 || idx >= len(parent.Children) {

@@ -41,9 +41,15 @@ const (
 	offPageSize = 20
 	offRoots    = 24
 
-	// formatVersion 2: the common page header grew an LSN field for
-	// write-ahead logging (version 1 had an 8-byte common header).
-	formatVersion = 2
+	// FormatVersion 3: every record is in record format 4 (package
+	// noderep). Version 2 — the first with the common page header's LSN
+	// field for write-ahead logging; version 1 had an 8-byte common header
+	// — may hold records of formats 1 to 3: Open accepts it, and the store
+	// rewrites those records (docstore.Store.Upgrade) and then the version
+	// (FinishUpgrade) before anything reads a record. An older build
+	// refuses a version 3 segment: a downgrade is unsupported.
+	FormatVersion      = 3
+	upgradeableVersion = 2
 )
 
 // maxScanGroups bounds how many free-space-inventory groups FindSpace
@@ -71,6 +77,7 @@ type Segment struct {
 	pool     *buffer.Pool
 	pageSize int
 	fsiCap   int // pages covered per FSI page
+	version  int // the header's format version
 
 	// allocMu serializes device growth: parallel bulk-import shards each
 	// drive their own batch writer, so AllocDataPage must be safe across
@@ -142,7 +149,7 @@ func Create(pool *buffer.Pool) (*Segment, error) {
 	u := f.BeginUpdate()
 	b := f.Data()
 	pageformat.InitCommon(b, pageformat.TypeHeader)
-	binary.LittleEndian.PutUint32(b[offVersion:], formatVersion)
+	binary.LittleEndian.PutUint32(b[offVersion:], FormatVersion)
 	binary.LittleEndian.PutUint32(b[offPageSize:], uint32(dev.PageSize()))
 	for i := 0; i < NumRoots; i++ {
 		binary.LittleEndian.PutUint64(b[offRoots+8*i:], 0)
@@ -150,7 +157,7 @@ func Create(pool *buffer.Pool) (*Segment, error) {
 	if err := f.EndUpdate(u); err != nil {
 		return nil, err
 	}
-	return &Segment{pool: pool, pageSize: dev.PageSize(), fsiCap: fsiCapacity(dev.PageSize())}, nil
+	return &Segment{pool: pool, pageSize: dev.PageSize(), fsiCap: fsiCapacity(dev.PageSize()), version: FormatVersion}, nil
 }
 
 // Open attaches to an existing segment, validating its header.
@@ -170,13 +177,39 @@ func Open(pool *buffer.Pool) (*Segment, error) {
 	if pageformat.TypeOf(b) != pageformat.TypeHeader {
 		return nil, ErrBadHeader
 	}
-	if v := binary.LittleEndian.Uint32(b[offVersion:]); v != formatVersion {
+	v := int(binary.LittleEndian.Uint32(b[offVersion:]))
+	if v != FormatVersion && v != upgradeableVersion {
 		return nil, fmt.Errorf("%w: format version %d", ErrBadHeader, v)
 	}
 	if ps := int(binary.LittleEndian.Uint32(b[offPageSize:])); ps != dev.PageSize() {
 		return nil, fmt.Errorf("%w: segment %d, device %d", ErrBadPageSize, ps, dev.PageSize())
 	}
-	return &Segment{pool: pool, pageSize: dev.PageSize(), fsiCap: fsiCapacity(dev.PageSize())}, nil
+	return &Segment{pool: pool, pageSize: dev.PageSize(), fsiCap: fsiCapacity(dev.PageSize()), version: v}, nil
+}
+
+// FormatVersion returns the segment's format version: FormatVersion, or
+// 2 for a segment whose records have not been upgraded yet.
+func (s *Segment) FormatVersion() int { return s.version }
+
+// FinishUpgrade sets the segment header's format version to
+// FormatVersion, once every record is in record format 4. The caller
+// makes that durable before writing the header (a checkpoint), so a
+// version 3 header never stands over an older record.
+func (s *Segment) FinishUpgrade() error {
+	f, err := s.pool.Get(0)
+	if err != nil {
+		return err
+	}
+	defer f.Release()
+	f.Latch()
+	defer f.Unlatch()
+	u := f.BeginUpdate(buffer.Window{Off: offVersion, Len: 4})
+	binary.LittleEndian.PutUint32(f.Data()[offVersion:], FormatVersion)
+	if err := f.EndUpdate(u); err != nil {
+		return err
+	}
+	s.version = FormatVersion
+	return nil
 }
 
 // PageSize returns the segment's page size.

@@ -122,6 +122,7 @@ import (
 	"natix/internal/dict"
 	"natix/internal/docstore"
 	"natix/internal/integrity"
+	"natix/internal/noderep"
 	"natix/internal/pagedev"
 	"natix/internal/pathindex"
 	"natix/internal/records"
@@ -543,6 +544,11 @@ func openWith(opts Options, dev pagedev.Device, sim *pagedev.SimDisk, walSt wal.
 		RateLimit: opts.ScrubRateLimit,
 	})
 	scrubber.AttachTelemetry(reg)
+	// A store written before record format 4 is upgraded before anything
+	// reads a record: the runtime reads that format only.
+	if err := store.Upgrade(); err != nil {
+		return nil, fmt.Errorf("natix: upgrade to record format %d: %w", noderep.FormatVersion, err)
+	}
 	db := &DB{opts: opts, dev: dev, sim: sim, pool: pool, store: store,
 		matrix: matrix, wal: w, walSt: walSt, reg: reg, tracer: tracer,
 		recovery: recovery, scrubber: scrubber}

@@ -12,6 +12,7 @@ import (
 
 	"natix/internal/core"
 	"natix/internal/corpus"
+	"natix/internal/noderep"
 	"natix/internal/records"
 	"natix/internal/xmlkit"
 )
@@ -200,7 +201,7 @@ func benchPass(t *testing.T, db *DB, docs []string) int64 {
 func TestPoolReadsOnlyWhatIsAsked(t *testing.T) {
 	const pageSize = 2048
 	path := filepath.Join(t.TempDir(), "plays.natix")
-	spec := corpus.SmallSpec(8)
+	spec := corpus.SmallSpec(9) // 8 plays were 63 pages once records were format 4
 	var docs []string
 	db, err := Open(Options{Path: path, PageSize: pageSize, PathIndex: true})
 	if err != nil {
@@ -371,7 +372,7 @@ func TestQueryPassDecodesNothing(t *testing.T) {
 }
 
 // TestVersion2StoreFacadeIndexesAgree: on every node of the version 2
-// store file, the facade index the decoded tree gives it — its count
+// store file, upgraded at Open, the facade index the decoded tree gives it — its count
 // among the nodes of its record the pre-order walk reached before it, as
 // the path-index builder numbers postings — resolves over the record's
 // image to a node of the same kind, label and text.
@@ -417,8 +418,8 @@ func TestVersion2StoreFacadeIndexesAgree(t *testing.T) {
 		}
 	}
 	visit(root)
-	if v := recordVersions(t, db); v[2] == 0 || len(v) != 1 {
-		t.Fatalf("%s is not all version 2: %v", v2StoreFile, v)
+	if v := recordVersions(t, db); v[noderep.FormatVersion] == 0 || len(v) != 1 {
+		t.Fatalf("%s is not all format %d once opened: %v", v2StoreFile, noderep.FormatVersion, v)
 	}
 	if nodes < 500 {
 		t.Fatalf("only %d nodes compared", nodes)

@@ -114,11 +114,15 @@ func recordVersions(t testing.TB, db *DB) map[int]int {
 	versions := map[int]int{}
 	var walk func(rid records.RID)
 	walk = func(rid records.RID) {
+		img, err := trees.Records().Read(rid)
+		if err != nil {
+			t.Fatalf("record %s: %v", rid, err)
+		}
+		versions[int(img[0])]++
 		rec, err := trees.LoadRecordForInspection(rid)
 		if err != nil {
 			t.Fatalf("record %s: %v", rid, err)
 		}
-		versions[rec.ImageVersion()]++
 		rec.Root.Walk(func(n *noderep.Node) bool {
 			if n.Kind == noderep.KindProxy {
 				walk(n.Target)
@@ -295,10 +299,11 @@ func TestShiftLogRecoveryEquivalence(t *testing.T) {
 	// (above; recoverCrash also runs its invariant check). They no longer
 	// recover to the same pages, as they did while both builds wrote record
 	// format 2: the older build's records have a header on every text,
-	// this build's fuse text-only elements (format 3), so the two stores
-	// split their records at different edits.
-	if oldVersions[2] == 0 || len(oldVersions) != 1 || versions[noderep.FormatVersion] == 0 || len(versions) != 1 {
-		t.Fatalf("records by format version: the older build's store %v, want all of version 2; this one's %v, want all of version %d",
+	// this build's are format 4, so the two stores split their records at
+	// different edits. Opened, the older build's store is upgraded to
+	// format 4 too.
+	if oldVersions[noderep.FormatVersion] == 0 || len(oldVersions) != 1 || versions[noderep.FormatVersion] == 0 || len(versions) != 1 {
+		t.Fatalf("records by format version once opened: the older build's store %v, this one's %v, want all of version %d",
 			oldVersions, versions, noderep.FormatVersion)
 	}
 	w, err := wal.OpenWriter(wal.NewMemStorageFrom(old.log), wal.Options{PageSize: s.opts.PageSize})
