@@ -237,6 +237,34 @@ func TestReadOutAllocs(t *testing.T) {
 		t.Errorf("Match.Text of a text-only match: %.0f allocs/op, want 0", textOnly)
 	}
 
+	// Text of the document's root spans every record of the document (the
+	// 4000 items lie in 16 records on 4 KB pages): the records behind its
+	// proxies are read without a ReadRef per proxy, so it costs its result
+	// string however many records there are.
+	big := open(t, 4000)
+	rootText := func(db *DB, items int) float64 {
+		cur, err := db.QueryIter(context.Background(), "d", "/root")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cur.Close()
+		if !cur.Next() {
+			t.Fatal("no root")
+		}
+		m := cur.Match()
+		if text, err := m.Text(); err != nil || !strings.HasSuffix(text, fmt.Sprintf("%dv%d", items-1, items-1)) {
+			t.Fatalf("Text of the root: %d bytes, %v", len(text), err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := m.Text(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := rootText(db, 400), rootText(big, 4000); small != 1 || large != 1 {
+		t.Errorf("Match.Text of the root: %.0f allocs/op for 400 items, %.0f for 4000; want 1 (the string) for both", small, large)
+	}
+
 	export := func(db *DB) float64 {
 		run := func() {
 			if err := db.ExportXML("d", io.Discard); err != nil {
@@ -247,7 +275,7 @@ func TestReadOutAllocs(t *testing.T) {
 		return testing.AllocsPerRun(20, run)
 	}
 	const ceiling = 4
-	small, large := export(db), export(open(t, 4000))
+	small, large := export(db), export(big)
 	t.Logf("ExportXML: %.0f allocs (400 items), %.0f allocs (4000 items)", small, large)
 	if small != large || small > ceiling {
 		t.Errorf("ExportXML: %.0f allocs for 400 items, %.0f for 4000; want equal and at most %d", small, large, ceiling)

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"natix/internal/dict"
 	"natix/internal/noderep"
@@ -11,13 +10,15 @@ import (
 )
 
 // The read path works on record images, never on decoded trees. A record
-// is a small subtree inside one page, stored in pre-order (noderep.Image),
-// so resolving a posting, listing a node's children and reading its text
-// are passes over headers in the image the record cache holds: nothing is
-// decoded, and a query over a warm store allocates nothing per node.
-// Every reader that is not a mutator reads this way — queries and their
-// read-out, Cursor (Document.Walk), pathindex.Build — and the diagnostics
-// that want trees decode their own (WalkRecords). The decoded tree
+// is a small subtree inside one page, stored in pre-order. Its image is
+// checked and indexed once, when a cache miss opens it (noderep.OpenImage),
+// and the record cache keeps the image with its node table; so resolving
+// a posting is one load from the table, and listing a node's children
+// and reading its text are steps from index to index: no header is read
+// again, nothing is decoded, and a query over a warm store allocates
+// nothing per node. Every reader that is not a mutator reads this way —
+// queries and their read-out, Cursor (Document.Walk), pathindex.Build —
+// and the diagnostics that want trees decode their own (WalkRecords). The decoded tree
 // (loadRecord, NodeRef) is the write path's, and the differential tests'
 // reference (Root, Children).
 //
@@ -27,14 +28,14 @@ import (
 // price of keeping the whole image alive as long as the substring.
 
 // ReadRef addresses one facade node for reading: the record it lives in,
-// that record's image as the record cache holds it, and where the node
-// lies in the image, its type read from its header. It holds no pointer
-// into a decoded tree, and the image it holds is never written — a write
-// of the record replaces the cached image instead — so what lies in its
-// own record reads as it was however long the ReadRef is kept. The
-// records behind its proxies are read as they are when they are reached;
-// after a write of its record, that is only sound once CheckCurrent
-// passes.
+// that record's image as the record cache holds it, and the node as the
+// image's table gives it: where it lies, its place in the table and its
+// type. It holds no pointer into a decoded tree, and the image it holds
+// is never written — a write of the record replaces the cached image
+// instead — so what lies in its own record reads as it was however long
+// the ReadRef is kept. The records behind its proxies are read as they
+// are when they are reached; after a write of its record, that is only
+// sound once CheckCurrent passes.
 type ReadRef struct {
 	rid records.RID
 	im  *noderep.Image
@@ -75,6 +76,10 @@ func (r *ReadRef) RecordHas(pred func(noderep.Kind, dict.LabelID) bool) bool {
 	return r.im.TableHas(pred)
 }
 
+// Clean reports whether the text of a literal or text-only element holds
+// no character that needs escaping in markup.
+func (r *ReadRef) Clean() bool { return r.n.Clean }
+
 // FirstChild reads into c the first node stored in ref's content — a
 // proxy as the proxy, not the record behind it — and reports false when
 // there is none: ref is a leaf, a text-only element or an empty
@@ -82,13 +87,13 @@ func (r *ReadRef) RecordHas(pred func(noderep.Kind, dict.LabelID) bool) bool {
 // walk with proxies followed and scaffolding spliced away.
 //
 //natix:noalloc
-func (r *ReadRef) FirstChild(c *ReadRef) (bool, error) {
+func (r *ReadRef) FirstChild(c *ReadRef) bool {
 	if r.n.Kind != noderep.KindAggregate || r.n.Fused || r.n.Start == r.n.End {
-		return false, nil
+		return false
 	}
 	c.rid, c.im = r.rid, r.im
-	err := r.im.Child(&c.n, int(r.n.Start), int(r.n.End))
-	return err == nil, err
+	r.im.Node(&c.n, int(r.n.Index)+1)
+	return true
 }
 
 // NextSibling moves c, a node FirstChild or NextSibling read out of
@@ -96,33 +101,21 @@ func (r *ReadRef) FirstChild(c *ReadRef) (bool, error) {
 // the last.
 //
 //natix:noalloc
-func (c *ReadRef) NextSibling(parent *ReadRef) (bool, error) {
-	if c.n.End >= parent.n.End {
-		return false, nil
+func (c *ReadRef) NextSibling(parent *ReadRef) bool {
+	if c.n.Next >= parent.n.Next {
+		return false
 	}
-	err := c.im.Child(&c.n, int(c.n.End), int(parent.n.End))
-	return err == nil, err
+	c.im.Node(&c.n, int(c.n.Next))
+	return true
 }
 
 // ChildHas reports whether a node stored in ref's content — a child as
 // FirstChild and NextSibling read it, a proxy as the proxy — has a type
-// pred accepts, reading no more than the children's headers.
+// pred accepts.
 //
 //natix:noalloc
-func (r *ReadRef) ChildHas(pred func(noderep.Kind, dict.LabelID) bool) (bool, error) {
-	if r.n.Kind != noderep.KindAggregate || r.n.Fused {
-		return false, nil
-	}
-	return r.im.ChildHas(int(r.n.Start), int(r.n.End), pred)
-}
-
-// openImage opens buf, record rid's image, for the cache.
-func openImage(rid records.RID, buf string) (*noderep.Image, error) {
-	im, err := noderep.OpenImage(buf)
-	if err != nil {
-		return nil, fmt.Errorf("record %s: %w", rid, err)
-	}
-	return &im, nil
+func (r *ReadRef) ChildHas(pred func(noderep.Kind, dict.LabelID) bool) bool {
+	return r.n.Kind == noderep.KindAggregate && !r.n.Fused && r.im.ChildHas(&r.n, pred)
 }
 
 // loadImage returns the stored image of a record, opened. A hit in the
@@ -145,9 +138,9 @@ func (s *Store) loadImage(rid records.RID) (*noderep.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	im, err := openImage(rid, buf)
+	im, err := noderep.OpenImage(buf)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("record %s: %w", rid, err)
 	}
 	s.cache.putImage(rid, im, body)
 	return im, nil
@@ -189,7 +182,8 @@ func (s *Store) readRoot(rid records.RID, r *ReadRef) error {
 		return err
 	}
 	r.rid, r.im = rid, im
-	return im.Root(&r.n)
+	im.Node(&r.n, 0)
+	return nil
 }
 
 // ReadChildren appends the logical children of ref to buf in document
@@ -208,22 +202,21 @@ func (s *Store) ReadChildren(ref *ReadRef, buf []ReadRef) ([]ReadRef, error) {
 		buf[len(buf)-1].n.ToText()
 		return buf, nil
 	}
-	return s.appendReadChildren(ref.rid, ref.im, int(ref.n.Start), int(ref.n.End), buf)
+	return s.appendReadChildren(ref.rid, ref.im, int(ref.n.Index)+1, int(ref.n.Next), buf)
 }
 
-// appendReadChildren appends the logical children of the aggregate whose
-// content is im's bytes [off, end) in record rid.
+// appendReadChildren appends the logical children of an aggregate of im,
+// record rid's image: its first child is node c, and its subtree ends
+// before node end.
 //
 //natix:noalloc
-func (s *Store) appendReadChildren(rid records.RID, im *noderep.Image, off, end int, out []ReadRef) ([]ReadRef, error) {
-	for off < end {
+func (s *Store) appendReadChildren(rid records.RID, im *noderep.Image, c, end int, out []ReadRef) ([]ReadRef, error) {
+	for c < end {
 		out = append(out, ReadRef{})
 		r := &out[len(out)-1]
 		r.rid, r.im = rid, im // field by field: a staged literal copied in stalls
-		if err := im.Child(&r.n, off, end); err != nil {
-			return out[:len(out)-1], err
-		}
-		off = int(r.n.End)
+		im.Node(&r.n, c)
+		c = int(r.n.Next)
 		if r.n.Kind != noderep.KindProxy {
 			continue
 		}
@@ -239,9 +232,9 @@ func (s *Store) appendReadChildren(rid records.RID, im *noderep.Image, off, end 
 		if r.n.Kind != noderep.KindAggregate || !r.n.Scaffold {
 			continue
 		}
-		child := *r
+		root, first, last := r.im, int(r.n.Index)+1, int(r.n.Next)
 		out = out[:len(out)-1]
-		if out, err = s.appendReadChildren(target, child.im, int(child.n.Start), int(child.n.End), out); err != nil {
+		if out, err = s.appendReadChildren(target, root, first, last, out); err != nil {
 			return out, err
 		}
 	}
@@ -250,8 +243,8 @@ func (s *Store) appendReadChildren(rid records.RID, im *noderep.Image, off, end 
 
 // AppendReadText appends the text content of the subtree under ref to
 // buf and returns the extended slice: AppendText over images. A record's
-// part of the subtree is one pass over the headers between the node's
-// content bounds, with the records behind proxies read as they are
+// part of the subtree is the run of its table from the node to the index
+// behind its subtree, with the records behind proxies read as they are
 // reached; non-string literals contribute nothing.
 //
 //natix:noalloc
@@ -264,22 +257,24 @@ func (s *Store) AppendReadText(ref *ReadRef, buf []byte) ([]byte, error) {
 		return buf, nil
 	case ref.n.Kind != noderep.KindAggregate:
 		return buf, nil
-	case ref.n.Fused:
-		return append(buf, ref.im.Payload(&ref.n)...), nil
 	}
-	im := ref.im
+	return s.appendText(ref.im, int(ref.n.Index), buf)
+}
+
+// appendText appends the text of node i of im, an aggregate, and of
+// every node of its subtree, the records behind its proxies included.
+// It holds no ReadRef, so following a proxy allocates nothing.
+//
+//natix:noalloc
+func (s *Store) appendText(im *noderep.Image, i int, buf []byte) ([]byte, error) {
 	var n noderep.ImageNode
-	for off, end := int(ref.n.Start), int(ref.n.End); off < end; {
-		if err := im.Child(&n, off, end); err != nil {
-			return buf, err
-		}
-		off = int(n.End)
+	im.Node(&n, i)
+	for end := int(n.Next); i < end; i++ {
+		im.Node(&n, i)
 		switch n.Kind {
 		case noderep.KindAggregate:
 			if n.Fused {
 				buf = append(buf, im.Payload(&n)...)
-			} else {
-				off = int(n.Start) // into its children
 			}
 		case noderep.KindLiteral:
 			if noderep.IsStringType(n.LitType) {
@@ -290,11 +285,11 @@ func (s *Store) AppendReadText(ref *ReadRef, buf []byte) ([]byte, error) {
 			if err != nil {
 				return buf, err
 			}
-			var child ReadRef
-			if err := s.readRoot(target, &child); err != nil {
+			child, err := s.loadImage(target)
+			if err != nil {
 				return buf, err
 			}
-			if buf, err = s.AppendReadText(&child, buf); err != nil {
+			if buf, err = s.appendText(child, 0, buf); err != nil {
 				return buf, err
 			}
 		}
@@ -302,37 +297,24 @@ func (s *Store) AppendReadText(ref *ReadRef, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// FacadeWalker is the facade enumeration of one record's image,
-// resumable: it resolves (record, facade index) addresses to ReadRefs and
-// keeps its place in the pre-order walk between calls. The postings of a
-// record arrive in ascending facade order, so resolving all of them costs
-// one pass over the record's headers in total instead of one per posting.
-// An index at or past the current one continues the walk (the current
-// one again returns the same node); a lower index, or a different image
-// of the record, restarts it.
+// FacadeWalker resolves (record, facade index) addresses to ReadRefs. It
+// keeps the record it last loaded, so a run of postings in one record —
+// they arrive in runs, in document order — costs one record access in
+// total, and resolving each is one load from the record's node table, in
+// any order.
 //
 // The walker belongs to one reader (a query cursor), never to the Store.
 // The zero value is ready to use and never allocates.
 type FacadeWalker struct {
-	rid  records.RID
-	im   *noderep.Image // the image the walk is over; nil before the first Load
-	walk noderep.Facades
-	idx  int  // the walk is on facade node number idx; -1 before the first, math.MaxInt past the last
-	has  bool // the walk is on a node
-}
-
-// restart positions the walk before the first facade node.
-//
-//natix:noalloc
-func (w *FacadeWalker) restart() {
-	w.walk, w.idx, w.has = w.im.Facades(), -1, false
+	rid records.RID
+	im  *noderep.Image // the loaded record's image; nil before the first Load
 }
 
 // Load makes record rid the walker's record. When the walker is already
 // on rid it returns at once — the image it holds is immutable — so a run
 // of addresses in one record costs one record access (one logical read
 // through the buffer pool) in total; any other rid is loaded like any
-// record. The walk keeps its place unless the image changes.
+// record.
 //
 //natix:noalloc
 func (w *FacadeWalker) Load(s *Store, rid records.RID) error {
@@ -343,11 +325,7 @@ func (w *FacadeWalker) Load(s *Store, rid records.RID) error {
 	if err != nil {
 		return err
 	}
-	if im != w.im {
-		w.im = im
-		w.restart()
-	}
-	w.rid = rid
+	w.im, w.rid = im, rid
 	return nil
 }
 
@@ -356,26 +334,11 @@ func (w *FacadeWalker) Load(s *Store, rid records.RID) error {
 //
 //natix:noalloc
 func (w *FacadeWalker) Ref(idx int, r *ReadRef) error {
-	if idx < w.idx && w.im != nil {
-		w.restart()
-	}
-	for w.idx < idx {
-		ok, err := w.walk.Advance()
-		if err != nil || !ok {
-			w.idx, w.has = math.MaxInt, false // exhausted: any further index restarts
-			if err != nil {
-				return err
-			}
-			break
-		}
-		w.has = true
-		w.idx++
-	}
-	if !w.has {
+	if w.im == nil || !w.im.Facade(&r.n, idx) {
 		return fmt.Errorf("core: facade node %d missing in record %s", idx, w.rid) //natix:vet-ignore corrupt-record path
 	}
 	r.rid, r.im = w.rid, w.im
-	return w.walk.Node(&r.n)
+	return nil
 }
 
 // RefByFacadeIndex resolves one (record, facade index) address with a

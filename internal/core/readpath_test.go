@@ -93,20 +93,14 @@ func facadesAgree(t *testing.T, s *Store, root records.RID) int {
 
 // FacadeIndex returns the node's facade index: its position in its
 // record's facade enumeration, the count of the decoded record's facade
-// nodes before it in pre-order. A rescan of the record, for tests only.
+// nodes before it in pre-order. A search of the record's facade order,
+// for tests only.
 func (r *ReadRef) FacadeIndex() (int, error) {
-	walk := r.im.Facades()
-	for i := 0; ; i++ {
-		ok, err := walk.Advance()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			return 0, fmt.Errorf("core: node not found in record %s", r.rid)
-		}
-		var n noderep.ImageNode
-		if err := walk.Node(&n); err == nil && n.Start == r.n.Start && n.Kind == r.n.Kind {
+	var n noderep.ImageNode
+	for i := 0; r.im.Facade(&n, i); i++ {
+		if n.Index == r.n.Index && n.Kind == r.n.Kind {
 			return i, nil
 		}
 	}
+	return 0, fmt.Errorf("core: node not found in record %s", r.rid)
 }

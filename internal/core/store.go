@@ -172,6 +172,7 @@ func (s *Store) AttachTelemetry(reg *telemetry.Registry) {
 	reg.Func("core.records_decoded", s.stats.recordsDecoded.Load)
 	reg.Func("core.cache_hits", s.stats.cacheHits.Load)
 	reg.Func("core.cache_misses", s.stats.cacheMisses.Load)
+	reg.Func("core.image_cache_bytes", s.cache.footprint)
 }
 
 // ResetStats zeroes the counters.
@@ -555,11 +556,13 @@ func (c *treeCache) clear() {
 // global LRU that stays exact within a shard.
 //
 // An image is a string copied out of the record's page once per miss
-// (loadImage): immutable, so the read path works on it in place and
-// hands out substrings of it — in ReadRefs, and as the text of a match —
-// that keep it alive after the entry lets go of it. Every write of a
-// record drops its entry, so the next read copies the new image in; no
-// query ever decodes. A nil *recCache caches nothing.
+// (loadImage) and opened there with its node table (noderep.OpenImage),
+// so a hit saves both the copy and the table build. It is immutable, so
+// the read path works on it in place and hands out substrings of it — in
+// ReadRefs, and as the text of a match — that keep it alive after the
+// entry lets go of it. Every write of a record drops its entry, so the
+// next read copies and indexes the new image; no table is ever patched
+// and no query ever decodes. A nil *recCache caches nothing.
 type recCache struct {
 	shards [cacheShards]cacheShard
 }
@@ -661,6 +664,24 @@ func (c *recCache) putImage(rid records.RID, img *noderep.Image, body records.RI
 		delete(sh.entries, back.Value.(*cacheItem).rid)
 	}
 	sh.entries[rid] = sh.order.PushFront(&cacheItem{rid: rid, img: img, body: body})
+}
+
+// footprint returns the bytes the cached images and their node tables
+// take, summed shard by shard under each shard's lock.
+func (c *recCache) footprint() int64 {
+	if c == nil {
+		return 0
+	}
+	var n int64
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for e := sh.order.Front(); e != nil; e = e.Next() {
+			n += int64(e.Value.(*cacheItem).img.Footprint())
+		}
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 func (c *recCache) remove(rid records.RID) {

@@ -58,12 +58,12 @@ type postings struct {
 	frames []postingFrame
 
 	// walker resolves matches to nodes of the record images. It keeps its
-	// record and its place in it between matches: matches arrive in
-	// document order and a record covers a contiguous pre-order range, so
-	// same-record matches come in runs, and a run costs one record load
-	// and one pass over the record's headers in total. A duplicate from a
+	// record between matches: matches arrive in document order and a
+	// record covers a contiguous pre-order range, so same-record matches
+	// come in runs, and a run costs one record load in total and each
+	// match one load from the record's node table. A duplicate from a
 	// nested descendant context can split a run; the repeat load hits the
-	// record cache and the walker restarts.
+	// record cache.
 	walker core.FacadeWalker
 }
 

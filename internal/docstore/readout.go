@@ -16,8 +16,9 @@ import (
 // per-node allocation. The walk is the paper's reconstruction (§2.3.3,
 // "substituting all proxies by their respective subtrees"), with the
 // "@name" aggregates folded back into attributes on the way. Markup is
-// one pass over each record image: a tag opens where the walk reaches
-// its element's header and closes at the element's content end. Only an
+// one pass over each record image's node table: a tag opens where the
+// walk reaches its element and closes behind its last child; text the
+// table marks clean is copied, the rest escaped. Only an
 // element with a proxy or an attribute among its children is expanded
 // into a child list first (core.ReadChildren), which follows its proxies
 // — each record is still read once, where its proxy stands — and lets
@@ -132,8 +133,19 @@ func (ro *readOut) writeText(ref *core.ReadRef) error {
 	if err != nil {
 		return err
 	}
-	ro.out = xmlkit.AppendEscapedText(ro.out, text)
+	ro.out = appendText(ro.out, text, ref.Clean())
 	return nil
+}
+
+// appendText appends text, escaped unless the record image's table says
+// it is clean: then it is copied as it is.
+//
+//natix:noalloc
+func appendText(out []byte, text string, clean bool) []byte {
+	if clean {
+		return append(out, text...)
+	}
+	return xmlkit.AppendEscapedText(out, text)
 }
 
 // expands reports whether a child of this kind and label makes its
@@ -166,26 +178,17 @@ func (s *Store) writeElement(cx context.Context, ro *readOut, ref *core.ReadRef,
 		ro.out = append(ro.out, '<')
 		ro.out = append(ro.out, name...)
 		ro.out = append(ro.out, '>')
-		ro.out = xmlkit.AppendEscapedText(ro.out, text)
+		ro.out = appendText(ro.out, text, ref.Clean())
 		ro.out = append(ro.out, "</"...)
 		ro.out = append(ro.out, name...)
 		ro.out = append(ro.out, '>')
 		return ro.flush(false)
 	}
-	if nested {
-		expand, err := ref.ChildHas(s.expands)
-		if err != nil {
-			return err
-		}
-		if expand {
-			return s.writeExpanded(cx, ro, ref, name)
-		}
+	if nested && ref.ChildHas(s.expands) {
+		return s.writeExpanded(cx, ro, ref, name)
 	}
 	var c core.ReadRef
-	ok, err := ref.FirstChild(&c)
-	if err != nil {
-		return err
-	}
+	ok := ref.FirstChild(&c)
 	ro.out = append(ro.out, '<')
 	ro.out = append(ro.out, name...)
 	if !ok {
@@ -193,13 +196,10 @@ func (s *Store) writeElement(cx context.Context, ro *readOut, ref *core.ReadRef,
 		return ro.flush(false)
 	}
 	ro.out = append(ro.out, '>')
-	for ; ok; ok, err = c.NextSibling(ref) {
+	for ; ok; ok = c.NextSibling(ref) {
 		if err := s.writeNode(cx, ro, &c, nested); err != nil {
 			return err
 		}
-	}
-	if err != nil {
-		return err
 	}
 	ro.out = append(ro.out, "</"...)
 	ro.out = append(ro.out, name...)

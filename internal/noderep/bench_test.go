@@ -45,6 +45,32 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkOpenImage is an image-cache miss's work past the copy: check
+// every header of a record image and build its node table. It reports
+// the cost per node and the table's bytes per image byte.
+func BenchmarkOpenImage(b *testing.B) {
+	rec := &Record{Root: benchTree(50)}
+	buf, err := Encode(rec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	img := string(buf)
+	im, err := OpenImage(img)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(img)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := OpenImage(img); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(im.nodes), "ns/node")
+	b.ReportMetric(float64(im.Footprint()-len(img))/float64(len(img)), "table-B/B")
+}
+
 func BenchmarkEncodedSize(b *testing.B) {
 	rec := &Record{Root: benchTree(50)}
 	b.ResetTimer()

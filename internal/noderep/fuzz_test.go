@@ -124,8 +124,9 @@ func FuzzUpgrade(f *testing.F) {
 
 // seedRecords returns the records the fuzz targets are seeded with: the
 // paper's Figure 2 record, a scaffolding root over a proxy, a text past
-// the short size form, a type table past the narrow form, and random
-// records — thirty in all.
+// the short size form, a type table past the narrow form (129 types),
+// texts that hold markup characters, fused and not, and random records —
+// thirty in all.
 func seedRecords() []*Record {
 	wide := NewAggregate(dict.LabelID(3))
 	for i := 0; i <= narrowTypes; i++ {
@@ -136,6 +137,10 @@ func seedRecords() []*Record {
 		{Root: NewScaffoldAggregate().AppendChild(NewProxy(records.RID{Page: 5, Slot: 1})).AppendChild(NewTextLiteral("tail"))},
 		{Root: NewAggregate(lSpeech).AppendChild(NewAggregate(lLine).AppendChild(NewTextLiteral(string(bytes.Repeat([]byte("long "), 40)))))},
 		{Root: wide},
+		{Root: NewAggregate(lSpeech).
+			AppendChild(NewAggregate(lLine).AppendChild(NewTextLiteral("Rosencrantz & Guildenstern"))).
+			AppendChild(NewTextLiteral("if a < b, then b > a")).
+			AppendChild(NewAggregate(lLine).AppendChild(NewTextLiteral("no markup here")))},
 	}
 	rng := rand.New(rand.NewSource(7))
 	for len(seeds) < 30 {

@@ -1,132 +1,226 @@
 package noderep
 
 import (
+	"sync"
+
 	"natix/internal/dict"
 	"natix/internal/records"
+	"natix/internal/xmlkit"
 )
 
 // Reading a record where it lies. A stored image lists its nodes in
 // pre-order: an embedded node is its header — its type and, unless it is
 // a proxy, its size — and then its content, and an aggregate's content
-// is its children, header and content, back to back. So an aggregate's
-// first child is the header at the start of its content, a node's next
-// sibling the header behind its content, and a pre-order walk one pass
-// over the headers. Image
-// reads nodes that way, with no Node in sight: the query path resolves
-// postings, navigates and reads text and markup out of the image bytes,
-// and only the write path decodes (Decode). The image is a string: what
+// is its children, header and content, back to back. OpenImage reads
+// every header once, with all of readHeader's checks, and records what it
+// read in the image's node table: per node, in pre-order, its content
+// bounds, its type, its fused mark, the index of the node behind its
+// subtree and whether its text needs escaping; and the facade order,
+// facade index to node. Reading then steps by index and re-reads no
+// header: an aggregate's first child is the node behind it, a node's next
+// sibling the index it stores, the nodes of a subtree the indexes up to
+// the one behind it, and a facade index one load. The query path
+// resolves postings, navigates and reads text and markup this way, with
+// no Node in sight; only the write path decodes (Decode) or splices
+// (Splice), and neither builds a table. The image is a string: what
 // Image reads out of it — a payload, a fused element's text — is a
 // substring, which shares the image's memory and needs no copy to outlive
 // the read.
 //
-// Every read checks the header it reaches — the type index against the
-// table, the content against the image's end and against the content
-// enclosing it — and reports ErrCorruptRecord rather than reading past
-// the buffer, so no image makes Image panic or loop. Decode holds an
-// image to more than that (every table entry cited, every text-only
-// element fused); on an image Decode accepts, both read the same nodes.
+// OpenImage refuses an image with any header it would refuse mid-walk —
+// a type index outside the table, content that crosses the image's end
+// or the content enclosing it, a size not in its shortest form — so no
+// image it accepts makes Image panic or loop. Decode holds an image to
+// more than that (every table entry cited, every text-only element
+// fused); on an image Decode accepts, both read the same nodes.
 
-// Image is a record image opened for reading in place. It keeps the
-// string it was opened on.
+// maxImageSize bounds the images OpenImage accepts, so that every offset
+// into one fits the 15 bits a table word leaves beside its flag. A record
+// lies in one page and pagedev.MaxPageSize is 32 KB, so a stored image is
+// always shorter.
+const maxImageSize = 1<<15 - 1
+
+// A node's table entry is entryWords words.
+const (
+	eStart = iota // content start; topBit: the node is fused
+	eEnd          // content end; topBit: the text is clean
+	eNext         // index of the node behind the subtree
+	eType         // type-table index
+	entryWords
+
+	offMask = 1<<15 - 1
+	topBit  = 1 << 15 // in a facade word: the text of the fused element
+)
+
+// Image is a record image opened for reading in place: the string it was
+// opened on and its node table.
 type Image struct {
 	buf   string
-	wide  bool // two-byte type indexes
-	types int  // type-table entries
-	root  int  // offset of the standalone header
+	types int      // type-table entries
+	nodes int      // nodes in the table
+	table []uint16 // nodes entries of entryWords words, then one word per facade
 }
 
-// ImageNode is one node read out of an image: its type and where its
-// content lies. The text of a fused element — the second of the two
-// nodes Decode expands it into — is an ImageNode of its own (ToText).
-// The readers fill an ImageNode in place, where its user keeps it.
+// ImageNode is one node read out of an image: its type, where its content
+// lies and where it stands in the image's node table. The text of a fused
+// element — the second of the two nodes Decode expands it into — is an
+// ImageNode of its own (ToText), at its element's index. The readers fill
+// an ImageNode in place, where its user keeps it.
 type ImageNode struct {
 	Start, End int32 // content: payload, proxy target, children, or a fused element's text
+	Index      int32 // the node's place in the table, in pre-order
+	Next       int32 // the index behind the node's subtree
 	Label      dict.LabelID
 	Kind       Kind
 	LitType    LitType // literals only
 	Scaffold   bool
 	Fused      bool // a text-only element: its content is its text's payload
+	Clean      bool // a literal's or fused element's payload holds no '<', '>' or '&'
 }
 
-// OpenImage reads the record header of buf: the version, its flags, and
-// the type table and standalone header, which must lie inside buf. The
-// nodes are checked as they are read.
-//
-//natix:noalloc
-func OpenImage(buf string) (Image, error) {
-	if len(buf) < recHeaderSize+StandaloneHeaderSize || buf[0] != FormatVersion || buf[1]&^(rootFusedFlag|wideFlag) != 0 {
-		return Image{}, ErrCorruptRecord
+// tableScratch is where OpenImage builds a table before it knows its size.
+type tableScratch struct{ nodes, facades []uint16 }
+
+var scratchPool = sync.Pool{New: func() any { return new(tableScratch) }}
+
+// OpenImage reads the record header of buf and every node header behind
+// it, refusing the image with ErrCorruptRecord on the first it would not
+// read, and returns the image with its node table, built in one
+// allocation of its exact size.
+func OpenImage(buf string) (*Image, error) {
+	if len(buf) < recHeaderSize+StandaloneHeaderSize || len(buf) > maxImageSize ||
+		buf[0] != FormatVersion || buf[1]&^(rootFusedFlag|wideFlag) != 0 {
+		return nil, ErrCorruptRecord
 	}
-	im := Image{buf: buf, wide: buf[1]&wideFlag != 0, types: u16(buf[2:])}
-	im.root = recHeaderSize + ttEntrySize*im.types
-	if im.root+StandaloneHeaderSize > len(buf) || im.wide != (im.types > narrowTypes) {
-		return Image{}, ErrCorruptRecord
+	wide, types := buf[1]&wideFlag != 0, u16(buf[2:])
+	root := recHeaderSize + ttEntrySize*types
+	if root+StandaloneHeaderSize > len(buf) || wide != (types > narrowTypes) {
+		return nil, ErrCorruptRecord
 	}
+	sc := scratchPool.Get().(*tableScratch)
+	defer scratchPool.Put(sc)
+	if !index(sc, buf, wide, types, root) {
+		return nil, ErrCorruptRecord
+	}
+	im := &Image{buf: buf, types: types, nodes: len(sc.nodes) / entryWords}
+	im.table = make([]uint16, len(sc.nodes)+len(sc.facades))
+	copy(im.table[copy(im.table, sc.nodes):], sc.facades)
 	return im, nil
+}
+
+// index walks the image buf, whose standalone header is at root, in
+// pre-order and appends the table entry of every node to sc.nodes and its
+// facades to sc.facades. It reports false on the first header it cannot
+// read, and keeps what it appended in sc only when it read them all. An
+// aggregate's next word links to the aggregate enclosing it (plus one; 0
+// for none) until its content has been walked.
+func index(sc *tableScratch, buf string, wide bool, types, root int) bool {
+	nodes, facades := sc.nodes[:0], sc.facades[:0]
+	ti := u16(buf[root:])
+	if ti >= types {
+		return false
+	}
+	h := header{ti: ti, kf: buf[recHeaderSize+ttEntrySize*ti], fused: buf[1]&rootFusedFlag != 0,
+		start: root + StandaloneHeaderSize, cs: len(buf) - root - StandaloneHeaderSize}
+	switch kind := Kind(h.kf & kindMask); {
+	case kind == KindInvalid,
+		kind == KindProxy && h.cs != records.RIDSize,
+		h.fused && (kind != KindAggregate || h.kf&scaffoldFlag != 0):
+		return false
+	}
+	parent := -1 // the innermost aggregate whose content is being walked
+	for {
+		i := len(nodes) / entryWords
+		start, end := uint16(h.start), uint16(h.end())
+		kind := Kind(h.kf & kindMask)
+		if h.fused {
+			start |= topBit
+		}
+		if (kind == KindLiteral || h.fused) && xmlkit.IsCleanText(buf[h.start:h.end()]) {
+			end |= topBit
+		}
+		nodes = append(nodes, start, end, uint16(i+1), uint16(h.ti))
+		if kind == KindLiteral || kind == KindAggregate && h.kf&scaffoldFlag == 0 {
+			facades = append(facades, uint16(i))
+			if h.fused {
+				facades = append(facades, uint16(i)|topBit)
+			}
+		}
+		p := h.end()
+		if h.aggregate() {
+			nodes[i*entryWords+eNext], parent, p = uint16(parent+1), i, h.start
+		}
+		// Close every aggregate whose content ends here.
+		for parent >= 0 && p == int(nodes[parent*entryWords+eEnd]&offMask) {
+			e := nodes[parent*entryWords:]
+			parent, e[eNext] = int(e[eNext])-1, uint16(len(nodes)/entryWords)
+		}
+		if parent < 0 {
+			sc.nodes, sc.facades = nodes, facades
+			return true
+		}
+		if !readHeader(buf, wide, types, p, int(nodes[parent*entryWords+eEnd]&offMask), &h) {
+			return false
+		}
+	}
 }
 
 // Data returns the image Image was opened on.
 func (im *Image) Data() string { return im.buf }
 
-// Root reads the record's standalone root, whose content runs to the end
-// of the image, into n.
+// Footprint returns the bytes the image and its table take.
+func (im *Image) Footprint() int { return len(im.buf) + 2*len(im.table) }
+
+// Node reads node i of the table into n: node 0 is the record's
+// standalone root, whose content runs to the end of the image, and the
+// nodes of any subtree are the indexes from its root up to its Next.
 //
 //natix:noalloc
-func (im *Image) Root(n *ImageNode) error {
-	ti := u16(im.buf[im.root:])
-	if ti >= im.types {
-		return ErrCorruptRecord
+func (im *Image) Node(n *ImageNode, i int) {
+	e := im.table[i*entryWords : i*entryWords+entryWords]
+	t := im.buf[recHeaderSize+ttEntrySize*int(e[eType]):]
+	t = t[:ttEntrySize]
+	n.Start, n.End = int32(e[eStart]&offMask), int32(e[eEnd]&offMask)
+	n.Index, n.Next = int32(i), int32(e[eNext])
+	n.Kind, n.LitType = Kind(t[0]&kindMask), 0
+	if n.Kind == KindLiteral {
+		n.LitType = LitType(t[3])
 	}
-	start, end, fused := im.root+StandaloneHeaderSize, len(im.buf), im.buf[1]&rootFusedFlag != 0
-	im.fill(n, ti, start, end, fused)
-	switch {
-	case n.Kind == KindInvalid,
-		n.Kind == KindProxy && end-start != records.RIDSize,
-		fused && (n.Kind != KindAggregate || n.Scaffold):
-		return ErrCorruptRecord
-	}
-	return nil
+	n.Label = dict.LabelID(u16(t[1:]))
+	n.Scaffold = t[0]&scaffoldFlag != 0
+	n.Fused, n.Clean = e[eStart]&topBit != 0, e[eEnd]&topBit != 0
 }
 
-// Child reads the embedded node whose header is at off, inside content
-// that ends at end, into n: the first child of an aggregate p is
-// Child(p.Start, p.End) when p.Start < p.End, and the sibling behind
-// child c is Child(c.End, p.End) when c.End < p.End.
+// Facade reads facade node idx into n and reports false, leaving n as it
+// was, when the image has no such node. The facade nodes are the nodes a
+// facade index counts: literals and facade aggregates in pre-order, the
+// text of a fused element right behind it.
 //
 //natix:noalloc
-func (im *Image) Child(n *ImageNode, off, end int) error {
-	if off < im.root+StandaloneHeaderSize || end > len(im.buf) {
-		return ErrCorruptRecord
+func (im *Image) Facade(n *ImageNode, idx int) bool {
+	f := im.table[im.nodes*entryWords:]
+	if idx < 0 || idx >= len(f) {
+		return false
 	}
-	var h header
-	if !readHeader(im.buf, im.wide, im.types, off, end, &h) {
-		return ErrCorruptRecord
+	w := f[idx]
+	im.Node(n, int(w&offMask))
+	if w&topBit != 0 {
+		n.ToText()
 	}
-	im.fill(n, h.ti, h.start, h.end(), h.fused)
-	return nil
+	return true
 }
 
-// ChildHas reports whether a node stored in the aggregate content
-// [off, end) — a child, not a deeper node — has a type pred accepts. It
-// reads the headers and their types only; Child checks the rest when
-// the nodes are read.
+// ChildHas reports whether a node stored in n's content — a child, not a
+// deeper node — has a type pred accepts.
 //
 //natix:noalloc
-func (im *Image) ChildHas(off, end int, pred func(Kind, dict.LabelID) bool) (bool, error) {
-	if end > len(im.buf) || off < im.root+StandaloneHeaderSize && off < end {
-		return false, ErrCorruptRecord
-	}
-	var h header
-	for off < end {
-		if !readHeader(im.buf, im.wide, im.types, off, end, &h) {
-			return false, ErrCorruptRecord
+func (im *Image) ChildHas(n *ImageNode, pred func(Kind, dict.LabelID) bool) bool {
+	for i := int(n.Index) + 1; i < int(n.Next); i = int(im.table[i*entryWords+eNext]) {
+		if pred(im.typeAt(int(im.table[i*entryWords+eType]))) {
+			return true
 		}
-		if pred(im.typeAt(h.ti)) {
-			return true, nil
-		}
-		off = h.end()
 	}
-	return false, nil
+	return false
 }
 
 // TableHas reports whether the image's type table holds a type pred
@@ -148,19 +242,6 @@ func (im *Image) typeAt(i int) (Kind, dict.LabelID) {
 	e := im.buf[recHeaderSize+ttEntrySize*i:]
 	e = e[:ttEntrySize]
 	return Kind(e[0] & kindMask), dict.LabelID(u16(e[1:]))
-}
-
-// fill sets n to a node of type-table entry ti, ti < im.types.
-func (im *Image) fill(n *ImageNode, ti, start, end int, fused bool) {
-	e := im.buf[recHeaderSize+ttEntrySize*ti:]
-	e = e[:ttEntrySize]
-	n.Start, n.End = int32(start), int32(end)
-	n.Kind, n.LitType = Kind(e[0]&kindMask), 0
-	if n.Kind == KindLiteral {
-		n.LitType = LitType(e[3])
-	}
-	n.Label = dict.LabelID(u16(e[1:]))
-	n.Scaffold, n.Fused = e[0]&scaffoldFlag != 0, fused
 }
 
 // ToText turns a fused element n into its text: a facade #text string
@@ -185,88 +266,4 @@ func (im *Image) Target(n *ImageNode) (records.RID, error) {
 		return records.NilRID, ErrCorruptRecord
 	}
 	return rid, nil
-}
-
-// Facades is the pre-order walk over the facade nodes of an image — the
-// enumeration a facade index counts in. A proxy is a leaf of the walk,
-// so it never leaves the record. Advance steps from header to header
-// reading only what it must to tell a facade node and find the next
-// header, and keeps that much of the node it stops on for Node.
-type Facades struct {
-	im         *Image
-	next       int  // offset of the next header; -1 before the root
-	ti         int  // the current node's type-table entry; -1 before the first node
-	start, end int  // the current node's content
-	text       bool // the current node is the text of the fused element before it
-	fused      bool // the current node is a fused element: its text is next
-}
-
-// Facades starts a facade walk of the image, which must stay open for
-// the walk.
-func (im *Image) Facades() Facades { return Facades{im: im, next: -1, ti: -1} }
-
-// Advance moves to the next facade node, false once the record is
-// exhausted. An error ends the walk.
-//
-//natix:noalloc
-func (f *Facades) Advance() (bool, error) {
-	if f.fused {
-		f.fused, f.text = false, true
-		return true, nil
-	}
-	f.text = false
-	im := f.im
-	buf := im.buf
-	for {
-		off := f.next
-		var h header
-		switch {
-		case off < 0:
-			off = im.root
-			h = header{ti: u16(buf[off:]), start: off + StandaloneHeaderSize, cs: len(buf) - off - StandaloneHeaderSize, fused: buf[1]&rootFusedFlag != 0}
-			if h.ti >= im.types {
-				return f.fail()
-			}
-			h.kf = buf[recHeaderSize+ttEntrySize*h.ti]
-			if kind := Kind(h.kf & kindMask); kind == KindInvalid || h.fused && (kind != KindAggregate || h.kf&scaffoldFlag != 0) {
-				return f.fail()
-			}
-		case off == len(buf):
-			f.ti = -1
-			return false, nil
-		default:
-			if !readHeader(buf, im.wide, im.types, off, len(buf), &h) {
-				return f.fail()
-			}
-		}
-		kind, scaffold := Kind(h.kf&kindMask), h.kf&scaffoldFlag != 0
-		// Into an aggregate's children, past anything else's content.
-		if f.next = h.end(); h.aggregate() {
-			f.next = h.start
-		}
-		if kind == KindLiteral || kind == KindAggregate && !scaffold {
-			f.ti, f.start, f.end, f.fused = h.ti, h.start, h.end(), h.fused
-			return true, nil
-		}
-	}
-}
-
-// fail ends the walk on a corrupt header.
-func (f *Facades) fail() (bool, error) {
-	f.next, f.ti, f.fused = len(f.im.buf), -1, false
-	return false, ErrCorruptRecord
-}
-
-// Node reads the node Advance stopped on into n.
-//
-//natix:noalloc
-func (f *Facades) Node(n *ImageNode) error {
-	if f.ti < 0 {
-		return ErrCorruptRecord
-	}
-	f.im.fill(n, f.ti, f.start, f.end, !f.text && f.fused)
-	if f.text {
-		n.ToText()
-	}
-	return nil
 }

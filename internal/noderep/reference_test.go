@@ -11,13 +11,15 @@ package noderep
 // header and no type entry. Production code only reads these formats, in
 // Upgrade; the differential tests hold the format 4 encoder against this
 // one tree for tree and size for size, and the stores of older records
-// the upgrade tests open are written with it.
+// the upgrade tests open are written with it. Behind it (refImage), the
+// in-place reader as it was before images were opened with a node table.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
 
+	"natix/internal/dict"
 	"natix/internal/records"
 )
 
@@ -209,4 +211,176 @@ func refEncodeContent(buf []byte, pos int, n *Node, hdrOff int, order []typeKey)
 	default:
 		return 0, fmt.Errorf("%w: kind %d", ErrBadNode, n.Kind)
 	}
+}
+
+// refImage is the in-place reader as it was before OpenImage built a node
+// table: every read re-reads the header it reaches — the type index
+// against the table, the content against the image's end and against the
+// content enclosing it — and reports ErrCorruptRecord rather than reading
+// past the buffer. The table is held against it node for node
+// (FuzzWalkImage).
+type refImage struct {
+	buf   string
+	wide  bool // two-byte type indexes
+	types int  // type-table entries
+	root  int  // offset of the standalone header
+}
+
+// refOpenImage reads the record header of buf: the version, its flags,
+// and the type table and standalone header, which must lie inside buf.
+func refOpenImage(buf string) (refImage, error) {
+	if len(buf) < recHeaderSize+StandaloneHeaderSize || buf[0] != FormatVersion || buf[1]&^(rootFusedFlag|wideFlag) != 0 {
+		return refImage{}, ErrCorruptRecord
+	}
+	im := refImage{buf: buf, wide: buf[1]&wideFlag != 0, types: u16(buf[2:])}
+	im.root = recHeaderSize + ttEntrySize*im.types
+	if im.root+StandaloneHeaderSize > len(buf) || im.wide != (im.types > narrowTypes) {
+		return refImage{}, ErrCorruptRecord
+	}
+	return im, nil
+}
+
+// Root reads the record's standalone root, whose content runs to the end
+// of the image, into n.
+func (im *refImage) Root(n *ImageNode) error {
+	ti := u16(im.buf[im.root:])
+	if ti >= im.types {
+		return ErrCorruptRecord
+	}
+	start, end, fused := im.root+StandaloneHeaderSize, len(im.buf), im.buf[1]&rootFusedFlag != 0
+	im.fill(n, ti, start, end, fused)
+	switch {
+	case n.Kind == KindInvalid,
+		n.Kind == KindProxy && end-start != records.RIDSize,
+		fused && (n.Kind != KindAggregate || n.Scaffold):
+		return ErrCorruptRecord
+	}
+	return nil
+}
+
+// Child reads the embedded node whose header is at off, inside content
+// that ends at end, into n: the first child of an aggregate p is
+// Child(p.Start, p.End) when p.Start < p.End, and the sibling behind
+// child c is Child(c.End, p.End) when c.End < p.End.
+func (im *refImage) Child(n *ImageNode, off, end int) error {
+	if off < im.root+StandaloneHeaderSize || end > len(im.buf) {
+		return ErrCorruptRecord
+	}
+	var h header
+	if !readHeader(im.buf, im.wide, im.types, off, end, &h) {
+		return ErrCorruptRecord
+	}
+	im.fill(n, h.ti, h.start, h.end(), h.fused)
+	return nil
+}
+
+// ChildHas reports whether a node stored in the aggregate content
+// [off, end) — a child, not a deeper node — has a type pred accepts,
+// reading the headers and their types only.
+func (im *refImage) ChildHas(off, end int, pred func(Kind, dict.LabelID) bool) (bool, error) {
+	if end > len(im.buf) || off < im.root+StandaloneHeaderSize && off < end {
+		return false, ErrCorruptRecord
+	}
+	var h header
+	for off < end {
+		if !readHeader(im.buf, im.wide, im.types, off, end, &h) {
+			return false, ErrCorruptRecord
+		}
+		e := im.buf[recHeaderSize+ttEntrySize*h.ti:]
+		if pred(Kind(e[0]&kindMask), dict.LabelID(u16(e[1:]))) {
+			return true, nil
+		}
+		off = h.end()
+	}
+	return false, nil
+}
+
+// fill sets n to a node of type-table entry ti, ti < im.types.
+func (im *refImage) fill(n *ImageNode, ti, start, end int, fused bool) {
+	e := im.buf[recHeaderSize+ttEntrySize*ti:]
+	e = e[:ttEntrySize]
+	n.Start, n.End = int32(start), int32(end)
+	n.Kind, n.LitType = Kind(e[0]&kindMask), 0
+	if n.Kind == KindLiteral {
+		n.LitType = LitType(e[3])
+	}
+	n.Label = dict.LabelID(u16(e[1:]))
+	n.Scaffold, n.Fused = e[0]&scaffoldFlag != 0, fused
+}
+
+// refFacades is the pre-order walk over the facade nodes of an image —
+// the enumeration a facade index counts in — from header to header. A
+// proxy is a leaf of the walk, so it never leaves the record.
+type refFacades struct {
+	im         *refImage
+	next       int  // offset of the next header; -1 before the root
+	ti         int  // the current node's type-table entry; -1 before the first node
+	start, end int  // the current node's content
+	text       bool // the current node is the text of the fused element before it
+	fused      bool // the current node is a fused element: its text is next
+}
+
+// Facades starts a facade walk of the image.
+func (im *refImage) Facades() refFacades { return refFacades{im: im, next: -1, ti: -1} }
+
+// Advance moves to the next facade node, false once the record is
+// exhausted. An error ends the walk.
+func (f *refFacades) Advance() (bool, error) {
+	if f.fused {
+		f.fused, f.text = false, true
+		return true, nil
+	}
+	f.text = false
+	im := f.im
+	buf := im.buf
+	for {
+		off := f.next
+		var h header
+		switch {
+		case off < 0:
+			off = im.root
+			h = header{ti: u16(buf[off:]), start: off + StandaloneHeaderSize, cs: len(buf) - off - StandaloneHeaderSize, fused: buf[1]&rootFusedFlag != 0}
+			if h.ti >= im.types {
+				return f.fail()
+			}
+			h.kf = buf[recHeaderSize+ttEntrySize*h.ti]
+			if kind := Kind(h.kf & kindMask); kind == KindInvalid || h.fused && (kind != KindAggregate || h.kf&scaffoldFlag != 0) {
+				return f.fail()
+			}
+		case off == len(buf):
+			f.ti = -1
+			return false, nil
+		default:
+			if !readHeader(buf, im.wide, im.types, off, len(buf), &h) {
+				return f.fail()
+			}
+		}
+		kind, scaffold := Kind(h.kf&kindMask), h.kf&scaffoldFlag != 0
+		// Into an aggregate's children, past anything else's content.
+		if f.next = h.end(); h.aggregate() {
+			f.next = h.start
+		}
+		if kind == KindLiteral || kind == KindAggregate && !scaffold {
+			f.ti, f.start, f.end, f.fused = h.ti, h.start, h.end(), h.fused
+			return true, nil
+		}
+	}
+}
+
+// fail ends the walk on a corrupt header.
+func (f *refFacades) fail() (bool, error) {
+	f.next, f.ti, f.fused = len(f.im.buf), -1, false
+	return false, ErrCorruptRecord
+}
+
+// Node reads the node Advance stopped on into n.
+func (f *refFacades) Node(n *ImageNode) error {
+	if f.ti < 0 {
+		return ErrCorruptRecord
+	}
+	f.im.fill(n, f.ti, f.start, f.end, !f.text && f.fused)
+	if f.text {
+		n.ToText()
+	}
+	return nil
 }

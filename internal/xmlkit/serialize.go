@@ -68,6 +68,20 @@ func load8[S ~string | ~[]byte](s S, i int) uint64 {
 		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
+// IsCleanText reports whether s holds none of the characters
+// AppendEscapedText escapes, so that it would append s unchanged.
+func IsCleanText[S ~string | ~[]byte](s S) bool {
+	for i := 0; i < len(s); i++ {
+		for i+8 <= len(s) && clean8(load8(s, i)) {
+			i += 8
+		}
+		if i < len(s) && markup[s[i]] && s[i] != '"' {
+			return false
+		}
+	}
+	return true
+}
+
 // AppendEscapedText appends character data, escaped for element
 // content, to dst.
 func AppendEscapedText[S ~string | ~[]byte](dst []byte, s S) []byte {
@@ -82,7 +96,7 @@ func AppendEscapedAttr[S ~string | ~[]byte](dst []byte, s S) []byte {
 
 // EscapeText escapes character data for element content.
 func EscapeText(s string) string {
-	if !strings.ContainsAny(s, "<>&") {
+	if IsCleanText(s) {
 		return s
 	}
 	return string(appendEscaped(make([]byte, 0, len(s)+8), s, false))

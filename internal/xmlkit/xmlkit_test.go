@@ -324,9 +324,13 @@ func escapeByByte(s string, attr bool) string {
 }
 
 // checkEscape holds appendEscaped to escapeByByte on s, as a string and
-// as a byte slice, appended behind a prefix and to nothing.
+// as a byte slice, appended behind a prefix and to nothing, and
+// IsCleanText to whether escaping s as text changes it.
 func checkEscape(t *testing.T, s string) {
 	t.Helper()
+	if clean := escapeByByte(s, false) == s; IsCleanText(s) != clean || IsCleanText([]byte(s)) != clean {
+		t.Fatalf("IsCleanText(%q) = %v, want %v", s, !clean, clean)
+	}
 	for _, attr := range []bool{false, true} {
 		want := escapeByByte(s, attr)
 		if got := string(appendEscaped([]byte("x"), s, attr)); got != "x"+want {

@@ -550,3 +550,66 @@ func TestHeldTextOutlivesItsRecord(t *testing.T) {
 	}
 	same("after the document is deleted")
 }
+
+// TestImageCacheBytes: core.image_cache_bytes is what the record cache
+// holds — every cached image's bytes and its node table's. After a cache
+// clear it reads 0; after one export of a document, which reads each of
+// its records once, it reads the sum over the document's records, and
+// the tables take less than the images.
+func TestImageCacheBytes(t *testing.T) {
+	db, err := Open(Options{PageSize: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.ImportXML("play", strings.NewReader(smallPlayXML())); err != nil {
+		t.Fatal(err)
+	}
+	gauge := func() int64 {
+		t.Helper()
+		m, err := db.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, ok := m.Counters["core.image_cache_bytes"]
+		if !ok {
+			t.Fatal("core.image_cache_bytes not registered")
+		}
+		return n
+	}
+	trees := db.store.Trees()
+	trees.InvalidateCache()
+	if n := gauge(); n != 0 {
+		t.Fatalf("after a cache clear the image cache holds %d bytes", n)
+	}
+	if err := db.ExportXML("play", io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	cached := gauge() // before the record walk below, which reads through the cache too
+	info, err := db.store.Lookup("play")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var images, tables, recs int64
+	if err := trees.OpenTree(info.Root).WalkRecords(func(rid records.RID, _ *noderep.Record) error {
+		buf, _, err := trees.Records().ReadString(rid)
+		if err != nil {
+			return err
+		}
+		im, err := noderep.OpenImage(buf)
+		if err != nil {
+			return err
+		}
+		images, tables, recs = images+int64(len(buf)), tables+int64(im.Footprint()-len(buf)), recs+1
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if recs < 2 {
+		t.Fatalf("the document has %d records; the test wants several", recs)
+	}
+	if cached != images+tables || tables >= images {
+		t.Fatalf("after an export the image cache holds %d bytes; the %d records' images take %d and their tables %d",
+			cached, recs, images, tables)
+	}
+}
