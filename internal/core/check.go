@@ -33,38 +33,57 @@ func (t *Tree) UpgradeRecords() (int, error) {
 	s := t.store
 	var buf []byte
 	upgraded := 0
-	err := s.walkRecordsWith(t.rootRID, func(rid records.RID) (*noderep.Record, error) {
+	err := s.walkRecordsWith(t.rootRID, func(rid records.RID, todo []records.RID) ([]records.RID, error) {
 		var err error
 		if buf, err = s.rm.ReadInto(rid, buf[:0]); err != nil {
-			return nil, err
+			return todo, err
 		}
 		rec, img, err := noderep.Upgrade(buf)
 		if err != nil {
-			return nil, fmt.Errorf("record %s: %w", rid, err)
+			return todo, fmt.Errorf("record %s: %w", rid, err)
 		}
 		if img != nil {
 			if err := s.rm.Update(rid, img); err != nil {
-				return nil, fmt.Errorf("record %s: %w", rid, err)
+				return todo, fmt.Errorf("record %s: %w", rid, err)
 			}
-			s.forget(rid)
+			s.cache.remove(rid)
 			upgraded++
 		}
-		return rec, nil
-	}, func(records.RID, *noderep.Record) error { return nil })
+		return appendTargets(todo, rec), nil
+	})
 	return upgraded, err
 }
 
 // walkRecords is WalkRecords from record root down.
 func (s *Store) walkRecords(root records.RID, fn func(records.RID, *noderep.Record) error) error {
 	var buf []byte
-	return s.walkRecordsWith(root, func(rid records.RID) (*noderep.Record, error) {
-		return s.decodeImage(rid, &buf)
-	}, fn)
+	return s.walkRecordsWith(root, func(rid records.RID, todo []records.RID) ([]records.RID, error) {
+		rec, err := s.decodeImage(rid, &buf)
+		if err == nil {
+			err = fn(rid, rec)
+		}
+		if err != nil {
+			return todo, err
+		}
+		return appendTargets(todo, rec), nil
+	})
 }
 
-// walkRecordsWith is the record-graph walk from record root down, each
-// record read by read.
-func (s *Store) walkRecordsWith(root records.RID, read func(records.RID) (*noderep.Record, error), fn func(records.RID, *noderep.Record) error) error {
+// appendTargets appends the targets of rec's proxies, in pre-order.
+func appendTargets(todo []records.RID, rec *noderep.Record) []records.RID {
+	rec.Root.Walk(func(n *noderep.Node) bool {
+		if n.Kind == noderep.KindProxy {
+			todo = append(todo, n.Target)
+		}
+		return true
+	})
+	return todo
+}
+
+// walkRecordsWith is the record-graph walk from record root down: visit
+// reads each record and appends the records its proxies point to, in the
+// order of the proxies.
+func (s *Store) walkRecordsWith(root records.RID, visit func(rid records.RID, todo []records.RID) ([]records.RID, error)) error {
 	seen := make(map[records.RID]bool)
 	todo := []records.RID{root}
 	for len(todo) > 0 {
@@ -74,21 +93,12 @@ func (s *Store) walkRecordsWith(root records.RID, read func(records.RID) (*noder
 			return fmt.Errorf("record %s reachable twice", rid)
 		}
 		seen[rid] = true
-		rec, err := read(rid)
-		if err != nil {
-			return err
-		}
-		if err := fn(rid, rec); err != nil {
+		mark := len(todo)
+		var err error
+		if todo, err = visit(rid, todo); err != nil {
 			return err
 		}
 		// Stacked last to first, so the first proxy's record comes next.
-		mark := len(todo)
-		rec.Root.Walk(func(n *noderep.Node) bool {
-			if n.Kind == noderep.KindProxy {
-				todo = append(todo, n.Target)
-			}
-			return true
-		})
 		slices.Reverse(todo[mark:])
 	}
 	return nil

@@ -18,41 +18,45 @@ func (t *Tree) Delete(path Path) error {
 		return ErrIsRoot
 	}
 	s := t.store
-	parentRef, err := t.Locate(path[:len(path)-1])
-	if err != nil {
+	var parent wnode
+	if err := s.locate(t.rootRID, path[:len(path)-1], &parent); err != nil {
 		return err
 	}
-	entries, err := s.childEntries(parentRef)
-	if err != nil {
-		return err
-	}
+	v := s.views[0]
+	entries, _, err := s.childEntries(&parent)
 	idx := path[len(path)-1]
-	if idx < 0 || idx >= len(entries) {
-		return fmt.Errorf("%w: %s (index %d of %d)", ErrBadPath, path, idx, len(entries))
+	if err == nil && (idx < 0 || idx >= len(entries)) {
+		err = fmt.Errorf("%w: %s (index %d of %d)", ErrBadPath, path, idx, len(entries))
+	}
+	if err != nil {
+		v.Done()
+		return err
 	}
 	e := entries[idx]
 	ctx := newOpCtx(t)
 
 	// Free all records hanging below the removed subtree.
-	victim := e.ref.node
-	if e.ref.rid != e.slot.rid {
+	if e.rid != e.slot.rid {
 		// The child is the standalone root of its own record: the whole
 		// record tree goes.
-		if err := s.deleteRecordTree(e.ref.rid); err != nil {
+		v.Done()
+		if err := s.deleteRecordTree(e.rid); err != nil {
 			return err
 		}
-		ctx.drop(e.ref.rid)
+		ctx.drop(e.rid)
 	} else {
-		// Embedded: free record trees referenced from inside the subtree.
+		// Embedded: free record trees referenced from inside the subtree,
+		// found by walking its bytes.
+		targets, err := s.proxiesBelow(v, parent.rid, &e)
+		if err != nil {
+			return err
+		}
 		var firstErr error
-		victim.Walk(func(n *noderep.Node) bool {
-			if n.Kind == noderep.KindProxy {
-				if err := s.deleteRecordTree(n.Target); err != nil && firstErr == nil {
-					firstErr = err
-				}
+		for _, target := range targets {
+			if err := s.deleteRecordTree(target); err != nil && firstErr == nil {
+				firstErr = err
 			}
-			return true
-		})
+		}
 		if firstErr != nil {
 			return firstErr
 		}
@@ -71,41 +75,62 @@ func (t *Tree) Delete(path Path) error {
 	return nil
 }
 
+// proxiesBelow lists the targets of the proxies inside the embedded child
+// e, in pre-order, into the store's scratch, and ends v, the view of
+// record held. e lies in held when it is a child of the parent's own
+// record; a child of a scaffold record is read again, unchanged since
+// childEntries read it.
+func (s *Store) proxiesBelow(v *records.View, held records.RID, e *childEntry) ([]records.RID, error) {
+	if e.slot.rid != held {
+		v.Done()
+		if err := s.rm.View(e.slot.rid, v); err != nil {
+			return nil, err
+		}
+	}
+	var ok bool
+	s.targets, ok = noderep.AppendProxies(v.Body(), &e.span, s.targets[:0])
+	v.Done()
+	if !ok {
+		return nil, corrupt(e.slot.rid)
+	}
+	return s.targets, nil
+}
+
 // removePhysical deletes the child at the given slot and rewrites (or
 // cleans up) the containing record.
-func (s *Store) removePhysical(slot physPos, ctx *opCtx) error {
-	rec := slot.rec
-	slot.parent.RemoveChild(slot.idx)
-
-	// A scaffolding record whose root lost all children carries no
+func (s *Store) removePhysical(sl slot, ctx *opCtx) error {
+	// A scaffolding record whose root loses its only child carries no
 	// information: delete it and remove its proxy from its parent.
-	if len(rec.Root.Children) == 0 && rec.Root.Scaffold && !rec.ParentRID.IsNil() {
-		parentRID := rec.ParentRID
-		if err := s.deleteRecord(slot.rid); err != nil {
+	if sl.solo && !sl.up.IsNil() {
+		if err := s.deleteRecord(sl.rid); err != nil {
 			return err
 		}
-		ctx.drop(slot.rid)
-		parentRec, err := s.loadRecord(parentRID)
+		ctx.drop(sl.rid)
+		up, err := s.proxySlot(sl.up, sl.rid)
 		if err != nil {
 			return err
 		}
-		pp, pi, err := findProxySlot(parentRec.Root, slot.rid)
-		if err != nil {
-			return err
-		}
-		return s.removePhysical(physPos{rid: parentRID, rec: parentRec, parent: pp, idx: pi}, ctx)
+		return s.removePhysical(up, ctx)
 	}
-	if ok, err := s.spliceRecord(slot, nil); ok || err != nil {
+	rec, edited, err := s.edit(sl, nil)
+	if err != nil || rec == nil {
 		return err
 	}
-	return s.writeRecord(slot.rid, rec)
+	if !edited {
+		parent, err := nodeAt(rec, sl.path)
+		if err != nil || sl.idx >= len(parent.Children) {
+			return fmt.Errorf("record %s: no physical child %d at %v", sl.rid, sl.idx, sl.path)
+		}
+		parent.RemoveChild(sl.idx)
+	}
+	return s.writeRecord(sl.rid, rec)
 }
 
 // tryMerge folds the record rid into its parent record if their combined
 // content fits comfortably on a page.
 func (t *Tree) tryMerge(rid records.RID) error {
 	s := t.store
-	rec, err := s.loadRecord(rid)
+	rec, _, err := s.loadRecord(rid)
 	if err != nil {
 		// The record may already be gone (scaffold cleanup); not an error.
 		return nil
@@ -114,7 +139,7 @@ func (t *Tree) tryMerge(rid records.RID) error {
 		return nil
 	}
 	parentRID := rec.ParentRID
-	parentRec, err := s.loadRecord(parentRID)
+	parentRec, parentBody, err := s.loadRecord(parentRID)
 	if err != nil {
 		return err
 	}
@@ -143,7 +168,7 @@ func (t *Tree) tryMerge(rid records.RID) error {
 		return err
 	}
 	ctx.drop(rid)
-	if err := s.afterPlacement(parentRID, parentRec, spliced, ctx); err != nil {
+	if err := s.afterPlacement(parentRID, parentBody.Page, parentRec, spliced, ctx); err != nil {
 		return err
 	}
 	return ctx.apply()

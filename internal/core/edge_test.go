@@ -343,7 +343,7 @@ func TestSeparatorSpecialCaseSingleProxy(t *testing.T) {
 	var audit func(rid records.RID) error
 	var badRecords int
 	audit = func(rid records.RID) error {
-		rec, err := s.loadRecord(rid)
+		rec, err := refLoadRecord(s, rid)
 		if err != nil {
 			return err
 		}
@@ -429,7 +429,7 @@ func TestRecordAtExactCapacity(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rec, err := s.loadRecord(tr.RootRID())
+		rec, err := refLoadRecord(s, tr.RootRID())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -460,7 +460,7 @@ func TestRecordAtExactCapacity(t *testing.T) {
 		// Every stored image equals a fresh encode of its cached tree.
 		var walk func(rid records.RID)
 		walk = func(rid records.RID) {
-			rec, err := s.loadRecord(rid)
+			rec, err := refLoadRecord(s, rid)
 			if err != nil {
 				t.Fatal(err)
 			}

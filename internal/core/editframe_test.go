@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"natix/internal/buffer"
@@ -114,28 +116,79 @@ func mixedMatrix() *SplitMatrix {
 	return m
 }
 
+// twinEdits runs edits on twin logged stores — the production path,
+// which reads the records it passes where they lie and splices the image
+// it changes inside the record's one pinned, latched frame, and the
+// decoded reference with the given splice — and after every edit holds
+// the two to the same page images and the same log, byte for byte.
+type twinEdits struct {
+	t      *testing.T
+	stores [2]*loggedStore
+	trees  [2]*Tree
+	splice refSplice
+}
+
+func newTwinEdits(t *testing.T, page int, cfg func() Config, root dict.LabelID, splice refSplice) *twinEdits {
+	tw := &twinEdits{t: t, splice: splice}
+	for i := range tw.stores {
+		tw.stores[i] = newLoggedStore(t, page, cfg())
+		tw.stores[i].op(t, "create-tree", func() (err error) {
+			tw.trees[i], err = tw.stores[i].CreateTree(root)
+			return err
+		})
+	}
+	return tw
+}
+
+func (tw *twinEdits) edit(kind string, prod, ref func(*Tree) error) {
+	tw.t.Helper()
+	tw.stores[1].op(tw.t, kind, func() error { return ref(tw.trees[1]) })
+	tw.stores[0].op(tw.t, kind, func() error { return prod(tw.trees[0]) })
+	tw.stores[0].sameAs(tw.t, tw.stores[1], kind)
+}
+
+func (tw *twinEdits) insert(kind string, path Path, idx int, node func() *noderep.Node) {
+	tw.t.Helper()
+	tw.edit(kind, func(tr *Tree) error { return tr.InsertChild(path, idx, node()) },
+		func(tr *Tree) error { return refInsertChild(tr, path, idx, node(), tw.splice) })
+}
+
+func (tw *twinEdits) delete(kind string, path Path) {
+	tw.t.Helper()
+	tw.edit(kind, func(tr *Tree) error { return tr.Delete(path) },
+		func(tr *Tree) error { return refDelete(tr, path, tw.splice) })
+}
+
+// done checks the production tree and that both stores took the same
+// paths: the same records spliced, rewritten and split.
+func (tw *twinEdits) done() Stats {
+	tw.t.Helper()
+	if err := tw.trees[0].CheckInvariants(); err != nil {
+		tw.t.Fatal(err)
+	}
+	ps, rs := tw.stores[0].Stats(), tw.stores[1].Stats()
+	if ps.RecordsSpliced == 0 || ps.RecordsSpliced != rs.RecordsSpliced || ps.RecordsRewritten != rs.RecordsRewritten || ps.Splits != rs.Splits {
+		tw.t.Fatalf("counters %+v, reference %+v", ps, rs)
+	}
+	return ps
+}
+
 // TestSpliceInFrameMatchesReadIntoSplice builds a corpus play node by
 // node in binary-tree BFS order (corpus.BinaryBFSOps), deleting and
 // re-inserting a seeded few of the nodes it adds, on twin logged stores:
 // the production path, which computes and applies each node edit inside
 // the record's one pinned, latched frame (records.Manager.Edit), and the
-// path it replaced, which read the image out with ReadInto and handed the
-// splice to records.Manager.Splice (refSpliceRecord). Under the four
-// split-matrix settings and pages of 512 and 8192 bytes, after every edit
-// the two stores hold the same page images and the same log, byte for
-// byte.
+// decoded reference with the splice the in-frame one replaced, which read
+// the image out with ReadInto and handed it to records.Manager.Splice
+// (refSpliceRecord). Under the four split-matrix settings and pages of
+// 512 and 8192 bytes, after every edit the two stores hold the same page
+// images and the same log, byte for byte.
 func TestSpliceInFrameMatchesReadIntoSplice(t *testing.T) {
 	play := corpus.GeneratePlay(corpus.SmallSpec(1), 0)
 	ops := corpus.BinaryBFSOps(play)
 	labels := map[string]dict.LabelID{}
 	for i, name := range corpus.ElementNames {
 		labels[name] = dict.LabelID(3 + i)
-	}
-	node := func(op corpus.InsertOp) *noderep.Node {
-		if op.IsText {
-			return noderep.NewTextLiteral(op.Text)
-		}
-		return noderep.NewAggregate(labels[op.Name])
 	}
 	for _, page := range []int{512, 8192} {
 		for _, m := range []struct {
@@ -148,45 +201,90 @@ func TestSpliceInFrameMatchesReadIntoSplice(t *testing.T) {
 			{"mixed", mixedMatrix},
 		} {
 			t.Run(fmt.Sprintf("%s-%d", m.name, page), func(t *testing.T) {
-				var trees [2]*Tree
-				var stores [2]*loggedStore
-				for i := range stores {
-					stores[i] = newLoggedStore(t, page, Config{Matrix: m.matrix(), CacheRecords: 64})
-					stores[i].op(t, "create-tree", func() (err error) {
-						trees[i], err = stores[i].CreateTree(labels[play.Name])
-						return err
-					})
-				}
-				prod, ref := stores[0], stores[1]
-				ref.spliceHook = refSpliceRecord
-				edit := func(kind string, fn func(*Tree) error) {
-					t.Helper()
-					for i, ls := range stores {
-						ls.op(t, kind, func() error { return fn(trees[i]) })
-					}
-					prod.sameAs(t, ref, kind)
-				}
+				cfg := func() Config { return Config{Matrix: m.matrix(), CacheRecords: 64} }
+				tw := newTwinEdits(t, page, cfg, labels[play.Name], refSpliceRecord)
 				rng := rand.New(rand.NewSource(int64(page)))
 				deletes := 0
 				for i, op := range ops {
-					insert := func(tr *Tree) error { return tr.InsertChild(Path(op.ParentPath), op.Index, node(op)) }
-					edit(fmt.Sprintf("insert %d", i), insert)
+					node := func() *noderep.Node {
+						if op.IsText {
+							return noderep.NewTextLiteral(op.Text)
+						}
+						return noderep.NewAggregate(labels[op.Name])
+					}
+					tw.insert(fmt.Sprintf("insert %d", i), Path(op.ParentPath), op.Index, node)
 					if rng.Intn(100) < 3 {
-						at := append(Path(op.ParentPath).Clone(), op.Index)
-						edit(fmt.Sprintf("delete %d", i), func(tr *Tree) error { return tr.Delete(at) })
-						edit(fmt.Sprintf("re-insert %d", i), insert)
+						tw.delete(fmt.Sprintf("delete %d", i), append(Path(op.ParentPath).Clone(), op.Index))
+						tw.insert(fmt.Sprintf("re-insert %d", i), Path(op.ParentPath), op.Index, node)
 						deletes++
 					}
 				}
-				if err := trees[0].CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-				ps, rs := prod.Stats(), ref.Stats()
+				ps := tw.done()
 				t.Logf("%d inserts, %d deletes: %d spliced, %d rewritten, %d splits", len(ops), deletes, ps.RecordsSpliced, ps.RecordsRewritten, ps.Splits)
-				if ps.RecordsSpliced == 0 || ps.RecordsSpliced != rs.RecordsSpliced || ps.RecordsRewritten != rs.RecordsRewritten || ps.Splits != rs.Splits {
-					t.Fatalf("counters %+v, reference %+v", ps, rs)
-				}
 			})
+		}
+	}
+}
+
+// TestImageWritePathMatchesDecoded runs a seeded script of inserts and
+// deletes anywhere in the tree — elements and texts, subtrees with the
+// records below them deleted whole — on twin logged stores: the
+// production path, which reads record images in place and decodes a
+// record only when the image cannot be spliced, and the decoded path it
+// replaced, with the same in-frame splice (refSpliceInFrame). Under both
+// split-matrix extremes, at 512- and 8192-byte pages, with and without
+// merging on delete, after every operation the two stores hold the same
+// page images and the same log, byte for byte.
+func TestImageWritePathMatchesDecoded(t *testing.T) {
+	labels := []dict.LabelID{lPlay, lAct, lScene, lSpeech, lSpeaker, lLine}
+	for _, page := range []int{512, 8192} {
+		for _, m := range []struct {
+			name   string
+			matrix func() *SplitMatrix
+		}{{"other", AllOther}, {"standalone", AllStandalone}} {
+			for _, merge := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s-%d-merge=%v", m.name, page, merge), func(t *testing.T) {
+					cfg := func() Config { return Config{Matrix: m.matrix(), CacheRecords: 64, MergeOnDelete: merge} }
+					tw := newTwinEdits(t, page, cfg, lPlay, refSpliceInFrame)
+					rng := rand.New(rand.NewSource(int64(page) + 7))
+					model := &refNode{label: lPlay}
+					ops := 600
+					if page > 512 {
+						ops = 1500
+					}
+					for op := 0; op < ops; op++ {
+						var paths []Path
+						if rng.Intn(100) < 15 && len(model.children) > 0 {
+							modelPaths(model, Path{}, false, &paths)
+							p := paths[rng.Intn(len(paths))]
+							tw.delete(fmt.Sprintf("op %d: delete %s", op, p), p)
+							parent := modelAt(model, p[:len(p)-1])
+							i := p[len(p)-1]
+							parent.children = append(parent.children[:i], parent.children[i+1:]...)
+							continue
+						}
+						modelPaths(model, Path{}, true, &paths)
+						p := paths[rng.Intn(len(paths))]
+						parent := modelAt(model, p)
+						idx := rng.Intn(len(parent.children) + 1)
+						rn := &refNode{label: labels[rng.Intn(len(labels))]}
+						if rng.Intn(2) == 0 {
+							rn = &refNode{isText: true, label: dict.Text,
+								text: fmt.Sprintf("op %d %s", op, strings.Repeat("ha", rng.Intn(page/30)))}
+						}
+						tw.insert(fmt.Sprintf("op %d: insert at %s[%d]", op, p, idx), p, idx, func() *noderep.Node { return modelNode(rn) })
+						parent.children = slices.Insert(parent.children, idx, rn)
+					}
+					ps := tw.done()
+					if got := materialize(t, tw.trees[0]); !refEqual(got, model) {
+						t.Fatal("tree differs from the model")
+					}
+					t.Logf("%d ops: %d spliced, %d rewritten, %d splits, %d records decoded", ops, ps.RecordsSpliced, ps.RecordsRewritten, ps.Splits, ps.RecordsDecoded)
+					if ps.RecordsRewritten == 0 || ps.RecordsDeleted == 0 || ps.Splits == 0 && m.name == "other" {
+						t.Fatalf("no split, fallback or record delete in the mix: %+v", ps)
+					}
+				})
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -275,7 +276,7 @@ func downgradeStore(t testing.TB, s *Store, root records.RID, version byte) (rid
 		if err := s.rm.Update(rid, old); err != nil {
 			t.Fatal(err)
 		}
-		s.forget(rid)
+		s.cache.remove(rid)
 	}
 	return rids
 }
@@ -335,10 +336,7 @@ func TestUpgradeRecords(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				size[rid] = n
-				if page[rid], err = s.rm.Touch(rid); err != nil {
-					t.Fatal(err)
-				}
+				size[rid], page[rid] = n, bodyOf(t, s, rid)
 			}
 			tr := s.OpenTree(root)
 			n, err := tr.UpgradeRecords()
@@ -353,9 +351,8 @@ func TestUpgradeRecords(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				body, err := s.rm.Touch(rid)
-				if err != nil || n > size[rid] || body != page[rid] {
-					t.Fatalf("record %s: %d bytes at %s after the upgrade, %d at %s before (err %v)", rid, n, body, size[rid], page[rid], err)
+				if body := bodyOf(t, s, rid); n > size[rid] || body != page[rid] {
+					t.Fatalf("record %s: %d bytes at %s after the upgrade, %d at %s before", rid, n, body, size[rid], page[rid])
 				}
 			}
 			if err := tr.CheckInvariants(); err != nil {
@@ -489,4 +486,61 @@ func TestBulkFillsRoomPastLargeChild(t *testing.T) {
 	if act.IsNil() || lines.IsNil() || lines.Page != act.Page {
 		t.Fatalf("the act's record at %s, the lines' at %s: want the lines in the room the act left on its page", act, lines)
 	}
+}
+
+// TestSpliceKeepsTableOrder builds, through the store, the image a splice
+// leaves out of the encoder's canonical table order: on an empty PLAY, an
+// ACT appended, a SCENE appended, then a SCENE inserted in front — a
+// splice, which keeps the table as stored (PLAY, ACT, SCENE) where the
+// encoder writes types in the order of first use (PLAY, SCENE, ACT). The
+// image decodes; a re-encode of its tree has the same length and decodes
+// to the same tree, in other bytes (FuzzDecode's claim, and its
+// splice-order seed).
+func TestSpliceKeepsTableOrder(t *testing.T) {
+	s := newStore(t, 2048, Config{CacheRecords: 64})
+	tr, err := s.CreateTree(lPlay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		idx   int
+		label dict.LabelID
+	}{{-1, lAct}, {-1, lScene}, {0, lScene}} {
+		if err := tr.InsertChild(Path{}, step.idx, noderep.NewAggregate(step.label)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.RecordsSpliced != 1 || st.RecordsRewritten != 2 {
+		t.Fatalf("%d records spliced and %d rewritten, want the last insert alone spliced", st.RecordsSpliced, st.RecordsRewritten)
+	}
+	img, err := s.rm.Read(tr.RootRID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := noderep.Decode(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := noderep.Encode(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := noderep.Decode(enc)
+	if err != nil || len(enc) != len(img) || !noderep.Equal(again.Root, rec.Root) {
+		t.Fatalf("re-encode: %d bytes of %d, decodes to the same tree: %v (%v)", len(enc), len(img), err == nil && noderep.Equal(again.Root, rec.Root), err)
+	}
+	if bytes.Equal(enc, img) {
+		t.Fatal("the spliced image is in the encoder's order: the table should be PLAY, ACT, SCENE")
+	}
+}
+
+// bodyOf returns where the body of record rid lies.
+func bodyOf(t *testing.T, s *Store, rid records.RID) records.RID {
+	t.Helper()
+	var v records.View
+	if err := s.rm.View(rid, &v); err != nil {
+		t.Fatal(err)
+	}
+	defer v.Done()
+	return v.Loc()
 }

@@ -53,7 +53,7 @@ func (ctx *opCtx) apply() error {
 
 // patchProxiesIn registers parent fixups for every proxy inside the
 // given subtrees, which have just been placed in record rid.
-func (ctx *opCtx) patchProxiesIn(rid records.RID, subtrees []*noderep.Node) {
+func (ctx *opCtx) patchProxiesIn(rid records.RID, subtrees ...*noderep.Node) {
 	for _, sub := range subtrees {
 		sub.Walk(func(n *noderep.Node) bool {
 			if n.Kind == noderep.KindProxy {
@@ -79,14 +79,18 @@ func (t *Tree) InsertChild(parentPath Path, idx int, n *noderep.Node) error {
 	if err := s.checkInsertable(n); err != nil {
 		return err
 	}
-	parent, err := t.Locate(parentPath)
-	if err != nil {
+	var parent wnode
+	if err := s.locate(t.rootRID, parentPath, &parent); err != nil {
 		return err
 	}
-	if parent.node.Kind != noderep.KindAggregate {
-		return fmt.Errorf("%w: cannot insert under %s at %s", ErrNotAggregate, parent.node.Kind, parentPath)
+	// The parent's record stays held for the edit, which most often
+	// splices it.
+	s.held = parent.rid
+	defer s.unhold()
+	if parent.span.Kind != noderep.KindAggregate {
+		return fmt.Errorf("%w: cannot insert under %s at %s", ErrNotAggregate, parent.span.Kind, parentPath)
 	}
-	entries, err := s.childEntries(parent)
+	entries, kids, err := s.childEntries(&parent)
 	if err != nil {
 		return err
 	}
@@ -97,39 +101,24 @@ func (t *Tree) InsertChild(parentPath Path, idx int, n *noderep.Node) error {
 		return fmt.Errorf("%w: insert index %d of %d at %s", ErrBadPath, idx, len(entries), parentPath)
 	}
 	ctx := newOpCtx(t)
-	cands, err := s.insertionCandidates(parent, entries, idx)
+	policy := s.cfg.Matrix.Get(parent.span.Label, n.Label)
+	cand, err := s.chooseCandidate(s.insertionCandidates(&parent, entries, kids, idx), policy, parent.rid)
 	if err != nil {
 		return err
 	}
-	policy := s.cfg.Matrix.Get(parent.node.Label, n.Label)
-	switch policy {
-	case PolicyStandalone:
+	if policy == PolicyStandalone {
 		// "x is stored as a standalone node and a proxy is inserted
 		// into y" (§3.3). Place the proxy in the parent's record when a
 		// position there is order-correct.
-		cand, err := s.chooseCandidate(cands, policy, parent.rid)
+		s.unhold()
+		childRID, err := s.storeTreeRecord(n, cand.rid, cand.body.Page, ctx)
 		if err != nil {
 			return err
 		}
-		near, err := s.pageOf(cand.rid)
-		if err != nil {
-			return err
-		}
-		childRID, err := s.storeTreeRecord(n, cand.rid, near, ctx)
-		if err != nil {
-			return err
-		}
-		if err := s.placeAt(cand, noderep.NewProxy(childRID), ctx); err != nil {
-			return err
-		}
-	default:
-		cand, err := s.chooseCandidate(cands, policy, parent.rid)
-		if err != nil {
-			return err
-		}
-		if err := s.placeAt(cand, n, ctx); err != nil {
-			return err
-		}
+		n = noderep.NewProxy(childRID)
+	}
+	if err := s.placeAt(cand, n, ctx); err != nil {
+		return err
 	}
 	return ctx.apply()
 }
@@ -165,52 +154,55 @@ func (s *Store) checkInsertable(n *noderep.Node) error {
 }
 
 // insertionCandidates enumerates the order-correct physical positions for
-// a new logical child at index idx of parent (paper figure 6: the dashed
-// arrows into ra, rb and rc).
-func (s *Store) insertionCandidates(parent NodeRef, entries []childEntry, idx int) ([]physPos, error) {
-	var cands []physPos
-	add := func(p physPos) {
-		for _, q := range cands {
-			if q.rid == p.rid && q.parent == p.parent && q.idx == p.idx {
+// a new logical child at index idx of parent, which has kids physical
+// children in its own record (paper figure 6: the dashed arrows into ra,
+// rb and rc). The list is the store's scratch.
+func (s *Store) insertionCandidates(parent *wnode, entries []childEntry, kids, idx int) []slot {
+	s.cands = s.cands[:0]
+	add := func(p slot) {
+		for i := range s.cands {
+			if s.cands[i].same(&p) {
 				return
 			}
 		}
-		cands = append(cands, p)
+		s.cands = append(s.cands, p)
 	}
+	in := func(i int) slot { return slot{rid: parent.rid, body: parent.body, path: parent.path, idx: i} }
 	switch {
 	case len(entries) == 0:
-		add(physPos{rid: parent.rid, rec: parent.rec, parent: parent.node, idx: 0})
+		add(in(0))
 	case idx == 0:
-		right := entries[0]
-		add(physPos{rid: right.slot.rid, rec: right.slot.rec, parent: right.slot.parent, idx: right.slot.idx})
+		add(entries[0].slot)
 		// Before everything in the parent's own record.
-		add(physPos{rid: parent.rid, rec: parent.rec, parent: parent.node, idx: 0})
+		add(in(0))
 	case idx == len(entries):
-		left := entries[idx-1]
-		add(physPos{rid: left.slot.rid, rec: left.slot.rec, parent: left.slot.parent, idx: left.slot.idx + 1})
+		left := entries[idx-1].slot
+		left.idx++
+		add(left)
 		// After everything in the parent's own record.
-		add(physPos{rid: parent.rid, rec: parent.rec, parent: parent.node, idx: len(parent.node.Children)})
+		add(in(kids))
 	default:
 		left, right := entries[idx-1], entries[idx]
-		add(physPos{rid: left.slot.rid, rec: left.slot.rec, parent: left.slot.parent, idx: left.slot.idx + 1})
-		add(physPos{rid: right.slot.rid, rec: right.slot.rec, parent: right.slot.parent, idx: right.slot.idx})
+		left.slot.idx++
+		add(left.slot)
+		add(right.slot)
 		if left.topIdx != right.topIdx {
 			// The boundary falls between two top-level physical children
 			// of the parent record: inserting between them there is also
 			// order-correct (record ra in figure 6).
-			add(physPos{rid: parent.rid, rec: parent.rec, parent: parent.node, idx: right.topIdx})
+			add(in(right.topIdx))
 		}
 	}
-	return cands, nil
+	return s.cands
 }
 
 // chooseCandidate picks the insertion position according to the matrix
 // policy (§3.3): ∞ prefers the parent's record, 0 places the proxy in
 // the parent's record when possible, other picks the candidate whose
-// page has the most free space.
-func (s *Store) chooseCandidate(cands []physPos, policy Policy, parentRID records.RID) (physPos, error) {
+// page has the most free space — the first, when they lie on one page.
+func (s *Store) chooseCandidate(cands []slot, policy Policy, parentRID records.RID) (slot, error) {
 	if len(cands) == 0 {
-		return physPos{}, fmt.Errorf("core: no insertion candidates")
+		return slot{}, fmt.Errorf("core: no insertion candidates")
 	}
 	if policy == PolicyCluster || policy == PolicyStandalone {
 		for _, c := range cands {
@@ -220,15 +212,14 @@ func (s *Store) chooseCandidate(cands []physPos, policy Policy, parentRID record
 		}
 	}
 	best := cands[0]
+	if !slices.ContainsFunc(cands, func(c slot) bool { return c.body.Page != best.body.Page }) {
+		return best, nil // one page: nothing to compare
+	}
 	bestFree := -1
 	for _, c := range cands {
-		p, err := s.pageOf(c.rid)
+		free, err := s.rm.PageFreeBytes(c.body.Page)
 		if err != nil {
-			return physPos{}, err
-		}
-		free, err := s.rm.PageFreeBytes(p)
-		if err != nil {
-			return physPos{}, err
+			return slot{}, err
 		}
 		if free > bestFree {
 			best, bestFree = c, free
@@ -239,94 +230,128 @@ func (s *Store) chooseCandidate(cands []physPos, policy Policy, parentRID record
 
 // placeAt inserts node at the physical position cand and runs the growth
 // procedure on the affected record.
-func (s *Store) placeAt(cand physPos, node *noderep.Node, ctx *opCtx) error {
-	if cand.parent == nil || cand.rec == nil {
-		return fmt.Errorf("core: internal error: insertion slot without parent aggregate")
-	}
-	cand.parent.InsertChild(cand.idx, node)
-	inserted := []*noderep.Node{node}
-	spliced, err := s.spliceRecord(cand, node)
-	if err != nil {
+func (s *Store) placeAt(cand slot, node *noderep.Node, ctx *opCtx) error {
+	rec, edited, err := s.edit(cand, node)
+	if err != nil || rec == nil {
+		if err == nil {
+			ctx.patchProxiesIn(cand.rid, node)
+		}
 		return err
 	}
-	if spliced {
-		ctx.patchProxiesIn(cand.rid, inserted)
-		return nil
+	parent, err := nodeAt(rec, cand.path)
+	if err != nil {
+		return fmt.Errorf("record %s: %w", cand.rid, err)
 	}
-	return s.afterPlacement(cand.rid, cand.rec, inserted, ctx)
+	if !edited {
+		parent.InsertChild(cand.idx, node)
+	}
+	return s.afterPlacement(cand.rid, cand.body.Page, rec, parent.Children[cand.idx:cand.idx+1], ctx)
 }
 
-// spliceRecord writes one edit of the record at pos.rid — node inserted
-// as child pos.idx of pos.parent, or that child removed when node is nil
-// — as a splice of the record's stored image: the common case, in which
-// the edit needs no new type-table entry and the record stays on its
-// page, costs the node's own bytes instead of a re-encode of the record
-// (noderep.Splice), and the record's page one visit: the image is copied
-// out of its page and spliced back into it inside the same pinned,
-// latched frame (records.Manager.Edit). The parsed tree pos.rec
-// must already show the edit. It reports false, with nothing written,
-// for every other case; the caller then takes the full path
-// (writeRecord, or afterPlacement and its move or split).
-func (s *Store) spliceRecord(pos physPos, node *noderep.Node) (bool, error) {
-	if s.spliceHook != nil {
-		return s.spliceHook(s, pos, node)
+// edit writes one edit of the record at sl.rid — node inserted as child
+// sl.idx of the aggregate at sl.path, or that child removed when node is
+// nil — reading and writing the record's image, never its tree. The
+// common case, in which the edit needs no new type-table entry and the
+// record stays on its page, is a splice of the stored image: it costs the
+// node's own bytes instead of a re-encode of the record
+// (noderep.Splice), and the record's page one visit — the image is
+// copied out of its page and spliced back into it inside the same
+// pinned, latched frame (records.Manager.Edit). An edited image its page
+// cannot hold, and an insert that needs new type-table entries
+// (noderep.Splice.InsertTyped), are re-encoded as images
+// (noderep.Canonical) and written whole, as a write of the decoded tree
+// would write them. In every other case — the image needs a split, or
+// the splice was refused (the removal of a type's last node, a fuse or
+// unfuse that is not one contiguous change) — it writes nothing and
+// returns the record decoded, privately: the stored image, or the edited
+// one, with edited set, when that outgrew the page. The caller then edits
+// that tree, re-encodes it and drops it (writeRecord, or afterPlacement
+// and its move or split).
+func (s *Store) edit(sl slot, node *noderep.Node) (rec *noderep.Record, edited bool, err error) {
+	e := &s.editor
+	e.path = append(append(e.path[:0], sl.path...), sl.idx)
+	e.node, e.limit = node, s.maxRecordSize()
+	var ok bool
+	if sl.rid == s.held {
+		s.held = records.NilRID
+		ok, err = s.rm.EditView(s.views[0], e)
+	} else {
+		s.unhold()
+		ok, err = s.rm.Edit(sl.rid, e)
 	}
-	e := &s.edit
-	if !e.at(pos, node, s.maxRecordSize()) {
-		return false, nil
+	if ok || err != nil {
+		if ok {
+			s.stats.recordsSpliced.Add(1)
+			s.cache.remove(sl.rid)
+		}
+		return nil, false, err
 	}
-	if ok, err := s.rm.Edit(pos.rid, e); !ok || err != nil {
-		return false, err
+	img := e.img
+	if e.spliced {
+		ok = noderep.Canonical(img)
+	} else if node != nil {
+		if img, ok = e.sp.InsertTyped(s.image, e.img, e.path, node, e.limit); ok {
+			s.image = img
+		}
 	}
-	s.stats.recordsSpliced.Add(1)
-	// A splice leaves the body on the page it lay on.
-	s.wrote(pos.rid, pos.rec, s.trees.body(pos.rid))
-	return true, nil
+	if ok {
+		return nil, false, s.rewrite(sl.rid, img)
+	}
+	s.stats.recordsDecoded.Add(1)
+	if rec, err = noderep.Decode(e.img); err != nil {
+		return nil, false, fmt.Errorf("record %s: %w", sl.rid, err)
+	}
+	return rec, e.spliced, nil
+}
+
+// unhold ends the view of the record an insert holds for its edit, if
+// it still does.
+func (s *Store) unhold() {
+	if !s.held.IsNil() {
+		s.held = records.NilRID
+		s.views[0].Done()
+	}
 }
 
 // nodeEdit is one node edit as a records.Editor: node inserted at the
 // physical path, or the node there removed when node is nil
-// (noderep.Splice).
+// (noderep.Splice). When it edits nothing img is the stored image, as
+// the editor was handed it; when the record manager could not write the
+// edit it is the edited one, and spliced is set. Both lie in the record
+// manager's buffer, valid until its next edit.
 type nodeEdit struct {
-	sp    noderep.Splice
-	path  []int
-	node  *noderep.Node
-	limit int
-}
-
-// at readies the edit of pos (see spliceRecord), reporting false when
-// pos has no physical path from its record's root.
-func (e *nodeEdit) at(pos physPos, node *noderep.Node, limit int) bool {
-	path, ok := physPath(e.path[:0], pos)
-	e.path, e.node, e.limit = path, node, limit
-	return ok
+	sp      noderep.Splice
+	path    []int
+	node    *noderep.Node
+	limit   int
+	img     []byte
+	spliced bool
 }
 
 // Edit implements records.Editor.
 func (e *nodeEdit) Edit(body []byte) ([]byte, int, []int, bool) {
-	var ok bool
+	var out []byte
 	if e.node != nil {
-		body, ok = e.sp.Insert(body, e.path, e.node, e.limit)
+		out, e.spliced = e.sp.Insert(body, e.path, e.node, e.limit)
 	} else {
-		body, ok = e.sp.Remove(body, e.path)
+		out, e.spliced = e.sp.Remove(body, e.path)
 	}
-	return body, e.sp.From, e.sp.Fields, ok
+	if e.img = body; e.spliced {
+		e.img = out
+	}
+	return out, e.sp.From, e.sp.Fields, e.spliced
 }
 
-// physPath appends to path the physical child indexes that lead from
-// the root of pos.rec to child pos.idx of pos.parent.
-func physPath(path []int, pos physPos) ([]int, bool) {
-	path = append(path, pos.idx)
-	n := pos.parent
-	for ; n.Parent != nil; n = n.Parent {
-		i := n.Parent.ChildIndex(n)
-		if i < 0 {
-			return path, false
+// nodeAt returns the node at the physical path of a decoded record.
+func nodeAt(rec *noderep.Record, path []int) (*noderep.Node, error) {
+	n := rec.Root
+	for _, i := range path {
+		if i < 0 || i >= len(n.Children) {
+			return nil, fmt.Errorf("%w: no physical child %d", noderep.ErrCorruptRecord, i)
 		}
-		path = append(path, i)
+		n = n.Children[i]
 	}
-	slices.Reverse(path)
-	return path, n == pos.rec.Root
+	return n, nil
 }
 
 // afterPlacement finishes an insertion into an existing record: if the
@@ -335,7 +360,7 @@ func physPath(path []int, pos physPos) ([]int, bool) {
 // the record is split with the new content already in place (§3.2.3:
 // "the splitting process operates as if the new node had already been
 // inserted").
-func (s *Store) afterPlacement(rid records.RID, rec *noderep.Record, inserted []*noderep.Node, ctx *opCtx) error {
+func (s *Store) afterPlacement(rid records.RID, near pagedev.PageNo, rec *noderep.Record, inserted []*noderep.Node, ctx *opCtx) error {
 	size, err := s.measure(rec)
 	if err != nil {
 		return err
@@ -344,10 +369,10 @@ func (s *Store) afterPlacement(rid records.RID, rec *noderep.Record, inserted []
 		if err := s.writeMeasured(rid, rec); err != nil {
 			return err
 		}
-		ctx.patchProxiesIn(rid, inserted)
+		ctx.patchProxiesIn(rid, inserted...)
 		return nil
 	}
-	return s.splitRecord(rid, rec, ctx)
+	return s.splitRecord(rid, near, rec, ctx)
 }
 
 // storeTreeRecord stores the subtree root as a standalone record with
@@ -365,7 +390,7 @@ func (s *Store) storeTreeRecord(root *noderep.Node, parentRID records.RID, near 
 		if err != nil {
 			return records.NilRID, err
 		}
-		ctx.patchProxiesIn(rid, []*noderep.Node{root})
+		ctx.patchProxiesIn(rid, root)
 		return rid, nil
 	}
 	// Slice a separator off the subtree's root and recurse: the

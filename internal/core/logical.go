@@ -9,14 +9,13 @@ import (
 )
 
 // NodeRef addresses one facade node of a decoded record: the record it
-// lives in plus the parsed physical node. It is the write path's address
-// (Locate, childEntries) and, through Root and Children, the decoded
-// reference the differential tests hold ReadRef to. Refs are invalidated
-// by any mutation of the tree.
+// lives in plus the decoded node, in a tree of the caller's own. Through
+// Root and Children it is the decoded reference the differential tests
+// hold the image readers and the write path to; nothing in the runtime
+// reads it. Refs are invalidated by any mutation of the tree.
 type NodeRef struct {
 	rid  records.RID
 	node *noderep.Node
-	rec  *noderep.Record // parsed record instance node belongs to
 }
 
 // RID returns the record holding the node.
@@ -50,164 +49,49 @@ func (p Path) String() string {
 // Clone returns a copy of the path.
 func (p Path) Clone() Path { return append(Path(nil), p...) }
 
-// Root returns a ref to the tree's logical root node. It reads the
-// decoded records through the writer's tree cache: like a mutating
-// operation it must not run beside one, whatever document that is on
-// (see Store).
+// Root returns a ref to the tree's logical root node, decoded into a
+// tree of the caller's own (LoadRecordForInspection).
 func (t *Tree) Root() (NodeRef, error) {
-	rec, err := t.store.loadRecord(t.rootRID)
+	rec, err := t.store.LoadRecordForInspection(t.rootRID)
 	if err != nil {
 		return NodeRef{}, err
 	}
-	return NodeRef{rid: t.rootRID, node: rec.Root, rec: rec}, nil
+	return NodeRef{rid: t.rootRID, node: rec.Root}, nil
 }
 
-// physPos locates a physical child slot: the record, the physical parent
-// aggregate inside it, and the index among that aggregate's children.
-type physPos struct {
-	rid    records.RID
-	rec    *noderep.Record // parsed record instance parent belongs to
-	parent *noderep.Node
-	idx    int
-}
-
-// childEntry is one logical child of an aggregate, with the physical slot
-// that holds it (for facade roots of other records, the slot of the proxy
-// pointing at them) and the index of the top-level physical child of the
-// parent it was reached through.
-type childEntry struct {
-	ref    NodeRef
-	slot   physPos
-	topIdx int
-}
-
-// childEntries expands the logical children of ref in document order,
-// resolving proxies and splicing scaffolding aggregates transparently
-// ("Substituting all proxies by their respective subtrees reconstructs
-// the original data tree", §2.3.3). Only mutating operations need the
-// slots, so the list is built in the store's scratch: it is valid until
-// the next call.
-func (s *Store) childEntries(ref NodeRef) ([]childEntry, error) {
-	if ref.node.Kind != noderep.KindAggregate {
-		return nil, nil
-	}
-	s.entries = s.entries[:0]
-	err := s.collectEntries(ref.rid, ref.rec, ref.node, -1, &s.entries)
-	return s.entries, err
-}
-
-// collectEntries appends the logical children of the aggregate agg (which
-// lives in record rid). top overrides the top-level index when recursing
-// into scaffold records (-1 means "use the local index").
-func (s *Store) collectEntries(rid records.RID, rec *noderep.Record, agg *noderep.Node, top int, out *[]childEntry) error {
-	for i, n := range agg.Children {
-		topIdx := top
-		if topIdx < 0 {
-			topIdx = i
-		}
-		if n.Kind == noderep.KindProxy {
-			child, err := s.loadRecord(n.Target)
-			if err != nil {
-				return fmt.Errorf("resolving proxy to %s: %w", n.Target, err)
-			}
-			if child.Root.Scaffold && child.Root.Kind == noderep.KindAggregate {
-				// Scaffolding aggregate: splice its children here.
-				if err := s.collectEntries(n.Target, child, child.Root, topIdx, out); err != nil {
-					return err
-				}
-			} else {
-				*out = append(*out, childEntry{
-					ref:    NodeRef{rid: n.Target, node: child.Root, rec: child},
-					slot:   physPos{rid: rid, rec: rec, parent: agg, idx: i},
-					topIdx: topIdx,
-				})
-			}
-		} else {
-			*out = append(*out, childEntry{
-				ref:    NodeRef{rid: rid, node: n, rec: rec},
-				slot:   physPos{rid: rid, rec: rec, parent: agg, idx: i},
-				topIdx: topIdx,
-			})
-		}
-	}
-	return nil
-}
-
-// Children returns the logical children of ref in document order, read
-// off the decoded records (collectEntries): the reference the image walk,
-// ReadChildren, is held to. Like Root it is the writer's: it must not
-// run beside a mutating operation.
+// Children returns the logical children of ref in document order, each
+// record behind a proxy decoded as it is reached and scaffolding
+// aggregates spliced away ("Substituting all proxies by their respective
+// subtrees reconstructs the original data tree", §2.3.3): the reference
+// the image walk, ReadChildren, is held to.
 func (s *Store) Children(ref NodeRef) ([]NodeRef, error) {
-	if ref.node.Kind != noderep.KindAggregate {
-		return nil, nil
-	}
-	var entries []childEntry
-	if err := s.collectEntries(ref.rid, ref.rec, ref.node, -1, &entries); err != nil {
-		return nil, err
-	}
-	kids := make([]NodeRef, len(entries))
-	for i, e := range entries {
-		kids[i] = e.ref
-	}
-	return kids, nil
+	var kids []NodeRef
+	err := s.appendChildren(ref.rid, ref.node, &kids)
+	return kids, err
 }
 
-// Locate resolves a logical path from the root. Each step stops at the
-// child it wants (childAt): the siblings behind it — and the records
-// their proxies point to — are not touched. Like Root it is the
-// writer's: it must not run beside a mutating operation.
-func (t *Tree) Locate(path Path) (NodeRef, error) {
-	ref, err := t.Root()
-	if err != nil {
-		return NodeRef{}, err
+func (s *Store) appendChildren(rid records.RID, agg *noderep.Node, out *[]NodeRef) error {
+	if agg.Kind != noderep.KindAggregate {
+		return nil
 	}
-	for depth, idx := range path {
-		kid, n, err := t.store.childAt(ref.rid, ref.rec, ref.node, idx)
-		if err != nil {
-			return NodeRef{}, err
-		}
-		if kid.node == nil {
-			return NodeRef{}, fmt.Errorf("%w: %s (index %d of %d at depth %d)",
-				ErrBadPath, path, idx, n, depth)
-		}
-		ref = kid
-	}
-	return ref, nil
-}
-
-// childAt returns logical child idx of the aggregate agg, which lives in
-// record rid — the idx-th node Children would return, found without
-// building the list or expanding anything behind it. When agg has no such
-// child the ref is zero and n is the number of logical children it does
-// have.
-//
-//natix:noalloc
-func (s *Store) childAt(rid records.RID, rec *noderep.Record, agg *noderep.Node, idx int) (ref NodeRef, n int, err error) {
-	for _, c := range agg.Children {
-		if c.Kind != noderep.KindProxy {
-			if n == idx {
-				return NodeRef{rid: rid, node: c, rec: rec}, n, nil
-			}
-			n++
+	for _, n := range agg.Children {
+		if n.Kind != noderep.KindProxy {
+			*out = append(*out, NodeRef{rid: rid, node: n})
 			continue
 		}
-		child, err := s.loadRecord(c.Target)
+		child, err := s.LoadRecordForInspection(n.Target)
 		if err != nil {
-			return NodeRef{}, n, fmt.Errorf("resolving proxy to %s: %w", c.Target, err) //natix:vet-ignore I/O error path
+			return fmt.Errorf("resolving proxy to %s: %w", n.Target, err)
 		}
 		if child.Root.Scaffold && child.Root.Kind == noderep.KindAggregate {
-			ref, k, err := s.childAt(c.Target, child, child.Root, idx-n)
-			if n += k; err != nil || ref.node != nil {
-				return ref, n, err
+			if err := s.appendChildren(n.Target, child.Root, out); err != nil {
+				return err
 			}
 			continue
 		}
-		if n == idx {
-			return NodeRef{rid: c.Target, node: child.Root, rec: child}, n, nil
-		}
-		n++
+		*out = append(*out, NodeRef{rid: n.Target, node: child.Root})
 	}
-	return NodeRef{}, n, nil
+	return nil
 }
 
 // Cursor provides DOM-style navigation over the logical tree, reading the

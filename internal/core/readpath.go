@@ -18,9 +18,10 @@ import (
 // again, nothing is decoded, and a query over a warm store allocates
 // nothing per node. Every reader that is not a mutator reads this way —
 // queries and their read-out, Cursor (Document.Walk), pathindex.Build —
-// and the diagnostics that want trees decode their own (WalkRecords). The decoded tree
-// (loadRecord, NodeRef) is the write path's, and the differential tests'
-// reference (Root, Children).
+// and the diagnostics that want trees decode their own (WalkRecords), as
+// does the differential tests' decoded reference (Root, Children, NodeRef).
+// The write path reads images too, where they lie and without a node
+// table (locate.go).
 //
 // A cached image is an immutable string (noderep.Image), so the text a
 // ReadRef reads out of its own record — TextOnly, StringValue — is a
@@ -119,14 +120,15 @@ func (r *ReadRef) ChildHas(pred func(noderep.Kind, dict.LabelID) bool) bool {
 }
 
 // loadImage returns the stored image of a record, opened. A hit in the
-// image cache still charges the record's pages to the buffer manager, as
-// loadRecord's does (charge), so I/O accounting (and eviction-driven
-// physical reads) stay faithful; a miss copies the image out of its page
-// into a string, the one the cache then keeps.
+// image cache still charges the record's pages to the buffer manager —
+// its home page and, for a forwarded record, the page its body lies on,
+// as the entry remembers it (records.Manager.TouchAt) — so I/O accounting
+// (and eviction-driven physical reads) stay faithful; a miss copies the
+// image out of its page into a string, the one the cache then keeps.
 func (s *Store) loadImage(rid records.RID) (*noderep.Image, error) {
 	if im, body, ok := s.cache.image(rid); ok {
 		s.stats.cacheHits.Add(1)
-		if _, err := s.charge(rid, body); err != nil {
+		if err := s.rm.TouchAt(rid, body); err != nil {
 			return nil, err
 		}
 		return im, nil

@@ -55,7 +55,7 @@ func facadesAgree(t *testing.T, s *Store, root records.RID) int {
 	var r ReadRef
 	total := 0
 	for _, rid := range rids {
-		rec, err := s.loadRecord(rid)
+		rec, err := refLoadRecord(s, rid)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,7 +54,7 @@ func refFindFacade(n *noderep.Node, seq *int) *noderep.Node {
 // refRefByFacadeIndex is the old per-match resolver: a walk from the
 // record root for every address.
 func refRefByFacadeIndex(s *Store, rid records.RID, idx int) (NodeRef, error) {
-	rec, err := s.loadRecord(rid)
+	rec, err := refLoadRecord(s, rid)
 	if err != nil {
 		return NodeRef{}, err
 	}
@@ -63,7 +63,7 @@ func refRefByFacadeIndex(s *Store, rid records.RID, idx int) (NodeRef, error) {
 	if n == nil {
 		return NodeRef{}, fmt.Errorf("core: facade node %d missing in record %s", idx, rid)
 	}
-	return NodeRef{rid: rid, node: n, rec: rec}, nil
+	return NodeRef{rid: rid, node: n}, nil
 }
 
 // refTextContent is the old TextContent: a child list, a string and a
@@ -132,7 +132,7 @@ func recordsOf(t testing.TB, s *Store, root records.RID) (rids []records.RID, fa
 	t.Helper()
 	var visit func(rid records.RID)
 	visit = func(rid records.RID) {
-		rec, err := s.loadRecord(rid)
+		rec, err := refLoadRecord(s, rid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,20 +154,6 @@ func recordsOf(t testing.TB, s *Store, root records.RID) (rids []records.RID, fa
 	}
 	visit(root)
 	return rids, facades
-}
-
-// sameNode reports whether two resolutions name the same node. With the
-// record cache on that is pointer identity; without it each load parses
-// a fresh instance, so the nodes are compared by content.
-func sameNode(a, b NodeRef, cached bool) bool {
-	if a.rid != b.rid {
-		return false
-	}
-	if cached {
-		return a.node == b.node && a.rec == b.rec
-	}
-	return a.node.Kind == b.node.Kind && a.node.Label == b.node.Label &&
-		string(a.node.Payload) == string(b.node.Payload) && len(a.node.Children) == len(b.node.Children)
 }
 
 // sameReadNode reports whether a resolution over the record's image names
@@ -345,82 +331,132 @@ func TestResolveAllocs(t *testing.T) {
 	}
 }
 
-// The node-edit write path as it stood before records were spliced: every
-// insert and delete re-measures and re-encodes the whole record. Kept
-// verbatim — entry points included, since the splice sits in placeAt and
-// removePhysical — as the reference TestSpliceMatchesFullEncode runs
-// beside the production path.
+// The node-edit write path as it stood while the writer decoded every
+// record it touched, kept — entry points included — as the reference the
+// differential tests run beside the production path, which reads and
+// splices record images in place. Every record is decoded as it is
+// reached (refLoadRecord), a tree of the operation's own: the path edits
+// it and writes it back before it reads the record again. The splice is
+// the caller's choice: refSpliceInFrame is the path as it last stood,
+// refSpliceRecord the one before the splice moved into the pinned frame,
+// and nil the one before records were spliced at all, which re-measures
+// and re-encodes the whole record on every insert and delete.
+
+// refSplice writes one node edit as a splice of the stored image, or
+// reports false with nothing written.
+type refSplice func(s *Store, pos physPos, node *noderep.Node) (bool, error)
+
+// refLoadRecord decodes record rid as its page holds it.
+func refLoadRecord(s *Store, rid records.RID) (*noderep.Record, error) {
+	img, err := s.rm.Read(rid)
+	if err != nil {
+		return nil, err
+	}
+	rec, err := noderep.Decode(img)
+	if err != nil {
+		return nil, fmt.Errorf("record %s: %w", rid, err)
+	}
+	return rec, nil
+}
+
+// refNodeRef is a NodeRef with the decoded record it belongs to.
+type refNodeRef struct {
+	NodeRef
+	rec *noderep.Record
+}
+
+// physPos locates a physical child slot: the record, the physical parent
+// aggregate inside it, and the index among that aggregate's children.
+type physPos struct {
+	rid    records.RID
+	rec    *noderep.Record // parsed record instance parent belongs to
+	parent *noderep.Node
+	idx    int
+}
+
+// refChildEntry is one logical child of an aggregate, with the physical
+// slot that holds it (for facade roots of other records, the slot of the
+// proxy pointing at them) and the index of the top-level physical child
+// of the parent it was reached through.
+type refChildEntry struct {
+	ref    refNodeRef
+	slot   physPos
+	topIdx int
+}
 
 // refLocate is Tree.Locate as it stood before it stopped at the child it
 // wants: every step materialises the whole child list of the node it
 // passes through, loading the record behind every proxy among them.
-func refLocate(t *Tree, path Path) (NodeRef, error) {
-	ref, err := t.Root()
+func refLocate(t *Tree, path Path) (refNodeRef, error) {
+	rec, err := refLoadRecord(t.store, t.rootRID)
 	if err != nil {
-		return NodeRef{}, err
+		return refNodeRef{}, err
 	}
-	var kids []NodeRef
+	ref := refNodeRef{NodeRef{t.rootRID, rec.Root}, rec}
 	for depth, idx := range path {
-		kids, err = t.store.Children(ref)
+		kids, err := refChildEntries(t.store, ref)
 		if err != nil {
-			return NodeRef{}, err
+			return refNodeRef{}, err
 		}
 		if idx < 0 || idx >= len(kids) {
-			return NodeRef{}, fmt.Errorf("%w: %s (index %d of %d at depth %d)",
+			return refNodeRef{}, fmt.Errorf("%w: %s (index %d of %d at depth %d)",
 				ErrBadPath, path, idx, len(kids), depth)
 		}
-		ref = kids[idx]
+		ref = kids[idx].ref
 	}
 	return ref, nil
 }
 
-// TestLocateMatchesReference resolves every path of a corpus play —
-// bulk-loaded and grown node by node, under both split-matrix extremes,
-// so proxies and scaffold aggregates lie on the way — with the early-exit
-// Locate and with the reference: same node, and for a path that does not
-// resolve (an index one past the last child, a negative one, a step below
-// a text node) the same error, "index i of n" included.
-func TestLocateMatchesReference(t *testing.T) {
-	model := playRef(corpus.GeneratePlay(corpus.SmallSpec(1), 0))
-	var paths []Path
-	modelPaths(model, nil, false, &paths)
-	paths = append(paths, Path{})
-	for _, m := range []struct {
-		name   string
-		matrix func() *SplitMatrix
-	}{{"other", AllOther}, {"standalone", AllStandalone}} {
-		for _, bulk := range []bool{true, false} {
-			s := newStore(t, 2048, Config{Matrix: m.matrix(), CacheRecords: 256})
-			var tr *Tree
-			if bulk {
-				tr = loadBulk(t, s, model, BulkOptions{})
-			} else {
-				tr = loadIncremental(t, s, model)
-			}
-			if rids, _ := recordsOf(t, s, tr.RootRID()); len(rids) < 2 {
-				t.Fatalf("%s bulk=%v: the play lies in %d record(s); no proxy on any path", m.name, bulk, len(rids))
-			}
-			for _, p := range paths {
-				got, err := tr.Locate(p)
-				want, werr := refLocate(tr, p)
-				if err != nil || werr != nil || !sameNode(got, want, true) {
-					t.Fatalf("%s bulk=%v: Locate(%s) = %v, %v; reference %v, %v", m.name, bulk, p, got, err, want, werr)
-				}
-				n := len(modelAt(model, p).children)
-				for _, bad := range []Path{append(p.Clone(), n), append(p.Clone(), -1), append(p.Clone(), n+3, 0)} {
-					_, err := tr.Locate(bad)
-					_, werr := refLocate(tr, bad)
-					if !errors.Is(err, ErrBadPath) || werr == nil || err.Error() != werr.Error() {
-						t.Fatalf("%s bulk=%v: Locate(%s) error %q, reference %q", m.name, bulk, bad, err, werr)
-					}
-				}
-			}
-		}
+// refChildEntries expands the logical children of ref in document order,
+// resolving proxies and splicing scaffolding aggregates transparently.
+func refChildEntries(s *Store, ref refNodeRef) ([]refChildEntry, error) {
+	if ref.node.Kind != noderep.KindAggregate {
+		return nil, nil
 	}
+	var entries []refChildEntry
+	err := refCollectEntries(s, ref.rid, ref.rec, ref.node, -1, &entries)
+	return entries, err
 }
 
-// refInsertChild is Tree.InsertChild over refPlaceAt.
-func refInsertChild(t *Tree, parentPath Path, idx int, n *noderep.Node) error {
+// refCollectEntries appends the logical children of the aggregate agg
+// (which lives in record rid). top overrides the top-level index when
+// recursing into scaffold records (-1 means "use the local index").
+func refCollectEntries(s *Store, rid records.RID, rec *noderep.Record, agg *noderep.Node, top int, out *[]refChildEntry) error {
+	for i, n := range agg.Children {
+		topIdx := top
+		if topIdx < 0 {
+			topIdx = i
+		}
+		if n.Kind == noderep.KindProxy {
+			child, err := refLoadRecord(s, n.Target)
+			if err != nil {
+				return fmt.Errorf("resolving proxy to %s: %w", n.Target, err)
+			}
+			if child.Root.Scaffold && child.Root.Kind == noderep.KindAggregate {
+				// Scaffolding aggregate: splice its children here.
+				if err := refCollectEntries(s, n.Target, child, child.Root, topIdx, out); err != nil {
+					return err
+				}
+			} else {
+				*out = append(*out, refChildEntry{
+					ref:    refNodeRef{NodeRef{n.Target, child.Root}, child},
+					slot:   physPos{rid: rid, rec: rec, parent: agg, idx: i},
+					topIdx: topIdx,
+				})
+			}
+		} else {
+			*out = append(*out, refChildEntry{
+				ref:    refNodeRef{NodeRef{rid, n}, rec},
+				slot:   physPos{rid: rid, rec: rec, parent: agg, idx: i},
+				topIdx: topIdx,
+			})
+		}
+	}
+	return nil
+}
+
+// refInsertChild is Tree.InsertChild over the decoded records.
+func refInsertChild(t *Tree, parentPath Path, idx int, n *noderep.Node, splice refSplice) error {
 	s := t.store
 	if err := s.checkInsertable(n); err != nil {
 		return err
@@ -432,7 +468,7 @@ func refInsertChild(t *Tree, parentPath Path, idx int, n *noderep.Node) error {
 	if parent.node.Kind != noderep.KindAggregate {
 		return fmt.Errorf("%w: cannot insert under %s at %s", ErrNotAggregate, parent.node.Kind, parentPath)
 	}
-	entries, err := s.childEntries(parent)
+	entries, err := refChildEntries(s, parent)
 	if err != nil {
 		return err
 	}
@@ -443,14 +479,11 @@ func refInsertChild(t *Tree, parentPath Path, idx int, n *noderep.Node) error {
 		return fmt.Errorf("%w: insert index %d of %d at %s", ErrBadPath, idx, len(entries), parentPath)
 	}
 	ctx := newOpCtx(t)
-	cands, err := s.insertionCandidates(parent, entries, idx)
-	if err != nil {
-		return err
-	}
+	cands := refInsertionCandidates(parent, entries, idx)
 	policy := s.cfg.Matrix.Get(parent.node.Label, n.Label)
 	switch policy {
 	case PolicyStandalone:
-		cand, err := s.chooseCandidate(cands, policy, parent.rid)
+		cand, err := refChooseCandidate(s, cands, policy, parent.rid)
 		if err != nil {
 			return err
 		}
@@ -462,33 +495,117 @@ func refInsertChild(t *Tree, parentPath Path, idx int, n *noderep.Node) error {
 		if err != nil {
 			return err
 		}
-		if err := refPlaceAt(s, cand, noderep.NewProxy(childRID), ctx); err != nil {
+		if err := refPlaceAt(s, cand, noderep.NewProxy(childRID), ctx, splice); err != nil {
 			return err
 		}
 	default:
-		cand, err := s.chooseCandidate(cands, policy, parent.rid)
+		cand, err := refChooseCandidate(s, cands, policy, parent.rid)
 		if err != nil {
 			return err
 		}
-		if err := refPlaceAt(s, cand, n, ctx); err != nil {
+		if err := refPlaceAt(s, cand, n, ctx, splice); err != nil {
 			return err
 		}
 	}
 	return ctx.apply()
 }
 
+// refInsertionCandidates enumerates the order-correct physical positions
+// for a new logical child at index idx of parent (paper figure 6).
+func refInsertionCandidates(parent refNodeRef, entries []refChildEntry, idx int) []physPos {
+	var cands []physPos
+	add := func(p physPos) {
+		for _, q := range cands {
+			if q.rid == p.rid && q.parent == p.parent && q.idx == p.idx {
+				return
+			}
+		}
+		cands = append(cands, p)
+	}
+	switch {
+	case len(entries) == 0:
+		add(physPos{rid: parent.rid, rec: parent.rec, parent: parent.node, idx: 0})
+	case idx == 0:
+		right := entries[0]
+		add(physPos{rid: right.slot.rid, rec: right.slot.rec, parent: right.slot.parent, idx: right.slot.idx})
+		add(physPos{rid: parent.rid, rec: parent.rec, parent: parent.node, idx: 0})
+	case idx == len(entries):
+		left := entries[idx-1]
+		add(physPos{rid: left.slot.rid, rec: left.slot.rec, parent: left.slot.parent, idx: left.slot.idx + 1})
+		add(physPos{rid: parent.rid, rec: parent.rec, parent: parent.node, idx: len(parent.node.Children)})
+	default:
+		left, right := entries[idx-1], entries[idx]
+		add(physPos{rid: left.slot.rid, rec: left.slot.rec, parent: left.slot.parent, idx: left.slot.idx + 1})
+		add(physPos{rid: right.slot.rid, rec: right.slot.rec, parent: right.slot.parent, idx: right.slot.idx})
+		if left.topIdx != right.topIdx {
+			add(physPos{rid: parent.rid, rec: parent.rec, parent: parent.node, idx: right.topIdx})
+		}
+	}
+	return cands
+}
+
+// refChooseCandidate picks the insertion position according to the matrix
+// policy (§3.3).
+func refChooseCandidate(s *Store, cands []physPos, policy Policy, parentRID records.RID) (physPos, error) {
+	if len(cands) == 0 {
+		return physPos{}, fmt.Errorf("core: no insertion candidates")
+	}
+	if policy == PolicyCluster || policy == PolicyStandalone {
+		for _, c := range cands {
+			if c.rid == parentRID {
+				return c, nil
+			}
+		}
+	}
+	best := cands[0]
+	bestFree := -1
+	for _, c := range cands {
+		p, err := s.rm.PageOf(c.rid)
+		if err != nil {
+			return physPos{}, err
+		}
+		free, err := s.rm.PageFreeBytes(p)
+		if err != nil {
+			return physPos{}, err
+		}
+		if free > bestFree {
+			best, bestFree = c, free
+		}
+	}
+	return best, nil
+}
+
 // refPlaceAt inserts node at the physical position cand and runs the
 // growth procedure on the affected record.
-func refPlaceAt(s *Store, cand physPos, node *noderep.Node, ctx *opCtx) error {
+func refPlaceAt(s *Store, cand physPos, node *noderep.Node, ctx *opCtx, splice refSplice) error {
 	if cand.parent == nil || cand.rec == nil {
 		return fmt.Errorf("core: internal error: insertion slot without parent aggregate")
 	}
 	cand.parent.InsertChild(cand.idx, node)
-	return s.afterPlacement(cand.rid, cand.rec, []*noderep.Node{node}, ctx)
+	if splice != nil {
+		spliced, err := splice(s, cand, node)
+		if err != nil {
+			return err
+		}
+		if spliced {
+			ctx.patchProxiesIn(cand.rid, node)
+			return nil
+		}
+	}
+	return refAfterPlacement(s, cand.rid, cand.rec, []*noderep.Node{node}, ctx)
 }
 
-// refDelete is Tree.Delete over refRemovePhysical.
-func refDelete(t *Tree, path Path) error {
+// refAfterPlacement is afterPlacement with the record's page looked up.
+func refAfterPlacement(s *Store, rid records.RID, rec *noderep.Record, inserted []*noderep.Node, ctx *opCtx) error {
+	near, err := s.rm.PageOf(rid)
+	if err != nil {
+		return err
+	}
+	return s.afterPlacement(rid, near, rec, inserted, ctx)
+}
+
+// refDelete is Tree.Delete over the decoded records.
+func refDelete(t *Tree, path Path, splice refSplice) error {
 	if len(path) == 0 {
 		return ErrIsRoot
 	}
@@ -497,7 +614,7 @@ func refDelete(t *Tree, path Path) error {
 	if err != nil {
 		return err
 	}
-	entries, err := s.childEntries(parentRef)
+	entries, err := refChildEntries(s, parentRef)
 	if err != nil {
 		return err
 	}
@@ -529,7 +646,7 @@ func refDelete(t *Tree, path Path) error {
 		}
 	}
 
-	if err := refRemovePhysical(s, e.slot, ctx); err != nil {
+	if err := refRemovePhysical(s, e.slot, ctx, splice); err != nil {
 		return err
 	}
 	if err := ctx.apply(); err != nil {
@@ -543,7 +660,7 @@ func refDelete(t *Tree, path Path) error {
 
 // refRemovePhysical deletes the child at the given slot and rewrites (or
 // cleans up) the containing record.
-func refRemovePhysical(s *Store, slot physPos, ctx *opCtx) error {
+func refRemovePhysical(s *Store, slot physPos, ctx *opCtx, splice refSplice) error {
 	rec := slot.rec
 	slot.parent.RemoveChild(slot.idx)
 
@@ -553,7 +670,7 @@ func refRemovePhysical(s *Store, slot physPos, ctx *opCtx) error {
 			return err
 		}
 		ctx.drop(slot.rid)
-		parentRec, err := s.loadRecord(parentRID)
+		parentRec, err := refLoadRecord(s, parentRID)
 		if err != nil {
 			return err
 		}
@@ -561,19 +678,75 @@ func refRemovePhysical(s *Store, slot physPos, ctx *opCtx) error {
 		if err != nil {
 			return err
 		}
-		return refRemovePhysical(s, physPos{rid: parentRID, rec: parentRec, parent: pp, idx: pi}, ctx)
+		return refRemovePhysical(s, physPos{rid: parentRID, rec: parentRec, parent: pp, idx: pi}, ctx, splice)
+	}
+	if splice != nil {
+		if ok, err := splice(s, slot, nil); ok || err != nil {
+			return err
+		}
 	}
 	return s.writeRecord(slot.rid, rec)
 }
 
-// refSpliceRecord is spliceRecord as it stood before the splice moved
-// into the pinned frame: the stored image read out with ReadInto (a
-// resolve and a pin of its own), spliced, and handed to
-// records.Manager.Splice, which resolves the RID and pins the page
-// again. TestSpliceInFrameMatchesReadIntoSplice runs it beside the
-// production path (Store.spliceHook).
+// refSpliceInFrame is spliceRecord as it last stood: the node edit
+// computed and applied inside the record's one pinned, latched frame
+// (records.Manager.Edit). The parsed tree pos.rec already shows the edit.
+func refSpliceInFrame(s *Store, pos physPos, node *noderep.Node) (bool, error) {
+	e := &refNodeEdit{node: node, limit: s.maxRecordSize()}
+	var ok bool
+	if e.path, ok = refPhysPath(nil, pos); !ok {
+		return false, nil
+	}
+	if ok, err := s.rm.Edit(pos.rid, e); !ok || err != nil {
+		return false, err
+	}
+	s.stats.recordsSpliced.Add(1)
+	s.cache.remove(pos.rid)
+	return true, nil
+}
+
+// refNodeEdit is one node edit as a records.Editor: node inserted at the
+// physical path, or the node there removed when node is nil.
+type refNodeEdit struct {
+	sp    noderep.Splice
+	path  []int
+	node  *noderep.Node
+	limit int
+}
+
+// Edit implements records.Editor.
+func (e *refNodeEdit) Edit(body []byte) ([]byte, int, []int, bool) {
+	var ok bool
+	if e.node != nil {
+		body, ok = e.sp.Insert(body, e.path, e.node, e.limit)
+	} else {
+		body, ok = e.sp.Remove(body, e.path)
+	}
+	return body, e.sp.From, e.sp.Fields, ok
+}
+
+// refPhysPath appends to path the physical child indexes that lead from
+// the root of pos.rec to child pos.idx of pos.parent.
+func refPhysPath(path []int, pos physPos) ([]int, bool) {
+	path = append(path, pos.idx)
+	n := pos.parent
+	for ; n.Parent != nil; n = n.Parent {
+		i := n.Parent.ChildIndex(n)
+		if i < 0 {
+			return path, false
+		}
+		path = append(path, i)
+	}
+	slices.Reverse(path)
+	return path, n == pos.rec.Root
+}
+
+// refSpliceRecord is the splice as it stood before it moved into the
+// pinned frame: the stored image read out with ReadInto (a resolve and a
+// pin of its own), spliced, and handed to records.Manager.Splice, which
+// resolves the RID and pins the page again.
 func refSpliceRecord(s *Store, pos physPos, node *noderep.Node) (bool, error) {
-	path, ok := physPath(nil, pos)
+	path, ok := refPhysPath(nil, pos)
 	if !ok {
 		return false, nil
 	}
@@ -594,8 +767,75 @@ func refSpliceRecord(s *Store, pos physPos, node *noderep.Node) (bool, error) {
 		return false, err
 	}
 	s.stats.recordsSpliced.Add(1)
-	s.wrote(pos.rid, pos.rec, records.NilRID)
+	s.cache.remove(pos.rid)
 	return true, nil
+}
+
+// TestLocateMatchesReference resolves every path of a corpus play —
+// bulk-loaded and grown node by node, under both split-matrix extremes,
+// so proxies and scaffold aggregates lie on the way — with the write
+// path's locate, over the record images, and with the reference over the
+// decoded records: the same record, a physical path that leads there to
+// the reference's node, the page the record's body lies on, and for a
+// path that does not resolve (an index one past the last child, a
+// negative one, a step below a text node) the same error, "index i of n"
+// included.
+func TestLocateMatchesReference(t *testing.T) {
+	model := playRef(corpus.GeneratePlay(corpus.SmallSpec(1), 0))
+	var paths []Path
+	modelPaths(model, nil, false, &paths)
+	paths = append(paths, Path{})
+	for _, m := range []struct {
+		name   string
+		matrix func() *SplitMatrix
+	}{{"other", AllOther}, {"standalone", AllStandalone}} {
+		for _, bulk := range []bool{true, false} {
+			s := newStore(t, 2048, Config{Matrix: m.matrix(), CacheRecords: 256})
+			var tr *Tree
+			if bulk {
+				tr = loadBulk(t, s, model, BulkOptions{})
+			} else {
+				tr = loadIncremental(t, s, model)
+			}
+			if rids, _ := recordsOf(t, s, tr.RootRID()); len(rids) < 2 {
+				t.Fatalf("%s bulk=%v: the play lies in %d record(s); no proxy on any path", m.name, bulk, len(rids))
+			}
+			locate := func(p Path) (wnode, error) {
+				var n wnode
+				err := s.locate(tr.rootRID, p, &n)
+				if err == nil {
+					s.views[0].Done()
+					n.path = slices.Clone(n.path)
+				}
+				return n, err
+			}
+			for _, p := range paths {
+				got, err := locate(p)
+				want, werr := refLocate(tr, p)
+				if err != nil || werr != nil {
+					t.Fatalf("%s bulk=%v: locate(%s): %v; reference %v", m.name, bulk, p, err, werr)
+				}
+				rec, rerr := refLoadRecord(s, got.rid)
+				var node *noderep.Node
+				if rerr == nil {
+					node, rerr = nodeAt(rec, got.path)
+				}
+				page, perr := s.rm.PageOf(got.rid)
+				if got.rid != want.rid || rerr != nil || !noderep.Equal(node, want.node) ||
+					got.span.Kind != want.node.Kind || got.span.Label != want.node.Label || perr != nil || page != got.body.Page {
+					t.Fatalf("%s bulk=%v: locate(%s) = record %s path %v (%v); reference record %s", m.name, bulk, p, got.rid, got.path, rerr, want.rid)
+				}
+				n := len(modelAt(model, p).children)
+				for _, bad := range []Path{append(p.Clone(), n), append(p.Clone(), -1), append(p.Clone(), n+3, 0)} {
+					_, err := locate(bad)
+					_, werr := refLocate(tr, bad)
+					if !errors.Is(err, ErrBadPath) || werr == nil || err.Error() != werr.Error() {
+						t.Fatalf("%s bulk=%v: locate(%s) error %q, reference %q", m.name, bulk, bad, err, werr)
+					}
+				}
+			}
+		}
+	}
 }
 
 // spliceCell is one setting of the splice differential.
@@ -714,7 +954,7 @@ func TestSpliceMatchesFullEncode(t *testing.T) {
 						if err := pt.Delete(p); err != nil {
 							t.Fatalf("seed %d op %d: delete %s: %v", seed, op, p, err)
 						}
-						if err := refDelete(rt, p); err != nil {
+						if err := refDelete(rt, p, nil); err != nil {
 							t.Fatalf("seed %d op %d: reference delete %s: %v", seed, op, p, err)
 						}
 						parent := modelAt(model, p[:len(p)-1])
@@ -736,7 +976,7 @@ func TestSpliceMatchesFullEncode(t *testing.T) {
 						if err := pt.InsertChild(p, idx, modelNode(rn)); err != nil {
 							t.Fatalf("seed %d op %d: insert at %s[%d]: %v", seed, op, p, idx, err)
 						}
-						if err := refInsertChild(rt, p, idx, modelNode(rn)); err != nil {
+						if err := refInsertChild(rt, p, idx, modelNode(rn), nil); err != nil {
 							t.Fatalf("seed %d op %d: reference insert at %s[%d]: %v", seed, op, p, idx, err)
 						}
 						parent.children = append(parent.children, nil)

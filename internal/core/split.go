@@ -12,13 +12,10 @@ import (
 // step 2): the record's subtree is partitioned, the partitions move to
 // new records, and the separator replaces the proxy in the parent record
 // (recursively growing the parent). For the root record a new root
-// record holding just the separator is created.
-func (s *Store) splitRecord(rid records.RID, rec *noderep.Record, ctx *opCtx) error {
+// record holding just the separator is created. near is the page the
+// record's body lies on: the partitions are allocated near it.
+func (s *Store) splitRecord(rid records.RID, near pagedev.PageNo, rec *noderep.Record, ctx *opCtx) error {
 	s.stats.splits.Add(1)
-	near, err := s.pageOf(rid)
-	if err != nil {
-		return err
-	}
 	sep, err := s.separatorWithProgress(rec.Root, near, ctx)
 	if err != nil {
 		return err
@@ -45,7 +42,7 @@ func (s *Store) splitRecord(rid records.RID, rec *noderep.Record, ctx *opCtx) er
 	// and the children of the separator root are inserted in the parent
 	// record instead" (§3.2.2, second special case).
 	parentRID := rec.ParentRID
-	parentRec, err := s.loadRecord(parentRID)
+	parentRec, parentBody, err := s.loadRecord(parentRID)
 	if err != nil {
 		return fmt.Errorf("loading parent record %s of %s: %w", parentRID, rid, err)
 	}
@@ -67,7 +64,7 @@ func (s *Store) splitRecord(rid records.RID, rec *noderep.Record, ctx *opCtx) er
 		return err
 	}
 	ctx.drop(rid)
-	return s.afterPlacement(parentRID, parentRec, spliced, ctx)
+	return s.afterPlacement(parentRID, parentBody.Page, parentRec, spliced, ctx)
 }
 
 // findProxySlot locates the proxy pointing at target within a record

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"testing"
 
 	"natix/internal/dict"
 	"natix/internal/noderep"
@@ -31,10 +30,10 @@ type Config struct {
 	// Matrix is the split matrix (§3.3). nil means all-other.
 	Matrix *SplitMatrix
 
-	// CacheRecords bounds the record caches (number of records each): the
-	// images queries read in place, and the trees the write path decoded.
-	// The caches save copying and decoding CPU but never hide I/O: hits
-	// still touch the buffer manager. 0 disables both.
+	// CacheRecords bounds the image cache, in records: the stored images
+	// the readers read in place, each with its node table. The cache saves
+	// copying and indexing CPU but never hides I/O: a hit still touches
+	// the buffer manager. 0 disables it.
 	CacheRecords int
 
 	// MergeOnDelete inlines a shrunken record back into its parent
@@ -66,9 +65,9 @@ type Stats struct {
 	RecordsRewritten int64 // full re-encodes of an existing record
 	RecordsSpliced   int64 // node edits written as a splice of the stored image
 	ParentPatches    int64 // standalone parent-RID fixups written
-	RecordsDecoded   int64 // record images decoded into trees (the write path's, and WalkRecords' own)
-	CacheHits        int64
-	CacheMisses      int64
+	RecordsDecoded   int64 // record images decoded into trees: an edit the image cannot take, a split, a merge, WalkRecords and the decoded reference
+	CacheHits        int64 // reads served from the image cache
+	CacheMisses      int64 // reads that copied and opened an image (with the cache on)
 }
 
 // Errors.
@@ -82,37 +81,35 @@ var (
 )
 
 // Store is the tree storage manager. Read traversals (ReadRoot,
-// ReadChildren, AppendReadText, FacadeWalker, Cursor, WalkRecords) are
-// safe for any number of concurrent callers: the image cache is sharded
-// and the counters are atomics. Mutating operations (InsertChild,
-// Delete, splits) and the decoded reference (Root, Children, Locate)
-// are the writer's: they share the writer's tree cache, a map with no
-// lock, so the caller serializes all of them, whatever document each is
-// on, and keeps mutators apart from readers of the same document —
-// package docstore's writer mutex and per-document locks provide both.
-// Readers run beside a mutator of another document. In test binaries a
-// second goroutine inside the tree cache at the same time panics.
+// ReadChildren, AppendReadText, FacadeWalker, Cursor, WalkRecords) and
+// the decoded reference (Root, Children) are safe for any number of
+// concurrent callers: the image cache is sharded and the counters are
+// atomics. Mutating operations (InsertChild, Delete, splits) are the
+// writer's: they share the store's scratch, so the caller serializes all
+// of them, whatever document each is on, and keeps mutators apart from
+// readers of the same document — package docstore's writer mutex and
+// per-document locks provide both. Readers run beside a mutator of
+// another document.
 type Store struct {
 	rm    *records.Manager
 	cfg   Config
 	cache *recCache // the readers' images; nil when caching is off
-	trees treeCache // the writer's decoded trees
 	stats storeStats
 
-	// Scratch of the (serialized) mutating operations: the buffer record
-	// images are decoded from, the layout of the record last measured,
-	// the image buffer it is emitted into, the node edit spliced into a
-	// stored image (its splice state and physical path), and the child
-	// list of the insert or delete point.
-	decodeBuf []byte
-	layout    noderep.Layout
-	image     []byte
-	edit      nodeEdit
-	entries   []childEntry
-
-	// spliceHook, when set, writes node edits in place of spliceRecord's
-	// own path; the differential tests set it to the path it replaced.
-	spliceHook func(s *Store, pos physPos, node *noderep.Node) (bool, error)
+	// Scratch of the (serialized) mutating operations: the layout of the
+	// record last measured, the image buffer it is emitted into, the node
+	// edit spliced into a stored image, the views of the records a read
+	// holds, the physical path of the located node, the child list of the insert or delete point, the insertion
+	// candidates and the proxies below a deleted node.
+	layout  noderep.Layout
+	image   []byte
+	editor  nodeEdit
+	views   []*records.View
+	held    records.RID // the record view 0 holds for an insert's edit; NilRID when none
+	path    []int
+	entries []childEntry
+	cands   []slot
+	targets []records.RID
 }
 
 // storeStats is the internal atomic form of Stats.
@@ -134,7 +131,6 @@ func New(rm *records.Manager, cfg Config) *Store {
 	s := &Store{rm: rm, cfg: cfg}
 	if cfg.CacheRecords > 0 {
 		s.cache = newRecCache(cfg.CacheRecords)
-		s.trees.init(cfg.CacheRecords)
 	}
 	return s
 }
@@ -188,93 +184,30 @@ func (s *Store) ResetStats() {
 	s.stats.cacheMisses.Store(0)
 }
 
-// InvalidateCache drops every cached record, image and tree (e.g. after
-// a buffer clear or a rollback restored pages under it). Mutator
-// context: the tree cache is the writer's.
-func (s *Store) InvalidateCache() {
-	if s.cache != nil {
-		s.cache.clear()
-	}
-	s.trees.clear()
-}
+// InvalidateCache drops every cached image (e.g. after a buffer clear or
+// a rollback restored pages under it).
+func (s *Store) InvalidateCache() { s.cache.clear() }
 
 // maxRecordSize is the net page capacity (§3.2.2).
 func (s *Store) maxRecordSize() int { return s.rm.MaxRecordSize() }
 
-// loadRecord returns the decoded tree of a record: the write path's
-// form, which its operations (insert, delete, split, patchParentRID, and
-// Locate, childAt and collectEntries on their way) edit in place before
-// writing the record back; Root and Children read it as the decoded
-// reference. Only the writer calls it (see Store). A tree in the tree
-// cache is returned as it is; otherwise the record's image — the one in
-// the image cache, which the tree then replaces there, or the one stored
-// in its page — is copied into the writer's decode buffer
-// (noderep.Decode takes bytes and keeps none of them) and decoded into a
-// tree the tree cache keeps: the write path mostly goes on to change the
-// record, which drops the image anyway, and keeping both would hold the
-// record in memory twice. A hit in either cache still charges the
-// record's pages to the buffer manager (charge), so I/O accounting (and
-// eviction-driven physical reads) remain faithful.
-func (s *Store) loadRecord(rid records.RID) (*noderep.Record, error) {
-	if e, ok := s.trees.get(rid); ok {
-		s.stats.cacheHits.Add(1)
-		body, err := s.charge(rid, e.body)
-		if err != nil {
-			return nil, err
-		}
-		if body != e.body {
-			s.trees.put(rid, e.rec, body)
-		}
-		return e.rec, nil
+// loadRecord decodes record rid, read where it lies (records.View), into
+// a tree of the caller's own — the form a split, a merge and an edit the
+// image cannot take work on — and returns where its body lies.
+// noderep.Decode copies what it keeps, so nothing of the page outlives
+// the view.
+func (s *Store) loadRecord(rid records.RID) (*noderep.Record, records.RID, error) {
+	var v records.View
+	if err := s.rm.View(rid, &v); err != nil {
+		return nil, records.NilRID, err
 	}
-	var (
-		body records.RID
-		err  error
-	)
-	if im, at, ok := s.cache.take(rid); ok {
-		s.stats.cacheHits.Add(1)
-		if body, err = s.charge(rid, at); err != nil {
-			return nil, err
-		}
-		s.decodeBuf = append(s.decodeBuf[:0], im.Data()...)
-	} else {
-		if s.cache != nil {
-			s.stats.cacheMisses.Add(1)
-		}
-		if s.decodeBuf, err = s.rm.ReadInto(rid, s.decodeBuf); err != nil {
-			return nil, err
-		}
-	}
+	defer v.Done()
 	s.stats.recordsDecoded.Add(1)
-	rec, err := noderep.Decode(s.decodeBuf)
+	rec, err := noderep.Decode(v.Body())
 	if err != nil {
-		return nil, fmt.Errorf("record %s: %w", rid, err)
+		return nil, records.NilRID, fmt.Errorf("record %s: %w", rid, err)
 	}
-	s.trees.put(rid, rec, body)
-	return rec, nil
-}
-
-// charge bills a cache hit of record rid to the buffer manager page by
-// page, as reading it would be billed: its home page and, for a
-// forwarded record, the page its body lies on. body is where the body
-// lies as the cache entry remembers it, NilRID when the entry does not
-// know; then the home page is looked into (records.Manager.Touch) and
-// the answer returned for the entry to keep.
-func (s *Store) charge(rid, body records.RID) (records.RID, error) {
-	if body.IsNil() {
-		return s.rm.Touch(rid)
-	}
-	return body, s.rm.TouchAt(rid, body)
-}
-
-// pageOf returns the page the body of record rid lies on: the tree
-// cache knows it for every record the operation has loaded, and only
-// the others cost a look into the home page (records.Manager.PageOf).
-func (s *Store) pageOf(rid records.RID) (pagedev.PageNo, error) {
-	if body := s.trees.body(rid); !body.IsNil() {
-		return body.Page, nil
-	}
-	return s.rm.PageOf(rid)
+	return rec, v.Loc(), nil
 }
 
 // measure validates rec and returns its encoded size, leaving its
@@ -309,30 +242,18 @@ func (s *Store) writeMeasured(rid records.RID, rec *noderep.Record) error {
 	if err != nil {
 		return err
 	}
+	return s.rewrite(rid, body)
+}
+
+// rewrite writes img as the whole new image of record rid.
+func (s *Store) rewrite(rid records.RID, img []byte) error {
 	s.stats.recordsRewritten.Add(1)
-	// The body may move: where it lies is looked up again at the next hit.
-	s.wrote(rid, rec, records.NilRID)
-	return s.rm.Update(rid, body)
-}
-
-// wrote notes that record rid was just written from the tree rec, its
-// body now lying at body (NilRID: not known): the tree cache keeps rec
-// and the image cache drops the image it held, which the write changed.
-func (s *Store) wrote(rid records.RID, rec *noderep.Record, body records.RID) {
 	s.cache.remove(rid)
-	s.trees.put(rid, rec, body)
+	return s.rm.Update(rid, img)
 }
 
-// insertRecord stores rec as a new record near the hint page.
-func (s *Store) insertRecord(rec *noderep.Record, near pagedev.PageNo) (records.RID, error) {
-	if _, err := s.measure(rec); err != nil {
-		return records.NilRID, err
-	}
-	return s.insertMeasured(rec, near)
-}
-
-// insertMeasured is insertRecord for a record the caller has just
-// measured.
+// insertMeasured stores rec, which the caller has just measured, as a
+// new record near the hint page.
 func (s *Store) insertMeasured(rec *noderep.Record, near pagedev.PageNo) (records.RID, error) {
 	body, err := s.emitMeasured(rec)
 	if err != nil {
@@ -343,37 +264,33 @@ func (s *Store) insertMeasured(rec *noderep.Record, near pagedev.PageNo) (record
 		return records.NilRID, err
 	}
 	s.stats.recordsCreated.Add(1)
-	s.wrote(rid, rec, rid)
 	return rid, nil
 }
 
-// deleteRecord removes a record and its cache entries.
+// deleteRecord removes a record and its cached image.
 func (s *Store) deleteRecord(rid records.RID) error {
-	s.forget(rid)
+	s.cache.remove(rid)
 	s.stats.recordsDeleted.Add(1)
 	return s.rm.Delete(rid)
 }
 
 // patchParentRID rewrites the standalone parent pointer of child in
-// place (8 bytes, no record move).
+// place (8 bytes, no record move), unless it already names parent.
 func (s *Store) patchParentRID(child, parent records.RID) error {
-	rec, err := s.loadRecord(child)
-	if err != nil {
+	var v records.View
+	if err := s.rm.View(child, &v); err != nil {
 		return err
 	}
-	if rec.ParentRID == parent {
+	cur, off := noderep.ImageParentRID(v.Body())
+	v.Done()
+	if cur == parent {
 		return nil
 	}
-	rec.ParentRID = parent
 	var enc [records.RIDSize]byte
 	parent.Put(enc[:])
-	off := noderep.RecordParentRIDOffset(rec)
 	s.stats.parentPatches.Add(1)
-	if err := s.rm.Patch(child, off, enc[:]); err != nil {
-		return err
-	}
-	s.wrote(child, rec, s.trees.body(child))
-	return nil
+	s.cache.remove(child)
+	return s.rm.Patch(child, off, enc[:])
 }
 
 // Tree is a handle to one stored document tree. The root record RID
@@ -387,8 +304,7 @@ type Tree struct {
 // CreateTree stores a new tree consisting of a single facade aggregate
 // root with the given label.
 func (s *Store) CreateTree(rootLabel dict.LabelID) (*Tree, error) {
-	rec := &noderep.Record{ParentRID: records.NilRID, Root: noderep.NewAggregate(rootLabel)}
-	rid, err := s.insertRecord(rec, 0)
+	rid, err := s.storeTreeRecord(noderep.NewAggregate(rootLabel), records.NilRID, 0, nil) // no proxy to patch
 	if err != nil {
 		return nil, err
 	}
@@ -421,15 +337,31 @@ func (s *Store) LoadRecordForInspection(rid records.RID) (*noderep.Record, error
 }
 
 // deleteRecordTree removes rid and every record reachable through its
-// proxies, each after the records below it. The records are listed
-// first (walkRecords), so a damaged graph — a record that cannot be
-// read, or one reached twice — fails the delete before anything is
+// proxies, each after the records below it. The records are listed first,
+// as WalkRecords visits them, each read where it lies and its proxies
+// found by walking its bytes, so a damaged graph — a record that cannot
+// be read, or one reached twice — fails the delete before anything is
 // removed.
 func (s *Store) deleteRecordTree(rid records.RID) error {
 	var rids []records.RID
-	if err := s.walkRecords(rid, func(rid records.RID, _ *noderep.Record) error {
+	if err := s.walkRecordsWith(rid, func(rid records.RID, todo []records.RID) ([]records.RID, error) {
+		var (
+			v    records.View
+			root noderep.Span
+		)
+		if err := s.rm.View(rid, &v); err != nil {
+			return todo, err
+		}
+		defer v.Done()
+		ok := noderep.RootSpan(v.Body(), &root)
+		if ok {
+			todo, ok = noderep.AppendProxies(v.Body(), &root, todo)
+		}
+		if !ok {
+			return todo, corrupt(rid)
+		}
 		rids = append(rids, rid)
-		return nil
+		return todo, nil
 	}); err != nil {
 		return err
 	}
@@ -441,114 +373,11 @@ func (s *Store) deleteRecordTree(rid records.RID) error {
 	return nil
 }
 
-// forget drops record rid from both caches.
-func (s *Store) forget(rid records.RID) {
-	s.cache.remove(rid)
-	s.trees.remove(rid)
-}
-
-// The store keeps two record caches, one per role. The image cache is
-// the readers': the stored image of a record, copied out of its page
-// once per miss, which queries read in place — sharded and locked, since
-// any number of readers share it. The tree cache is the writer's: the
-// decoded tree each mutating operation edits in place, a plain map only
-// the writer touches. A record's entries are kept apart from each other:
-// a write replaces the tree and drops the image (wrote, forget), a tree
-// decoded from a cached image takes it out of the image cache (take),
-// and an image read in beside a cached tree lasts until the next write
-// of the record. Both remember where the record's body lies, so a hit
-// charges the buffer manager one Pool.Touch per page (charge).
-
-// treeCache holds the write path's decoded trees. It takes no lock and
-// keeps no recency order: only the writer reads or changes it, and when
-// it is full it is emptied. A decoded tree takes about 6.5 times its
-// image's bytes, all of it pointers every garbage collection marks, and
-// the writer's working set is the records of the document it edits now,
-// which come back at one miss each: a full cache of trees of documents
-// edited earlier costs every goroutine longer collections and saves
-// little. The zero value caches nothing.
-type treeCache struct {
-	capacity int
-	entries  map[uint64]treeEntry // keyed by ridKey
-
-	// users counts the goroutines inside the cache's methods, in test
-	// binaries only (checkTreeCache).
-	users atomic.Int32
-}
-
-// checkTreeCache makes the tree cache's methods check that no other
-// goroutine is inside one at the same time: a caller that runs the
-// decoded reference beside a mutator then fails with a panic that names
-// the cause, instead of a fatal concurrent map access or, without -race,
-// nothing at all. It is on in test binaries.
-var checkTreeCache = testing.Testing()
-
-// enter and leave bracket each method of the cache.
-func (c *treeCache) enter() {
-	if checkTreeCache && c.users.Add(1) != 1 {
-		panic("core: the tree cache used by two goroutines at once: mutating operations and the decoded reference (Tree.Root, Store.Children, Tree.Locate) are the writer's and must be serialized")
-	}
-}
-
-func (c *treeCache) leave() {
-	if checkTreeCache {
-		c.users.Add(-1)
-	}
-}
-
-type treeEntry struct {
-	rec  *noderep.Record
-	body records.RID // where the body lies (records.Manager.Touch); NilRID until known
-}
-
-// ridKey packs a RID (48-bit page, 16-bit slot) into a map key that
-// hashes as one word.
-func ridKey(rid records.RID) uint64 { return uint64(rid.Page)<<16 | uint64(rid.Slot) }
-
-func (c *treeCache) init(capacity int) {
-	c.capacity, c.entries = capacity, make(map[uint64]treeEntry, min(capacity, 1024))
-}
-
-func (c *treeCache) get(rid records.RID) (treeEntry, bool) {
-	c.enter()
-	defer c.leave()
-	e, ok := c.entries[ridKey(rid)]
-	return e, ok
-}
-
-// body returns where the body of rid lies as the cache knows it, NilRID
-// when it does not.
-func (c *treeCache) body(rid records.RID) records.RID {
-	c.enter()
-	defer c.leave()
-	return c.entries[ridKey(rid)].body
-}
-
-// put caches the tree of rid, its body lying at body.
-func (c *treeCache) put(rid records.RID, rec *noderep.Record, body records.RID) {
-	c.enter()
-	defer c.leave()
-	if c.capacity == 0 {
-		return
-	}
-	k := ridKey(rid)
-	if _, ok := c.entries[k]; !ok && len(c.entries) >= c.capacity {
-		clear(c.entries)
-	}
-	c.entries[k] = treeEntry{rec: rec, body: body}
-}
-
-func (c *treeCache) remove(rid records.RID) {
-	c.enter()
-	defer c.leave()
-	delete(c.entries, ridKey(rid))
-}
-
-func (c *treeCache) clear() {
-	c.enter()
-	defer c.leave()
-	clear(c.entries)
-}
+// The image cache is the readers': the stored image of a record, copied
+// out of its page once per miss, which queries read in place. The write
+// path reads records where they lie and keeps nothing: every write drops
+// the record's image. A hit charges the buffer manager one Pool.Touch per
+// page (charge).
 
 // recCache is the image cache: a small LRU of record images, sharded by
 // RID so concurrent readers of different records rarely contend. Each
@@ -617,25 +446,6 @@ func (c *recCache) image(rid records.RID) (*noderep.Image, records.RID, bool) {
 		return nil, records.NilRID, false
 	}
 	sh.order.MoveToFront(e)
-	it := e.Value.(*cacheItem)
-	return it.img, it.body, true
-}
-
-// take is image for a caller that replaces the image with a tree of its
-// own: the entry goes.
-func (c *recCache) take(rid records.RID) (*noderep.Image, records.RID, bool) {
-	if c == nil {
-		return nil, records.NilRID, false
-	}
-	sh := c.shardOf(rid)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[rid]
-	if !ok {
-		return nil, records.NilRID, false
-	}
-	sh.order.Remove(e)
-	delete(sh.entries, rid)
 	it := e.Value.(*cacheItem)
 	return it.img, it.body, true
 }

@@ -107,7 +107,7 @@ func readOutAfterEdits(t *testing.T, merge bool) {
 				return err
 			}
 			if idx < 0 {
-				ref, err := tree.Locate(at)
+				ref, err := decodedAt(s, tree, at)
 				if err != nil {
 					return err
 				}
@@ -162,7 +162,7 @@ func readOutAfterEdits(t *testing.T, merge bool) {
 			for err == nil {
 				var ref core.NodeRef
 				var kids []core.NodeRef
-				if ref, err = tree.Locate(grown); err == nil {
+				if ref, err = decodedAt(s, tree, grown); err == nil {
 					kids, err = s.trees.Children(ref)
 				}
 				if err != nil || len(kids) <= 2 {
@@ -384,4 +384,23 @@ func pathsOf(t *testing.T, s *Store, name string, label dict.LabelID) []core.Pat
 	}
 	visit(mustRootRef(t, s, name), core.Path{})
 	return out
+}
+
+// decodedAt resolves a logical path over the decoded records (Tree.Root,
+// Store.Children).
+func decodedAt(s *Store, tree *core.Tree, path core.Path) (core.NodeRef, error) {
+	ref, err := tree.Root()
+	for _, i := range path {
+		if err != nil {
+			break
+		}
+		var kids []core.NodeRef
+		if kids, err = s.trees.Children(ref); err == nil && (i < 0 || i >= len(kids)) {
+			err = fmt.Errorf("no child %d of %d", i, len(kids))
+		}
+		if err == nil {
+			ref = kids[i]
+		}
+	}
+	return ref, err
 }

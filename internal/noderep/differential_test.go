@@ -223,15 +223,8 @@ func checkAllVersions(t *testing.T, rec *Record) {
 	if err != nil || !Equal(dec.Root, rec.Root) || dec.ParentRID != rec.ParentRID {
 		t.Fatalf("the format 4 image does not decode to the record (err %v)", err)
 	}
-	off := ParentRIDOffset(types)
-	if got := RecordParentRIDOffset(dec); got != off {
-		t.Fatalf("RecordParentRIDOffset after Decode = %d, want %d", got, off)
-	}
-	if got := RecordParentRIDOffset(rec); got != off {
-		t.Fatalf("RecordParentRIDOffset after Encode = %d, want %d", got, off)
-	}
-	if got := RecordParentRIDOffset(&Record{Root: rec.Root}); got != off {
-		t.Fatalf("RecordParentRIDOffset of an unencoded record = %d, want %d", got, off)
+	if rid, off := ImageParentRID(want); off != ParentRIDOffset(types) || rid != rec.ParentRID {
+		t.Fatalf("ImageParentRID = %s at %d, want %s at %d", rid, off, rec.ParentRID, ParentRIDOffset(types))
 	}
 
 	// The tree manager's path: a reused layout, and an image buffer still

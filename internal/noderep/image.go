@@ -21,8 +21,9 @@ import (
 // sibling the index it stores, the nodes of a subtree the indexes up to
 // the one behind it, and a facade index one load. The query path
 // resolves postings, navigates and reads text and markup this way, with
-// no Node in sight; only the write path decodes (Decode) or splices
-// (Splice), and neither builds a table. The image is a string: what
+// no Node in sight. The write path builds no table: it reads headers where
+// they lie (Span), splices (Splice) and decodes (Decode) only what it
+// cannot splice. The image is a string: what
 // Image reads out of it — a payload, a fused element's text — is a
 // substring, which shares the image's memory and needs no copy to outlive
 // the read.

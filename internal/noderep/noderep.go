@@ -406,10 +406,6 @@ func (n *Node) Validate() error {
 type Record struct {
 	ParentRID records.RID
 	Root      *Node
-
-	// types is the type-table entry count of the record's stored image,
-	// set by Decode and by Emit; 0 when the record has no image yet.
-	types int
 }
 
 // ParentRIDOffset is the byte offset of the standalone parent RID within
@@ -417,18 +413,6 @@ type Record struct {
 // tree manager can patch parent pointers in place without re-encoding.
 func ParentRIDOffset(ttCount int) int {
 	return recHeaderSize + ttEntrySize*ttCount + 2
-}
-
-// RecordParentRIDOffset returns the parent-RID byte offset within the
-// stored image of rec: the one Decode parsed it from or Emit last wrote.
-// A record without an image is measured.
-func RecordParentRIDOffset(rec *Record) int {
-	if rec.types == 0 {
-		var l Layout
-		_ = l.measure(rec.Root) // a malformed tree has no offset to get wrong
-		return ParentRIDOffset(len(l.types))
-	}
-	return ParentRIDOffset(rec.types)
 }
 
 // typeKey identifies one node type table entry.
@@ -650,8 +634,6 @@ func EncodedSize(rec *Record) int {
 
 // Emit writes the image of the record l was measured from into dst
 // (reused when large enough). rec must not have changed since Measure.
-// Emit notes the image's type count in rec (for RecordParentRIDOffset),
-// so the caller must hold rec exclusively.
 func (l *Layout) Emit(dst []byte, rec *Record) ([]byte, error) {
 	e := emitter{order: l.types, idx: l.idx}
 	buf, err := e.emit(dst, rec, l.Size())
@@ -661,12 +643,10 @@ func (l *Layout) Emit(dst []byte, rec *Record) ([]byte, error) {
 	if e.next != len(l.idx) {
 		return nil, fmt.Errorf("noderep: encode node count mismatch: wrote %d of %d", e.next, len(l.idx))
 	}
-	rec.types = len(l.types)
 	return buf, nil
 }
 
-// Encode serializes the record. Like Emit it requires rec held
-// exclusively.
+// Encode serializes the record.
 func Encode(rec *Record) ([]byte, error) {
 	var l Layout
 	if err := Measure(rec, &l); err != nil {
@@ -966,23 +946,36 @@ func readHeader[B ~[]byte | ~string](img B, wide bool, types, p, end int, h *hea
 // end or cites a type not in the table: the step from a node to the
 // sibling n on, without readHeader's checks of what the nodes hold.
 func hop(img []byte, tt, p, end, n int) int {
-	for ; n > 0; n-- {
+	p, _ = skip(img, tt, p, end, n, false)
+	return p
+}
+
+// skip is hop that also stops, when proxies is set, in front of the first
+// proxy, and returns how many nodes it passed.
+func skip(img []byte, tt, p, end, n int, proxies bool) (int, int) {
+	for m := 0; m < n; m++ {
 		if p+2 > end {
-			return -1 // every embedded node takes two bytes or more
+			if p == end && proxies {
+				return p, m // the content's end
+			}
+			return -1, m // every embedded node takes two bytes or more
 		}
 		b := int(img[p])
 		if b&narrowFused == 0 {
 			// Not a fused element: the type says how the size is stored.
 			if b >= tt {
-				return -1
+				return -1, m
 			}
 			switch Kind(img[recHeaderSize+ttEntrySize*b] & kindMask) {
 			case KindProxy:
+				if proxies {
+					return p, m
+				}
 				p += 1 + records.RIDSize
 				continue
 			case KindAggregate:
 				if p+3 > end {
-					return -1
+					return -1, m
 				}
 				p += 3 + u16(img[p+1:])
 				continue
@@ -991,7 +984,7 @@ func hop(img []byte, tt, p, end, n int) int {
 		cs := int(img[p+1])
 		if p += 2; cs&longSize != 0 {
 			if p >= end {
-				return -1
+				return -1, m
 			}
 			cs = cs&^longSize | int(img[p])<<7
 			p++
@@ -999,9 +992,9 @@ func hop(img []byte, tt, p, end, n int) int {
 		p += cs
 	}
 	if p > end {
-		return -1
+		return -1, n
 	}
-	return p
+	return p, n
 }
 
 // Decode parses a format 4 record image back into a node tree, validating
@@ -1072,7 +1065,7 @@ func Decode(buf []byte) (*Record, error) {
 	if err := a.decodeContent(pos, len(buf), root, rootFused); err != nil {
 		return nil, err
 	}
-	return &Record{ParentRID: parentRID, Root: root, types: ttCount}, nil
+	return &Record{ParentRID: parentRID, Root: root}, nil
 }
 
 // tableEntry is one type-table entry during Decode, marked once a node

@@ -2,6 +2,7 @@ package noderep
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"natix/internal/records"
 )
@@ -126,10 +127,10 @@ func (sp *Splice) locate(img []byte, path []int) (ep editPoint, ok bool) {
 // node type missing from img's type table, a record past limit bytes or
 // past 32 KB (no 15-bit content size in it can then overflow), a path
 // that does not resolve, a child beside the text of a fused element, a
-// wide image or one of an older format version. img is consumed either
-// way — the result reuses its backing array when that has room for limit
-// bytes — so the caller passes a copy of the stored image, and n must be
-// well-formed (Validate).
+// wide image or one of an older format version. n must be well-formed
+// (Validate). The result reuses img's backing array when that has room
+// for limit bytes, so the caller passes a copy of the stored image; a
+// refusal leaves img as it was, for the caller to decode.
 func (sp *Splice) Insert(img []byte, path []int, n *Node, limit int) ([]byte, bool) {
 	ep, ok := sp.locate(img, path)
 	if !ok || ep.fused {
@@ -156,6 +157,9 @@ func (sp *Splice) Insert(img []byte, path []int, n *Node, limit int) ([]byte, bo
 		copy(img[pos:], n.Payload)
 		return img, true
 	}
+	if !typesPresent(img, n) {
+		return nil, false
+	}
 	delta := n.TotalSize()
 	if img, ok = sp.replace(img, ep.pos, 0, delta, limit); !ok {
 		return nil, false
@@ -171,7 +175,8 @@ func (sp *Splice) Insert(img []byte, path []int, n *Node, limit int) ([]byte, bo
 // not a splice: the subtree holds the last node of some type, so a
 // re-encode would drop the type-table entry, the child's only sibling is
 // a text a re-encode would fuse with the aggregate, or the path does not
-// resolve. img is consumed either way.
+// resolve. Like Insert it edits img in place and leaves it as it was when
+// it refuses.
 func (sp *Splice) Remove(img []byte, path []int) ([]byte, bool) {
 	ep, ok := sp.locate(img, path)
 	if !ok {
@@ -226,11 +231,25 @@ func (sp *Splice) replace(img []byte, at, a, b, limit int) ([]byte, bool) {
 		copy(img[at+b:], img[at+a:])
 		img = img[:size]
 	}
+	before := -1 // the byte in front of at
+	if at > 0 {
+		before = int(img[at-1])
+	}
 	for _, f := range sp.Fields {
 		putU16(img[f:], u16(img[f:])+delta)
 	}
 	sp.From = at + min(a, b)
-	for f := at - (sp.From-at)%2; f < sp.From; f += 2 {
+	f := at - (sp.From-at)%2
+	if f < at && int(img[at-1]) != before {
+		// The byte in front of at is the high byte of the size field at
+		// at-2, which the edit changed, and two fields may not overlap:
+		// that field is declared a byte earlier, over the type in front
+		// of it, which stays as it was.
+		if i := slices.Index(sp.Fields, at-2); i >= 0 {
+			sp.Fields[i] = at - 3
+		}
+	}
+	for ; f < sp.From; f += 2 {
 		sp.Fields = append(sp.Fields, f)
 	}
 	return img, true
@@ -298,6 +317,23 @@ func emitEmbedded(img []byte, pos int, n *Node) (int, bool) {
 	return 0, false
 }
 
+// typesPresent reports whether img's type table holds, at a one-byte
+// index, every type emitEmbedded cites to write n.
+func typesPresent(img []byte, n *Node) bool {
+	if ti := tableIndex(img, nodeTypeKey(n)); ti < 0 || ti >= narrowTypes {
+		return false
+	}
+	if n.Kind != KindAggregate || n.FusedText() != nil {
+		return true
+	}
+	for _, c := range n.Children {
+		if !typesPresent(img, c) {
+			return false
+		}
+	}
+	return true
+}
+
 // tableIndex returns the index of k in img's type table, or -1.
 func tableIndex(img []byte, k typeKey) int {
 	for i, tt := 0, u16(img[2:]); i < tt; i++ {
@@ -336,6 +372,110 @@ func typesSurvive(img []byte, lo, hi int) bool {
 		if gone[i]&^kept[i] != 0 {
 			return false
 		}
+	}
+	return true
+}
+
+// InsertTyped is Insert for a node that cites types img's table lacks,
+// which Insert refuses: the missing entries are added to the table, n is
+// spliced in and the result re-encoded in place (Canonical), so it is the
+// image Encode writes for the edited record, built in dst (reused when
+// large enough) without a tree. It reports false when n cites no missing
+// type, when the table would need two-byte indexes, or when Insert
+// refuses the edit for a reason of its own.
+func (sp *Splice) InsertTyped(dst, img []byte, path []int, n *Node, limit int) ([]byte, bool) {
+	if len(img) < recHeaderSize || img[0] != FormatVersion || img[1]&wideFlag != 0 {
+		return nil, false
+	}
+	tt := u16(img[2:])
+	table := recHeaderSize + ttEntrySize*tt
+	dst = appendMissing(append(dst[:0], img[:table]...), n)
+	added := (len(dst) - table) / ttEntrySize
+	if added == 0 || tt+added > narrowTypes {
+		return nil, false
+	}
+	putU16(dst[2:], tt+added)
+	dst, ok := sp.Insert(append(dst, img[table:]...), path, n, limit)
+	if !ok || !Canonical(dst) {
+		return nil, false
+	}
+	return dst, true
+}
+
+// appendMissing appends to the image img the type-table entries of the
+// types n and its subtree cite that the table img ends with lacks.
+func appendMissing(img []byte, n *Node) []byte {
+	k := nodeTypeKey(n)
+	found := false
+	for p := recHeaderSize; p+ttEntrySize <= len(img); p += ttEntrySize {
+		found = found || img[p] == k.kindFlags && u16(img[p+1:]) == int(k.label) && img[p+3] == byte(k.litType)
+	}
+	if !found {
+		img = append(img, k.kindFlags, byte(k.label), byte(k.label>>8), byte(k.litType))
+	}
+	if n.Kind == KindAggregate && n.FusedText() == nil {
+		for _, c := range n.Children {
+			img = appendMissing(img, c)
+		}
+	}
+	return img
+}
+
+// Canonical rewrites img, a narrow image whose every table entry some
+// node cites, in place into the form Encode writes for its record: the
+// type table in the order of first use, root first and then in pre-order,
+// and every type index renumbered to match. A splice keeps the table as
+// stored, which Decode accepts, but a full write of the record — a
+// record that moves, or one that gains a type — writes the encoder's
+// bytes. It reports false, with img unchanged, for a wide image or one
+// it cannot read.
+func Canonical(img []byte) bool {
+	if len(img) < recHeaderSize+StandaloneHeaderSize || img[1]&wideFlag != 0 {
+		return false
+	}
+	tt := u16(img[2:])
+	root := recHeaderSize + ttEntrySize*tt
+	if tt > narrowTypes || root+StandaloneHeaderSize > len(img) || u16(img[root:]) >= tt {
+		return false
+	}
+	var remap [narrowTypes]int
+	next := 0
+	use := func(ti int) int {
+		if remap[ti] == 0 {
+			next++
+			remap[ti] = next
+		}
+		return remap[ti] - 1
+	}
+	use(u16(img[root:]))
+	embedded := Kind(img[recHeaderSize+ttEntrySize*u16(img[root:])]&kindMask) == KindAggregate && img[1]&rootFusedFlag == 0
+	// Every header is read before any is renumbered; the table is the
+	// stored one until the end.
+	var h header
+	for p := root + StandaloneHeaderSize; embedded && p < len(img); {
+		if !readHeader(img, false, tt, p, len(img), &h) {
+			return false
+		}
+		use(h.ti)
+		if p = h.end(); h.aggregate() {
+			p = h.start
+		}
+	}
+	if next != tt {
+		return false // an entry no node cites
+	}
+	for p := root + StandaloneHeaderSize; embedded && p < len(img); {
+		readHeader(img, false, tt, p, len(img), &h)
+		img[p] = img[p]&narrowFused | byte(remap[h.ti]-1)
+		if p = h.end(); h.aggregate() {
+			p = h.start
+		}
+	}
+	putU16(img[root:], remap[u16(img[root:])]-1)
+	var old [narrowTypes * ttEntrySize]byte
+	copy(old[:], img[recHeaderSize:root])
+	for ti := range tt {
+		copy(img[recHeaderSize+ttEntrySize*(remap[ti]-1):], old[ttEntrySize*ti:ttEntrySize*(ti+1)])
 	}
 	return true
 }

@@ -90,7 +90,7 @@ var (
 const MinRecordSize = RIDSize
 
 // Manager provides record CRUD over a segment. Read operations (Read,
-// Size, Touch, PageOf, PageFreeBytes) are safe for any number of
+// Size, View, PageOf, PageFreeBytes) are safe for any number of
 // concurrent callers and may run concurrently with one mutator: every
 // page access holds the frame latch (shared for reads, exclusive for
 // mutations), so a mutator rewriting one page never exposes torn bytes
@@ -300,6 +300,29 @@ func (m *Manager) ReadString(rid RID) (string, RID, error) {
 	return s, v.loc, nil
 }
 
+// A View is a record's body read where it lies: the page the body lies
+// on pinned and latched shared (for a forwarded record, after the home
+// page is let go), until Done. Its bytes alias the page, so a view costs
+// one logical read per page the body lies on, and no copy. A mutator may
+// hold several views at once, two of one page included: a shared latch
+// waits only on an exclusive one, and a data page is latched exclusively
+// only by a mutator, which the caller serializes. It must end every view
+// before it writes.
+type View struct{ v visit }
+
+// View visits the body of rid into w. On error nothing is held.
+func (m *Manager) View(rid RID, w *View) error { return m.body(&w.v, rid, false) }
+
+// Body returns the body's bytes, valid until Done.
+func (w *View) Body() []byte { return w.v.bytes() }
+
+// Loc returns where the body lies: the record's own RID unless it is
+// forwarded.
+func (w *View) Loc() RID { return w.v.loc }
+
+// Done unlatches and unpins the body's page.
+func (w *View) Done() { w.v.done() }
+
 // VerifyRID checks that rid resolves to a readable record body —
 // forwarding stub intact and naming a live body, cell bounds valid —
 // without copying the body out. The integrity scrubber uses it to
@@ -330,28 +353,13 @@ func (m *Manager) PageOf(rid RID) (pagedev.PageNo, error) {
 	return v.loc.Page, nil
 }
 
-// Touch registers a logical access to the record's page(s) without
-// reading the body, and returns where the body lies — rid itself unless
-// the record is forwarded. Upper-level caches use it so cache hits still
-// flow through the buffer manager; one that keeps the location charges
-// later hits with TouchAt instead, which does not look into the page.
-func (m *Manager) Touch(rid RID) (RID, error) {
-	var v visit
-	if err := m.home(&v, rid, false); err != nil {
-		return NilRID, err
-	}
-	v.done()
-	if v.fwd {
-		return v.loc, m.seg.Pool().Touch(v.loc.Page)
-	}
-	return v.loc, nil
-}
-
-// TouchAt is Touch for a caller that knows where the body lies (body,
-// as Touch or ReadString returned it, and valid as long as the record
-// has not been written since): the same pages are charged, the home
-// page and for a forwarded record the body's, each with one
-// buffer.Pool.Touch — a resident page is not pinned, latched or parsed.
+// TouchAt registers a logical access to the pages of record rid, whose
+// body lies at body (as ReadString returned it, and valid as long as the
+// record has not been written since), without reading them: an
+// upper-level cache charges its hits with it, so they still flow through
+// the buffer manager. The pages a read would visit are charged — the home
+// page and for a forwarded record the body's — each with one
+// buffer.Pool.Touch: a resident page is not pinned, latched or parsed.
 func (m *Manager) TouchAt(rid, body RID) error {
 	pool := m.seg.Pool()
 	if err := pool.Touch(rid.Page); err != nil {
@@ -429,10 +437,28 @@ type Editor interface {
 // new body. Mutator context: the manager's buffer is the writer's.
 func (m *Manager) Edit(rid RID, ed Editor) (bool, error) {
 	var v visit
-	err := m.body(&v, rid, true)
-	if err != nil {
+	if err := m.body(&v, rid, true); err != nil {
 		return false, err
 	}
+	return m.editIn(&v, ed)
+}
+
+// EditView is Edit for the record w views, in the same visit: the page's
+// latch is taken exclusively in place of the view's shared one, so an
+// edit of a record its caller has just read visits the page once. It
+// ends the view. The pinned page cannot change between the two latches:
+// only the caller, the one mutator, writes data pages.
+func (m *Manager) EditView(w *View, ed Editor) (bool, error) {
+	v := &w.v
+	v.f.RUnlatch()
+	v.f.Latch()
+	v.write = true
+	return m.editIn(v, ed)
+}
+
+// editIn runs ed on the body of write visit v and ends the visit.
+func (m *Manager) editIn(v *visit, ed Editor) (bool, error) {
+	var err error
 	if m.edit == nil {
 		m.edit = make([]byte, 0, m.MaxRecordSize())
 	}
@@ -442,7 +468,7 @@ func (m *Manager) Edit(rid RID, ed Editor) (bool, error) {
 			ok, err = v.splice(data, from, fields)
 		}
 	}
-	return m.endSplice(&v, ok, err)
+	return m.endSplice(v, ok, err)
 }
 
 // Update replaces the record body. The RID stays valid: if the new body

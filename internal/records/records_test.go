@@ -386,7 +386,7 @@ func TestUpdateSizeLimits(t *testing.T) {
 	}
 }
 
-func TestTouchForwarded(t *testing.T) {
+func TestViewForwarded(t *testing.T) {
 	m := newManager(t, 1024)
 	rid, _ := m.Insert(bytes.Repeat([]byte{1}, 900), 0)
 	if _, err := m.Insert(bytes.Repeat([]byte{2}, 80), rid.Page); err != nil {
@@ -395,7 +395,12 @@ func TestTouchForwarded(t *testing.T) {
 	if err := m.Update(rid, bytes.Repeat([]byte{3}, 950)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Touch(rid); err != nil {
-		t.Fatalf("Touch on forwarded record: %v", err)
+	var v View
+	if err := m.View(rid, &v); err != nil {
+		t.Fatalf("View of a forwarded record: %v", err)
+	}
+	defer v.Done()
+	if v.Loc() == rid || !bytes.Equal(v.Body(), bytes.Repeat([]byte{3}, 950)) {
+		t.Fatalf("View of a forwarded record: body at %s, %d bytes", v.Loc(), len(v.Body()))
 	}
 }

@@ -73,7 +73,14 @@ func TestRecordAccessVisitsOnce(t *testing.T) {
 				{"Size", pages, func() error { _, err := m.Size(rid); return err }},
 				{"VerifyRID", pages, func() error { return m.VerifyRID(rid) }},
 				{"PageOf", 1, func() error { _, err := m.PageOf(rid); return err }},
-				{"Touch", pages, func() error { _, err := m.Touch(rid); return err }},
+				{"View", pages, func() error {
+					var v View
+					if err := m.View(rid, &v); err != nil {
+						return err
+					}
+					v.Done()
+					return nil
+				}},
 				{"Patch", pages, func() error { return m.Patch(rid, 1, []byte{7, 7}) }},
 				{"Splice", pages + inventory, func() error {
 					ok, err := m.Splice(rid, same(size), 0, nil)
