@@ -159,6 +159,20 @@ func (tw *twinEdits) delete(kind string, path Path) {
 		func(tr *Tree) error { return refDelete(tr, path, tw.splice) })
 }
 
+// refuse runs an edit both paths must refuse on the twin stores and holds
+// them to the same error, word for word, and the same stores.
+func (tw *twinEdits) refuse(kind string, prod, ref func(*Tree) error) {
+	tw.t.Helper()
+	var errs [2]error
+	for i, fn := range []func(*Tree) error{prod, ref} {
+		tw.stores[i].op(tw.t, kind, func() error { errs[i] = fn(tw.trees[i]); return nil })
+	}
+	if errs[0] == nil || errs[1] == nil || errs[0].Error() != errs[1].Error() {
+		tw.t.Fatalf("%s: error %q, reference %q", kind, errs[0], errs[1])
+	}
+	tw.stores[0].sameAs(tw.t, tw.stores[1], kind)
+}
+
 // done checks the production tree and that both stores took the same
 // paths: the same records spliced, rewritten and split.
 func (tw *twinEdits) done() Stats {
@@ -234,7 +248,9 @@ func TestSpliceInFrameMatchesReadIntoSplice(t *testing.T) {
 // replaced, with the same in-frame splice (refSpliceInFrame). Under both
 // split-matrix extremes, at 512- and 8192-byte pages, with and without
 // merging on delete, after every operation the two stores hold the same
-// page images and the same log, byte for byte.
+// page images and the same log, byte for byte. Between the operations,
+// edits below a text — a delete of its child, an insert under it — are
+// refused by both with the same error.
 func TestImageWritePathMatchesDecoded(t *testing.T) {
 	labels := []dict.LabelID{lPlay, lAct, lScene, lSpeech, lSpeaker, lLine}
 	for _, page := range []int{512, 8192} {
@@ -247,6 +263,7 @@ func TestImageWritePathMatchesDecoded(t *testing.T) {
 					cfg := func() Config { return Config{Matrix: m.matrix(), CacheRecords: 64, MergeOnDelete: merge} }
 					tw := newTwinEdits(t, page, cfg, lPlay, refSpliceInFrame)
 					rng := rand.New(rand.NewSource(int64(page) + 7))
+					bad := rand.New(rand.NewSource(int64(page)))
 					model := &refNode{label: lPlay}
 					ops := 600
 					if page > 512 {
@@ -254,6 +271,21 @@ func TestImageWritePathMatchesDecoded(t *testing.T) {
 					}
 					for op := 0; op < ops; op++ {
 						var paths []Path
+						if bad.Intn(100) < 5 {
+							modelPaths(model, Path{}, false, &paths)
+							paths = slices.DeleteFunc(paths, func(p Path) bool { return !modelAt(model, p).isText })
+							if len(paths) > 0 {
+								p := paths[bad.Intn(len(paths))]
+								below := append(p.Clone(), 0)
+								tw.refuse(fmt.Sprintf("op %d: delete %s below a text", op, below),
+									func(tr *Tree) error { return tr.Delete(below) },
+									func(tr *Tree) error { return refDelete(tr, below, tw.splice) })
+								tw.refuse(fmt.Sprintf("op %d: insert under the text %s", op, p),
+									func(tr *Tree) error { return tr.InsertChild(p, 0, noderep.NewAggregate(lLine)) },
+									func(tr *Tree) error { return refInsertChild(tr, p, 0, noderep.NewAggregate(lLine), tw.splice) })
+							}
+							paths = paths[:0]
+						}
 						if rng.Intn(100) < 15 && len(model.children) > 0 {
 							modelPaths(model, Path{}, false, &paths)
 							p := paths[rng.Intn(len(paths))]

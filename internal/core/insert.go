@@ -256,17 +256,13 @@ func (s *Store) placeAt(cand slot, node *noderep.Node, ctx *opCtx) error {
 // node's own bytes instead of a re-encode of the record
 // (noderep.Splice), and the record's page one visit — the image is
 // copied out of its page and spliced back into it inside the same
-// pinned, latched frame (records.Manager.Edit). An edited image its page
-// cannot hold, and an insert that needs new type-table entries
-// (noderep.Splice.InsertTyped), are re-encoded as images
-// (noderep.Canonical) and written whole, as a write of the decoded tree
-// would write them. In every other case — the image needs a split, or
-// the splice was refused (the removal of a type's last node, a fuse or
-// unfuse that is not one contiguous change) — it writes nothing and
-// returns the record decoded, privately: the stored image, or the edited
-// one, with edited set, when that outgrew the page. The caller then edits
-// that tree, re-encodes it and drops it (writeRecord, or afterPlacement
-// and its move or split).
+// pinned, latched frame (records.Manager.Edit). Otherwise — the splice
+// was refused (a new type-table entry, the removal of a type's last node,
+// a fuse or unfuse that is not one contiguous change) or the edited image
+// outgrew its page — it writes nothing and returns the record decoded,
+// privately: the stored image, or the edited one, with edited set. The
+// caller then edits that tree, re-encodes it and drops it (writeRecord,
+// or afterPlacement and its move or split).
 func (s *Store) edit(sl slot, node *noderep.Node) (rec *noderep.Record, edited bool, err error) {
 	e := &s.editor
 	e.path = append(append(e.path[:0], sl.path...), sl.idx)
@@ -285,17 +281,6 @@ func (s *Store) edit(sl slot, node *noderep.Node) (rec *noderep.Record, edited b
 			s.cache.remove(sl.rid)
 		}
 		return nil, false, err
-	}
-	img := e.img
-	if e.spliced {
-		ok = noderep.Canonical(img)
-	} else if node != nil {
-		if img, ok = e.sp.InsertTyped(s.image, e.img, e.path, node, e.limit); ok {
-			s.image = img
-		}
-	}
-	if ok {
-		return nil, false, s.rewrite(sl.rid, img)
 	}
 	s.stats.recordsDecoded.Add(1)
 	if rec, err = noderep.Decode(e.img); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"natix/internal/noderep"
@@ -116,6 +117,9 @@ func (s *Store) locate(root records.RID, path Path, n *wnode) error {
 //
 //natix:noalloc
 func (s *Store) childAt(d int, n *wnode, idx int) (at, k int, err error) {
+	if idx < 0 {
+		idx = math.MaxInt // no such child: count them all
+	}
 	agg := n.span
 	switch {
 	case agg.Kind != noderep.KindAggregate:
@@ -131,7 +135,7 @@ func (s *Store) childAt(d int, n *wnode, idx int) (at, k int, err error) {
 	img := s.views[d].Body()
 	for p, i := agg.Start, 0; ; i++ {
 		// Pass the plain children in front of the wanted one.
-		q, m, proxyEnd := noderep.Skip(img, p, &agg, max(idx-k, 0))
+		q, m, proxyEnd := noderep.Skip(img, p, &agg, idx-k)
 		if p, i, k = q, i+m, k+m; p < 0 {
 			return -1, k, corrupt(n.rid)
 		}
@@ -139,17 +143,13 @@ func (s *Store) childAt(d int, n *wnode, idx int) (at, k int, err error) {
 			return -1, k, nil
 		}
 		if proxyEnd == 0 {
+			// Skip stopped in front of the wanted child: k == idx.
 			var c noderep.Span
 			if !noderep.ChildSpan(img, p, &agg, &c) {
 				return -1, k, corrupt(n.rid)
 			}
-			if k == idx {
-				n.path, n.span = append(n.path, i), c
-				return d, k, nil
-			}
-			p = c.End
-			k++
-			continue
+			n.path, n.span = append(n.path, i), c
+			return d, k, nil
 		}
 		p = proxyEnd
 		rid, path, w := n.rid, n.path, s.view(d+1)
@@ -183,14 +183,18 @@ func (s *Store) childAt(d int, n *wnode, idx int) (at, k int, err error) {
 	}
 }
 
-// childEntries lists the logical children of n, the aggregate located in
-// the record held in view 0, in document order, resolving proxies and
-// splicing scaffolding aggregates transparently, and returns how many
-// physical children n has in its own record. The list is built in the
-// store's scratch: it is valid until the next call.
+// childEntries lists the logical children of n, the node located in the
+// record held in view 0 (none unless it is an aggregate), in document
+// order, resolving proxies and splicing scaffolding aggregates
+// transparently, and returns how many physical children n has in its own
+// record. The list is built in the store's scratch: it is valid until the
+// next call.
 func (s *Store) childEntries(n *wnode) ([]childEntry, int, error) {
 	s.entries = s.entries[:0]
-	if n.span.Fused {
+	switch {
+	case n.span.Kind != noderep.KindAggregate:
+		return s.entries, 0, nil // a literal or a proxy has no children
+	case n.span.Fused:
 		s.entries = append(s.entries, childEntry{
 			rid: n.rid, span: n.span.Text(),
 			slot: slot{rid: n.rid, body: n.body, path: n.path},

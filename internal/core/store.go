@@ -277,8 +277,11 @@ func (s *Store) deleteRecord(rid records.RID) error {
 // patchParentRID rewrites the standalone parent pointer of child in
 // place (8 bytes, no record move), unless it already names parent.
 func (s *Store) patchParentRID(child, parent records.RID) error {
-	var v records.View
-	if err := s.rm.View(child, &v); err != nil {
+	var (
+		v    records.View
+		root noderep.Span
+	)
+	if err := s.viewRoot(child, &v, &root); err != nil {
 		return err
 	}
 	cur, off := noderep.ImageParentRID(v.Body())

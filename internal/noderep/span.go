@@ -63,7 +63,7 @@ func ChildSpan(img []byte, pos int, parent *Span, n *Span) bool {
 // nodes it passed and, when the node there is a proxy, the offset behind
 // it (0 otherwise): the walk over the siblings in front of a child whose
 // spans the reader does not need, with hop's checks only. It returns -1
-// for a node that crosses parent's end.
+// for a node, the proxy it stops at included, that crosses parent's end.
 func Skip(img []byte, pos int, parent *Span, n int) (at, passed, proxyEnd int) {
 	tt, end := u16(img[2:]), parent.End
 	if img[1]&wideFlag == 0 {
@@ -71,7 +71,9 @@ func Skip(img []byte, pos int, parent *Span, n int) (at, passed, proxyEnd int) {
 			return pos, passed, 0
 		}
 		if b := int(img[pos]); b < tt && Kind(img[recHeaderSize+ttEntrySize*b]&kindMask) == KindProxy {
-			proxyEnd = pos + ProxySize
+			if proxyEnd = pos + ProxySize; proxyEnd > end {
+				return -1, passed, 0
+			}
 		}
 		return pos, passed, proxyEnd
 	}

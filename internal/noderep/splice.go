@@ -213,8 +213,8 @@ func (sp *Splice) Remove(img []byte, path []int) ([]byte, bool) {
 // difference, and records the change in sp: from at+min(a, b) on, what
 // follows having moved as a whole, and before that the two-byte fields
 // covering the rest of the b bytes, which the caller writes. It reports
-// false, with img consumed, when the result would pass limit bytes or 32
-// KB.
+// false, with img as it was, when the result would pass limit bytes or
+// 32 KB.
 func (sp *Splice) replace(img []byte, at, a, b, limit int) ([]byte, bool) {
 	old, delta := len(img), b-a
 	size := old + delta
@@ -372,110 +372,6 @@ func typesSurvive(img []byte, lo, hi int) bool {
 		if gone[i]&^kept[i] != 0 {
 			return false
 		}
-	}
-	return true
-}
-
-// InsertTyped is Insert for a node that cites types img's table lacks,
-// which Insert refuses: the missing entries are added to the table, n is
-// spliced in and the result re-encoded in place (Canonical), so it is the
-// image Encode writes for the edited record, built in dst (reused when
-// large enough) without a tree. It reports false when n cites no missing
-// type, when the table would need two-byte indexes, or when Insert
-// refuses the edit for a reason of its own.
-func (sp *Splice) InsertTyped(dst, img []byte, path []int, n *Node, limit int) ([]byte, bool) {
-	if len(img) < recHeaderSize || img[0] != FormatVersion || img[1]&wideFlag != 0 {
-		return nil, false
-	}
-	tt := u16(img[2:])
-	table := recHeaderSize + ttEntrySize*tt
-	dst = appendMissing(append(dst[:0], img[:table]...), n)
-	added := (len(dst) - table) / ttEntrySize
-	if added == 0 || tt+added > narrowTypes {
-		return nil, false
-	}
-	putU16(dst[2:], tt+added)
-	dst, ok := sp.Insert(append(dst, img[table:]...), path, n, limit)
-	if !ok || !Canonical(dst) {
-		return nil, false
-	}
-	return dst, true
-}
-
-// appendMissing appends to the image img the type-table entries of the
-// types n and its subtree cite that the table img ends with lacks.
-func appendMissing(img []byte, n *Node) []byte {
-	k := nodeTypeKey(n)
-	found := false
-	for p := recHeaderSize; p+ttEntrySize <= len(img); p += ttEntrySize {
-		found = found || img[p] == k.kindFlags && u16(img[p+1:]) == int(k.label) && img[p+3] == byte(k.litType)
-	}
-	if !found {
-		img = append(img, k.kindFlags, byte(k.label), byte(k.label>>8), byte(k.litType))
-	}
-	if n.Kind == KindAggregate && n.FusedText() == nil {
-		for _, c := range n.Children {
-			img = appendMissing(img, c)
-		}
-	}
-	return img
-}
-
-// Canonical rewrites img, a narrow image whose every table entry some
-// node cites, in place into the form Encode writes for its record: the
-// type table in the order of first use, root first and then in pre-order,
-// and every type index renumbered to match. A splice keeps the table as
-// stored, which Decode accepts, but a full write of the record — a
-// record that moves, or one that gains a type — writes the encoder's
-// bytes. It reports false, with img unchanged, for a wide image or one
-// it cannot read.
-func Canonical(img []byte) bool {
-	if len(img) < recHeaderSize+StandaloneHeaderSize || img[1]&wideFlag != 0 {
-		return false
-	}
-	tt := u16(img[2:])
-	root := recHeaderSize + ttEntrySize*tt
-	if tt > narrowTypes || root+StandaloneHeaderSize > len(img) || u16(img[root:]) >= tt {
-		return false
-	}
-	var remap [narrowTypes]int
-	next := 0
-	use := func(ti int) int {
-		if remap[ti] == 0 {
-			next++
-			remap[ti] = next
-		}
-		return remap[ti] - 1
-	}
-	use(u16(img[root:]))
-	embedded := Kind(img[recHeaderSize+ttEntrySize*u16(img[root:])]&kindMask) == KindAggregate && img[1]&rootFusedFlag == 0
-	// Every header is read before any is renumbered; the table is the
-	// stored one until the end.
-	var h header
-	for p := root + StandaloneHeaderSize; embedded && p < len(img); {
-		if !readHeader(img, false, tt, p, len(img), &h) {
-			return false
-		}
-		use(h.ti)
-		if p = h.end(); h.aggregate() {
-			p = h.start
-		}
-	}
-	if next != tt {
-		return false // an entry no node cites
-	}
-	for p := root + StandaloneHeaderSize; embedded && p < len(img); {
-		readHeader(img, false, tt, p, len(img), &h)
-		img[p] = img[p]&narrowFused | byte(remap[h.ti]-1)
-		if p = h.end(); h.aggregate() {
-			p = h.start
-		}
-	}
-	putU16(img[root:], remap[u16(img[root:])]-1)
-	var old [narrowTypes * ttEntrySize]byte
-	copy(old[:], img[recHeaderSize:root])
-	for ti := range tt {
-		copy(img[recHeaderSize+ttEntrySize*(remap[ti]-1):], old[ttEntrySize*ti:ttEntrySize*(ti+1)])
 	}
 	return true
 }
