@@ -19,7 +19,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -492,12 +494,14 @@ func checkAll(store *docstore.Store) {
 // plus the checkpoint chain and, per record type, how many records and
 // how many log bytes (frames included) it accounts for. Torn tails are
 // reported, not fatal — this is the debugging view of a crashed store.
+// The log is opened read-only and read with pread, so the dump is safe
+// beside a live store: it neither maps nor truncates the file.
 func dumpWAL(path string) {
 	st, err := os.Stat(path)
 	if err != nil {
 		fatalf("no write-ahead log at %s: %v", path, err)
 	}
-	storage, err := wal.OpenFileStorage(path)
+	storage, err := wal.OpenFileStorageReadOnly(path)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -558,17 +562,25 @@ func dumpWAL(path string) {
 		fatalf("%v", err)
 	}
 	book(end)
+	var total int64 // the bytes of the records Scan read
+	for _, n := range sizes {
+		total += n
+	}
 	fmt.Printf("\nlog: %d bytes on disk, %d records, %d operations, end LSN %d (page size %d)\n",
 		st.Size(), records, ops, end, pageSize)
+	if valid := wal.HeaderSize + total; st.Size() > valid {
+		rest := st.Size() - valid
+		if allZero(storage, valid, rest) {
+			fmt.Printf("tail: %d bytes preallocated, zero (a growth step of the log file no commit reached)\n", rest)
+		} else {
+			fmt.Printf("tail: %d bytes behind the last valid record, not zero (a torn write; recovery discards them)\n", rest)
+		}
+	}
 	switch len(checkpoints) {
 	case 0:
 		fmt.Println("checkpoint chain: none (log truncates at each checkpoint; records above await the next one)")
 	default:
 		fmt.Printf("checkpoint chain: %d in log, last at LSN %d\n", len(checkpoints), checkpoints[len(checkpoints)-1])
-	}
-	var total int64
-	for _, n := range sizes {
-		total += n
 	}
 	fmt.Print("by type:")
 	for t, n := range counts {
@@ -580,6 +592,23 @@ func dumpWAL(path string) {
 	if openKind != "" {
 		fmt.Printf("UNFINISHED operation %q (begin LSN %d): recovery will undo it on next open\n", openKind, openLSN)
 	}
+}
+
+// allZero reports whether the n bytes of r from off on are all zero.
+func allZero(r io.ReaderAt, off, n int64) bool {
+	buf := make([]byte, 64<<10)
+	for n > 0 {
+		b := buf[:min(n, int64(len(buf)))]
+		if _, err := r.ReadAt(b, off); err != nil {
+			return false
+		}
+		if slices.ContainsFunc(b, func(c byte) bool { return c != 0 }) {
+			return false
+		}
+		off += int64(len(b))
+		n -= int64(len(b))
+	}
+	return true
 }
 
 func rangeBytes(ranges []wal.Range) int {

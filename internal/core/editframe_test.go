@@ -193,8 +193,8 @@ func (tw *twinEdits) done() Stats {
 // the production path, which computes and applies each node edit inside
 // the record's one pinned, latched frame (records.Manager.Edit), and the
 // decoded reference with the splice the in-frame one replaced, which read
-// the image out with ReadInto and handed it to records.Manager.Splice
-// (refSpliceRecord). Under the four split-matrix settings and pages of
+// the image out with ReadInto and handed the spliced copy to
+// records.Manager.Edit (refSpliceRecord). Under the four split-matrix settings and pages of
 // 512 and 8192 bytes, after every edit the two stores hold the same page
 // images and the same log, byte for byte.
 func TestSpliceInFrameMatchesReadIntoSplice(t *testing.T) {

@@ -743,8 +743,8 @@ func refPhysPath(path []int, pos physPos) ([]int, bool) {
 
 // refSpliceRecord is the splice as it stood before it moved into the
 // pinned frame: the stored image read out with ReadInto (a resolve and a
-// pin of its own), spliced, and handed to records.Manager.Splice, which
-// resolves the RID and pins the page again.
+// pin of its own), spliced, and handed to records.Manager.Edit as the
+// prepared image, which resolves the RID and pins the page again.
 func refSpliceRecord(s *Store, pos physPos, node *noderep.Node) (bool, error) {
 	path, ok := refPhysPath(nil, pos)
 	if !ok {
@@ -763,12 +763,23 @@ func refSpliceRecord(s *Store, pos physPos, node *noderep.Node) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	if ok, err := s.rm.Splice(pos.rid, img, sp.From, sp.Fields); !ok || err != nil {
+	if ok, err := s.rm.Edit(pos.rid, preparedImage{img, &sp}); !ok || err != nil {
 		return false, err
 	}
 	s.stats.recordsSpliced.Add(1)
 	s.cache.remove(pos.rid)
 	return true, nil
+}
+
+// preparedImage is a records.Editor that hands Edit an image spliced
+// before the visit.
+type preparedImage struct {
+	img []byte
+	sp  *noderep.Splice
+}
+
+func (p preparedImage) Edit([]byte) ([]byte, int, []int, bool) {
+	return p.img, p.sp.From, p.sp.Fields, true
 }
 
 // TestLocateMatchesReference resolves every path of a corpus play —

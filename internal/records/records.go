@@ -371,30 +371,15 @@ func (m *Manager) TouchAt(rid, body RID) error {
 	return nil
 }
 
-// Splice replaces the record body by data when that fits on the page
-// the body lies on, for a caller that knows where data differs from the
-// stored body: from byte from on, and before that only in the two-byte
-// fields at the offsets in fields. The page is then edited, and the
-// change logged, in those bytes alone (pageformat.Slotted.Splice) — and
-// when behind from data is the stored body with bytes inserted or
-// removed there, which is what a node edit is, as that shift instead of
-// the bytes it moves. It reports false, with nothing changed, when the
-// page cannot hold data; Update then moves the body.
-func (m *Manager) Splice(rid RID, data []byte, from int, fields []int) (bool, error) {
-	if err := m.checkSize(len(data)); err != nil {
-		return false, err
-	}
-	var v visit
-	if err := m.body(&v, rid, true); err != nil {
-		return false, err
-	}
-	ok, err := v.splice(data, from, fields)
-	return m.endSplice(&v, ok, err)
-}
-
-// splice splices data into the body of write visit v inside one logged
-// update bracket: a shift when it is one, else the spans Splice writes.
-// It reports false, with nothing changed, when the page cannot hold data.
+// splice replaces the body of write visit v by data, for a caller that
+// knows where data differs from the stored body: from byte from on, and
+// before that only in the two-byte fields at the offsets in fields. The
+// page is edited, and the change logged, in those bytes alone
+// (pageformat.Slotted.Splice), inside one update bracket — and when
+// behind from data is the stored body with bytes inserted or removed
+// there, which is what a node edit is, as that shift instead of the
+// bytes it moves. It reports false, with nothing changed, when the page
+// cannot hold data.
 func (v *visit) splice(data []byte, from int, fields []int) (bool, error) {
 	var (
 		buf [16]pageformat.Span
@@ -422,19 +407,21 @@ func (m *Manager) endSplice(v *visit, ok bool, err error) (bool, error) {
 
 // An Editor turns a copy of a record's stored body into its new body,
 // for Edit. Edit hands it body, with capacity for the largest record,
-// and it returns the new body and where it differs from the stored one,
-// as Splice is told (from, fields), or false for no edit.
+// and it returns the new body and where it differs from the stored one
+// — from byte from on, and before that only in the two-byte fields at
+// the offsets in fields — or false for no edit.
 type Editor interface {
 	Edit(body []byte) (data []byte, from int, fields []int, ok bool)
 }
 
-// Edit is Splice for a caller that computes the new body from the stored
-// one, inside the same visit of the body's page: the body is copied into
-// the manager's buffer, ed edits the copy and the result is spliced into
-// the page. It reports false, with nothing changed, when ed declines or
-// the page cannot hold the new body; Update then moves the body. The
-// page bytes and the log records are those Splice writes for the same
-// new body. Mutator context: the manager's buffer is the writer's.
+// Edit replaces the record body by what ed makes of it, where the body
+// lies, inside one visit of its page: the body is copied into the
+// manager's buffer, ed edits the copy and the result is spliced into the
+// page — written, and logged, in the bytes ed says changed alone, and as
+// a shift when behind from the body had bytes inserted or removed. It
+// reports false, with nothing changed, when ed declines or the page
+// cannot hold the new body; Update then moves the body. Mutator context:
+// the manager's buffer is the writer's.
 func (m *Manager) Edit(rid RID, ed Editor) (bool, error) {
 	var v visit
 	if err := m.body(&v, rid, true); err != nil {

@@ -11,6 +11,17 @@ import (
 	"natix/internal/wal"
 )
 
+// newBody is an Editor that hands Edit a prepared body: data, which
+// differs from the stored one from byte from on and before that only in
+// the two-byte fields at the offsets in fields.
+type newBody struct {
+	data   []byte
+	from   int
+	fields []int
+}
+
+func (e newBody) Edit([]byte) ([]byte, int, []int, bool) { return e.data, e.from, e.fields, true }
+
 // newLoggedManager is newManager with a log attached and an operation
 // open, so every page change goes through a logged update bracket.
 func newLoggedManager(t *testing.T, pageSize int) (*Manager, *wal.Writer) {
@@ -38,10 +49,10 @@ func newLoggedManager(t *testing.T, pageSize int) (*Manager, *wal.Writer) {
 	return New(seg), w
 }
 
-// TestSpliceAgainstModel edits records through Splice — told where the
+// TestSpliceAgainstModel splices records through Edit — told where the
 // new body differs, as core's node edits are — on logged and unlogged
 // stores, with the update brackets in checking mode: every declared
-// window holds, the bodies read back as the model's, Splice refuses
+// window holds, the bodies read back as the model's, the splice refuses
 // exactly when the page is out of room (and then changes nothing), and
 // Update takes over with a move.
 func TestSpliceAgainstModel(t *testing.T) {
@@ -86,7 +97,7 @@ func TestSpliceAgainstModel(t *testing.T) {
 				data[f+1]--
 				fields = append(fields, f)
 			}
-			ok, err := m.Splice(rid, data, from, fields)
+			ok, err := m.Edit(rid, newBody{data, from, fields})
 			if err != nil {
 				t.Fatalf("logged=%v step %d: %v", logged, step, err)
 			}
@@ -131,8 +142,8 @@ func TestSpliceLogsLessThanUpdate(t *testing.T) {
 	}
 	grown := append(append(append([]byte(nil), body[:3900]...), "thirty bytes of a new text node"...), body[3900:]...)
 	start := w.Stats().Bytes
-	if ok, err := m.Splice(rid, grown, 3900, nil); !ok || err != nil {
-		t.Fatalf("Splice = %v, %v", ok, err)
+	if ok, err := m.Edit(rid, newBody{grown, 3900, nil}); !ok || err != nil {
+		t.Fatalf("Edit = %v, %v", ok, err)
 	}
 	if logged := w.Stats().Bytes - start; logged > 600 {
 		t.Fatalf("splice of 31 bytes, 100 before the end of a 4000-byte record, logged %d bytes", logged)
@@ -182,8 +193,8 @@ func TestSpliceLogsAShift(t *testing.T) {
 	grown := append(append(append([]byte(nil), body[:3000]...), node...), body[3000:]...)
 	grown[10], grown[11] = 0xAB, 0xCD // an ancestor's size field
 	from := w.End()
-	if ok, err := m.Splice(rid, grown, 3000, []int{10}); !ok || err != nil {
-		t.Fatalf("Splice = %v, %v", ok, err)
+	if ok, err := m.Edit(rid, newBody{grown, 3000, []int{10}}); !ok || err != nil {
+		t.Fatalf("Edit = %v, %v", ok, err)
 	}
 	recs := logTail(t, w, from)
 	if len(recs) == 0 || recs[0].Type != wal.RecShift {
@@ -199,8 +210,8 @@ func TestSpliceLogsAShift(t *testing.T) {
 
 	shrunk := append(append([]byte(nil), grown[:500]...), grown[700:]...)
 	from = w.End()
-	if ok, err := m.Splice(rid, shrunk, 500, nil); !ok || err != nil {
-		t.Fatalf("Splice = %v, %v", ok, err)
+	if ok, err := m.Edit(rid, newBody{shrunk, 500, nil}); !ok || err != nil {
+		t.Fatalf("Edit = %v, %v", ok, err)
 	}
 	if recs := logTail(t, w, from); recs[0].Type != wal.RecShift || recs[0].Shift.Delta != -200 || !bytes.Equal(recs[0].Shift.Del, grown[500:700]) {
 		t.Fatalf("removal logged %s %+v", wal.TypeName(recs[0].Type), recs[0].Shift)
@@ -210,8 +221,8 @@ func TestSpliceLogsAShift(t *testing.T) {
 	rewritten := append(append([]byte(nil), shrunk[:2000]...), node...)
 	rewritten = append(rewritten, bytes.Repeat([]byte{7}, len(shrunk)-2000)...)
 	from = w.End()
-	if ok, err := m.Splice(rid, rewritten, 2000, nil); !ok || err != nil {
-		t.Fatalf("Splice = %v, %v", ok, err)
+	if ok, err := m.Edit(rid, newBody{rewritten, 2000, nil}); !ok || err != nil {
+		t.Fatalf("Edit = %v, %v", ok, err)
 	}
 	if recs := logTail(t, w, from); recs[0].Type != wal.RecUpdate {
 		t.Fatalf("rewritten tail logged %s", wal.TypeName(recs[0].Type))

@@ -82,13 +82,6 @@ func TestRecordAccessVisitsOnce(t *testing.T) {
 					return nil
 				}},
 				{"Patch", pages, func() error { return m.Patch(rid, 1, []byte{7, 7}) }},
-				{"Splice", pages + inventory, func() error {
-					ok, err := m.Splice(rid, same(size), 0, nil)
-					if err == nil && !ok {
-						err = errors.New("refused")
-					}
-					return err
-				}},
 				{"Update", pages + inventory, func() error { return m.Update(rid, same(size)) }},
 				{"Edit", pages + inventory, func() error {
 					ok, err := m.Edit(rid, flipFirst{})
@@ -155,7 +148,6 @@ func TestStubToStubRefused(t *testing.T) {
 		{"VerifyRID", func() error { return m.VerifyRID(a) }},
 		{"Patch", func() error { return m.Patch(a, 0, []byte{7, 7}) }},
 		{"Update", func() error { return m.Update(a, body) }},
-		{"Splice", func() error { _, err := m.Splice(a, body, 0, nil); return err }},
 		{"Delete", func() error { return m.Delete(a) }},
 		{"Edit", func() error { _, err := m.Edit(a, flipFirst{}); return err }},
 	} {

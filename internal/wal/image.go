@@ -88,27 +88,3 @@ func (w *Writer) ReconstructPage(p pagedev.PageNo, pageSize int) ([]byte, bool, 
 	}
 	return buf, true, nil
 }
-
-// rebuildImageIndex scans the log and repopulates the image index, for
-// a writer opened over a non-empty log (after recovery replayed it but
-// before the next checkpoint resets it). A torn or bad tail frame ends
-// the scan, mirroring Scan's tolerance: records past the tear were
-// never durable.
-func (w *Writer) rebuildImageIndex() {
-	lsn := w.base
-	end := w.endLocked()
-	for lsn < end {
-		payload, n, err := w.readFrameLocked(lsn)
-		if err != nil {
-			return
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			return
-		}
-		if rec.Type == RecImage || rec.Type == RecFirstUpdate {
-			w.images[rec.Page] = lsn
-		}
-		lsn += LSN(n)
-	}
-}

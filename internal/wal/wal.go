@@ -57,13 +57,15 @@
 // # Recovery
 //
 // Recover scans the valid prefix of the log (a CRC per record stops the
-// scan at a torn tail), replays every record of finished operations
-// since the last checkpoint onto the database device (redo), then walks
-// the records of an unfinished tail operation backwards restoring
-// before-images and deallocating fresh pages (undo). The recovered
-// state is flushed, the device is truncated to its pre-operation size,
-// and the log is reset. A database file is thus always restored to a
-// state containing exactly the committed operations.
+// scan at a torn tail, a zero frame length at the zeros a growth step
+// of a mapped log file leaves behind its last record), replays every
+// record of finished operations since the last checkpoint onto the
+// database device (redo), then walks the records of an unfinished tail
+// operation backwards restoring before-images and deallocating fresh
+// pages (undo). The recovered state is flushed, the device is truncated
+// to its pre-operation size, and the log is reset. A database file is
+// thus always restored to a state containing exactly the committed
+// operations.
 package wal
 
 import (
@@ -151,6 +153,10 @@ type Record struct {
 
 	NumPages uint64 // checkpoint and shrink: device size
 }
+
+// HeaderSize is the length of the log file's header: a log that holds
+// no record is this long.
+const HeaderSize = headerSize
 
 // Log-file layout constants.
 const (

@@ -15,10 +15,12 @@ import (
 type Options struct {
 	// PageSize is the database page size, recorded in the log header.
 	PageSize int
-	// NoSync skips the durability barrier on commit: records are still
-	// written to the log file, but the operating system decides when
-	// they reach the platter. Trades crash durability of the last few
-	// operations for speed; the file can never become corrupt.
+	// NoSync skips the durability barrier on commit: a returned Commit
+	// has put its records in the operating system's page cache, and the
+	// operating system decides when they reach the disk. A commit then
+	// survives the death of the process, not of the machine; the file
+	// can never become corrupt. On a storage that maps the log's tail
+	// (OpenMappedFileStorage, Linux) such a commit makes no system call.
 	NoSync bool
 	// BufferLimit overrides the append-buffer size (0 = 256 KB).
 	// Crash tests shrink it so every record append becomes a separate
@@ -86,7 +88,8 @@ const bufFlushLimit = 256 << 10
 
 // OpenWriter attaches a writer to st, creating the log header if the
 // storage is empty. Recovery, when needed, must run before the writer
-// is opened: the writer appends at the current end of storage.
+// is opened: the writer appends at the end of the log's valid prefix,
+// and cuts off whatever the storage holds behind it.
 func OpenWriter(st Storage, opts Options) (*Writer, error) {
 	if !pagedev.ValidPageSize(opts.PageSize) {
 		return nil, fmt.Errorf("wal: invalid page size %d", opts.PageSize)
@@ -95,7 +98,7 @@ func OpenWriter(st Storage, opts Options) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{st: st, opts: opts}
+	w := &Writer{st: st, opts: opts, images: make(map[pagedev.PageNo]LSN)}
 	if w.opts.BufferLimit == 0 {
 		w.opts.BufferLimit = bufFlushLimit
 	}
@@ -122,9 +125,27 @@ func OpenWriter(st Storage, opts Options) (*Writer, error) {
 		if h.pageSize != opts.PageSize {
 			return nil, fmt.Errorf("%w: log page size %d, store %d", ErrBadHeader, h.pageSize, opts.PageSize)
 		}
+		// The log ends where Scan's valid prefix does, not at the file's
+		// size: a crash can leave a torn frame, or the zeros of a growth
+		// step no commit reached, behind the last record. Appended
+		// behind those, a record would be cut off by the next Scan.
+		_, end, err := Scan(st, func(r Record) error {
+			if r.Type == RecImage || r.Type == RecFirstUpdate {
+				w.images[r.Page] = r.LSN
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
 		w.base = h.base
-		w.fileEnd = size
-		if size == headerSize && [8]byte(hb[:8]) != logMagic {
+		w.fileEnd = headerSize + int64(end-h.base)
+		if w.fileEnd < size {
+			if err := st.Truncate(w.fileEnd); err != nil {
+				return nil, err
+			}
+		}
+		if end == h.base && [8]byte(hb[:8]) != logMagic {
 			// A header-only log of an older format version: nothing
 			// depends on it yet, so reset it to the version this build
 			// writes before the first record goes in.
@@ -137,8 +158,6 @@ func OpenWriter(st Storage, opts Options) (*Writer, error) {
 		}
 	}
 	w.synced = w.endLocked()
-	w.images = make(map[pagedev.PageNo]LSN)
-	w.rebuildImageIndex()
 	return w, nil
 }
 
@@ -178,6 +197,17 @@ func (w *Writer) Stats() Stats {
 		ShiftRecords: w.shiftRecs, ShiftBytes: w.shiftBytes}
 }
 
+// fileWrites returns the system-call writes the storage has made to
+// its file since it was opened, growth steps included: a commit's flush
+// is one on a plain file, and none on a mapped tail. A log not in a file
+// makes none.
+func (w *Writer) fileWrites() int64 {
+	if f, ok := w.st.(interface{ Writes() int64 }); ok {
+		return f.Writes()
+	}
+	return 0
+}
+
 // AttachTelemetry registers the writer's counters with a metrics
 // registry and enables the fsync-duration and group-commit batch-size
 // histograms. Call before mutation traffic starts.
@@ -192,6 +222,7 @@ func (w *Writer) AttachTelemetry(reg *telemetry.Registry) {
 	reg.Func("wal.appends", read(&w.appends))
 	reg.Func("wal.bytes", read(&w.bytes))
 	reg.Func("wal.syncs", read(&w.syncs))
+	reg.Func("wal.writes", w.fileWrites)
 	reg.Func("wal.checkpoints", read(&w.checkpoints))
 	reg.Func("wal.shift_records", read(&w.shiftRecs))
 	reg.Func("wal.shift_bytes", read(&w.shiftBytes))

@@ -202,11 +202,14 @@ type Options struct {
 	// a real checkpoint. See DESIGN.md, "Durability and recovery".
 	WAL bool
 
-	// NoSync, with WAL, skips the per-commit durability barrier: log
-	// records are still written (the file can never become corrupt, and
-	// atomicity across crashes is preserved) but the last few committed
-	// operations may be lost if the machine — not just the process —
-	// dies. A deliberate speed/durability trade, like SQLite's
+	// NoSync, with WAL, skips the per-commit durability barrier. A
+	// returned commit has its log records in the operating system's
+	// page cache: it survives the death of the process, not of the
+	// machine, which may lose the last few committed operations. The
+	// file can never become corrupt, and atomicity across crashes is
+	// preserved. On Linux a file store's commit then makes no system
+	// call: the log's tail is a shared mapping of its file. A
+	// deliberate speed/durability trade, like SQLite's
 	// "synchronous=off".
 	NoSync bool
 
@@ -383,12 +386,20 @@ func Open(opts Options) (*DB, error) {
 			return nil, err
 		}
 		walPath := opts.Path + "-wal"
+		// A NoSync log's appends go into a shared mapping of its tail,
+		// so its commits make no system call; a synced log keeps
+		// writing with pwrite, which the fsync after it does not make
+		// dearer (see wal.OpenMappedFileStorage).
+		openLog := wal.OpenFileStorage
+		if opts.WAL && opts.NoSync {
+			openLog = wal.OpenMappedFileStorage
+		}
 		// The log is opened when this session wants WAL, or when a
 		// previous session left one behind (it may hold records a
 		// crashed mutation needs recovered, even if this session runs
 		// unlogged).
 		if st, err := os.Stat(walPath); opts.WAL || (err == nil && st.Size() > 0) {
-			walSt, err = wal.OpenFileStorage(walPath)
+			walSt, err = openLog(walPath)
 			if err != nil {
 				dev.Close()
 				return nil, err
