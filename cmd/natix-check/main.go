@@ -1,8 +1,8 @@
 // Command natix-check is the offline integrity verifier: it opens a
 // store, runs one full scrub pass (checksum sweep, cross-structure
-// invariants, WAL-based repair, document quarantine), prints the
-// verdict, and encodes it in the exit status so scripts and CI can
-// gate on storage health:
+// invariants and every tree document's record graph, WAL-based repair,
+// document quarantine), prints the verdict, and encodes it in the exit
+// status so scripts and CI can gate on storage health:
 //
 //	0  clean      — every page verified, every reference resolves
 //	1  repaired   — damage was found and fully healed from the log
@@ -45,7 +45,7 @@ func main() {
 	)
 	flag.Parse()
 
-	// natix.Open would upgrade a store written before record format 4 —
+	// natix.Open would upgrade a store written before record format 5 —
 	// writing to it. A verifier does not write: it names the fix instead.
 	if v, ok := segmentVersion(*dbPath, *pageSize); ok && v < segment.FormatVersion {
 		fatalf("%s is a segment of format version %d, written before record format %d: open it once (natix-cli or natix.Open) to upgrade it, then check it", *dbPath, v, noderep.FormatVersion)
@@ -100,6 +100,9 @@ func printReport(rep *natix.ScrubReport) {
 	}
 	if rep.BadRIDs > 0 {
 		fmt.Printf("bad references:  %d\n", rep.BadRIDs)
+	}
+	if rep.BadGraphs > 0 {
+		fmt.Printf("bad documents:   %d (record graph fails the invariant check)\n", rep.BadGraphs)
 	}
 	if len(rep.Repaired) > 0 {
 		fmt.Printf("repaired:        %v (rebuilt from the log, byte-identical)\n", rep.Repaired)

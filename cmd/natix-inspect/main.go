@@ -320,7 +320,7 @@ func dumpPages(seg *segment.Segment, pool *buffer.Pool, store *docstore.Store, t
 }
 
 // dumpBytes closes -pages with the rows of DESIGN.md's "Where the file's
-// bytes go": the documents' records (all of record format 4: the tool
+// bytes go": the documents' records (all of record format 5: the tool
 // refuses a store that has not been upgraded), the free bytes in
 // allocated pages, the path-index blobs, everything else, the fill over
 // the pages that hold records, the text-only elements (stored under one
@@ -455,7 +455,7 @@ func dumpRecord(trees *core.Store, d *dict.Dict, rid records.RID, depth int, pri
 			}
 			fmt.Printf("%sliteral %q (%d bytes)\n", pad, v, len(n.Payload))
 		case noderep.KindProxy:
-			fmt.Printf("%sproxy -> %s\n", pad, n.Target)
+			fmt.Printf("%sproxy -> %s (count %d)\n", pad, n.Target, n.Count)
 			dumpRecord(trees, d, n.Target, depth+1, printed)
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"natix/internal/noderep"
 	"natix/internal/pagedev"
 	"natix/internal/records"
+	"natix/internal/segment"
 	"natix/internal/xmlkit"
 )
 
@@ -24,17 +25,54 @@ import (
 // -pathindex import play small.xml`, small.xml being the play
 // smallPlayXML returns, then gzip -9. To make one again, build natix-cli
 // in a `git archive` copy of the commit named. play-v2.natix.gz is the
-// last build before record format 3 (eee1d55, PR 22): all its records
-// are format version 2 images; play-v3.natix.gz the last build before
-// record format 4 (d09890e), all its records version 3 images. Both are
-// segments of format version 2.
+// last build before record format 3 (eee1d55): all its records are format
+// version 2 images; play-v3.natix.gz the last build before record format
+// 4 (d09890e), all its records version 3 images. Both are segments of
+// format version 2. play-v4.natix.gz is the last build before record
+// format 5 (751a71e): a segment of format version 3, all its records
+// format 4 images. Beside the play it holds a second document, "list"
+// (listXML), imported after SetPolicy("LIST", "ITEM", Standalone), so
+// that each ITEM is a record of its own and the LIST's partition records
+// hold nothing but proxies: 101 of them in 931 bytes of a 1 KB page,
+// which with a count on each outgrow the page. It was written through
+// the package's API (Open with PageSize 1024 and PathIndex, ImportXML of
+// both documents, Close), then gzip -9.
 const (
 	v2StoreFile = "testdata/play-v2.natix.gz"
 	v3StoreFile = "testdata/play-v3.natix.gz"
+	v4StoreFile = "testdata/play-v4.natix.gz"
 )
 
 func smallPlayXML() string {
 	return xmlkit.SerializeString(corpus.GeneratePlay(corpus.SmallSpec(1), 0))
+}
+
+// listXML is the second document of play-v4.natix.gz: 240 ITEM elements
+// of one text each under a LIST.
+func listXML() string {
+	var b strings.Builder
+	b.WriteString("<LIST>")
+	for i := 0; i < 240; i++ {
+		fmt.Fprintf(&b, "<ITEM>item %d</ITEM>", i)
+	}
+	b.WriteString("</LIST>")
+	return b.String()
+}
+
+// checkList holds the store's "list" document, when it has one, to
+// listXML: it passes the invariant check and exports its source.
+func checkList(t *testing.T, when string, db *DB) {
+	t.Helper()
+	doc, err := db.Document("list")
+	if err != nil {
+		return // not a store that holds it
+	}
+	if err := doc.Check(); err != nil {
+		t.Fatalf("%s: list: %v", when, err)
+	}
+	if got, _ := exportOf(t, db, "list"); got != listXML() {
+		t.Fatalf("%s: list exports differently", when)
+	}
 }
 
 // storeFileBytes returns the bytes of a gzipped store file.
@@ -154,6 +192,26 @@ func TestVersion2StoreFile(t *testing.T) {
 // is a format version 3 image.
 func TestVersion3StoreFile(t *testing.T) {
 	testStoreUpgrades(t, storeFileBytes(t, v3StoreFile))
+}
+
+// TestVersion4StoreFile: the same for a store file every record of which
+// is a format version 4 image, a segment of format version 3. Its proxies
+// carry no count; the upgrade gives them theirs, and splits the "list"
+// document's partition records that outgrow their pages with them: the
+// document then exports its source and passes the invariant check.
+func TestVersion4StoreFile(t *testing.T) {
+	raw := storeFileBytes(t, v4StoreFile)
+	testStoreUpgrades(t, raw)
+	db := openRawCopy(t, raw, Options{PageSize: 1024})
+	defer db.Close()
+	checkList(t, "upgraded", db)
+	st, err := db.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Splits == 0 {
+		t.Fatalf("the upgrade split no record: %+v", st)
+	}
 }
 
 // TestVersion1Store: the same for a store every record of which is a
@@ -299,9 +357,9 @@ func sameAnswers(t *testing.T, when string, got, want map[string]string) {
 }
 
 // testStoreUpgrades: a store an older build wrote — raw, the bytes of its
-// file: a segment of format version 2, the small play's records in an
-// older record format — opened by this one, is upgraded at Open: its
-// segment becomes format version 3 and every record a format 4 image.
+// file: a segment of format version 2 or 3, the small play's records in
+// an older record format — opened by this one, is upgraded at Open: its
+// segment becomes format version 4 and every record a format 5 image.
 // Then, through the postings of the path index it came with, through the
 // record walk (opened without the index) and, converted to flat and back,
 // through the parse, it answers the benchmark's ten query classes exactly
@@ -321,14 +379,14 @@ func testStoreUpgrades(t *testing.T, raw []byte) {
 	if want["export"] != xml {
 		t.Fatal("a fresh import does not export its source")
 	}
-	if v := binary.LittleEndian.Uint32(raw[16:]); v != 2 {
-		t.Fatalf("the store is a segment of format version %d, want 2", v)
+	if v := binary.LittleEndian.Uint32(raw[16:]); v < 2 || v >= segment.FormatVersion {
+		t.Fatalf("the store is a segment of format version %d, want 2 or 3", v)
 	}
 
 	for _, indexed := range []bool{true, false} {
 		db := openRawCopy(t, raw, Options{PageSize: 1024, PathIndex: indexed})
 		when := fmt.Sprintf("upgraded store, path index %v", indexed)
-		if v := db.store.Trees().Records().Segment().FormatVersion(); v != 3 {
+		if v := db.store.Trees().Records().Segment().FormatVersion(); v != segment.FormatVersion {
 			t.Fatalf("%s: segment format version %d", when, v)
 		}
 		if v := recordVersions(t, db); v[noderep.FormatVersion] == 0 || len(v) != 1 {
@@ -434,19 +492,21 @@ func testStoreUpgrades(t *testing.T, raw []byte) {
 	}
 }
 
-// TestUpgradeCrashMatrix crashes the upgrade of the version 2 and the
-// version 3 store file at every write it issues — a log append or a page
-// write, whole or torn — and reopens what survived: the next Open
-// recovers, finishes the upgrade, and the store answers the benchmark's
-// query classes as a fresh import does, passes the invariant check, and
-// is a segment of format version 3 with every record in format 4. Once
-// upgraded, a store's next Open writes nothing at all.
+// TestUpgradeCrashMatrix crashes the upgrade of the version 2, 3 and 4
+// store files at every write it issues — a log append or a page write,
+// whole or torn — and reopens what survived: the next Open recovers,
+// finishes the upgrade, and the store answers the benchmark's query
+// classes as a fresh import does, passes the invariant check, and is a
+// segment of format version 4 with every record in format 5. The version
+// 4 file's "list" document, whose partition records the upgrade must
+// split, exports its source. Once upgraded, a store's next Open writes
+// nothing at all.
 func TestUpgradeCrashMatrix(t *testing.T) {
 	want := freshAnswers(t, smallPlayXML())
 	opts := Options{PageSize: 1024, WAL: true, PathIndex: true}
 	upgraded := func(t *testing.T, when string, db *DB) {
 		t.Helper()
-		if v := db.store.Trees().Records().Segment().FormatVersion(); v != 3 {
+		if v := db.store.Trees().Records().Segment().FormatVersion(); v != segment.FormatVersion {
 			t.Fatalf("%s: segment format version %d", when, v)
 		}
 		if v := recordVersions(t, db); v[noderep.FormatVersion] == 0 || len(v) != 1 {
@@ -460,8 +520,9 @@ func TestUpgradeCrashMatrix(t *testing.T) {
 			t.Fatalf("%s: %v", when, err)
 		}
 		sameAnswers(t, when, benchClassAnswers(t, db, "play"), want)
+		checkList(t, when, db)
 	}
-	for _, file := range []string{v2StoreFile, v3StoreFile} {
+	for _, file := range []string{v2StoreFile, v3StoreFile, v4StoreFile} {
 		raw := storeFileBytes(t, file)
 		var base crashState
 		for off := 0; off < len(raw); off += opts.PageSize {

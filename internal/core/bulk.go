@@ -247,7 +247,7 @@ func (b *BulkBuilder) Leaf(n *noderep.Node) error {
 		if err != nil {
 			return err
 		}
-		return b.appendChild(parent, noderep.NewProxy(rid), records.RIDSize, nil, false)
+		return b.appendChild(parent, noderep.NewProxy(rid), noderep.ProxyContentSize, nil, false)
 	}
 	return b.appendChild(parent, n, len(n.Payload), nil, false)
 }
@@ -291,7 +291,7 @@ func (b *BulkBuilder) Close() (*noderep.Node, error) {
 		n := f.node
 		b.putTS(f.types)
 		b.putFrame(f)
-		if err := b.appendChild(parent, noderep.NewProxy(rid), records.RIDSize, nil, false); err != nil {
+		if err := b.appendChild(parent, noderep.NewProxy(rid), noderep.ProxyContentSize, nil, false); err != nil {
 			return nil, err
 		}
 		return n, nil
@@ -510,7 +510,7 @@ func (b *BulkBuilder) flushOnce(f *bulkFrame, relax, fit bool) (bool, error) {
 		kids[start] = proxy
 		copy(kids[start+1:], kids[end:])
 		f.node.Children = kids[:len(kids)-(end-start)+1]
-		f.sizes[start] = records.RIDSize
+		f.sizes[start] = noderep.ProxyContentSize
 		copy(f.sizes[start+1:], f.sizes[end:])
 		f.sizes = f.sizes[:len(f.node.Children)]
 		f.kidTypes[start] = nil
@@ -542,19 +542,23 @@ func (b *BulkBuilder) flushOnce(f *bulkFrame, relax, fit bool) (bool, error) {
 // as-is (no record), and a single subtree needs no scaffolding
 // aggregate. types is the exact type set of the run's subtrees and
 // content the new record root's content: the run's embedded total,
-// headers included, or a single subtree's own content.
+// headers included, or a single subtree's own content. The proxy counts
+// the run's logical children: a subtree one, a proxy in it its count.
 func (b *BulkBuilder) emitGroup(group []*noderep.Node, types *noderep.TypeSet, content int, hasProxy bool) (*noderep.Node, error) {
 	if len(group) == 1 && group[0].Kind == noderep.KindProxy {
 		return group[0], nil
 	}
 	var root *noderep.Node
+	count := uint32(1)
 	if len(group) == 1 {
 		root = group[0]
 		root.Parent = nil
 	} else {
 		root = noderep.NewScaffoldAggregate()
+		count = 0
 		for _, g := range group {
 			root.AppendChild(g)
+			count += noderep.LogicalCount(g)
 		}
 		types.AddNode(root)
 	}
@@ -562,7 +566,9 @@ func (b *BulkBuilder) emitGroup(group []*noderep.Node, types *noderep.TypeSet, c
 	if err != nil {
 		return nil, err
 	}
-	return noderep.NewProxy(rid), nil
+	p := noderep.NewProxy(rid)
+	p.Count = count
+	return p, nil
 }
 
 // anyProxy reports whether any pending child's subtree holds a proxy.

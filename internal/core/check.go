@@ -22,36 +22,105 @@ func (t *Tree) WalkRecords(fn func(rid records.RID, rec *noderep.Record) error) 
 	return t.store.walkRecords(t.rootRID, fn)
 }
 
-// UpgradeRecords rewrites, in place, every record of the tree whose image
-// is in a record format older than 4 (noderep.Upgrade), walking the
-// record graph as WalkRecords does but reading each image straight from
-// its page: the runtime decoder, and with it the record cache, reads
-// format 4 only. An upgraded image is never longer than the old one, so
-// it stays where it is. It returns how many records it rewrote; a tree
-// already in format 4 is read and not written.
+// UpgradeRecords rewrites in format 5 every record of the tree whose
+// image is in an older record format (noderep.Upgrade), reading each
+// image straight from its page: the runtime decoder, and with it the
+// record cache, reads format 5 only. A format 5 proxy counts the logical
+// children its target contributes, which an older image does not say, so
+// the records are listed first, as WalkRecords visits them, and
+// rewritten in the reverse order, every record after the records its
+// proxies point to: their counts are known by then. A record whose
+// counts make it outgrow its page is split in place, as a root record
+// is (§3.2.2): its separator stays under its RID, so the record holding
+// its proxy, and its count there, do not change. It returns how many
+// records it rewrote; a tree already in format 5 is read and not
+// written.
 func (t *Tree) UpgradeRecords() (int, error) {
 	s := t.store
-	var buf []byte
-	upgraded := 0
-	err := s.walkRecordsWith(t.rootRID, func(rid records.RID, todo []records.RID) ([]records.RID, error) {
-		var err error
-		if buf, err = s.rm.ReadInto(rid, buf[:0]); err != nil {
+	var (
+		buf   []byte
+		order []records.RID
+	)
+	if err := s.walkRecordsWith(t.rootRID, func(rid records.RID, todo []records.RID) ([]records.RID, error) {
+		rec, _, err := s.readAnyFormat(rid, &buf)
+		if err != nil {
 			return todo, err
 		}
-		rec, img, err := noderep.Upgrade(buf)
+		order = append(order, rid)
+		return appendTargets(todo, rec), nil
+	}); err != nil {
+		return 0, err
+	}
+	counts := make(map[records.RID]uint32, len(order))
+	upgraded := 0
+	for i := len(order) - 1; i >= 0; i-- {
+		rid := order[i]
+		rec, old, err := s.readAnyFormat(rid, &buf)
 		if err != nil {
-			return todo, fmt.Errorf("record %s: %w", rid, err)
+			return upgraded, err
 		}
-		if img != nil {
-			if err := s.rm.Update(rid, img); err != nil {
-				return todo, fmt.Errorf("record %s: %w", rid, err)
+		if old {
+			rec.Root.Walk(func(n *noderep.Node) bool {
+				if n.Kind == noderep.KindProxy {
+					n.Count = counts[n.Target]
+				}
+				return true
+			})
+			if err := t.upgradeRecord(rid, rec); err != nil {
+				return upgraded, fmt.Errorf("record %s: %w", rid, err)
 			}
-			s.cache.remove(rid)
 			upgraded++
 		}
-		return appendTargets(todo, rec), nil
-	})
-	return upgraded, err
+		counts[rid] = noderep.LogicalCount(rec.Root)
+	}
+	return upgraded, nil
+}
+
+// readAnyFormat decodes record rid, whatever its format
+// (noderep.Upgrade), with *buf as the scratch it reads the image into.
+func (s *Store) readAnyFormat(rid records.RID, buf *[]byte) (*noderep.Record, bool, error) {
+	var err error
+	if *buf, err = s.rm.ReadInto(rid, (*buf)[:0]); err != nil {
+		return nil, false, err
+	}
+	rec, old, err := noderep.Upgrade(*buf)
+	if err != nil {
+		return nil, false, fmt.Errorf("record %s: %w", rid, err)
+	}
+	return rec, old, nil
+}
+
+// upgradeRecord writes rec, upgraded and counted, as record rid: in place
+// or moved (records.Manager.Update), or, when it outgrew a page, split
+// into partition records with its separator left at rid.
+func (t *Tree) upgradeRecord(rid records.RID, rec *noderep.Record) error {
+	s := t.store
+	size, err := s.measure(rec)
+	if err != nil {
+		return err
+	}
+	if size <= s.maxRecordSize() {
+		return s.writeMeasured(rid, rec)
+	}
+	near, err := s.rm.PageOf(rid)
+	if err != nil {
+		return err
+	}
+	ctx := newOpCtx(t)
+	for size > s.maxRecordSize() {
+		s.stats.splits.Add(1)
+		if rec.Root, err = s.separatorWithProgress(rec.Root, near, ctx); err != nil {
+			return err
+		}
+		if size, err = s.measure(rec); err != nil {
+			return err
+		}
+	}
+	if err := s.writeMeasured(rid, rec); err != nil {
+		return err
+	}
+	ctx.patchProxiesIn(rid, rec.Root)
+	return ctx.apply()
 }
 
 // walkRecords is WalkRecords from record root down.
@@ -130,7 +199,10 @@ func (s *Store) decodeImage(rid records.RID, buf *[]byte) (*noderep.Record, erro
 //   - scaffolding aggregates appear only as record roots, and the tree's
 //     root record is rooted in a facade node;
 //   - every proxy resolves to a record whose standalone parent pointer
-//     names the record holding the proxy;
+//     names the record holding the proxy, and counts the logical
+//     children that record contributes (noderep.LogicalCount: one for a
+//     record rooted in a facade node, the sum over a scaffolding root's
+//     children otherwise, a proxy there by its count);
 //   - the record graph is a tree (no sharing, no cycles);
 //   - scaffolding records are never empty.
 //
@@ -143,7 +215,12 @@ func (t *Tree) CheckInvariants() error {
 	// Every record the walk has seen a proxy to, mapped to the record
 	// holding the proxy: a parent comes before its children.
 	parents := map[records.RID]records.RID{t.rootRID: records.NilRID}
-	return t.WalkRecords(func(rid records.RID, rec *noderep.Record) error {
+	// The count each proxy claims for its target, and what each record
+	// contributes: a record's proxies are all seen when it is.
+	claimed := map[records.RID]uint32{}
+	var contributed []records.RID
+	counts := map[records.RID]uint32{}
+	err := t.WalkRecords(func(rid records.RID, rec *noderep.Record) error {
 		if err := noderep.Measure(rec, &l); err != nil {
 			return fmt.Errorf("record %s: %w", rid, err)
 		}
@@ -170,11 +247,24 @@ func (t *Tree) CheckInvariants() error {
 		rec.Root.Walk(func(n *noderep.Node) bool {
 			if n.Kind == noderep.KindProxy {
 				parents[n.Target] = rid
+				claimed[n.Target] = n.Count
 			}
 			return true
 		})
+		contributed = append(contributed, rid)
+		counts[rid] = noderep.LogicalCount(rec.Root)
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	for _, rid := range contributed {
+		if c, ok := claimed[rid]; ok && c != counts[rid] {
+			return fmt.Errorf("record %s: its proxy in %s counts %d logical children, it holds %d: %w",
+				rid, parents[rid], c, counts[rid], noderep.ErrCorruptRecord)
+		}
+	}
+	return nil
 }
 
 // RecordCount returns the number of records the tree currently occupies.

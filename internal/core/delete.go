@@ -23,16 +23,16 @@ func (t *Tree) Delete(path Path) error {
 		return err
 	}
 	v := s.views[0]
-	entries, _, err := s.childEntries(&parent)
+	e := &s.entries[0]
 	idx := path[len(path)-1]
-	if err == nil && (idx < 0 || idx >= len(entries)) {
-		err = fmt.Errorf("%w: %s (index %d of %d)", ErrBadPath, path, idx, len(entries))
+	found, total, err := s.entryAt(&parent, idx, e)
+	if err == nil && !found {
+		err = fmt.Errorf("%w: %s (index %d of %d)", ErrBadPath, path, idx, total)
 	}
 	if err != nil {
 		v.Done()
 		return err
 	}
-	e := entries[idx]
 	ctx := newOpCtx(t)
 
 	// Free all records hanging below the removed subtree.
@@ -47,7 +47,7 @@ func (t *Tree) Delete(path Path) error {
 	} else {
 		// Embedded: free record trees referenced from inside the subtree,
 		// found by walking its bytes.
-		targets, err := s.proxiesBelow(v, parent.rid, &e)
+		targets, err := s.proxiesBelow(v, parent.rid, e)
 		if err != nil {
 			return err
 		}
@@ -62,7 +62,12 @@ func (t *Tree) Delete(path Path) error {
 		}
 	}
 
-	// Remove the physical child (the node itself, or the proxy to it).
+	// Every proxy on the way to a child of a scaffolding record counts one
+	// less; then the physical child goes (the node itself, or the proxy to
+	// it).
+	if err := s.patchCounts(e.slot.chain, -1); err != nil {
+		return err
+	}
 	if err := s.removePhysical(e.slot, ctx); err != nil {
 		return err
 	}
@@ -79,7 +84,7 @@ func (t *Tree) Delete(path Path) error {
 // e, in pre-order, into the store's scratch, and ends v, the view of
 // record held. e lies in held when it is a child of the parent's own
 // record; a child of a scaffold record is read again, unchanged since
-// childEntries read it.
+// entryAt read it.
 func (s *Store) proxiesBelow(v *records.View, held records.RID, e *childEntry) ([]records.RID, error) {
 	if e.slot.rid != held {
 		v.Done()
@@ -112,17 +117,15 @@ func (s *Store) removePhysical(sl slot, ctx *opCtx) error {
 		}
 		return s.removePhysical(up, ctx)
 	}
-	rec, edited, err := s.edit(sl, nil)
+	rec, err := s.edit(sl, nil)
 	if err != nil || rec == nil {
 		return err
 	}
-	if !edited {
-		parent, err := nodeAt(rec, sl.path)
-		if err != nil || sl.idx >= len(parent.Children) {
-			return fmt.Errorf("record %s: no physical child %d at %v", sl.rid, sl.idx, sl.path)
-		}
-		parent.RemoveChild(sl.idx)
+	parent, err := nodeAt(rec, sl.path)
+	if err != nil || sl.idx >= len(parent.Children) {
+		return fmt.Errorf("record %s: no physical child %d at %v", sl.rid, sl.idx, sl.path)
 	}
+	parent.RemoveChild(sl.idx)
 	return s.writeRecord(sl.rid, rec)
 }
 

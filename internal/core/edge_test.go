@@ -416,13 +416,14 @@ func TestRecordAtExactCapacity(t *testing.T) {
 		}
 		// A text of the root's own, so that the record's type table holds
 		// the #text type (the texts of the lines are fused and cite none),
-		// and twelve lines (eight, while each text still had a header): enough
-		// bytes in front of the pad that it stays under the largest literal a
-		// record takes (capacity − 128).
+		// and thirteen lines (eight, while each text still had a header;
+		// twelve, while table entries took four bytes): enough bytes in
+		// front of the pad that it stays under the largest literal a record
+		// takes (capacity − 128).
 		if err := tr.AppendChild(Path{}, noderep.NewTextLiteral("x")); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 12; i++ {
+		for i := 0; i < 13; i++ {
 			line := noderep.NewAggregate(lLine)
 			line.AppendChild(noderep.NewTextLiteral(fmt.Sprintf("line %d", i)))
 			if err := tr.AppendChild(Path{}, line); err != nil {
@@ -483,8 +484,8 @@ func TestRecordAtExactCapacity(t *testing.T) {
 			})
 		}
 		walk(tr.RootRID())
-		if got := materialize(t, tr); len(got.children) != 14 {
-			t.Fatalf("%d children, want 14", len(got.children))
+		if got := materialize(t, tr); len(got.children) != 15 {
+			t.Fatalf("%d children, want 15", len(got.children))
 		}
 	}
 }

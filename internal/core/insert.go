@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"slices"
@@ -90,19 +91,26 @@ func (t *Tree) InsertChild(parentPath Path, idx int, n *noderep.Node) error {
 	if parent.span.Kind != noderep.KindAggregate {
 		return fmt.Errorf("%w: cannot insert under %s at %s", ErrNotAggregate, parent.span.Kind, parentPath)
 	}
-	entries, kids, err := s.childEntries(&parent)
+	total, kids, err := s.countChildren(&parent)
 	if err != nil {
 		return err
 	}
 	if idx == -1 {
-		idx = len(entries)
+		idx = total
 	}
-	if idx < 0 || idx > len(entries) {
-		return fmt.Errorf("%w: insert index %d of %d at %s", ErrBadPath, idx, len(entries), parentPath)
+	if idx < 0 || idx > total {
+		if err := s.checkCounts(0, parent.rid, &parent.span); err != nil {
+			return err
+		}
+		return fmt.Errorf("%w: insert index %d of %d at %s", ErrBadPath, idx, total, parentPath)
+	}
+	cands, err := s.insertionCandidates(&parent, total, kids, idx)
+	if err != nil {
+		return err
 	}
 	ctx := newOpCtx(t)
 	policy := s.cfg.Matrix.Get(parent.span.Label, n.Label)
-	cand, err := s.chooseCandidate(s.insertionCandidates(&parent, entries, kids, idx), policy, parent.rid)
+	cand, err := s.chooseCandidate(cands, policy, parent.rid)
 	if err != nil {
 		return err
 	}
@@ -117,10 +125,37 @@ func (t *Tree) InsertChild(parentPath Path, idx int, n *noderep.Node) error {
 		}
 		n = noderep.NewProxy(childRID)
 	}
+	if len(cand.chain) > 0 {
+		// A scaffolding record below the parent's takes the child: every
+		// proxy on the way to it counts one more.
+		s.unhold()
+		if err := s.patchCounts(cand.chain, 1); err != nil {
+			return err
+		}
+	}
 	if err := s.placeAt(cand, n, ctx); err != nil {
 		return err
 	}
 	return ctx.apply()
+}
+
+// patchCounts adds delta to the count of every proxy of chain, the
+// proxies an edit below an aggregate's own record passes (slot.chain),
+// each in place: four bytes of a record the edit does not otherwise
+// write, in the operation's bracket. They are patched before the edit:
+// a split the edit causes may replace the last of them by a separator,
+// whose proxies it counts itself.
+func (s *Store) patchCounts(chain []countRef, delta int) error {
+	var b [noderep.CountSize]byte
+	for _, c := range chain {
+		binary.LittleEndian.PutUint32(b[:], uint32(c.count+delta))
+		s.stats.countPatches.Add(1)
+		s.cache.remove(c.rid)
+		if err := s.rm.Patch(c.rid, c.off, b[:]); err != nil {
+			return fmt.Errorf("record %s: count: %w", c.rid, err)
+		}
+	}
+	return nil
 }
 
 // checkInsertable validates a subtree offered for insertion: facade nodes
@@ -154,11 +189,22 @@ func (s *Store) checkInsertable(n *noderep.Node) error {
 }
 
 // insertionCandidates enumerates the order-correct physical positions for
-// a new logical child at index idx of parent, which has kids physical
-// children in its own record (paper figure 6: the dashed arrows into ra,
-// rb and rc). The list is the store's scratch.
-func (s *Store) insertionCandidates(parent *wnode, entries []childEntry, kids, idx int) []slot {
+// a new logical child at index idx of parent, which has total logical
+// children and kids physical children in its own record (paper figure 6:
+// the dashed arrows into ra, rb and rc): in front of the child now at
+// idx, behind the one at idx-1 — the two read through entryAt, no other
+// child — and between them in the parent's own record. The list is the
+// store's scratch.
+func (s *Store) insertionCandidates(parent *wnode, total, kids, idx int) ([]slot, error) {
 	s.cands = s.cands[:0]
+	left, right := &s.entries[0], &s.entries[1]
+	for i, e := range []*childEntry{left, right} {
+		if at := idx - 1 + i; at >= 0 && at < total {
+			if _, _, err := s.entryAt(parent, at, e); err != nil {
+				return nil, err
+			}
+		}
+	}
 	add := func(p slot) {
 		for i := range s.cands {
 			if s.cands[i].same(&p) {
@@ -168,23 +214,21 @@ func (s *Store) insertionCandidates(parent *wnode, entries []childEntry, kids, i
 		s.cands = append(s.cands, p)
 	}
 	in := func(i int) slot { return slot{rid: parent.rid, body: parent.body, path: parent.path, idx: i} }
+	after := left.slot
+	after.idx++
 	switch {
-	case len(entries) == 0:
+	case total == 0:
 		add(in(0))
 	case idx == 0:
-		add(entries[0].slot)
+		add(right.slot)
 		// Before everything in the parent's own record.
 		add(in(0))
-	case idx == len(entries):
-		left := entries[idx-1].slot
-		left.idx++
-		add(left)
+	case idx == total:
+		add(after)
 		// After everything in the parent's own record.
 		add(in(kids))
 	default:
-		left, right := entries[idx-1], entries[idx]
-		left.slot.idx++
-		add(left.slot)
+		add(after)
 		add(right.slot)
 		if left.topIdx != right.topIdx {
 			// The boundary falls between two top-level physical children
@@ -193,7 +237,7 @@ func (s *Store) insertionCandidates(parent *wnode, entries []childEntry, kids, i
 			add(in(right.topIdx))
 		}
 	}
-	return s.cands
+	return s.cands, nil
 }
 
 // chooseCandidate picks the insertion position according to the matrix
@@ -231,7 +275,7 @@ func (s *Store) chooseCandidate(cands []slot, policy Policy, parentRID records.R
 // placeAt inserts node at the physical position cand and runs the growth
 // procedure on the affected record.
 func (s *Store) placeAt(cand slot, node *noderep.Node, ctx *opCtx) error {
-	rec, edited, err := s.edit(cand, node)
+	rec, err := s.edit(cand, node)
 	if err != nil || rec == nil {
 		if err == nil {
 			ctx.patchProxiesIn(cand.rid, node)
@@ -242,9 +286,7 @@ func (s *Store) placeAt(cand slot, node *noderep.Node, ctx *opCtx) error {
 	if err != nil {
 		return fmt.Errorf("record %s: %w", cand.rid, err)
 	}
-	if !edited {
-		parent.InsertChild(cand.idx, node)
-	}
+	parent.InsertChild(cand.idx, node)
 	return s.afterPlacement(cand.rid, cand.body.Page, rec, parent.Children[cand.idx:cand.idx+1], ctx)
 }
 
@@ -256,14 +298,15 @@ func (s *Store) placeAt(cand slot, node *noderep.Node, ctx *opCtx) error {
 // node's own bytes instead of a re-encode of the record
 // (noderep.Splice), and the record's page one visit — the image is
 // copied out of its page and spliced back into it inside the same
-// pinned, latched frame (records.Manager.Edit). Otherwise — the splice
-// was refused (a new type-table entry, the removal of a type's last node,
-// a fuse or unfuse that is not one contiguous change) or the edited image
-// outgrew its page — it writes nothing and returns the record decoded,
-// privately: the stored image, or the edited one, with edited set. The
-// caller then edits that tree, re-encodes it and drops it (writeRecord,
-// or afterPlacement and its move or split).
-func (s *Store) edit(sl slot, node *noderep.Node) (rec *noderep.Record, edited bool, err error) {
+// pinned, latched frame (records.Manager.Edit). A spliced image its page
+// cannot hold moves whole to another (records.Manager.Update), still
+// without a decode: the splice's limit is a record's. Otherwise — the
+// splice was refused (a new type-table entry, the removal of a type's
+// last node, a fuse or unfuse that is not one contiguous change, a record
+// past the limit) — it writes nothing and returns the stored record
+// decoded, privately. The caller then edits that tree, re-encodes it and
+// drops it (writeRecord, or afterPlacement and its split).
+func (s *Store) edit(sl slot, node *noderep.Node) (rec *noderep.Record, err error) {
 	e := &s.editor
 	e.path = append(append(e.path[:0], sl.path...), sl.idx)
 	e.node, e.limit = node, s.maxRecordSize()
@@ -280,13 +323,18 @@ func (s *Store) edit(sl slot, node *noderep.Node) (rec *noderep.Record, edited b
 			s.stats.recordsSpliced.Add(1)
 			s.cache.remove(sl.rid)
 		}
-		return nil, false, err
+		return nil, err
+	}
+	if e.spliced {
+		// The page cannot hold the spliced image, which fits a record: it
+		// moves whole (records.Manager.Update), its tree never decoded.
+		return nil, s.rewrite(sl.rid, e.img)
 	}
 	s.stats.recordsDecoded.Add(1)
 	if rec, err = noderep.Decode(e.img); err != nil {
-		return nil, false, fmt.Errorf("record %s: %w", sl.rid, err)
+		return nil, fmt.Errorf("record %s: %w", sl.rid, err)
 	}
-	return rec, e.spliced, nil
+	return rec, nil
 }
 
 // unhold ends the view of the record an insert holds for its edit, if

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -32,13 +33,16 @@ type wnode struct {
 // slot is a physical child slot: child idx of the aggregate at path in
 // record rid, whose body lies at body. A slot of a scaffold record's root
 // (path nil) that is the root's only child is solo: removing its child
-// empties the record, which up, the record's parent, points to.
+// empties the record, which up, the record's parent, points to. chain is
+// the proxies an edit of the slot passes below the aggregate it serves,
+// whose counts the edit patches.
 type slot struct {
 	rid, body records.RID
 	path      []int
 	idx       int
 	solo      bool
 	up        records.RID
+	chain     []countRef
 }
 
 // same reports whether a and b are one slot.
@@ -46,11 +50,21 @@ func (a *slot) same(b *slot) bool {
 	return a.rid == b.rid && a.idx == b.idx && slices.Equal(a.path, b.path)
 }
 
+// countRef is the count of one proxy: the record holding the proxy, the
+// count's offset in the record's body and its value.
+type countRef struct {
+	rid   records.RID
+	off   int
+	count int
+}
+
 // childEntry is one logical child of an aggregate: the record holding it
 // (its own, when a proxy points to it), the physical slot that holds it
 // (for the root of another record, the slot of the proxy pointing at it)
 // and the span there, and the index of the top-level physical child of
-// the aggregate it was reached through.
+// the aggregate it was reached through. The slot's chain is the proxies
+// from the aggregate's record down to the slot's, each a scaffolding
+// record's.
 type childEntry struct {
 	rid    records.RID
 	span   noderep.Span
@@ -58,9 +72,25 @@ type childEntry struct {
 	topIdx int
 }
 
+// maxScaffoldDepth bounds the scaffolding records a locate enters below
+// one aggregate. Each level multiplies the children a record holds, so
+// no document nests them half as deep; a chain that does is a cycle.
+const maxScaffoldDepth = 64
+
 // corrupt is the error for a record image the write path cannot read.
 func corrupt(rid records.RID) error {
 	return fmt.Errorf("record %s: %w", rid, noderep.ErrCorruptRecord) //natix:vet-ignore corrupt-record path
+}
+
+// corruptRef is the error for a reference read out of record rid's image
+// — a proxy's target, a parent RID — that err says names no readable
+// record: rid's image is corrupt, whatever the record manager found (an
+// I/O error it found stays in the chain).
+func corruptRef(rid records.RID, err error) error {
+	if errors.Is(err, noderep.ErrCorruptRecord) {
+		return err
+	}
+	return fmt.Errorf("record %s: %w: %w", rid, noderep.ErrCorruptRecord, err) //natix:vet-ignore corrupt-record path
 }
 
 // view returns the store's view at depth d of the record chain a read
@@ -111,9 +141,10 @@ func (s *Store) locate(root records.RID, path Path, n *wnode) error {
 // record is held in: the views from d to it are held, the chain of
 // records the child was reached through. It returns -1 when n has no such
 // child, with n as it was and nothing held past view d; k is then the
-// number of logical children n does have. The records behind the proxies
-// it passes are read as they are reached, and a scaffolding root's
-// children counted in place of the proxy.
+// number of logical children n does have. The proxies in front of the
+// child are passed by their counts (noderep.Skip): only the records on
+// the way to it are read (enter). Before it reports a child missing it
+// checks every count it passed (checkCounts).
 //
 //natix:noalloc
 func (s *Store) childAt(d int, n *wnode, idx int) (at, k int, err error) {
@@ -133,123 +164,195 @@ func (s *Store) childAt(d int, n *wnode, idx int) (at, k int, err error) {
 		return d, 0, nil
 	}
 	img := s.views[d].Body()
-	for p, i := agg.Start, 0; ; i++ {
-		// Pass the plain children in front of the wanted one.
-		q, m, proxyEnd := noderep.Skip(img, p, &agg, idx-k)
-		if p, i, k = q, i+m, k+m; p < 0 {
+	p, k, i, proxyEnd := noderep.Skip(img, agg.Start, &agg, idx)
+	if p < 0 {
+		return -1, k, corrupt(n.rid)
+	}
+	if p >= agg.End {
+		return -1, k, s.checkCounts(d, n.rid, &agg)
+	}
+	if proxyEnd == 0 {
+		// Skip stopped in front of the wanted child: k == idx.
+		var c noderep.Span
+		if !noderep.ChildSpan(img, p, &agg, &c) {
 			return -1, k, corrupt(n.rid)
 		}
-		if p >= agg.End {
-			return -1, k, nil
+		n.path, n.span = append(n.path, i), c
+		return d, k, nil
+	}
+	// The proxy there holds the child: it is the root of the record behind
+	// it, or a child of that record's scaffolding root. Its path starts at
+	// that record's root.
+	rid, path := n.rid, n.path
+	n.rid = records.DecodeRID(img[proxyEnd-noderep.ProxyContentSize : proxyEnd])
+	if err := s.enter(d+1, rid, img, proxyEnd, n.rid, &n.span); err != nil {
+		n.rid, n.span = rid, agg
+		return -1, k, err
+	}
+	n.path = path[len(path):]
+	at = d + 1
+	if n.span.Scaffold && n.span.Kind == noderep.KindAggregate {
+		if at, _, err = s.childAt(d+1, n, idx-k); at < 0 && err == nil {
+			err = corrupt(n.rid) // its count, checked, holds the child
 		}
-		if proxyEnd == 0 {
-			// Skip stopped in front of the wanted child: k == idx.
-			var c noderep.Span
-			if !noderep.ChildSpan(img, p, &agg, &c) {
-				return -1, k, corrupt(n.rid)
-			}
-			n.path, n.span = append(n.path, i), c
-			return d, k, nil
-		}
-		p = proxyEnd
-		rid, path, w := n.rid, n.path, s.view(d+1)
-		n.rid = records.DecodeRID(img[p-records.RIDSize : p])
-		if err := s.viewRoot(n.rid, w, &n.span); err != nil {
-			n.rid, n.span = rid, agg
+		if err != nil {
+			s.views[d+1].Done()
+			n.rid, n.span, n.path = rid, agg, path
 			return -1, k, err
 		}
-		// The child is the root of the record behind the proxy, or a child
-		// of its scaffolding root: its path starts at that record's root.
-		n.path = path[len(path):]
-		at := d + 1
-		if n.span.Scaffold && n.span.Kind == noderep.KindAggregate {
-			var j int
-			at, j, err = s.childAt(d+1, n, idx-k)
-			k += j
-		} else if k != idx {
-			at = -1
-			k++
-		}
-		if at < 0 || err != nil {
+	}
+	n.path = append(path[:0], n.path...)
+	return at, idx, nil
+}
+
+// enter views target, the record the proxy of record holder whose content
+// ends at proxyEnd of img points to, into view d and reads its root into
+// r, checking the proxy's count against it: one for a record rooted in a
+// facade node, for a scaffolding root the sum over its children, a proxy
+// there by its count — which is all the record's own bytes say. A count
+// that disagrees is a corrupt record, and nothing is held.
+func (s *Store) enter(d int, holder records.RID, img []byte, proxyEnd int, target records.RID, r *noderep.Span) error {
+	if d > maxScaffoldDepth {
+		return corrupt(holder) // a cycle: no document nests scaffolding so deep
+	}
+	w := s.view(d)
+	if err := s.viewRoot(target, w, r); err != nil {
+		return corruptRef(holder, err)
+	}
+	want, count := noderep.ProxyCount(img, proxyEnd), 1
+	if r.Scaffold && r.Kind == noderep.KindAggregate {
+		var p int
+		if p, count, _, _ = noderep.Skip(w.Body(), r.Start, r, math.MaxInt); p < 0 {
 			w.Done()
-			n.rid, n.span, n.path = rid, agg, path
-			if err != nil {
-				return -1, k, err
-			}
+			return corrupt(target)
+		}
+	}
+	if count != want {
+		w.Done()
+		return fmt.Errorf("record %s: its proxy to %s counts %d logical children, the record holds %d: %w", //natix:vet-ignore corrupt-record path
+			holder, target, want, count, noderep.ErrCorruptRecord)
+	}
+	return nil
+}
+
+// checkCounts checks the count of every proxy among the children of agg,
+// an aggregate of record rid held in view d, against its target, and of
+// every proxy below a scaffolding target in turn (enter): the slow count
+// a locate makes before it reports a child missing, so that a count it
+// passed by arithmetic cannot make it report a child that exists missing.
+func (s *Store) checkCounts(d int, rid records.RID, agg *noderep.Span) error {
+	if !agg.Children() {
+		return nil // a text-only element's content is its text
+	}
+	img := s.views[d].Body()
+	var c, r noderep.Span
+	for p := agg.Start; p < agg.End; p = c.End {
+		if !noderep.ChildSpan(img, p, agg, &c) {
+			return corrupt(rid)
+		}
+		if c.Kind != noderep.KindProxy {
 			continue
 		}
-		n.path = append(path[:0], n.path...)
-		return at, k, nil
+		target := c.Target(img)
+		if err := s.enter(d+1, rid, img, c.End, target, &r); err != nil {
+			return err
+		}
+		var err error
+		if r.Scaffold && r.Kind == noderep.KindAggregate {
+			err = s.checkCounts(d+1, target, &r)
+		}
+		s.views[d+1].Done()
+		if err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
-// childEntries lists the logical children of n, the node located in the
-// record held in view 0 (none unless it is an aggregate), in document
-// order, resolving proxies and splicing scaffolding aggregates
-// transparently, and returns how many physical children n has in its own
-// record. The list is built in the store's scratch: it is valid until the
-// next call.
-func (s *Store) childEntries(n *wnode) ([]childEntry, int, error) {
-	s.entries = s.entries[:0]
+// countChildren returns the number of logical children of n, the node
+// located in the record held in view 0 (none unless it is an aggregate),
+// and of physical children it has in its own record: the proxies among
+// them counted by their counts, no record behind them read.
+func (s *Store) countChildren(n *wnode) (total, kids int, err error) {
 	switch {
 	case n.span.Kind != noderep.KindAggregate:
-		return s.entries, 0, nil // a literal or a proxy has no children
+		return 0, 0, nil // a literal or a proxy has no children
 	case n.span.Fused:
-		s.entries = append(s.entries, childEntry{
-			rid: n.rid, span: n.span.Text(),
-			slot: slot{rid: n.rid, body: n.body, path: n.path},
-		})
-		return s.entries, 1, nil
+		return 1, 1, nil
 	}
-	kids, err := s.collectEntries(0, n.rid, n.span, n.path, -1)
-	return s.entries, kids, err
+	p, total, kids, _ := noderep.Skip(s.views[0].Body(), n.span.Start, &n.span, math.MaxInt)
+	if p < 0 {
+		return 0, 0, corrupt(n.rid)
+	}
+	return total, kids, nil
 }
 
-// collectEntries appends to the store's entries the logical children of
-// the aggregate agg at path of record rid, held in view d, and returns
-// how many physical children agg has. top overrides the top-level index
-// when recursing into scaffold records (-1 means "use the local index").
-func (s *Store) collectEntries(d int, rid records.RID, agg noderep.Span, path []int, top int) (int, error) {
-	img, body := s.views[d].Body(), s.views[d].Loc()
-	var c, r noderep.Span
-	i := 0
-	for p := agg.Start; p < agg.End; i++ {
+// entryAt resolves logical child idx of n, the aggregate located in the
+// record held in view 0, into e, reading only the records on the way to
+// it: the proxies in front of it are passed by their counts and the
+// records behind the proxies that hold it entered (enter). The proxies
+// entered are e.slot.chain, in e's own scratch. It reports false when n
+// has no such child, with total the number of logical children it has.
+// Every view it takes is ended; view 0 stays held.
+func (s *Store) entryAt(n *wnode, idx int, e *childEntry) (found bool, total int, err error) {
+	chain := e.slot.chain[:0]
+	switch {
+	case n.span.Kind != noderep.KindAggregate:
+		return false, 0, nil // a literal or a proxy has no children
+	case n.span.Fused:
+		*e = childEntry{rid: n.rid, span: n.span.Text(), slot: slot{rid: n.rid, body: n.body, path: n.path, chain: chain}}
+		return idx == 0, 1, nil
+	case idx < 0:
+		total, _, err = s.countChildren(n)
+		return false, total, err
+	}
+	d, rid, body, path, agg, top := 0, n.rid, n.body, n.path, n.span, -1
+	defer func() {
+		for ; d > 0; d-- {
+			s.views[d].Done()
+		}
+	}()
+	for {
+		img := s.views[d].Body()
+		p, k, i, proxyEnd := noderep.Skip(img, agg.Start, &agg, idx)
+		if p < 0 {
+			return false, 0, corrupt(rid)
+		}
+		if p >= agg.End {
+			if d > 0 {
+				return false, 0, corrupt(rid) // its count, checked, holds the child
+			}
+			return false, k, s.checkCounts(0, rid, &agg)
+		}
+		if top < 0 {
+			top = i
+		}
+		var c noderep.Span
 		if !noderep.ChildSpan(img, p, &agg, &c) {
-			return i, corrupt(rid)
+			return false, 0, corrupt(rid)
 		}
-		p = c.End
-		topIdx := top
-		if topIdx < 0 {
-			topIdx = i
-		}
-		e := childEntry{rid: rid, span: c, slot: slot{rid: rid, body: body, path: path, idx: i}, topIdx: topIdx}
-		if c.Kind == noderep.KindProxy {
-			e.rid = c.Target(img)
-			w := s.view(d + 1)
-			if err := s.viewRoot(e.rid, w, &r); err != nil {
-				return i, err
-			}
-			if r.Scaffold && r.Kind == noderep.KindAggregate {
-				// Scaffolding aggregate: splice its children here.
-				_, err := s.collectEntries(d+1, e.rid, r, nil, topIdx)
-				w.Done()
-				if err != nil {
-					return i, err
-				}
-				continue
-			}
-			w.Done()
-		}
-		s.entries = append(s.entries, e)
-	}
-	if top >= 0 && i == 1 && len(s.entries) > 0 {
-		if last := &s.entries[len(s.entries)-1].slot; last.rid == rid {
+		*e = childEntry{rid: rid, span: c, topIdx: top, slot: slot{rid: rid, body: body, path: path, idx: i, chain: chain}}
+		if d > 0 && c.Pos == agg.Start && c.End == agg.End {
 			// The scaffold root's only child: its removal empties the record.
-			last.solo = true
-			last.up, _ = noderep.ImageParentRID(img)
+			e.slot.solo = true
+			e.slot.up, _ = noderep.ImageParentRID(img)
 		}
+		if proxyEnd == 0 {
+			return true, 0, nil
+		}
+		var r noderep.Span
+		target := c.Target(img)
+		if err := s.enter(d+1, rid, img, proxyEnd, target, &r); err != nil {
+			return false, 0, err
+		}
+		d++
+		if !r.Scaffold || r.Kind != noderep.KindAggregate {
+			e.rid = target
+			return true, 0, nil
+		}
+		chain = append(chain, countRef{rid: rid, off: noderep.CountOffset(proxyEnd), count: noderep.ProxyCount(img, proxyEnd)})
+		rid, body, path, agg, idx = target, s.views[d].Loc(), nil, r, idx-k
 	}
-	return i, nil
 }
 
 // proxySlot finds the proxy to target in record rid: the slot that holds
@@ -259,7 +362,7 @@ func (s *Store) collectEntries(d int, rid records.RID, agg noderep.Span, path []
 func (s *Store) proxySlot(rid, target records.RID) (slot, error) {
 	rec, body, err := s.loadRecord(rid)
 	if err != nil {
-		return slot{}, err
+		return slot{}, corruptRef(target, err)
 	}
 	pp, idx, err := findProxySlot(rec.Root, target)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -366,12 +367,61 @@ type refNodeRef struct {
 }
 
 // physPos locates a physical child slot: the record, the physical parent
-// aggregate inside it, and the index among that aggregate's children.
+// aggregate inside it, and the index among that aggregate's children;
+// chain is the proxies of scaffolding records an edit of the slot passes
+// below the logical parent it serves, whose counts the edit changes.
 type physPos struct {
 	rid    records.RID
 	rec    *noderep.Record // parsed record instance parent belongs to
 	parent *noderep.Node
 	idx    int
+	chain  []refProxy
+}
+
+// refProxy is one proxy of a decoded record.
+type refProxy struct {
+	rid   records.RID
+	rec   *noderep.Record
+	proxy *noderep.Node
+}
+
+// refPatchCounts adds delta to the count of every proxy of chain, as the
+// write path does before the edit it counts: four bytes in place, at the
+// offset the proxy's count has in the image of its record.
+func refPatchCounts(s *Store, chain []refProxy, delta int) error {
+	for _, c := range chain {
+		img, err := s.rm.Read(c.rid)
+		if err != nil {
+			return err
+		}
+		path, ok := refPhysPath(nil, physPos{rec: c.rec, parent: c.proxy.Parent, idx: c.proxy.Parent.ChildIndex(c.proxy)})
+		var n, p noderep.Span
+		if !ok || !noderep.RootSpan(img, &n) {
+			return fmt.Errorf("record %s: no proxy at %v", c.rid, path)
+		}
+		for _, i := range path {
+			p = n
+			pos := p.Start
+			for ; i > 0; i-- {
+				if !noderep.ChildSpan(img, pos, &p, &n) {
+					return fmt.Errorf("record %s: no proxy at %v", c.rid, path)
+				}
+				pos = n.End
+			}
+			if !noderep.ChildSpan(img, pos, &p, &n) {
+				return fmt.Errorf("record %s: no proxy at %v", c.rid, path)
+			}
+		}
+		c.proxy.Count = uint32(int(c.proxy.Count) + delta)
+		var b [noderep.CountSize]byte
+		binary.LittleEndian.PutUint32(b[:], c.proxy.Count)
+		s.stats.countPatches.Add(1)
+		s.cache.remove(c.rid)
+		if err := s.rm.Patch(c.rid, noderep.CountOffset(n.End), b[:]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // refChildEntry is one logical child of an aggregate, with the physical
@@ -414,14 +464,15 @@ func refChildEntries(s *Store, ref refNodeRef) ([]refChildEntry, error) {
 		return nil, nil
 	}
 	var entries []refChildEntry
-	err := refCollectEntries(s, ref.rid, ref.rec, ref.node, -1, &entries)
+	err := refCollectEntries(s, ref.rid, ref.rec, ref.node, -1, nil, &entries)
 	return entries, err
 }
 
 // refCollectEntries appends the logical children of the aggregate agg
 // (which lives in record rid). top overrides the top-level index when
-// recursing into scaffold records (-1 means "use the local index").
-func refCollectEntries(s *Store, rid records.RID, rec *noderep.Record, agg *noderep.Node, top int, out *[]refChildEntry) error {
+// recursing into scaffold records (-1 means "use the local index"), and
+// chain is the proxies recursed through.
+func refCollectEntries(s *Store, rid records.RID, rec *noderep.Record, agg *noderep.Node, top int, chain []refProxy, out *[]refChildEntry) error {
 	for i, n := range agg.Children {
 		topIdx := top
 		if topIdx < 0 {
@@ -434,20 +485,21 @@ func refCollectEntries(s *Store, rid records.RID, rec *noderep.Record, agg *node
 			}
 			if child.Root.Scaffold && child.Root.Kind == noderep.KindAggregate {
 				// Scaffolding aggregate: splice its children here.
-				if err := refCollectEntries(s, n.Target, child, child.Root, topIdx, out); err != nil {
+				below := append(slices.Clip(chain), refProxy{rid, rec, n})
+				if err := refCollectEntries(s, n.Target, child, child.Root, topIdx, below, out); err != nil {
 					return err
 				}
 			} else {
 				*out = append(*out, refChildEntry{
 					ref:    refNodeRef{NodeRef{n.Target, child.Root}, child},
-					slot:   physPos{rid: rid, rec: rec, parent: agg, idx: i},
+					slot:   physPos{rid: rid, rec: rec, parent: agg, idx: i, chain: chain},
 					topIdx: topIdx,
 				})
 			}
 		} else {
 			*out = append(*out, refChildEntry{
 				ref:    refNodeRef{NodeRef{rid, n}, rec},
-				slot:   physPos{rid: rid, rec: rec, parent: agg, idx: i},
+				slot:   physPos{rid: rid, rec: rec, parent: agg, idx: i, chain: chain},
 				topIdx: topIdx,
 			})
 		}
@@ -495,12 +547,18 @@ func refInsertChild(t *Tree, parentPath Path, idx int, n *noderep.Node, splice r
 		if err != nil {
 			return err
 		}
+		if err := refPatchCounts(s, cand.chain, 1); err != nil {
+			return err
+		}
 		if err := refPlaceAt(s, cand, noderep.NewProxy(childRID), ctx, splice); err != nil {
 			return err
 		}
 	default:
 		cand, err := refChooseCandidate(s, cands, policy, parent.rid)
 		if err != nil {
+			return err
+		}
+		if err := refPatchCounts(s, cand.chain, 1); err != nil {
 			return err
 		}
 		if err := refPlaceAt(s, cand, n, ctx, splice); err != nil {
@@ -526,17 +584,19 @@ func refInsertionCandidates(parent refNodeRef, entries []refChildEntry, idx int)
 	case len(entries) == 0:
 		add(physPos{rid: parent.rid, rec: parent.rec, parent: parent.node, idx: 0})
 	case idx == 0:
-		right := entries[0]
-		add(physPos{rid: right.slot.rid, rec: right.slot.rec, parent: right.slot.parent, idx: right.slot.idx})
+		add(entries[0].slot)
 		add(physPos{rid: parent.rid, rec: parent.rec, parent: parent.node, idx: 0})
 	case idx == len(entries):
-		left := entries[idx-1]
-		add(physPos{rid: left.slot.rid, rec: left.slot.rec, parent: left.slot.parent, idx: left.slot.idx + 1})
+		left := entries[idx-1].slot
+		left.idx++
+		add(left)
 		add(physPos{rid: parent.rid, rec: parent.rec, parent: parent.node, idx: len(parent.node.Children)})
 	default:
 		left, right := entries[idx-1], entries[idx]
-		add(physPos{rid: left.slot.rid, rec: left.slot.rec, parent: left.slot.parent, idx: left.slot.idx + 1})
-		add(physPos{rid: right.slot.rid, rec: right.slot.rec, parent: right.slot.parent, idx: right.slot.idx})
+		after := left.slot
+		after.idx++
+		add(after)
+		add(right.slot)
 		if left.topIdx != right.topIdx {
 			add(physPos{rid: parent.rid, rec: parent.rec, parent: parent.node, idx: right.topIdx})
 		}
@@ -587,12 +647,31 @@ func refPlaceAt(s *Store, cand physPos, node *noderep.Node, ctx *opCtx, splice r
 		if err != nil {
 			return err
 		}
+		if !spliced {
+			// A splice its page cannot hold moves the spliced image whole.
+			if spliced, err = refMoveSpliced(s, cand, node); err != nil {
+				return err
+			}
+		}
 		if spliced {
 			ctx.patchProxiesIn(cand.rid, node)
 			return nil
 		}
 	}
 	return refAfterPlacement(s, cand.rid, cand.rec, []*noderep.Node{node}, ctx)
+}
+
+// refMoveSpliced splices node into a copy of the stored image of
+// pos.rid, as refSpliceInFrame does, and when the splice takes it
+// rewrites the record with the spliced image (records.Manager.Update,
+// which moves it): the write path's edit of a record whose page cannot
+// hold the spliced image.
+func refMoveSpliced(s *Store, pos physPos, node *noderep.Node) (bool, error) {
+	img, _, ok, err := refSpliceCopy(s, pos, node)
+	if !ok || err != nil {
+		return false, err
+	}
+	return true, s.rewrite(pos.rid, img)
 }
 
 // refAfterPlacement is afterPlacement with the record's page looked up.
@@ -646,6 +725,9 @@ func refDelete(t *Tree, path Path, splice refSplice) error {
 		}
 	}
 
+	if err := refPatchCounts(s, e.slot.chain, -1); err != nil {
+		return err
+	}
 	if err := refRemovePhysical(s, e.slot, ctx, splice); err != nil {
 		return err
 	}
@@ -746,29 +828,37 @@ func refPhysPath(path []int, pos physPos) ([]int, bool) {
 // pin of its own), spliced, and handed to records.Manager.Edit as the
 // prepared image, which resolves the RID and pins the page again.
 func refSpliceRecord(s *Store, pos physPos, node *noderep.Node) (bool, error) {
-	path, ok := refPhysPath(nil, pos)
-	if !ok {
-		return false, nil
-	}
-	img, err := s.rm.ReadInto(pos.rid, make([]byte, 0, s.maxRecordSize()))
-	if err != nil {
+	img, sp, ok, err := refSpliceCopy(s, pos, node)
+	if !ok || err != nil {
 		return false, err
 	}
-	var sp noderep.Splice
-	if node != nil {
-		img, ok = sp.Insert(img, path, node, s.maxRecordSize())
-	} else {
-		img, ok = sp.Remove(img, path)
-	}
-	if !ok {
-		return false, nil
-	}
-	if ok, err := s.rm.Edit(pos.rid, preparedImage{img, &sp}); !ok || err != nil {
+	if ok, err := s.rm.Edit(pos.rid, preparedImage{img, sp}); !ok || err != nil {
 		return false, err
 	}
 	s.stats.recordsSpliced.Add(1)
 	s.cache.remove(pos.rid)
 	return true, nil
+}
+
+// refSpliceCopy reads the stored image of pos.rid out with ReadInto and
+// splices node into the copy — or, for nil, the child at pos out of it —
+// reporting false when the splice refuses.
+func refSpliceCopy(s *Store, pos physPos, node *noderep.Node) ([]byte, *noderep.Splice, bool, error) {
+	path, ok := refPhysPath(nil, pos)
+	if !ok {
+		return nil, nil, false, nil
+	}
+	img, err := s.rm.ReadInto(pos.rid, make([]byte, 0, s.maxRecordSize()))
+	if err != nil {
+		return nil, nil, false, err
+	}
+	sp := new(noderep.Splice)
+	if node != nil {
+		img, ok = sp.Insert(img, path, node, s.maxRecordSize())
+	} else {
+		img, ok = sp.Remove(img, path)
+	}
+	return img, sp, ok, nil
 }
 
 // preparedImage is a records.Editor that hands Edit an image spliced

@@ -307,12 +307,17 @@ func (s *Store) storePartition(group []*noderep.Node, near pagedev.PageNo, ctx *
 		}
 	}
 	// The partition record's parent pointer is patched by the opCtx once
-	// the separator's final record is known.
+	// the separator's final record is known. Its proxy counts the group's
+	// logical children, which a split of the record, should it not fit,
+	// keeps.
+	count := noderep.LogicalCount(root)
 	rid, err := s.storeTreeRecord(root, records.NilRID, near, ctx)
 	if err != nil {
 		return nil, err
 	}
-	return []*noderep.Node{noderep.NewProxy(rid)}, nil
+	p := noderep.NewProxy(rid)
+	p.Count = count
+	return []*noderep.Node{p}, nil
 }
 
 // separatorWithProgress builds a separator that is guaranteed to be

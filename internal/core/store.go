@@ -66,6 +66,7 @@ type Stats struct {
 	RecordsSpliced   int64 // node edits written as a splice of the stored image
 	ParentPatches    int64 // standalone parent-RID fixups written
 	RecordsDecoded   int64 // record images decoded into trees: an edit the image cannot take, a split, a merge, WalkRecords and the decoded reference
+	CountPatches     int64 // proxy counts patched in place by an edit below a scaffolding record
 	CacheHits        int64 // reads served from the image cache
 	CacheMisses      int64 // reads that copied and opened an image (with the cache on)
 }
@@ -99,15 +100,16 @@ type Store struct {
 	// Scratch of the (serialized) mutating operations: the layout of the
 	// record last measured, the image buffer it is emitted into, the node
 	// edit spliced into a stored image, the views of the records a read
-	// holds, the physical path of the located node, the child list of the insert or delete point, the insertion
-	// candidates and the proxies below a deleted node.
+	// holds, the physical path of the located node, the children on
+	// either side of an insert or delete point, the insertion candidates
+	// and the proxies below a deleted node.
 	layout  noderep.Layout
 	image   []byte
 	editor  nodeEdit
 	views   []*records.View
 	held    records.RID // the record view 0 holds for an insert's edit; NilRID when none
 	path    []int
-	entries []childEntry
+	entries [2]childEntry
 	cands   []slot
 	targets []records.RID
 }
@@ -121,6 +123,7 @@ type storeStats struct {
 	recordsSpliced   atomic.Int64
 	parentPatches    atomic.Int64
 	recordsDecoded   atomic.Int64
+	countPatches     atomic.Int64
 	cacheHits        atomic.Int64
 	cacheMisses      atomic.Int64
 }
@@ -151,6 +154,7 @@ func (s *Store) Stats() Stats {
 		RecordsSpliced:   s.stats.recordsSpliced.Load(),
 		ParentPatches:    s.stats.parentPatches.Load(),
 		RecordsDecoded:   s.stats.recordsDecoded.Load(),
+		CountPatches:     s.stats.countPatches.Load(),
 		CacheHits:        s.stats.cacheHits.Load(),
 		CacheMisses:      s.stats.cacheMisses.Load(),
 	}
@@ -166,6 +170,7 @@ func (s *Store) AttachTelemetry(reg *telemetry.Registry) {
 	reg.Func("core.records_spliced", s.stats.recordsSpliced.Load)
 	reg.Func("core.parent_patches", s.stats.parentPatches.Load)
 	reg.Func("core.records_decoded", s.stats.recordsDecoded.Load)
+	reg.Func("core.count_patches", s.stats.countPatches.Load)
 	reg.Func("core.cache_hits", s.stats.cacheHits.Load)
 	reg.Func("core.cache_misses", s.stats.cacheMisses.Load)
 	reg.Func("core.image_cache_bytes", s.cache.footprint)
@@ -180,6 +185,7 @@ func (s *Store) ResetStats() {
 	s.stats.recordsSpliced.Store(0)
 	s.stats.parentPatches.Store(0)
 	s.stats.recordsDecoded.Store(0)
+	s.stats.countPatches.Store(0)
 	s.stats.cacheHits.Store(0)
 	s.stats.cacheMisses.Store(0)
 }
@@ -282,7 +288,7 @@ func (s *Store) patchParentRID(child, parent records.RID) error {
 		root noderep.Span
 	)
 	if err := s.viewRoot(child, &v, &root); err != nil {
-		return err
+		return corruptRef(parent, err)
 	}
 	cur, off := noderep.ImageParentRID(v.Body())
 	v.Done()
@@ -353,7 +359,7 @@ func (s *Store) deleteRecordTree(rid records.RID) error {
 			root noderep.Span
 		)
 		if err := s.rm.View(rid, &v); err != nil {
-			return todo, err
+			return todo, corruptRef(rid, err)
 		}
 		defer v.Done()
 		ok := noderep.RootSpan(v.Body(), &root)

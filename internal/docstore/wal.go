@@ -245,14 +245,16 @@ func (s *Store) reloadAfterRollback() error {
 	return nil
 }
 
-// Upgrade brings a store whose segment predates record format 4 (a
+// Upgrade brings a store whose segment predates record format 5 (a
 // segment format version below segment.FormatVersion) up to it: the
-// records of every tree-mode document are rewritten in place
-// (core.Tree.UpgradeRecords), each document as one logged operation; then
+// records of every tree-mode document are rewritten, their proxies
+// counted, under their RIDs (core.Tree.UpgradeRecords: moved when they
+// grew, split when they outgrew a page), each document as one logged
+// operation; then
 // a checkpoint makes them durable, and only then does the segment header
 // take the current version, itself a logged operation, checkpointed too.
 // A crash anywhere leaves a store the next Open upgrades again from where
-// it stood — a record already in format 4 is read, not written — and a
+// it stood — a record already in format 5 is read, not written — and a
 // store whose header is current is not touched at all. It runs before
 // the store serves anything: Open calls it.
 func (s *Store) Upgrade() error {

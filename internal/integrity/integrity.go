@@ -10,7 +10,9 @@
 // free-space inventory, data), and the cross-structure invariants —
 // the inventory never overstates a page's free space, every catalog
 // root resolves to a live record, every path-index posting blob is
-// readable. Pages resident in the buffer pool are skipped: their frame
+// readable, and every tree document's record graph passes the tree
+// manager's invariant check (core.Tree.CheckInvariants: record sizes,
+// parent pointers, proxy counts), which a checksum cannot vouch for. Pages resident in the buffer pool are skipped: their frame
 // is the authoritative copy (the device bytes may be legitimately
 // stale), and skipping them is also what keeps the scrubber from ever
 // contending on a frame latch with foreground work.
@@ -75,6 +77,7 @@ type Report struct {
 	CorruptFound  int64 // pages that failed verification
 	FSIFixed      int64 // inventory entries corrected (overstated free space)
 	BadRIDs       int64 // catalog/index references that no longer resolve
+	BadGraphs     int64 // tree documents whose record graph fails the invariant check
 
 	Repaired    []pagedev.PageNo  // rebuilt in place (WAL image or FSI recompute)
 	Unrepaired  []pagedev.PageNo  // no repair source; owners quarantined
@@ -87,7 +90,7 @@ type Report struct {
 // Clean reports a store with nothing wrong: no corruption found and
 // nothing previously quarantined still is.
 func (r *Report) Clean() bool {
-	return r.CorruptFound == 0 && r.BadRIDs == 0 && len(r.Quarantined) == 0
+	return r.CorruptFound == 0 && r.BadRIDs == 0 && r.BadGraphs == 0 && len(r.Quarantined) == 0
 }
 
 // Stats are the scrubber's cumulative counters (across all passes).
@@ -443,8 +446,9 @@ func (s *Scrubber) repair(seg segmentIface, p pagedev.PageNo, pageSize int) (boo
 }
 
 // checkReferences verifies that every catalog root and every
-// path-index blob resolves, returning the set of documents with broken
-// references.
+// path-index blob resolves, and that every tree document's record graph
+// passes the invariant check, returning the set of documents with broken
+// references or graphs.
 func (s *Scrubber) checkReferences(rep *Report) map[string]string {
 	broken := make(map[string]string)
 	st := s.cfg.Store
@@ -454,6 +458,13 @@ func (s *Scrubber) checkReferences(rep *Report) map[string]string {
 			rep.BadRIDs++
 			broken[info.Name] = fmt.Sprintf("catalog root %s: %v", info.Root, err)
 			continue
+		}
+		if info.Mode == docstore.ModeTree {
+			if err := st.Trees().OpenTree(info.Root).CheckInvariants(); err != nil {
+				rep.BadGraphs++
+				broken[info.Name] = fmt.Sprintf("record graph: %v", err)
+				continue
+			}
 		}
 		if px := st.PathIndex(); px != nil {
 			rids, err := px.BlobRIDs(info.Name)

@@ -34,8 +34,10 @@ func randomRecord(rng *rand.Rand) *Record {
 				n.AppendChild(build(depth + 1))
 			}
 			return n
-		case k < 5:
-			return NewProxy(randomRID(rng))
+		case k < 5 && depth < 99:
+			p := NewProxy(randomRID(rng))
+			p.Count = uint32(rng.Intn(300))
+			return p
 		case k < 7:
 			payload := make([]byte, rng.Intn(40))
 			rng.Read(payload)
@@ -51,7 +53,7 @@ func randomRecord(rng *rand.Rand) *Record {
 		for kids := 1 + rng.Intn(6); kids > 0; kids-- {
 			root.AppendChild(build(1))
 		}
-	case 1: // a lone literal or proxy standing alone
+	case 1: // a lone literal standing alone
 		root = build(99)
 	default:
 		root = NewAggregate(dict.LabelID(3 + rng.Intn(labels)))
@@ -70,9 +72,9 @@ func randomRID(rng *rand.Rand) records.RID {
 	return records.RID{Page: pagedev.PageNo(1 + rng.Intn(1<<20)), Slot: uint16(rng.Intn(200))}
 }
 
-// tableTypes returns the type table of root's version 3 image, in the
-// encoder's order: the types of the nodes written with a header, which a
-// fused text is not.
+// tableTypes returns the type table of root's version 3 or 4 image, in
+// the encoder's order: the types of the nodes written with a header,
+// which a fused text is not.
 func tableTypes(root *Node) []typeKey {
 	var order []typeKey
 	var walk func(n *Node)
@@ -104,18 +106,51 @@ func fusedTexts(root *Node) int {
 	return fused
 }
 
+// tableTypes5 is tableTypes without the proxies' type: the type table of
+// root's format 5 image.
+func tableTypes5(root *Node) []typeKey {
+	types := tableTypes(root)
+	if i := typeIndex(types, proxyKey); i >= 0 {
+		types = append(types[:i], types[i+1:]...)
+	}
+	return types
+}
+
 // typeSetOf accounts a subtree's types the way the bulk builder does: one
-// AddNode per node that is written with a header.
+// AddNode per node that is written with a header and is no proxy.
 func typeSetOf(root *Node) *TypeSet {
 	ts := NewTypeSet()
-	ts.order = append(ts.order, tableTypes(root)...)
+	ts.order = append(ts.order, tableTypes5(root)...)
 	return ts
 }
 
-// refSize4 is the size of rec's format 4 image, header by header as the
+// proxies counts the proxies of root's subtree.
+func proxies(root *Node) int {
+	n := 0
+	root.Walk(func(x *Node) bool {
+		if x.Kind == KindProxy {
+			n++
+		}
+		return true
+	})
+	return n
+}
+
+// setCounts copies the proxies' counts of the tree from onto the same
+// tree to, which an upgrade from a format older than 5 left at zero.
+func setCounts(to, from *Node) {
+	if to.Kind == KindProxy {
+		to.Count = from.Count
+	}
+	for i := range to.Children {
+		setCounts(to.Children[i], from.Children[i])
+	}
+}
+
+// refSize5 is the size of rec's format 5 image, header by header as the
 // package comment's grammar spells it out.
-func refSize4(rec *Record) int {
-	types := len(tableTypes(rec.Root))
+func refSize5(rec *Record) int {
+	types := len(tableTypes5(rec.Root))
 	typeBytes := 1
 	if types > narrowTypes {
 		typeBytes = 2
@@ -124,7 +159,7 @@ func refSize4(rec *Record) int {
 	content = func(n *Node) int {
 		switch {
 		case n.Kind == KindProxy:
-			return records.RIDSize
+			return records.RIDSize + CountSize
 		case n.Kind == KindLiteral:
 			return len(n.Payload)
 		case n.FusedText() != nil:
@@ -148,13 +183,17 @@ func refSize4(rec *Record) int {
 	return recHeaderSize + ttEntrySize*types + StandaloneHeaderSize + content(rec.Root)
 }
 
-// checkAllVersions holds one well-formed record's version 1, 2 and 3
-// images, from the reference encoder, against its format 4 image from
-// every production entry point: each older image is a step smaller than
+// checkAllVersions holds one well-formed record's version 1 to 4 images,
+// from the reference encoders, against its format 5 image from every
+// production entry point: each older image up to 3 is a step smaller than
 // the one before — version 2 by the parent offsets it does not store,
 // version 3 by the headers of the texts it fuses and the #text type entry
-// once no header cites it — and upgrades to exactly the format 4 image,
-// which has the size the grammar gives, decodes to the record, and holds
+// once no header cites it — version 4 is no larger than version 3, and
+// format 5 is version 4 with a count on every proxy, no proxy entry in
+// the table, a byte less per table entry and in the standalone header.
+// Each older image upgrades to the record's tree, counts left at zero,
+// which with the counts filled in encodes to exactly the format 5 image;
+// that has the size the grammar gives, decodes to the record, and holds
 // the standalone parent RID where ParentRIDOffset says. The runtime
 // decoder refuses the older images.
 func checkAllVersions(t *testing.T, rec *Record) {
@@ -181,34 +220,48 @@ func checkAllVersions(t *testing.T, rec *Record) {
 	if allTypes-types > 1 || (allTypes != types && fusedTexts(rec.Root) == 0) {
 		t.Fatalf("%d node types, %d in the version 3 table, %d fused texts", allTypes, types, fusedTexts(rec.Root))
 	}
-	if saved := 4*fusedTexts(rec.Root) + ttEntrySize*(allTypes-types); len(v3) != len(v2)-saved {
+	if saved := 4*fusedTexts(rec.Root) + legacyEntrySize*(allTypes-types); len(v3) != len(v2)-saved {
 		t.Fatalf("version 3 image has %d bytes, version 2 %d: want %d saved", len(v3), len(v2), saved)
+	}
+	v4, err := refEncodeV4(rec)
+	if err != nil || len(v4) > len(v3) {
+		t.Fatalf("version 4 reference: %d bytes, version 3 %d, err %v", len(v4), len(v3), err)
 	}
 	want, err := Encode(rec)
 	if err != nil || want[0] != FormatVersion {
 		t.Fatalf("Encode: %v", err)
 	}
-	if len(want) != refSize4(rec) || EncodedSize(rec) != len(want) || len(want) > len(v3) {
-		t.Fatalf("format 4 image has %d bytes (EncodedSize %d), the grammar gives %d, version 3 %d", len(want), EncodedSize(rec), refSize4(rec), len(v3))
+	if len(want) != refSize5(rec) || EncodedSize(rec) != len(want) {
+		t.Fatalf("format 5 image has %d bytes (EncodedSize %d), the grammar gives %d", len(want), EncodedSize(rec), refSize5(rec))
+	}
+	types5, proxyEntry := len(tableTypes5(rec.Root)), types-len(tableTypes5(rec.Root))
+	if grown := CountSize*proxies(rec.Root) - types5 - legacyEntrySize*proxyEntry - 1; types <= narrowTypes && len(want) != len(v4)+grown {
+		t.Fatalf("format 5 image has %d bytes, version 4 %d: want %+d", len(want), len(v4), grown)
 	}
 
-	// ParentRIDOffset depends on the table's length alone: the record
-	// header, the table's entries and the standalone header are the same in
-	// every version.
-	for _, img := range [][]byte{v1, v2, v3, want} {
-		off := ParentRIDOffset(len(refTypes(rec, img[0])))
-		if img[0] == FormatVersion {
-			off = ParentRIDOffset(types)
+	// The parent RID lies behind the record header, the type table and the
+	// standalone type index: ParentRIDOffset in format 5, 4-byte entries
+	// and a 2-byte index in every older version.
+	for _, img := range [][]byte{v1, v2, v3, v4, want} {
+		off := recHeaderSize + legacyEntrySize*len(refTypes(rec, img[0])) + 2
+		switch img[0] {
+		case legacyVersion4:
+			off = recHeaderSize + legacyEntrySize*types + 2
+		case FormatVersion:
+			off = ParentRIDOffset(types5)
 		}
 		if records.DecodeRID(img[off:off+records.RIDSize]) != rec.ParentRID {
 			t.Fatalf("version %d image: parent RID not at offset %d", img[0], off)
 		}
-		dec, up, err := Upgrade(img)
-		if up == nil {
-			up = img
+		dec, old, err := Upgrade(img)
+		if err != nil || old != (img[0] != FormatVersion) || dec.ParentRID != rec.ParentRID {
+			t.Fatalf("version %d image does not upgrade (old %v, err %v)", img[0], old, err)
 		}
-		if err != nil || !Equal(dec.Root, rec.Root) || dec.ParentRID != rec.ParentRID || !bytes.Equal(up, want) {
-			t.Fatalf("version %d image does not upgrade to the record's format 4 image (err %v)", img[0], err)
+		if old {
+			setCounts(dec.Root, rec.Root)
+		}
+		if up, err := Encode(dec); err != nil || !Equal(dec.Root, rec.Root) || !bytes.Equal(up, want) {
+			t.Fatalf("version %d image does not upgrade to the record's format 5 image (err %v)", img[0], err)
 		}
 		if img[0] != FormatVersion {
 			if _, err := Decode(img); !errors.Is(err, ErrCorruptRecord) {
@@ -223,8 +276,8 @@ func checkAllVersions(t *testing.T, rec *Record) {
 	if err != nil || !Equal(dec.Root, rec.Root) || dec.ParentRID != rec.ParentRID {
 		t.Fatalf("the format 4 image does not decode to the record (err %v)", err)
 	}
-	if rid, off := ImageParentRID(want); off != ParentRIDOffset(types) || rid != rec.ParentRID {
-		t.Fatalf("ImageParentRID = %s at %d, want %s at %d", rid, off, rec.ParentRID, ParentRIDOffset(types))
+	if rid, off := ImageParentRID(want); off != ParentRIDOffset(types5) || rid != rec.ParentRID {
+		t.Fatalf("ImageParentRID = %s at %d, want %s at %d", rid, off, rec.ParentRID, ParentRIDOffset(types5))
 	}
 
 	// The tree manager's path: a reused layout, and an image buffer still
@@ -255,10 +308,9 @@ func checkAllVersions(t *testing.T, rec *Record) {
 
 func TestEncodeMatchesReference(t *testing.T) {
 	checkAllVersions(t, &Record{Root: figure2(), ParentRID: records.RID{Page: 9, Slot: 1}})
-	checkAllVersions(t, &Record{Root: NewAggregate(dict.LabelID(3))})  // empty aggregate
-	checkAllVersions(t, &Record{Root: NewTextLiteral("")})             // empty literal
-	checkAllVersions(t, &Record{Root: NewProxy(records.RID{Page: 4})}) // lone proxy
-	checkAllVersions(t, &Record{Root: NewScaffoldAggregate()})         // scaffolding root
+	checkAllVersions(t, &Record{Root: NewAggregate(dict.LabelID(3))}) // empty aggregate
+	checkAllVersions(t, &Record{Root: NewTextLiteral("")})            // empty literal
+	checkAllVersions(t, &Record{Root: NewScaffoldAggregate()})        // scaffolding root
 	checkAllVersions(t, &Record{Root: benchTree(200), ParentRID: records.RID{Page: 2}})
 
 	rng := rand.New(rand.NewSource(2000))
@@ -295,7 +347,7 @@ func TestEncodeMatchesReference(t *testing.T) {
 	for _, root := range []*Node{big, unfused, NewAggregate(dict.LabelID(3)).AppendChild(nested)} {
 		rec := &Record{Root: root}
 		img, err := Encode(rec)
-		if err != nil || len(img) != EncodedSize(rec) || len(img) != refSize4(rec) {
+		if err != nil || len(img) != EncodedSize(rec) || len(img) != refSize5(rec) {
 			t.Fatalf("record at the size limit: %d bytes, EncodedSize %d, err %v", len(img), EncodedSize(rec), err)
 		}
 		if dec, err := Decode(img); err != nil || !Equal(dec.Root, root) {
@@ -304,24 +356,36 @@ func TestEncodeMatchesReference(t *testing.T) {
 	}
 
 	// The records of a corpus play as older commits stored them — the fuzz
-	// seed corpus, bulk-loaded and built node by node: each is an image of
-	// exactly the reference encoder's size for its version, and the -v3
-	// seeds upgrade to the -v4 seeds.
+	// seed corpus, bulk-loaded and built node by node: each has exactly the
+	// size of the reference encoder's image of its tree for its version,
+	// and the -v3
+	// and -v4 seeds, written by builds that packed records alike, upgrade
+	// to one tree.
 	for _, name := range []string{"play-bulk-", "play-incremental-"} {
 		for i := 0; i < 4; i++ {
-			v4 := readFuzzSeed(t, fmt.Sprintf("%s%d-v4", name, i))
-			for suffix, version := range map[string]byte{"": formatVersion1, "-v2": formatVersion2, "-v3": formatVersion3} {
+			var v3 *Record
+			for version, suffix := range []string{"", "", "-v2", "-v3", "-v4"} {
+				if version == 0 {
+					continue
+				}
 				seed := fmt.Sprintf("%s%d%s", name, i, suffix)
 				img := readFuzzSeed(t, seed)
-				rec, up, err := Upgrade(img)
-				if err != nil || img[0] != version {
+				rec, old, err := Upgrade(img)
+				if err != nil || !old || int(img[0]) != version {
 					t.Fatalf("%s: version %d, %d bytes, err %v", seed, img[0], len(img), err)
 				}
-				if want := refEncodedSize(rec, version); len(img) != want {
-					t.Fatalf("%s: %d bytes, its tree encodes to %d in version %d", seed, len(img), want, version)
+				ref, err := refEncode(rec, byte(version))
+				if version == legacyVersion4 {
+					ref, err = refEncodeV4(rec)
 				}
-				if version == formatVersion3 && !bytes.Equal(up, v4) {
-					t.Fatalf("%s does not upgrade to %s%d-v4", seed, name, i)
+				if err != nil || len(ref) != len(img) {
+					t.Fatalf("%s: %d bytes, its tree encodes to %d in version %d (err %v)", seed, len(img), len(ref), version, err)
+				}
+				if version == formatVersion3 {
+					v3 = rec
+				}
+				if version == legacyVersion4 && (!Equal(v3.Root, rec.Root) || v3.ParentRID != rec.ParentRID) {
+					t.Fatalf("%s upgrades to another tree than %s%d-v3", seed, name, i)
 				}
 				checkAllVersions(t, rec)
 			}

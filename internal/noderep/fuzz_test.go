@@ -19,10 +19,11 @@ import (
 // canonical but for the order of the type table, which the encoder
 // writes in the order of first use and a splice leaves as it was stored
 // (the splice-order seed). The checked-in corpus under testdata/fuzz
-// holds records of a bulk-loaded and a node-by-node-built corpus play, in
-// format 4 (the -v4 files) and as the older builds stored them (versions
-// 1, 2 and 3, which Decode refuses; FuzzUpgrade reads them), and a
-// format 4 image whose table is out of first-use order.
+// holds records of a bulk-loaded and a node-by-node-built corpus play as
+// the older builds stored them (versions 1 to 4, the -v4 files format 4,
+// which Decode refuses; FuzzUpgrade reads them), and a format 4 image
+// whose table is out of first-use order; addRecordSeeds adds a format 5
+// one.
 func FuzzDecode(f *testing.F) {
 	addRecordSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -74,14 +75,15 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzUpgrade feeds Upgrade arbitrary bytes, seeded with FuzzDecode's
-// records in all four format versions and its checked-in corpus (corpus
+// records in all five format versions and its checked-in corpus (corpus
 // plays as the older builds stored them). An image the legacy decoder
-// accepts upgrades to a format 4 image that decodes to the same tree and
-// is never longer; a format 4 image needs none; anything else is
-// ErrCorruptRecord — never a panic — and the input is never written.
+// accepts upgrades to a tree, counts at zero, that encodes in format 5
+// and decodes back to itself; a format 5 image is decoded as it is;
+// anything else is ErrCorruptRecord — never a panic — and the input is
+// never written.
 func FuzzUpgrade(f *testing.F) {
 	for _, rec := range seedRecords() {
-		for _, encode := range []func(*Record) ([]byte, error){refEncodeV1, refEncodeV2, refEncodeV3, Encode} {
+		for _, encode := range []func(*Record) ([]byte, error){refEncodeV1, refEncodeV2, refEncodeV3, refEncodeV4, Encode} {
 			buf, err := encode(rec)
 			if err != nil {
 				f.Fatal(err)
@@ -107,16 +109,16 @@ func FuzzUpgrade(f *testing.F) {
 			}
 			return
 		}
-		if (out == nil) != (data[0] == FormatVersion) {
-			t.Fatalf("an image of version %d upgraded to %d bytes", data[0], len(out))
+		if out != (data[0] != FormatVersion) {
+			t.Fatalf("an image of version %d upgraded as old %v", data[0], out)
 		}
-		if out == nil {
-			out = data
+		img := data
+		if out {
+			if img, err = Encode(rec); err != nil {
+				t.Fatalf("the upgraded tree does not encode: %v", err)
+			}
 		}
-		if len(out) > len(data) {
-			t.Fatalf("a %d-byte image of version %d upgraded to %d bytes", len(data), data[0], len(out))
-		}
-		dec, err := Decode(out)
+		dec, err := Decode(img)
 		if err != nil {
 			t.Fatalf("the upgraded image does not decode: %v", err)
 		}
@@ -128,7 +130,7 @@ func FuzzUpgrade(f *testing.F) {
 
 // seedRecords returns the records the fuzz targets are seeded with: the
 // paper's Figure 2 record, a scaffolding root over a proxy, a text past
-// the short size form, a type table past the narrow form (129 types),
+// the short size form, a type table past the narrow form (128 types),
 // texts that hold markup characters, fused and not, and random records —
 // thirty in all.
 func seedRecords() []*Record {
@@ -153,7 +155,9 @@ func seedRecords() []*Record {
 	return seeds
 }
 
-// addRecordSeeds adds the format 4 images of seedRecords.
+// addRecordSeeds adds the format 5 images of seedRecords, and one whose
+// type table a splice left out of first-use order: an element of the
+// table's last type spliced in front of the first child.
 func addRecordSeeds(f *testing.F) {
 	for _, rec := range seedRecords() {
 		buf, err := Encode(rec)
@@ -161,5 +165,15 @@ func addRecordSeeds(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf)
+	}
+	img, err := Encode(&Record{Root: NewAggregate(lSpeech).AppendChild(NewAggregate(lSpeaker)).AppendChild(NewAggregate(lLine))})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var sp Splice
+	if img, ok := sp.Insert(img, []int{0}, NewAggregate(lLine), 1024); ok {
+		f.Add(img)
+	} else {
+		f.Fatal("the splice-order seed does not splice")
 	}
 }

@@ -46,7 +46,7 @@ const (
 	eStart = iota // content start; topBit: the node is fused
 	eEnd          // content end; topBit: the text is clean
 	eNext         // index of the node behind the subtree
-	eType         // type-table index
+	eType         // type-table index; proxyWide for a proxy
 	entryWords
 
 	offMask = 1<<15 - 1
@@ -56,10 +56,11 @@ const (
 // Image is a record image opened for reading in place: the string it was
 // opened on and its node table.
 type Image struct {
-	buf   string
-	types int      // type-table entries
-	nodes int      // nodes in the table
-	table []uint16 // nodes entries of entryWords words, then one word per facade
+	buf     string
+	types   int      // type-table entries
+	nodes   int      // nodes in the table
+	proxies bool     // the record holds a proxy, which cites no type-table entry
+	table   []uint16 // nodes entries of entryWords words, then one word per facade
 }
 
 // ImageNode is one node read out of an image: its type, where its content
@@ -79,8 +80,12 @@ type ImageNode struct {
 	Clean      bool // a literal's or fused element's payload holds no '<', '>' or '&'
 }
 
-// tableScratch is where OpenImage builds a table before it knows its size.
-type tableScratch struct{ nodes, facades []uint16 }
+// tableScratch is where OpenImage builds a table before it knows its
+// size, and notes whether the image holds a proxy.
+type tableScratch struct {
+	nodes, facades []uint16
+	proxies        bool
+}
 
 var scratchPool = sync.Pool{New: func() any { return new(tableScratch) }}
 
@@ -103,7 +108,7 @@ func OpenImage(buf string) (*Image, error) {
 	if !index(sc, buf, wide, types, root) {
 		return nil, ErrCorruptRecord
 	}
-	im := &Image{buf: buf, types: types, nodes: len(sc.nodes) / entryWords}
+	im := &Image{buf: buf, types: types, nodes: len(sc.nodes) / entryWords, proxies: sc.proxies}
 	im.table = make([]uint16, len(sc.nodes)+len(sc.facades))
 	copy(im.table[copy(im.table, sc.nodes):], sc.facades)
 	return im, nil
@@ -116,16 +121,15 @@ func OpenImage(buf string) (*Image, error) {
 // aggregate's next word links to the aggregate enclosing it (plus one; 0
 // for none) until its content has been walked.
 func index(sc *tableScratch, buf string, wide bool, types, root int) bool {
-	nodes, facades := sc.nodes[:0], sc.facades[:0]
-	ti := u16(buf[root:])
+	nodes, facades, proxies := sc.nodes[:0], sc.facades[:0], false
+	ti := int(buf[root])
 	if ti >= types {
 		return false
 	}
-	h := header{ti: ti, kf: buf[recHeaderSize+ttEntrySize*ti], fused: buf[1]&rootFusedFlag != 0,
+	h := header{ti: ti, kf: buf[recHeaderSize+ttEntrySize*ti] & (kindMask | scaffoldFlag), fused: buf[1]&rootFusedFlag != 0,
 		start: root + StandaloneHeaderSize, cs: len(buf) - root - StandaloneHeaderSize}
 	switch kind := Kind(h.kf & kindMask); {
-	case kind == KindInvalid,
-		kind == KindProxy && h.cs != records.RIDSize,
+	case kind == KindInvalid, kind == KindProxy,
 		h.fused && (kind != KindAggregate || h.kf&scaffoldFlag != 0):
 		return false
 	}
@@ -140,7 +144,13 @@ func index(sc *tableScratch, buf string, wide bool, types, root int) bool {
 		if (kind == KindLiteral || h.fused) && xmlkit.IsCleanText(buf[h.start:h.end()]) {
 			end |= topBit
 		}
-		nodes = append(nodes, start, end, uint16(i+1), uint16(h.ti))
+		typ := uint16(proxyWide)
+		if h.ti >= 0 {
+			typ = uint16(h.ti)
+		} else {
+			proxies = true
+		}
+		nodes = append(nodes, start, end, uint16(i+1), typ)
 		if kind == KindLiteral || kind == KindAggregate && h.kf&scaffoldFlag == 0 {
 			facades = append(facades, uint16(i))
 			if h.fused {
@@ -157,7 +167,7 @@ func index(sc *tableScratch, buf string, wide bool, types, root int) bool {
 			parent, e[eNext] = int(e[eNext])-1, uint16(len(nodes)/entryWords)
 		}
 		if parent < 0 {
-			sc.nodes, sc.facades = nodes, facades
+			sc.nodes, sc.facades, sc.proxies = nodes, facades, proxies
 			return true
 		}
 		if !readHeader(buf, wide, types, p, int(nodes[parent*entryWords+eEnd]&offMask), &h) {
@@ -179,17 +189,15 @@ func (im *Image) Footprint() int { return len(im.buf) + 2*len(im.table) }
 //natix:noalloc
 func (im *Image) Node(n *ImageNode, i int) {
 	e := im.table[i*entryWords : i*entryWords+entryWords]
-	t := im.buf[recHeaderSize+ttEntrySize*int(e[eType]):]
-	t = t[:ttEntrySize]
 	n.Start, n.End = int32(e[eStart]&offMask), int32(e[eEnd]&offMask)
 	n.Index, n.Next = int32(i), int32(e[eNext])
-	n.Kind, n.LitType = Kind(t[0]&kindMask), 0
-	if n.Kind == KindLiteral {
-		n.LitType = LitType(t[3])
-	}
-	n.Label = dict.LabelID(u16(t[1:]))
-	n.Scaffold = t[0]&scaffoldFlag != 0
 	n.Fused, n.Clean = e[eStart]&topBit != 0, e[eEnd]&topBit != 0
+	k := proxyKey
+	if e[eType] != proxyWide {
+		k = entryKey(im.buf[recHeaderSize+ttEntrySize*int(e[eType]):])
+	}
+	n.Kind, n.LitType, n.Label = Kind(k.kindFlags&kindMask), k.litType, k.label
+	n.Scaffold = k.kindFlags&scaffoldFlag != 0
 }
 
 // Facade reads facade node idx into n and reports false, leaving n as it
@@ -225,11 +233,16 @@ func (im *Image) ChildHas(n *ImageNode, pred func(Kind, dict.LabelID) bool) bool
 }
 
 // TableHas reports whether the image's type table holds a type pred
-// accepts: a pass over the table, not over the nodes, so a type the
-// table does not hold rules out every node of the record at once.
+// accepts — the proxies' type, which the table does not list, when the
+// record holds a proxy: a pass over the table, not over the nodes, so a
+// type the table does not hold rules out every node of the record at
+// once.
 //
 //natix:noalloc
 func (im *Image) TableHas(pred func(Kind, dict.LabelID) bool) bool {
+	if im.proxies && pred(KindProxy, dict.Scaffold) {
+		return true
+	}
 	for i := range im.types {
 		if pred(im.typeAt(i)) {
 			return true
@@ -238,8 +251,12 @@ func (im *Image) TableHas(pred func(Kind, dict.LabelID) bool) bool {
 	return false
 }
 
-// typeAt returns the kind and label of type-table entry i, i < im.types.
+// typeAt returns the kind and label of type-table entry i, i < im.types,
+// or of a proxy for proxyWide.
 func (im *Image) typeAt(i int) (Kind, dict.LabelID) {
+	if i == proxyWide {
+		return KindProxy, dict.Scaffold
+	}
 	e := im.buf[recHeaderSize+ttEntrySize*i:]
 	e = e[:ttEntrySize]
 	return Kind(e[0] & kindMask), dict.LabelID(u16(e[1:]))
@@ -259,10 +276,10 @@ func (im *Image) Payload(n *ImageNode) string { return im.buf[n.Start:n.End] }
 //
 //natix:noalloc
 func (im *Image) Target(n *ImageNode) (records.RID, error) {
-	if n.Kind != KindProxy || n.End-n.Start != records.RIDSize {
+	if n.Kind != KindProxy || n.End-n.Start != ProxyContentSize {
 		return records.NilRID, ErrCorruptRecord
 	}
-	rid := records.DecodeRID(im.buf[n.Start:n.End])
+	rid := records.DecodeRID(im.buf[n.Start : n.Start+records.RIDSize])
 	if rid.IsNil() {
 		return records.NilRID, ErrCorruptRecord
 	}

@@ -30,8 +30,14 @@ import (
 func FuzzWalkImage(f *testing.F) {
 	addRecordSeeds(f)
 	for _, data := range corpusOf(f, "FuzzDecode") {
-		if _, up, err := Upgrade(data); up != nil && err == nil {
-			data = up
+		if rec, old, err := Upgrade(data); old && err == nil {
+			rec.Root.Walk(func(n *Node) bool {
+				n.Count = 1
+				return true
+			})
+			if up, err := Encode(rec); err == nil {
+				data = up
+			}
 		}
 		f.Add(data)
 	}

@@ -12,12 +12,12 @@
 //     large trees (§2.3.3).
 //
 // One record stores exactly one subtree. Its byte layout (format
-// version 4) is:
+// version 5) is:
 //
 //	record     := version(1) flags(1) ttCount(2) ttEntry* standalone
 //	flags      := 0(6 bits) wide(1 bit) rootFused(1 bit, the lowest)
-//	ttEntry    := kindFlags(1) label(2) litType(1)
-//	standalone := typeIdx(2) parentRID(8) content
+//	ttEntry    := litType(5 bits, the top ones) scaffold(1 bit) kind(2 bits) label(2)
+//	standalone := typeIdx(1) parentRID(8) content
 //	embedded   := type size content
 //	type       := fused(1 bit, the top one) typeIdx(7 bits)     wide = 0
 //	            | typeIdx(15 bits) fused(1 bit, the top one)    wide = 1
@@ -25,22 +25,40 @@
 //	            | contentSize(16 bits)                         an aggregate, not fused
 //	            | 0(1 bit) contentSize(7 bits)                 a literal or a fused
 //	            | 1(1 bit) low(7 bits) high(8 bits)            element: short, long
-//	content    := children* | literalPayload | targetRID(8) | textPayload
+//	content    := children* | literalPayload | targetRID(8) count(4) | textPayload
 //
-// Multi-byte fields are little-endian. Standalone headers are 10 bytes,
-// the cost Appendix A reports. An embedded header is a one-byte type
-// index and a size whose width depends on the node: a proxy's content is
-// always a RID, so its size is implied and its header is 1 byte; a
-// literal and a fused element never change size in place, so theirs is
-// one byte under 128 bytes of content and two from there (2 or 3 bytes
-// of header); every other aggregate keeps a fixed two-byte size (3
-// bytes), which is what lets a splice patch its ancestors' sizes in
-// place. Appendix A's embedded header is 6 bytes: its 2-byte type index
-// and size and a 2-byte offset to the parent's header, which nothing
-// here reads — a record is at most a page and is always parsed top-down
-// from its standalone root, which hands every node its parent as it
-// goes. A record whose type table has more than 128 entries sets the
-// wide flag and spends two bytes on every embedded type index.
+// Multi-byte fields are little-endian. A standalone header is 9 bytes:
+// Appendix A's 10 with a one-byte type index, which the encoder can give
+// because the root's type is always among the table's first 127. An
+// embedded header is a type index and a size whose width depends on the
+// node: a proxy's content is always a RID and a count, so its size is
+// implied and its header is 1 byte; a literal and a fused element never
+// change size in place, so theirs is one byte under 128 bytes of content
+// and two from there (2 or 3 bytes of header); every other aggregate
+// keeps a fixed two-byte size (3 bytes), which is what lets a splice
+// patch its ancestors' sizes in place. Appendix A's embedded header is 6
+// bytes: its 2-byte type index and size and a 2-byte offset to the
+// parent's header, which nothing here reads — a record is at most a page
+// and is always parsed top-down from its standalone root, which hands
+// every node its parent as it goes. A record whose type table has more
+// than 127 entries sets the wide flag and spends two bytes on every
+// embedded type index.
+//
+// A proxy cites no table entry: its type index is the reserved all-ones
+// one (proxyNarrow, 0x7F; proxyWide, 0x7FFF, in a wide image), which no
+// entry takes, so a record takes its first proxy without growing its
+// table, the table never holds a proxy, and a proxy is never a record's
+// root. Its count is the number of logical children its target
+// contributes to the aggregate the proxy stands in: 1 for a target rooted
+// in a facade node; for a target rooted in a scaffolding aggregate, the
+// sum over that root's children, a nested proxy counting its own count
+// (LogicalCount). The count has a fixed width, so changing it is an
+// in-place patch of four bytes (CountOffset), and no element has 2^32
+// children. A locate passes a proxy whose count lies wholly before the
+// child it wants by arithmetic (Skip) and reads only the record that
+// holds the child. Decode cannot check a count, which describes another
+// record; the tree manager checks a count against its target when it
+// enters the target, and its invariant check checks all of them.
 //
 // The rule for the fused mark: a facade (non-scaffolding) aggregate whose
 // only child is one facade #text string literal — <LINE>words</LINE>,
@@ -57,14 +75,21 @@
 // table needs it, takes the short size form whenever it fits and always
 // fuses, and Decode rejects an image that does otherwise, holds an
 // unfused text-only element, puts the mark on anything but a facade
-// aggregate, or sets an unknown flag. A stored image is therefore
-// exactly as long as its tree encodes to.
+// aggregate, holds a proxy entry in its table, or sets an unknown flag. A
+// stored image is therefore exactly as long as its tree encodes to.
 //
-// Format 4 is the only format the runtime reads. Images of the older
-// versions — 3 (the fused mark in the top bit of a 2-byte size), 2 (no
-// mark) and 1 (an extra parent offset per embedded header) — are read
-// only by Upgrade, which re-encodes them in format 4 when a store
-// written before it is opened (see package segment's format version).
+// Format 5 is the only format the runtime reads. Images of the older
+// versions are read only by Upgrade, whose trees the tree manager
+// re-encodes in format 5, counts filled in, when a store written before
+// it is opened (see package segment's format version):
+//
+//   - 4: no counts — a proxy is its type and the RID, and cites a table
+//     entry of its own; 4-byte table entries, the literal type a byte of
+//     its own; a 2-byte standalone type index;
+//   - 3: format 4 with fixed 4-byte embedded headers, the fused mark in
+//     the top bit of the 2-byte size;
+//   - 2: no fused mark;
+//   - 1: an extra parent offset per embedded header.
 //
 // The node type table lives in the record rather than on the page (a
 // deviation of its own; all three are recorded in DESIGN.md, "Native
@@ -73,6 +98,7 @@
 package noderep
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -126,26 +152,41 @@ const (
 )
 
 const (
-	// StandaloneHeaderSize is Appendix A's: typeIdx(2) + parentRID(8).
-	StandaloneHeaderSize = 10
+	// StandaloneHeaderSize is typeIdx(1) + parentRID(8).
+	StandaloneHeaderSize = 9
 
 	// FormatVersion is the version every image is written and read in.
 	// Images of the older versions are only read by Upgrade.
-	FormatVersion = 4
+	FormatVersion = 5
 
-	// ProxySize is what an embedded proxy takes: its type byte and the
-	// RID, the size being implied.
-	ProxySize = 1 + records.RIDSize
+	// CountSize is the width of a proxy's count, ProxyContentSize a
+	// proxy's content — the target's RID and the count — and ProxySize
+	// what an embedded proxy takes: its type byte and its content, the
+	// size being implied.
+	CountSize        = 4
+	ProxyContentSize = records.RIDSize + CountSize
+	ProxySize        = 1 + ProxyContentSize
 
 	recHeaderSize = 4 // version(1) + flags(1) + ttCount(2)
-	ttEntrySize   = 4 // kindFlags(1) + label(2) + litType(1)
+	ttEntrySize   = 3 // litType(5 bits) kindFlags(3 bits) + label(2)
 
 	// narrowTypes is the largest type table whose indexes fit the 7 bits a
-	// one-byte type leaves beside the fused mark; a larger table sets
-	// wideFlag and cites its entries in 15 bits of two bytes, up to
-	// maxTypes.
-	narrowTypes = 1 << 7
-	maxTypes    = 1 << 15
+	// one-byte type leaves beside the fused mark, the all-ones index
+	// proxyNarrow being the proxies'; a larger table sets wideFlag and
+	// cites its entries in 15 bits of two bytes, up to maxTypes, proxyWide
+	// being the proxies'.
+	narrowTypes = 1<<7 - 1
+	maxTypes    = 1<<15 - 1
+	proxyNarrow = narrowTypes
+	proxyWide   = maxTypes
+
+	// typeWords is the size of a bit set over a narrow table's entries.
+	typeWords = (narrowTypes + 63) / 64
+
+	// litShift places a literal's type in the top five bits of its table
+	// entry's kind flags, up to maxLitType.
+	litShift   = 3
+	maxLitType = 1<<5 - 1
 
 	// fusedMark is the top bit of an embedded node's type, narrowFused in
 	// its one byte and wideFused in its two, and rootFusedFlag its
@@ -168,6 +209,7 @@ const (
 
 	kindMask     = 0x03
 	scaffoldFlag = 0x04
+	proxyFlags   = byte(KindProxy) | scaffoldFlag
 
 	// idxFused marks a fused element in a Layout's per-node type indexes,
 	// which Emit holds to 15 bits.
@@ -190,6 +232,7 @@ type Node struct {
 	LitType  LitType     // literals only
 	Payload  []byte      // literals only
 	Target   records.RID // proxies only
+	Count    uint32      // proxies only: the logical children the target contributes
 	Children []*Node     // aggregates only
 	Parent   *Node       // in-memory backlink; nil for the record root
 
@@ -221,9 +264,29 @@ func NewLiteral(label dict.LabelID, t LitType, payload []byte) *Node {
 	return &Node{Kind: KindLiteral, Label: label, LitType: t, Payload: payload}
 }
 
-// NewProxy builds a scaffolding proxy pointing at target.
+// NewProxy builds a scaffolding proxy pointing at target, a record rooted
+// in a facade node: it counts one logical child. A proxy to a scaffolding
+// record counts its root's (LogicalCount).
 func NewProxy(target records.RID) *Node {
-	return &Node{Kind: KindProxy, Label: dict.Scaffold, Scaffold: true, Target: target}
+	return &Node{Kind: KindProxy, Label: dict.Scaffold, Scaffold: true, Target: target, Count: 1}
+}
+
+// LogicalCount returns the number of logical children n contributes to
+// the aggregate it stands in: a proxy its count, a scaffolding aggregate
+// (a partition record's root) the sum over its children, anything else
+// one.
+func LogicalCount(n *Node) uint32 {
+	switch {
+	case n.Kind == KindProxy:
+		return n.Count
+	case n.Kind == KindAggregate && n.Scaffold:
+		var c uint32
+		for _, k := range n.Children {
+			c += LogicalCount(k)
+		}
+		return c
+	}
+	return 1
 }
 
 // AppendChild adds c as the last child of n and sets its parent link.
@@ -271,7 +334,7 @@ func (n *Node) ContentSize() int {
 	case KindLiteral:
 		return len(n.Payload)
 	case KindProxy:
-		return records.RIDSize
+		return ProxyContentSize
 	case KindAggregate:
 		if t := n.FusedText(); t != nil {
 			return len(t.Payload)
@@ -355,7 +418,7 @@ func (n *Node) Walk(fn func(*Node) bool) bool {
 func (n *Node) Clone() *Node {
 	c := &Node{
 		Kind: n.Kind, Label: n.Label, Scaffold: n.Scaffold,
-		LitType: n.LitType, Target: n.Target,
+		LitType: n.LitType, Target: n.Target, Count: n.Count,
 	}
 	if n.Payload != nil {
 		c.Payload = append([]byte(nil), n.Payload...)
@@ -380,7 +443,7 @@ func Equal(a, b *Node) bool {
 			return false
 		}
 	case KindProxy:
-		if a.Target != b.Target {
+		if a.Target != b.Target || a.Count != b.Count {
 			return false
 		}
 	}
@@ -412,7 +475,7 @@ type Record struct {
 // an encoded record, given its type-table entry count. Exposed so the
 // tree manager can patch parent pointers in place without re-encoding.
 func ParentRIDOffset(ttCount int) int {
-	return recHeaderSize + ttEntrySize*ttCount + 2
+	return recHeaderSize + ttEntrySize*ttCount + 1
 }
 
 // typeKey identifies one node type table entry.
@@ -435,8 +498,21 @@ func nodeTypeKey(n *Node) typeKey {
 }
 
 // textKey is the type of a facade #text string literal, the one literal
-// an element can be fused with.
-var textKey = typeKey{kindFlags: byte(KindLiteral), label: dict.Text, litType: LitString}
+// an element can be fused with; proxyKey every proxy's, which no table
+// holds.
+var (
+	textKey  = typeKey{kindFlags: byte(KindLiteral), label: dict.Text, litType: LitString}
+	proxyKey = typeKey{kindFlags: proxyFlags, label: dict.Scaffold}
+)
+
+// entryByte is the first byte of k's table entry: its kind flags and, for
+// a literal, its literal type.
+func (k typeKey) entryByte() byte { return k.kindFlags | byte(k.litType)<<litShift }
+
+// entryKey reads the type-table entry that starts at e[0].
+func entryKey[B ~[]byte | ~string](e B) typeKey {
+	return typeKey{kindFlags: e[0] & (kindMask | scaffoldFlag), label: dict.LabelID(u16(e[1:])), litType: LitType(e[0] >> litShift)}
+}
 
 // typeIndex returns the position of k in order, or -1. Type tables are
 // small (a handful of distinct types per record), so a linear scan over
@@ -493,9 +569,11 @@ func (ts *TypeSet) add(k typeKey) {
 	}
 }
 
-// AddNode records the type of n alone.
+// AddNode records the type of n alone; a proxy has none.
 func (ts *TypeSet) AddNode(n *Node) {
-	ts.add(nodeTypeKey(n))
+	if n.Kind != KindProxy {
+		ts.add(nodeTypeKey(n))
+	}
 }
 
 // Merge adds every type of other.
@@ -563,6 +641,23 @@ func (l *Layout) measure(root *Node) error {
 // and returns its content size and the size of its header as an
 // embedded node (HeaderSize).
 func (l *Layout) measureNode(n *Node, isRoot bool) (cs, hdr int, err error) {
+	if n.Kind == KindProxy {
+		// The reserved type: no table entry, no index.
+		if len(n.Children) != 0 || len(n.Payload) != 0 {
+			return 0, 0, fmt.Errorf("%w: proxy with children or payload", ErrBadNode)
+		}
+		if n.Target.IsNil() {
+			return 0, 0, fmt.Errorf("%w: proxy with nil target", ErrBadNode)
+		}
+		if isRoot {
+			return 0, 0, fmt.Errorf("%w: proxy as a record's root", ErrBadNode)
+		}
+		if nodeTypeKey(n) != proxyKey {
+			return 0, 0, fmt.Errorf("%w: proxy with a label or flags of its own", ErrBadNode)
+		}
+		l.nodes++
+		return ProxyContentSize, 1, nil
+	}
 	k := nodeTypeKey(n)
 	ti := typeIndex(l.types, k)
 	if ti < 0 {
@@ -609,15 +704,10 @@ func (l *Layout) measureNode(n *Node, isRoot bool) (cs, hdr int, err error) {
 		if len(n.Children) != 0 {
 			return 0, 0, fmt.Errorf("%w: literal with children", ErrBadNode)
 		}
+		if n.LitType > maxLitType {
+			return 0, 0, fmt.Errorf("%w: literal type %d", ErrBadNode, n.LitType)
+		}
 		return len(n.Payload), 1 + sizeLen(KindLiteral, false, len(n.Payload)), nil
-	case KindProxy:
-		if len(n.Children) != 0 || len(n.Payload) != 0 {
-			return 0, 0, fmt.Errorf("%w: proxy with children or payload", ErrBadNode)
-		}
-		if n.Target.IsNil() {
-			return 0, 0, fmt.Errorf("%w: proxy with nil target", ErrBadNode)
-		}
-		return records.RIDSize, 1, nil
 	default:
 		return 0, 0, fmt.Errorf("%w: kind %d", ErrBadNode, n.Kind)
 	}
@@ -697,10 +787,10 @@ func EncodeWith(dst []byte, rec *Record, ts *TypeSet, content int) ([]byte, erro
 type emitter struct {
 	buf   []byte
 	order []typeKey
-	idx   []uint16                 // measured per-node type indexes; nil resolves by key
-	next  int                      // nodes written so far
-	wide  bool                     // two-byte type indexes
-	cited [narrowTypes / 64]uint64 // table entries resolved by key, one bit each
+	idx   []uint16          // measured per-node type indexes; nil resolves by key
+	next  int               // nodes written so far
+	wide  bool              // two-byte type indexes
+	cited [typeWords]uint64 // table entries resolved by key, one bit each
 }
 
 // typeOf returns n's type-table index and whether n is a text-only
@@ -743,18 +833,28 @@ func (e *emitter) emit(dst []byte, rec *Record, size int) ([]byte, error) {
 	putU16(buf[2:], len(e.order))
 	pos := recHeaderSize
 	for _, k := range e.order {
-		buf[pos] = k.kindFlags
+		if k.litType > maxLitType {
+			return nil, fmt.Errorf("%w: literal type %d", ErrBadNode, k.litType)
+		}
+		buf[pos] = k.entryByte()
 		putU16(buf[pos+1:], int(k.label))
-		buf[pos+3] = byte(k.litType)
 		pos += ttEntrySize
 	}
 	// Standalone header.
+	if rec.Root.Kind == KindProxy {
+		return nil, fmt.Errorf("%w: proxy as a record's root", ErrBadNode)
+	}
 	ti, fused, err := e.typeOf(rec.Root)
 	if err != nil {
 		return nil, err
 	}
-	putU16(buf[pos:], ti)
-	rec.ParentRID.Put(buf[pos+2:])
+	if ti > 0xFF {
+		// Never: the measured path puts the root's type first, and a
+		// narrow table has no index past a byte.
+		return nil, fmt.Errorf("noderep: root type index %d past the standalone header's byte", ti)
+	}
+	buf[pos] = byte(ti)
+	rec.ParentRID.Put(buf[pos+1:])
 	pos += StandaloneHeaderSize
 	// Root content.
 	n := rec.Root
@@ -784,14 +884,19 @@ func (e *emitter) content(pos int, n *Node) (int, error) {
 			return 0, fmt.Errorf("%w: literal overruns record", ErrTooLarge)
 		}
 		return pos + copy(buf[pos:], n.Payload), nil
-	case KindProxy:
-		if pos+records.RIDSize > len(buf) {
-			return 0, fmt.Errorf("%w: proxy overruns record", ErrTooLarge)
-		}
-		n.Target.Put(buf[pos:])
-		return pos + records.RIDSize, nil
 	case KindAggregate:
 		for _, c := range n.Children {
+			if c.Kind == KindProxy {
+				typ, hdr := proxyNarrow, 1
+				if e.wide {
+					typ, hdr = proxyWide, 2
+				}
+				if pos+hdr+ProxyContentSize > len(buf) {
+					return 0, fmt.Errorf("%w: proxy overruns record", ErrTooLarge)
+				}
+				pos = putProxy(buf, putType(buf, pos, typ, false, e.wide), c)
+				continue
+			}
 			ti, fused, err := e.typeOf(c)
 			if err != nil {
 				return 0, err
@@ -836,6 +941,14 @@ func (e *emitter) content(pos int, n *Node) (int, error) {
 	}
 }
 
+// putProxy writes the content of the proxy n — its target and count — at
+// pos of buf and returns the offset behind it.
+func putProxy(buf []byte, pos int, n *Node) int {
+	n.Target.Put(buf[pos:])
+	binary.LittleEndian.PutUint32(buf[pos+records.RIDSize:], n.Count)
+	return pos + ProxyContentSize
+}
+
 // putType writes an embedded type — table index ti, fused or not — at
 // pos of buf, in two bytes when wide, and returns the offset behind it.
 func putType(buf []byte, pos, ti int, fused, wide bool) int {
@@ -867,7 +980,7 @@ func putSize(buf []byte, pos, cs int) int {
 
 // header is one embedded header read out of an image.
 type header struct {
-	ti    int  // type-table index
+	ti    int  // type-table index; -1 for a proxy
 	kf    byte // the entry's kind flags
 	fused bool
 	start int // offset of the content
@@ -881,13 +994,14 @@ func (h *header) end() int { return h.start + h.cs }
 // aggregate that is not fused.
 func (h *header) aggregate() bool { return Kind(h.kf&kindMask) == KindAggregate && !h.fused }
 
-// readHeader reads the embedded header at p of img, a format 4 image
+// readHeader reads the embedded header at p of img, a format 5 image
 // with types type-table entries and, when wide, two-byte type indexes,
 // inside content that ends at end, into h. It reports false for a header
-// or content that crosses end, a type not in the table, a mark on
-// anything but a facade aggregate, an embedded scaffolding aggregate
-// (they only ever stand alone, §3.2.2) or a size not in its shortest
-// form. The table must lie inside img.
+// or content that crosses end, a type not in the table (a proxy's
+// reserved type aside), a table entry of kind proxy, a mark on anything
+// but a facade aggregate, an embedded scaffolding aggregate (they only
+// ever stand alone, §3.2.2) or a size not in its shortest form. The table
+// must lie inside img.
 //
 //natix:noalloc
 func readHeader[B ~[]byte | ~string](img B, wide bool, types, p, end int, h *header) bool {
@@ -897,18 +1011,24 @@ func readHeader[B ~[]byte | ~string](img B, wide bool, types, p, end int, h *hea
 			return false
 		}
 		ti, p = int(img[p]), p+1
+		if ti == proxyNarrow {
+			return proxyHeader(p, end, h)
+		}
 		h.fused, ti = ti&narrowFused != 0, ti&^narrowFused
 	} else {
 		if p+2 > end {
 			return false
 		}
 		ti, p = u16(img[p:]), p+2
+		if ti == proxyWide {
+			return proxyHeader(p, end, h)
+		}
 		h.fused, ti = ti&wideFused != 0, ti&^wideFused
 	}
 	if ti >= types {
 		return false
 	}
-	kf := img[recHeaderSize+ttEntrySize*ti]
+	kf := img[recHeaderSize+ttEntrySize*ti] & (kindMask | scaffoldFlag)
 	h.ti, h.kf = ti, kf
 	var cs int
 	switch kind := Kind(kf & kindMask); {
@@ -917,8 +1037,6 @@ func readHeader[B ~[]byte | ~string](img B, wide bool, types, p, end int, h *hea
 			return false
 		}
 		cs, p = u16(img[p:]), p+2
-	case kind == KindProxy && !h.fused:
-		cs = records.RIDSize
 	case kind == KindLiteral && !h.fused, kind == KindAggregate && kf&scaffoldFlag == 0:
 		if p >= end {
 			return false
@@ -940,64 +1058,98 @@ func readHeader[B ~[]byte | ~string](img B, wide bool, types, p, end int, h *hea
 	return p+cs <= end
 }
 
+// proxyHeader fills h for a proxy whose content starts at p, inside
+// content that ends at end.
+func proxyHeader(p, end int, h *header) bool {
+	h.ti, h.kf, h.fused, h.start, h.cs = -1, proxyFlags, false, p, ProxyContentSize
+	return p+ProxyContentSize <= end
+}
+
+// proxyCount reads the count of the proxy whose content ends at end.
+func proxyCount[B ~[]byte | ~string](img B, end int) int {
+	b := img[end-CountSize : end]
+	return int(b[0]) | int(b[1])<<8 | int(b[2])<<16 | int(b[3])<<24
+}
+
 // hop returns the offset behind the n embedded nodes whose first header
 // is at p of img — a narrow image with tt type-table entries — inside
 // content that ends at end, or -1 when a header or its content crosses
 // end or cites a type not in the table: the step from a node to the
 // sibling n on, without readHeader's checks of what the nodes hold.
 func hop(img []byte, tt, p, end, n int) int {
-	p, _ = skip(img, tt, p, end, n, false)
+	p, _, _, _ = skip(img, tt, p, end, n, false)
 	return p
 }
 
-// skip is hop that also stops, when proxies is set, in front of the first
-// proxy, and returns how many nodes it passed.
-func skip(img []byte, tt, p, end, n int, proxies bool) (int, int) {
-	for m := 0; m < n; m++ {
+// skip is hop that, when counted is set, passes logical children instead
+// of nodes — a proxy counting as many as its count — n of them, and stops
+// in front of the node holding the next one, or at end: it returns where
+// it stopped, how many logical children and how many nodes it passed
+// and, when it stopped at a proxy, the offset behind it (0 otherwise).
+func skip(img []byte, tt, p, end, n int, counted bool) (at, passed, nodes, proxyEnd int) {
+	m := 0
+	for ; m < n || counted; nodes++ {
 		if p+2 > end {
-			if p == end && proxies {
-				return p, m // the content's end
+			if p == end && counted {
+				return p, m, nodes, 0 // the content's end
 			}
-			return -1, m // every embedded node takes two bytes or more
+			return -1, m, nodes, 0 // every embedded node takes two bytes or more
 		}
 		b := int(img[p])
 		if b&narrowFused == 0 {
 			// Not a fused element: the type says how the size is stored.
+			if b == proxyNarrow {
+				q := p + ProxySize
+				if q > end {
+					return -1, m, nodes, 0
+				}
+				c := 1
+				if counted {
+					if c = proxyCount(img, q); c > n-m {
+						return p, m, nodes, q
+					}
+				}
+				p, m = q, m+c
+				continue
+			}
+			if counted && m == n {
+				return p, m, nodes, 0
+			}
 			if b >= tt {
-				return -1, m
+				return -1, m, nodes, 0
 			}
 			switch Kind(img[recHeaderSize+ttEntrySize*b] & kindMask) {
 			case KindProxy:
-				if proxies {
-					return p, m
-				}
-				p += 1 + records.RIDSize
-				continue
+				return -1, m, nodes, 0 // no table entry is a proxy
 			case KindAggregate:
 				if p+3 > end {
-					return -1, m
+					return -1, m, nodes, 0
 				}
 				p += 3 + u16(img[p+1:])
+				m++
 				continue
 			}
+		} else if counted && m == n {
+			return p, m, nodes, 0
 		}
 		cs := int(img[p+1])
 		if p += 2; cs&longSize != 0 {
 			if p >= end {
-				return -1, m
+				return -1, m, nodes, 0
 			}
 			cs = cs&^longSize | int(img[p])<<7
 			p++
 		}
 		p += cs
+		m++
 	}
 	if p > end {
-		return -1, n
+		return -1, m, nodes, 0
 	}
-	return p, n
+	return p, m, nodes, 0
 }
 
-// Decode parses a format 4 record image back into a node tree, validating
+// Decode parses a format 5 record image back into a node tree, validating
 // sizes, type indexes and the canonical form (see the package comment).
 // A fused element is expanded into its two nodes.
 //
@@ -1027,24 +1179,21 @@ func Decode(buf []byte) (*Record, error) {
 	}
 	types := make([]tableEntry, ttCount) //natix:vet-ignore type table, part of the record's allocation budget
 	for i := range types {
-		types[i].typeKey = typeKey{
-			kindFlags: buf[pos],
-			label:     dict.LabelID(u16(buf[pos+1:])),
-			litType:   LitType(buf[pos+3]),
-		}
+		types[i].typeKey = entryKey(buf[pos:])
 		// What the encoder leaves zero is zero: two entries that differ
-		// only there would be one entry on a re-encode.
-		if k := types[i].typeKey; k.kindFlags&^(kindMask|scaffoldFlag) != 0 || (Kind(k.kindFlags&kindMask) != KindLiteral && k.litType != 0) {
-			return nil, fmt.Errorf("%w: type table entry %d has unknown bits set", ErrCorruptRecord, i) //natix:vet-ignore cold corrupt-input path
+		// only there would be one entry on a re-encode. A proxy has no
+		// entry.
+		if k := types[i].typeKey; Kind(k.kindFlags&kindMask) == KindProxy || (Kind(k.kindFlags&kindMask) != KindLiteral && k.litType != 0) {
+			return nil, fmt.Errorf("%w: type table entry %d is a proxy or has unknown bits set", ErrCorruptRecord, i) //natix:vet-ignore cold corrupt-input path
 		}
 		pos += ttEntrySize
 	}
 	a := decodeArena{buf: buf, types: types, wide: buf[1]&wideFlag != 0}
-	rootIdx := u16(buf[pos:])
+	rootIdx := int(buf[pos])
 	if rootIdx >= ttCount {
 		return nil, fmt.Errorf("%w: root type index %d of %d", ErrCorruptRecord, rootIdx, ttCount) //natix:vet-ignore cold corrupt-input path
 	}
-	parentRID := records.DecodeRID(buf[pos+2 : pos+10])
+	parentRID := records.DecodeRID(buf[pos+1 : pos+StandaloneHeaderSize])
 	pos += StandaloneHeaderSize
 	types[rootIdx].used = true
 	rootFused := buf[1]&rootFusedFlag != 0
@@ -1133,7 +1282,9 @@ func (a *decodeArena) count(pos, end int, kf byte, fused bool) (nodes, payload i
 			if !readHeader(a.buf, a.wide, len(a.types), pos, end, &h) {
 				return 0, 0, fmt.Errorf("%w: embedded header at %d", ErrCorruptRecord, pos)
 			}
-			a.types[h.ti].used = true
+			if h.ti >= 0 {
+				a.types[h.ti].used = true
+			}
 			cn, cp, err := a.count(h.start, h.end(), h.kf, h.fused)
 			if err != nil {
 				return 0, 0, err
@@ -1214,13 +1365,14 @@ func (a *decodeArena) decodeContent(pos, end int, n *Node, fused bool) error {
 		n.Payload = a.takePayload(buf[pos:end])
 		return nil
 	case KindProxy:
-		if end-pos != records.RIDSize {
+		if end-pos != ProxyContentSize {
 			return fmt.Errorf("%w: proxy content %d bytes", ErrCorruptRecord, end-pos)
 		}
-		n.Target = records.DecodeRID(buf[pos:end])
+		n.Target = records.DecodeRID(buf[pos : pos+records.RIDSize])
 		if n.Target.IsNil() {
 			return fmt.Errorf("%w: proxy with nil target", ErrCorruptRecord)
 		}
+		n.Count = uint32(proxyCount(buf, end))
 		return nil
 	case KindAggregate:
 		// First sweep: count this level's children by hopping the
@@ -1239,7 +1391,11 @@ func (a *decodeArena) decodeContent(pos, end int, n *Node, fused bool) error {
 		n.Children = a.takeKids(count)
 		for pos < end {
 			readHeader(buf, a.wide, len(a.types), pos, end, &h)
-			c, err := a.newNode(a.types[h.ti].typeKey)
+			k := proxyKey
+			if h.ti >= 0 {
+				k = a.types[h.ti].typeKey
+			}
+			c, err := a.newNode(k)
 			if err != nil {
 				return err
 			}

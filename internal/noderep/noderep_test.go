@@ -38,8 +38,9 @@ func TestFigure15Sizes(t *testing.T) {
 	// Appendix A, figure 15: standalone headers are 10 bytes and embedded
 	// ones 6. Format version 2 dropped the parent offset (4-byte embedded
 	// headers), version 3 stored a text-only element — every SPEAKER and
-	// LINE of the paper's own example — under one of them, and format 4
-	// spends a type byte and a size byte on such an element. Check the
+	// LINE of the paper's own example — under one of them, format 4 spends
+	// a type byte and a size byte on such an element, and format 5 a byte
+	// less on each type-table entry and on the standalone header. Check the
 	// arithmetic on that example.
 	speech := figure2()
 	// Each LINE aggregate: one 2-byte header and its text's bytes; the same
@@ -57,12 +58,12 @@ func TestFigure15Sizes(t *testing.T) {
 	}
 	rec := &Record{Root: speech}
 	// Record: header(4) + type table (SPEECH agg, SPEAKER agg, LINE agg —
-	// 3 entries; the #text literal type version 2 lists fourth has no
-	// header left to cite it) + standalone(10) + content.
+	// 3 entries of 3 bytes; the #text literal type version 2 lists fourth
+	// has no header left to cite it) + standalone(9) + content.
 	if order := collectTypes(speech); len(order) != 4 {
 		t.Fatalf("the tree has %d node types, want 4", len(order))
 	}
-	wantSize := 4 + 4*3 + 10 + speech.ContentSize()
+	wantSize := 4 + 3*3 + 9 + speech.ContentSize()
 	if got := EncodedSize(rec); got != wantSize {
 		t.Fatalf("EncodedSize = %d, want %d", got, wantSize)
 	}
@@ -73,13 +74,15 @@ func TestFigure15Sizes(t *testing.T) {
 	if len(buf) != wantSize {
 		t.Fatalf("len(Encode) = %d, EncodedSize = %d", len(buf), wantSize)
 	}
-	// Three text-only elements: two bytes each less than version 3, and
-	// the text's header and the type entry less again in version 2.
-	if got := refEncodedSize(rec, formatVersion3); got != wantSize+3*2 {
-		t.Fatalf("version 3 size = %d, want %d", got, wantSize+3*2)
+	// Three text-only elements: two bytes each less than version 3, which
+	// also spends a byte more on each of three type entries and on the
+	// standalone header; the text's header and the type entry less again
+	// in version 2.
+	if got := refEncodedSize(rec, formatVersion3); got != wantSize+3*2+3+1 {
+		t.Fatalf("version 3 size = %d, want %d", got, wantSize+3*2+3+1)
 	}
-	if got := refEncodedSize(rec, formatVersion2); got != wantSize+3*(2+4)+ttEntrySize {
-		t.Fatalf("version 2 size = %d, want %d", got, wantSize+3*(2+4)+ttEntrySize)
+	if got := refEncodedSize(rec, formatVersion2); got != wantSize+3*(2+4)+3+1+legacyEntrySize {
+		t.Fatalf("version 2 size = %d, want %d", got, wantSize+3*(2+4)+3+1+legacyEntrySize)
 	}
 }
 

@@ -8,11 +8,12 @@ package noderep
 // since its children could not cite it; version 2 headers are the first 4
 // of those bytes; version 3 headers are version 2's, with the top bit of
 // the size the fused mark of a text-only element, whose text then has no
-// header and no type entry. Production code only reads these formats, in
-// Upgrade; the differential tests hold the format 4 encoder against this
-// one tree for tree and size for size, and the stores of older records
-// the upgrade tests open are written with it. Behind it (refImage), the
-// in-place reader as it was before images were opened with a node table.
+// header and no type entry. Beside it, an encoder of format 4
+// (refEncodeV4). Production code only reads these formats, in Upgrade;
+// the differential tests hold the format 5 encoder against these tree
+// for tree, and the stores of older records the upgrade tests open are
+// written with them. Behind them (refImage), the in-place reader as it
+// was before images were opened with a node table.
 
 import (
 	"encoding/binary"
@@ -112,7 +113,7 @@ func refTypes(rec *Record, version byte) []typeKey {
 }
 
 func refEncodedSize(rec *Record, version byte) int {
-	return recHeaderSize + ttEntrySize*len(refTypes(rec, version)) + StandaloneHeaderSize +
+	return recHeaderSize + legacyEntrySize*len(refTypes(rec, version)) + legacyRootSize +
 		refContentSize(rec.Root, refHeaderSize(version), version == formatVersion3)
 }
 
@@ -143,12 +144,12 @@ func refEncodeInto(rec *Record, version byte, size int, order []typeKey) ([]byte
 		buf[pos] = k.kindFlags
 		binary.LittleEndian.PutUint16(buf[pos+1:], uint16(k.label))
 		buf[pos+3] = byte(k.litType)
-		pos += ttEntrySize
+		pos += legacyEntrySize
 	}
 	rootOff := pos
 	binary.LittleEndian.PutUint16(buf[pos:], uint16(typeIndex(order, nodeTypeKey(rec.Root))))
 	rec.ParentRID.Put(buf[pos+2:])
-	pos += StandaloneHeaderSize
+	pos += legacyRootSize
 	root := rec.Root
 	if t := root.FusedText(); version == formatVersion3 && t != nil {
 		root, buf[1] = t, rootFusedFlag
@@ -213,6 +214,94 @@ func refEncodeContent(buf []byte, pos int, n *Node, hdrOff int, order []typeKey)
 	}
 }
 
+// refEncodeV4 writes rec as a format 4 image: format 5's embedded headers
+// but for a proxy's, which cites a table entry of its own and holds its
+// target's RID alone; 4-byte table entries; a 2-byte standalone type
+// index; the wide flag past 128 types.
+func refEncodeV4(rec *Record) ([]byte, error) {
+	if rec.Root == nil {
+		return nil, fmt.Errorf("%w: nil root", ErrBadNode)
+	}
+	if err := refValidate(rec.Root, true); err != nil {
+		return nil, err
+	}
+	order := tableTypes(rec.Root)
+	if len(order) > 1<<15 {
+		return nil, fmt.Errorf("%w: %d node types", ErrTooLarge, len(order))
+	}
+	wide := len(order) > legacyNarrow
+	buf := []byte{legacyVersion4, 0, 0, 0}
+	if wide {
+		buf[1] = wideFlag
+	}
+	putU16(buf[2:], len(order))
+	for _, k := range order {
+		buf = append(buf, k.kindFlags, byte(k.label), byte(k.label>>8), byte(k.litType))
+	}
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(typeIndex(order, nodeTypeKey(rec.Root))))
+	buf = rec.ParentRID.Encode(buf)
+	root := rec.Root
+	if t := root.FusedText(); t != nil {
+		root = t
+		buf[1] |= rootFusedFlag
+	}
+	var content func(n *Node) error
+	content = func(n *Node) error {
+		switch n.Kind {
+		case KindLiteral:
+			buf = append(buf, n.Payload...)
+		case KindProxy:
+			buf = n.Target.Encode(buf)
+		case KindAggregate:
+			for _, c := range n.Children {
+				ti, body := typeIndex(order, nodeTypeKey(c)), c
+				fused := c.FusedText() != nil
+				if fused {
+					body = c.FusedText()
+				}
+				switch {
+				case wide && fused:
+					buf = binary.LittleEndian.AppendUint16(buf, uint16(ti|wideFused))
+				case wide:
+					buf = binary.LittleEndian.AppendUint16(buf, uint16(ti))
+				case fused:
+					buf = append(buf, byte(ti|narrowFused))
+				default:
+					buf = append(buf, byte(ti))
+				}
+				switch {
+				case c.Kind == KindProxy:
+				case c.Kind == KindAggregate && !fused:
+					at := len(buf)
+					buf = append(buf, 0, 0)
+					if err := content(c); err != nil {
+						return err
+					}
+					if cs := len(buf) - at - 2; cs <= maxContentSize {
+						putU16(buf[at:], cs)
+						continue
+					}
+					return fmt.Errorf("%w: aggregate content", ErrTooLarge)
+				case len(body.Payload) > maxContentSize:
+					return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(body.Payload))
+				case len(body.Payload) < longSize:
+					buf = append(buf, byte(len(body.Payload)))
+				default:
+					buf = append(buf, byte(len(body.Payload))|longSize, byte(len(body.Payload)>>7))
+				}
+				if err := content(body); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	if err := content(root); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
 // refImage is the in-place reader as it was before OpenImage built a node
 // table: every read re-reads the header it reaches — the type index
 // against the table, the content against the image's end and against the
@@ -243,15 +332,14 @@ func refOpenImage(buf string) (refImage, error) {
 // Root reads the record's standalone root, whose content runs to the end
 // of the image, into n.
 func (im *refImage) Root(n *ImageNode) error {
-	ti := u16(im.buf[im.root:])
+	ti := int(im.buf[im.root])
 	if ti >= im.types {
 		return ErrCorruptRecord
 	}
 	start, end, fused := im.root+StandaloneHeaderSize, len(im.buf), im.buf[1]&rootFusedFlag != 0
 	im.fill(n, ti, start, end, fused)
 	switch {
-	case n.Kind == KindInvalid,
-		n.Kind == KindProxy && end-start != records.RIDSize,
+	case n.Kind == KindInvalid, n.Kind == KindProxy,
 		fused && (n.Kind != KindAggregate || n.Scaffold):
 		return ErrCorruptRecord
 	}
@@ -286,8 +374,11 @@ func (im *refImage) ChildHas(off, end int, pred func(Kind, dict.LabelID) bool) (
 		if !readHeader(im.buf, im.wide, im.types, off, end, &h) {
 			return false, ErrCorruptRecord
 		}
-		e := im.buf[recHeaderSize+ttEntrySize*h.ti:]
-		if pred(Kind(e[0]&kindMask), dict.LabelID(u16(e[1:]))) {
+		k := proxyKey
+		if h.ti >= 0 {
+			k = entryKey(im.buf[recHeaderSize+ttEntrySize*h.ti:])
+		}
+		if pred(Kind(k.kindFlags&kindMask), k.label) {
 			return true, nil
 		}
 		off = h.end()
@@ -295,17 +386,16 @@ func (im *refImage) ChildHas(off, end int, pred func(Kind, dict.LabelID) bool) (
 	return false, nil
 }
 
-// fill sets n to a node of type-table entry ti, ti < im.types.
+// fill sets n to a node of type-table entry ti, ti < im.types, or a
+// proxy for ti -1.
 func (im *refImage) fill(n *ImageNode, ti, start, end int, fused bool) {
-	e := im.buf[recHeaderSize+ttEntrySize*ti:]
-	e = e[:ttEntrySize]
-	n.Start, n.End = int32(start), int32(end)
-	n.Kind, n.LitType = Kind(e[0]&kindMask), 0
-	if n.Kind == KindLiteral {
-		n.LitType = LitType(e[3])
+	k := proxyKey
+	if ti >= 0 {
+		k = entryKey(im.buf[recHeaderSize+ttEntrySize*ti:])
 	}
-	n.Label = dict.LabelID(u16(e[1:]))
-	n.Scaffold, n.Fused = e[0]&scaffoldFlag != 0, fused
+	n.Start, n.End = int32(start), int32(end)
+	n.Kind, n.LitType, n.Label = Kind(k.kindFlags&kindMask), k.litType, k.label
+	n.Scaffold, n.Fused = k.kindFlags&scaffoldFlag != 0, fused
 }
 
 // refFacades is the pre-order walk over the facade nodes of an image —
@@ -339,12 +429,12 @@ func (f *refFacades) Advance() (bool, error) {
 		switch {
 		case off < 0:
 			off = im.root
-			h = header{ti: u16(buf[off:]), start: off + StandaloneHeaderSize, cs: len(buf) - off - StandaloneHeaderSize, fused: buf[1]&rootFusedFlag != 0}
+			h = header{ti: int(buf[off]), start: off + StandaloneHeaderSize, cs: len(buf) - off - StandaloneHeaderSize, fused: buf[1]&rootFusedFlag != 0}
 			if h.ti >= im.types {
 				return f.fail()
 			}
-			h.kf = buf[recHeaderSize+ttEntrySize*h.ti]
-			if kind := Kind(h.kf & kindMask); kind == KindInvalid || h.fused && (kind != KindAggregate || h.kf&scaffoldFlag != 0) {
+			h.kf = buf[recHeaderSize+ttEntrySize*h.ti] & (kindMask | scaffoldFlag)
+			if kind := Kind(h.kf & kindMask); kind == KindInvalid || kind == KindProxy || h.fused && (kind != KindAggregate || h.kf&scaffoldFlag != 0) {
 				return f.fail()
 			}
 		case off == len(buf):

@@ -34,7 +34,7 @@ func RootSpan(img []byte, n *Span) bool {
 	if root+StandaloneHeaderSize > len(img) {
 		return false
 	}
-	ti := u16(img[root:])
+	ti := int(img[root])
 	if ti >= tt {
 		return false
 	}
@@ -57,43 +57,53 @@ func ChildSpan(img []byte, pos int, parent *Span, n *Span) bool {
 	return true
 }
 
-// Skip steps over up to n embedded nodes from the header at pos of img,
-// inside the content of parent, stopping in front of the first proxy, and
-// returns where it stopped (parent's end, past the last child), how many
-// nodes it passed and, when the node there is a proxy, the offset behind
-// it (0 otherwise): the walk over the siblings in front of a child whose
-// spans the reader does not need, with hop's checks only. It returns -1
-// for a node, the proxy it stops at included, that crosses parent's end.
-func Skip(img []byte, pos int, parent *Span, n int) (at, passed, proxyEnd int) {
+// Skip passes up to n logical children of parent from the header at pos
+// of img — a plain node counting one, a proxy its count, by arithmetic,
+// without reading its target — and stops in front of the node that
+// holds the next one. It returns where it stopped (parent's end, past
+// the last child), how many logical children and how many nodes it
+// passed and, when the node there is a proxy, the offset behind it (0
+// otherwise): the walk over the siblings in front of a child whose spans
+// the reader does not need, with hop's checks only. It returns -1 for a
+// node, the proxy it stops at included, that crosses parent's end.
+// Skip(img, p.Start, p, math.MaxInt) counts parent's logical children
+// and its children.
+func Skip(img []byte, pos int, parent *Span, n int) (at, passed, nodes, proxyEnd int) {
 	tt, end := u16(img[2:]), parent.End
 	if img[1]&wideFlag == 0 {
-		if pos, passed = skip(img, tt, pos, end, n, true); pos < 0 || pos >= end {
-			return pos, passed, 0
-		}
-		if b := int(img[pos]); b < tt && Kind(img[recHeaderSize+ttEntrySize*b]&kindMask) == KindProxy {
-			if proxyEnd = pos + ProxySize; proxyEnd > end {
-				return -1, passed, 0
-			}
-		}
-		return pos, passed, proxyEnd
+		return skip(img, tt, pos, end, n, true)
 	}
 	var h header
-	for ; pos < end; pos = h.end() {
+	for ; pos < end; pos, nodes = h.end(), nodes+1 {
 		if !readHeader(img, true, tt, pos, end, &h) {
-			return -1, passed, 0
+			return -1, passed, nodes, 0
 		}
-		if Kind(h.kf&kindMask) == KindProxy && !h.fused {
-			return pos, passed, h.end()
-		}
-		if passed == n {
+		c := 1
+		if h.ti < 0 {
+			if c = proxyCount(img, h.end()); c > n-passed {
+				return pos, passed, nodes, h.end()
+			}
+		} else if passed == n {
 			break
 		}
-		passed++
+		passed += c
 	}
-	return pos, passed, 0
+	return pos, passed, nodes, 0
 }
 
+// ProxyCount returns the count of the proxy of img whose content ends at
+// end (Skip's proxyEnd, a proxy Span's End).
+func ProxyCount(img []byte, end int) int { return proxyCount(img, end) }
+
+// CountOffset returns the offset of the count of the proxy whose content
+// ends at end, for an in-place patch.
+func CountOffset(end int) int { return end - CountSize }
+
 func (n *Span) setType(img []byte, ti int) {
+	if ti < 0 {
+		n.Kind, n.Label, n.Scaffold = KindProxy, dict.Scaffold, true
+		return
+	}
 	e := img[recHeaderSize+ttEntrySize*ti:]
 	n.Kind, n.Label, n.Scaffold = Kind(e[0]&kindMask), dict.LabelID(u16(e[1:])), e[0]&scaffoldFlag != 0
 }
@@ -111,13 +121,13 @@ func (n *Span) Text() Span {
 // Target returns the record the proxy n of img points to, NilRID when n
 // is not a proxy.
 func (n *Span) Target(img []byte) records.RID {
-	if n.Kind != KindProxy || n.End-n.Start != records.RIDSize {
+	if n.Kind != KindProxy || n.End-n.Start != ProxyContentSize {
 		return records.NilRID
 	}
-	return records.DecodeRID(img[n.Start:n.End])
+	return records.DecodeRID(img[n.Start : n.Start+records.RIDSize])
 }
 
-// ImageParentRID returns the standalone parent RID of img, a format 4
+// ImageParentRID returns the standalone parent RID of img, a format 5
 // image RootSpan reads, and its offset (ParentRIDOffset).
 func ImageParentRID(img []byte) (records.RID, int) {
 	off := ParentRIDOffset(u16(img[2:]))
@@ -130,7 +140,10 @@ func ImageParentRID(img []byte) (records.RID, int) {
 func AppendProxies(img []byte, n *Span, out []records.RID) ([]records.RID, bool) {
 	switch {
 	case n.Kind == KindProxy:
-		return append(out, n.Target(img)), true
+		if rid := n.Target(img); !rid.IsNil() {
+			return append(out, rid), true
+		}
+		return out, false
 	case !n.Children():
 		return out, true
 	}
@@ -143,8 +156,8 @@ func AppendProxies(img []byte, n *Span, out []records.RID) ([]records.RID, bool)
 		switch p = h.end(); {
 		case h.aggregate():
 			p = h.start
-		case Kind(h.kf&kindMask) == KindProxy:
-			out = append(out, records.DecodeRID(img[h.start:h.end()]))
+		case h.ti < 0:
+			out = append(out, records.DecodeRID(img[h.start:h.start+records.RIDSize]))
 		}
 	}
 	return out, true

@@ -3,8 +3,6 @@ package noderep
 import (
 	"encoding/binary"
 	"slices"
-
-	"natix/internal/records"
 )
 
 // Splice edits a stored record image in place of a re-encode: adding
@@ -14,7 +12,8 @@ import (
 // (typesSurvive) — no Measure, no Emit, no tree walk. The image keeps
 // its type table as stored (Decode does not care about the table's
 // order), so an edit that would need a new entry, or leave one unused,
-// is not spliceable and takes the full encode. Neither is an image with
+// is not spliceable and takes the full encode. A proxy needs none: its
+// type is the reserved one. Neither is an image with
 // two-byte type indexes (the wide flag), which no real record needs.
 //
 // A text into an empty element, the commonest edit of all, fuses the
@@ -56,7 +55,7 @@ func tableFlags(img []byte, ti int) byte { return img[recHeaderSize+ttEntrySize*
 // tableIs reports whether type-table entry ti of img is k.
 func tableIs(img []byte, ti int, k typeKey) bool {
 	p := recHeaderSize + ttEntrySize*ti
-	return img[p] == k.kindFlags && u16(img[p+1:]) == int(k.label) && img[p+3] == byte(k.litType)
+	return img[p] == k.entryByte() && u16(img[p+1:]) == int(k.label)
 }
 
 // editPoint is where a path leads: child idx of an aggregate of table
@@ -90,10 +89,10 @@ func (sp *Splice) locate(img []byte, path []int) (ep editPoint, ok bool) {
 	if tt > narrowTypes || root+StandaloneHeaderSize > len(img) {
 		return ep, false
 	}
-	ep = editPoint{ti: u16(img[root:]), hdr: -1, start: root + StandaloneHeaderSize, end: len(img), fused: img[1]&rootFusedFlag != 0}
+	ep = editPoint{ti: int(img[root]), hdr: -1, start: root + StandaloneHeaderSize, end: len(img), fused: img[1]&rootFusedFlag != 0}
 	for depth, idx := range path {
 		last := depth == len(path)-1
-		if ep.ti >= tt || Kind(tableFlags(img, ep.ti)&kindMask) != KindAggregate || idx < 0 {
+		if ep.ti < 0 || ep.ti >= tt || Kind(tableFlags(img, ep.ti)&kindMask) != KindAggregate || idx < 0 {
 			return ep, false
 		}
 		pos := ep.start
@@ -268,7 +267,7 @@ func leavesLoneText(img []byte, ep editPoint, del int) bool {
 		sib += del
 	}
 	var h header
-	return readHeader(img, false, u16(img[2:]), sib, ep.end, &h) && h.end()-sib == rest && tableIs(img, h.ti, textKey)
+	return readHeader(img, false, u16(img[2:]), sib, ep.end, &h) && h.end()-sib == rest && h.ti >= 0 && tableIs(img, h.ti, textKey)
 }
 
 // emitEmbedded writes n as an embedded node at pos — header, content,
@@ -276,6 +275,13 @@ func leavesLoneText(img []byte, ep editPoint, del int) bool {
 // with the one-byte table indexes img's type table already has, and
 // returns the offset behind it.
 func emitEmbedded(img []byte, pos int, n *Node) (int, bool) {
+	if n.Kind == KindProxy {
+		if pos+ProxySize > len(img) {
+			return 0, false
+		}
+		img[pos] = proxyNarrow
+		return putProxy(img, pos+1, n), true
+	}
 	ti := tableIndex(img, nodeTypeKey(n))
 	body, fused := n, false
 	if t := n.FusedText(); t != nil {
@@ -300,12 +306,6 @@ func emitEmbedded(img []byte, pos int, n *Node) (int, bool) {
 		}
 		putU16(img[sz:], pos-sz-2)
 		return pos, true
-	case n.Kind == KindProxy:
-		if pos+records.RIDSize > len(img) {
-			return 0, false
-		}
-		n.Target.Put(img[pos:])
-		return pos + records.RIDSize, true
 	case body.Kind == KindLiteral:
 		size := len(body.Payload)
 		if pos+sizeLen(KindLiteral, false, size)+size > len(img) {
@@ -318,8 +318,11 @@ func emitEmbedded(img []byte, pos int, n *Node) (int, bool) {
 }
 
 // typesPresent reports whether img's type table holds, at a one-byte
-// index, every type emitEmbedded cites to write n.
+// index, every type emitEmbedded cites to write n. A proxy cites none.
 func typesPresent(img []byte, n *Node) bool {
+	if n.Kind == KindProxy {
+		return true
+	}
 	if ti := tableIndex(img, nodeTypeKey(n)); ti < 0 || ti >= narrowTypes {
 		return false
 	}
@@ -351,13 +354,17 @@ func tableIndex(img []byte, k typeKey) int {
 func typesSurvive(img []byte, lo, hi int) bool {
 	tt := u16(img[2:])
 	root := recHeaderSize + ttEntrySize*tt
-	var kept, gone [narrowTypes / 64]uint64
-	ti := u16(img[root:])
+	var kept, gone [typeWords]uint64
+	ti := int(img[root])
 	kept[ti/64] |= 1 << (ti % 64)
 	var h header
 	for p := root + StandaloneHeaderSize; p < len(img); {
 		if !readHeader(img, false, tt, p, len(img), &h) {
 			return false
+		}
+		if h.ti < 0 {
+			p = h.end() // a proxy: no type
+			continue
 		}
 		if p >= lo && p < hi {
 			gone[h.ti/64] |= 1 << (h.ti % 64)

@@ -56,7 +56,7 @@ func hasType(root *Node, k typeKey) bool {
 // hasAllTypes reports whether root's table has the type of every node of
 // n's subtree that is written with a header.
 func hasAllTypes(root, n *Node) bool {
-	for _, k := range tableTypes(n) {
+	for _, k := range tableTypes5(n) {
 		if !hasType(root, k) {
 			return false
 		}
@@ -362,14 +362,14 @@ func TestDecodeRejectsWhatMeasureRejects(t *testing.T) {
 		b[first] = 0
 		return b
 	})
-	mutate("kind flags the encoder leaves zero", func(b []byte) []byte {
-		b[recHeaderSize+ttEntrySize*1] |= 0x10
+	mutate("a proxy's entry in the table", func(b []byte) []byte {
+		b[recHeaderSize+ttEntrySize*1] = proxyFlags
 		return b
 	})
 	mutate("literal type on an aggregate", func(b []byte) []byte {
 		// Two such entries would be one on a re-encode (FuzzDecode's seed
 		// type-entry-unknown-bits is an image of that kind).
-		b[recHeaderSize+ttEntrySize*1+3] = byte(LitURI)
+		b[recHeaderSize+ttEntrySize*1] |= byte(LitURI) << litShift
 		return b
 	})
 	mutate("fused mark on a literal", func(b []byte) []byte {

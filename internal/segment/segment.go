@@ -41,15 +41,16 @@ const (
 	offPageSize = 20
 	offRoots    = 24
 
-	// FormatVersion 3: every record is in record format 4 (package
-	// noderep). Version 2 — the first with the common page header's LSN
-	// field for write-ahead logging; version 1 had an 8-byte common header
-	// — may hold records of formats 1 to 3: Open accepts it, and the store
-	// rewrites those records (docstore.Store.Upgrade) and then the version
-	// (FinishUpgrade) before anything reads a record. An older build
-	// refuses a version 3 segment: a downgrade is unsupported.
-	FormatVersion      = 3
-	upgradeableVersion = 2
+	// FormatVersion 4: every record is in record format 5 (package
+	// noderep). Version 3 holds records of format 4, and version 2 — the
+	// first with the common page header's LSN field for write-ahead
+	// logging; version 1 had an 8-byte common header — of formats 1 to 3:
+	// Open accepts both, and the store rewrites those records
+	// (docstore.Store.Upgrade) and then the version (FinishUpgrade) before
+	// anything reads a record. An older build refuses a version 4 segment:
+	// a downgrade is unsupported.
+	FormatVersion      = 4
+	upgradeableVersion = 2 // the oldest
 )
 
 // maxScanGroups bounds how many free-space-inventory groups FindSpace
@@ -178,7 +179,7 @@ func Open(pool *buffer.Pool) (*Segment, error) {
 		return nil, ErrBadHeader
 	}
 	v := int(binary.LittleEndian.Uint32(b[offVersion:]))
-	if v != FormatVersion && v != upgradeableVersion {
+	if v < upgradeableVersion || v > FormatVersion {
 		return nil, fmt.Errorf("%w: format version %d", ErrBadHeader, v)
 	}
 	if ps := int(binary.LittleEndian.Uint32(b[offPageSize:])); ps != dev.PageSize() {
@@ -188,13 +189,13 @@ func Open(pool *buffer.Pool) (*Segment, error) {
 }
 
 // FormatVersion returns the segment's format version: FormatVersion, or
-// 2 for a segment whose records have not been upgraded yet.
+// 2 or 3 for a segment whose records have not been upgraded yet.
 func (s *Segment) FormatVersion() int { return s.version }
 
 // FinishUpgrade sets the segment header's format version to
-// FormatVersion, once every record is in record format 4. The caller
+// FormatVersion, once every record is in record format 5. The caller
 // makes that durable before writing the header (a checkpoint), so a
-// version 3 header never stands over an older record.
+// version 4 header never stands over an older record.
 func (s *Segment) FinishUpgrade() error {
 	f, err := s.pool.Get(0)
 	if err != nil {

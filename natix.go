@@ -555,7 +555,7 @@ func openWith(opts Options, dev pagedev.Device, sim *pagedev.SimDisk, walSt wal.
 		RateLimit: opts.ScrubRateLimit,
 	})
 	scrubber.AttachTelemetry(reg)
-	// A store written before record format 4 is upgraded before anything
+	// A store written before record format 5 is upgraded before anything
 	// reads a record: the runtime reads that format only.
 	if err := store.Upgrade(); err != nil {
 		return nil, fmt.Errorf("natix: upgrade to record format %d: %w", noderep.FormatVersion, err)
