@@ -52,9 +52,8 @@
 // contributes to the aggregate the proxy stands in: 1 for a target rooted
 // in a facade node; for a target rooted in a scaffolding aggregate, the
 // sum over that root's children, a nested proxy counting its own count
-// (LogicalCount). The count has a fixed width, so changing it is an
-// in-place patch of four bytes (CountOffset), and no element has 2^32
-// children. A locate passes a proxy whose count lies wholly before the
+// (LogicalCount). The count has a fixed width of four bytes, so changing
+// it is an in-place patch (CountOffset). A locate passes a proxy whose count lies wholly before the
 // child it wants by arithmetic (Skip) and reads only the record that
 // holds the child. Decode cannot check a count, which describes another
 // record; the tree manager checks a count against its target when it
