@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -547,5 +548,39 @@ func TestProxyCycleIsAnError(t *testing.T) {
 	}
 	if n := s.Stats().RecordsDeleted - deleted; n != 0 {
 		t.Errorf("DeleteTree removed %d records before it failed", n)
+	}
+}
+
+// TestPatchParentRIDReadsNoUncheckedHeader: a parent-pointer fixup reads
+// the child's parent RID only once the child's root header reads: a child
+// whose type-table count puts that RID past the end of its image is a
+// corrupt record, not a read outside the image. An intact child takes
+// the patch.
+func TestPatchParentRIDReadsNoUncheckedHeader(t *testing.T) {
+	s := newStore(t, 2048, Config{})
+	var rids [3]records.RID
+	for i := range rids {
+		tr, err := s.CreateTree(lAct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids[i] = tr.RootRID()
+	}
+	parent, intact, damaged := rids[0], rids[1], rids[2]
+	if err := s.rm.Patch(damaged, 2, []byte{0xF0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.patchParentRID(damaged, parent); !errors.Is(err, noderep.ErrCorruptRecord) {
+		t.Fatalf("patch of a child whose table count passes its image: %v, want ErrCorruptRecord", err)
+	}
+	if err := s.patchParentRID(intact, parent); err != nil {
+		t.Fatal(err)
+	}
+	img, err := s.rm.Read(intact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := noderep.ImageParentRID(img); got != parent {
+		t.Fatalf("patched parent RID %s, want %s", got, parent)
 	}
 }
