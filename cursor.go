@@ -52,10 +52,15 @@ func WithLimit(n int) QueryOption {
 // open. A Cursor is owned by one goroutine; Matches pulled from it may
 // be consumed concurrently with iteration, but not concurrently with
 // Close.
+//
+// DB.Close does not wait for open cursors. Each cursor ends at its next
+// Next with Err ErrClosed; a Next already running when Close starts
+// finishes beside it and either returns its match, read from pages the
+// pool still holds, or ends with ErrClosed once it needs the closed
+// device. A cursor must still be closed after DB.Close.
 type Cursor struct {
-	db  *DB
-	it  *docstore.Iter
-	cur Match
+	db *DB
+	it *docstore.Iter
 }
 
 // QueryIter opens a lazy cursor over the matches of a path expression
@@ -72,40 +77,31 @@ func (db *DB) QueryIter(ctx context.Context, name, query string, opts ...QueryOp
 // Next advances to the next match, returning false when the cursor is
 // exhausted, the limit is reached, the context is cancelled, the DB is
 // closed (or closing), or an error occurs — consult Err to tell. Once
-// Next returns false the document lock has been released.
+// Next returns false the document lock has been released. Next takes no
+// lifecycle lock: DB.Close does not wait for a cursor, it stops it (see
+// Cursor).
 //
 //natix:noalloc
 func (c *Cursor) Next() bool {
-	// TryRLock, not RLock: db.mu's only writer is Close, so a failed
-	// try means the DB is closing or closed. Blocking here instead
-	// could deadlock the shutdown — a writer stuck behind this cursor's
-	// document lock keeps db.mu read-held, Close queues behind that
-	// writer, and a blocking RLock would queue behind Close, a cycle
-	// only this cursor's release can break. Failing fast releases it.
-	if !c.db.mu.TryRLock() {
+	// No lifecycle lock (see Cursor): Close raises closing before it
+	// waits, and a cursor must stop rather than wait — a writer queued
+	// behind this cursor's document lock holds db.mu shared, and Close
+	// waits behind that writer for a release only this cursor gives.
+	if c.db.closing.Load() {
 		c.it.Abort(ErrClosed)
 		return false
 	}
-	if c.db.closed {
-		c.db.mu.RUnlock()
-		c.it.Abort(ErrClosed)
-		return false
-	}
-	ok := c.it.Next()
-	c.db.mu.RUnlock()
-	if ok {
-		c.cur = Match{res: c.it.Result()}
-	}
-	return ok
+	return c.it.Next()
 }
 
 // Match returns the current match. It is valid after a true Next and
 // stays consumable (Text, Markup) after iteration moves on.
-func (c *Cursor) Match() Match { return c.cur }
+func (c *Cursor) Match() Match { return Match{res: c.it.Result()} }
 
 // Err returns the error that terminated iteration, if any. A cursor
-// stopped by Close, a limit, or exhaustion has a nil Err.
-func (c *Cursor) Err() error { return c.it.Err() }
+// stopped by Close, a limit, or exhaustion has a nil Err; one stopped by
+// DB.Close, also mid-read, has an Err that is ErrClosed.
+func (c *Cursor) Err() error { return closedErr(c.it.Err()) }
 
 // Indexed reports whether the cursor runs on the posting-list
 // evaluator (as opposed to the navigating scan or a flat-mode parse).

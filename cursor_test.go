@@ -3,6 +3,8 @@ package natix
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -808,4 +810,114 @@ func TestMatchReadOutBehindQueuedWriter(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Delete still blocked after Close")
 	}
+}
+
+// TestCursorRacesClose closes the DB under four iterating cursors —
+// //LINE read out as Text on the indexed route, /PLAY/ACT/SCENE/* as
+// Markup on the navigating scan — after a seeded delay. Close does not
+// wait for a cursor's Next, so a Next may run beside the checkpoint and
+// the device's close: every match it returns must still be the serial
+// answer at its position, and every cursor must end exhausted or with
+// ErrClosed (a read-out that needs the closed device may fail, and only
+// with ErrClosed).
+func TestCursorRacesClose(t *testing.T) {
+	xml := corpusXML()
+	queries := []struct {
+		expr   string
+		markup bool
+	}{{"//LINE", false}, {"/PLAY/ACT/SCENE/*", true}}
+	open := func() *DB {
+		t.Helper()
+		// A pool of 64 pages, so that the cursors also miss.
+		db, err := Open(Options{PathIndex: true, PageSize: 2048, BufferBytes: 128 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.ImportXML("play", strings.NewReader(xml)); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	read := func(m Match, markup bool) (string, error) {
+		if markup {
+			return m.Markup()
+		}
+		return m.Text()
+	}
+
+	db := open()
+	want := make([][]string, len(queries))
+	for i, q := range queries {
+		ms, err := db.Query("play", q.expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ms {
+			s, err := read(m, q.markup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], s)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	exhausted, closed := 0, 0
+	for round := 0; round < 8; round++ {
+		db := open()
+		type outcome struct {
+			n   int
+			err error
+		}
+		results := make(chan outcome, 4)
+		var start sync.WaitGroup
+		start.Add(4)
+		for g := 0; g < 4; g++ {
+			q, want := queries[g%2], want[g%2]
+			cur, err := db.QueryIter(context.Background(), "play", q.expr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				defer cur.Close()
+				start.Done()
+				n, err := 0, error(nil)
+				for ; err == nil && cur.Next(); n++ {
+					s, rerr := read(cur.Match(), q.markup)
+					switch {
+					case rerr != nil && !errors.Is(rerr, ErrClosed):
+						err = rerr
+					case rerr == nil && (n >= len(want) || s != want[n]):
+						err = fmt.Errorf("match %d of %s differs from the serial answer: %.80q", n, q.expr, s)
+					}
+				}
+				if err == nil {
+					err = cur.Err()
+				}
+				if err == nil && n != len(want) {
+					err = fmt.Errorf("%s exhausted after %d matches, want %d", q.expr, n, len(want))
+				}
+				results <- outcome{n, err}
+			}()
+		}
+		start.Wait()
+		time.Sleep(time.Duration(rng.Intn(1500)) * time.Microsecond)
+		if err := db.Close(); err != nil {
+			t.Fatalf("round %d: Close: %v", round, err)
+		}
+		for g := 0; g < 4; g++ {
+			switch o := <-results; {
+			case o.err == nil:
+				exhausted++
+			case errors.Is(o.err, ErrClosed):
+				closed++
+			default:
+				t.Errorf("round %d: cursor ended after %d matches with %v, want exhaustion or ErrClosed", round, o.n, o.err)
+			}
+		}
+	}
+	t.Logf("%d cursors exhausted, %d stopped by Close", exhausted, closed)
 }

@@ -151,6 +151,7 @@ type Store struct {
 
 	builds          atomic.Int64
 	indexedQueries  atomic.Int64
+	summaryQueries  atomic.Int64 // of the indexed, those the path summary settled (summaryPlan)
 	scanQueries     atomic.Int64
 	flatQueries     atomic.Int64
 	indexUnreadable atomic.Int64 // queries sent to the scan by a corrupt stored index
@@ -159,6 +160,10 @@ type Store struct {
 	// child buffers — across queries (see machine.go); a warm navigating
 	// scan allocates nothing per node.
 	scanPool sync.Pool
+
+	// walks recycles the summary walks of indexed queries and Explain
+	// (see explain.go).
+	walks sync.Pool
 
 	// readPool recycles readOut scratches across Markup, Text and export
 	// calls (see readout.go).
@@ -192,6 +197,7 @@ type Store struct {
 type IndexStats struct {
 	Builds         int64 // index builds (imports and reindexes)
 	IndexedQueries int64 // tree-mode queries answered from the index
+	SummaryQueries int64 // of those, counted from the path summary or run as one posting scan
 	ScanQueries    int64 // tree-mode queries evaluated by navigation
 }
 
@@ -318,6 +324,7 @@ func (s *Store) IndexStats() IndexStats {
 	return IndexStats{
 		Builds:         s.builds.Load(),
 		IndexedQueries: s.indexedQueries.Load(),
+		SummaryQueries: s.summaryQueries.Load(),
 		ScanQueries:    s.scanQueries.Load(),
 	}
 }

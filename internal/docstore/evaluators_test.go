@@ -179,10 +179,71 @@ func evalSources(t *testing.T, text string) []evalSource {
 // the same markup, in the same order, duplicates included. The
 // hand-written corner cases (equivalenceQueries over the play and the
 // nested document) run through the same check.
+//
+// On the indexed store a plain path also takes the summary route
+// (summaryPlan): its Count, from the path summary, must equal the
+// navigating scan's drained count and the eager Query's length, and a
+// query run as one posting scan must return the navigating scan's
+// matches in the same order. Each seed also runs //X/Y and //X//Y for
+// every name X, so that it has a query run as one scan, one refused
+// because a child step's contexts nest, and one refused because a match
+// is reached from several contexts.
 func TestEvaluatorsAgreeWithReference(t *testing.T) {
 	cx := context.Background()
 	ran := map[EvaluatorKind]int{}
 	nonEmpty, dups, cut := 0, 0, 0
+	var rewritten, nest, mult int // summary routes of the current seed
+
+	summary := func(t *testing.T, srcs []evalSource, query string, steps []Step) {
+		t.Helper()
+		ix, nav := srcs[0].s, srcs[1].s
+		q, err := ix.openQuery(cx, "d", steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := ix.planSummary(q.idx, q.frames, false)
+		q.lock.RUnlock()
+		if q.kind != EvalIndexed || p.exact != !hasPositional(steps) {
+			t.Fatalf("%s: route %s, exact plan %v", query, q.kind, p.exact)
+		}
+		if !p.exact {
+			return
+		}
+		switch {
+		case p.scan:
+			rewritten++
+		case p.nestAt >= 0:
+			nest++
+		default:
+			mult++
+		}
+		want, err := iterMarkupsOf(t, nav, steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := ix.QueryCountSteps(cx, "d", steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ix.QuerySteps(cx, "d", steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(want) || len(res) != n {
+			t.Fatalf("%s: summary count %d, scan route drained %d, Query %d", query, n, len(want), len(res))
+		}
+		before := ix.summaryQueries.Load()
+		got, err := iterMarkupsOf(t, ix, steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rewrote := ix.summaryQueries.Load() > before; rewrote != p.scan {
+			t.Fatalf("%s: cursor ran as one scan: %v, plan says %v", query, rewrote, p.scan)
+		}
+		if strings.Join(got, "\x00") != strings.Join(want, "\x00") {
+			t.Fatalf("%s (one scan %v): %d matches, scan route %d\n got: %.400q\nwant: %.400q", query, p.scan, len(got), len(want), got, want)
+		}
+	}
 
 	check := func(t *testing.T, rng *rand.Rand, srcs []evalSource, query string) {
 		t.Helper()
@@ -191,6 +252,9 @@ func TestEvaluatorsAgreeWithReference(t *testing.T) {
 			t.Fatalf("%s: %v", query, err)
 		}
 		plain := !strings.Contains(query, "*") && !strings.Contains(query, "#text")
+		if plain {
+			summary(t, srcs, query, steps)
+		}
 		for _, src := range srcs {
 			var want []string
 			seen := map[*xmlkit.Node]bool{}
@@ -265,8 +329,17 @@ func TestEvaluatorsAgreeWithReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			text := genNestedXML(rng)
 			srcs := evalSources(t, text)
+			rewritten, nest, mult = 0, 0, 0
 			for i := 0; i < 30; i++ {
 				check(t, rng, srcs, genPath(rng, srcs[2].ref.Name, i%2 == 0))
+			}
+			for i, x := range []string{"A", "B", "C", "D"} {
+				y := []string{"B", "C", "D", "A"}[i]
+				check(t, rng, srcs, "//"+x+"/"+y)
+				check(t, rng, srcs, "//"+x+"//"+y)
+			}
+			if rewritten == 0 || nest == 0 || mult == 0 {
+				t.Errorf("summary routes: %d run as one scan, %d refused for nested contexts, %d for a match reached twice; want each", rewritten, nest, mult)
 			}
 		})
 	}
@@ -290,6 +363,21 @@ func TestEvaluatorsAgreeWithReference(t *testing.T) {
 	if nonEmpty < 500 || dups < 100 || cut < 100 {
 		t.Errorf("weak cases: %d non-empty answers, %d duplicate matches, %d limits that cut", nonEmpty, dups, cut)
 	}
+}
+
+// iterMarkupsOf drains a cursor over steps on document "d" as markup.
+func iterMarkupsOf(t *testing.T, s *Store, steps []Step) ([]string, error) {
+	t.Helper()
+	it, err := s.QueryIter(context.Background(), "d", steps, IterOptions{})
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	var out []string
+	for it.Next() {
+		out = append(out, markupsOf(t, []Result{it.Result()})...)
+	}
+	return out, it.Err()
 }
 
 // markupsOf reads every result out as markup.

@@ -13,8 +13,10 @@ package docstore
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
+	"natix/internal/dict"
 	"natix/internal/pathindex"
 )
 
@@ -29,6 +31,7 @@ type Plan struct {
 	Doc       string        `json:"doc"`
 	Evaluator EvaluatorKind `json:"evaluator"`
 	Reason    string        `json:"reason"`
+	Route     string        `json:"route,omitempty"` // indexed only: what the path summary settles
 
 	// Path-summary shape (zero when no summary was available).
 	NumPaths int `json:"num_paths,omitempty"`
@@ -50,6 +53,9 @@ type Plan struct {
 func (p Plan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "evaluator=%s (%s)", p.Evaluator, p.Reason)
+	if p.Route != "" {
+		fmt.Fprintf(&b, "\nroute: %s", p.Route)
+	}
 	if p.NumPaths > 0 {
 		fmt.Fprintf(&b, "\nsummary: %d paths, %d nodes", p.NumPaths, p.NumNodes)
 	}
@@ -101,6 +107,7 @@ func (s *Store) ExplainSteps(cx context.Context, name string, steps []Step) (Pla
 		return p, err
 	case EvalIndexed:
 		p.Reason = "stored path index covers the query (plain name tests only)"
+		p.Route = s.planSummary(idx, q.frames, false).route(steps[len(steps)-1].Name)
 	default:
 		p.Reason = s.scanReason(q.info, steps)
 		// A scan forced by a non-name step can still be estimated from
@@ -140,20 +147,91 @@ func (s *Store) scanReason(info DocInfo, steps []Step) string {
 	return "navigating scan: stored path index unreadable (reindex to repair)"
 }
 
-// estimateSummary walks the path summary, carrying for each summary
-// path the per-instance multiplicity of the context set (how many
-// times each node with that path is in the context). Multiplicities
-// stay uniform across the instances of one path because every node has
-// exactly one ancestor on each proper prefix of its label path — which
-// is what makes the counts exact until a positional predicate (upper
-// bounds from there on) or a #text step (unknown from there on).
+// summaryWalk is the multiplicity pass over a path summary, shared by
+// Explain and the indexed route (planSummary). mult[q] is how many times
+// each node with summary path q is in the context set; 0 is the virtual
+// document node, parent of the root path. Every node has one ancestor on
+// each proper prefix of its label path, so for name tests it is exact.
+type summaryWalk struct {
+	idx        *pathindex.Handle
+	mult, next []int64
+}
+
+// summaryWalk returns a pooled walk over idx's summary whose context set
+// is the document node; put it back with s.walks.Put.
+func (s *Store) summaryWalk(idx *pathindex.Handle) *summaryWalk {
+	w, _ := s.walks.Get().(*summaryWalk)
+	if w == nil {
+		w = new(summaryWalk)
+	}
+	n := idx.NumPaths() + 1
+	w.idx = idx
+	w.mult = slices.Grow(w.mult[:0], n)[:n]
+	w.next = slices.Grow(w.next[:0], n)[:n]
+	clear(w.mult)
+	w.mult[0] = 1
+	return w
+}
+
+// step moves the context set over one name-test step, position ignored:
+// a node reached from k context nodes counts k times in the output. It
+// returns the output's size, the sum of mult times Count.
+func (w *summaryWalk) step(d *dict.Dict, st *frame) int64 {
+	idx, mult, next := w.idx, w.mult, w.next
+	clear(next)
+	var size int64
+	for q := 1; q < len(mult); q++ {
+		node := idx.Path(pathindex.PathID(q))
+		if ok, _ := st.matchesLabel(d, node.Label); !ok {
+			continue
+		}
+		m := mult[node.Parent]
+		if st.Descendant {
+			// Every proper ancestor path, the document node included.
+			for a := node.Parent; a != pathindex.NilPath; {
+				a = idx.Path(a).Parent
+				m += mult[a]
+			}
+		}
+		next[q] = m
+		size += m * int64(node.Count)
+	}
+	w.mult, w.next = next, mult
+	return size
+}
+
+// instances returns the size of the context set, the document node
+// included.
+func (w *summaryWalk) instances() int64 {
+	n := w.mult[0]
+	for q := 1; q < len(w.mult); q++ {
+		n += w.mult[q] * int64(w.idx.Path(pathindex.PathID(q)).Count)
+	}
+	return n
+}
+
+// nested reports whether the context set holds a node inside another:
+// whether one of its paths has a proper ancestor path in it.
+func (w *summaryWalk) nested() bool {
+	for q := 1; q < len(w.mult); q++ {
+		if w.mult[q] == 0 {
+			continue
+		}
+		for a := w.idx.Path(pathindex.PathID(q)).Parent; a != pathindex.NilPath; a = w.idx.Path(a).Parent {
+			if w.mult[a] > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// estimateSummary prices each step with the summary walk: exact until a
+// positional predicate (upper bounds from there on) or a #text step
+// (unknown from there on).
 func (s *Store) estimateSummary(idx *pathindex.Handle, steps []frame, p *Plan) {
-	n := idx.NumPaths()
-	// mult[q] is the context multiplicity of summary path q; index 0 is
-	// the virtual document node above the root (ancestor of every path,
-	// parent of the depth-1 path), which seeds the first step.
-	mult := make([]int64, n+1)
-	mult[0] = 1
+	w := s.summaryWalk(idx)
+	defer s.walks.Put(w)
 	p.Exact = true
 	unknown := false
 	for i := range steps {
@@ -165,60 +243,15 @@ func (s *Store) estimateSummary(idx *pathindex.Handle, steps []frame, p *Plan) {
 			p.Steps = append(p.Steps, sp)
 			continue
 		}
-		// Total context instances before this step — the bound a
-		// positional predicate clamps to (at most one match per context
-		// node survives... per context node there is at most one
-		// selected match, so at most as many as there are instances).
-		var ctxInstances int64 = mult[0]
-		for q := 1; q <= n; q++ {
-			if mult[q] > 0 {
-				ctxInstances += mult[q] * int64(idx.Path(pathindex.PathID(q)).Count)
-			}
-		}
-		next := make([]int64, n+1)
-		var est int64
-		for q := 1; q <= n; q++ {
-			node := idx.Path(pathindex.PathID(q))
-			if ok, _ := st.matchesLabel(s.dict, node.Label); !ok {
-				continue
-			}
-			var m int64
-			if st.Descendant {
-				// Sum the multiplicities of every proper ancestor path
-				// (the virtual document node included).
-				for a := node.Parent; ; {
-					m += mult[a]
-					if a == pathindex.NilPath {
-						break
-					}
-					a = idx.Path(a).Parent
-				}
-			} else {
-				m = mult[node.Parent]
-			}
-			if m > 0 {
-				next[q] = m
-				est += m * int64(node.Count)
-			}
-		}
+		ctx := w.instances()
+		sp.EstMatches = w.step(s.dict, st)
 		if st.Pos > 0 {
-			// At most one match per context node; keep the unpredicated
-			// context as an upper bound for later steps.
-			if est > ctxInstances {
-				est = ctxInstances
-			}
+			// At most one match per context node; the walk keeps the
+			// unpredicated output as an upper bound for later steps.
+			sp.EstMatches = min(sp.EstMatches, ctx)
 			p.Exact = false
 		}
-		sp.EstMatches = est
 		p.Steps = append(p.Steps, sp)
-		mult = next
-		if est == 0 {
-			// Nothing survives; later steps are exactly empty (unless
-			// already inexact).
-			for q := range next {
-				next[q] = 0
-			}
-		}
 	}
 	if !unknown {
 		p.EstMatches = p.Steps[len(p.Steps)-1].EstMatches

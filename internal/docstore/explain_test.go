@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"natix/internal/core"
+	"natix/internal/telemetry"
 )
 
 // hasPositional reports whether any step carries a positional
@@ -147,5 +148,71 @@ func TestExplainStringRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestExplainNamesSummaryRoute plans indexed queries of each summary
+// route and runs them: the plan names the route, and the queries the
+// path summary settles — a count, or matches by one posting scan — are
+// counted in IndexStats.SummaryQueries and docstore.queries_summary as
+// well as in the indexed queries.
+func TestExplainNamesSummaryRoute(t *testing.T) {
+	s, _ := newDocStore(t, 512, core.Config{})
+	enableIndex(t, s)
+	importBoth(t, s)
+	reg := telemetry.NewRegistry()
+	s.AttachTelemetry(reg, nil)
+
+	for _, c := range []struct{ doc, query, route string }{
+		{"p", "/PLAY/ACT/SCENE/SPEECH/LINE", "count from the path summary; matches by one scan of LINE's postings on 1 of the summary's paths"},
+		{"p", "//TITLE", "one scan of TITLE's postings on 3 of the summary's paths"},
+		{"n", "//DIV/A", "matches step by step (the contexts of step 2 nest)"},
+		{"n", "//DIV//A", "matches step by step (a match is reached from 2 contexts)"},
+		{"p", "//SPEECH[2]", "step by step over the postings (a positional predicate"},
+		{"n", "//DIV/*", ""},
+	} {
+		plan, err := s.Explain(c.doc, c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.route == "" && plan.Route != "" || !strings.Contains(plan.Route, c.route) {
+			t.Errorf("%s: route %q, want %q", c.query, plan.Route, c.route)
+		}
+		if c.route != "" && !strings.Contains(plan.String(), "\nroute: "+plan.Route) {
+			t.Errorf("%s: rendering misses the route:\n%s", c.query, plan)
+		}
+	}
+
+	before := s.IndexStats()
+	run := func(count bool, doc, query string) {
+		t.Helper()
+		var err error
+		if count {
+			_, err = s.QueryCount(doc, query)
+		} else {
+			_, err = s.Query(doc, query)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(true, "p", "//SPEECH")                     // count from the summary
+	run(true, "n", "//DIV//A")                     // count from the summary
+	run(false, "p", "/PLAY/ACT/SCENE/SPEECH/LINE") // one scan
+	run(false, "n", "//DIV/A")                     // step by step: nested contexts
+	run(true, "p", "//SPEECH[2]")                  // step by step: positional
+	run(false, "n", "//DIV/*")                     // navigating scan
+	st := s.IndexStats()
+	if d := st.IndexedQueries - before.IndexedQueries; d != 5 {
+		t.Errorf("%d indexed queries, want 5", d)
+	}
+	if d := st.SummaryQueries - before.SummaryQueries; d != 3 {
+		t.Errorf("%d summary queries, want 3", d)
+	}
+	if d := st.ScanQueries - before.ScanQueries; d != 1 {
+		t.Errorf("%d scan queries, want 1", d)
+	}
+	if got := reg.Snapshot().Counters["docstore.queries_summary"]; got != st.SummaryQueries {
+		t.Errorf("docstore.queries_summary = %d, IndexStats says %d", got, st.SummaryQueries)
 	}
 }

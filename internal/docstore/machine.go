@@ -6,6 +6,7 @@ import (
 
 	"natix/internal/core"
 	"natix/internal/dict"
+	"natix/internal/pathindex"
 	"natix/internal/records"
 	"natix/internal/xmlkit"
 )
@@ -36,9 +37,10 @@ const (
 // matched under the current context node.
 type frame struct {
 	Step
-	kind  nameKind
-	label dict.LabelID // nameLabel against stored nodes
-	count int
+	kind     nameKind
+	label    dict.LabelID        // nameLabel against stored nodes
+	postings []pathindex.Posting // the label's list, on the indexed route (indexFor)
+	count    int
 }
 
 // compile readies steps for one evaluation. With a dictionary the name

@@ -260,8 +260,9 @@ func (s *Store) QueryCount(name, query string) (int, error) {
 }
 
 // QueryCountSteps counts matches without materializing them. On the
-// indexed route they are counted directly from the posting lists, never
-// touching the matched records.
+// indexed route the path summary settles the count of a query without a
+// positional predicate; any other is counted from the posting lists.
+// Neither touches the matched records.
 func (s *Store) QueryCountSteps(cx context.Context, name string, steps []Step) (int, error) {
 	q, err := s.openQuery(cx, name, steps)
 	if err != nil {
@@ -323,6 +324,8 @@ func (s *Store) openQuery(cx context.Context, name string, steps []Step) (query,
 
 // start counts the query under its route and builds the machine over
 // the route's source. Nothing is read before the machine's first Next.
+// An indexed query run as one scan (summaryPlan) gets one frame: its last
+// step as //NAME, keeping the postings on the answer's summary paths.
 func (q *query) start() matcher {
 	s := q.s
 	switch q.kind {
@@ -331,8 +334,21 @@ func (q *query) start() matcher {
 		return newMachine(new(parsedWalk).reset(&parsedTree{s: s, blob: q.info.Root}, q.cx, len(q.frames)), q.frames)
 	case EvalIndexed:
 		s.indexedQueries.Add(1)
-		src := &postings{trees: s.trees, cx: q.cx, idx: q.idx, frames: make([]postingFrame, len(q.frames))}
-		return newMachine(src, q.frames)
+		src := &postings{trees: s.trees, cx: q.cx, idx: q.idx}
+		frames := q.frames
+		if p := s.planSummary(q.idx, frames, true); p.scan {
+			s.summaryQueries.Add(1)
+			frames = frames[len(frames)-1:]
+			frames[0].Descendant = true
+			if p.count == 0 {
+				frames[0].postings = nil
+			}
+			src.frames = src.one[:]
+			src.frames[0].keep = p.keep
+		} else {
+			src.frames = make([]postingFrame, len(frames))
+		}
+		return newMachine(src, frames)
 	}
 	s.scanQueries.Add(1)
 	w, _ := s.scanPool.Get().(*recordWalk)
@@ -344,18 +360,29 @@ func (q *query) start() matcher {
 
 // drain runs the query to exhaustion as operation op ("query" or
 // "count"), appending the matches to *out when out is given — without
-// one no match is materialized — and returns their number.
-func (q *query) drain(op string, out *[]Result) (int, error) {
+// one no match is materialized, and a count the path summary settles
+// runs no machine at all — and returns their number.
+func (q *query) drain(op string, out *[]Result) (n int, err error) {
 	start := telemetry.Now()
 	sp := q.s.startQueryOp(op, q.kind, q.info.Name)
-	defer sp.End()
+	defer func() {
+		sp.Add("matches", int64(n))
+		q.s.queryHist(q.kind).Observe(int64(telemetry.Since(start)))
+		sp.End()
+	}()
+	if out == nil && q.kind == EvalIndexed {
+		if p := q.s.planSummary(q.idx, q.frames, false); p.exact {
+			q.s.indexedQueries.Add(1)
+			q.s.summaryQueries.Add(1)
+			return int(p.count), nil
+		}
+	}
 	m := q.start()
 	defer m.release()
 	var r *Result
 	if out != nil {
 		r = &Result{Doc: q.info.Name, store: q.s}
 	}
-	n := 0
 	ok, err := m.match(r)
 	for ; ok; ok, err = m.match(r) {
 		n++
@@ -363,7 +390,5 @@ func (q *query) drain(op string, out *[]Result) (int, error) {
 			*out = append(*out, *r)
 		}
 	}
-	sp.Add("matches", int64(n))
-	q.s.queryHist(q.kind).Observe(int64(telemetry.Since(start)))
 	return n, err
 }

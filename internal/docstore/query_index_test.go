@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -266,4 +267,51 @@ func FuzzParseQuery(f *testing.F) {
 			t.Fatalf("ParseQuery(%q) renders as %q", q, b.String())
 		}
 	})
+}
+
+// TestIndexedCountEnumeratesNoPosting empties the posting lists of an
+// opened indexed query before counting: a count the path summary
+// settles still comes out right, so it enumerated no posting, while the
+// machine — a Query, or a count under a positional predicate — finds
+// nothing in the emptied lists.
+func TestIndexedCountEnumeratesNoPosting(t *testing.T) {
+	s, _ := newDocStore(t, 512, core.Config{})
+	enableIndex(t, s)
+	importBoth(t, s)
+	for _, query := range []string{"//SPEAKER", "/PLAY/ACT/SCENE/SPEECH/LINE", "//SPEECH//LINE", "//ACT/TITLE", "//SPEECH[1]"} {
+		want := len(markups(t, s, "p", query))
+		steps, err := ParseQuery(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drain := func(out *[]Result) int {
+			q, err := s.openQuery(context.Background(), "p", steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.lock.RUnlock()
+			if q.kind != EvalIndexed {
+				t.Fatalf("%s runs as %s", query, q.kind)
+			}
+			for i := range q.frames {
+				q.frames[i].postings = nil
+			}
+			n, err := q.drain("count", out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+		wantCount := want
+		if hasPositional(steps) {
+			wantCount = 0
+		}
+		if n := drain(nil); n != wantCount || want == 0 {
+			t.Errorf("%s: count over emptied lists %d, want %d (of %d matches)", query, n, wantCount, want)
+		}
+		var out []Result
+		if n := drain(&out); n != 0 {
+			t.Errorf("%s: Query over emptied lists found %d", query, n)
+		}
+	}
 }

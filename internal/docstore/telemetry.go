@@ -31,6 +31,7 @@ func (s *Store) AttachTelemetry(reg *telemetry.Registry, tracer *telemetry.Trace
 	}
 	reg.Func("docstore.index_builds", s.builds.Load)
 	reg.Func("docstore.queries_indexed", s.indexedQueries.Load)
+	reg.Func("docstore.queries_summary", s.summaryQueries.Load)
 	reg.Func("docstore.queries_scan", s.scanQueries.Load)
 	reg.Func("docstore.queries_flat", s.flatQueries.Load)
 	reg.Func("docstore.index_unreadable", s.indexUnreadable.Load)

@@ -115,6 +115,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"natix/internal/buffer"
@@ -296,10 +297,13 @@ const recordCacheSize = 4096
 //
 // DB.mu is only the lifecycle lock: every operation holds it shared to
 // fence Close, which takes it exclusively and therefore waits for
-// in-flight operations to drain. See DESIGN.md ("Concurrency model")
-// for the full lock order.
+// in-flight operations to drain. A cursor's Next is not such an
+// operation: it reads closing, which Close raises before it waits, and
+// stops there (see Cursor). See DESIGN.md ("Concurrency model") for the
+// full lock order.
 type DB struct {
 	mu       sync.RWMutex // lifecycle: ops hold shared, Close exclusive
+	closing  atomic.Bool  // raised by Close before it waits for mu; read per cursor Next
 	opts     Options
 	dev      pagedev.Device
 	sim      *pagedev.SimDisk
@@ -816,9 +820,11 @@ func (db *DB) Flush() error {
 // Close flushes and releases the store. With WAL enabled the flush is
 // a checkpoint, so a cleanly closed store reopens without recovery
 // work and with an empty log. Close takes the lifecycle lock
-// exclusively, so it waits for every in-flight operation to finish;
-// operations started after Close fail with ErrClosed.
+// exclusively, so it waits for every in-flight operation to finish but a
+// cursor's Next, which it stops instead (see Cursor). Operations started
+// after Close fail with ErrClosed.
 func (db *DB) Close() error {
+	db.closing.Store(true)
 	// Stop the background scrubber before taking the lifecycle lock
 	// exclusively: an in-flight pass holds the lock shared, and closing
 	// under it would deadlock against ourselves.
@@ -863,6 +869,7 @@ type Stats struct {
 	// Path index.
 	PathIndexBuilds int64 // index builds (imports and reindexes)
 	IndexedQueries  int64 // tree-mode queries answered from the index
+	SummaryQueries  int64 // of those, counted from the path summary or run as one posting scan
 	ScanQueries     int64 // tree-mode queries evaluated by navigation
 	IndexUnreadable int64 // of those, sent there by a corrupt stored index (reindex to repair)
 	// Write-ahead log (all zero when Options.WAL is off).
@@ -897,6 +904,7 @@ func (db *DB) Stats() (Stats, error) {
 			PageSize:           db.opts.PageSize,
 			PathIndexBuilds:    c["docstore.index_builds"],
 			IndexedQueries:     c["docstore.queries_indexed"],
+			SummaryQueries:     c["docstore.queries_summary"],
 			ScanQueries:        c["docstore.queries_scan"],
 			IndexUnreadable:    c["docstore.index_unreadable"],
 			WALAppends:         c["wal.appends"],
