@@ -10,13 +10,16 @@
 //
 // # Concurrency
 //
-// The pool is safe for concurrent use and is built so a buffer hit never
-// takes a pool-wide lock: the page table is sharded (per-shard RWMutex),
-// pin counts and the dirty/reference bits are per-frame atomics, and
-// replacement is an approximate-LRU clock sweep that only runs on
-// misses, serialized by a narrow eviction lock. The reference bit is set
-// on hits, not on first load, so a page touched twice survives a page
-// streamed through once — the property the LRU tests pin down.
+// The pool is safe for concurrent use and takes no pool-wide lock, on a
+// hit or on a miss: the page table is sharded (per-shard RWMutex), pin
+// counts and the dirty/reference bits are per-frame atomics, and
+// replacement is an approximate-LRU clock whose one hand over a fixed
+// array of frame slots misses advance with an atomic add. A miss
+// publishes a loading frame and reads the page with no lock held, and a
+// concurrent Get of the same page waits for that read instead of making
+// its own. The reference bit is set on hits, not on first load, so a
+// page touched twice survives a page streamed through once — the
+// property the LRU tests pin down.
 //
 // Frames additionally carry a latch (an RWMutex over the page image):
 // callers that read page bytes hold the shared latch, callers that
@@ -88,16 +91,14 @@ type Stats struct {
 
 // numShards is the page-table shard count. Pages are numbered densely,
 // so a simple modulo spreads consecutive pages across shards.
-const numShards = 16
+const numShards = 64
 
-// shard is one partition of the page table. ring holds the shard's
-// frames in clock order for the second-chance sweep; hand is the sweep
-// position within ring.
+// shard is one partition of the page table, padded to its own cache
+// line: a hit writes the reader count of its shard's lock.
 type shard struct {
 	mu     sync.RWMutex
 	frames map[pagedev.PageNo]*Frame
-	ring   []*Frame
-	hand   int
+	_      [32]byte
 }
 
 // Pool is a buffer pool. All methods are safe for concurrent use.
@@ -105,8 +106,14 @@ type Pool struct {
 	dev      pagedev.Device
 	capacity int
 	shards   [numShards]shard
-	size     atomic.Int64 // frames resident (never exceeds capacity)
 	verify   atomic.Bool
+
+	// slots are the clock: capacity frame slots, nil when free, that one
+	// hand goes round (hand counts the slots it has passed). size counts
+	// the slots holding a frame.
+	slots []atomic.Pointer[Frame]
+	hand  atomic.Uint64
+	size  atomic.Int64
 
 	// wal, when attached, receives a record for every page mutation
 	// and gates write-back (the WAL rule). walEpoch increments at each
@@ -117,30 +124,22 @@ type Pool struct {
 	walEpoch atomic.Uint64
 	snapPool sync.Pool
 
-	// evictMu serializes clock sweeps; handShard is the shard the next
-	// sweep starts at, persisting the clock position across evictions.
-	evictMu   sync.Mutex
-	handShard int
-
 	// retry absorbs transient device errors at the two physical I/O
 	// sites (page load, write-back): a momentary EIO costs a counter
 	// tick and a short backoff instead of failing the operation.
 	retry ioretry.Retryer
 
-	// spare holds the page images of evicted frames for the next misses
-	// to load into (at most maxSpareImages; see takeImage/recycle).
-	spareMu sync.Mutex
-	spare   [][]byte
-
-	// Hit-path counters are sharded: every Get on every goroutine
-	// bumps them, so a single cache line would be the pool's hottest
-	// contention point. The rest increment only around physical I/O.
+	// Counters every miss or hit bumps are sharded: a single cache line
+	// would be the pool's hottest contention point between clients. The
+	// rest increment only around writes and waits.
 	logicalReads  telemetry.ShardedCounter
 	hits          telemetry.ShardedCounter
-	physReads     telemetry.Counter
+	physReads     telemetry.ShardedCounter
+	evictions     telemetry.ShardedCounter
+	clockProbes   telemetry.ShardedCounter
 	physWrites    telemetry.Counter
-	evictions     telemetry.Counter
 	latchWaits    telemetry.Counter
+	loadWaits     telemetry.Counter
 	coalescedRuns telemetry.Counter
 }
 
@@ -155,8 +154,10 @@ type Frame struct {
 	pins    atomic.Int32
 	ref     atomic.Bool // second-chance reference bit, set on hits
 	dirty   atomic.Bool
+	loading atomic.Bool // on the page table, its image not read yet
 	latch   sync.RWMutex
-	ringIdx int // position in its shard's ring; under shard.mu
+	slot    int   // its clock slot, set before the frame is ready
+	err     error // a failed load's, for the goroutines that joined it
 
 	// pageLSN is the LSN of the last log record covering this page;
 	// write-back waits for the log to be durable through it. fresh
@@ -174,7 +175,7 @@ func New(dev pagedev.Device, numFrames int) (*Pool, error) {
 	if numFrames < 1 {
 		return nil, ErrNoFrames
 	}
-	p := &Pool{dev: dev, capacity: numFrames}
+	p := &Pool{dev: dev, capacity: numFrames, slots: make([]atomic.Pointer[Frame], numFrames)}
 	p.snapPool.New = func() any { return &snapshot{buf: make([]byte, dev.PageSize())} }
 	for i := range p.shards {
 		p.shards[i].frames = make(map[pagedev.PageNo]*Frame)
@@ -250,6 +251,8 @@ func (p *Pool) ResetStats() {
 	p.physWrites.Store(0)
 	p.evictions.Store(0)
 	p.latchWaits.Store(0)
+	p.loadWaits.Store(0)
+	p.clockProbes.Store(0)
 	p.coalescedRuns.Store(0)
 }
 
@@ -267,6 +270,8 @@ func (p *Pool) AttachTelemetry(reg *telemetry.Registry) {
 	reg.Func("buffer.resident_frames", func() int64 { return p.size.Load() })
 	reg.Func("buffer.io_retries", p.retry.Retries)
 	reg.Func("buffer.coalesced_write_runs", p.coalescedRuns.Load)
+	reg.Func("buffer.load_waits", p.loadWaits.Load)
+	reg.Func("buffer.clock_probes", p.clockProbes.Load)
 }
 
 // IORetries returns the number of transient device errors the pool has
@@ -294,99 +299,77 @@ func (p *Pool) get(pn pagedev.PageNo, read bool) (*Frame, error) {
 	if f, ok := sh.frames[pn]; ok {
 		f.pins.Add(1)
 		f.ref.Store(true)
+		loading := f.loading.Load()
 		sh.mu.RUnlock()
+		if loading {
+			return p.join(f)
+		}
 		p.hits.Add(1)
 		return f, nil
 	}
 	sh.mu.RUnlock()
 
-	// Miss: reserve a frame slot against the capacity, evicting as
-	// needed, then load under the shard's exclusive lock. Holding the
-	// shard lock across the device read stalls same-shard hits for the
-	// duration of one I/O — accepted: it keeps load failures trivially
-	// consistent (no half-loaded frame is ever visible), misses are
-	// about to pay the I/O anyway, and the other 15 shards stay hot.
-	for {
-		n := p.size.Load()
-		if n >= int64(p.capacity) {
-			if err := p.evictOne(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if p.size.CompareAndSwap(n, n+1) {
-			break
-		}
-	}
-
-	sh.mu.Lock()
-	if f, ok := sh.frames[pn]; ok {
-		// Raced with another loader of the same page: use theirs.
-		f.pins.Add(1)
-		f.ref.Store(true)
-		sh.mu.Unlock()
-		p.size.Add(-1)
-		p.hits.Add(1)
-		return f, nil
-	}
-	f := &Frame{pool: p, page: pn, data: p.takeImage(!read), fresh: !read}
+	// Miss: publish a loading frame, latched exclusively by this loader,
+	// so that a concurrent Get or Touch of the page joins this load
+	// instead of reading the page again; then claim a clock slot and
+	// read with no lock held but the new frame's own latch.
+	f := &Frame{pool: p, page: pn, fresh: !read}
 	f.pins.Store(1)
-	if read {
-		if err := p.loadInto(f); err != nil {
-			sh.mu.Unlock()
-			p.size.Add(-1)
-			p.recycle(f)
-			return nil, err
+	f.loading.Store(true)
+	f.latch.Lock()
+	sh.mu.Lock()
+	if g, ok := sh.frames[pn]; ok {
+		g.pins.Add(1)
+		g.ref.Store(true)
+		loading := g.loading.Load()
+		sh.mu.Unlock()
+		if loading {
+			return p.join(g)
 		}
+		p.hits.Add(1)
+		return g, nil
 	}
 	sh.frames[pn] = f
-	f.ringIdx = len(sh.ring)
-	sh.ring = append(sh.ring, f)
 	sh.mu.Unlock()
+
+	err := p.claimSlot(f)
+	if err == nil && read {
+		err = p.loadInto(f)
+	}
+	if err != nil {
+		// Unpublish, free the slot, and leave the error for the joiners.
+		f.err = err
+		sh.mu.Lock()
+		delete(sh.frames, pn)
+		sh.mu.Unlock()
+		if f.data != nil { // claimSlot gave it a slot
+			f.data = nil
+			p.slots[f.slot].Store(nil)
+			p.size.Add(-1)
+		}
+	}
+	f.loading.Store(false)
+	f.latch.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	return f, nil
 }
 
-// maxSpareImages bounds the evicted page images kept for reuse. An
-// eviction is normally followed by the load it made room for, which
-// takes the image straight back, so the list rarely holds more than one
-// per goroutine missing at the moment.
-const maxSpareImages = 8
-
-// takeImage returns a page-sized buffer for a new frame: the image of
-// an evicted frame when one is spare, a fresh allocation otherwise.
-// Loads overwrite every byte; GetNew promises zeroes, so zero asks for
-// a recycled image to be cleared.
-func (p *Pool) takeImage(zero bool) []byte {
-	p.spareMu.Lock()
-	var img []byte
-	if n := len(p.spare); n > 0 {
-		img = p.spare[n-1]
-		p.spare[n-1] = nil
-		p.spare = p.spare[:n-1]
+// join waits for another goroutine's load of f, which the caller has
+// pinned: the loader holds f's latch exclusively until the image is
+// read or the load has failed.
+func (p *Pool) join(f *Frame) (*Frame, error) {
+	p.loadWaits.Inc()
+	f.latch.RLock()
+	err := f.err
+	f.latch.RUnlock()
+	if err != nil {
+		f.pins.Add(-1)
+		return nil, err
 	}
-	p.spareMu.Unlock()
-	if img == nil {
-		return make([]byte, p.dev.PageSize())
-	}
-	if zero {
-		clear(img)
-	}
-	return img
-}
-
-// recycle takes the image of a frame nothing can reach any more — off
-// the page table (or never on it) with no pins — and leaves the frame
-// without one: a caller still holding the *Frame after its last Release
-// faults on the nil image instead of reading whichever page moved in.
-// That is also why images are recycled and Frames are not.
-func (p *Pool) recycle(f *Frame) {
-	img := f.data
-	f.data = nil
-	p.spareMu.Lock()
-	if len(p.spare) < maxSpareImages {
-		p.spare = append(p.spare, img)
-	}
-	p.spareMu.Unlock()
+	p.hits.Add(1)
+	return f, nil
 }
 
 // loadInto fills f.data for page f.page with one device read and,
@@ -411,11 +394,12 @@ func (p *Pool) loadInto(f *Frame) error {
 // (and pay physical I/O if the page was evicted). It counts as a Get
 // does: a resident page costs one lookup under the shard's read lock
 // and sets the frame's reference bit — no pin, no latch — and a page
-// that is not resident is read in by Get and released at once.
+// that is not resident, or still loading, goes through Get and is
+// released at once.
 func (p *Pool) Touch(pn pagedev.PageNo) error {
 	sh := p.shardOf(pn)
 	sh.mu.RLock()
-	if f, ok := sh.frames[pn]; ok {
+	if f, ok := sh.frames[pn]; ok && !f.loading.Load() {
 		f.ref.Store(true)
 		sh.mu.RUnlock()
 		p.logicalReads.Add(1)
@@ -431,117 +415,115 @@ func (p *Pool) Touch(pn pagedev.PageNo) error {
 	return nil
 }
 
-// evictOne removes one unpinned frame, writing it back if dirty. The
-// clock sweep visits shards round-robin from the persisted hand
-// position; within a shard it advances that shard's hand, clearing
-// reference bits of unpinned frames it passes and evicting the first
-// unpinned frame whose bit is already clear. Two full cycles normally
-// find one, but a concurrent reader can re-reference every frame between
-// the passes; if they passed over unpinned frames, a third cycle takes
-// the first unpinned frame whatever its bit. Only a cycle that found
-// every frame pinned ends in ErrPoolFull.
-func (p *Pool) evictOne() error {
-	p.evictMu.Lock()
-	defer p.evictMu.Unlock()
-	if p.size.Load() < int64(p.capacity) {
-		// Another eviction (or a failed load) made room meanwhile.
-		return nil
-	}
-	// First pass prefers victims whose write-back needs no log sync
-	// (clean frames, or dirty ones the log already covers): evicting a
-	// freshly-logged page forces an fsync under the WAL rule, and during
-	// a bulk load the pool is full of older, already-durable pages that
-	// cost nothing to drop.
+// claimSlot gives f, published but not yet ready, a clock slot and a
+// page image: the first free slot the hand comes to, with a new image,
+// or a victim's slot and the victim's image. The one hand goes round
+// the slots, advanced by an atomic add per slot it passes, so misses on
+// any number of goroutines share it without a lock. A pool fills (and
+// refills after Clear, which puts the hand back at slot 0) slot by slot
+// in hand order, so it evicts nothing until it is full. It passes pinned
+// frames (a loading frame is pinned by its loader) and clears the
+// reference bits of unpinned ones; the first unpinned frame whose bit is
+// already clear is the victim. With a log attached, the first revolution
+// also passes over dirty frames the log has not made durable (their
+// bits untouched), so a victim whose write-back needs no log sync is
+// preferred. Two plain revolutions normally find a victim, but a
+// concurrent reader can re-reference every frame between them; if they
+// passed unpinned frames, a third takes the first unpinned frame
+// whatever its bit. Only a search that found every frame pinned ends in
+// ErrPoolFull.
+func (p *Pool) claimSlot(f *Frame) error {
+	n := p.capacity
+	var (
+		durable wal.LSN
+		first   int // the first revolution that looks at every unpinned frame
+		probes  int
+	)
+	defer func() { p.clockProbes.Add(int64(probes)) }()
 	if p.wal != nil {
-		durableLSN := p.wal.SyncedLSN()
-		for i := 0; i < numShards; i++ {
-			sh := &p.shards[p.handShard]
-			evicted, _, err := p.sweepShard(sh, durableLSN, false)
-			if err != nil {
-				return err
-			}
-			if evicted {
-				return nil
-			}
-			p.handShard = (p.handShard + 1) % numShards
-		}
+		durable, first = p.wal.SyncedLSN(), 1
 	}
 	unpinned := false
-	for cycle := 0; cycle < 3; cycle++ {
-		force := cycle == 2
-		if force && !unpinned {
-			break
+	for {
+		rev := probes/n - first // -1 durable only, 0 and 1 plain, 2 forced
+		if rev > 2 || rev == 2 && !unpinned {
+			return ErrPoolFull
 		}
-		for i := 0; i < numShards; i++ {
-			sh := &p.shards[p.handShard]
-			evicted, saw, err := p.sweepShard(sh, 0, force)
-			if err != nil {
-				return err
-			}
-			if evicted {
+		probes++
+		i := int((p.hand.Add(1) - 1) % uint64(n))
+		v := p.slots[i].Load()
+		if v == nil {
+			if p.slots[i].CompareAndSwap(nil, f) {
+				f.slot, f.data = i, make([]byte, p.dev.PageSize())
+				p.size.Add(1)
 				return nil
 			}
-			unpinned = unpinned || saw
-			p.handShard = (p.handShard + 1) % numShards
+			continue
+		}
+		if v.pins.Load() > 0 {
+			continue
+		}
+		if rev < 0 && v.dirty.Load() && wal.LSN(v.pageLSN.Load()) >= durable {
+			continue
+		}
+		unpinned = unpinned || rev >= 0
+		if rev < 2 && v.ref.CompareAndSwap(true, false) {
+			continue
+		}
+		if ok, err := p.evict(v, i, f); ok || err != nil {
+			return err
 		}
 	}
-	return ErrPoolFull
 }
 
-// sweepShard advances the shard's clock hand over its ring once,
-// evicting the first second-chance victim it finds: the victim is
-// written back if dirty, unlinked, and its image recycled for the next
-// miss. A non-zero durableLSN (the log's SyncedLSN) makes the pass
-// selective: dirty frames the log does not yet cover — their last
-// record starts at or past durableLSN — are passed over (their
-// reference bits untouched), so a cheaper victim can be found before
-// paying for a log sync. force takes the first unpinned frame without
-// looking at its reference bit. unpinned reports whether the pass came
-// by any unpinned frame, victim or not. Caller holds evictMu.
-func (p *Pool) sweepShard(sh *shard, durableLSN wal.LSN, force bool) (evicted, unpinned bool, err error) {
+// evict unlinks v, the frame in slot i, and hands its slot and image to
+// f — unless v has left the page table or been pinned since the hand
+// passed it. A dirty v is first written back pinned and under its
+// exclusive latch, with its shard unlocked: no lock the pool takes is
+// held across the write. It reports whether v was evicted. The caller's
+// frame never waits on a latch here (TryLock), so a latch holder that
+// waits for the caller's load cannot deadlock it.
+func (p *Pool) evict(v *Frame, i int, f *Frame) (bool, error) {
+	sh := p.shardOf(v.page)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	n := len(sh.ring)
-	for i := 0; i < n; i++ {
-		if sh.hand >= len(sh.ring) {
-			sh.hand = 0
-		}
-		f := sh.ring[sh.hand]
-		if f.pins.Load() > 0 {
-			sh.hand++
-			continue
-		}
-		unpinned = true
-		if durableLSN > 0 && f.dirty.Load() && wal.LSN(f.pageLSN.Load()) >= durableLSN {
-			sh.hand++
-			continue
-		}
-		if !force && f.ref.CompareAndSwap(true, false) {
-			sh.hand++
-			continue
-		}
-		// Victim: write back if dirty, then drop. No pins and the shard
-		// lock is held, so no caller can hold the frame's latch or pin
-		// it concurrently.
-		if f.dirty.Load() {
-			if err := p.writeBack(f); err != nil {
-				return false, true, err
-			}
-		}
-		delete(sh.frames, f.page)
-		last := len(sh.ring) - 1
-		sh.ring[f.ringIdx] = sh.ring[last]
-		sh.ring[f.ringIdx].ringIdx = f.ringIdx
-		sh.ring = sh.ring[:last]
-		if sh.hand > last {
-			sh.hand = 0
-		}
-		p.recycle(f)
-		p.size.Add(-1)
-		p.evictions.Add(1)
-		return true, true, nil
+	if sh.frames[v.page] != v || v.pins.Load() > 0 {
+		sh.mu.Unlock()
+		return false, nil
 	}
-	return false, unpinned, nil
+	if v.dirty.Load() {
+		v.pins.Add(1)
+		sh.mu.Unlock()
+		latched := v.latch.TryLock()
+		var err error
+		if latched {
+			if v.dirty.Load() {
+				err = p.writeBack(v)
+			}
+			v.latch.Unlock()
+		}
+		v.Release()
+		if !latched || err != nil {
+			return false, err
+		}
+		sh.mu.Lock()
+		if sh.frames[v.page] != v || v.pins.Load() > 0 || v.dirty.Load() {
+			sh.mu.Unlock()
+			return false, nil
+		}
+	}
+	// No pins, off the page table: nothing can reach v's image any more.
+	delete(sh.frames, v.page)
+	sh.mu.Unlock()
+	// A caller still holding v after its last Release faults on the nil
+	// image instead of reading the page that moves into it — which is
+	// why images are handed on and Frames are not.
+	f.slot, f.data, v.data = i, v.data, nil
+	if f.fresh {
+		clear(f.data) // GetNew promises zeroes
+	}
+	p.slots[i].Store(f)
+	p.evictions.Add(1)
+	return true, nil
 }
 
 // writeBack flushes one frame's bytes to the device. The caller must
@@ -777,19 +759,22 @@ func (p *Pool) Clear() error {
 	if err := p.dev.Sync(); err != nil {
 		return err
 	}
-	var removed int64
 	for i := range p.shards {
 		sh := &p.shards[i]
-		removed += int64(len(sh.frames))
-		sh.frames = make(map[pagedev.PageNo]*Frame)
-		sh.ring = nil
-		sh.hand = 0
+		for _, f := range sh.frames {
+			p.dropLocked(sh, f)
+		}
 	}
-	// Subtract what was dropped rather than zeroing: a concurrent miss
-	// may have reserved a slot in size and be waiting on a shard lock,
-	// and that reservation must survive the clear.
-	p.size.Add(-removed)
+	p.hand.Store(0)
 	return nil
+}
+
+// dropLocked removes the unpinned frame f from the pool: off its page
+// table, whose lock the caller holds, and out of its clock slot.
+func (p *Pool) dropLocked(sh *shard, f *Frame) {
+	delete(sh.frames, f.page)
+	p.slots[f.slot].CompareAndSwap(f, nil)
+	p.size.Add(-1)
 }
 
 // Cached returns the number of frames currently held (pinned or not).
@@ -1288,18 +1273,9 @@ func (p *Pool) ShrinkTo(n pagedev.PageNo) error {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		for pn, f := range sh.frames {
-			if pn < n {
-				continue
+			if pn >= n {
+				p.dropLocked(sh, f)
 			}
-			delete(sh.frames, pn)
-			last := len(sh.ring) - 1
-			sh.ring[f.ringIdx] = sh.ring[last]
-			sh.ring[f.ringIdx].ringIdx = f.ringIdx
-			sh.ring = sh.ring[:last]
-			if sh.hand > last {
-				sh.hand = 0
-			}
-			p.size.Add(-1)
 		}
 	}
 	p.unlockAll()

@@ -82,8 +82,18 @@ func recycledImageCarriesOwnPage(t *testing.T) {
 	if st := p.Stats(); st.Evictions < 2*pages {
 		t.Fatalf("only %d evictions: the pool did not cycle", st.Evictions)
 	}
-	if n := len(p.spare); n > maxSpareImages {
-		t.Fatalf("%d spare images kept, bound is %d", n, maxSpareImages)
+	// Every eviction hands its image to the miss that made it: the pool
+	// still holds one image per slot, no two frames sharing one.
+	images := map[*byte]pagedev.PageNo{}
+	for i := range p.slots {
+		f := p.slots[i].Load()
+		if f == nil {
+			t.Fatalf("slot %d empty after the passes", i)
+		}
+		if pn, ok := images[&f.data[0]]; ok {
+			t.Fatalf("pages %d and %d share one image", pn, f.page)
+		}
+		images[&f.data[0]] = f.page
 	}
 }
 

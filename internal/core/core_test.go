@@ -650,8 +650,7 @@ func cachedImagesAreStored(t *testing.T, s *Store, root records.RID) {
 	for i := range s.cache.shards {
 		sh := &s.cache.shards[i]
 		sh.mu.Lock()
-		for rid, e := range sh.entries {
-			it := e.Value.(*cacheItem)
+		for rid, it := range sh.entries {
 			if it.img == nil {
 				continue
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -124,7 +123,7 @@ type storeStats struct {
 	parentPatches    atomic.Int64
 	recordsDecoded   atomic.Int64
 	countPatches     atomic.Int64
-	cacheHits        atomic.Int64
+	cacheHits        telemetry.ShardedCounter // every record a query reads
 	cacheMisses      atomic.Int64
 }
 
@@ -388,10 +387,13 @@ func (s *Store) deleteRecordTree(rid records.RID) error {
 // the record's image. A hit charges the buffer manager one Pool.Touch per
 // page (charge).
 
-// recCache is the image cache: a small LRU of record images, sharded by
-// RID so concurrent readers of different records rarely contend. Each
-// shard keeps its own LRU order under its own mutex — an approximation of
-// global LRU that stays exact within a shard.
+// recCache is the image cache: a small second-chance (CLOCK) cache of
+// record images, sharded by RID so concurrent readers of different
+// records rarely contend. A hit takes its shard's lock shared and sets
+// the entry's reference bit; a put that finds its shard full sweeps the
+// shard's hand past referenced entries, clearing their bits, and
+// replaces the first unreferenced one — an approximation of LRU that
+// lets readers of one shard hit in parallel.
 //
 // An image is a string copied out of the record's page once per miss
 // (loadImage) and opened there with its node table (noderep.OpenImage),
@@ -410,16 +412,19 @@ type recCache struct {
 const cacheShards = 16
 
 type cacheShard struct {
-	mu       sync.Mutex
+	mu       sync.RWMutex
 	capacity int
-	entries  map[records.RID]*list.Element
-	order    *list.List // front = most recently used
+	entries  map[records.RID]*cacheItem
+	ring     []*cacheItem // clock order; hand is the next to look at
+	hand     int
 }
 
 type cacheItem struct {
 	rid  records.RID
 	img  *noderep.Image
 	body records.RID // where the body lies (records.Manager.ReadString)
+	ref  atomic.Bool // set by hits, cleared by the sweep
+	idx  int         // position in ring
 }
 
 func newRecCache(capacity int) *recCache {
@@ -430,8 +435,7 @@ func newRecCache(capacity int) *recCache {
 	c := &recCache{}
 	for i := range c.shards {
 		c.shards[i].capacity = per
-		c.shards[i].entries = make(map[records.RID]*list.Element, per)
-		c.shards[i].order = list.New()
+		c.shards[i].entries = make(map[records.RID]*cacheItem, per)
 	}
 	return c
 }
@@ -442,25 +446,26 @@ func (c *recCache) shardOf(rid records.RID) *cacheShard {
 }
 
 // image returns the cached image of rid and where its body lies, marked
-// most recently used.
+// referenced.
 func (c *recCache) image(rid records.RID) (*noderep.Image, records.RID, bool) {
 	if c == nil {
 		return nil, records.NilRID, false
 	}
 	sh := c.shardOf(rid)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[rid]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	it, ok := sh.entries[rid]
 	if !ok {
 		return nil, records.NilRID, false
 	}
-	sh.order.MoveToFront(e)
-	it := e.Value.(*cacheItem)
+	if !it.ref.Load() {
+		it.ref.Store(true)
+	}
 	return it.img, it.body, true
 }
 
-// putImage caches the image of rid, its body lying at body, evicting the
-// shard's least recently used entries as needed.
+// putImage caches the image of rid, its body lying at body, replacing
+// the entry the shard's clock hand picks when the shard is full.
 func (c *recCache) putImage(rid records.RID, img *noderep.Image, body records.RID) {
 	if c == nil {
 		return
@@ -468,21 +473,25 @@ func (c *recCache) putImage(rid records.RID, img *noderep.Image, body records.RI
 	sh := c.shardOf(rid)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e, ok := sh.entries[rid]; ok {
-		sh.order.MoveToFront(e)
-		it := e.Value.(*cacheItem)
+	if it, ok := sh.entries[rid]; ok {
 		it.img, it.body = img, body
+		it.ref.Store(true)
 		return
 	}
-	for len(sh.entries) >= sh.capacity {
-		back := sh.order.Back()
-		if back == nil {
-			break
+	it := &cacheItem{rid: rid, img: img, body: body}
+	if len(sh.ring) < sh.capacity {
+		it.idx = len(sh.ring)
+		sh.ring = append(sh.ring, it)
+	} else {
+		for sh.ring[sh.hand].ref.Swap(false) {
+			sh.hand = (sh.hand + 1) % len(sh.ring)
 		}
-		sh.order.Remove(back)
-		delete(sh.entries, back.Value.(*cacheItem).rid)
+		delete(sh.entries, sh.ring[sh.hand].rid)
+		it.idx = sh.hand
+		sh.ring[sh.hand] = it
+		sh.hand = (sh.hand + 1) % len(sh.ring)
 	}
-	sh.entries[rid] = sh.order.PushFront(&cacheItem{rid: rid, img: img, body: body})
+	sh.entries[rid] = it
 }
 
 // footprint returns the bytes the cached images and their node tables
@@ -494,11 +503,11 @@ func (c *recCache) footprint() int64 {
 	var n int64
 	for i := range c.shards {
 		sh := &c.shards[i]
-		sh.mu.Lock()
-		for e := sh.order.Front(); e != nil; e = e.Next() {
-			n += int64(e.Value.(*cacheItem).img.Footprint())
+		sh.mu.RLock()
+		for _, it := range sh.ring {
+			n += int64(it.img.Footprint())
 		}
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
 	}
 	return n
 }
@@ -510,9 +519,18 @@ func (c *recCache) remove(rid records.RID) {
 	sh := c.shardOf(rid)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e, ok := sh.entries[rid]; ok {
-		sh.order.Remove(e)
-		delete(sh.entries, rid)
+	it, ok := sh.entries[rid]
+	if !ok {
+		return
+	}
+	delete(sh.entries, rid)
+	n := len(sh.ring) - 1
+	sh.ring[it.idx] = sh.ring[n]
+	sh.ring[it.idx].idx = it.idx
+	sh.ring[n] = nil
+	sh.ring = sh.ring[:n]
+	if sh.hand >= n {
+		sh.hand = 0
 	}
 }
 
@@ -523,8 +541,9 @@ func (c *recCache) clear() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		sh.entries = make(map[records.RID]*list.Element, sh.capacity)
-		sh.order.Init()
+		clear(sh.entries)
+		clear(sh.ring)
+		sh.ring, sh.hand = sh.ring[:0], 0
 		sh.mu.Unlock()
 	}
 }

@@ -118,12 +118,14 @@ type Store struct {
 	catalog   map[string]*DocInfo // entries are mutated only under cmu
 	catalogID records.RID         // catalog blob RID; touched only under wmu
 
-	// qmu guards quarantined: documents the integrity scrubber found
-	// damaged beyond repair. Operations against them fail fast with
-	// ErrQuarantined; every other document keeps serving (see
-	// quarantine.go). The set is in-memory only — a reopen rescans.
-	qmu         sync.RWMutex
-	quarantined map[string]string // name -> reason
+	// quarantined holds the documents the integrity scrubber found
+	// damaged beyond repair (name -> reason). Operations against them
+	// fail fast with ErrQuarantined; every other document keeps serving
+	// (see quarantine.go). The set is in-memory only — a reopen rescans.
+	// Every operation reads it, so it is an immutable map behind an
+	// atomic pointer; qmu serializes the writers, which copy it.
+	qmu         sync.Mutex
+	quarantined atomic.Pointer[map[string]string]
 
 	// headerCopy is the last-known-good image of the segment header
 	// (page 0), captured at AttachWAL and refreshed at every checkpoint

@@ -18,6 +18,7 @@ package docstore
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"natix/internal/noderep"
 	"natix/internal/pagedev"
@@ -32,39 +33,45 @@ var ErrQuarantined = errors.New("docstore: document quarantined")
 // Quarantine marks name as damaged: subsequent operations against it
 // fail with ErrQuarantined until Unquarantine or reopen.
 func (s *Store) Quarantine(name, reason string) {
-	s.qmu.Lock()
-	if s.quarantined == nil {
-		s.quarantined = make(map[string]string)
-	}
-	s.quarantined[name] = reason
-	s.qmu.Unlock()
+	s.editQuarantine(func(q map[string]string) { q[name] = reason })
 }
 
 // Unquarantine lifts the quarantine from name (a no-op if it was not
 // quarantined). The repair path calls it after reconstructing every
 // damaged page a document owns.
 func (s *Store) Unquarantine(name string) {
+	s.editQuarantine(func(q map[string]string) { delete(q, name) })
+}
+
+// editQuarantine publishes a copy of the quarantine set that edit
+// changed; readers keep the set they loaded.
+func (s *Store) editQuarantine(edit func(map[string]string)) {
 	s.qmu.Lock()
-	delete(s.quarantined, name)
-	s.qmu.Unlock()
+	defer s.qmu.Unlock()
+	q := s.QuarantinedDocs()
+	edit(q)
+	s.quarantined.Store(&q)
+}
+
+// quarantineSet returns the current quarantine set, which nobody writes.
+func (s *Store) quarantineSet() map[string]string {
+	if q := s.quarantined.Load(); q != nil {
+		return *q
+	}
+	return nil
 }
 
 // Quarantined returns the reason name is quarantined, if it is.
 func (s *Store) Quarantined(name string) (string, bool) {
-	s.qmu.RLock()
-	reason, ok := s.quarantined[name]
-	s.qmu.RUnlock()
+	reason, ok := s.quarantineSet()[name]
 	return reason, ok
 }
 
 // QuarantinedDocs returns a copy of the quarantine set.
 func (s *Store) QuarantinedDocs() map[string]string {
-	s.qmu.RLock()
-	defer s.qmu.RUnlock()
-	out := make(map[string]string, len(s.quarantined))
-	for k, v := range s.quarantined {
-		out[k] = v
-	}
+	q := s.quarantineSet()
+	out := make(map[string]string, len(q))
+	maps.Copy(out, q)
 	return out
 }
 
@@ -82,9 +89,7 @@ func (s *Store) ExclusiveMaintenance(fn func() error) error {
 // checkQuarantine is the fail-fast gate every document operation passes
 // through before touching storage.
 func (s *Store) checkQuarantine(name string) error {
-	s.qmu.RLock()
-	reason, ok := s.quarantined[name]
-	s.qmu.RUnlock()
+	reason, ok := s.Quarantined(name)
 	if !ok {
 		return nil
 	}

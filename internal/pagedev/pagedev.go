@@ -20,8 +20,10 @@ package pagedev
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 )
 
 // PageNo identifies a page within a device. On disk, page numbers are
@@ -187,12 +189,17 @@ func (m *Mem) Close() error {
 
 // File is a Device backed by an operating-system file. Pages map linearly
 // onto the file: page p occupies bytes [p*PageSize, (p+1)*PageSize).
+//
+// Reads take no lock: the closed flag and the page count are atomics,
+// and os.File makes a ReadAt that races Close fail with os.ErrClosed,
+// never read another file's bytes. So a Sync — which holds mu across its
+// fsync — never stalls a read. Everything else serializes on mu.
 type File struct {
 	mu       sync.Mutex
 	f        *os.File
 	pageSize int
-	numPages PageNo
-	closed   bool
+	numPages atomic.Uint64
+	closed   atomic.Bool
 }
 
 // OpenFile opens (or creates) the file at path as a page device. If the
@@ -214,92 +221,92 @@ func OpenFile(path string, pageSize int) (*File, error) {
 		f.Close()
 		return nil, fmt.Errorf("pagedev: %s: size %d is not a multiple of page size %d", path, st.Size(), pageSize)
 	}
-	return &File{f: f, pageSize: pageSize, numPages: PageNo(st.Size() / int64(pageSize))}, nil
+	d := &File{f: f, pageSize: pageSize}
+	d.numPages.Store(uint64(st.Size() / int64(pageSize)))
+	return d, nil
 }
 
 // PageSize implements Device.
 func (d *File) PageSize() int { return d.pageSize }
 
 // NumPages implements Device.
-func (d *File) NumPages() PageNo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.numPages
-}
+func (d *File) NumPages() PageNo { return PageNo(d.numPages.Load()) }
 
 // Read implements Device.
 func (d *File) Read(p PageNo, buf []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
 	if len(buf) != d.pageSize {
 		return ErrBadSize
 	}
-	if p >= d.numPages {
-		return fmt.Errorf("%w: read page %d of %d", ErrOutOfRange, p, d.numPages)
+	return d.readAt(p, buf)
+}
+
+// readAt reads buf from page p on with one positional read and no lock.
+// A read that races Close fails with ErrClosed; one that races a Shrink
+// past its pages, with ErrOutOfRange.
+func (d *File) readAt(p PageNo, buf []byte) error {
+	if d.closed.Load() {
+		return ErrClosed
+	}
+	end := p + PageNo(len(buf)/d.pageSize)
+	if n := d.NumPages(); end > n || end <= p {
+		return fmt.Errorf("%w: read pages [%d,%d) of %d", ErrOutOfRange, p, end, n)
 	}
 	_, err := d.f.ReadAt(buf, int64(p)*int64(d.pageSize))
-	if err != nil {
-		return fmt.Errorf("pagedev: read page %d: %w", p, err)
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, os.ErrClosed):
+		return ErrClosed
+	case errors.Is(err, io.EOF):
+		return fmt.Errorf("%w: read pages [%d,%d): shrunk", ErrOutOfRange, p, end)
 	}
-	return nil
+	return fmt.Errorf("pagedev: read pages [%d,%d): %w", p, end, err)
 }
 
 // Write implements Device.
 func (d *File) Write(p PageNo, buf []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
 	if len(buf) != d.pageSize {
 		return ErrBadSize
 	}
-	if p >= d.numPages {
-		return fmt.Errorf("%w: write page %d of %d", ErrOutOfRange, p, d.numPages)
-	}
-	if _, err := d.f.WriteAt(buf, int64(p)*int64(d.pageSize)); err != nil {
-		return fmt.Errorf("pagedev: write page %d: %w", p, err)
-	}
-	return nil
+	return d.WriteRange(p, buf)
 }
 
-// Grow implements Device.
+// Grow implements Device. The new size is published once the file has it.
 func (d *File) Grow(n PageNo) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Load() {
 		return ErrClosed
 	}
 	if n > MaxPageNo {
 		return ErrOutOfRange
 	}
-	if n <= d.numPages {
+	if n <= d.NumPages() {
 		return nil
 	}
 	if err := d.f.Truncate(int64(n) * int64(d.pageSize)); err != nil {
 		return fmt.Errorf("pagedev: grow to %d pages: %w", n, err)
 	}
-	d.numPages = n
+	d.numPages.Store(uint64(n))
 	return nil
 }
 
-// Shrink implements Device.
+// Shrink implements Device. The new size is published before the file
+// is cut, so a read that sees the old size can only race the truncate,
+// and gets ErrOutOfRange from it.
 func (d *File) Shrink(n PageNo) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Load() {
 		return ErrClosed
 	}
-	if n >= d.numPages {
+	if n >= d.NumPages() {
 		return nil
 	}
+	d.numPages.Store(uint64(n))
 	if err := d.f.Truncate(int64(n) * int64(d.pageSize)); err != nil {
 		return fmt.Errorf("pagedev: shrink to %d pages: %w", n, err)
 	}
-	d.numPages = n
 	return nil
 }
 
@@ -307,7 +314,7 @@ func (d *File) Shrink(n PageNo) error {
 func (d *File) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Load() {
 		return ErrClosed
 	}
 	return d.f.Sync()
@@ -317,9 +324,8 @@ func (d *File) Sync() error {
 func (d *File) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Swap(true) {
 		return nil
 	}
-	d.closed = true
 	return d.f.Close()
 }

@@ -125,15 +125,15 @@ func (m *Mem) ReadRange(p PageNo, buf []byte) error {
 func (d *File) WriteRange(p PageNo, buf []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Load() {
 		return ErrClosed
 	}
 	if len(buf) == 0 || len(buf)%d.pageSize != 0 {
 		return ErrBadSize
 	}
-	n := PageNo(len(buf) / int(d.pageSize))
-	if p+n > d.numPages {
-		return fmt.Errorf("%w: write pages [%d,%d) of %d", ErrOutOfRange, p, p+n, d.numPages)
+	n := PageNo(len(buf) / d.pageSize)
+	if p+n > d.NumPages() {
+		return fmt.Errorf("%w: write pages [%d,%d) of %d", ErrOutOfRange, p, p+n, d.NumPages())
 	}
 	if _, err := d.f.WriteAt(buf, int64(p)*int64(d.pageSize)); err != nil {
 		return fmt.Errorf("pagedev: write pages [%d,%d): %w", p, p+n, err)
@@ -141,24 +141,13 @@ func (d *File) WriteRange(p PageNo, buf []byte) error {
 	return nil
 }
 
-// ReadRange implements RangeReader: the run is one positional read.
+// ReadRange implements RangeReader: the run is one positional read,
+// lock-free as Read is.
 func (d *File) ReadRange(p PageNo, buf []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
 	if len(buf) == 0 || len(buf)%d.pageSize != 0 {
 		return ErrBadSize
 	}
-	n := PageNo(len(buf) / int(d.pageSize))
-	if p+n > d.numPages {
-		return fmt.Errorf("%w: read pages [%d,%d) of %d", ErrOutOfRange, p, p+n, d.numPages)
-	}
-	if _, err := d.f.ReadAt(buf, int64(p)*int64(d.pageSize)); err != nil {
-		return fmt.Errorf("pagedev: read pages [%d,%d): %w", p, p+n, err)
-	}
-	return nil
+	return d.readAt(p, buf)
 }
 
 // WriteRange implements RangeWriter. The inner device moves the run in

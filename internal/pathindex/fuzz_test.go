@@ -82,7 +82,7 @@ func RawIndex(s *Store, name string) (summary []byte, lists map[dict.LabelID][]b
 	if err != nil {
 		return nil, nil, err
 	}
-	if summary, err = s.blobs.Read(s.entries[name]); err != nil {
+	if summary, err = s.blobs.Read(s.view.Load().entries[name]); err != nil {
 		return nil, nil, err
 	}
 	lists = make(map[dict.LabelID][]byte)

@@ -147,11 +147,11 @@ func StoreAsV2(s *Store, name string) error {
 		}
 		sum.dir[label] = e
 	}
-	id, err := s.blobs.Overwrite(s.entries[name], encodeSummary(nil, &sum))
+	id, err := s.blobs.Overwrite(s.view.Load().entries[name], encodeSummary(nil, &sum))
 	if err != nil {
 		return err
 	}
-	s.entries[name] = id
+	setEntry(s, name, id)
 	s.InvalidateCache()
 	return s.saveCatalog()
 }
@@ -342,9 +342,7 @@ func DiffStored(s *Store, name string, want *Index) (string, error) {
 	if d := DiffIndex(got, want); d != "" {
 		return d, nil
 	}
-	s.mu.RLock()
-	id := s.entries[name]
-	s.mu.RUnlock()
+	id := s.view.Load().entries[name]
 	blob, err := s.blobs.Read(id)
 	if err != nil {
 		return "", err

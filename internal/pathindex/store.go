@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"natix/internal/blobstore"
 	"natix/internal/dict"
@@ -41,10 +43,29 @@ type Store struct {
 	blobs *blobstore.Store
 	seg   *segment.Segment
 
-	mu        sync.RWMutex           // guards entries and cache
-	catalogID records.RID            // touched only by the (serialized) writer
-	entries   map[string]records.RID // document name -> summary blob RID
-	cache     map[string]*Handle
+	// view is read by every query (Get) and every node edit (Has, through
+	// Drop), so it is immutable behind an atomic pointer and readers take
+	// no lock. mu serializes its writers — Put, Drop, Reload,
+	// InvalidateCache and a Get caching a handle it decoded — each of
+	// which publishes a changed copy.
+	mu        sync.Mutex
+	view      atomic.Pointer[catalogView]
+	catalogID records.RID // touched only by the (serialized) writer
+}
+
+// catalogView is one immutable state of a Store's catalog and cache.
+type catalogView struct {
+	entries map[string]records.RID // document name -> summary blob RID
+	cache   map[string]*Handle
+}
+
+// editView publishes a copy of the view that edit changed. Caller holds
+// s.mu.
+func (s *Store) editView(edit func(*catalogView)) {
+	old := s.view.Load()
+	v := &catalogView{entries: maps.Clone(old.entries), cache: maps.Clone(old.cache)}
+	edit(v)
+	s.view.Store(v)
 }
 
 // maxCached bounds the decoded-handle cache.
@@ -55,28 +76,9 @@ const maxCached = 64
 // indexing existed) yields an empty store; the catalog is first
 // persisted when an index is stored, so read-only use never writes.
 func Open(rm *records.Manager) (*Store, error) {
-	s := &Store{
-		blobs:   blobstore.New(rm),
-		seg:     rm.Segment(),
-		entries: make(map[string]records.RID),
-		cache:   make(map[string]*Handle),
-	}
-	raw, err := s.seg.RootRID(segment.RootPathIndex)
-	if err != nil {
-		return nil, err
-	}
-	if raw == 0 {
-		return s, nil
-	}
-	var enc [records.RIDSize]byte
-	binary.LittleEndian.PutUint64(enc[:], raw)
-	s.catalogID = records.DecodeRID(enc[:])
-	body, err := s.blobs.Read(s.catalogID)
-	if err != nil {
+	s := &Store{blobs: blobstore.New(rm), seg: rm.Segment()}
+	if err := s.load(); err != nil {
 		return nil, fmt.Errorf("pathindex: load catalog: %w", err)
-	}
-	if err := decodeCatalog(body, s.entries); err != nil {
-		return nil, err
 	}
 	return s, nil
 }
@@ -86,26 +88,32 @@ func Open(rm *records.Manager) (*Store, error) {
 // log-driven rollback restored pages under the in-memory state.
 // Mutator context (the rollback holds the store-wide writer lock).
 func (s *Store) Reload() error {
-	raw, err := s.seg.RootRID(segment.RootPathIndex)
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries = make(map[string]records.RID)
-	s.cache = make(map[string]*Handle)
+	if err := s.load(); err != nil {
+		return fmt.Errorf("pathindex: reload catalog: %w", err)
+	}
+	return nil
+}
+
+// load reads the catalog the segment header names and publishes it with
+// an empty handle cache. A segment without one has an empty catalog.
+func (s *Store) load() error {
+	v := &catalogView{entries: make(map[string]records.RID), cache: make(map[string]*Handle)}
+	defer s.view.Store(v)
 	s.catalogID = records.RID{}
-	if raw == 0 {
-		return nil
+	raw, err := s.seg.RootRID(segment.RootPathIndex)
+	if err != nil || raw == 0 {
+		return err
 	}
 	var enc [records.RIDSize]byte
 	binary.LittleEndian.PutUint64(enc[:], raw)
 	s.catalogID = records.DecodeRID(enc[:])
 	body, err := s.blobs.Read(s.catalogID)
 	if err != nil {
-		return fmt.Errorf("pathindex: reload catalog: %w", err)
+		return err
 	}
-	return decodeCatalog(body, s.entries)
+	return decodeCatalog(body, v.entries)
 }
 
 // encodeCatalog serializes entries in name order.
@@ -149,9 +157,7 @@ func decodeCatalog(b []byte, entries map[string]records.RID) error {
 }
 
 func (s *Store) saveCatalog() error {
-	s.mu.RLock()
-	body := encodeCatalog(s.entries)
-	s.mu.RUnlock()
+	body := encodeCatalog(s.view.Load().entries)
 	var (
 		id  records.RID
 		err error
@@ -172,9 +178,7 @@ func (s *Store) saveCatalog() error {
 
 // Names lists the indexed documents in name order.
 func (s *Store) Names() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return sortedNames(s.entries)
+	return sortedNames(s.view.Load().entries)
 }
 
 func sortedNames(entries map[string]records.RID) []string {
@@ -188,9 +192,7 @@ func sortedNames(entries map[string]records.RID) []string {
 
 // Has reports whether name has a stored index.
 func (s *Store) Has(name string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.entries[name]
+	_, ok := s.view.Load().entries[name]
 	return ok
 }
 
@@ -248,8 +250,10 @@ func (s *Store) Put(name string, idx *Index, enc *[]byte) error {
 		return rollback(fmt.Errorf("pathindex: store %q summary: %w", name, err))
 	}
 	s.mu.Lock()
-	s.entries[name] = id
-	s.cacheAddLocked(name, &Handle{store: s, sum: sum, postings: idx.postings})
+	s.editView(func(v *catalogView) {
+		v.entries[name] = id
+		v.cacheAdd(name, &Handle{store: s, sum: sum, postings: idx.postings})
+	})
 	s.mu.Unlock()
 	if err := s.saveCatalog(); err != nil {
 		return err
@@ -266,15 +270,14 @@ func (s *Store) Put(name string, idx *Index, enc *[]byte) error {
 // summary on first use. It returns (nil, nil) when the document has no
 // index. Concurrent first loads of the same document may both read the
 // summary; one decoded handle wins the cache and both callers get a
-// valid view.
+// valid view. A handle is cached only while name still names the
+// summary it was decoded from.
 func (s *Store) Get(name string) (*Handle, error) {
-	s.mu.RLock()
-	if h, ok := s.cache[name]; ok {
-		s.mu.RUnlock()
+	v := s.view.Load()
+	if h, ok := v.cache[name]; ok {
 		return h, nil
 	}
-	id, ok := s.entries[name]
-	s.mu.RUnlock()
+	id, ok := v.entries[name]
 	if !ok {
 		return nil, nil
 	}
@@ -289,10 +292,13 @@ func (s *Store) Get(name string) (*Handle, error) {
 	h := &Handle{store: s, sum: sum, postings: make(map[dict.LabelID][]Posting)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cached, ok := s.cache[name]; ok {
+	v = s.view.Load()
+	if cached, ok := v.cache[name]; ok {
 		return cached, nil
 	}
-	s.cacheAddLocked(name, h)
+	if v.entries[name] == id {
+		s.editView(func(v *catalogView) { v.cacheAdd(name, h) })
+	}
 	return h, nil
 }
 
@@ -308,8 +314,10 @@ func (s *Store) Drop(name string) error {
 		return err
 	}
 	s.mu.Lock()
-	delete(s.entries, name)
-	delete(s.cache, name)
+	s.editView(func(v *catalogView) {
+		delete(v.entries, name)
+		delete(v.cache, name)
+	})
 	s.mu.Unlock()
 	if err := s.saveCatalog(); err != nil {
 		return err
@@ -328,9 +336,7 @@ func (s *Store) Drop(name string) error {
 // reindex repair path), so its posting blobs — unenumerable without
 // the directory — are leaked and only the summary itself is freed.
 func (s *Store) blobRIDs(name string) ([]records.RID, error) {
-	s.mu.RLock()
-	id, ok := s.entries[name]
-	s.mu.RUnlock()
+	id, ok := s.view.Load().entries[name]
 	if !ok {
 		return nil, nil
 	}
@@ -359,9 +365,7 @@ func (s *Store) BlobRIDs(name string) ([]records.RID, error) {
 // BlobSize returns the total serialized size of name's index in bytes
 // (summary plus all posting blobs).
 func (s *Store) BlobSize(name string) (int64, error) {
-	s.mu.RLock()
-	id, ok := s.entries[name]
-	s.mu.RUnlock()
+	id, ok := s.view.Load().entries[name]
 	if !ok {
 		return 0, fmt.Errorf("pathindex: no index for %q", name)
 	}
@@ -383,16 +387,16 @@ func (s *Store) BlobSize(name string) (int64, error) {
 	return total, nil
 }
 
-// cacheAddLocked caches a decoded handle, evicting an arbitrary entry
-// at the bound. Caller holds s.mu exclusively.
-func (s *Store) cacheAddLocked(name string, h *Handle) {
-	if _, ok := s.cache[name]; !ok && len(s.cache) >= maxCached {
-		for evict := range s.cache {
-			delete(s.cache, evict)
+// cacheAdd caches a decoded handle in a view being edited, evicting an
+// arbitrary entry at the bound.
+func (v *catalogView) cacheAdd(name string, h *Handle) {
+	if _, ok := v.cache[name]; !ok && len(v.cache) >= maxCached {
+		for evict := range v.cache {
+			delete(v.cache, evict)
 			break
 		}
 	}
-	s.cache[name] = h
+	v.cache[name] = h
 }
 
 // InvalidateCache drops all decoded handles, forcing the next access
@@ -400,7 +404,7 @@ func (s *Store) cacheAddLocked(name string, h *Handle) {
 func (s *Store) InvalidateCache() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	clear(s.cache)
+	s.editView(func(v *catalogView) { clear(v.cache) })
 }
 
 // Handle is a lazily loaded view of one document's index: the summary

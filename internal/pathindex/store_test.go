@@ -42,7 +42,7 @@ func TestCorruptSummaryDoesNotWedge(t *testing.T) {
 	}
 
 	// Flip the version field of the stored summary in place.
-	id := s.entries["d"]
+	id := s.view.Load().entries["d"]
 	body, err := s.blobs.Read(id)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestCorruptSummaryDoesNotWedge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.entries["d"] = newID
+	setEntry(s, "d", newID)
 	s.InvalidateCache()
 
 	if _, err := s.Get("d"); !errors.Is(err, ErrCorrupt) {
@@ -72,4 +72,12 @@ func TestCorruptSummaryDoesNotWedge(t *testing.T) {
 	if err != nil || h == nil {
 		t.Fatalf("Get after repair = %v, %v", h, err)
 	}
+}
+
+// setEntry points name's catalog entry at the summary blob id, as Put
+// does, without writing the catalog.
+func setEntry(s *Store, name string, id records.RID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.editView(func(v *catalogView) { v.entries[name] = id })
 }
